@@ -401,27 +401,13 @@ impl HistoryArena {
         Some(MobilityHistory::from_leaves(e, leaves, window_records))
     }
 
-    /// One entity's live columns plus the per-window record counts —
-    /// the checkpoint-serialization export. The columns come back in
-    /// exactly the canonical order [`EntityView`] exposes, so
-    /// [`HistoryArena::restore_entity`] round-trips bit-identically.
-    /// `None` for absent/tombstoned entities.
-    #[allow(clippy::type_complexity)]
-    pub fn export_entity(
-        &self,
-        e: EntityId,
-    ) -> Option<(Vec<WindowIdx>, Vec<CellId>, Vec<u32>, Vec<(WindowIdx, u32)>)> {
-        let slot = self.dir.get(&e)?;
-        if slot.len == 0 {
-            return None;
-        }
-        let (off, len) = (slot.off, slot.len);
-        Some((
-            self.wins[off..off + len].to_vec(),
-            self.cells[off..off + len].to_vec(),
-            self.counts[off..off + len].to_vec(),
-            slot.window_records.clone(),
-        ))
+    /// One entity's live columns plus the per-window record counts,
+    /// borrowed — the checkpoint-serialization export. The columns are
+    /// exactly what [`HistoryArena::view`] exposes, so
+    /// [`HistoryArena::restore_entity`] round-trips them
+    /// bit-identically. `None` for absent/tombstoned entities.
+    pub fn export_entity(&self, e: EntityId) -> Option<(EntityView<'_>, &[(WindowIdx, u32)])> {
+        Some((self.view(e)?, &self.dir[&e].window_records))
     }
 
     /// Restores one entity from a [`HistoryArena::export_entity`] dump:
@@ -432,9 +418,9 @@ impl HistoryArena {
     pub fn restore_entity(
         &mut self,
         e: EntityId,
-        wins: Vec<WindowIdx>,
-        cells: Vec<CellId>,
-        counts: Vec<u32>,
+        wins: &[WindowIdx],
+        cells: &[CellId],
+        counts: &[u32],
         window_records: Vec<(WindowIdx, u32)>,
     ) {
         let n = wins.len();
@@ -450,9 +436,9 @@ impl HistoryArena {
             num_records: window_records.iter().map(|&(_, c)| c).sum(),
             window_records,
         };
-        self.wins.extend_from_slice(&wins);
-        self.cells.extend_from_slice(&cells);
-        self.counts.extend_from_slice(&counts);
+        self.wins.extend_from_slice(wins);
+        self.cells.extend_from_slice(cells);
+        self.counts.extend_from_slice(counts);
         self.dir.insert(e, slot);
         self.live_bins += n;
         self.live_entities += 1;

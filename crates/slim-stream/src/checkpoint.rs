@@ -19,10 +19,27 @@
 //!
 //! All integers are little-endian; floats travel as IEEE-754 bit
 //! patterns (`to_bits`/`from_bits`), so recovery reproduces them
-//! exactly. Every frame's CRC-32 (IEEE polynomial) is verified *before*
-//! its payload is parsed, so a torn or bit-flipped file is rejected
-//! with an error — never a panic — and the loader falls back to the
-//! next-older file.
+//! exactly. Every frame carries the CRC-32 of its payload (IEEE 802.3,
+//! reflected polynomial `0xEDB88320` — the zlib/PNG checksum), computed
+//! eight bytes per step from compile-time tables ([`crc32`]; a bitwise
+//! reference loop pins it in the unit tests). The CRC is verified
+//! *before* the payload is parsed, so a torn or bit-flipped file is
+//! rejected with an error — never a panic — and the loader falls back
+//! to the next-older file. A length the file claims is never trusted
+//! for more than the bytes actually present.
+//!
+//! # Write path
+//!
+//! There is one encoder, [`encode_into`], and it serializes an
+//! [`Image`] straight into a caller-owned buffer that the engine keeps
+//! across checkpoints (cleared, capacity retained). A frame is opened
+//! by reserving its 16-byte header and closed by patching length and
+//! CRC over the payload range in place, so no section is staged in a
+//! buffer of its own. The image *borrows* the engine: every shard
+//! collection is a `Cow::Borrowed` view of the live maps, arena columns
+//! and rings, and only [`decode`] produces the owned form (which
+//! recovery consumes and the codec tests re-encode through the same
+//! encoder).
 //!
 //! # Atomic writes
 //!
@@ -32,15 +49,22 @@
 //! best-effort directory fsync. A crash mid-write therefore leaves at
 //! worst a stale temp file, never a half-renamed checkpoint; a crash
 //! mid-*fsync* can leave a torn frame, which the CRC catches at load.
+//! A failed write removes its own temp file, and [`prune_old`] sweeps
+//! up any temp file a killed writer left behind.
 //!
 //! # Sharding
 //!
-//! Checkpoints are **shard-agnostic**: per-shard state is merged into
-//! globally sorted collections before serialization, and recovery
-//! redistributes it by the deterministic entity hash
-//! ([`crate::shard::entity_shard`]). A checkpoint written by a 4-shard
-//! engine recovers bit-identically on a 1-shard one and vice versa.
+//! Checkpoints are **shard-agnostic**: the engine gathers, per
+//! collection, one index of references into every shard and sorts it by
+//! key (entity, pair, or `(side, entity)`), and the encoder walks that
+//! index — merged by sorted reference, not by copy. The bytes are the
+//! same for every shard count, and recovery redistributes them by the
+//! deterministic entity hash ([`crate::shard::entity_shard`]). A
+//! checkpoint written by a 4-shard engine recovers bit-identically on a
+//! 1-shard one and vice versa.
 
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -53,7 +77,7 @@ use crate::adjacency::PairKey;
 use crate::config::StreamConfig;
 use crate::engine::StreamStats;
 use crate::event::{Side, StreamEvent};
-use crate::lsh::RingDump;
+use crate::lsh::{RingDump, SpanRing};
 use crate::shard::BinnedEvent;
 use crate::store::HistoryDump;
 use crate::testing::FaultPlan;
@@ -87,13 +111,16 @@ pub struct CheckpointPolicy {
 // Checkpointed state
 // ---------------------------------------------------------------------
 
-/// Everything a checkpoint persists: the recovery image handed between
-/// the engine ([`crate::StreamEngine`]) and this module's codec.
+/// Everything a checkpoint persists: the image handed between the
+/// engine ([`crate::StreamEngine`]) and this module's codec. On the
+/// write path it borrows the live engine (`'a` is the engine borrow and
+/// every [`ShardsDump`] collection is `Cow::Borrowed`); [`decode`]
+/// yields the owned `Image<'static>` recovery consumes.
 #[derive(Debug, Clone)]
-pub(crate) struct CheckpointState {
+pub(crate) struct Image<'a> {
     pub(crate) meta: MetaDump,
     pub(crate) engine: EngineDump,
-    pub(crate) shards: ShardsDump,
+    pub(crate) shards: ShardsDump<'a>,
     pub(crate) pump: ResumeState,
 }
 
@@ -205,27 +232,29 @@ pub(crate) struct DfDump {
 
 /// Per-shard state, merged across shards into globally sorted
 /// collections (sorted by entity, pair, or `(side, entity)` key) so the
-/// dump is identical for every shard count.
+/// dump is identical for every shard count. The sorted `Vec`s are the
+/// index; what they point at stays in the shards (`Cow::Borrowed`)
+/// unless the dump was decoded from a file (`Cow::Owned`).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ShardsDump {
+pub(crate) struct ShardsDump<'a> {
     /// Per-side mobility histories (columnar arena contents).
-    pub(crate) histories: [Vec<(EntityId, HistoryDump)>; 2],
+    pub(crate) histories: [Vec<(EntityId, HistoryDump<'a>)>; 2],
     /// Per-side min-records pending buffers.
-    pub(crate) pending: [Vec<(EntityId, Vec<BinnedEvent>)>; 2],
+    pub(crate) pending: [Vec<(EntityId, Cow<'a, [BinnedEvent]>)>; 2],
     /// Per-side live-event retention buffers (sliding-window mode).
-    pub(crate) live_events: [Vec<(EntityId, Vec<BinnedEvent>)>; 2],
+    pub(crate) live_events: [Vec<(EntityId, Cow<'a, [BinnedEvent]>)>; 2],
     /// Per-side activated entities.
     pub(crate) active: [Vec<EntityId>; 2],
     /// Per-side dirty window marks.
-    pub(crate) dirty: [Vec<(EntityId, Vec<WindowIdx>)>; 2],
+    pub(crate) dirty: [Vec<(EntityId, Cow<'a, BTreeSet<WindowIdx>>)>; 2],
     /// Per-side dead (fully expired) entities.
     pub(crate) dead: [Vec<EntityId>; 2],
     /// LSH ring signatures, sorted by `(side, entity)`.
-    pub(crate) rings: Vec<RingDump>,
+    pub(crate) rings: Vec<RingDump<'a>>,
     /// Cached `(pair, window)` score contributions. These deliberately
     /// lag drifting idf, so they are restored verbatim — never
     /// recomputed.
-    pub(crate) cache: Vec<(PairKey, Vec<(WindowIdx, f64)>)>,
+    pub(crate) cache: Vec<(PairKey, Cow<'a, BTreeMap<WindowIdx, f64>>)>,
     /// Pairs whose cache is not yet complete.
     pub(crate) fresh: Vec<PairKey>,
     /// Last emitted edge weight per pair.
@@ -278,15 +307,56 @@ pub(crate) enum TickerDump {
 // CRC-32 (IEEE)
 // ---------------------------------------------------------------------
 
+/// Slicing-by-8 lookup tables: `CRC_TABLES[k][b]` is the CRC state
+/// after byte `b` followed by `k` zero bytes, so eight input bytes fold
+/// into the state with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -325,12 +395,22 @@ fn put_opt<T>(out: &mut Vec<u8>, v: &Option<T>, f: impl Fn(&mut Vec<u8>, &T)) {
     }
 }
 
-fn put_vec<T>(out: &mut Vec<u8>, items: &[T], f: impl Fn(&mut Vec<u8>, &T)) {
+/// A length-prefixed sequence, straight from whatever holds it (slice,
+/// `BTreeMap`, `BTreeSet`) — nothing is collected first.
+fn put_seq<I: ExactSizeIterator>(
+    out: &mut Vec<u8>,
+    items: impl IntoIterator<IntoIter = I>,
+    f: impl Fn(&mut Vec<u8>, I::Item),
+) {
+    let items = items.into_iter();
     put_u64(out, items.len() as u64);
     for it in items {
         f(out, it);
     }
 }
+
+/// Most elements [`Dec::vec`] reserves room for before any has parsed.
+const MAX_PREALLOC: usize = 4096;
 
 /// Bounds-checked little-endian reader over a frame payload. Every
 /// overrun is an `Err`, never a panic — the corruption-tolerance
@@ -390,19 +470,36 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn vec<T>(&mut self, f: impl Fn(&mut Self) -> Result<T, String>) -> Result<Vec<T>, String> {
+    /// A sequence length. Every element costs at least one byte on the
+    /// wire, so a length beyond the remaining payload is corrupt.
+    fn len(&mut self) -> Result<usize, String> {
         let n = self.u64()? as usize;
-        // Every element costs at least one byte on the wire, so a
-        // length beyond the remaining payload is corrupt — reject it
-        // before attempting the allocation.
         if n > self.remaining() {
-            return Err(format!("corrupt vec length {n} exceeds payload"));
+            return Err(format!("corrupt sequence length {n} exceeds payload"));
         }
-        let mut v = Vec::with_capacity(n);
+        Ok(n)
+    }
+
+    fn vec<T>(&mut self, f: impl Fn(&mut Self) -> Result<T, String>) -> Result<Vec<T>, String> {
+        let n = self.len()?;
+        // The one-byte-per-element bound above still lets a CRC-valid
+        // file claim millions of elements that are ~100 bytes each in
+        // memory; reserve for a bounded number up front and let the
+        // vector grow only as elements actually parse.
+        let mut v = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
             v.push(f(self)?);
         }
         Ok(v)
+    }
+
+    /// [`Dec::vec`] into a map or set (which allocate per element
+    /// parsed, so need no reservation cap).
+    fn collect<T, C: FromIterator<T>>(
+        &mut self,
+        f: impl Fn(&mut Self) -> Result<T, String>,
+    ) -> Result<C, String> {
+        (0..self.len()?).map(|_| f(self)).collect()
     }
 
     fn done(&self) -> Result<(), String> {
@@ -528,8 +625,8 @@ fn put_binned(out: &mut Vec<u8>, b: &BinnedEvent) {
     put_side(out, b.side);
     put_u64(out, b.entity.0);
     put_u32(out, b.w);
-    put_vec(out, &b.cells, put_cell);
-    put_vec(out, &b.lsh_cells, put_cell);
+    put_seq(out, &b.cells, put_cell);
+    put_seq(out, &b.lsh_cells, put_cell);
 }
 
 fn dec_binned(d: &mut Dec) -> Result<BinnedEvent, String> {
@@ -543,47 +640,49 @@ fn dec_binned(d: &mut Dec) -> Result<BinnedEvent, String> {
 }
 
 fn put_history(out: &mut Vec<u8>, h: &HistoryDump) {
-    put_vec(out, &h.wins, |o, w| put_u32(o, *w));
-    put_vec(out, &h.cells, put_cell);
-    put_vec(out, &h.counts, |o, c| put_u32(o, *c));
-    put_vec(out, &h.window_records, |o, (w, n)| {
+    put_seq(out, h.wins.iter(), |o, w| put_u32(o, *w));
+    put_seq(out, h.cells.iter(), put_cell);
+    put_seq(out, h.counts.iter(), |o, c| put_u32(o, *c));
+    put_seq(out, h.window_records.iter(), |o, (w, n)| {
         put_u32(o, *w);
         put_u32(o, *n);
     });
 }
 
-fn dec_history(d: &mut Dec) -> Result<HistoryDump, String> {
+fn dec_history(d: &mut Dec) -> Result<HistoryDump<'static>, String> {
     Ok(HistoryDump {
-        wins: d.vec(|d| d.u32())?,
-        cells: d.vec(dec_cell)?,
-        counts: d.vec(|d| d.u32())?,
-        window_records: d.vec(|d| Ok((d.u32()?, d.u32()?)))?,
+        wins: d.vec(|d| d.u32())?.into(),
+        cells: d.vec(dec_cell)?.into(),
+        counts: d.vec(|d| d.u32())?.into(),
+        window_records: d.vec(|d| Ok((d.u32()?, d.u32()?)))?.into(),
     })
 }
 
 fn put_ring(out: &mut Vec<u8>, r: &RingDump) {
     put_side(out, r.side);
     put_u64(out, r.entity.0);
-    put_vec(out, &r.slots, |o, slot| {
-        put_vec(o, slot, |o, (w, c, n)| {
+    put_seq(out, &r.ring.slots, |o, slot| {
+        put_seq(o, slot, |o, ((w, c), n)| {
             put_u32(o, *w);
             put_cell(o, c);
             put_u32(o, *n);
         });
     });
-    put_vec(out, &r.owners, |o, own| {
+    put_seq(out, &r.ring.owners, |o, own| {
         put_opt(o, own, |o, w| put_u32(o, *w));
     });
-    put_vec(out, &r.sig, |o, s| put_opt(o, s, put_cell));
+    put_seq(out, &r.ring.sig, |o, s| put_opt(o, s, put_cell));
 }
 
-fn dec_ring(d: &mut Dec) -> Result<RingDump, String> {
+fn dec_ring(d: &mut Dec) -> Result<RingDump<'static>, String> {
     Ok(RingDump {
         side: dec_side(d)?,
         entity: EntityId(d.u64()?),
-        slots: d.vec(|d| d.vec(|d| Ok((d.u32()?, dec_cell(d)?, d.u32()?))))?,
-        owners: d.vec(|d| d.opt(|d| d.u32()))?,
-        sig: d.vec(|d| d.opt(dec_cell))?,
+        ring: Cow::Owned(SpanRing {
+            slots: d.vec(|d| d.collect(|d| Ok(((d.u32()?, dec_cell(d)?), d.u32()?))))?,
+            owners: d.vec(|d| d.opt(|d| d.u32()))?,
+            sig: d.vec(|d| d.opt(dec_cell))?,
+        }),
     })
 }
 
@@ -610,7 +709,7 @@ fn put_ticker(out: &mut Vec<u8>, t: &TickerDump) {
             put_i64(out, *width);
             put_opt(out, origin, |o, v| put_i64(o, *v));
             put_u32(out, *sealed_below);
-            put_vec(out, pending, put_event);
+            put_seq(out, pending, put_event);
         }
     }
 }
@@ -760,7 +859,7 @@ fn dec_scoring(d: &mut Dec) -> Result<LinkageStats, String> {
 }
 
 fn put_df(out: &mut Vec<u8>, df: &DfDump) {
-    put_vec(out, &df.entries, |o, (w, c, n)| {
+    put_seq(out, &df.entries, |o, (w, c, n)| {
         put_u32(o, *w);
         put_cell(o, c);
         put_u32(o, *n);
@@ -781,22 +880,20 @@ fn dec_df(d: &mut Dec) -> Result<DfDump, String> {
 // Section codecs
 // ---------------------------------------------------------------------
 
-fn encode_meta(m: &MetaDump) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, m.consumed);
+fn encode_meta(out: &mut Vec<u8>, m: &MetaDump) {
+    put_u64(out, m.consumed);
     let f = &m.fingerprint;
-    put_i64(&mut out, f.window_width_secs);
-    put_u8(&mut out, f.spatial_level);
-    put_u64(&mut out, f.min_records);
-    put_opt(&mut out, &f.window_capacity, |o, v| put_u32(o, *v));
-    put_opt(&mut out, &f.lsh, |o, l| {
+    put_i64(out, f.window_width_secs);
+    put_u8(out, f.spatial_level);
+    put_u64(out, f.min_records);
+    put_opt(out, &f.window_capacity, |o, v| put_u32(o, *v));
+    put_opt(out, &f.lsh, |o, l| {
         put_u64(o, l.spans);
         put_u32(o, l.step_windows);
         put_u8(o, l.spatial_level);
         put_u64(o, l.threshold_bits);
         put_u64(o, l.num_buckets);
     });
-    out
 }
 
 fn decode_meta(payload: &[u8]) -> Result<MetaDump, String> {
@@ -824,24 +921,22 @@ fn decode_meta(payload: &[u8]) -> Result<MetaDump, String> {
     })
 }
 
-fn encode_engine(e: &EngineDump) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_opt(&mut out, &e.origin, |o, v| put_i64(o, *v));
-    put_u32(&mut out, e.domain);
-    put_u32(&mut out, e.watermark);
-    put_u32(&mut out, e.expired_below);
-    put_u64(&mut out, e.events_since_refresh);
-    put_stats(&mut out, &e.stats);
-    put_scoring(&mut out, &e.scoring);
-    put_vec(&mut out, &e.links, put_edge);
-    put_u64(&mut out, e.epoch_events);
-    put_opt(&mut out, &e.epoch_threshold, |o, v| put_f64(o, *v));
-    put_opt(&mut out, &e.epoch_frontier, |o, v| put_i64(o, *v));
-    put_vec(&mut out, &e.matcher_edges, put_edge);
-    put_opt(&mut out, &e.warm_seed, put_gmm);
-    put_df(&mut out, &e.df[0]);
-    put_df(&mut out, &e.df[1]);
-    out
+fn encode_engine(out: &mut Vec<u8>, e: &EngineDump) {
+    put_opt(out, &e.origin, |o, v| put_i64(o, *v));
+    put_u32(out, e.domain);
+    put_u32(out, e.watermark);
+    put_u32(out, e.expired_below);
+    put_u64(out, e.events_since_refresh);
+    put_stats(out, &e.stats);
+    put_scoring(out, &e.scoring);
+    put_seq(out, &e.links, put_edge);
+    put_u64(out, e.epoch_events);
+    put_opt(out, &e.epoch_threshold, |o, v| put_f64(o, *v));
+    put_opt(out, &e.epoch_frontier, |o, v| put_i64(o, *v));
+    put_seq(out, &e.matcher_edges, put_edge);
+    put_opt(out, &e.warm_seed, put_gmm);
+    put_df(out, &e.df[0]);
+    put_df(out, &e.df[1]);
 }
 
 fn decode_engine(payload: &[u8]) -> Result<EngineDump, String> {
@@ -866,61 +961,61 @@ fn decode_engine(payload: &[u8]) -> Result<EngineDump, String> {
     Ok(e)
 }
 
-fn encode_shards(s: &ShardsDump) -> Vec<u8> {
-    let mut out = Vec::new();
+fn encode_shards(out: &mut Vec<u8>, s: &ShardsDump) {
     for side in 0..2 {
-        put_vec(&mut out, &s.histories[side], |o, (e, h)| {
+        put_seq(out, &s.histories[side], |o, (e, h)| {
             put_u64(o, e.0);
             put_history(o, h);
         });
-        put_vec(&mut out, &s.pending[side], |o, (e, evs)| {
+        for buffers in [&s.pending[side], &s.live_events[side]] {
+            put_seq(out, buffers, |o, (e, evs)| {
+                put_u64(o, e.0);
+                put_seq(o, evs.iter(), put_binned);
+            });
+        }
+        put_seq(out, &s.active[side], |o, e| put_u64(o, e.0));
+        put_seq(out, &s.dirty[side], |o, (e, ws)| {
             put_u64(o, e.0);
-            put_vec(o, evs, put_binned);
+            put_seq(o, ws.iter(), |o, w| put_u32(o, *w));
         });
-        put_vec(&mut out, &s.live_events[side], |o, (e, evs)| {
-            put_u64(o, e.0);
-            put_vec(o, evs, put_binned);
-        });
-        put_vec(&mut out, &s.active[side], |o, e| put_u64(o, e.0));
-        put_vec(&mut out, &s.dirty[side], |o, (e, ws)| {
-            put_u64(o, e.0);
-            put_vec(o, ws, |o, w| put_u32(o, *w));
-        });
-        put_vec(&mut out, &s.dead[side], |o, e| put_u64(o, e.0));
+        put_seq(out, &s.dead[side], |o, e| put_u64(o, e.0));
     }
-    put_vec(&mut out, &s.rings, put_ring);
-    put_vec(&mut out, &s.cache, |o, (p, wins)| {
+    put_seq(out, &s.rings, put_ring);
+    put_seq(out, &s.cache, |o, (p, wins)| {
         put_pair(o, p);
-        put_vec(o, wins, |o, (w, v)| {
+        put_seq(o, wins.iter(), |o, (w, v)| {
             put_u32(o, *w);
             put_f64(o, *v);
         });
     });
-    put_vec(&mut out, &s.fresh, put_pair);
-    put_vec(&mut out, &s.edges, |o, (p, w)| {
+    put_seq(out, &s.fresh, put_pair);
+    put_seq(out, &s.edges, |o, (p, w)| {
         put_pair(o, p);
         put_f64(o, *w);
     });
-    put_vec(&mut out, &s.edge_deltas, |o, (p, w)| {
+    put_seq(out, &s.edge_deltas, |o, (p, w)| {
         put_pair(o, p);
         put_opt(o, w, |o, v| put_f64(o, *v));
     });
-    out
 }
 
-fn decode_shards(payload: &[u8]) -> Result<ShardsDump, String> {
+fn decode_shards(payload: &[u8]) -> Result<ShardsDump<'static>, String> {
     let mut d = Dec::new(payload);
     let mut s = ShardsDump::default();
+    let buffers = |d: &mut Dec| Ok((EntityId(d.u64()?), d.vec(dec_binned)?.into()));
     for side in 0..2 {
         s.histories[side] = d.vec(|d| Ok((EntityId(d.u64()?), dec_history(d)?)))?;
-        s.pending[side] = d.vec(|d| Ok((EntityId(d.u64()?), d.vec(dec_binned)?)))?;
-        s.live_events[side] = d.vec(|d| Ok((EntityId(d.u64()?), d.vec(dec_binned)?)))?;
+        s.pending[side] = d.vec(buffers)?;
+        s.live_events[side] = d.vec(buffers)?;
         s.active[side] = d.vec(|d| Ok(EntityId(d.u64()?)))?;
-        s.dirty[side] = d.vec(|d| Ok((EntityId(d.u64()?), d.vec(|d| d.u32())?)))?;
+        s.dirty[side] = d.vec(|d| Ok((EntityId(d.u64()?), Cow::Owned(d.collect(|d| d.u32())?))))?;
         s.dead[side] = d.vec(|d| Ok(EntityId(d.u64()?)))?;
     }
     s.rings = d.vec(dec_ring)?;
-    s.cache = d.vec(|d| Ok((dec_pair(d)?, d.vec(|d| Ok((d.u32()?, d.f64()?)))?)))?;
+    s.cache = d.vec(|d| {
+        let pair = dec_pair(d)?;
+        Ok((pair, Cow::Owned(d.collect(|d| Ok((d.u32()?, d.f64()?)))?)))
+    })?;
     s.fresh = d.vec(dec_pair)?;
     s.edges = d.vec(|d| Ok((dec_pair(d)?, d.f64()?)))?;
     s.edge_deltas = d.vec(|d| Ok((dec_pair(d)?, d.opt(|d| d.f64())?)))?;
@@ -928,14 +1023,12 @@ fn decode_shards(payload: &[u8]) -> Result<ShardsDump, String> {
     Ok(s)
 }
 
-fn encode_pump(p: &ResumeState) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, p.consumed);
-    put_opt(&mut out, &p.reorder_max_seen, |o, v| put_i64(o, *v));
-    put_vec(&mut out, &p.reorder_held, put_event);
-    put_u64(&mut out, p.reorder_late);
-    put_ticker(&mut out, &p.ticker);
-    out
+fn encode_pump(out: &mut Vec<u8>, p: &ResumeState) {
+    put_u64(out, p.consumed);
+    put_opt(out, &p.reorder_max_seen, |o, v| put_i64(o, *v));
+    put_seq(out, &p.reorder_held, put_event);
+    put_u64(out, p.reorder_late);
+    put_ticker(out, &p.ticker);
 }
 
 fn decode_pump(payload: &[u8]) -> Result<ResumeState, String> {
@@ -955,31 +1048,43 @@ fn decode_pump(payload: &[u8]) -> Result<ResumeState, String> {
 // Whole-file codec
 // ---------------------------------------------------------------------
 
-fn frame(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+/// Bytes of a frame header after its tag: payload length, then CRC.
+const FRAME_LEN_CRC: usize = 12;
+
+/// Appends one frame whose payload `body` writes directly into `out`:
+/// the length and CRC slots are reserved first and patched once the
+/// payload range is known.
+fn frame(out: &mut Vec<u8>, tag: u32, body: impl FnOnce(&mut Vec<u8>)) {
     put_u32(out, tag);
-    put_u64(out, payload.len() as u64);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+    let header = out.len();
+    out.extend_from_slice(&[0; FRAME_LEN_CRC]);
+    let payload = out.len();
+    body(out);
+    let len = (out.len() - payload) as u64;
+    let crc = crc32(&out[payload..]);
+    out[header..header + 8].copy_from_slice(&len.to_le_bytes());
+    out[header + 8..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Serializes a complete checkpoint image to its wire form.
-pub(crate) fn encode(state: &CheckpointState) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Serializes a complete checkpoint image to its wire form in `out`
+/// (cleared first; its capacity is what a caller that keeps the buffer
+/// saves on the next call). The only encoder.
+pub(crate) fn encode_into(out: &mut Vec<u8>, image: &Image) {
+    out.clear();
     out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION);
-    frame(&mut out, TAG_META, &encode_meta(&state.meta));
-    frame(&mut out, TAG_ENGINE, &encode_engine(&state.engine));
-    frame(&mut out, TAG_SHARDS, &encode_shards(&state.shards));
-    frame(&mut out, TAG_PUMP, &encode_pump(&state.pump));
-    frame(&mut out, TAG_END, &[]);
-    out
+    put_u32(out, VERSION);
+    frame(out, TAG_META, |o| encode_meta(o, &image.meta));
+    frame(out, TAG_ENGINE, |o| encode_engine(o, &image.engine));
+    frame(out, TAG_SHARDS, |o| encode_shards(o, &image.shards));
+    frame(out, TAG_PUMP, |o| encode_pump(o, &image.pump));
+    frame(out, TAG_END, |_| {});
 }
 
 /// Parses and validates a checkpoint file image. Strict: bad magic or
 /// version, any frame CRC mismatch, a missing or duplicated section, a
 /// missing END frame, or trailing bytes are all errors — and *never*
 /// panics, whatever the input.
-pub(crate) fn decode(bytes: &[u8]) -> Result<CheckpointState, String> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<Image<'static>, String> {
     let mut d = Dec::new(bytes);
     if d.take(MAGIC.len())? != MAGIC {
         return Err("bad magic: not a checkpoint file".into());
@@ -1020,7 +1125,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<CheckpointState, String> {
         }
     }
     d.done()?;
-    Ok(CheckpointState {
+    Ok(Image {
         meta: meta.ok_or("missing META frame")?,
         engine: engine.ok_or("missing ENGINE frame")?,
         shards: shards.ok_or("missing SHARDS frame")?,
@@ -1038,10 +1143,13 @@ pub(crate) fn checkpoint_file_name(consumed: u64) -> String {
     format!("ckpt-{consumed:020}.slim")
 }
 
-/// Checkpoint files in `dir`, sorted oldest → newest. Non-checkpoint
-/// names (including temp files) are ignored; a missing directory is an
-/// empty list.
-pub(crate) fn list_checkpoints(dir: &Path) -> Vec<PathBuf> {
+/// Extension of the sibling a checkpoint is staged in before its
+/// rename (`ckpt-<consumed>.slim.tmp`).
+const TMP_EXT: &str = ".slim.tmp";
+
+/// Files in `dir` named `ckpt-*<suffix>`, sorted (oldest → newest).
+/// A missing directory is an empty list.
+fn list_files(dir: &Path, suffix: &str) -> Vec<PathBuf> {
     let Ok(entries) = fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -1051,11 +1159,18 @@ pub(crate) fn list_checkpoints(dir: &Path) -> Vec<PathBuf> {
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".slim"))
+                .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(suffix))
         })
         .collect();
     files.sort();
     files
+}
+
+/// Checkpoint files in `dir`, sorted oldest → newest. Non-checkpoint
+/// names (including temp files) are ignored; a missing directory is an
+/// empty list.
+pub(crate) fn list_checkpoints(dir: &Path) -> Vec<PathBuf> {
+    list_files(dir, ".slim")
 }
 
 /// Applies a deterministic corruption from `plan` to an encoded image:
@@ -1075,19 +1190,26 @@ pub(crate) fn apply_fault(bytes: &mut Vec<u8>, plan: &FaultPlan) {
 
 /// Atomically installs `bytes` as the checkpoint for `consumed` events:
 /// temp file in the same directory, fsync, rename, best-effort
-/// directory fsync. Returns the installed size in bytes.
+/// directory fsync. Returns the installed size in bytes. On any error
+/// the temp file is removed, so a failed write leaves nothing behind.
 pub(crate) fn write_atomic(dir: &Path, consumed: u64, bytes: &[u8]) -> Result<u64, String> {
     fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let final_path = dir.join(checkpoint_file_name(consumed));
-    let tmp_path = dir.join(format!("ckpt-{consumed:020}.slim.tmp"));
-    let mut f =
-        fs::File::create(&tmp_path).map_err(|e| format!("creating {}: {e}", tmp_path.display()))?;
-    f.write_all(bytes)
-        .and_then(|()| f.sync_all())
-        .map_err(|e| format!("writing {}: {e}", tmp_path.display()))?;
-    drop(f);
-    fs::rename(&tmp_path, &final_path)
-        .map_err(|e| format!("installing {}: {e}", final_path.display()))?;
+    let tmp_path = dir.join(format!("ckpt-{consumed:020}{TMP_EXT}"));
+    let install = || -> Result<(), String> {
+        let mut f = fs::File::create(&tmp_path)
+            .map_err(|e| format!("creating {}: {e}", tmp_path.display()))?;
+        f.write_all(bytes)
+            .and_then(|()| f.sync_all())
+            .map_err(|e| format!("writing {}: {e}", tmp_path.display()))?;
+        drop(f);
+        fs::rename(&tmp_path, &final_path)
+            .map_err(|e| format!("installing {}: {e}", final_path.display()))
+    };
+    if let Err(e) = install() {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e);
+    }
     // Persist the rename itself; failure here only risks losing the
     // *newest* checkpoint to a power cut, which recovery tolerates.
     if let Ok(d) = fs::File::open(dir) {
@@ -1097,8 +1219,14 @@ pub(crate) fn write_atomic(dir: &Path, consumed: u64, bytes: &[u8]) -> Result<u6
 }
 
 /// Prunes all but the newest `keep` checkpoints in `dir` (oldest
-/// first). Returns how many files were removed.
+/// first), and every stale temp file: one exists only if a writer was
+/// killed mid-write, and nothing would ever read or replace it. Only
+/// call this with no write in flight (the engine calls it right after
+/// its own). Returns how many checkpoints were removed.
 pub(crate) fn prune_old(dir: &Path, keep: usize) -> u64 {
+    for stale in list_files(dir, TMP_EXT) {
+        let _ = fs::remove_file(stale);
+    }
     let files = list_checkpoints(dir);
     let excess = files.len().saturating_sub(keep.max(1));
     let mut removed = 0;
@@ -1114,7 +1242,7 @@ pub(crate) fn prune_old(dir: &Path, keep: usize) -> u64 {
 /// falling back file by file toward older ones. Returns the state and
 /// the number of rejected (torn / corrupt / unreadable) newer files.
 /// Errors only when no file validates.
-pub(crate) fn load_latest(dir: &Path) -> Result<(CheckpointState, u64), String> {
+pub(crate) fn load_latest(dir: &Path) -> Result<(Image<'static>, u64), String> {
     let files = list_checkpoints(dir);
     if files.is_empty() {
         return Err(format!("no checkpoints in {}", dir.display()));
@@ -1144,7 +1272,64 @@ pub(crate) fn load_latest(dir: &Path) -> Result<(CheckpointState, u64), String> 
 mod tests {
     use super::*;
 
-    fn sample_state() -> CheckpointState {
+    /// A checkpoint the parent of the borrow-don't-clone write path
+    /// wrote (see `tests/checkpoint_format.rs` for the workload).
+    const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/ckpt-v1.slim");
+
+    /// The image as a fresh file's bytes, through the one encoder.
+    fn encode(image: &Image) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_into(&mut out, image);
+        out
+    }
+
+    /// The bit-at-a-time CRC-32 the table-driven [`crc32`] replaced,
+    /// kept as its oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// Table == bitwise on pseudo-random bytes at every length
+    /// 0..=4099 from every start offset 0..8 of one allocation — the
+    /// eight-byte main loop plus tail is where slicing goes wrong.
+    #[test]
+    fn crc32_tables_match_the_bitwise_oracle() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..4099 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=4099 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    fn sample_state() -> Image<'static> {
         let ev = StreamEvent::new(
             Side::Left,
             EntityId(7),
@@ -1152,7 +1337,7 @@ mod tests {
             Timestamp(1234),
         );
         let cell = CellId::from_latlng(LatLng::from_degrees(41.0, 29.0), 12);
-        CheckpointState {
+        Image {
             meta: MetaDump {
                 consumed: 42,
                 fingerprint: ConfigFingerprint::of(&StreamConfig::default()),
@@ -1213,10 +1398,10 @@ mod tests {
                     vec![(
                         EntityId(7),
                         HistoryDump {
-                            wins: vec![0, 1],
-                            cells: vec![cell, cell],
-                            counts: vec![2, 1],
-                            window_records: vec![(0, 2), (1, 1)],
+                            wins: vec![0, 1].into(),
+                            cells: vec![cell, cell].into(),
+                            counts: vec![2, 1].into(),
+                            window_records: vec![(0, 2), (1, 1)].into(),
                         },
                     )],
                     Vec::new(),
@@ -1230,22 +1415,31 @@ mod tests {
                             w: 1,
                             cells: vec![cell],
                             lsh_cells: Vec::new(),
-                        }],
+                        }]
+                        .into(),
                     )],
                     Vec::new(),
                 ],
                 live_events: [Vec::new(), Vec::new()],
                 active: [vec![EntityId(7)], vec![EntityId(3)]],
-                dirty: [vec![(EntityId(7), vec![0, 1])], Vec::new()],
+                dirty: [
+                    vec![(EntityId(7), Cow::Owned(BTreeSet::from([0, 1])))],
+                    Vec::new(),
+                ],
                 dead: [Vec::new(), vec![EntityId(5)]],
                 rings: vec![RingDump {
                     side: Side::Left,
                     entity: EntityId(7),
-                    slots: vec![vec![(0, cell, 2)], Vec::new()],
-                    owners: vec![Some(0), None],
-                    sig: vec![Some(cell), None],
+                    ring: Cow::Owned(SpanRing {
+                        slots: vec![BTreeMap::from([((0, cell), 2)]), BTreeMap::new()],
+                        owners: vec![Some(0), None],
+                        sig: vec![Some(cell), None],
+                    }),
                 }],
-                cache: vec![((EntityId(7), EntityId(3)), vec![(0, 0.5), (1, 0.25)])],
+                cache: vec![(
+                    (EntityId(7), EntityId(3)),
+                    Cow::Owned(BTreeMap::from([(0, 0.5), (1, 0.25)])),
+                )],
                 fresh: vec![(EntityId(7), EntityId(3))],
                 edges: vec![((EntityId(7), EntityId(3)), 0.75)],
                 edge_deltas: vec![((EntityId(7), EntityId(3)), Some(0.8))],
@@ -1268,7 +1462,7 @@ mod tests {
     /// Field-by-field equality of two checkpoint states, via the
     /// canonical wire form (the structs hold floats, so the bit-exact
     /// comparison the format guarantees *is* encoded equality).
-    fn assert_same(a: &CheckpointState, b: &CheckpointState) {
+    fn assert_same(a: &Image, b: &Image) {
         assert_eq!(encode(a), encode(b));
     }
 
@@ -1421,5 +1615,91 @@ mod tests {
         let dir = std::env::temp_dir().join("slim-ckpt-definitely-absent");
         assert!(load_latest(&dir).is_err());
         assert!(list_checkpoints(&dir).is_empty());
+    }
+
+    /// `VERSION` did not move: a file the previous write path produced
+    /// decodes, and the one encoder reproduces it byte for byte.
+    #[test]
+    fn parent_written_fixture_decodes_and_re_encodes_byte_identically() {
+        let image = decode(V1_FIXTURE).expect("a version-1 file decodes");
+        assert_eq!(image.meta.consumed, 60);
+        // The fixture is only a witness if the collections are there.
+        let s = &image.shards;
+        for side in 0..2 {
+            assert!(!s.histories[side].is_empty(), "histories[{side}]");
+            assert!(!s.pending[side].is_empty(), "pending[{side}]");
+            assert!(!s.live_events[side].is_empty(), "live_events[{side}]");
+            assert!(!s.active[side].is_empty(), "active[{side}]");
+        }
+        assert!(!s.rings.is_empty() && !s.cache.is_empty() && !s.edges.is_empty());
+        assert!(!image.engine.links.is_empty() && !image.engine.matcher_edges.is_empty());
+        assert!(!image.pump.reorder_held.is_empty());
+        assert!(encode(&image) == V1_FIXTURE, "re-encoded bytes differ");
+    }
+
+    /// A CRC-valid file may claim any sequence length up to its own
+    /// size. 11 MB of zeros parse as 33-byte empty rings, so the count
+    /// below passes the bytes-remaining guard; pre-sizing for it would
+    /// ask for over a gigabyte of `RingDump`s before the payload runs
+    /// out (an abort where memory is capped). [`Dec::vec`] reserves at
+    /// most [`MAX_PREALLOC`] elements ahead, and the result is the
+    /// promised `Err`.
+    #[test]
+    fn crafted_sequence_length_is_an_error_not_a_giant_allocation() {
+        const CLAIMED: usize = 11_000_000;
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        put_u32(&mut bytes, VERSION);
+        let sample = sample_state();
+        frame(&mut bytes, TAG_META, |o| encode_meta(o, &sample.meta));
+        frame(&mut bytes, TAG_ENGINE, |o| encode_engine(o, &sample.engine));
+        frame(&mut bytes, TAG_SHARDS, |o| {
+            for _ in 0..12 {
+                put_u64(o, 0); // six empty per-side collections, twice
+            }
+            put_u64(o, CLAIMED as u64); // rings
+            o.resize(o.len() + CLAIMED, 0);
+        });
+        frame(&mut bytes, TAG_PUMP, |o| encode_pump(o, &sample.pump));
+        frame(&mut bytes, TAG_END, |_| {});
+        let err = decode(&bytes).expect_err("the rings run out of payload");
+        assert!(err.contains("truncated"), "unexpected error: {err}");
+    }
+
+    /// A failed write removes its own temp file; a temp file a killed
+    /// writer left behind is swept by the next prune.
+    #[test]
+    fn temp_files_do_not_outlive_a_failed_or_killed_write() {
+        let dir = std::env::temp_dir().join(format!("slim-ckpt-tmp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let bytes = encode(&sample_state());
+        let temp_files = |dir: &Path| list_files(dir, TMP_EXT);
+
+        // Make the install step fail: the final name is taken by a
+        // non-empty directory, which `rename` cannot replace.
+        let blocked = dir.join(checkpoint_file_name(100));
+        fs::create_dir_all(blocked.join("occupied")).unwrap();
+        let err = write_atomic(&dir, 100, &bytes).expect_err("rename onto a directory");
+        assert!(err.contains("installing"), "unexpected error: {err}");
+        assert!(
+            temp_files(&dir).is_empty(),
+            "failed write left its temp file"
+        );
+        fs::remove_dir_all(&blocked).unwrap();
+
+        // A writer killed mid-write: its temp file is on disk and no
+        // checkpoint lists it.
+        write_atomic(&dir, 200, &bytes).unwrap();
+        let stale = dir.join(format!("ckpt-{:020}{TMP_EXT}", 300));
+        fs::write(&stale, &bytes[..bytes.len() / 2]).unwrap();
+        assert_eq!(
+            list_checkpoints(&dir).len(),
+            1,
+            "temp files are not checkpoints"
+        );
+        assert_eq!(prune_old(&dir, 2), 0, "nothing beyond retention");
+        assert!(!stale.exists(), "prune sweeps the stale temp file");
+        assert_eq!(list_checkpoints(&dir).len(), 1, "the checkpoint survives");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

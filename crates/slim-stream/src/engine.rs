@@ -51,6 +51,7 @@
 //! [`StreamEngine::with_origin`] + [`crate::batch_equivalent_origin`]
 //! to cover that case too.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -68,8 +69,8 @@ use slim_telemetry::{Histogram, MetricsRegistry, Snapshot, SnapshotSink};
 
 use crate::adjacency::PairKey;
 use crate::checkpoint::{
-    self, CheckpointPolicy, CheckpointState, ConfigFingerprint, DfDump, EngineDump, MetaDump,
-    ResumeState, ShardsDump,
+    self, CheckpointPolicy, ConfigFingerprint, DfDump, EngineDump, Image, MetaDump, ResumeState,
+    ShardsDump,
 };
 use crate::config::StreamConfig;
 use crate::event::{Side, StreamEvent};
@@ -378,6 +379,10 @@ pub struct StreamEngine {
     /// `DriveOptions` — because it holds a path and never participates
     /// in equality contracts.
     checkpoint: Option<CheckpointPolicy>,
+    /// The checkpoint encode buffer: every image is serialized into it
+    /// and written from it, so after the first checkpoint a write
+    /// allocates nothing for the image (cleared, capacity kept).
+    checkpoint_buf: Vec<u8>,
     /// Deterministic fault injection for the crash/recover harness
     /// (default: no faults).
     fault_plan: FaultPlan,
@@ -424,6 +429,7 @@ impl StreamEngine {
             epoch: EpochPointer::new(),
             epoch_log: None,
             checkpoint: None,
+            checkpoint_buf: Vec::new(),
             fault_plan: FaultPlan::default(),
             resume: None,
         })
@@ -559,7 +565,12 @@ impl StreamEngine {
         source: S,
         opts: &crate::source::DriveOptions,
     ) -> Result<crate::source::IngestReport, String> {
-        crate::source::pump::run(self, source, opts)
+        let report = crate::source::pump::run(self, source, opts);
+        // The encode buffer serves one drive's checkpoints; an engine
+        // that outlives its drive (serving, finalizing) should not pin
+        // an image-sized allocation.
+        self.checkpoint_buf = Vec::new();
+        report
     }
 
     /// Installs the tick policy's internal refresh interval (the pump
@@ -684,56 +695,66 @@ impl StreamEngine {
         };
         let t0 = self.tel.enabled.then(|| self.tel.now_ns());
         let consumed = pump.consumed;
-        let state = self.capture_state(pump);
-        let mut bytes = checkpoint::encode(&state);
+        let mut bytes = std::mem::take(&mut self.checkpoint_buf);
+        checkpoint::encode_into(&mut bytes, &self.capture_state(pump));
         if corrupt {
             checkpoint::apply_fault(&mut bytes, &self.fault_plan);
         }
-        let written = checkpoint::write_atomic(&policy.dir, consumed, &bytes)?;
+        let spans = t0.map(|t0| (t0, self.tel.now_ns()));
+        let written = checkpoint::write_atomic(&policy.dir, consumed, &bytes);
+        self.checkpoint_buf = bytes;
+        let written = written?;
         checkpoint::prune_old(&policy.dir, policy.keep);
         self.stats.checkpoints_written += 1;
         self.stats.checkpoint_bytes += written;
-        if let Some(t0) = t0 {
-            let span = self.tel.now_ns().saturating_sub(t0);
-            self.tel.checkpoint_write.record(span);
+        if let Some((t0, encoded)) = spans {
+            let done = self.tel.now_ns();
+            self.tel
+                .checkpoint_encode
+                .record(encoded.saturating_sub(t0));
+            self.tel.checkpoint_io.record(done.saturating_sub(encoded));
+            self.tel.checkpoint_write.record(done.saturating_sub(t0));
         }
         Ok(())
     }
 
-    /// Freezes the engine into its checkpoint image. Shard state is
-    /// merged into globally sorted collections (the image is
-    /// shard-agnostic); the published epoch's scalars are read back
-    /// from the epoch pointer so recovery can republish it verbatim.
-    fn capture_state(&self, pump: ResumeState) -> CheckpointState {
+    /// Freezes the engine into its checkpoint image without copying
+    /// shard state: each collection becomes one index of references
+    /// into every shard, sorted by key, so the image is shard-agnostic
+    /// (byte-identical for every shard count — and the per-shard maps
+    /// iterate in hash order anyway). The published epoch's scalars are
+    /// read back from the epoch pointer so recovery can republish it
+    /// verbatim.
+    fn capture_state(&self, pump: ResumeState) -> Image<'_> {
         let snap = self.epoch.load();
         let mut shards = ShardsDump::default();
         for shard in &self.shards {
-            for side in [Side::Left, Side::Right] {
-                let i = side.idx();
+            for i in 0..2 {
                 for e in shard.histories[i].entity_ids() {
                     let dump = shard.histories[i]
                         .export_entity(e)
                         .expect("listed by entity_ids");
                     shards.histories[i].push((e, dump));
                 }
-                shards.pending[i].extend(shard.pending[i].iter().map(|(&e, v)| (e, v.clone())));
-                shards.live_events[i]
-                    .extend(shard.live_events[i].iter().map(|(&e, v)| (e, v.clone())));
-                shards.active[i].extend(shard.active[i].iter().copied());
-                shards.dirty[i].extend(
-                    shard.dirty[i]
+                shards.pending[i].extend(
+                    shard.pending[i]
                         .iter()
-                        .map(|(&e, ws)| (e, ws.iter().copied().collect::<Vec<_>>())),
+                        .map(|(&e, v)| (e, Cow::Borrowed(&v[..]))),
                 );
+                shards.live_events[i].extend(
+                    shard.live_events[i]
+                        .iter()
+                        .map(|(&e, v)| (e, Cow::Borrowed(&v[..]))),
+                );
+                shards.active[i].extend(shard.active[i].iter().copied());
+                shards.dirty[i]
+                    .extend(shard.dirty[i].iter().map(|(&e, ws)| (e, Cow::Borrowed(ws))));
                 shards.dead[i].extend(shard.dead[i].iter().copied());
             }
             shards.rings.extend(shard.rings.export());
-            shards.cache.extend(
-                shard
-                    .cache
-                    .iter()
-                    .map(|(&p, m)| (p, m.iter().map(|(&w, &v)| (w, v)).collect::<Vec<_>>())),
-            );
+            shards
+                .cache
+                .extend(shard.cache.iter().map(|(&p, m)| (p, Cow::Borrowed(m))));
             shards.fresh.extend(shard.fresh.iter().copied());
             shards
                 .edges
@@ -742,9 +763,6 @@ impl StreamEngine {
                 .edge_deltas
                 .extend(shard.edge_deltas.iter().map(|(&p, &w)| (p, w)));
         }
-        // Canonical global order: the image must be byte-identical for
-        // every shard count (and the per-shard maps iterate in hash
-        // order anyway).
         for i in 0..2 {
             shards.histories[i].sort_unstable_by_key(|&(e, _)| e);
             shards.pending[i].sort_unstable_by_key(|&(e, _)| e);
@@ -759,7 +777,7 @@ impl StreamEngine {
         shards.edges.sort_unstable_by_key(|&(p, _)| p);
         shards.edge_deltas.sort_unstable_by_key(|&(p, _)| p);
 
-        CheckpointState {
+        Image {
             meta: MetaDump {
                 consumed: pump.consumed,
                 fingerprint: ConfigFingerprint::of(&self.cfg),
@@ -812,8 +830,8 @@ impl StreamEngine {
     /// the deterministic entity hash and rebuilds every derived
     /// structure (window membership, adjacency, bucket partitions,
     /// matching, threshold multiset, published epoch).
-    fn restore_state(&mut self, state: CheckpointState) -> Result<(), String> {
-        let CheckpointState {
+    fn restore_state(&mut self, state: Image<'static>) -> Result<(), String> {
+        let Image {
             meta: _,
             engine: e,
             shards: s,
@@ -854,7 +872,7 @@ impl StreamEngine {
                 let home = &mut self.shards[entity_shard(side, ent, n)];
                 // Window membership is derivable: the per-window record
                 // counts carry exactly one entry per live window.
-                for &(w, _) in &dump.window_records {
+                for &(w, _) in dump.window_records.iter() {
                     home.window_entities.entry(w).or_default()[i].insert(ent);
                 }
                 home.histories[i].restore_entity(ent, dump);
@@ -862,12 +880,14 @@ impl StreamEngine {
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(pending) {
             for (ent, evs) in per_side {
-                self.shards[entity_shard(side, ent, n)].pending[side.idx()].insert(ent, evs);
+                self.shards[entity_shard(side, ent, n)].pending[side.idx()]
+                    .insert(ent, evs.into_owned());
             }
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(live_events) {
             for (ent, evs) in per_side {
-                self.shards[entity_shard(side, ent, n)].live_events[side.idx()].insert(ent, evs);
+                self.shards[entity_shard(side, ent, n)].live_events[side.idx()]
+                    .insert(ent, evs.into_owned());
             }
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(active) {
@@ -878,7 +898,7 @@ impl StreamEngine {
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(dirty) {
             for (ent, ws) in per_side {
                 self.shards[entity_shard(side, ent, n)].dirty[side.idx()]
-                    .insert(ent, ws.into_iter().collect());
+                    .insert(ent, ws.into_owned());
             }
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(dead) {
@@ -916,7 +936,7 @@ impl StreamEngine {
         }
         for (pair, wins) in cache {
             let owner = &mut self.shards[entity_shard(Side::Left, pair.0, n)];
-            owner.cache.insert(pair, wins.into_iter().collect());
+            owner.cache.insert(pair, wins.into_owned());
             owner.adjacency.insert(pair);
         }
         for pair in fresh {
@@ -1083,7 +1103,10 @@ impl StreamEngine {
     }
 
     /// The per-checkpoint write-span histogram (serialize + temp file +
-    /// fsync + rename), recorded at the checkpoint cadence.
+    /// fsync + rename), recorded at the checkpoint cadence. The scrape
+    /// page and snapshots split it into `checkpoint_encode` (index +
+    /// encode + CRC) and `checkpoint_io` (write + fsync + rename +
+    /// prune).
     pub fn checkpoint_write_histogram(&self) -> Histogram {
         self.tel.checkpoint_write.clone()
     }
@@ -1142,6 +1165,8 @@ impl StreamEngine {
         reg.histogram_set("frontier_lag", self.tel.frontier_lag.clone());
         reg.histogram_set("query_latency", self.tel.query_latency.clone());
         reg.histogram_set("checkpoint_write", self.tel.checkpoint_write.clone());
+        reg.histogram_set("checkpoint_encode", self.tel.checkpoint_encode.clone());
+        reg.histogram_set("checkpoint_io", self.tel.checkpoint_io.clone());
         reg.histogram_set("worker_busy", self.pool.busy_histogram());
         reg
     }
@@ -2765,5 +2790,62 @@ mod tests {
             "drifted pair must retire from the cache"
         );
         assert_eq!(engine.stats().retired_pairs, 1);
+    }
+
+    /// The engine owns one checkpoint encode buffer: a second
+    /// checkpoint of a same-size state reuses the first one's
+    /// allocation as it stands, and the buffer is handed back even
+    /// when the write fails.
+    #[test]
+    fn checkpoint_encode_buffer_is_reused_across_checkpoints() {
+        let (l, r) = two_views(6, 4);
+        let mut engine = StreamEngine::new(stream_cfg()).unwrap();
+        engine.ingest_batch(&merge_datasets(&l, &r));
+        engine.refresh();
+        let dir = std::env::temp_dir().join(format!("slim-ckpt-buf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        engine.set_checkpoint_policy(dir.clone(), 1, 2);
+        let pump = |consumed| ResumeState {
+            consumed,
+            reorder_max_seen: None,
+            reorder_held: Vec::new(),
+            reorder_late: 0,
+            ticker: checkpoint::TickerDump::EveryN,
+        };
+        let image_of =
+            |consumed| std::fs::read(dir.join(checkpoint::checkpoint_file_name(consumed))).unwrap();
+
+        engine.write_checkpoint(pump(100), false).unwrap();
+        let (cap, ptr) = (
+            engine.checkpoint_buf.capacity(),
+            engine.checkpoint_buf.as_ptr(),
+        );
+        assert!(cap >= image_of(100).len(), "the image was encoded in place");
+        engine.write_checkpoint(pump(200), false).unwrap();
+        assert_eq!(
+            (
+                engine.checkpoint_buf.capacity(),
+                engine.checkpoint_buf.as_ptr()
+            ),
+            (cap, ptr),
+            "a same-size image must not regrow or move the buffer"
+        );
+        assert_eq!(image_of(200).len(), image_of(100).len());
+        assert_eq!(
+            engine.checkpoint_buf,
+            image_of(200),
+            "cleared, not appended to"
+        );
+
+        // A failing write (the directory path is taken by a file).
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"in the way").unwrap();
+        engine.write_checkpoint(pump(300), false).unwrap_err();
+        assert_eq!(
+            engine.checkpoint_buf.capacity(),
+            cap,
+            "buffer kept on error"
+        );
+        std::fs::remove_file(&dir).unwrap();
     }
 }

@@ -20,6 +20,7 @@
 //!   [`slim_lsh::BucketIndex`] (see the engine for the partition
 //!   upsert/handoff protocol).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use geocell::CellId;
@@ -68,18 +69,19 @@ impl LshGeometry {
 }
 
 /// Per-entity ring state: raw counts per slot plus the current
-/// signature derived from them.
+/// signature derived from them. The fields are crate-visible for the
+/// checkpoint codec, which serializes a ring as it stands.
 #[derive(Debug, Clone)]
-struct SpanRing {
+pub(crate) struct SpanRing {
     /// Per slot: `(window, cell)` → record count. Keeping the window in
     /// the key lets expiry remove exactly one window's contribution.
-    slots: Vec<BTreeMap<(WindowIdx, CellId), u32>>,
+    pub(crate) slots: Vec<BTreeMap<(WindowIdx, CellId), u32>>,
     /// Which span (epoch `w / step`) currently owns each slot. Slots
     /// alias every `spans` spans; when a newer span claims a slot its
     /// stale content is cleared, so a slot never blends distant epochs
     /// (and per-slot memory stays bounded) even without window expiry.
-    owners: Vec<Option<u32>>,
-    sig: Vec<Option<CellId>>,
+    pub(crate) owners: Vec<Option<u32>>,
+    pub(crate) sig: Vec<Option<CellId>>,
 }
 
 impl SpanRing {
@@ -215,42 +217,23 @@ impl ShardRings {
         })
     }
 
-    /// Every ring's raw state in canonical `(side, entity)` order — the
-    /// checkpoint export (the internal map iterates in hash order).
-    pub(crate) fn export(&self) -> Vec<RingDump> {
-        let mut out: Vec<RingDump> = self
-            .rings
-            .iter()
-            .map(|(&(side, entity), ring)| RingDump {
-                side,
-                entity,
-                slots: ring
-                    .slots
-                    .iter()
-                    .map(|slot| slot.iter().map(|(&(w, c), &n)| (w, c, n)).collect())
-                    .collect(),
-                owners: ring.owners.clone(),
-                sig: ring.sig.clone(),
-            })
-            .collect();
-        out.sort_by_key(|d| (d.side, d.entity));
-        out
+    /// Every ring, lent as it stands and in hash order — the checkpoint
+    /// export (the engine sorts the cross-shard union by
+    /// `(side, entity)`).
+    pub(crate) fn export(&self) -> impl Iterator<Item = RingDump<'_>> {
+        self.rings.iter().map(|(&(side, entity), ring)| RingDump {
+            side,
+            entity,
+            ring: Cow::Borrowed(ring),
+        })
     }
 
     /// Restores one ring from a [`ShardRings::export`] dump — the
     /// recovery inverse; the rebuilt ring answers `signature` and every
     /// subsequent `add`/`evict` exactly like the checkpointed one.
-    pub(crate) fn restore(&mut self, dump: RingDump) {
-        let ring = SpanRing {
-            slots: dump
-                .slots
-                .into_iter()
-                .map(|entries| entries.into_iter().map(|(w, c, n)| ((w, c), n)).collect())
-                .collect(),
-            owners: dump.owners,
-            sig: dump.sig,
-        };
-        self.rings.insert((dump.side, dump.entity), ring);
+    pub(crate) fn restore(&mut self, dump: RingDump<'_>) {
+        self.rings
+            .insert((dump.side, dump.entity), dump.ring.into_owned());
     }
 
     #[cfg(test)]
@@ -259,17 +242,13 @@ impl ShardRings {
     }
 }
 
-/// One entity's raw ring state in serializable form (per-slot sorted
-/// `(window, cell, count)` entries, slot owners, derived signature) —
-/// the unit [`ShardRings::export`] emits and [`ShardRings::restore`]
-/// consumes.
+/// One entity's ring with its key — the unit [`ShardRings::export`]
+/// lends and [`ShardRings::restore`] consumes.
 #[derive(Debug, Clone)]
-pub(crate) struct RingDump {
+pub(crate) struct RingDump<'a> {
     pub(crate) side: Side,
     pub(crate) entity: EntityId,
-    pub(crate) slots: Vec<Vec<(WindowIdx, CellId, u32)>>,
-    pub(crate) owners: Vec<Option<u32>>,
-    pub(crate) sig: Vec<Option<CellId>>,
+    pub(crate) ring: Cow<'a, SpanRing>,
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! floating-point sequences over either layout (see
 //! `tests/arena_equivalence.rs` for the property pinning this).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use geocell::CellId;
@@ -187,31 +188,37 @@ impl HistoryStore {
     }
 
     /// One entity's history as canonical columns — the checkpoint
-    /// export, representation-independent: both layouts emit the same
+    /// export, representation-independent: both layouts yield the same
     /// `wins` ascending / cells-sorted-per-run columns plus the true
-    /// per-window record counts. `None` when absent.
-    pub(crate) fn export_entity(&self, e: EntityId) -> Option<HistoryDump> {
+    /// per-window record counts. The arena lends its column ranges; the
+    /// legacy layout has no columns to lend and builds them. `None`
+    /// when absent.
+    pub(crate) fn export_entity(&self, e: EntityId) -> Option<HistoryDump<'_>> {
         match self {
             Self::Legacy(map) => {
                 let h = map.get(&e)?;
-                let mut dump = HistoryDump::default();
+                let (mut wins, mut cells, mut counts) = (Vec::new(), Vec::new(), Vec::new());
                 for w in h.windows() {
                     for &(c, n) in h.bins_in(w) {
-                        dump.wins.push(w);
-                        dump.cells.push(c);
-                        dump.counts.push(n);
+                        wins.push(w);
+                        cells.push(c);
+                        counts.push(n);
                     }
                 }
-                dump.window_records = h.window_record_counts().collect();
-                Some(dump)
+                Some(HistoryDump {
+                    wins: wins.into(),
+                    cells: cells.into(),
+                    counts: counts.into(),
+                    window_records: h.window_record_counts().collect(),
+                })
             }
             Self::Arena(arena) => {
-                let (wins, cells, counts, window_records) = arena.export_entity(e)?;
+                let (view, window_records) = arena.export_entity(e)?;
                 Some(HistoryDump {
-                    wins,
-                    cells,
-                    counts,
-                    window_records,
+                    wins: view.wins.into(),
+                    cells: view.cells.into(),
+                    counts: view.counts.into(),
+                    window_records: window_records.into(),
                 })
             }
         }
@@ -220,7 +227,7 @@ impl HistoryStore {
     /// Restores one entity from a [`HistoryStore::export_entity`] dump
     /// into a fresh store — the recovery inverse; round-trips
     /// bit-identically for either layout.
-    pub(crate) fn restore_entity(&mut self, e: EntityId, dump: HistoryDump) {
+    pub(crate) fn restore_entity(&mut self, e: EntityId, dump: HistoryDump<'_>) {
         match self {
             Self::Legacy(map) => {
                 let mut leaves: std::collections::BTreeMap<WindowIdx, CellCounts> =
@@ -231,11 +238,12 @@ impl HistoryStore {
                         .or_default()
                         .push((dump.cells[i], dump.counts[i]));
                 }
-                let window_records = dump.window_records.into_iter().collect();
+                let window_records = dump.window_records.iter().copied().collect();
                 map.insert(e, MobilityHistory::from_leaves(e, leaves, window_records));
             }
             Self::Arena(arena) => {
-                arena.restore_entity(e, dump.wins, dump.cells, dump.counts, dump.window_records);
+                let records = dump.window_records.into_owned();
+                arena.restore_entity(e, &dump.wins, &dump.cells, &dump.counts, records);
             }
         }
     }
@@ -245,13 +253,14 @@ impl HistoryStore {
 /// one entry per bin, `cells` sorted within each window run, `counts`
 /// parallel, plus the true per-window record counts (they differ from
 /// the bin-count sum for region records). The layout-independent unit a
-/// checkpoint serializes.
+/// checkpoint serializes: borrowed from a live arena on the write path,
+/// owned when decoded from a file.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct HistoryDump {
-    pub(crate) wins: Vec<WindowIdx>,
-    pub(crate) cells: Vec<CellId>,
-    pub(crate) counts: Vec<u32>,
-    pub(crate) window_records: Vec<(WindowIdx, u32)>,
+pub(crate) struct HistoryDump<'a> {
+    pub(crate) wins: Cow<'a, [WindowIdx]>,
+    pub(crate) cells: Cow<'a, [CellId]>,
+    pub(crate) counts: Cow<'a, [u32]>,
+    pub(crate) window_records: Cow<'a, [(WindowIdx, u32)]>,
 }
 
 /// A borrowed history usable by the rescore kernel: either a per-entity

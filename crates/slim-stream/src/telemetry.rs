@@ -123,6 +123,11 @@ pub(crate) struct EngineTelemetry {
     /// Spans of each checkpoint write (serialize + temp file + fsync +
     /// rename), recorded on the pump thread at the checkpoint cadence.
     pub(crate) checkpoint_write: Histogram,
+    /// The CPU half of each `checkpoint_write` span: indexing the
+    /// shards, encoding the image, and its CRCs.
+    pub(crate) checkpoint_encode: Histogram,
+    /// The I/O half: temp-file write, fsync, rename, and pruning.
+    pub(crate) checkpoint_io: Histogram,
 }
 
 impl EngineTelemetry {
@@ -141,6 +146,8 @@ impl EngineTelemetry {
             score_kernel: Histogram::new(),
             query_latency: Histogram::new(),
             checkpoint_write: Histogram::new(),
+            checkpoint_encode: Histogram::new(),
+            checkpoint_io: Histogram::new(),
         }
     }
 

@@ -187,17 +187,46 @@ fn crash_and_recover(
         "unexpected drive error: {err}"
     );
     drop(engine); // the crashed process
+    assert_eq!(temp_files(dir), 0, "a completed write leaves no temp file");
+    // What a real SIGKILL mid-write leaves behind: a partial temp file.
+    // Recovery must not count it, and the resumed drive's first
+    // checkpoint must sweep it.
+    std::fs::write(
+        dir.join(format!("ckpt-{kill_at:020}.slim.tmp")),
+        b"SLIMCKPT torn",
+    )
+    .expect("plant a stale temp file");
 
     let mut engine =
         StreamEngine::recover(config(shards, workers), dir).expect("recover from checkpoint");
     let woke_at = engine.stats().snapshots_published;
     let rejected = engine.stats().checkpoints_rejected;
+    let written_before = engine.stats().checkpoints_written;
+    engine.set_checkpoint_policy(dir.to_path_buf(), every, 2);
     let log = EpochLog::new();
     engine.set_epoch_log(log.clone());
     engine
         .drive(source(events), &options(policy))
         .expect("resumed drive");
+    if engine.stats().checkpoints_written > written_before {
+        assert_eq!(
+            temp_files(dir),
+            0,
+            "a stale temp file outlived a checkpoint"
+        );
+    }
     (finish(engine, &log), woke_at, rejected)
+}
+
+/// How many `*.tmp` files `dir` holds.
+fn temp_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .filter(|e| {
+            let name = e.as_ref().expect("entry").file_name();
+            name.to_string_lossy().ends_with(".tmp")
+        })
+        .count()
 }
 
 /// Asserts one crash/recover cycle is bit-identical to the unbroken
@@ -387,6 +416,9 @@ fn recovery_survives_bit_flips_and_rejects_total_corruption() {
     );
     assert!(rejected >= 1, "the flipped checkpoint must be rejected");
     assert_recovery_matches(&reference, &recovered, woke_at, "bit-flip fallback");
+    // A quarter of the stream was left to resume, so the resumed drive
+    // checkpointed and the planted temp file is certainly gone.
+    assert_eq!(temp_files(&dir), 0, "stale temp file survived the resume");
 
     // Corrupt every surviving checkpoint in place: recovery errors out.
     for entry in std::fs::read_dir(&dir).expect("dir") {
