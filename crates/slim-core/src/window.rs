@@ -22,6 +22,11 @@ pub struct WindowScheme {
 }
 
 impl WindowScheme {
+    /// The highest index [`WindowScheme::window_of`] returns — one
+    /// below `WindowIdx::MAX`, so "the window after" (`w + 1`: domain
+    /// sizes, the frontier's exclusive end) is always representable.
+    pub const LAST_WINDOW: WindowIdx = WindowIdx::MAX - 1;
+
     /// Creates a scheme with the given origin timestamp and window width.
     ///
     /// # Panics
@@ -41,15 +46,21 @@ impl WindowScheme {
     }
 
     /// The window containing `t`. Timestamps before the origin map to
-    /// window 0 (callers are expected to pick `origin <= min(t)`).
+    /// window 0 (callers are expected to pick `origin <= min(t)`);
+    /// timestamps too far past it saturate at [`WindowScheme::LAST_WINDOW`]
+    /// instead of truncating into an arbitrary — possibly long-expired
+    /// — window, and no `t` overflows the subtraction.
     #[inline]
     pub fn window_of(&self, t: Timestamp) -> WindowIdx {
-        let delta = t.secs() - self.origin;
+        // Saturating, so a difference beyond i64 keeps its sign: far
+        // before the origin clamps to 0 below, far after counts as
+        // `i64::MAX` seconds.
+        let delta = t.secs().saturating_sub(self.origin);
         if delta < 0 {
-            0
-        } else {
-            (delta / self.width_secs) as WindowIdx
+            return 0;
         }
+        WindowIdx::try_from(delta / self.width_secs)
+            .map_or(Self::LAST_WINDOW, |w| w.min(Self::LAST_WINDOW))
     }
 
     /// Inclusive start time of window `w`.
@@ -81,6 +92,37 @@ mod tests {
     fn before_origin_clamps_to_zero() {
         let s = WindowScheme::new(Timestamp(1000), 60);
         assert_eq!(s.window_of(Timestamp(0)), 0);
+    }
+
+    /// Extreme timestamps against either sign of origin: no overflow
+    /// (debug panics on it, release wraps), far past saturates instead
+    /// of truncating to a low window, far before clamps to 0.
+    #[test]
+    fn extreme_timestamps_saturate_instead_of_wrapping() {
+        for origin in [i64::MIN, -1_000_000, 0, 1000, i64::MAX] {
+            for width in [1, 900, i64::MAX] {
+                let s = WindowScheme::new(Timestamp(origin), width);
+                assert_eq!(s.window_of(Timestamp(origin)), 0);
+                let (past, future) = (
+                    s.window_of(Timestamp(i64::MIN)),
+                    s.window_of(Timestamp(i64::MAX)),
+                );
+                assert_eq!(past, 0, "origin {origin}, width {width}");
+                // A span beyond i64 counts as i64::MAX seconds.
+                let span = (i64::MAX as i128 - origin as i128).min(i64::MAX as i128);
+                let exact = span / width as i128;
+                let expect = exact.min(WindowScheme::LAST_WINDOW as i128) as WindowIdx;
+                assert_eq!(future, expect, "origin {origin}, width {width}");
+            }
+        }
+        // One past u32's range used to truncate to window 0.
+        let s = WindowScheme::new(Timestamp(0), 1);
+        assert_eq!(s.window_of(Timestamp(1 << 32)), WindowScheme::LAST_WINDOW);
+        assert_eq!(
+            s.window_of(Timestamp(u32::MAX as i64)),
+            WindowScheme::LAST_WINDOW
+        );
+        assert_eq!(s.window_of(Timestamp(u32::MAX as i64 - 2)), u32::MAX - 2);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use geocell::CellId;
 use slim_core::EntityId;
 
 use crate::lambertw::lambert_w0;
@@ -63,9 +64,23 @@ pub fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
 /// holds only placeholders (placeholders are omitted from hashing; an
 /// all-placeholder band matches nothing rather than everything).
 pub fn band_bucket(sig: &Signature, band: usize, rows: usize, num_buckets: u64) -> Option<u64> {
+    band_bucket_of(&sig.cells, band, rows, num_buckets)
+}
+
+/// [`band_bucket`] over a bare cell slice — for callers that maintain
+/// signature cells in place (the streaming ring re-hashes the one band
+/// a changed slot belongs to without materializing a [`Signature`]).
+/// The last band may be short when `cells.len()` is not a multiple of
+/// `rows`.
+pub fn band_bucket_of(
+    cells: &[Option<CellId>],
+    band: usize,
+    rows: usize,
+    num_buckets: u64,
+) -> Option<u64> {
     let start = band * rows;
-    let end = (start + rows).min(sig.cells.len());
-    let slots = &sig.cells[start..end];
+    let end = (start + rows).min(cells.len());
+    let slots = &cells[start..end];
     if slots.iter().all(Option::is_none) {
         return None;
     }
@@ -94,11 +109,20 @@ pub fn signature_buckets(
         .collect()
 }
 
-/// Whether two signatures currently share at least one band bucket —
+/// Whether two per-band bucket placements ([`signature_buckets`]
+/// results of the same geometry) share a bucket in at least one band —
 /// the collision predicate [`candidate_pairs`] / [`BucketIndex`] apply,
-/// evaluated directly on a signature pair. Streaming engines use it to
-/// *retire* cached candidate pairs whose signatures have drifted apart.
-pub fn signatures_collide(
+/// evaluated on one pair. An all-placeholder band (`None`) collides
+/// with nothing. Streaming engines use it to *retire* cached candidate
+/// pairs whose signatures have drifted apart.
+pub fn buckets_collide(a: &[Option<u64>], b: &[Option<u64>]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x.is_some() && x == y)
+}
+
+/// [`buckets_collide`] from the signatures themselves: hashes every
+/// band of both. The test oracle for the bucket-level predicate.
+#[cfg(test)]
+fn signatures_collide(
     a: &Signature,
     b: &Signature,
     bands: usize,
@@ -159,6 +183,15 @@ pub enum IndexSide {
     Left,
     /// The second dataset (`U_I`).
     Right,
+}
+
+impl IndexSide {
+    fn other(self) -> Self {
+        match self {
+            IndexSide::Left => IndexSide::Right,
+            IndexSide::Right => IndexSide::Left,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -264,12 +297,6 @@ impl BucketIndex {
         (self.bands, self.rows)
     }
 
-    /// Whether this instance owns a `(band, bucket)` slot.
-    fn owns(&self, band: usize, bucket: u64) -> bool {
-        self.num_partitions <= 1
-            || fnv1a([band as u64, bucket].into_iter()) % self.num_partitions == self.partition
-    }
-
     /// Number of indexed entities.
     pub fn len(&self) -> usize {
         self.placements.len()
@@ -295,6 +322,16 @@ impl BucketIndex {
     /// offer the result to every partition, instead of paying the
     /// banding FNV once per partition.
     ///
+    /// The upsert **diffs**: the offered buckets are compared with the
+    /// entity's stored placement, and only the bands whose (owned)
+    /// bucket differs are unwound and re-inserted — a streaming
+    /// signature changes one slot, hence one band, at a time, so the
+    /// write cost follows the change, not the band count. The *report*
+    /// does not narrow with it: it is still the union of the opposite
+    /// side's members over **every** band the entity occupies after the
+    /// update (unchanged bands are probed read-only), exactly what
+    /// removing the entity and re-inserting all its bands would report.
+    ///
     /// # Panics
     /// Panics if `buckets.len()` differs from the index's band count.
     pub fn upsert_hashed(
@@ -304,15 +341,60 @@ impl BucketIndex {
         buckets: &[Option<u64>],
     ) -> Vec<EntityId> {
         assert_eq!(buckets.len(), self.bands, "one bucket slot per band");
+        let other = side.other();
+        let (partition, num_partitions, bands) = (self.partition, self.num_partitions, self.bands);
+        let placement = self
+            .placements
+            .entry((side, entity))
+            .or_insert_with(|| vec![None; bands]);
+        let mut partners: Vec<EntityId> = Vec::new();
+        for (band, (slot, &offered)) in placement.iter_mut().zip(buckets).enumerate() {
+            let index = &mut self.buckets[band];
+            // A stored bucket is an owned one, so a re-offered bucket
+            // needs no ownership test; an unowned slot is stored (and
+            // diffed) as `None`.
+            let new = if offered == *slot {
+                offered
+            } else {
+                offered.filter(|&bk| owns_slot(partition, num_partitions, band, bk))
+            };
+            if *slot == new {
+                if let Some(bucket) = new.and_then(|bk| index.get(&bk)) {
+                    partners.extend_from_slice(bucket.side(other));
+                }
+                continue;
+            }
+            if let Some(old) = slot.take() {
+                unwind(index, old, side, entity);
+            }
+            if let Some(bk) = new {
+                let bucket = index.entry(bk).or_default();
+                partners.extend_from_slice(bucket.side(other));
+                bucket.side_mut(side).push(entity);
+            }
+            *slot = new;
+        }
+        partners.sort_unstable();
+        partners.dedup();
+        partners
+    }
+
+    /// The remove-everything-then-insert-everything upsert the diffing
+    /// [`BucketIndex::upsert_hashed`] replaced — kept as its oracle.
+    #[cfg(test)]
+    fn upsert_hashed_oracle(
+        &mut self,
+        side: IndexSide,
+        entity: EntityId,
+        buckets: &[Option<u64>],
+    ) -> Vec<EntityId> {
+        assert_eq!(buckets.len(), self.bands, "one bucket slot per band");
         self.remove(side, entity);
-        let other = match side {
-            IndexSide::Left => IndexSide::Right,
-            IndexSide::Right => IndexSide::Left,
-        };
+        let other = side.other();
         let mut placement = Vec::with_capacity(self.bands);
         let mut partners: Vec<EntityId> = Vec::new();
         for (band, &bk) in buckets.iter().enumerate() {
-            let bk = bk.filter(|&bk| self.owns(band, bk));
+            let bk = bk.filter(|&bk| owns_slot(self.partition, self.num_partitions, band, bk));
             if let Some(bk) = bk {
                 let bucket = self.buckets[band].entry(bk).or_default();
                 partners.extend_from_slice(bucket.side(other));
@@ -332,17 +414,31 @@ impl BucketIndex {
             return;
         };
         for (band, bk) in placement.into_iter().enumerate() {
-            let Some(bk) = bk else { continue };
-            if let Some(bucket) = self.buckets[band].get_mut(&bk) {
-                let members = bucket.side_mut(side);
-                if let Some(pos) = members.iter().position(|&e| e == entity) {
-                    members.swap_remove(pos);
-                }
-                if bucket.is_empty() {
-                    self.buckets[band].remove(&bk);
-                }
+            if let Some(bk) = bk {
+                unwind(&mut self.buckets[band], bk, side, entity);
             }
         }
+    }
+}
+
+/// Whether `partition` (of `num_partitions`) owns a `(band, bucket)`
+/// slot.
+fn owns_slot(partition: u64, num_partitions: u64, band: usize, bucket: u64) -> bool {
+    num_partitions <= 1 || fnv1a([band as u64, bucket].into_iter()) % num_partitions == partition
+}
+
+/// Takes `entity` out of one band's bucket `bk`, dropping the bucket
+/// when that leaves it empty.
+fn unwind(index: &mut HashMap<u64, Bucket>, bk: u64, side: IndexSide, entity: EntityId) {
+    let Some(bucket) = index.get_mut(&bk) else {
+        return;
+    };
+    let members = bucket.side_mut(side);
+    if let Some(pos) = members.iter().position(|&e| e == entity) {
+        members.swap_remove(pos);
+    }
+    if bucket.is_empty() {
+        index.remove(&bk);
     }
 }
 
@@ -670,6 +766,14 @@ mod tests {
                 via_pairs,
                 "{cells_b:?}"
             );
+            assert_eq!(
+                buckets_collide(
+                    &signature_buckets(&a, bands, rows, buckets),
+                    &signature_buckets(&b, bands, rows, buckets),
+                ),
+                via_pairs,
+                "bucket-level predicate, {cells_b:?}"
+            );
         }
     }
 
@@ -680,5 +784,112 @@ mod tests {
         assert!(index.upsert(IndexSide::Left, &all_none).is_empty());
         let partners = index.upsert(IndexSide::Right, &sig(100, vec![None, None, None, None]));
         assert!(partners.is_empty(), "placeholder bands never collide");
+    }
+
+    /// The index's observable state, order-free: per band the sorted
+    /// members of every bucket, plus every stored placement.
+    type IndexState = (
+        Vec<Vec<(u64, Vec<EntityId>, Vec<EntityId>)>>,
+        Vec<((u8, EntityId), Vec<Option<u64>>)>,
+    );
+
+    fn state_of(index: &BucketIndex) -> IndexState {
+        let sorted = |members: &Vec<EntityId>| {
+            let mut m = members.clone();
+            m.sort_unstable();
+            m
+        };
+        let buckets = index
+            .buckets
+            .iter()
+            .map(|band| {
+                let mut slots: Vec<_> = band
+                    .iter()
+                    .map(|(&bk, b)| (bk, sorted(&b.left), sorted(&b.right)))
+                    .collect();
+                slots.sort_unstable();
+                slots
+            })
+            .collect();
+        let mut placements: Vec<_> = index
+            .placements
+            .iter()
+            .map(|(&(side, e), p)| ((side as u8, e), p.clone()))
+            .collect();
+        placements.sort_unstable();
+        (buckets, placements)
+    }
+
+    /// Diffing upsert == the remove-all-then-insert-all oracle over
+    /// random upsert/remove sequences, unpartitioned and at 2 and 3
+    /// partitions: the same partners on every call, the same bucket
+    /// membership and placements after every call. Signatures evolve
+    /// the way a ring does (mostly one slot per step, sometimes a whole
+    /// new signature), draw cells from a small pool so buckets are
+    /// shared, include all-placeholder bands, and `spans = 7` over
+    /// `rows = 3` leaves the last band one slot short.
+    #[test]
+    fn diffing_upsert_matches_the_remove_all_oracle() {
+        let (spans, bands, rows, num_buckets) = (7usize, 3usize, 3usize, 1u64 << 16);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) % n
+        };
+        let slot_value = |next: &mut dyn FnMut(u64) -> u64| match next(4) {
+            0 => None,
+            _ => Some(cell(next(3) as f64)),
+        };
+        for parts in [1u64, 2, 3] {
+            let mut diffing: Vec<BucketIndex> = (0..parts)
+                .map(|p| BucketIndex::partitioned(bands, rows, num_buckets, p, parts))
+                .collect();
+            let mut oracle = diffing.clone();
+            let mut sigs: HashMap<(IndexSide, EntityId), Vec<Option<CellId>>> = HashMap::new();
+            for step in 0..1500 {
+                let side = [IndexSide::Left, IndexSide::Right][next(2) as usize];
+                let entity = EntityId(next(6));
+                if next(8) == 0 {
+                    sigs.remove(&(side, entity));
+                    for (d, o) in diffing.iter_mut().zip(&mut oracle) {
+                        d.remove(side, entity);
+                        o.remove(side, entity);
+                    }
+                } else {
+                    let cells = sigs
+                        .entry((side, entity))
+                        .or_insert_with(|| vec![None; spans]);
+                    match next(10) {
+                        // A whole new signature (first sight, restore).
+                        0 => cells.iter_mut().for_each(|c| *c = slot_value(&mut next)),
+                        // A whole band rolls over to placeholders.
+                        1 => {
+                            let band = next(bands as u64) as usize;
+                            let end = ((band + 1) * rows).min(spans);
+                            cells[band * rows..end].iter_mut().for_each(|c| *c = None);
+                        }
+                        // A no-op re-upsert of the same signature.
+                        2 => {}
+                        // One slot changes: the streaming common case.
+                        _ => cells[next(spans as u64) as usize] = slot_value(&mut next),
+                    }
+                    let sig = sig(entity.0, cells.clone());
+                    let hashed = signature_buckets(&sig, bands, rows, num_buckets);
+                    for (d, o) in diffing.iter_mut().zip(&mut oracle) {
+                        assert_eq!(
+                            d.upsert_hashed(side, entity, &hashed),
+                            o.upsert_hashed_oracle(side, entity, &hashed),
+                            "{parts} partitions, step {step}: partners of {side:?} {entity:?}"
+                        );
+                    }
+                }
+                for (d, o) in diffing.iter().zip(&oracle) {
+                    assert_eq!(state_of(d), state_of(o), "{parts} partitions, step {step}");
+                    assert_eq!(d.len(), sigs.len());
+                }
+            }
+        }
     }
 }

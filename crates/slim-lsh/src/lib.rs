@@ -45,8 +45,8 @@ pub mod lsh;
 pub mod signature;
 
 pub use banding::{
-    bands_for_threshold, candidate_pairs, collision_probability, effective_threshold, fnv1a,
-    signature_buckets, signatures_collide, BucketIndex, IndexSide,
+    band_bucket_of, bands_for_threshold, buckets_collide, candidate_pairs, collision_probability,
+    effective_threshold, fnv1a, signature_buckets, BucketIndex, IndexSide,
 };
 pub use lambertw::lambert_w0;
 pub use lsh::{LshConfig, LshFilter};

@@ -682,6 +682,8 @@ fn dec_ring(d: &mut Dec) -> Result<RingDump<'static>, String> {
             slots: d.vec(|d| d.collect(|d| Ok(((d.u32()?, dec_cell(d)?), d.u32()?))))?,
             owners: d.vec(|d| d.opt(|d| d.u32()))?,
             sig: d.vec(|d| d.opt(dec_cell))?,
+            // Derived from `sig`; `ShardRings::restore` rebuilds it.
+            buckets: Vec::new(),
         }),
     })
 }
@@ -1434,6 +1436,7 @@ mod tests {
                         slots: vec![BTreeMap::from([((0, cell), 2)]), BTreeMap::new()],
                         owners: vec![Some(0), None],
                         sig: vec![Some(cell), None],
+                        buckets: Vec::new(),
                     }),
                 }],
                 cache: vec![(

@@ -64,7 +64,7 @@ use slim_core::{
     MatchingMethod, MobilityHistory, PreparedLinkage, ThresholdState, Timestamp, WindowIdx,
     WindowScheme,
 };
-use slim_lsh::{signature_buckets, signatures_collide, BucketIndex};
+use slim_lsh::{buckets_collide, BucketIndex};
 use slim_telemetry::{Histogram, MetricsRegistry, Snapshot, SnapshotSink};
 
 use crate::adjacency::PairKey;
@@ -737,7 +737,7 @@ impl StreamEngine {
                     shards.histories[i].push((e, dump));
                 }
                 shards.pending[i].extend(
-                    shard.pending[i]
+                    shard.pending()[i]
                         .iter()
                         .map(|(&e, v)| (e, Cow::Borrowed(&v[..]))),
                 );
@@ -852,7 +852,6 @@ impl StreamEngine {
         });
 
         let n = self.num_shards;
-        let ring_keys: Vec<(Side, EntityId)> = s.rings.iter().map(|d| (d.side, d.entity)).collect();
         let ShardsDump {
             histories,
             pending,
@@ -880,8 +879,12 @@ impl StreamEngine {
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(pending) {
             for (ent, evs) in per_side {
-                self.shards[entity_shard(side, ent, n)].pending[side.idx()]
-                    .insert(ent, evs.into_owned());
+                // Event by event, so the shard's window → pending
+                // entities index is rebuilt along the way.
+                let home = &mut self.shards[entity_shard(side, ent, n)];
+                for b in evs.into_owned() {
+                    home.park(b);
+                }
             }
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(live_events) {
@@ -906,31 +909,20 @@ impl StreamEngine {
                 self.shards[entity_shard(side, ent, n)].dead[side.idx()].insert(ent);
             }
         }
-        for dump in rings {
-            let home = entity_shard(dump.side, dump.entity, n);
-            self.shards[home].rings.restore(dump);
-        }
-        // Re-upsert every restored signature into the bucket partitions
-        // — deliberately NOT via candidate registration: the serialized
+        // Re-upsert every restored ring's band buckets (rebuilt by
+        // `ShardRings::restore`) into the bucket partitions —
+        // deliberately NOT via candidate registration: the serialized
         // cache below is the authoritative candidate set, and
         // re-registering would resurrect pairs the unbroken run had
         // already retired.
-        if let Some(geom) = self.lsh.as_ref().map(|l| l.geom) {
-            let mut updates: Vec<(Side, EntityId, Vec<Option<u64>>)> = Vec::new();
-            for (side, ent) in ring_keys {
-                let home = &self.shards[entity_shard(side, ent, n)];
-                if let Some(sig) = home.rings.signature(side, ent) {
-                    updates.push((
-                        side,
-                        ent,
-                        signature_buckets(&sig, geom.bands, geom.rows, geom.num_buckets),
-                    ));
-                }
-            }
-            let lsh = self.lsh.as_mut().expect("checked above");
-            for partition in &mut lsh.partitions {
-                for (side, ent, buckets) in &updates {
-                    let _ = partition.upsert_hashed(side.index_side(), *ent, buckets);
+        if let Some(lsh) = &mut self.lsh {
+            for dump in rings {
+                let (side, ent) = (dump.side, dump.entity);
+                let home = &mut self.shards[entity_shard(side, ent, n)];
+                home.rings.restore(&lsh.geom, dump);
+                let buckets = home.rings.buckets(side, ent).expect("restored above");
+                for partition in &mut lsh.partitions {
+                    let _ = partition.upsert_hashed(side.index_side(), ent, buckets);
                 }
             }
         }
@@ -1292,7 +1284,7 @@ impl StreamEngine {
                 self.watermark = b.w;
             }
             let expire_to = self.cfg.window_capacity.and_then(|cap| {
-                let keep_from = (self.watermark + 1).saturating_sub(cap);
+                let keep_from = self.watermark.saturating_add(1).saturating_sub(cap);
                 (keep_from > self.expired_below).then_some(keep_from)
             });
             queues[entity_shard(b.side, b.entity, self.num_shards)].push(b);
@@ -1407,46 +1399,43 @@ impl StreamEngine {
         if changes.is_empty() {
             return;
         }
-        /// One coalesced update: the entity's precomputed per-band
-        /// buckets, or `None` when its ring vanished (index removal).
-        type SigUpdate = (Side, EntityId, Option<Vec<Option<u64>>>);
-        let geom = self.lsh.as_ref().expect("caller checked").geom;
-        // Resolve final signatures from the home-shard rings and hash
-        // each one's band buckets ONCE — every partition then filters
-        // the shared hashes to its owned slots, so the banding FNV cost
-        // stays independent of the partition count.
-        let updates: Vec<SigUpdate> = changes
-            .into_iter()
-            .map(|(side, e)| {
-                let home = &self.shards[entity_shard(side, e, self.num_shards)];
-                let buckets = home
+        let changes: Vec<(Side, EntityId)> = changes.into_iter().collect();
+        let num_shards = self.num_shards;
+        // Each entity's final per-band buckets, read from its home
+        // shard's ring cache (`None` = the ring vanished: index
+        // removal). The rings hashed them on the shard workers as the
+        // slots changed; every partition filters the shared hashes to
+        // its owned slots, so nothing is hashed here at all.
+        let updates: Vec<Option<&[Option<u64>]>> = changes
+            .iter()
+            .map(|&(side, e)| {
+                self.shards[entity_shard(side, e, num_shards)]
                     .rings
-                    .signature(side, e)
-                    .map(|sig| signature_buckets(&sig, geom.bands, geom.rows, geom.num_buckets));
-                (side, e, buckets)
+                    .buckets(side, e)
             })
             .collect();
 
         let lsh = self.lsh.as_mut().expect("caller checked");
         let apply_one = |partition: &mut BucketIndex| -> Vec<Vec<EntityId>> {
-            updates
+            changes
                 .iter()
-                .map(|(side, e, buckets)| match buckets {
-                    Some(buckets) => partition.upsert_hashed(side.index_side(), *e, buckets),
+                .zip(&updates)
+                .map(|(&(side, e), buckets)| match buckets {
+                    Some(buckets) => partition.upsert_hashed(side.index_side(), e, buckets),
                     None => {
-                        partition.remove(side.index_side(), *e);
+                        partition.remove(side.index_side(), e);
                         Vec::new()
                     }
                 })
                 .collect()
         };
         let partitions: Vec<&mut BucketIndex> = lsh.partitions.iter_mut().collect();
-        let parallel = updates.len() >= PARALLEL_THRESHOLD;
+        let parallel = changes.len() >= PARALLEL_THRESHOLD;
         let reports: Vec<Vec<Vec<EntityId>>> =
             self.pool
                 .run_gated(PhaseId::Lsh, parallel, partitions, apply_one);
 
-        for (i, (side, e, _)) in updates.iter().enumerate() {
+        for (i, &(side, e)) in changes.iter().enumerate() {
             let mut partners: Vec<EntityId> = reports
                 .iter()
                 .flat_map(|per_partition| per_partition[i].iter().copied())
@@ -1459,7 +1448,7 @@ impl StreamEngine {
                     [other.idx()]
                 .contains(&p);
                 if active {
-                    self.add_candidate(*side, *e, p);
+                    self.add_candidate(side, e, p);
                 }
             }
         }
@@ -1590,20 +1579,17 @@ impl StreamEngine {
         // collision — drop it now; the bucket index would rediscover it.
         // Only pairs visited this tick can have newly emptied, so the
         // check is O(dirty), not O(cache).
-        if let Some(lsh) = &self.lsh {
-            let geom = lsh.geom;
+        if self.lsh.is_some() {
             let retire: Vec<(usize, (EntityId, EntityId))> = emptied
                 .into_iter()
                 .filter(|&(_, (u, v))| {
                     let su = &self.shards[entity_shard(Side::Left, u, self.num_shards)];
                     let sv = &self.shards[entity_shard(Side::Right, v, self.num_shards)];
                     match (
-                        su.rings.signature(Side::Left, u),
-                        sv.rings.signature(Side::Right, v),
+                        su.rings.buckets(Side::Left, u),
+                        sv.rings.buckets(Side::Right, v),
                     ) {
-                        (Some(a), Some(b)) => {
-                            !signatures_collide(&a, &b, geom.bands, geom.rows, geom.num_buckets)
-                        }
+                        (Some(a), Some(b)) => !buckets_collide(a, b),
                         _ => true,
                     }
                 })
@@ -1691,6 +1677,7 @@ impl StreamEngine {
         self.publish_epoch(tick_threshold);
         self.sync_pool_stats();
         if let Some(t0) = t_tick {
+            self.pool.close_inline_spans();
             let span = self.tel.now_ns().saturating_sub(t0);
             self.tel.tick.record(span);
         }
@@ -1710,7 +1697,7 @@ impl StreamEngine {
             events: self.stats.events,
             links: self.links.clone(),
             threshold,
-            frontier: Some(scheme.window_start(self.watermark + 1)),
+            frontier: Some(scheme.window_start(self.watermark.saturating_add(1))),
         });
         if let Some(log) = &self.epoch_log {
             log.push(&snapshot);

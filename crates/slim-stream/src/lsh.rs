@@ -13,19 +13,34 @@
 //!   entity's home [`crate::shard::EngineShard`] and mutated lock-free
 //!   during shard-parallel phases. Ring updates report whether the
 //!   derived signature *changed*; the shard coalesces changed entities
-//!   and the engine resolves their final signatures at the next merge
+//!   and the engine reads their final band buckets at the next merge
 //!   barrier.
 //! * [`LshGeometry`] — the banding parameters shared by every shard and
 //!   every partition of the engine's partitioned
 //!   [`slim_lsh::BucketIndex`] (see the engine for the partition
 //!   upsert/handoff protocol).
+//!
+//! ## Cached band buckets
+//!
+//! Beside its signature each ring keeps the signature's **per-band
+//! bucket ids** — `slim_lsh::signature_buckets` of the current
+//! signature, maintained instead of recomputed. The only writers of a
+//! signature slot are [`ShardRings::add`] and [`ShardRings::evict`];
+//! whenever one of them changes a slot's dominating cell it re-hashes
+//! the one band that slot belongs to (`slot / rows`), on the shard
+//! worker, inside the Apply / Expire phase. Everything downstream reads
+//! the cache through [`ShardRings::buckets`]: candidate registration at
+//! the barrier, the retirement check of a refresh tick, and the
+//! re-upsert after recovery — none of them clones a signature or hashes
+//! a band. The cache is derived state: it is never serialized, and
+//! [`ShardRings::restore`] rebuilds it from the restored signature.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use geocell::CellId;
 use slim_core::{EntityId, WindowIdx};
-use slim_lsh::{bands_for_threshold, IndexSide, Signature};
+use slim_lsh::{band_bucket_of, bands_for_threshold, IndexSide};
 
 use crate::config::StreamLshConfig;
 use crate::event::Side;
@@ -82,36 +97,57 @@ pub(crate) struct SpanRing {
     /// (and per-slot memory stays bounded) even without window expiry.
     pub(crate) owners: Vec<Option<u32>>,
     pub(crate) sig: Vec<Option<CellId>>,
+    /// Per band: the bucket `sig`'s band hashes to (`None` = the band
+    /// is all placeholders). Derived from `sig` — see the module docs;
+    /// the checkpoint codec neither writes nor reads it (a decoded ring
+    /// carries it empty until [`ShardRings::restore`] rebuilds it).
+    pub(crate) buckets: Vec<Option<u64>>,
 }
 
 impl SpanRing {
-    fn new(spans: usize) -> Self {
+    fn new(geom: &LshGeometry) -> Self {
         Self {
-            slots: vec![BTreeMap::new(); spans],
-            owners: vec![None; spans],
-            sig: vec![None; spans],
+            slots: vec![BTreeMap::new(); geom.spans],
+            owners: vec![None; geom.spans],
+            sig: vec![None; geom.spans],
+            buckets: vec![None; geom.bands],
         }
     }
 
-    /// Recomputes the dominating cell of one slot (mirroring the batch
-    /// tie-break: highest count, then smallest cell id). Slots hold a
-    /// handful of cells, so a linear aggregate beats a hash map here.
-    fn dominating(&self, slot: usize) -> Option<CellId> {
-        let mut agg: Vec<(CellId, u32)> = Vec::new();
-        for (&(_, cell), &n) in &self.slots[slot] {
-            match agg.iter_mut().find(|(c, _)| *c == cell) {
-                Some((_, count)) => *count += n,
-                None => agg.push((cell, n)),
-            }
-        }
-        agg.into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-            .map(|(c, _)| c)
+    /// Stores a slot's new dominating cell and re-hashes the band the
+    /// slot belongs to — the one place a signature slot is written.
+    fn set_slot(&mut self, geom: &LshGeometry, slot: usize, dom: Option<CellId>) {
+        self.sig[slot] = dom;
+        let band = slot / geom.rows;
+        self.buckets[band] = band_bucket_of(&self.sig, band, geom.rows, geom.num_buckets);
     }
 
     fn is_empty(&self) -> bool {
         self.slots.iter().all(BTreeMap::is_empty)
     }
+}
+
+/// The dominating cell of one slot's counts (mirroring the batch
+/// tie-break: highest count, then smallest cell id). The keys are
+/// `(window, cell)`-sorted, so one cell's counts are scattered across
+/// windows; they are summed per cell in `scratch` — the shard's reused
+/// buffer, so the recount allocates nothing. Slots hold a handful of
+/// cells, so a linear aggregate beats a hash map here.
+fn dominating(
+    slot: &BTreeMap<(WindowIdx, CellId), u32>,
+    scratch: &mut Vec<(CellId, u32)>,
+) -> Option<CellId> {
+    scratch.clear();
+    for (&(_, cell), &n) in slot {
+        match scratch.iter_mut().find(|(c, _)| *c == cell) {
+            Some((_, count)) => *count += n,
+            None => scratch.push((cell, n)),
+        }
+    }
+    scratch
+        .iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        .map(|&(c, _)| c)
 }
 
 /// One shard's ring state: the rings of every `(side, entity)` homed on
@@ -121,6 +157,8 @@ impl SpanRing {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardRings {
     rings: HashMap<(Side, EntityId), SpanRing>,
+    /// Per-cell count scratch of [`dominating`], reused across calls.
+    scratch: Vec<(CellId, u32)>,
 }
 
 impl ShardRings {
@@ -147,7 +185,7 @@ impl ShardRings {
         let ring = self
             .rings
             .entry((side, entity))
-            .or_insert_with(|| SpanRing::new(geom.spans));
+            .or_insert_with(|| SpanRing::new(geom));
         match ring.owners[slot] {
             Some(owner) if owner > span => return false, // pre-ring straggler
             Some(owner) if owner < span => {
@@ -160,19 +198,19 @@ impl ShardRings {
         for &c in cells {
             *ring.slots[slot].entry((w, c)).or_insert(0) += 1;
         }
-        let dom = ring.dominating(slot);
+        let dom = dominating(&ring.slots[slot], &mut self.scratch);
         if dom == ring.sig[slot] {
             return false;
         }
-        ring.sig[slot] = dom;
+        ring.set_slot(geom, slot, dom);
         true
     }
 
     /// Expires window `w` for `(side, entity)`: removes its counts from
     /// the ring, re-deriving the affected slot. Returns `true` when the
     /// signature changed — including the ring emptying out entirely
-    /// (the entity's [`ShardRings::signature`] then resolves to `None`
-    /// and the barrier removes it from the bucket partitions).
+    /// (the entity's [`ShardRings::buckets`] then resolve to `None` and
+    /// the barrier removes it from the bucket partitions).
     pub(crate) fn evict(
         &mut self,
         geom: &LshGeometry,
@@ -193,11 +231,11 @@ impl ShardRings {
             self.rings.remove(&(side, entity));
             return true;
         }
-        let dom = ring.dominating(slot);
+        let dom = dominating(&ring.slots[slot], &mut self.scratch);
         if dom == ring.sig[slot] {
             return false;
         }
-        ring.sig[slot] = dom;
+        ring.set_slot(geom, slot, dom);
         true
     }
 
@@ -208,13 +246,25 @@ impl ShardRings {
         self.rings.remove(&(side, entity)).is_some()
     }
 
-    /// The entity's current signature (`None` = no live ring; the
-    /// barrier translates that into a bucket-index removal).
-    pub(crate) fn signature(&self, side: Side, entity: EntityId) -> Option<Signature> {
-        self.rings.get(&(side, entity)).map(|ring| Signature {
-            entity,
-            cells: ring.sig.clone(),
-        })
+    /// The per-band bucket ids of the entity's current signature, read
+    /// from the ring's cache (`None` = no live ring; the barrier
+    /// translates that into a bucket-index removal).
+    pub(crate) fn buckets(&self, side: Side, entity: EntityId) -> Option<&[Option<u64>]> {
+        self.rings
+            .get(&(side, entity))
+            .map(|ring| ring.buckets.as_slice())
+    }
+
+    /// The entity's current signature, materialized — what the cached
+    /// [`ShardRings::buckets`] must always be the hashes of.
+    #[cfg(test)]
+    fn signature(&self, side: Side, entity: EntityId) -> Option<slim_lsh::Signature> {
+        self.rings
+            .get(&(side, entity))
+            .map(|ring| slim_lsh::Signature {
+                entity,
+                cells: ring.sig.clone(),
+            })
     }
 
     /// Every ring, lent as it stands and in hash order — the checkpoint
@@ -229,11 +279,16 @@ impl ShardRings {
     }
 
     /// Restores one ring from a [`ShardRings::export`] dump — the
-    /// recovery inverse; the rebuilt ring answers `signature` and every
-    /// subsequent `add`/`evict` exactly like the checkpointed one.
-    pub(crate) fn restore(&mut self, dump: RingDump<'_>) {
-        self.rings
-            .insert((dump.side, dump.entity), dump.ring.into_owned());
+    /// recovery inverse. The band-bucket cache does not travel in the
+    /// dump and is rebuilt here from the restored signature, so the
+    /// ring answers `buckets` and every subsequent `add`/`evict`
+    /// exactly like the checkpointed one.
+    pub(crate) fn restore(&mut self, geom: &LshGeometry, dump: RingDump<'_>) {
+        let mut ring = dump.ring.into_owned();
+        ring.buckets = (0..geom.bands)
+            .map(|band| band_bucket_of(&ring.sig, band, geom.rows, geom.num_buckets))
+            .collect();
+        self.rings.insert((dump.side, dump.entity), ring);
     }
 
     #[cfg(test)]
@@ -372,6 +427,107 @@ mod tests {
         let sig = rings.signature(Side::Left, EntityId(1)).unwrap();
         assert_eq!(sig.cells[0], Some(cell(5.0)));
         assert!(first.is_some());
+    }
+
+    /// Equal counts: the smaller cell id dominates, whichever order the
+    /// cells arrived in and however their counts are spread over the
+    /// slot's windows; one more record breaks the tie.
+    #[test]
+    fn dominating_cell_tie_goes_to_the_smaller_cell_id() {
+        let g = geom(1, 4);
+        let (a, b) = (cell(0.0), cell(5.0));
+        let (small, large) = (a.min(b), a.max(b));
+        let first = |r: &ShardRings| r.signature(Side::Left, EntityId(1)).unwrap().cells[0];
+        for order in [[small, large], [large, small]] {
+            let mut rings = ShardRings::default();
+            // Two records each, spread over different windows of the
+            // one slot: (w0, x), (w1, y), (w2, x), (w3, y).
+            for (w, &c) in order.iter().cycle().take(4).enumerate() {
+                rings.add(&g, Side::Left, EntityId(1), w as u32, &[c]);
+            }
+            assert_eq!(first(&rings), Some(small), "arrival order {order:?}");
+            rings.add(&g, Side::Left, EntityId(1), 0, &[large]);
+            assert_eq!(first(&rings), Some(large), "3 records beat 2");
+            // Expiring that window's records restores the tie.
+            rings.evict(&g, Side::Left, EntityId(1), 0);
+            rings.add(&g, Side::Left, EntityId(1), 0, &[order[0]]);
+            assert_eq!(first(&rings), Some(small), "tie again");
+        }
+    }
+
+    /// After every step of a random `add` / `evict` / `remove_entity` /
+    /// `restore` sequence, every ring's cached band buckets are exactly
+    /// `signature_buckets` of its signature — over geometries whose
+    /// last band is full, short (`spans` not a multiple of `rows`) and
+    /// a single row.
+    #[test]
+    fn cached_buckets_track_the_signature() {
+        let check = |g: &LshGeometry, rings: &ShardRings, what: &str| {
+            for side in [Side::Left, Side::Right] {
+                for e in 0..4 {
+                    let from_sig = rings.signature(side, EntityId(e)).map(|sig| {
+                        slim_lsh::signature_buckets(&sig, g.bands, g.rows, g.num_buckets)
+                    });
+                    let cached = rings.buckets(side, EntityId(e)).map(<[_]>::to_vec);
+                    assert_eq!(cached, from_sig, "{what}: {side:?} entity {e}");
+                }
+            }
+        };
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) % n
+        };
+        for (spans, step) in [(8usize, 2u32), (7, 1), (28, 3), (3, 4)] {
+            let g = geom(spans, step);
+            let horizon = spans as u64 * step as u64 * 3;
+            let mut rings = ShardRings::default();
+            for i in 0..2500 {
+                let side = [Side::Left, Side::Right][next(2) as usize];
+                let entity = EntityId(next(4));
+                let w = next(horizon) as WindowIdx;
+                let what = match next(16) {
+                    0 => {
+                        rings.remove_entity(side, entity);
+                        "remove_entity"
+                    }
+                    // A checkpoint round trip: the cache does not travel
+                    // (the codec decodes it empty) and must come back.
+                    1 => {
+                        let dumps: Vec<RingDump<'static>> = rings
+                            .export()
+                            .map(|d| {
+                                let mut ring = d.ring.into_owned();
+                                ring.buckets = Vec::new();
+                                RingDump {
+                                    side: d.side,
+                                    entity: d.entity,
+                                    ring: Cow::Owned(ring),
+                                }
+                            })
+                            .collect();
+                        rings = ShardRings::default();
+                        for d in dumps {
+                            rings.restore(&g, d);
+                        }
+                        "restore"
+                    }
+                    2..=5 => {
+                        rings.evict(&g, side, entity, w);
+                        "evict"
+                    }
+                    _ => {
+                        let cells: Vec<CellId> =
+                            (0..next(3)).map(|_| cell(next(4) as f64)).collect();
+                        rings.add(&g, side, entity, w, &cells);
+                        "add"
+                    }
+                };
+                check(&g, &rings, &format!("spans {spans}, step {i} ({what})"));
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,11 @@ struct Shared {
     /// recording never makes one worker wait on another; the merged
     /// view is assembled in worker-id order at read time.
     recorders: Vec<Mutex<Vec<Histogram>>>,
+    /// Per [`PhaseId`]: nanoseconds spent in below-threshold inline
+    /// runs since the last [`WorkerPool::close_inline_spans`] (`None` =
+    /// the phase has not run inline since). Only the submitting thread
+    /// touches it, and only with `record_spans` on.
+    inline_ns: Mutex<[Option<u64>; PhaseId::COUNT]>,
     panicked: AtomicBool,
 }
 
@@ -164,6 +169,7 @@ impl WorkerPool {
                 recorders: (0..workers)
                     .map(|_| Mutex::new(vec![Histogram::new(); PhaseId::COUNT]))
                     .collect(),
+                inline_ns: Mutex::new([None; PhaseId::COUNT]),
                 panicked: AtomicBool::new(false),
             }),
             threads: Mutex::new(Vec::new()),
@@ -222,8 +228,17 @@ impl WorkerPool {
     /// The work-size-gated form of [`WorkerPool::run`] — the single
     /// dispatch switch every engine phase shares. `parallel = false`
     /// (the phase's work is below its threshold) runs a plain inline
-    /// map: no pool involvement, no telemetry, which is what keeps the
-    /// single-event ingest path dispatch-free.
+    /// map with no pool involvement, which is what keeps the
+    /// single-event ingest path dispatch-free. With span recording on
+    /// the inline map is still on the books, so a regime whose every
+    /// phase stays below its threshold is not dark: its time collects
+    /// per phase until [`WorkerPool::close_inline_spans`] books it as
+    /// one span. (Not one span per call: how many inline calls a stream
+    /// makes depends on how its arrivals were batched, and recorded
+    /// histograms must be functions of the event sequence alone.) With
+    /// recording off the path reads no clock. Busy totals count
+    /// dispatched work only: they are kept with telemetry off too, and
+    /// must not depend on whether spans are recorded.
     pub(crate) fn run_gated<I: Send, T: Send>(
         &self,
         phase: PhaseId,
@@ -232,9 +247,32 @@ impl WorkerPool {
         f: impl Fn(I) -> T + Sync,
     ) -> Vec<T> {
         if parallel && items.len() > 1 {
-            self.run(phase, items, f)
-        } else {
-            items.into_iter().map(f).collect()
+            return self.run(phase, items, f);
+        }
+        if !self.shared.record_spans {
+            return items.into_iter().map(f).collect();
+        }
+        let clock = Arc::clone(&self.shared.clock.lock().expect("pool poisoned"));
+        let t0 = clock.now_ns();
+        let out: Vec<T> = items.into_iter().map(f).collect();
+        let span = clock.now_ns().saturating_sub(t0);
+        let mut open = self.shared.inline_ns.lock().expect("pool poisoned");
+        *open[phase.idx()].get_or_insert(0) += span;
+        out
+    }
+
+    /// Books the inline time collected since the last call: one span
+    /// per phase that ran inline at all, on worker 0's recorder. The
+    /// engine calls it at every tick barrier — a boundary fixed by the
+    /// event sequence — so an inline phase's histogram reads "time per
+    /// tick interval" and its sum is the phase's whole inline time.
+    pub(crate) fn close_inline_spans(&self) {
+        let mut open = self.shared.inline_ns.lock().expect("pool poisoned");
+        let mut recorder = self.shared.recorders[0].lock().expect("pool poisoned");
+        for (open, hist) in open.iter_mut().zip(recorder.iter_mut()) {
+            if let Some(span) = open.take() {
+                hist.record(span);
+            }
         }
     }
 
@@ -425,6 +463,42 @@ mod tests {
         let spans = pool.phase_histograms();
         assert_eq!(spans[PhaseId::Bin.idx()].count(), 3 * 257);
         assert_eq!(spans[PhaseId::Rescore.idx()].count(), 0);
+    }
+
+    /// A below-threshold phase runs inline but is not dark: with span
+    /// recording on, its calls collect into one span per
+    /// `close_inline_spans`; with it off nothing is recorded — and no
+    /// busy time either way (never dispatched).
+    #[test]
+    fn gated_inline_phases_book_one_span_per_close_iff_recording() {
+        for (record, spans_per_close) in [(true, 1), (false, 0)] {
+            let pool = WorkerPool::new(2, PoolMode::Stealing, record);
+            for closes in 1..=2 {
+                for _ in 0..3 {
+                    let out = pool.run_gated(PhaseId::Expire, false, vec![1u64, 2, 3], |x| x + 1);
+                    assert_eq!(out, vec![2, 3, 4]);
+                }
+                assert_eq!(
+                    pool.phase_histograms()[PhaseId::Expire.idx()].count(),
+                    (closes - 1) * spans_per_close,
+                    "open inline time is not a span yet"
+                );
+                pool.close_inline_spans();
+                let spans = pool.phase_histograms();
+                assert_eq!(
+                    spans[PhaseId::Expire.idx()].count(),
+                    closes * spans_per_close
+                );
+                assert_eq!(spans[PhaseId::Apply.idx()].count(), 0, "never ran");
+            }
+            pool.close_inline_spans();
+            assert_eq!(
+                pool.phase_histograms()[PhaseId::Expire.idx()].count(),
+                2 * spans_per_close,
+                "nothing ran inline since the last close"
+            );
+            assert_eq!(pool.busy_spread_ns(), (0, 0));
+        }
     }
 
     #[test]

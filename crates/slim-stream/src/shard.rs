@@ -2,11 +2,11 @@
 //!
 //! The engine partitions every piece of per-entity and per-pair state by
 //! a deterministic entity hash ([`entity_shard`]): a shard owns the
-//! min-records buffers, mobility histories, dirty marks, LSH rings, and
-//! window membership of the entities homed on it, plus the cached
-//! `(pair, window)` score contributions and the entity→pair
-//! [`AdjacencyIndex`] of the pairs it owns (**owner = home shard of the
-//! pair's Left entity**).
+//! min-records buffers (with their window index), mobility histories,
+//! dirty marks, LSH rings, and window membership of the entities homed
+//! on it, plus the cached `(pair, window)` score contributions and the
+//! entity→pair [`AdjacencyIndex`] of the pairs it owns (**owner = home
+//! shard of the pair's Left entity**).
 //!
 //! Shard methods are designed for the engine's phase structure: during a
 //! parallel phase each shard mutates only its own state and *describes*
@@ -164,7 +164,18 @@ pub(crate) struct EngineShard {
     /// Min-records buffers: entities whose record count has not yet
     /// exceeded `slim.min_records` are parked here, exactly like the
     /// batch pipeline's sparse-entity filter.
-    pub(crate) pending: [HashMap<EntityId, Vec<BinnedEvent>>; 2],
+    pending: [HashMap<EntityId, Vec<BinnedEvent>>; 2],
+    /// Window → the entities that parked an event of that window in
+    /// `pending`, so [`EngineShard::expire`] visits only the buffers
+    /// that can hold an expiring event instead of sweeping all of them.
+    /// **Invariant:** every event in a `pending` buffer has its
+    /// `(side, entity)` listed under its window — which is why
+    /// `pending` is private and only [`EngineShard::park`] adds to it.
+    /// The index is a superset: an entity is listed once per parked
+    /// event and stays listed after its buffer activated; a stale
+    /// entry costs one failed lookup when its window expires. Derived
+    /// state — rebuilt from `pending` on recovery, never serialized.
+    pending_windows: BTreeMap<WindowIdx, Vec<(Side, EntityId)>>,
     /// Entities that crossed the min-records threshold.
     pub(crate) active: [HashSet<EntityId>; 2],
     /// This shard's slice of the per-side mobility histories.
@@ -216,6 +227,7 @@ impl EngineShard {
     pub(crate) fn new(storage: StorageMode, retain_live: bool) -> Self {
         Self {
             pending: Default::default(),
+            pending_windows: BTreeMap::new(),
             active: Default::default(),
             histories: [HistoryStore::new(storage), HistoryStore::new(storage)],
             live_events: Default::default(),
@@ -245,15 +257,31 @@ impl EngineShard {
             let (side, entity) = (b.side, b.entity);
             if self.active[side.idx()].contains(&entity) {
                 self.append_active(b, lsh, &mut fx);
-            } else {
-                let buffer = self.pending[side.idx()].entry(entity).or_default();
-                buffer.push(b);
-                if buffer.len() > min_records {
-                    self.activate(side, entity, lsh, &mut fx);
-                }
+            } else if self.park(b) > min_records {
+                self.activate(side, entity, lsh, &mut fx);
             }
         }
         fx
+    }
+
+    /// Parks one event in its entity's min-records buffer and lists the
+    /// entity under the event's window (the `pending_windows`
+    /// invariant). Returns the buffer's new length. Also the recovery
+    /// path: restoring `pending` event by event rebuilds the index.
+    pub(crate) fn park(&mut self, b: BinnedEvent) -> usize {
+        self.pending_windows
+            .entry(b.w)
+            .or_default()
+            .push((b.side, b.entity));
+        let buffer = self.pending[b.side.idx()].entry(b.entity).or_default();
+        buffer.push(b);
+        buffer.len()
+    }
+
+    /// The min-records buffers, `[left, right]` (read-only: the
+    /// checkpoint export).
+    pub(crate) fn pending(&self) -> &[HashMap<EntityId, Vec<BinnedEvent>>; 2] {
+        &self.pending
     }
 
     /// Moves a buffered entity past the min-records filter: replays its
@@ -286,7 +314,7 @@ impl EngineShard {
         for c in new_bins {
             fx.df[side.idx()].add_bin(b.w, c);
         }
-        fx.domain = fx.domain.max(b.w + 1);
+        fx.domain = fx.domain.max(b.w.saturating_add(1));
         self.dirty[side.idx()]
             .entry(b.entity)
             .or_default()
@@ -381,21 +409,28 @@ impl EngineShard {
                         // Re-buffer the still-live raw events (pruned to
                         // the window above). `live <= min_records`, so
                         // the buffer cannot immediately re-activate.
-                        if let Some(events) = self.live_events[side.idx()].remove(&e) {
-                            if !events.is_empty() {
-                                self.pending[side.idx()].insert(e, events);
-                            }
+                        for b in self.live_events[side.idx()].remove(&e).unwrap_or_default() {
+                            self.park(b);
                         }
                     }
                 }
             }
         }
-        // Min-records buffers must not resurrect expired windows either.
-        for side in [Side::Left, Side::Right] {
-            for buffer in self.pending[side.idx()].values_mut() {
-                buffer.retain(|b| b.w >= keep_from);
+        // Min-records buffers must not resurrect expired windows
+        // either: prune exactly the buffers the index lists under an
+        // expiring window (a listed entity may have activated since —
+        // nothing to prune then).
+        let live = self.pending_windows.split_off(&keep_from);
+        for (_, parked) in std::mem::replace(&mut self.pending_windows, live) {
+            for (side, e) in parked {
+                let pending = &mut self.pending[side.idx()];
+                if let Some(buffer) = pending.get_mut(&e) {
+                    buffer.retain(|b| b.w >= keep_from);
+                    if buffer.is_empty() {
+                        pending.remove(&e);
+                    }
+                }
             }
-            self.pending[side.idx()].retain(|_, buffer| !buffer.is_empty());
         }
         fx
     }
@@ -536,5 +571,105 @@ impl EngineShard {
         self.cache.remove(&pair);
         self.adjacency.remove(pair);
         self.patch_edge(pair, None);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geocell::LatLng;
+
+    /// Random `apply_events` / `expire` sequences over a handful of
+    /// sparse entities (so buffers park, activate, demote and re-buffer
+    /// all the time). After every step the index invariant holds —
+    /// every pending event's entity is listed under the event's window
+    /// — and after every expiry no pending buffer holds an event below
+    /// `keep_from`, no emptied buffer survives, and the index has no
+    /// entry below `keep_from`.
+    #[test]
+    fn pending_index_covers_every_parked_event_and_expires_with_the_window() {
+        let cell = |k: u64| CellId::from_latlng(LatLng::from_degrees(20.0, k as f64), 12);
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) % n
+        };
+        for (min_records, capacity) in [(2usize, 6u32), (5, 4), (1, 3), (3, 12)] {
+            let mut shard = EngineShard::new(StorageMode::Arena, true);
+            let (mut watermark, mut keep_from) = (0u32, 0u32);
+            let (mut activated, mut demoted, mut pruned) = (0usize, 0u64, 0usize);
+            for step in 0..1200 {
+                // A segment of events at or near the watermark, none
+                // below the expiry horizon (the control scan drops
+                // those before they reach a shard).
+                watermark += next(3) as u32;
+                let events: Vec<BinnedEvent> = (0..next(6))
+                    .map(|_| BinnedEvent {
+                        side: [Side::Left, Side::Right][next(2) as usize],
+                        entity: EntityId(next(5)),
+                        w: watermark.saturating_sub(next(3) as u32).max(keep_from),
+                        cells: vec![cell(next(4))],
+                        lsh_cells: Vec::new(),
+                    })
+                    .collect();
+                activated += shard
+                    .apply_events(events, min_records, None)
+                    .activations
+                    .len();
+                assert_index_covers_pending(&shard, step);
+
+                let target = (watermark + 1).saturating_sub(capacity);
+                if target > keep_from {
+                    keep_from = target;
+                    pruned += shard
+                        .pending
+                        .iter()
+                        .flat_map(HashMap::values)
+                        .flatten()
+                        .filter(|b| b.w < keep_from)
+                        .count();
+                    demoted += shard.expire(keep_from, min_records, None).demoted_entities;
+                    assert_index_covers_pending(&shard, step);
+                    for buffer in shard.pending.iter().flat_map(HashMap::values) {
+                        assert!(!buffer.is_empty(), "step {step}: emptied buffer survived");
+                        assert!(
+                            buffer.iter().all(|b| b.w >= keep_from),
+                            "step {step}: event below {keep_from} in {buffer:?}"
+                        );
+                    }
+                    assert!(
+                        shard.pending_windows.keys().all(|&w| w >= keep_from),
+                        "step {step}: index entry below {keep_from}"
+                    );
+                }
+            }
+            // The sequence exercised what it claims to.
+            assert!(
+                activated > 0,
+                "min_records {min_records}: nothing activated"
+            );
+            assert!(pruned > 0, "min_records {min_records}: nothing pruned");
+            assert!(demoted > 0, "min_records {min_records}: nothing demoted");
+        }
+    }
+
+    fn assert_index_covers_pending(shard: &EngineShard, step: usize) {
+        for (side, buffers) in [Side::Left, Side::Right].into_iter().zip(&shard.pending) {
+            for (&e, buffer) in buffers {
+                for b in buffer {
+                    let listed = shard
+                        .pending_windows
+                        .get(&b.w)
+                        .is_some_and(|parked| parked.contains(&(side, e)));
+                    assert!(
+                        listed,
+                        "step {step}: {side:?} {e:?} unlisted at window {}",
+                        b.w
+                    );
+                }
+            }
+        }
     }
 }

@@ -146,6 +146,24 @@ impl WireFormat {
     }
 }
 
+/// The largest timestamp magnitude the wire accepts, in every spelling
+/// (CSV field, JSON number, JSON quoted integer): ±2^53 seconds, f64's
+/// exactly-representable integer range. A corrupt line must error —
+/// accepted, a timestamp near `i64::MAX` would poison the watermark
+/// frontier for the rest of the stream and push the window arithmetic
+/// to its overflow edge.
+const MAX_WIRE_TIMESTAMP: u64 = 1 << 53;
+
+/// Checks a parsed wire timestamp against [`MAX_WIRE_TIMESTAMP`].
+fn wire_timestamp(ts: i64) -> Result<Timestamp, String> {
+    if ts.unsigned_abs() > MAX_WIRE_TIMESTAMP {
+        return Err(format!(
+            "field `timestamp` out of range (|t| > 2^53 s): {ts}"
+        ));
+    }
+    Ok(Timestamp(ts))
+}
+
 /// Parses one feed line in the given [`WireFormat`]. `Ok(None)` =
 /// skippable line (blank, or a CSV header).
 pub fn parse_wire_line(format: WireFormat, line: &str) -> Result<Option<StreamEvent>, String> {
@@ -196,6 +214,7 @@ pub fn parse_event_line(line: &str) -> Result<Option<StreamEvent>, String> {
     let ts: i64 = ts_s
         .parse()
         .map_err(|_| format!("field `timestamp` is not an integer: `{ts_s}`"))?;
+    let time = wire_timestamp(ts)?;
     if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lng) {
         return Err(format!("coordinates out of range: ({lat}, {lng})"));
     }
@@ -213,7 +232,7 @@ pub fn parse_event_line(line: &str) -> Result<Option<StreamEvent>, String> {
         side,
         entity: EntityId(entity),
         location: LatLng::from_degrees(lat, lng),
-        time: Timestamp(ts),
+        time,
         accuracy_m: accuracy,
     }))
 }
@@ -345,14 +364,13 @@ pub fn parse_event_jsonl(line: &str) -> Result<Option<StreamEvent>, String> {
     let mut entity: Option<u64> = None;
     let mut lat: Option<f64> = None;
     let mut lng: Option<f64> = None;
-    let mut ts: Option<i64> = None;
+    let mut ts: Option<Timestamp> = None;
     let mut accuracy = 0.0f64;
     let as_int = |v: &JsonScalar, name: &str| -> Result<i64, String> {
         match v {
-            // Bound to f64's exactly-representable integer range: a
-            // saturating `as i64` of e.g. 1e300 would otherwise accept
-            // a corrupt line as Timestamp(i64::MAX) and poison the
-            // watermark frontier for the rest of the stream.
+            // Bound to f64's exactly-representable integer range: an
+            // `as i64` of e.g. 1e300 would otherwise saturate instead
+            // of erroring.
             JsonScalar::Num(n) if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 => {
                 Ok(*n as i64)
             }
@@ -392,7 +410,7 @@ pub fn parse_event_jsonl(line: &str) -> Result<Option<StreamEvent>, String> {
             }
             "lat" | "latitude" => lat = Some(as_num(value, "lat")?),
             "lng" | "lon" | "longitude" => lng = Some(as_num(value, "lng")?),
-            "ts" | "time" | "timestamp" => ts = Some(as_int(value, "ts")?),
+            "ts" | "time" | "timestamp" => ts = Some(wire_timestamp(as_int(value, "ts")?)?),
             "acc" | "accuracy" | "accuracy_m" => {
                 let v = as_num(value, "acc")?;
                 if !(v.is_finite() && v >= 0.0) {
@@ -408,7 +426,7 @@ pub fn parse_event_jsonl(line: &str) -> Result<Option<StreamEvent>, String> {
     let entity = entity.ok_or_else(|| missing("entity"))?;
     let lat = lat.ok_or_else(|| missing("lat"))?;
     let lng = lng.ok_or_else(|| missing("lng"))?;
-    let ts = ts.ok_or_else(|| missing("ts"))?;
+    let time = ts.ok_or_else(|| missing("ts"))?;
     if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lng) {
         return Err(format!("coordinates out of range: ({lat}, {lng})"));
     }
@@ -416,7 +434,7 @@ pub fn parse_event_jsonl(line: &str) -> Result<Option<StreamEvent>, String> {
         side,
         entity: EntityId(entity),
         location: LatLng::from_degrees(lat, lng),
-        time: Timestamp(ts),
+        time,
         accuracy_m: accuracy,
     }))
 }
@@ -511,6 +529,12 @@ mod tests {
         assert!(parse_event_line("L,1,95.0,0.0,5").is_err());
         assert!(parse_event_line("L,1,0.0").is_err());
         assert!(parse_event_line("L,1,0.0,0.0,5,-3").is_err());
+        // The timestamp bound (±2^53 s) holds for the CSV field too.
+        assert!(parse_event_line("L,1,0.0,0.0,9223372036854775807").is_err());
+        assert!(parse_event_line("L,1,0.0,0.0,-9223372036854775808").is_err());
+        assert!(parse_event_line("L,1,0.0,0.0,9007199254740993").is_err());
+        let edge = parse_event_line("L,1,0.0,0.0,-9007199254740992").unwrap();
+        assert_eq!(edge.unwrap().time, Timestamp(-(1 << 53)));
     }
 
     #[test]
@@ -577,8 +601,23 @@ mod tests {
             // saturate into a frontier-poisoning timestamp.
             r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":1e300}"#,
             r#"{"side":"L","entity":1e300,"lat":0,"lng":0,"ts":1}"#,
+            // The same bound on the quoted spelling, which never
+            // passes through an f64.
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":"9223372036854775807"}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":"-9223372036854775808"}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"time":"9007199254740993"}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":9223372036854775807}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":-9223372036854775808}"#,
         ] {
             assert!(parse_event_jsonl(bad).is_err(), "`{bad}` must be rejected");
+        }
+        // Both spellings accept the bound itself.
+        for edge in [
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":9007199254740992}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":"9007199254740992"}"#,
+        ] {
+            let ev = parse_event_jsonl(edge).unwrap().unwrap();
+            assert_eq!(ev.time, Timestamp(1 << 53), "`{edge}`");
         }
     }
 

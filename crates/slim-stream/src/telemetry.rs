@@ -5,7 +5,11 @@
 //! expiry, LSH upserts, rescoring, finalize clones — everything the
 //! pool dispatches) are recorded *per worker* inside
 //! [`crate::pool::WorkerPool`] and merged in worker-id order when read,
-//! so recording never synchronizes workers with each other.
+//! so recording never synchronizes workers with each other. A phase too
+//! small to dispatch runs inline on the engine thread; its time collects
+//! in the pool and is booked as one span per phase at each tick barrier
+//! (`WorkerPool::close_inline_spans`), so a regime that never dispatches
+//! is attributed too.
 //! Engine-thread spans (edge merge, matching, thresholding, the whole
 //! tick barrier) and the end-to-end event latency are recorded here, on
 //! the coordinator thread that already owns them.

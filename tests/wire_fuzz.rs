@@ -128,3 +128,84 @@ proptest! {
         prop_assert_eq!(leave_malformed, vec![expected_malformed]);
     }
 }
+
+/// The wire bounds a timestamp to ±2^53 s in every spelling — CSV
+/// field, JSON number, JSON quoted integer — so `i64::MAX` / `i64::MIN`
+/// are malformed lines, not frontier-poisoning events.
+#[test]
+fn unbounded_timestamps_are_malformed_in_every_spelling() {
+    let bound = 1i64 << 53;
+    for (ts, ok) in [
+        (i64::MAX, false),
+        (i64::MIN, false),
+        // (Two past the bound: the JSON number scanner reads through an
+        // f64, where 2^53 + 1 is not representable.)
+        (bound + 2, false),
+        (-bound - 2, false),
+        (bound, true),
+        (-bound, true),
+    ] {
+        let spellings = [
+            (WireFormat::Csv, format!("L,1,10.0,20.5,{ts}")),
+            (
+                WireFormat::Jsonl,
+                format!("{{\"side\":\"L\",\"entity\":1,\"lat\":10.0,\"lng\":20.5,\"ts\":{ts}}}"),
+            ),
+            (
+                WireFormat::Jsonl,
+                format!(
+                    "{{\"side\":\"L\",\"entity\":1,\"lat\":10.0,\"lng\":20.5,\"ts\":\"{ts}\"}}"
+                ),
+            ),
+        ];
+        for (wire, line) in spellings {
+            match parse_wire_line(wire, &line) {
+                Ok(Some(ev)) => assert!(ok && ev.time.secs() == ts, "accepted `{line}`"),
+                Ok(None) => panic!("`{line}` is not skippable"),
+                Err(_) => assert!(!ok, "rejected `{line}`"),
+            }
+        }
+    }
+}
+
+/// Everything the wire does accept is safe window arithmetic, in debug
+/// (overflow panics) and release (overflow wraps) alike: the two
+/// extremes of the accepted range against each other — as origin and as
+/// event, either way round — saturate at the last window or clamp to
+/// the first instead of wrapping into an arbitrary one.
+#[test]
+fn extreme_accepted_timestamps_neither_panic_nor_wrap() {
+    use slim::stream::{StreamConfig, StreamEngine, StreamLshConfig};
+    let bound = 1i64 << 53;
+    let event = |entity: u64, ts: i64| {
+        let line = format!("L,{entity},10.0,20.5,{ts}");
+        parse_wire_line(WireFormat::Csv, &line)
+            .expect("within the wire bound")
+            .expect("an event line")
+    };
+    for (first, then) in [(-bound, bound), (bound, -bound)] {
+        let mut engine = StreamEngine::new(StreamConfig {
+            window_capacity: Some(4),
+            refresh_every: 3,
+            lsh: Some(StreamLshConfig::default()),
+            ..StreamConfig::default()
+        })
+        .expect("valid config");
+        // The first event pins the window origin at one extreme.
+        engine.ingest(&event(1, first));
+        engine.ingest(&event(2, first - 900 * first.signum()));
+        engine.ingest(&event(1, then));
+        engine.ingest(&event(2, then));
+        engine.ingest(&event(1, first));
+        engine.refresh();
+        let stats = engine.stats();
+        if then > first {
+            // Far future: the watermark saturates, everything before
+            // it expires, and the straggler at the origin is late.
+            assert_eq!((stats.events, stats.late_dropped), (4, 1));
+        } else {
+            // Far past clamps to window 0: nothing is late.
+            assert_eq!((stats.events, stats.late_dropped), (5, 0));
+        }
+    }
+}
