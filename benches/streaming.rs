@@ -33,13 +33,10 @@
 //! 5. **skew** — a Zipf hot-entity workload (left-side skew, so the
 //!    hot entities' home shards own nearly all dirty-pair work) run
 //!    once per `--workers` count (default sweep 1,2,4) through the
-//!    work-stealing pool and once through the static per-shard
-//!    partition baseline (`PoolMode::Static`). Asserts the observable
-//!    output is **bit-identical across every worker count, schedule,
-//!    and the static baseline**, that chunks were actually stolen
-//!    (`steal_events > 0`), and — on hosts with ≥ 4 cores, floors on —
-//!    that the stealing pool beats the static partition ≥ 1.3× on
-//!    ingest+refresh throughput;
+//!    work-stealing pool. Asserts the observable output is
+//!    **bit-identical across every worker count** and that chunks
+//!    were actually stolen (`steal_events > 0`); the speedup over the
+//!    sweep's smallest worker count is reported, not asserted;
 //! 6. **kernel** — the rescore scoring kernel measured through both
 //!    history representations: the same tick-heavy replay once over
 //!    the columnar arena store (`StorageMode::Arena`, the default) and
@@ -763,13 +760,12 @@ struct SkewObservation {
 /// skewed (rank-frequency exponent 1.4) while the right view is
 /// uniform, so under "pair owner = Left entity's shard" the hot
 /// entities' home shards own nearly all rescore work of every tick —
-/// the regime where the old static per-shard partition stalls the
-/// barrier on one straggler worker. Runs the replay once per sweep
-/// worker count through the stealing pool, then once through the
-/// static-partition baseline, asserting bit-identity everywhere,
-/// `steal_events > 0` on the multi-worker stealing run, and (floors
-/// on, ≥ 4 cores) a ≥ 1.3× ingest+refresh speedup over the baseline.
-fn run_skew_phase(log: &mut BenchLog, smoke: bool, lenient: bool, sweep: &[usize]) {
+/// the regime where one chunk per shard would stall the barrier on one
+/// straggler worker. Runs the replay once per sweep worker count,
+/// asserting bit-identity across the sweep and `steal_events > 0` on
+/// the widest run; the first sweep entry is the baseline the reported
+/// speedup is taken against.
+fn run_skew_phase(log: &mut BenchLog, smoke: bool, sweep: &[usize]) {
     use slim::datagen::{zipf_sample, ZipfConfig};
 
     const SKEW_SHARDS: usize = 8;
@@ -777,8 +773,7 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, lenient: bool, sweep: &[usize
     // Exponent 2.0 puts ~60% of the left view's records — and with
     // them ~60% of every tick's per-bin rescore work, since a pair's
     // scoring cost scales with its endpoints' per-window bin counts —
-    // on rank 0, so the static partition pins most of each tick to
-    // rank 0's home shard.
+    // on rank 0, so rank 0's home shard owns most of each tick.
     let gen = ZipfConfig {
         num_entities: if smoke { 120 } else { 240 },
         exponent: 2.0,
@@ -806,13 +801,13 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, lenient: bool, sweep: &[usize
         100.0 * hottest as f64 / sample.left.num_records().max(1) as f64,
     );
 
-    let run = |workers: usize, mode: PoolMode| -> (f64, SkewObservation, StreamEngine) {
+    let run = |workers: usize| -> (f64, SkewObservation, StreamEngine) {
         let cfg = StreamConfig {
             window_capacity: None,
             refresh_every: 0, // manual ticks, timed with the ingest
             num_shards: SKEW_SHARDS,
             num_workers: workers,
-            pool_mode: mode,
+            pool_mode: PoolMode::Stealing,
             telemetry: true,
             storage: StorageMode::Arena,
             lsh: None,
@@ -821,8 +816,7 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, lenient: bool, sweep: &[usize
                 // of windows, so a hot entity dirties ~every one of
                 // them while a cold entity dirties one or two — per-
                 // pair rescore work then scales with endpoint event
-                // rate, exactly the skew the static partition cannot
-                // absorb.
+                // rate, the skew only chunk stealing absorbs.
                 window_width_secs: 60,
                 ..slim::core::SlimConfig::default()
             },
@@ -848,7 +842,7 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, lenient: bool, sweep: &[usize
     let mut steal_stats_at_max: Option<slim::stream::StreamStats> = None;
     let wmax = sweep.iter().copied().max().unwrap_or(1);
     for &workers in sweep {
-        let (elapsed, obs, engine) = run(workers, PoolMode::Stealing);
+        let (elapsed, obs, engine) = run(workers);
         let stats = *engine.stats();
         println!(
             "          skew: {workers} stealing workers → {:.3}s \
@@ -890,39 +884,6 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, lenient: bool, sweep: &[usize
         results.push((workers, elapsed));
     }
 
-    // The baseline: same worker count, static per-shard partition.
-    let (static_elapsed, static_obs, static_engine) = run(wmax, PoolMode::Static);
-    let static_stats = *static_engine.stats();
-    println!(
-        "          skew: {wmax} static workers   → {:.3}s \
-         ({:.0} events/s; busy max/min {:.1}/{:.1} ms — the straggler gap)",
-        static_elapsed,
-        events.len() as f64 / static_elapsed,
-        static_stats.max_worker_busy_ns as f64 / 1e6,
-        static_stats.min_worker_busy_ns as f64 / 1e6,
-    );
-    log.emit(
-        JsonObj::new()
-            .str("bench", "streaming_skew")
-            .str("mode", "static")
-            .u64("shards", SKEW_SHARDS as u64)
-            .u64("workers", wmax as u64)
-            .u64("events", events.len() as u64)
-            .f64("elapsed_s", static_elapsed)
-            .f64("events_per_sec", events.len() as f64 / static_elapsed)
-            .u64("steal_events", static_stats.steal_events)
-            .u64("max_worker_busy_ns", static_stats.max_worker_busy_ns)
-            .u64("min_worker_busy_ns", static_stats.min_worker_busy_ns),
-    );
-    assert!(
-        reference.as_ref() == Some(&static_obs),
-        "static-partition replay diverged from the stealing replays"
-    );
-    assert_eq!(
-        static_stats.steal_events, 0,
-        "the static baseline must not steal"
-    );
-
     if wmax > 1 {
         let steal_stats = steal_stats_at_max.expect("sweep ran wmax");
         assert!(
@@ -930,36 +891,18 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, lenient: bool, sweep: &[usize
             "a {wmax}-worker stealing run over a Zipf-skewed workload must \
              actually steal chunks"
         );
-        let steal_elapsed = results
-            .iter()
-            .find(|&&(w, _)| w == wmax)
-            .map(|&(_, e)| e)
-            .expect("sweep ran wmax");
-        let mut speedup = static_elapsed / steal_elapsed;
-        println!("          skew: stealing vs static partition at {wmax} workers: {speedup:.2}x");
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if !lenient && cores >= 4 && wmax >= 4 {
-            if speedup < 1.3 {
-                // Same retry discipline as the absolute floors: one
-                // noisy-neighbor window on a shared runner can sink
-                // either side of a relative-timing comparison, so
-                // re-measure both once and take the best ratio before
-                // judging.
-                let (steal_again, _, _) = run(wmax, PoolMode::Stealing);
-                let (static_again, _, _) = run(wmax, PoolMode::Static);
-                speedup = speedup.max(static_again / steal_again);
-                println!(
-                    "          skew: re-measured stealing vs static: {speedup:.2}x (best of 2)"
-                );
-            }
-            assert!(
-                speedup >= 1.3,
-                "work stealing recovered only {speedup:.2}x over the static \
-                 partition on a {cores}-core host (need ≥ 1.3x)"
-            );
-        }
+        let elapsed_at = |workers: usize| {
+            results
+                .iter()
+                .find(|&&(w, _)| w == workers)
+                .map(|&(_, e)| e)
+                .expect("sweep ran this count")
+        };
+        println!(
+            "          skew: {wmax} workers vs {}: {:.2}x",
+            sweep[0],
+            elapsed_at(sweep[0]) / elapsed_at(wmax)
+        );
     }
 }
 
@@ -1531,10 +1474,9 @@ fn main() {
     // epoch-snapshot read path throughout — zero lost events asserted.
     run_serve_phase(&mut log, &events);
 
-    // Phase 5: the Zipf/hot-entity skew phase — static partition vs
-    // the work-stealing pool, swept over `--workers` with bit-identity
-    // asserted across the sweep.
-    run_skew_phase(&mut log, smoke, lenient, &workers_sweep);
+    // Phase 5: the Zipf/hot-entity skew phase — the work-stealing pool
+    // swept over `--workers`, bit-identity asserted across the sweep.
+    run_skew_phase(&mut log, smoke, &workers_sweep);
 
     // Phase 6: the scoring-kernel microbench — arena vs legacy store,
     // bit-identity asserted, ns/window reported from score_kernel_ns.

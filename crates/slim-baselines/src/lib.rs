@@ -3,11 +3,11 @@
 //! Reimplementations (from their published descriptions) of the linkage
 //! algorithms in the SLIM paper's comparison (§5.5):
 //!
-//! * [`stlink`] — ST-Link (Basık et al., IEEE TMC 2018): sliding-window
+//! * [`mod@stlink`] — ST-Link (Basık et al., IEEE TMC 2018): sliding-window
 //!   co-occurrence counting with location-diversity and alibi cuts,
 //!   elbow-selected `k`/`l`, ambiguity rejection. No blocking, so its
 //!   record-comparison count is quadratic in entities × windows.
-//! * [`gm`] — GM (Wang et al., NDSS 2018): per-entity Gaussian-mixture +
+//! * [`mod@gm`] — GM (Wang et al., NDSS 2018): per-entity Gaussian-mixture +
 //!   Markov mobility models scored by cross-likelihood; awards pairs
 //!   across temporal windows; no scalability mechanism at all. Pair
 //!   scores are fed through SLIM's matching + stop threshold exactly as

@@ -292,7 +292,7 @@ OPTIONS:
     --help               this text
 ";
 
-/// Parses arguments (excluding argv[0]).
+/// Parses arguments (excluding `argv[0]`).
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut lsh_cfg = slim_lsh::LshConfig::default();
@@ -639,7 +639,8 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         }
         if stream_opts.idle_timeout_secs > 0 && stream_opts.connections == 0 {
             return Err(
-                "--idle-timeout requires --connections (the frontier only evicts fan-in feeds)"
+                "--idle-timeout requires --connections (a single feed has no other \
+                 connection to hold up)"
                     .to_string(),
             );
         }
@@ -651,8 +652,8 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         }
         if opts.checkpoint_dir.is_some() && stream_opts.connections > 0 {
             return Err(
-                "checkpointing is single-source: --checkpoint-dir cannot be combined \
-                 with --connections"
+                "checkpointing needs a replayable source: --checkpoint-dir cannot be \
+                 combined with --connections (N sockets cannot replay their accepted prefix)"
                     .to_string(),
             );
         }
@@ -904,9 +905,8 @@ fn run_stream(
         None
     };
 
-    /// Which drive loop the configured front-end needs: one source
-    /// behind the SPSC pump, or a multi-connection tier behind the
-    /// MPSC fan-in with frontier merge.
+    /// Which entry to the drive loop the configured front-end takes:
+    /// one (replayable) source, or a multi-connection tier.
     enum FrontEnd {
         Single(Box<dyn slim_stream::StreamSource + Send>),
         FanIn(slim_stream::TcpIngestTier),
@@ -1631,7 +1631,8 @@ mod tests {
         let o = parse(&["a.csv", "b.csv", "--checkpoint-dir", "/tmp/ck", "--recover"]).unwrap();
         assert!(o.recover);
         // Cadence and recovery both need a directory; keep must be
-        // positive; fan-in drives cannot checkpoint.
+        // positive; a multi-connection tier is not replayable, so it
+        // cannot checkpoint.
         assert!(parse(&["a.csv", "b.csv", "--checkpoint-every", "100"]).is_err());
         assert!(parse(&["a.csv", "b.csv", "--recover"]).is_err());
         assert!(parse(&[
@@ -1773,7 +1774,7 @@ mod tests {
         // A fan-in over a CSV replay makes no sense.
         let err = parse(&["a.csv", "b.csv", "--connections", "4"]).unwrap_err();
         assert!(err.contains("requires --source tcp"), "{err}");
-        // Idle eviction only exists on the fan-in frontier.
+        // Idle eviction only matters with several connections.
         let err = parse(&["--source", "tcp", "127.0.0.1:0", "--idle-timeout", "30"]).unwrap_err();
         assert!(err.contains("requires --connections"), "{err}");
     }

@@ -79,6 +79,7 @@ use crate::engine::StreamStats;
 use crate::event::{Side, StreamEvent};
 use crate::lsh::{RingDump, SpanRing};
 use crate::shard::BinnedEvent;
+use crate::source::pump::Ticker;
 use crate::store::HistoryDump;
 use crate::testing::FaultPlan;
 
@@ -277,30 +278,7 @@ pub(crate) struct ResumeState {
     /// Arrivals already rejected as late.
     pub(crate) reorder_late: u64,
     /// The tick scheduler's state.
-    pub(crate) ticker: TickerDump,
-}
-
-/// A [`crate::source::pump`] ticker's serialized state. The scheme
-/// origin travels with the event-time variants: a recovered ticker
-/// that re-anchored lazily at its first *post-resume* event would seal
-/// windows at shifted boundaries and break bit-identity.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TickerDump {
-    /// Count-based ticks (stateless — cadence lives on the engine).
-    EveryN,
-    /// Event-time interval ticks.
-    EventTime {
-        interval: i64,
-        origin: Option<i64>,
-        last_cell: Option<WindowIdx>,
-    },
-    /// Watermark window-sealing ticks.
-    Watermark {
-        width: i64,
-        origin: Option<i64>,
-        sealed_below: WindowIdx,
-        pending: Vec<StreamEvent>,
-    },
+    pub(crate) ticker: Ticker,
 }
 
 // ---------------------------------------------------------------------
@@ -688,10 +666,10 @@ fn dec_ring(d: &mut Dec) -> Result<RingDump<'static>, String> {
     })
 }
 
-fn put_ticker(out: &mut Vec<u8>, t: &TickerDump) {
+fn put_ticker(out: &mut Vec<u8>, t: &Ticker) {
     match t {
-        TickerDump::EveryN => put_u8(out, 0),
-        TickerDump::EventTime {
+        Ticker::EveryN => put_u8(out, 0),
+        Ticker::EventTime {
             interval,
             origin,
             last_cell,
@@ -701,7 +679,7 @@ fn put_ticker(out: &mut Vec<u8>, t: &TickerDump) {
             put_opt(out, origin, |o, v| put_i64(o, *v));
             put_opt(out, last_cell, |o, v| put_u32(o, *v));
         }
-        TickerDump::Watermark {
+        Ticker::Watermark {
             width,
             origin,
             sealed_below,
@@ -716,15 +694,15 @@ fn put_ticker(out: &mut Vec<u8>, t: &TickerDump) {
     }
 }
 
-fn dec_ticker(d: &mut Dec) -> Result<TickerDump, String> {
+fn dec_ticker(d: &mut Dec) -> Result<Ticker, String> {
     match d.u8()? {
-        0 => Ok(TickerDump::EveryN),
-        1 => Ok(TickerDump::EventTime {
+        0 => Ok(Ticker::EveryN),
+        1 => Ok(Ticker::EventTime {
             interval: d.i64()?,
             origin: d.opt(|d| d.i64())?,
             last_cell: d.opt(|d| d.u32())?,
         }),
-        2 => Ok(TickerDump::Watermark {
+        2 => Ok(Ticker::Watermark {
             width: d.i64()?,
             origin: d.opt(|d| d.i64())?,
             sealed_below: d.u32()?,
@@ -1452,7 +1430,7 @@ mod tests {
                 reorder_max_seen: Some(1234),
                 reorder_held: vec![ev],
                 reorder_late: 1,
-                ticker: TickerDump::Watermark {
+                ticker: Ticker::Watermark {
                     width: 3600,
                     origin: Some(1000),
                     sealed_below: 2,

@@ -81,10 +81,8 @@ pub struct StreamConfig {
     pub num_workers: usize,
     /// How the pool places and schedules chunks. The default
     /// ([`PoolMode::Stealing`]) is the production mode;
-    /// [`PoolMode::Static`] reproduces the old static per-shard
-    /// partition (benchmark baseline), [`PoolMode::Scripted`] runs a
-    /// seeded pseudo-random schedule (property tests). Results are
-    /// bit-identical across all modes.
+    /// [`PoolMode::Scripted`] runs a seeded pseudo-random schedule
+    /// (property tests). Results are bit-identical across both.
     pub pool_mode: PoolMode,
     /// Optional incremental LSH candidate filter. `None` = brute-force
     /// candidates (every active cross-dataset pair).

@@ -83,7 +83,6 @@ use crate::shard::{
 };
 use crate::snapshot::{EpochLog, EpochPointer, LinkSnapshot};
 use crate::source::Clock;
-use crate::steal::PoolMode;
 use crate::store::{common_windows_of, for_common_runs, window_contribution_view, HistoryView};
 use crate::telemetry::{EngineTelemetry, PhaseId};
 use crate::testing::FaultPlan;
@@ -551,21 +550,62 @@ impl StreamEngine {
     }
 
     /// Drains a [`crate::source::StreamSource`] to EOF through the
-    /// bounded ingestion front-end: the source runs on a producer
+    /// bounded ingestion front-end, as the one-connection case of
+    /// [`StreamEngine::drive_fan_in`]: the source runs on a producer
     /// thread behind a backpressured channel, arrivals are restored to
-    /// canonical order by the watermark reorder buffer, and refresh
-    /// ticks fire per [`crate::source::TickPolicy`] — the inverted
-    /// loop where the engine pulls its feed instead of being pushed
-    /// events. Overrides the engine's `refresh_every` with the policy
-    /// (an `EveryN(n)` policy installs `n`; the others disable the
-    /// internal counter and tick from the pump). Does *not* refresh or
-    /// finalize at EOF; callers decide how to close the stream.
+    /// canonical order by the frontier-driven reorder buffer, and
+    /// refresh ticks fire per [`crate::source::TickPolicy`] — the
+    /// inverted loop where the engine pulls its feed instead of being
+    /// pushed events. Overrides the engine's `refresh_every` with the
+    /// policy (an `EveryN(n)` policy installs `n`; the others disable
+    /// the internal counter and tick from the pump). Does *not* refresh
+    /// or finalize at EOF; callers decide how to close the stream.
+    ///
+    /// A source can replay its accepted prefix from event 0, so this
+    /// is the entry that may checkpoint
+    /// ([`StreamEngine::set_checkpoint_policy`]) and that a recovered
+    /// engine resumes through.
     pub fn drive<S: crate::source::StreamSource + Send>(
         &mut self,
         source: S,
         opts: &crate::source::DriveOptions,
     ) -> Result<crate::source::IngestReport, String> {
-        let report = crate::source::pump::run(self, source, opts);
+        let mut polls = crate::source::listener::Polls::default();
+        let tier = crate::source::listener::SingleSource {
+            source,
+            batch_max: opts.source_batch,
+            polls: &mut polls,
+        };
+        let mut report = self.drive_tier(tier, opts, true)?;
+        report.source_batches = polls.batches;
+        report.source_stalls = polls.stalls;
+        Ok(report)
+    }
+
+    /// Drains a producer tier to EOF: every connection produces into
+    /// one bounded MPSC channel (Join/Event/Leave protocol),
+    /// per-connection watermarks are merged into the global
+    /// min-frontier by [`crate::source::ConnectionFrontier`], and the
+    /// frontier governs lateness, reorder-buffer release and
+    /// `Watermark` ticks. N sockets cannot replay their accepted
+    /// prefix, so a checkpoint policy or a recovered engine is refused
+    /// here, before anything is consumed.
+    pub fn drive_fan_in<F: crate::source::FanIn + Send>(
+        &mut self,
+        fan_in: F,
+        opts: &crate::source::DriveOptions,
+    ) -> Result<crate::source::IngestReport, String> {
+        self.drive_tier(fan_in, opts, false)
+    }
+
+    /// The one drive both entries run.
+    fn drive_tier<F: crate::source::FanIn + Send>(
+        &mut self,
+        tier: F,
+        opts: &crate::source::DriveOptions,
+        replayable: bool,
+    ) -> Result<crate::source::IngestReport, String> {
+        let report = crate::source::pump::run(self, tier, opts, replayable);
         // The encode buffer serves one drive's checkpoints; an engine
         // that outlives its drive (serving, finalizing) should not pin
         // an image-sized allocation.
@@ -585,28 +625,23 @@ impl StreamEngine {
         }
     }
 
-    /// Folds one drive run's channel/watermark counters into the stats.
-    pub(crate) fn absorb_ingest_report(&mut self, blocked_ns: u64, high_wm: u64, late: u64) {
-        self.stats.blocked_producer_ns += blocked_ns;
-        self.stats.queue_high_watermark = self.stats.queue_high_watermark.max(high_wm);
-        self.stats.late_events += late;
-    }
-
-    /// Folds one fan-in run's connection counters into the stats.
-    pub(crate) fn absorb_fan_in_report(
-        &mut self,
-        connections: u64,
-        malformed_lines: u64,
-        idle_evictions: u64,
-    ) {
-        self.stats.connections_served += connections;
-        self.stats.malformed_lines += malformed_lines;
-        self.stats.idle_evictions += idle_evictions;
+    /// Folds one drive run's channel, lateness and connection counters
+    /// into the stats.
+    pub(crate) fn absorb_ingest_report(&mut self, report: &crate::source::IngestReport) {
+        self.stats.blocked_producer_ns += report.blocked_producer_ns;
+        self.stats.queue_high_watermark = self
+            .stats
+            .queue_high_watermark
+            .max(report.queue_high_watermark);
+        self.stats.late_events += report.late_events;
+        self.stats.connections_served += report.connections;
+        self.stats.malformed_lines += report.malformed_lines;
+        self.stats.idle_evictions += report.idle_evictions;
     }
 
     /// Updates the `live_connections` gauge (connections currently
-    /// merged into the fan-in frontier). Maintained by the fan-in pump
-    /// as connections join and leave; returns to `0` when a drive ends.
+    /// merged into the frontier). Maintained by the pump as connections
+    /// join and leave; returns to `0` when a drive ends.
     pub(crate) fn set_live_connections(&mut self, live: u64) {
         self.live_connections = live;
     }
@@ -623,23 +658,9 @@ impl StreamEngine {
 
     /// The per-connection frontier-lag histogram (event-time seconds a
     /// connection's watermark trailed the frontier leader at each
-    /// advance), recorded by [`StreamEngine::drive_fan_in`].
+    /// advance), recorded by the drive loop.
     pub fn frontier_lag_histogram(&self) -> Histogram {
         self.tel.frontier_lag.clone()
-    }
-
-    /// Drains a multi-connection fan-in tier to EOF: every connection
-    /// produces into one bounded MPSC channel (Join/Event/Leave
-    /// protocol), per-connection watermarks are merged into the global
-    /// min-frontier by [`crate::source::ConnectionFrontier`], and the
-    /// frontier governs reorder-buffer release and `Watermark` ticks.
-    /// The multi-producer sibling of [`StreamEngine::drive`].
-    pub fn drive_fan_in<F: crate::source::FanIn + Send>(
-        &mut self,
-        fan_in: F,
-        opts: &crate::source::DriveOptions,
-    ) -> Result<crate::source::IngestReport, String> {
-        crate::source::pump::run_fan_in(self, fan_in, opts)
     }
 
     /// Enables crash-safe checkpointing: every `every` consumed source
@@ -673,9 +694,15 @@ impl StreamEngine {
         self.fault_plan
     }
 
+    /// The recovered pump state, for the drive loop to check before it
+    /// commits to [`StreamEngine::take_resume_state`].
+    pub(crate) fn resume_state(&self) -> Option<&ResumeState> {
+        self.resume.as_ref()
+    }
+
     /// Hands the recovered pump state (reorder buffer, ticker, resume
-    /// offset) to the drive loop — present exactly once, on the first
-    /// drive after [`StreamEngine::recover`].
+    /// offset) to the drive loop — present until the first drive after
+    /// [`StreamEngine::recover`] that passes its start-up checks.
     pub(crate) fn take_resume_state(&mut self) -> Option<ResumeState> {
         self.resume.take()
     }
@@ -1208,36 +1235,10 @@ impl StreamEngine {
                 .iter()
                 .map(|ev| bin_event(ev, &scheme, level, lsh_level))
                 .collect()
-        } else if matches!(self.cfg.pool_mode, PoolMode::Static) {
-            // The legacy static partition (benchmark baseline): event
-            // indices are partitioned by home shard and each partition
-            // is one pinned chunk — a hot entity's events all bin on
-            // one worker.
-            let mut shard_indices: Vec<Vec<usize>> = vec![Vec::new(); self.num_shards];
-            for (i, ev) in events.iter().enumerate() {
-                shard_indices[entity_shard(ev.side, ev.entity, self.num_shards)].push(i);
-            }
-            let per_shard: Vec<Vec<(usize, BinnedEvent)>> =
-                self.pool.run(PhaseId::Bin, shard_indices, |indices| {
-                    indices
-                        .iter()
-                        .map(|&i| (i, bin_event(&events[i], &scheme, level, lsh_level)))
-                        .collect()
-                });
-            let mut binned: Vec<Option<BinnedEvent>> = vec![None; events.len()];
-            for shard in per_shard {
-                for (i, b) in shard {
-                    binned[i] = Some(b);
-                }
-            }
-            binned
-                .into_iter()
-                .map(|b| b.expect("every event binned"))
-                .collect()
         } else {
-            // Stealing modes: fixed-size contiguous chunks, reassembled
-            // in chunk-id order — identical output to the serial map
-            // for every worker count and schedule.
+            // Fixed-size contiguous chunks, reassembled in chunk-id
+            // order — identical output to the serial map for every
+            // worker count and schedule.
             let chunks: Vec<&[StreamEvent]> = chunk_ranges(events.len(), INGEST_BIN_CHUNK)
                 .into_iter()
                 .map(|r| &events[r])
@@ -1714,8 +1715,7 @@ impl StreamEngine {
     /// worker pool as fixed-size **chunks of each shard's job list**
     /// when the tick is big enough to pay: a hot shard's jobs split
     /// into many stealable chunks, so tick latency tracks total dirty
-    /// work, not the hottest shard ([`PoolMode::Static`] keeps the
-    /// legacy one-chunk-per-shard partition as the benchmark baseline).
+    /// work, not the hottest shard.
     /// Chunk outputs are regrouped per owning shard in chunk-id order,
     /// which reproduces the sequential job order exactly.
     fn score_jobs(
@@ -1827,20 +1827,14 @@ impl StreamEngine {
                 .map(|(owner, list)| score_list((owner, list.as_slice())))
                 .collect();
         }
-        // Chunk each shard's job list; the grain is per-shard under
-        // the static baseline and RESCORE_CHUNK under stealing modes.
+        // Chunk each shard's job list at the RESCORE_CHUNK grain.
         let mut owners: Vec<usize> = Vec::new();
         let mut chunks: Vec<(usize, &[RescoreJob])> = Vec::new();
         for (owner, list) in jobs.iter().enumerate() {
             if list.is_empty() {
                 continue;
             }
-            let grain = if matches!(self.cfg.pool_mode, PoolMode::Static) {
-                list.len()
-            } else {
-                RESCORE_CHUNK
-            };
-            for range in chunk_ranges(list.len(), grain) {
+            for range in chunk_ranges(list.len(), RESCORE_CHUNK) {
                 owners.push(owner);
                 chunks.push((owner, &list[range]));
             }
@@ -1965,6 +1959,7 @@ mod tests {
     use slim_core::{LocationDataset, Record, Slim, SlimConfig};
 
     use crate::event::merge_datasets;
+    use crate::steal::PoolMode;
 
     fn rec(e: u64, t: i64, lat: f64, lng: f64) -> Record {
         Record::new(EntityId(e), LatLng::from_degrees(lat, lng), Timestamp(t))
@@ -2208,7 +2203,6 @@ mod tests {
         for (workers, mode) in [
             (2, PoolMode::Stealing),
             (4, PoolMode::Stealing),
-            (4, PoolMode::Static),
             (3, PoolMode::Scripted { seed: 0xFEED }),
             (3, PoolMode::Scripted { seed: 7 }),
         ] {
@@ -2797,7 +2791,7 @@ mod tests {
             reorder_max_seen: None,
             reorder_held: Vec::new(),
             reorder_late: 0,
-            ticker: checkpoint::TickerDump::EveryN,
+            ticker: crate::source::pump::Ticker::EveryN,
         };
         let image_of =
             |consumed| std::fs::read(dir.join(checkpoint::checkpoint_file_name(consumed))).unwrap();

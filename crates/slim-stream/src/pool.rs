@@ -530,12 +530,6 @@ mod tests {
                 "seed {seed}"
             );
         }
-        let pool = WorkerPool::new(4, PoolMode::Static, true);
-        assert_eq!(
-            pool.run(PhaseId::Bin, items, |x| x * 3),
-            reference,
-            "static mode"
-        );
     }
 
     #[test]

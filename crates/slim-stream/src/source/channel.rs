@@ -239,22 +239,7 @@ impl<T> Receiver<T> {
     /// Returns `false` only in that final state — every queued item is
     /// delivered before EOF is reported, so nothing is ever dropped.
     pub fn recv_many(&self, out: &mut Vec<T>, max: usize) -> bool {
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
-        loop {
-            if !inner.queue.is_empty() {
-                let n = inner.queue.len().min(max.max(1));
-                out.extend(inner.queue.drain(..n));
-                drop(inner);
-                // Space freed: wake every parked producer — with MPSC
-                // fan-in more than one may fit in the drained slots.
-                self.shared.not_full.notify_all();
-                return true;
-            }
-            if inner.closed {
-                return false;
-            }
-            inner = self.shared.not_empty.wait(inner).expect("channel poisoned");
-        }
+        self.recv_until(out, max, None) == RecvTimeout::Items
     }
 
     /// [`Receiver::recv_many`] with a bounded wait: where `recv_many`
@@ -268,28 +253,36 @@ impl<T> Receiver<T> {
         max: usize,
         timeout: std::time::Duration,
     ) -> RecvTimeout {
-        let deadline = Instant::now() + timeout;
+        self.recv_until(out, max, Some(Instant::now() + timeout))
+    }
+
+    /// The one receive loop; `None` = no deadline.
+    fn recv_until(&self, out: &mut Vec<T>, max: usize, deadline: Option<Instant>) -> RecvTimeout {
         let mut inner = self.shared.inner.lock().expect("channel poisoned");
         loop {
             if !inner.queue.is_empty() {
                 let n = inner.queue.len().min(max.max(1));
                 out.extend(inner.queue.drain(..n));
                 drop(inner);
+                // Space freed: wake every parked producer — with MPSC
+                // fan-in more than one may fit in the drained slots.
                 self.shared.not_full.notify_all();
                 return RecvTimeout::Items;
             }
             if inner.closed {
                 return RecvTimeout::Closed;
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return RecvTimeout::TimedOut;
-            }
-            (inner, _) = self
-                .shared
-                .not_empty
-                .wait_timeout(inner, remaining)
-                .expect("channel poisoned");
+            inner = match deadline {
+                None => self.shared.not_empty.wait(inner).expect("channel poisoned"),
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return RecvTimeout::TimedOut;
+                    }
+                    let waited = self.shared.not_empty.wait_timeout(inner, remaining);
+                    waited.expect("channel poisoned").0
+                }
+            };
         }
     }
 

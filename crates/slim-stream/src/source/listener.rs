@@ -1,26 +1,32 @@
-//! The multi-connection accept loop and the fan-in wire protocol.
+//! The producer side of the pump: the fan-in wire protocol, the one
+//! loop that feeds a connection into it, and the two tiers that run
+//! that loop — a multi-connection TCP accept loop and the
+//! one-connection adapter around a single [`StreamSource`].
+//!
+//! A tier pushes [`ConnMessage`]s into one bounded MPSC channel. The
+//! channel's global FIFO is what makes the protocol work without any
+//! out-of-band synchronization — a connection's `Join` always reaches
+//! the consumer before its first `Event`, and its `Leave` after its
+//! last, because each sender enqueues its own messages in program order.
 //!
 //! A [`TcpIngestTier`] binds one listening socket, accepts a declared
 //! number of client connections, and serves each on its own reader
 //! thread: lines are parsed leniently (malformed input is counted and
-//! skipped, never fatal), and every parsed event is pushed into one
-//! bounded MPSC channel as a [`ConnMessage`]. The channel's global FIFO
-//! is what makes the protocol work without any out-of-band
-//! synchronization — a connection's `Join` always reaches the consumer
-//! before its first `Event`, and its `Leave` after its last, because
-//! each sender enqueues its own messages in program order.
+//! skipped, never fatal). [`SingleSource`] is what
+//! [`crate::StreamEngine::drive`] wraps its source in: the same loop on
+//! the tier's own thread, as connection 0.
 //!
 //! Watermarks are deliberately *not* part of the wire protocol: the
 //! consumer derives each connection's watermark from the event times it
 //! delivers (`time − lag`), so the merged frontier can never race ahead
 //! of events still queued behind it.
 //!
-//! [`FanIn`] is the seam between this real TCP tier and the scripted
+//! [`FanIn`] is the seam between these tiers and the scripted
 //! deterministic tier ([`crate::testing::ScriptedConnections`]) the
-//! equivalence tests drive — the pump consumes either through the same
-//! trait.
+//! equivalence tests drive — the pump consumes any of them through the
+//! same trait.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 
 use crate::event::StreamEvent;
 use crate::source::channel::Sender;
@@ -56,13 +62,14 @@ pub enum ConnMessage {
     },
 }
 
-/// A producer tier the fan-in pump can drive: spawns however many
+/// A producer tier the pump can drive: spawns however many
 /// producers it represents, fans their [`ConnMessage`] streams into
 /// `tx` (cloning the sender per producer), and returns when every
 /// producer is done. Dropping the last sender clone is the tier's EOF.
 ///
-/// Implemented by [`TcpIngestTier`] (real sockets) and
-/// [`crate::testing::ScriptedConnections`] (deterministic replay).
+/// Implemented by [`TcpIngestTier`] (real sockets), [`SingleSource`]
+/// (one pulled source) and [`crate::testing::ScriptedConnections`]
+/// (deterministic replay).
 pub trait FanIn {
     /// Runs the tier to completion. An `Err` aborts the drive (the
     /// pump surfaces it); per-connection failures should instead be
@@ -123,43 +130,102 @@ impl FanIn for TcpIngestTier {
                     .map_err(|e| format!("tcp ingest: accept: {e}"))?;
                 let tx = tx.clone();
                 let wire = self.wire;
-                scope.spawn(move || serve_connection(conn, stream, wire, &tx));
+                scope.spawn(move || {
+                    let source = TcpLineSource::from_stream_with(stream, wire).lenient();
+                    // A dying client is churn the frontier merge must
+                    // absorb, not a drive failure: its error ends the
+                    // connection like a clean EOF does.
+                    let _churn = feed_connection(
+                        conn,
+                        source,
+                        READ_BATCH,
+                        &tx,
+                        TcpLineSource::malformed_lines,
+                    );
+                });
             }
             Ok(())
         })
     }
 }
 
-/// One connection's reader loop: `Join`, then every parsed event, then
-/// `Leave` — on clean EOF *and* on IO/protocol errors alike (a dying
-/// client is churn the frontier merge must absorb, not a drive
-/// failure). Only a vanished receiver aborts silently: the drive is
-/// already over.
-fn serve_connection(conn: u64, stream: TcpStream, wire: WireFormat, tx: &Sender<ConnMessage>) {
+/// How often [`feed_connection`] polled its source.
+#[derive(Debug, Default)]
+pub(crate) struct Polls {
+    /// Polls that returned a batch.
+    pub(crate) batches: u64,
+    /// Polls that returned [`SourcePoll::Pending`].
+    pub(crate) stalls: u64,
+}
+
+/// One connection's life, the only producer loop there is: `Join`, then
+/// every batch the source yields as `Event`s, then `Leave` — on clean
+/// EOF *and* on a source error alike (returned, for the caller to judge),
+/// so the frontier merge always sees the departure. `malformed_lines`
+/// reads the count the `Leave` carries off the finished source. Only a
+/// vanished receiver ends the loop silently: the drive is already over.
+pub(crate) fn feed_connection<S: StreamSource>(
+    conn: u64,
+    mut source: S,
+    batch_max: usize,
+    tx: &Sender<ConnMessage>,
+    malformed_lines: impl FnOnce(&S) -> u64,
+) -> (Result<(), String>, Polls) {
+    let mut polls = Polls::default();
     if tx.send(ConnMessage::Join { conn }).is_err() {
-        return;
+        return (Ok(()), polls);
     }
-    let mut source = TcpLineSource::from_stream_with(stream, wire).lenient();
-    loop {
-        match source.next_batch(READ_BATCH) {
+    let result = loop {
+        match source.next_batch(batch_max) {
             Ok(SourcePoll::Batch(events)) => {
+                polls.batches += 1;
+                // One lock per batch (not per event); blocks under
+                // backpressure.
                 let batch = events
                     .into_iter()
                     .map(|event| ConnMessage::Event { conn, event });
                 if tx.send_all(batch).is_err() {
-                    return;
+                    return (Ok(()), polls);
                 }
             }
             Ok(SourcePoll::Pending) => {
+                // A stalled source (e.g. rate pacing between due
+                // events) must not busy-spin a core; a short bounded
+                // sleep caps the poll rate without affecting delivered
+                // order.
+                polls.stalls += 1;
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
-            Ok(SourcePoll::End) | Err(_) => break,
+            Ok(SourcePoll::End) => break Ok(()),
+            Err(e) => break Err(e),
         }
-    }
+    };
     let _ = tx.send(ConnMessage::Leave {
         conn,
-        malformed_lines: source.malformed_lines(),
+        malformed_lines: malformed_lines(&source),
     });
+    (result, polls)
+}
+
+/// A single [`StreamSource`] as a tier of one connection (id 0), fed on
+/// the tier's own thread. Unlike a socket's, the source's error fails
+/// the drive: there is no other connection to carry on with.
+pub(crate) struct SingleSource<'a, S> {
+    pub(crate) source: S,
+    /// Maximum events per source poll.
+    pub(crate) batch_max: usize,
+    /// Where the poll counts go for the drive's
+    /// [`crate::source::IngestReport`]: the fan-in protocol has no
+    /// message for them, and [`FanIn::run`] consumes the tier.
+    pub(crate) polls: &'a mut Polls,
+}
+
+impl<S: StreamSource> FanIn for SingleSource<'_, S> {
+    fn run(self, tx: Sender<ConnMessage>) -> Result<(), String> {
+        let (result, polls) = feed_connection(0, self.source, self.batch_max, &tx, |_| 0);
+        *self.polls = polls;
+        result
+    }
 }
 
 #[cfg(test)]

@@ -2,49 +2,46 @@
 //! pump that drains them into the engine.
 //!
 //! Everything upstream of [`crate::StreamEngine::ingest_batch`] lives
-//! here. A [`StreamSource`] produces event batches (from a CSV replay, a
-//! live TCP feed, or a synthetic generator); the pump
-//! ([`crate::StreamEngine::drive`]) runs it on a producer thread behind
-//! a **bounded channel** ([`channel`]) whose backpressure is explicit
-//! (`blocked_producer_ns`, `queue_high_watermark`), restores canonical
-//! event order through a **watermark reorder buffer** ([`reorder`]), and
-//! fires refresh ticks according to a [`TickPolicy`]:
-//!
-//! ```text
-//!  source ──► producer thread ──► bounded channel ──► reorder buffer
-//!  (csv │ tcp │ synthetic │ scripted)      (backpressure)   (watermark)
-//!                                                              │ canonical order
-//!                                                              ▼
-//!                                   tick policy ──► engine control scan
-//! ```
-//!
-//! The reorder buffer is what preserves the engine's bit-identity
-//! contracts under a live feed: any delivery schedule whose event-time
-//! disorder stays within the configured lag reaches the engine in
-//! exactly the canonical `(time, side, entity)` order a sorted replay
-//! would use, so links, update streams, and finalized output match the
-//! direct replay path bit for bit (`tests/ingest_equivalence.rs`).
-//!
-//! The **multi-connection tier** generalizes the left edge of that
-//! picture: a [`TcpIngestTier`] accept loop ([`listener`]) serves many
-//! concurrent clients, each reader thread fanning `Join`/`Event`/
-//! `Leave` messages into the same channel (now MPSC), and a
-//! [`ConnectionFrontier`] ([`frontier`]) merges the per-connection
-//! watermarks into the global minimum that governs reorder release:
+//! here, and there is one path through it. A **tier** ([`FanIn`]) feeds
+//! its connections into a **bounded MPSC channel** ([`channel`]) whose
+//! backpressure is explicit (`blocked_producer_ns`,
+//! `queue_high_watermark`); the pump (`pump.rs`) merges the
+//! per-connection watermarks into the global minimum
+//! ([`ConnectionFrontier`], [`frontier`]), which decides lateness and
+//! governs release from the **reorder buffer** ([`reorder`]), and fires
+//! refresh ticks according to a [`TickPolicy`]:
 //!
 //! ```text
 //!  conn 0 ──► reader ─┐
 //!  conn 1 ──► reader ─┼──► MPSC channel ──► frontier merge ──► reorder
 //!  conn N ──► reader ─┘    (backpressure)   (min watermark     buffer
-//!                                            over live conns)    │
-//!                                                                ▼
+//!                                            over live conns)    │ canonical
+//!                                                                ▼ order
 //!                                     tick policy ──► engine control scan
 //! ```
+//!
+//! A connection is a [`StreamSource`] (a CSV replay, a live TCP feed, a
+//! synthetic generator, a script) polled by the one producer loop in
+//! [`listener`]. [`crate::StreamEngine::drive`] takes a single source
+//! and runs it as the tier with one connection;
+//! [`crate::StreamEngine::drive_fan_in`] takes a whole tier, such as a
+//! [`TcpIngestTier`] accept loop serving many concurrent clients. Same
+//! channel, same frontier, same loop — with one connection the minimum
+//! is over one watermark.
+//!
+//! The reorder buffer is what preserves the engine's bit-identity
+//! contracts under a live feed: any delivery schedule whose
+//! per-connection event-time disorder stays within the configured lag
+//! reaches the engine in exactly the canonical `(time, side, entity)`
+//! order a sorted replay would use, so links, update streams, and
+//! finalized output match the direct replay path bit for bit
+//! (`tests/ingest_equivalence.rs`,
+//! `tests/multi_connection_equivalence.rs`).
 
 pub mod channel;
 mod csv;
 mod frontier;
-mod listener;
+pub(crate) mod listener;
 pub(crate) mod pump;
 mod reorder;
 mod synthetic;
@@ -57,7 +54,7 @@ pub use listener::{ConnMessage, FanIn, TcpIngestTier};
 pub use pump::{DriveOptions, IngestReport};
 pub use reorder::ReorderBuffer;
 pub use synthetic::{Clock, SyntheticSource, WallClock};
-pub use tcp::TcpLineSource;
+pub use tcp::{TcpLineSource, MAX_WIRE_LINE};
 
 use geocell::LatLng;
 use slim_core::{EntityId, Timestamp};
@@ -76,8 +73,8 @@ pub enum SourcePoll {
     End,
 }
 
-/// A pull-based producer of stream events. The pump owns the source on
-/// a dedicated producer thread and polls it for batches, pushing every
+/// A pull-based producer of stream events. The producer loop owns the
+/// source on a dedicated thread and polls it for batches, pushing every
 /// event through the bounded channel — so an implementation may block
 /// (e.g. on a socket read) without stalling the engine's consumer side.
 pub trait StreamSource {

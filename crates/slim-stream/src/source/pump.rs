@@ -1,9 +1,19 @@
-//! The pump: a producer thread drains a [`StreamSource`] into the
-//! bounded channel; the calling thread drains the channel through the
-//! watermark reorder buffer into the engine, firing refresh ticks per
-//! [`TickPolicy`]. This inverts the PR-1 loop ("caller pushes events")
-//! into "the engine drains its source", which is what lets `slim-link
-//! --stream` tail a live feed instead of replaying a file it owns.
+//! The pump: the one loop that drives an engine from its feed. A
+//! producer tier ([`FanIn`]) fans its connections' `Join`/`Event`/
+//! `Leave` messages into the bounded channel; the calling thread drains
+//! the channel, decides each arrival's lateness against the merged
+//! [`ConnectionFrontier`], holds the in-time ones in the reorder
+//! buffer, releases what the frontier passes in canonical order and
+//! feeds it to the engine, firing refresh ticks per [`TickPolicy`]. A
+//! single [`crate::source::StreamSource`] is the one-connection tier
+//! ([`crate::source::listener::SingleSource`]) — there is no second
+//! loop for it.
+//!
+//! Each connection's watermark is derived here as `event time − lag`,
+//! *after* the event is buffered — so the frontier can never release
+//! past an event still in flight, and any delivery schedule whose
+//! per-connection disorder stays within the lag reaches the engine in
+//! canonical order.
 //!
 //! Determinism: the events the engine sees — and for `EveryN` the exact
 //! tick positions — depend only on the *canonical order* restored by
@@ -13,15 +23,17 @@
 //! equally schedule-independent. `Watermark` ticks follow the frontier,
 //! whose *final* state (and therefore the post-drive link set, after
 //! one refresh) is schedule-independent even though intermediate tick
-//! count is not.
+//! count is not (with one connection the frontier is a function of the
+//! delivery order alone, so there the tick positions are too).
 
 use slim_core::{Timestamp, WindowIdx, WindowScheme};
 
-use crate::checkpoint::{ResumeState, TickerDump};
+use crate::checkpoint::ResumeState;
 use crate::engine::{LinkUpdate, StreamEngine};
 use crate::event::StreamEvent;
+use crate::source::channel::{self, RecvTimeout};
 use crate::source::reorder::ReorderBuffer;
-use crate::source::{channel, SourcePoll, StreamSource, TickPolicy};
+use crate::source::{ConnMessage, ConnectionFrontier, FanIn, TickPolicy};
 
 /// Pump configuration: the bounded channel and the tick policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +44,7 @@ pub struct DriveOptions {
     /// Adaptive queue sizing ceiling: when above `queue_cap`, the pump
     /// doubles the channel capacity (up to this cap) whenever a drain
     /// interval accumulates more than
-    /// [`QueueSizer::DEFAULT_GROW_THRESHOLD_NS`] of fresh producer
+    /// [`channel::QueueSizer::DEFAULT_GROW_THRESHOLD_NS`] of fresh producer
     /// blocked time — backpressure still bounds the queue, it just
     /// stops throttling a feed the engine could actually absorb. `0`
     /// (or `== queue_cap`) keeps the classic fixed capacity.
@@ -55,12 +67,13 @@ pub struct DriveOptions {
     /// engine's links, updates, stats, and finalized output are
     /// bit-identical at every cadence.
     pub metrics_every: u64,
-    /// Fan-in only ([`StreamEngine::drive_fan_in`]): a connection with
-    /// no traffic for this many clock seconds is evicted from the
-    /// frontier merge so one stalled client cannot freeze event time
-    /// (it revives on its next event; events now below the frontier
-    /// are counted late). `0` disables eviction — the frontier waits
-    /// for the slowest connection forever.
+    /// A connection with no traffic for this many clock seconds is
+    /// evicted from the frontier merge so one stalled client cannot
+    /// freeze event time (it revives on its next event; events now
+    /// below the frontier are counted late). `0` disables eviction —
+    /// the frontier waits for the slowest connection forever. With one
+    /// connection there is nobody to wait for and eviction changes
+    /// nothing.
     pub idle_timeout_secs: u64,
 }
 
@@ -78,15 +91,16 @@ impl Default for DriveOptions {
     }
 }
 
-/// What one [`StreamEngine::drive`] run did.
+/// What one [`StreamEngine::drive`] or [`StreamEngine::drive_fan_in`]
+/// run did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestReport {
     /// Events released into the engine (the engine may still count some
     /// as `late_dropped` if their window expired — that is sliding-
     /// window lateness, distinct from delivery lateness below).
     pub events_delivered: u64,
-    /// Arrivals rejected by the reorder buffer for exceeding the
-    /// out-of-order lag bound.
+    /// Arrivals rejected for exceeding the out-of-order lag bound
+    /// (strictly below the merged frontier when they arrived).
     pub late_events: u64,
     /// Nanoseconds the producer spent blocked on a full channel.
     pub blocked_producer_ns: u64,
@@ -95,44 +109,54 @@ pub struct IngestReport {
     /// The channel capacity at EOF: `queue_cap` unless adaptive sizing
     /// (`queue_cap_max`) grew it mid-drive.
     pub queue_grown_to: u64,
-    /// Source polls that returned a batch.
+    /// Source polls that returned a batch ([`StreamEngine::drive`]
+    /// only: a tier does not report its connections' polls).
     pub source_batches: u64,
-    /// Source polls that returned [`SourcePoll::Pending`].
+    /// Source polls that returned [`crate::source::SourcePoll::Pending`]
+    /// ([`StreamEngine::drive`] only).
     pub source_stalls: u64,
     /// Refresh ticks fired by the pump itself (`EventTime`/`Watermark`
     /// policies; `EveryN` ticks run inside the engine and are counted
     /// in [`crate::StreamStats::ticks`] only).
     pub policy_ticks: u64,
-    /// Fan-in drives: connections that joined the frontier merge.
+    /// Connections that joined the frontier merge (`1` for a single
+    /// source: it is the one-connection tier).
     pub connections: u64,
-    /// Fan-in drives: malformed wire lines counted and skipped across
-    /// all connections (lenient parsing).
+    /// Malformed wire lines counted and skipped across all connections
+    /// (lenient parsing).
     pub malformed_lines: u64,
-    /// Fan-in drives: connections evicted from the frontier merge for
-    /// exceeding the idle timeout (revivals can re-evict, so this may
-    /// exceed the connection count).
+    /// Connections evicted from the frontier merge for exceeding the
+    /// idle timeout (revivals can re-evict, so this may exceed the
+    /// connection count).
     pub idle_evictions: u64,
     /// Every link update emitted while draining, in order.
     pub updates: Vec<LinkUpdate>,
 }
 
 /// Per-policy tick state over the released (canonically ordered)
-/// stream.
-enum Ticker {
+/// stream. This is also the form a checkpoint stores
+/// ([`ResumeState::ticker`]), so the tick grids are kept as their
+/// origin: a recovered ticker that re-anchored lazily at its first
+/// *post-resume* event would shift every later boundary and break
+/// bit-identity.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Ticker {
     /// Engine-internal counter (configured via `refresh_every`).
     EveryN,
-    /// Tick when released event time crosses an `interval`-grid
-    /// boundary anchored at the origin.
+    /// Tick when released event time crosses a boundary of the
+    /// `interval` grid anchored at `origin` (the engine's pinned window
+    /// origin, else the first released event).
     EventTime {
         interval: i64,
-        scheme: Option<WindowScheme>,
+        origin: Option<i64>,
         last_cell: Option<WindowIdx>,
     },
-    /// Tick when the watermark frontier seals an engine window; events
-    /// of unsealed windows wait in `pending`.
+    /// Tick when the frontier seals a window of the `width` grid
+    /// anchored at `origin`; events of unsealed windows wait in
+    /// `pending`.
     Watermark {
         width: i64,
-        scheme: Option<WindowScheme>,
+        origin: Option<i64>,
         sealed_below: WindowIdx,
         pending: Vec<StreamEvent>,
     },
@@ -140,26 +164,47 @@ enum Ticker {
 
 impl Ticker {
     fn new(policy: TickPolicy, window_width_secs: i64, origin: Option<Timestamp>) -> Ticker {
-        let scheme_from = |width: i64| origin.map(|o| WindowScheme::new(o, width));
+        let origin = origin.map(|o| o.secs());
         match policy {
             TickPolicy::EveryN(_) => Ticker::EveryN,
             TickPolicy::EventTime { interval_secs } => Ticker::EventTime {
                 interval: interval_secs,
-                scheme: scheme_from(interval_secs),
+                origin,
                 last_cell: None,
             },
             TickPolicy::Watermark { .. } => Ticker::Watermark {
                 width: window_width_secs,
-                scheme: scheme_from(window_width_secs),
+                origin,
                 sealed_below: 0,
                 pending: Vec::new(),
             },
         }
     }
 
+    /// Whether a drive under `policy` may resume from this checkpointed
+    /// ticker: it must be the checkpointed drive's policy.
+    fn check_resumes_under(&self, policy: TickPolicy) -> Result<(), String> {
+        use TickPolicy as P;
+        let (same, checkpointed) = match self {
+            Ticker::EveryN => (matches!(policy, P::EveryN(_)), "EveryN".into()),
+            Ticker::EventTime { interval, .. } => (
+                matches!(policy, P::EventTime { interval_secs } if interval_secs == *interval),
+                format!("EventTime({interval})"),
+            ),
+            Ticker::Watermark { .. } => (matches!(policy, P::Watermark { .. }), "Watermark".into()),
+        };
+        if same {
+            return Ok(());
+        }
+        Err(format!(
+            "drive: resume tick policy {policy:?} does not match the checkpointed \
+             {checkpointed} ticker"
+        ))
+    }
+
     /// Ingests the newly released events, refreshing at policy
-    /// boundaries. `frontier` is the reorder buffer's current frontier
-    /// (for the `Watermark` policy's sealing check).
+    /// boundaries. `frontier` is the merged frontier (for the
+    /// `Watermark` policy's sealing check).
     fn feed(
         &mut self,
         engine: &mut StreamEngine,
@@ -167,66 +212,65 @@ impl Ticker {
         frontier: Option<Timestamp>,
         report: &mut IngestReport,
     ) {
+        // Both grids anchor lazily at the first event ever released.
+        let anchor = |origin: &mut Option<i64>, width: i64| {
+            if origin.is_none() {
+                *origin = released.first().map(|first| first.time.secs());
+            }
+            origin.map(|o| WindowScheme::new(Timestamp(o), width))
+        };
         match self {
             Ticker::EveryN => {
-                if !released.is_empty() {
-                    report.events_delivered += released.len() as u64;
-                    report.updates.extend(engine.ingest_batch(released));
-                    released.clear();
-                }
+                report.events_delivered += released.len() as u64;
+                report.updates.extend(engine.ingest_batch(released));
             }
             Ticker::EventTime {
                 interval,
-                scheme,
+                origin,
                 last_cell,
             } => {
+                let Some(scheme) = anchor(origin, *interval) else {
+                    return;
+                };
                 let mut start = 0usize;
-                for i in 0..released.len() {
-                    let ev = &released[i];
-                    let s = *scheme.get_or_insert_with(|| WindowScheme::new(ev.time, *interval));
-                    let cell = s.window_of(ev.time);
-                    if let Some(last) = *last_cell {
-                        if cell > last {
-                            // The grid boundary between `last` and
-                            // `cell` was crossed: serve everything
-                            // strictly before it, then tick.
-                            if i > start {
-                                report.events_delivered += (i - start) as u64;
-                                report
-                                    .updates
-                                    .extend(engine.ingest_batch(&released[start..i]));
-                                start = i;
-                            }
-                            report.policy_ticks += 1;
-                            report.updates.extend(engine.refresh());
+                for (i, ev) in released.iter().enumerate() {
+                    let cell = scheme.window_of(ev.time);
+                    if last_cell.is_some_and(|last| cell > last) {
+                        // The grid boundary between `last` and `cell`
+                        // was crossed: serve everything strictly before
+                        // it, then tick.
+                        if i > start {
+                            report.events_delivered += (i - start) as u64;
+                            report
+                                .updates
+                                .extend(engine.ingest_batch(&released[start..i]));
+                            start = i;
                         }
+                        report.policy_ticks += 1;
+                        report.updates.extend(engine.refresh());
                     }
                     *last_cell = Some(cell);
                 }
-                if released.len() > start {
-                    report.events_delivered += (released.len() - start) as u64;
-                    report
-                        .updates
-                        .extend(engine.ingest_batch(&released[start..]));
-                }
-                released.clear();
+                report.events_delivered += (released.len() - start) as u64;
+                report
+                    .updates
+                    .extend(engine.ingest_batch(&released[start..]));
             }
             Ticker::Watermark {
                 width,
-                scheme,
+                origin,
                 sealed_below,
                 pending,
             } => {
-                if let Some(first) = released.first() {
-                    scheme.get_or_insert_with(|| WindowScheme::new(first.time, *width));
-                }
+                let scheme = anchor(origin, *width);
                 pending.append(released);
-                let Some(s) = *scheme else { return };
-                let newly_sealed = frontier.map_or(0, |f| s.window_of(f));
+                let Some(scheme) = scheme else { return };
+                let newly_sealed = frontier.map_or(0, |f| scheme.window_of(f));
                 if newly_sealed > *sealed_below {
                     // Serve exactly the sealed windows' events (a
                     // prefix: `pending` is canonically ordered).
-                    let cut = pending.partition_point(|ev| s.window_of(ev.time) < newly_sealed);
+                    let cut =
+                        pending.partition_point(|ev| scheme.window_of(ev.time) < newly_sealed);
                     if cut > 0 {
                         report.events_delivered += cut as u64;
                         report.updates.extend(engine.ingest_batch(&pending[..cut]));
@@ -238,89 +282,7 @@ impl Ticker {
                 }
             }
         }
-    }
-
-    /// The ticker's complete state — grid anchor included — for
-    /// checkpoint serialization; [`Ticker::restore`] is the inverse.
-    fn export(&self) -> TickerDump {
-        match self {
-            Ticker::EveryN => TickerDump::EveryN,
-            Ticker::EventTime {
-                interval,
-                scheme,
-                last_cell,
-            } => TickerDump::EventTime {
-                interval: *interval,
-                origin: scheme.map(|s| s.window_start(0).secs()),
-                last_cell: *last_cell,
-            },
-            Ticker::Watermark {
-                width,
-                scheme,
-                sealed_below,
-                pending,
-            } => TickerDump::Watermark {
-                width: *width,
-                origin: scheme.map(|s| s.window_start(0).secs()),
-                sealed_below: *sealed_below,
-                pending: pending.clone(),
-            },
-        }
-    }
-
-    /// Rebuilds a ticker from a checkpoint dump. The dumped grid origin
-    /// is authoritative — re-anchoring lazily at the first post-resume
-    /// event would shift every subsequent tick boundary. The resumed
-    /// drive must use the checkpointed drive's tick policy.
-    fn restore(dump: TickerDump, policy: TickPolicy) -> Result<Ticker, String> {
-        match (dump, policy) {
-            (TickerDump::EveryN, TickPolicy::EveryN(_)) => Ok(Ticker::EveryN),
-            (
-                TickerDump::EventTime {
-                    interval,
-                    origin,
-                    last_cell,
-                },
-                TickPolicy::EventTime { interval_secs },
-            ) => {
-                if interval != interval_secs {
-                    return Err(format!(
-                        "drive: resume tick interval {interval_secs} does not match \
-                         the checkpointed interval {interval}"
-                    ));
-                }
-                Ok(Ticker::EventTime {
-                    interval,
-                    scheme: origin.map(|o| WindowScheme::new(Timestamp(o), interval)),
-                    last_cell,
-                })
-            }
-            (
-                TickerDump::Watermark {
-                    width,
-                    origin,
-                    sealed_below,
-                    pending,
-                },
-                TickPolicy::Watermark { .. },
-            ) => Ok(Ticker::Watermark {
-                width,
-                scheme: origin.map(|o| WindowScheme::new(Timestamp(o), width)),
-                sealed_below,
-                pending,
-            }),
-            (dump, policy) => {
-                let kind = match dump {
-                    TickerDump::EveryN => "EveryN",
-                    TickerDump::EventTime { .. } => "EventTime",
-                    TickerDump::Watermark { .. } => "Watermark",
-                };
-                Err(format!(
-                    "drive: resume tick policy {policy:?} does not match \
-                     the checkpointed {kind} ticker"
-                ))
-            }
-        }
+        released.clear();
     }
 
     /// End of stream: everything still pending is served (without a
@@ -393,10 +355,7 @@ impl PumpTelemetry {
             let ticks = engine.stats().ticks;
             if ticks > self.served_ticks && !self.admits.is_empty() {
                 self.served_ticks = ticks;
-                let now = self.clock.now_ns();
-                for (admit, n) in self.admits.drain(..) {
-                    engine.record_event_latency(now.saturating_sub(admit), n);
-                }
+                self.settle(engine);
             }
         } else {
             self.delivered_seen = report.events_delivered;
@@ -409,24 +368,28 @@ impl PumpTelemetry {
         }
     }
 
+    /// Records every waiting admit group as served now.
+    fn settle(&mut self, engine: &mut StreamEngine) {
+        let now = self.clock.now_ns();
+        for (admit, n) in self.admits.drain(..) {
+            engine.record_event_latency(now.saturating_sub(admit), n);
+        }
+    }
+
     /// EOF: events delivered after the last tick are counted as served
     /// now — the stream is over, nothing later can serve them.
     fn finish(&mut self, engine: &mut StreamEngine, report: &IngestReport) {
         self.stamp_admit();
         self.observe(engine, report);
-        if self.latency_on && !self.admits.is_empty() {
-            let now = self.clock.now_ns();
-            for (admit, n) in self.admits.drain(..) {
-                engine.record_event_latency(now.saturating_sub(admit), n);
-            }
+        if !self.admits.is_empty() {
+            self.settle(engine);
         }
     }
 }
 
-/// Validates the drive options, installs the tick policy's refresh
-/// interval on the engine, and resolves the effective reorder lag.
-/// Shared by [`run`] and [`run_fan_in`].
-fn validate(engine: &mut StreamEngine, opts: &DriveOptions) -> Result<i64, String> {
+/// Validates the drive options and resolves the effective reorder lag.
+/// Touches nothing: a rejected drive leaves the engine as it found it.
+fn validate(opts: &DriveOptions) -> Result<i64, String> {
     if opts.queue_cap == 0 {
         return Err("drive: queue_cap must be positive".into());
     }
@@ -443,65 +406,131 @@ fn validate(engine: &mut StreamEngine, opts: &DriveOptions) -> Result<i64, Strin
         return Err("drive: max_lag_secs must be non-negative".into());
     }
     match opts.tick_policy {
-        TickPolicy::EveryN(n) => {
-            engine.set_refresh_every(n);
-            Ok(opts.max_lag_secs)
+        TickPolicy::EventTime { interval_secs } if interval_secs <= 0 => {
+            Err("drive: EventTime interval must be positive".into())
         }
-        TickPolicy::EventTime { interval_secs } => {
-            if interval_secs <= 0 {
-                return Err("drive: EventTime interval must be positive".into());
-            }
-            engine.set_refresh_every(0);
-            Ok(opts.max_lag_secs)
+        TickPolicy::Watermark { max_lag_secs } if max_lag_secs < 0 => {
+            Err("drive: watermark lag must be non-negative".into())
         }
-        TickPolicy::Watermark { max_lag_secs } => {
-            if max_lag_secs < 0 {
-                return Err("drive: watermark lag must be non-negative".into());
-            }
-            engine.set_refresh_every(0);
-            Ok(max_lag_secs.max(opts.max_lag_secs))
-        }
+        TickPolicy::Watermark { max_lag_secs } => Ok(max_lag_secs.max(opts.max_lag_secs)),
+        TickPolicy::EveryN(_) | TickPolicy::EventTime { .. } => Ok(opts.max_lag_secs),
     }
 }
 
-/// See [`StreamEngine::drive`].
-pub(crate) fn run<S: StreamSource + Send>(
-    engine: &mut StreamEngine,
-    source: S,
-    opts: &DriveOptions,
-) -> Result<IngestReport, String> {
-    let lag = validate(engine, opts)?;
+/// How long the consumer waits on an empty channel before checking for
+/// idle connections (only when an idle timeout is set — without one it
+/// parks until the next message).
+const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(10);
 
-    let mut report = IngestReport::default();
+/// The consumer's state between the channel and the engine.
+struct Pump<'e> {
+    engine: &'e mut StreamEngine,
+    frontier: ConnectionFrontier,
+    reorder: ReorderBuffer,
+    ticker: Ticker,
+    tel: PumpTelemetry,
+    /// Released but not yet fed to the ticker.
+    released: Vec<StreamEvent>,
+    report: IngestReport,
+}
+
+impl Pump<'_> {
+    /// Moves what the frontier has passed out of the reorder buffer.
+    fn release(&mut self) {
+        self.reorder
+            .release_below(self.frontier.frontier(), &mut self.released);
+    }
+
+    /// Releases, then hands everything released to the ticker (which
+    /// ingests it and fires due ticks) and lets telemetry observe.
+    fn serve(&mut self) {
+        self.release();
+        self.ticker.feed(
+            self.engine,
+            &mut self.released,
+            self.frontier.frontier(),
+            &mut self.report,
+        );
+        self.tel.observe(self.engine, &self.report);
+    }
+}
+
+/// See [`StreamEngine::drive`] and [`StreamEngine::drive_fan_in`], its
+/// two entries. `replayable` is the one per-drive fact they pass in:
+/// whether the tier can replay its accepted prefix from event 0 (one
+/// [`crate::source::StreamSource`] can; N sockets cannot). Checkpoints
+/// and recovery are stated in "source events consumed", so only a
+/// replayable tier may write or resume from them.
+pub(crate) fn run<F: FanIn + Send>(
+    engine: &mut StreamEngine,
+    fan_in: F,
+    opts: &DriveOptions,
+    replayable: bool,
+) -> Result<IngestReport, String> {
+    let lag = validate(opts)?;
+    let ckpt = engine.checkpoint_policy().cloned();
+    if !replayable && ckpt.is_some() {
+        return Err(
+            "drive: checkpointing needs a replayable source, and a multi-connection \
+             tier cannot replay its accepted prefix"
+                .into(),
+        );
+    }
+    // A recovered engine hands back the checkpointed pump state. Every
+    // check that can reject the drive runs while that state is only
+    // borrowed: the corrected retry must still find it.
+    if let Some(rs) = engine.resume_state() {
+        if !replayable {
+            return Err(
+                "drive: a recovered engine must resume over a replayable source \
+                 (a single-source drive)"
+                    .into(),
+            );
+        }
+        rs.ticker.check_resumes_under(opts.tick_policy)?;
+    }
+    // The pump owns external ticking for the non-`EveryN` policies.
+    engine.set_refresh_every(match opts.tick_policy {
+        TickPolicy::EveryN(n) => n,
+        _ => 0,
+    });
+
     // Tick grids anchor at the engine's pinned origin when there is
     // one, else at the first released event (which is also what the
-    // engine will adopt as its window origin). A recovered engine
-    // instead hands back the checkpointed pump state: the reorder
-    // buffer and ticker resume exactly where the crashed drive stood,
-    // and the `resume_base`-event accepted prefix (already inside the
-    // engine) is skipped on replay.
+    // engine will adopt as its window origin). On resume the reorder
+    // buffer and ticker stand exactly where the crashed drive's did,
+    // the connection re-enters the frontier at the checkpointed
+    // watermark, and the `resume_base`-event accepted prefix (already
+    // inside the engine) is skipped on replay.
     let origin = engine.scheme().map(|s| s.window_start(0));
     let width = engine.config().slim.window_width_secs;
-    let (mut reorder, mut ticker, resume_base) = match engine.take_resume_state() {
-        Some(rs) => (
-            ReorderBuffer::restore(
+    let (reorder, mut resume_watermark, ticker, resume_base) = match engine.take_resume_state() {
+        Some(rs) => {
+            let (reorder, watermark) = ReorderBuffer::restore(
                 lag,
                 rs.reorder_max_seen.map(Timestamp),
                 rs.reorder_held,
                 rs.reorder_late,
-            ),
-            Ticker::restore(rs.ticker, opts.tick_policy)?,
-            rs.consumed,
-        ),
-        None => (
-            ReorderBuffer::new(lag),
-            Ticker::new(opts.tick_policy, width, origin),
-            0,
-        ),
+            );
+            (reorder, watermark, rs.ticker, rs.consumed)
+        }
+        None => {
+            let ticker = Ticker::new(opts.tick_policy, width, origin);
+            (ReorderBuffer::new(lag), None, ticker, 0)
+        }
     };
-    let mut tel = PumpTelemetry::new(engine, opts.metrics_every);
-    let ckpt = engine.checkpoint_policy().cloned();
+    let watermark_ticks = matches!(ticker, Ticker::Watermark { .. });
     let kill_at = engine.fault_plan().kill_at_event;
+    let idle_ns = opts.idle_timeout_secs.saturating_mul(1_000_000_000);
+    let mut pump = Pump {
+        frontier: ConnectionFrontier::new(idle_ns),
+        reorder,
+        ticker,
+        tel: PumpTelemetry::new(engine, opts.metrics_every),
+        released: Vec::new(),
+        report: IngestReport::default(),
+        engine,
+    };
     // Source events consumed so far, counting the skipped resume
     // prefix — the checkpoint cadence and the kill fault are both
     // stated in this coordinate.
@@ -511,126 +540,157 @@ pub(crate) fn run<S: StreamSource + Send>(
     let mut fault: Option<String> = None;
 
     let (producer_result, channel_stats, queue_grown_to) = std::thread::scope(|scope| {
-        let (tx, rx) = channel::bounded::<StreamEvent>(opts.queue_cap);
-        let batch_max = opts.source_batch;
-        let producer = scope.spawn(move || {
-            let mut source = source;
-            let (mut batches, mut stalls) = (0u64, 0u64);
-            let result = loop {
-                match source.next_batch(batch_max) {
-                    Ok(SourcePoll::Batch(events)) => {
-                        batches += 1;
-                        // One lock per batch (not per event); blocks
-                        // under backpressure with the same accounting.
-                        if tx.send_all(events).is_err() {
-                            break Ok(());
-                        }
-                    }
-                    Ok(SourcePoll::Pending) => {
-                        // A stalled source (e.g. rate pacing between
-                        // due events) must not busy-spin a core; a
-                        // short bounded sleep caps the poll rate
-                        // without affecting delivered order.
-                        stalls += 1;
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    Ok(SourcePoll::End) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            (result, batches, stalls)
-        });
+        let (tx, rx) = channel::bounded::<ConnMessage>(opts.queue_cap);
+        let producer = scope.spawn(move || fan_in.run(tx));
 
-        let mut arrivals: Vec<StreamEvent> = Vec::new();
-        let mut released: Vec<StreamEvent> = Vec::new();
-        let watermark_ticks = matches!(ticker, Ticker::Watermark { .. });
+        let mut arrivals: Vec<ConnMessage> = Vec::new();
         // Adaptive queue sizing: observed once per drain interval, so
         // a sustained backlog grows the queue while a one-off stall
         // does not.
         let mut sizer = (opts.queue_cap_max > opts.queue_cap)
             .then(|| channel::QueueSizer::new(opts.queue_cap, opts.queue_cap_max));
-        while rx.recv_many(&mut arrivals, opts.source_batch) {
+        'drain: loop {
+            if idle_ns == 0 {
+                if !rx.recv_many(&mut arrivals, opts.source_batch) {
+                    break;
+                }
+            } else {
+                match rx.recv_many_timeout(&mut arrivals, opts.source_batch, IDLE_POLL) {
+                    RecvTimeout::Closed => break,
+                    // Total quiet: eviction is then the only way the
+                    // frontier can move; the end of the (empty) chunk
+                    // below checks it.
+                    RecvTimeout::Items | RecvTimeout::TimedOut => {}
+                }
+            }
             if let Some(sizer) = &mut sizer {
                 if let Some(cap) = sizer.observe(rx.stats().blocked_producer_ns) {
                     rx.set_capacity(cap);
                 }
             }
-            tel.stamp_admit();
-            for ev in arrivals.drain(..) {
-                consumed += 1;
-                if consumed <= resume_base {
-                    // Replaying the accepted prefix of a recovered
-                    // drive: the engine already holds these events
-                    // (and the restored reorder buffer their held
-                    // tail), so they are counted and discarded.
-                    continue;
+            pump.tel.stamp_admit();
+            let now = pump.tel.clock.now_ns();
+            for msg in arrivals.drain(..) {
+                let (frontier_before, consumed_before) = (pump.frontier.frontier(), consumed);
+                match msg {
+                    ConnMessage::Join { conn } => {
+                        pump.frontier.join(conn, now);
+                        if let Some(watermark) = resume_watermark.take() {
+                            pump.frontier.advance(conn, watermark, now);
+                        }
+                        pump.report.connections += 1;
+                        pump.engine
+                            .set_live_connections(pump.frontier.live() as u64);
+                    }
+                    ConnMessage::Event { conn, event } => {
+                        consumed += 1;
+                        if consumed <= resume_base {
+                            // Replaying the accepted prefix of a
+                            // recovered drive: the engine already holds
+                            // these events (and the restored reorder
+                            // buffer their held tail), so they are
+                            // counted and discarded.
+                            continue;
+                        }
+                        // Lateness is decided against the frontier as
+                        // it stood *before* this event's own advance —
+                        // an in-lag event can therefore never be late.
+                        // (The sequenced input log will attach here:
+                        // after this decision, before `hold`, the
+                        // arrival order is fixed for 1 or N
+                        // connections alike.)
+                        if pump.frontier.is_late(event.time) {
+                            pump.reorder.count_late();
+                        } else {
+                            pump.reorder.hold(event);
+                        }
+                        let watermark = Timestamp(event.time.secs().saturating_sub(lag));
+                        if let Some(lag_secs) = pump.frontier.advance(conn, watermark, now) {
+                            pump.engine.record_frontier_lag(lag_secs);
+                        }
+                    }
+                    ConnMessage::Leave {
+                        conn,
+                        malformed_lines,
+                    } => {
+                        pump.report.malformed_lines += malformed_lines;
+                        pump.frontier.leave(conn);
+                        pump.engine
+                            .set_live_connections(pump.frontier.live() as u64);
+                    }
                 }
-                reorder.push(ev, &mut released);
-                // Watermark sealing must be checked as the frontier
-                // advances — per arrival, which is what keeps its tick
-                // positions a function of the delivery schedule rather
-                // than of channel timing. The other policies are
-                // chunking-independent and feed per drained chunk.
-                if watermark_ticks {
-                    ticker.feed(engine, &mut released, reorder.frontier(), &mut report);
-                    tel.observe(engine, &report);
+                // Release whenever the merged frontier moves, so the
+                // buffer holds only what the lag requires. Watermark
+                // sealing is a function of the frontier and must be
+                // checked as it advances, not per channel chunk — that
+                // is what keeps its tick positions a function of the
+                // delivery schedule rather than of channel timing. The
+                // other policies are chunking-independent and are fed
+                // once per drained chunk.
+                if pump.frontier.frontier() != frontier_before {
+                    if watermark_ticks {
+                        pump.serve();
+                    } else {
+                        pump.release();
+                    }
+                }
+                // The checkpoint cadence and the kill point are positions
+                // in the consumed-event sequence: only a message that
+                // consumed one can reach them.
+                if consumed == consumed_before {
+                    continue;
                 }
                 if let Some(p) = &ckpt {
                     if consumed.is_multiple_of(p.every) {
-                        // Drain the release buffer into the engine
-                        // first so the checkpoint captures every
-                        // consumed event either fully applied or held
-                        // in the serialized reorder/ticker state.
-                        ticker.feed(engine, &mut released, reorder.frontier(), &mut report);
-                        tel.observe(engine, &report);
-                        let (max_seen, held, late) = reorder.export();
-                        let pump = ResumeState {
+                        // Feed the engine first so the checkpoint
+                        // captures every consumed event either fully
+                        // applied or held in the serialized
+                        // reorder/ticker state.
+                        pump.serve();
+                        let (max_seen, held, late) = pump.reorder.export(pump.frontier.frontier());
+                        let state = ResumeState {
                             consumed,
                             reorder_max_seen: max_seen.map(|t| t.secs()),
                             reorder_held: held,
                             reorder_late: late,
-                            ticker: ticker.export(),
+                            ticker: pump.ticker.clone(),
                         };
                         // Fault injection corrupts exactly the last
                         // checkpoint written before the kill point, so
                         // recovery exercises the fall-back path.
                         let corrupt = kill_at.is_some_and(|k| consumed + p.every > k);
-                        if let Err(e) = engine.write_checkpoint(pump, corrupt) {
+                        if let Err(e) = pump.engine.write_checkpoint(state, corrupt) {
                             fault = Some(e);
-                            break;
+                            break 'drain;
                         }
                     }
                 }
                 if kill_at == Some(consumed) {
                     fault = Some(format!("fault: killed at event {consumed}"));
-                    break;
+                    break 'drain;
                 }
             }
-            if fault.is_some() {
-                break;
-            }
-            ticker.feed(engine, &mut released, reorder.frontier(), &mut report);
-            tel.observe(engine, &report);
+            pump.frontier.evict_idle(now);
+            pump.serve();
         }
         if fault.is_none() {
-            // EOF: the channel is closed *and* fully drained; release
-            // the still-buffered tail in canonical order.
-            reorder.flush(&mut released);
-            ticker.feed(engine, &mut released, reorder.frontier(), &mut report);
-            ticker.finish(engine, &mut report);
-            tel.finish(engine, &report);
+            // EOF: every sender (one per connection, plus the tier's
+            // own) has dropped and the queue is drained — release the
+            // buffered tail in canonical order.
+            pump.reorder.flush(&mut pump.released);
+            pump.serve();
+            pump.ticker.finish(pump.engine, &mut pump.report);
+            pump.tel.finish(pump.engine, &pump.report);
         }
         let stats = rx.stats();
         let final_cap = sizer.map_or(opts.queue_cap, |s| s.capacity()) as u64;
-        // On an early stop the producer may still be blocked on a full
+        // On an early stop a producer may still be blocked on a full
         // channel; dropping the receiver errors its next send, which it
         // treats as a clean exit.
         drop(rx);
-        let (result, batches, stalls) = producer
+        let result = producer
             .join()
-            .unwrap_or_else(|_| (Err("drive: source producer thread panicked".into()), 0, 0));
-        report.source_batches = batches;
-        report.source_stalls = stalls;
+            .unwrap_or_else(|_| Err("drive: producer tier thread panicked".into()));
         (result, stats, final_cap)
     });
     producer_result?;
@@ -641,180 +701,14 @@ pub(crate) fn run<S: StreamSource + Send>(
         return Err(fault);
     }
 
-    report.late_events = reorder.late_events();
+    let mut report = pump.report;
+    report.late_events = pump.reorder.late_events();
     report.blocked_producer_ns = channel_stats.blocked_producer_ns;
     report.queue_high_watermark = channel_stats.queue_high_watermark;
     report.queue_grown_to = queue_grown_to;
-    engine.absorb_ingest_report(
-        report.blocked_producer_ns,
-        report.queue_high_watermark,
-        report.late_events,
-    );
-    Ok(report)
-}
-
-/// How long the fan-in consumer waits on an empty channel before
-/// checking for idle connections (only when an idle timeout is set —
-/// without one the consumer parks indefinitely like [`run`]'s).
-const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(10);
-
-/// See [`StreamEngine::drive_fan_in`]. The multi-producer pump: the
-/// fan-in tier runs on one producer thread (spawning its own
-/// per-connection senders), and this consumer drains the shared MPSC
-/// channel, maintaining the [`ConnectionFrontier`] merge from the
-/// in-band `Join`/`Event`/`Leave` protocol. Each connection's
-/// watermark is derived here as `event time − lag`, *after* the event
-/// is buffered — so the frontier can never release past an event still
-/// in flight, and any delivery schedule whose per-connection disorder
-/// stays within the lag reaches the engine in canonical order, bit-
-/// identical to a single merged replay.
-pub(crate) fn run_fan_in<F: crate::source::FanIn + Send>(
-    engine: &mut StreamEngine,
-    fan_in: F,
-    opts: &DriveOptions,
-) -> Result<IngestReport, String> {
-    use crate::source::channel::RecvTimeout;
-    use crate::source::{ConnMessage, ConnectionFrontier};
-
-    // Checkpointing and recovery are single-source concerns: a fan-in
-    // drive has no replayable accepted prefix to resume from (each
-    // connection's offset would have to be tracked separately).
-    if engine.checkpoint_policy().is_some() {
-        return Err("drive: checkpointing is not supported for fan-in drives".into());
-    }
-    if engine.take_resume_state().is_some() {
-        return Err("drive: a recovered engine must resume with a single-source drive".into());
-    }
-
-    let lag = validate(engine, opts)?;
-    let mut report = IngestReport::default();
-    let mut reorder = ReorderBuffer::new(lag);
-    let origin = engine.scheme().map(|s| s.window_start(0));
-    let mut ticker = Ticker::new(
-        opts.tick_policy,
-        engine.config().slim.window_width_secs,
-        origin,
-    );
-    let mut tel = PumpTelemetry::new(engine, opts.metrics_every);
-    let clock = engine.telemetry_clock();
-    let idle_ns = opts.idle_timeout_secs.saturating_mul(1_000_000_000);
-    let mut frontier = ConnectionFrontier::new(idle_ns);
-
-    let (producer_result, channel_stats, queue_grown_to) = std::thread::scope(|scope| {
-        let (tx, rx) = channel::bounded::<ConnMessage>(opts.queue_cap);
-        let producer = scope.spawn(move || fan_in.run(tx));
-
-        let mut arrivals: Vec<ConnMessage> = Vec::new();
-        let mut released: Vec<StreamEvent> = Vec::new();
-        let watermark_ticks = matches!(ticker, Ticker::Watermark { .. });
-        let mut sizer = (opts.queue_cap_max > opts.queue_cap)
-            .then(|| channel::QueueSizer::new(opts.queue_cap, opts.queue_cap_max));
-        loop {
-            let drained = if idle_ns == 0 {
-                rx.recv_many(&mut arrivals, opts.source_batch)
-            } else {
-                match rx.recv_many_timeout(&mut arrivals, opts.source_batch, IDLE_POLL) {
-                    RecvTimeout::Items => true,
-                    RecvTimeout::Closed => false,
-                    RecvTimeout::TimedOut => {
-                        // Total quiet: eviction is then the only way
-                        // the frontier can move, so check it here too,
-                        // not just per drained chunk.
-                        if frontier.evict_idle(clock.now_ns()) > 0 {
-                            tel.stamp_admit();
-                            reorder.release_below(frontier.frontier(), &mut released);
-                            ticker.feed(engine, &mut released, frontier.frontier(), &mut report);
-                            tel.observe(engine, &report);
-                        }
-                        continue;
-                    }
-                }
-            };
-            if !drained {
-                break;
-            }
-            if let Some(sizer) = &mut sizer {
-                if let Some(cap) = sizer.observe(rx.stats().blocked_producer_ns) {
-                    rx.set_capacity(cap);
-                }
-            }
-            tel.stamp_admit();
-            let now = clock.now_ns();
-            for msg in arrivals.drain(..) {
-                match msg {
-                    ConnMessage::Join { conn } => {
-                        frontier.join(conn, now);
-                        report.connections += 1;
-                        engine.set_live_connections(frontier.live() as u64);
-                    }
-                    ConnMessage::Event { conn, event } => {
-                        // Lateness is decided against the frontier as
-                        // it stood *before* this event's own advance —
-                        // an in-lag event can therefore never be late.
-                        if frontier.is_late(event.time) {
-                            reorder.count_late();
-                        } else {
-                            reorder.hold(event);
-                        }
-                        let wm = Timestamp(event.time.secs().saturating_sub(lag));
-                        if let Some(lag_secs) = frontier.advance(conn, wm, now) {
-                            engine.record_frontier_lag(lag_secs);
-                        }
-                        // Watermark sealing tracks the frontier per
-                        // arrival, exactly like the single-source pump.
-                        if watermark_ticks {
-                            reorder.release_below(frontier.frontier(), &mut released);
-                            ticker.feed(engine, &mut released, frontier.frontier(), &mut report);
-                            tel.observe(engine, &report);
-                        }
-                    }
-                    ConnMessage::Leave {
-                        conn,
-                        malformed_lines,
-                    } => {
-                        report.malformed_lines += malformed_lines;
-                        frontier.leave(conn);
-                        engine.set_live_connections(frontier.live() as u64);
-                    }
-                }
-            }
-            frontier.evict_idle(now);
-            reorder.release_below(frontier.frontier(), &mut released);
-            ticker.feed(engine, &mut released, frontier.frontier(), &mut report);
-            tel.observe(engine, &report);
-        }
-        // EOF: every sender (one per connection, plus the tier's own)
-        // has dropped and the queue is drained — release the buffered
-        // tail in canonical order.
-        reorder.flush(&mut released);
-        ticker.feed(engine, &mut released, frontier.frontier(), &mut report);
-        ticker.finish(engine, &mut report);
-        tel.finish(engine, &report);
-        let stats = rx.stats();
-        let final_cap = sizer.map_or(opts.queue_cap, |s| s.capacity()) as u64;
-        let result = producer
-            .join()
-            .unwrap_or_else(|_| Err("drive: fan-in tier thread panicked".into()));
-        (result, stats, final_cap)
-    });
-    producer_result?;
-
-    report.late_events = reorder.late_events();
-    report.blocked_producer_ns = channel_stats.blocked_producer_ns;
-    report.queue_high_watermark = channel_stats.queue_high_watermark;
-    report.queue_grown_to = queue_grown_to;
-    report.idle_evictions = frontier.idle_evictions();
-    engine.absorb_ingest_report(
-        report.blocked_producer_ns,
-        report.queue_high_watermark,
-        report.late_events,
-    );
-    engine.absorb_fan_in_report(
-        report.connections,
-        report.malformed_lines,
-        report.idle_evictions,
-    );
-    engine.set_live_connections(0);
+    report.idle_evictions = pump.frontier.idle_evictions();
+    pump.engine.absorb_ingest_report(&report);
+    pump.engine.set_live_connections(0);
     Ok(report)
 }
 
@@ -1077,8 +971,68 @@ mod tests {
         assert_eq!((lat.sum(), lat.max()), (0, 0));
     }
 
-    /// The fan-in pump vs the single-source pump on the same workload:
-    /// identical update stream and links, with the connection counters
+    /// A single source is the one-connection tier, and says so: its
+    /// drive reports one connection, counts it as served, and shows it
+    /// live while it runs (and gone afterwards).
+    #[test]
+    fn a_single_source_counts_as_one_connection() {
+        use slim_telemetry::VecSink;
+
+        let mut engine = engine();
+        let sink = VecSink::new();
+        engine.set_metrics_sink(Box::new(sink.clone()));
+        let report = engine
+            .drive(
+                script(workload(6), 16),
+                &DriveOptions {
+                    // Chunks of at most 16 messages: the one in which
+                    // the 10th event is delivered cannot also hold the
+                    // `Leave` that ends the 50-message stream.
+                    source_batch: 16,
+                    metrics_every: 10,
+                    ..DriveOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(report.connections, 1);
+        assert_eq!(engine.stats().connections_served, 1);
+        let snaps = sink.collected();
+        assert_eq!(snaps[0].gauge("live_connections"), Some(1.0));
+        engine.emit_snapshot();
+        let after = sink.collected();
+        assert_eq!(after.last().unwrap().gauge("live_connections"), Some(0.0));
+    }
+
+    /// Checkpoints are positions in a replayable input: a tier that
+    /// cannot replay its accepted prefix is refused while the policy is
+    /// set — at the start, before anything is consumed — and drives
+    /// normally once it is cleared.
+    #[test]
+    fn a_non_replayable_tier_cannot_checkpoint() {
+        use crate::testing::ScriptedConnections;
+
+        let events = workload(4);
+        let tier =
+            || ScriptedConnections::single_stage(vec![vec![ScriptStep::Batch(events.clone())]]);
+        let dir = std::env::temp_dir().join(format!("slim-pump-noreplay-{}", std::process::id()));
+        let mut engine = engine();
+        engine.set_checkpoint_policy(dir.clone(), 8, 2);
+        let err = engine
+            .drive_fan_in(tier(), &DriveOptions::default())
+            .unwrap_err();
+        assert!(err.contains("replayable"), "{err}");
+        assert_eq!(engine.stats().events, 0, "nothing was consumed");
+        assert_eq!(engine.stats().connections_served, 0);
+        assert!(!dir.exists(), "nothing was written");
+        engine.set_checkpoint_policy(dir, 0, 2);
+        let report = engine
+            .drive_fan_in(tier(), &DriveOptions::default())
+            .unwrap();
+        assert_eq!(report.events_delivered, events.len() as u64);
+    }
+
+    /// Three connections vs one source on the same workload: identical
+    /// update stream and links, with the connection counters
     /// landing in the report and the engine stats. Per-connection
     /// delivery is in-order here, so no arrival is ever late no matter
     /// how the three producer threads interleave.

@@ -1,112 +1,77 @@
-//! Watermark-driven reordering of bounded out-of-order arrivals.
+//! Frontier-driven reordering of bounded out-of-order arrivals.
 //!
 //! The engine's bit-identity contracts (stream/batch equivalence,
 //! shard-count invariance, deterministic update streams) are all stated
 //! over the **canonical event order** `(time, side, entity)` that
 //! [`crate::event::merge_datasets`] produces. A live feed does not
 //! arrive in that order; this buffer restores it for any disorder within
-//! a declared lag: events are held until the [`slim_core::Watermark`]
-//! frontier passes them, then released in canonical order. Arrivals that
-//! broke the lag contract (strictly below the frontier) can no longer be
-//! ordered — they are counted as *late* and rejected instead of
-//! corrupting the order or panicking.
+//! a declared lag: the pump holds every in-lag arrival here and releases,
+//! in canonical order, whatever the merged
+//! [`crate::source::ConnectionFrontier`] has passed. Arrivals that broke
+//! the lag contract (strictly below the frontier) can no longer be
+//! ordered — the pump counts them as *late* here instead of corrupting
+//! the order or panicking.
 
 use std::collections::BTreeMap;
 
-use slim_core::{EntityId, Timestamp, Watermark};
+use slim_core::{EntityId, Timestamp};
 
 use crate::event::{Side, StreamEvent};
 
-/// Holds out-of-order events until the watermark passes them, releasing
-/// in canonical `(time, side, entity)` order. With `max_lag_secs = 0`
-/// the input is asserted time-nondecreasing: any arrival strictly older
-/// than the newest one seen is late.
+/// Holds out-of-order events until the frontier passes them, releasing
+/// in canonical `(time, side, entity)` order. The buffer has no
+/// frontier of its own: the caller decides lateness against the merged
+/// frontier, [`ReorderBuffer::hold`]s what is in time and drains with
+/// [`ReorderBuffer::release_below`].
 #[derive(Debug)]
 pub struct ReorderBuffer {
-    wm: Watermark,
-    /// Pending events keyed by canonical order; events with identical
-    /// keys keep arrival order (they are indistinguishable to the
-    /// canonical sort anyway).
-    pending: BTreeMap<(Timestamp, Side, EntityId), Vec<StreamEvent>>,
-    buffered: usize,
+    /// The drive's out-of-order tolerance: the distance between a
+    /// connection's newest event time and its watermark, which is what
+    /// converts between the frontier and the checkpoint format's
+    /// `max_seen`.
+    max_lag_secs: i64,
+    /// Pending events keyed by canonical order, then by arrival: events
+    /// with identical canonical keys keep arrival order (they are
+    /// indistinguishable to the canonical sort anyway).
+    pending: BTreeMap<(Timestamp, Side, EntityId, u64), StreamEvent>,
+    /// Arrival number of the next held event.
+    next_seq: u64,
     late_events: u64,
 }
 
 impl ReorderBuffer {
-    /// A buffer tolerating event-time disorder up to `max_lag_secs`.
+    /// A buffer for a drive tolerating event-time disorder up to
+    /// `max_lag_secs`.
     pub fn new(max_lag_secs: i64) -> Self {
         Self {
-            wm: Watermark::new(max_lag_secs),
+            max_lag_secs,
             pending: BTreeMap::new(),
-            buffered: 0,
+            next_seq: 0,
             late_events: 0,
         }
     }
 
-    /// Accepts one arrival and appends every event the advanced
-    /// watermark now releases to `out`, in canonical order. A late
-    /// arrival is counted and dropped (nothing is appended for it).
-    pub fn push(&mut self, ev: StreamEvent, out: &mut Vec<StreamEvent>) {
-        if self.wm.is_late(ev.time) {
-            self.late_events += 1;
-            return;
-        }
-        self.wm.observe(ev.time);
-        self.pending
-            .entry((ev.time, ev.side, ev.entity))
-            .or_default()
-            .push(ev);
-        self.buffered += 1;
-        self.release(out);
-    }
-
-    /// Moves every event strictly below the frontier to `out`.
-    fn release(&mut self, out: &mut Vec<StreamEvent>) {
-        let Some(frontier) = self.wm.frontier() else {
-            return;
-        };
-        while let Some(entry) = self.pending.first_entry() {
-            if entry.key().0 >= frontier {
-                break;
-            }
-            let events = entry.remove();
-            self.buffered -= events.len();
-            out.extend(events);
-        }
-    }
-
-    /// Buffers one arrival **without** advancing the internal
-    /// watermark — the multi-connection fan-in path, where release is
-    /// governed by the merged
-    /// [`crate::source::ConnectionFrontier`] instead of this buffer's
-    /// own max-lag frontier. The caller decides lateness against that
-    /// external frontier before holding; call
-    /// [`ReorderBuffer::release_below`] to drain.
+    /// Buffers one arrival the caller found in time (at or above the
+    /// frontier as it stood before the arrival's own advance).
     pub fn hold(&mut self, ev: StreamEvent) {
         self.pending
-            .entry((ev.time, ev.side, ev.entity))
-            .or_default()
-            .push(ev);
-        self.buffered += 1;
+            .insert((ev.time, ev.side, ev.entity, self.next_seq), ev);
+        self.next_seq += 1;
     }
 
     /// Moves every held event strictly below `frontier` to `out`, in
-    /// canonical order (the externally-driven twin of the internal
-    /// release in [`ReorderBuffer::push`]).
+    /// canonical order. `None` (no frontier yet) releases nothing.
     pub fn release_below(&mut self, frontier: Option<Timestamp>, out: &mut Vec<StreamEvent>) {
         let Some(frontier) = frontier else { return };
         while let Some(entry) = self.pending.first_entry() {
             if entry.key().0 >= frontier {
                 break;
             }
-            let events = entry.remove();
-            self.buffered -= events.len();
-            out.extend(events);
+            out.push(entry.remove());
         }
     }
 
-    /// Counts one arrival rejected as late (the fan-in path decides
-    /// lateness against the merged frontier, outside this buffer).
+    /// Counts one arrival rejected as late.
     pub fn count_late(&mut self) {
         self.late_events += 1;
     }
@@ -114,10 +79,7 @@ impl ReorderBuffer {
     /// End of stream: releases everything still buffered, in canonical
     /// order.
     pub fn flush(&mut self, out: &mut Vec<StreamEvent>) {
-        for (_, events) in std::mem::take(&mut self.pending) {
-            out.extend(events);
-        }
-        self.buffered = 0;
+        out.extend(std::mem::take(&mut self.pending).into_values());
     }
 
     /// Arrivals rejected for breaking the lag contract.
@@ -125,54 +87,51 @@ impl ReorderBuffer {
         self.late_events
     }
 
-    /// Events currently held back waiting for the watermark.
+    /// Events currently held back waiting for the frontier.
     pub fn buffered(&self) -> usize {
-        self.buffered
+        self.pending.len()
     }
 
-    /// The current watermark frontier (`None` before the first arrival).
-    pub fn frontier(&self) -> Option<Timestamp> {
-        self.wm.frontier()
+    /// The buffer's complete state for checkpoint serialization —
+    /// `max_seen`, held events in canonical key order, late count;
+    /// [`ReorderBuffer::restore`] is the inverse. The VERSION 1 format
+    /// stores the newest event time seen rather than the frontier; with
+    /// the one connection a checkpointing drive has, that is
+    /// `frontier + lag`.
+    pub(crate) fn export(
+        &self,
+        frontier: Option<Timestamp>,
+    ) -> (Option<Timestamp>, Vec<StreamEvent>, u64) {
+        let max_seen = frontier.map(|f| Timestamp(f.secs().saturating_add(self.max_lag_secs)));
+        let held = self.pending.values().copied().collect();
+        (max_seen, held, self.late_events)
     }
 
-    /// The buffer's complete state — watermark high point, held events
-    /// in canonical key order, late count — for checkpoint
-    /// serialization; [`ReorderBuffer::restore`] is the inverse.
-    pub(crate) fn export(&self) -> (Option<Timestamp>, Vec<StreamEvent>, u64) {
-        let held = self
-            .pending
-            .values()
-            .flat_map(|v| v.iter().copied())
-            .collect();
-        (self.wm.max_seen(), held, self.late_events)
-    }
-
-    /// Rebuilds a buffer from a [`ReorderBuffer::export`] dump: the
-    /// watermark resumes at the checkpointed high point and the held
-    /// events are re-buffered without any release, so the recovered
-    /// buffer answers every subsequent `push` exactly like the
-    /// checkpointed one.
+    /// Rebuilds a buffer from a [`ReorderBuffer::export`] dump, plus the
+    /// frontier the dump was taken at (`max_seen − lag`): the held events
+    /// are re-buffered without any release, so once the caller has put
+    /// its connection back at that frontier the recovered pair answers
+    /// every subsequent arrival exactly like the checkpointed one.
     pub(crate) fn restore(
         max_lag_secs: i64,
         max_seen: Option<Timestamp>,
         held: Vec<StreamEvent>,
         late_events: u64,
-    ) -> Self {
+    ) -> (Self, Option<Timestamp>) {
         let mut buf = Self::new(max_lag_secs);
-        if let Some(t) = max_seen {
-            buf.wm.observe(t);
-        }
         for ev in held {
             buf.hold(ev);
         }
         buf.late_events = late_events;
-        buf
+        let frontier = max_seen.map(|t| Timestamp(t.secs().saturating_sub(max_lag_secs)));
+        (buf, frontier)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::ConnectionFrontier;
     use geocell::LatLng;
 
     fn ev(side: Side, entity: u64, t: i64) -> StreamEvent {
@@ -188,28 +147,61 @@ mod tests {
         events.iter().map(|e| e.time.secs()).collect()
     }
 
+    /// The pump's per-arrival rule over one connection: lateness
+    /// against the frontier as it stood before the arrival, hold, advance
+    /// the connection to `time − lag`, release what the frontier passed.
+    struct OneConnection {
+        buf: ReorderBuffer,
+        frontier: ConnectionFrontier,
+        lag: i64,
+        out: Vec<StreamEvent>,
+    }
+
+    impl OneConnection {
+        fn new(lag: i64) -> Self {
+            let mut frontier = ConnectionFrontier::new(0);
+            frontier.join(0, 0);
+            Self {
+                buf: ReorderBuffer::new(lag),
+                frontier,
+                lag,
+                out: Vec::new(),
+            }
+        }
+
+        fn arrive(&mut self, ev: StreamEvent) {
+            if self.frontier.is_late(ev.time) {
+                self.buf.count_late();
+            } else {
+                self.buf.hold(ev);
+            }
+            self.frontier
+                .advance(0, Timestamp(ev.time.secs() - self.lag), 0);
+            self.buf
+                .release_below(self.frontier.frontier(), &mut self.out);
+        }
+    }
+
     #[test]
     fn bounded_disorder_is_restored_to_canonical_order() {
-        let mut buf = ReorderBuffer::new(100);
-        let mut out = Vec::new();
+        let mut c = OneConnection::new(100);
         for &t in &[50i64, 30, 80, 60, 200, 150, 300] {
-            buf.push(ev(Side::Left, 1, t), &mut out);
+            c.arrive(ev(Side::Left, 1, t));
         }
-        buf.flush(&mut out);
-        assert_eq!(times(&out), vec![30, 50, 60, 80, 150, 200, 300]);
-        assert_eq!(buf.late_events(), 0);
-        assert_eq!(buf.buffered(), 0);
+        c.buf.flush(&mut c.out);
+        assert_eq!(times(&c.out), vec![30, 50, 60, 80, 150, 200, 300]);
+        assert_eq!(c.buf.late_events(), 0);
+        assert_eq!(c.buf.buffered(), 0);
     }
 
     #[test]
     fn ties_sort_by_side_then_entity() {
-        let mut buf = ReorderBuffer::new(10);
-        let mut out = Vec::new();
-        buf.push(ev(Side::Right, 5, 100), &mut out);
-        buf.push(ev(Side::Left, 9, 100), &mut out);
-        buf.push(ev(Side::Left, 2, 100), &mut out);
-        buf.flush(&mut out);
-        let keys: Vec<(Side, u64)> = out.iter().map(|e| (e.side, e.entity.0)).collect();
+        let mut c = OneConnection::new(10);
+        c.arrive(ev(Side::Right, 5, 100));
+        c.arrive(ev(Side::Left, 9, 100));
+        c.arrive(ev(Side::Left, 2, 100));
+        c.buf.flush(&mut c.out);
+        let keys: Vec<(Side, u64)> = c.out.iter().map(|e| (e.side, e.entity.0)).collect();
         assert_eq!(
             keys,
             vec![(Side::Left, 2), (Side::Left, 9), (Side::Right, 5)]
@@ -218,32 +210,30 @@ mod tests {
 
     #[test]
     fn zero_lag_rejects_out_of_order_and_passes_in_order() {
-        let mut buf = ReorderBuffer::new(0);
-        let mut out = Vec::new();
+        let mut c = OneConnection::new(0);
         for &t in &[10i64, 20, 20, 15, 30, 29] {
-            buf.push(ev(Side::Left, 1, t), &mut out);
+            c.arrive(ev(Side::Left, 1, t));
         }
-        buf.flush(&mut out);
+        c.buf.flush(&mut c.out);
         // 15 and 29 arrived below the already-released frontier.
-        assert_eq!(buf.late_events(), 2);
-        assert_eq!(times(&out), vec![10, 20, 20, 30]);
+        assert_eq!(c.buf.late_events(), 2);
+        assert_eq!(times(&c.out), vec![10, 20, 20, 30]);
     }
 
     #[test]
     fn releases_only_below_the_frontier() {
-        let mut buf = ReorderBuffer::new(50);
-        let mut out = Vec::new();
-        buf.push(ev(Side::Left, 1, 100), &mut out);
-        assert!(out.is_empty(), "frontier 50 releases nothing");
-        buf.push(ev(Side::Left, 1, 200), &mut out);
+        let mut c = OneConnection::new(50);
+        c.arrive(ev(Side::Left, 1, 100));
+        assert!(c.out.is_empty(), "frontier 50 releases nothing");
+        c.arrive(ev(Side::Left, 1, 200));
         // Frontier 150: the event at 100 is safe, 200 still held.
-        assert_eq!(times(&out), vec![100]);
-        assert_eq!(buf.buffered(), 1);
+        assert_eq!(times(&c.out), vec![100]);
+        assert_eq!(c.buf.buffered(), 1);
     }
 
-    /// The externally-frontiered path: `hold` never releases on its
-    /// own, `release_below` drains exactly the prefix strictly below
-    /// the supplied frontier, and `flush` empties the rest.
+    /// `hold` never releases on its own, `release_below` drains exactly
+    /// the prefix strictly below the supplied frontier, and `flush`
+    /// empties the rest.
     #[test]
     fn external_frontier_governs_release() {
         let mut buf = ReorderBuffer::new(0);
@@ -265,14 +255,49 @@ mod tests {
         assert_eq!(buf.buffered(), 0);
     }
 
+    /// Equal keys are data, not errors, and keep their arrival order.
     #[test]
     fn exact_duplicates_survive_with_arrival_order() {
-        let mut buf = ReorderBuffer::new(0);
-        let mut out = Vec::new();
-        let a = ev(Side::Left, 1, 10);
-        buf.push(a, &mut out);
-        buf.push(a, &mut out);
-        buf.flush(&mut out);
-        assert_eq!(out.len(), 2, "duplicates are data, not errors");
+        let mut c = OneConnection::new(0);
+        let mut first = ev(Side::Left, 1, 10);
+        let mut second = first;
+        first.accuracy_m = 1.0;
+        second.accuracy_m = 2.0;
+        c.arrive(first);
+        c.arrive(second);
+        c.buf.flush(&mut c.out);
+        let accuracies: Vec<f64> = c.out.iter().map(|e| e.accuracy_m).collect();
+        assert_eq!(accuracies, vec![1.0, 2.0]);
+    }
+
+    /// A restored buffer, with its connection put back at the returned
+    /// frontier, answers every later arrival like the exported one.
+    #[test]
+    fn export_restore_round_trips() {
+        let mut live = OneConnection::new(100);
+        for &t in &[50i64, 300, 250, 10, 280] {
+            live.arrive(ev(Side::Left, 1, t));
+        }
+        let (max_seen, held, late) = live.buf.export(live.frontier.frontier());
+        assert_eq!(max_seen, Some(Timestamp(300)), "frontier 200 + lag 100");
+        assert_eq!(times(&held), vec![250, 280, 300], "canonical order");
+        assert_eq!(late, 1, "the arrival at 10 was below frontier 200");
+
+        let (buf, frontier) = ReorderBuffer::restore(100, max_seen, held, late);
+        assert_eq!(frontier, live.frontier.frontier());
+        let mut back = OneConnection::new(100);
+        back.buf = buf;
+        back.frontier
+            .advance(0, frontier.expect("dumped after arrivals"), 0);
+        for c in [&mut live, &mut back] {
+            c.out.clear();
+            for &t in &[150i64, 260, 420] {
+                c.arrive(ev(Side::Right, 2, t));
+            }
+            c.buf.flush(&mut c.out);
+        }
+        assert_eq!(back.out, live.out);
+        assert_eq!(back.buf.late_events(), live.buf.late_events());
+        assert_eq!(back.buf.late_events(), 2, "150 is below the frontier");
     }
 }

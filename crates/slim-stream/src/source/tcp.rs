@@ -19,13 +19,24 @@ use crate::source::{parse_wire_line, SourcePoll, StreamSource, WireFormat};
 /// syscalls, small enough not to matter per connection.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Longest line the ingest wire buffers. A valid event line is under
+/// 200 bytes in either format; anything longer is malformed by
+/// definition and is discarded up to its newline without being kept,
+/// so a peer that never sends one costs neither memory nor rescans.
+pub const MAX_WIRE_LINE: usize = 4 * 1024;
+
 /// Tails a TCP connection of newline-delimited event lines.
 #[derive(Debug)]
 pub struct TcpLineSource {
     stream: TcpStream,
     format: WireFormat,
-    /// Raw bytes received but not yet split into complete lines.
+    /// Raw bytes received but not yet split into complete lines: at
+    /// most [`MAX_WIRE_LINE`] between reads, plus one read chunk during
+    /// one.
     buf: Vec<u8>,
+    /// Inside an over-long line (already counted or reported): bytes
+    /// are dropped until its newline arrives.
+    discarding: bool,
     /// Parsed events not yet handed out (a single read can complete
     /// more lines than one `next_batch` asks for).
     parsed: std::collections::VecDeque<StreamEvent>,
@@ -62,6 +73,7 @@ impl TcpLineSource {
             stream,
             format,
             buf: Vec::new(),
+            discarding: false,
             parsed: std::collections::VecDeque::new(),
             peer_closed: false,
             lenient: false,
@@ -85,48 +97,58 @@ impl TcpLineSource {
         self.malformed_lines
     }
 
-    /// Parses one line, honouring the lenient mode.
-    fn parse_line(
-        format: WireFormat,
-        lenient: bool,
-        malformed_lines: &mut u64,
-        line: &[u8],
-    ) -> Result<Option<StreamEvent>, String> {
-        let parsed = std::str::from_utf8(line)
-            .map_err(|_| "feed sent non-UTF-8 line".to_string())
-            .and_then(|l| parse_wire_line(format, l));
+    /// Parses `self.buf[start..end]` as one line into `self.parsed`;
+    /// a line over [`MAX_WIRE_LINE`] is malformed without a look.
+    fn take_line(&mut self, start: usize, end: usize) -> Result<(), String> {
+        let parsed = if end - start > MAX_WIRE_LINE {
+            Err(format!("feed sent a line over {MAX_WIRE_LINE} bytes"))
+        } else {
+            std::str::from_utf8(&self.buf[start..end])
+                .map_err(|_| "feed sent non-UTF-8 line".to_string())
+                .and_then(|l| parse_wire_line(self.format, l))
+        };
         match parsed {
-            Ok(ev) => Ok(ev),
-            Err(_) if lenient => {
-                *malformed_lines += 1;
-                Ok(None)
-            }
-            Err(e) => Err(e),
+            Ok(Some(ev)) => self.parsed.push_back(ev),
+            Ok(None) => {}
+            Err(_) if self.lenient => self.malformed_lines += 1,
+            Err(e) => return Err(e),
         }
+        Ok(())
     }
 
-    /// Splits complete lines off `self.buf` into parsed events.
-    fn drain_lines(&mut self, include_partial_tail: bool) -> Result<(), String> {
-        let mut start = 0;
-        while let Some(nl) = self.buf[start..].iter().position(|&b| b == b'\n') {
-            let line = &self.buf[start..start + nl];
-            let parsed =
-                Self::parse_line(self.format, self.lenient, &mut self.malformed_lines, line)?;
-            start += nl + 1;
-            if let Some(ev) = parsed {
-                self.parsed.push_back(ev);
+    /// Splits complete lines off `self.buf` into parsed events. Every
+    /// call consumes the buffer up to its last newline and keeps at
+    /// most [`MAX_WIRE_LINE`] bytes of unterminated tail; the caller
+    /// passes that tail's length back as `scanned` (it holds no
+    /// newline), so no byte is searched twice.
+    fn drain_lines(&mut self, scanned: usize, include_partial_tail: bool) -> Result<(), String> {
+        let (mut start, mut from) = (0, scanned);
+        while let Some(nl) = self.buf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + nl;
+            if self.discarding {
+                // The rest of an over-long line, judged when its head
+                // crossed the bound.
+                self.discarding = false;
+            } else {
+                self.take_line(start, end)?;
             }
+            start = end + 1;
+            from = start;
         }
-        if include_partial_tail && start < self.buf.len() {
+        let len = self.buf.len();
+        if self.discarding {
+            start = len;
+        } else if len - start > MAX_WIRE_LINE {
+            // Over the bound with no newline in sight: judge the line
+            // now and drop it as it arrives.
+            self.discarding = true;
+            self.take_line(start, len)?;
+            start = len;
+        } else if include_partial_tail && start < len {
             // Peer closed mid-line: treat the unterminated tail as a
             // final line rather than silently dropping data.
-            let line = &self.buf[start..];
-            let parsed =
-                Self::parse_line(self.format, self.lenient, &mut self.malformed_lines, line)?;
-            if let Some(ev) = parsed {
-                self.parsed.push_back(ev);
-            }
-            start = self.buf.len();
+            self.take_line(start, len)?;
+            start = len;
         }
         self.buf.drain(..start);
         Ok(())
@@ -154,7 +176,7 @@ impl StreamSource for TcpLineSource {
             if got == 0 {
                 self.peer_closed = true;
             }
-            self.drain_lines(self.peer_closed)?;
+            self.drain_lines(old_len, self.peer_closed)?;
         }
     }
 }
@@ -380,5 +402,59 @@ mod tests {
         assert_eq!(got[0].entity, EntityId(1));
         assert_eq!(got[1].entity, EntityId(3));
         assert_eq!(src.malformed_lines(), 3);
+    }
+    /// A peer that streams megabytes without a newline costs one
+    /// malformed line and a bounded buffer, and the valid line after
+    /// the newline it finally sends still arrives. In strict mode the
+    /// same feed is an error that names the bound, not the line.
+    #[test]
+    fn endless_line_is_discarded_within_a_bounded_buffer() {
+        for lenient in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let feeder = std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                conn.write_all(b"L,1,0.0,0.0,5\n").unwrap();
+                let junk = vec![b'x'; 256 * 1024];
+                for _ in 0..12 {
+                    // The strict reader hangs up at the bound.
+                    if conn.write_all(&junk).is_err() {
+                        return;
+                    }
+                }
+                let _ = conn.write_all(b"\nR,3,0.0,0.0,7\n");
+            });
+            let mut src = TcpLineSource::connect(&addr).unwrap();
+            if lenient {
+                src = src.lenient();
+            }
+            let mut got = Vec::new();
+            let outcome = loop {
+                match src.next_batch(10) {
+                    Ok(SourcePoll::Batch(b)) => got.extend(b),
+                    Ok(SourcePoll::End) => break Ok(()),
+                    Ok(SourcePoll::Pending) => unreachable!(),
+                    Err(e) => break Err(e),
+                }
+            };
+            // `drain` keeps capacity, so it bounds the high-water mark
+            // (doubling growth can overshoot the length by 2x).
+            assert!(
+                src.buf.capacity() <= 2 * (MAX_WIRE_LINE + READ_CHUNK),
+                "buffer grew to {} bytes",
+                src.buf.capacity()
+            );
+            if lenient {
+                outcome.expect("lenient feed never parse-fails");
+                let entities: Vec<u64> = got.iter().map(|e| e.entity.0).collect();
+                assert_eq!(entities, vec![1, 3], "the lines around the junk");
+                assert_eq!(src.malformed_lines(), 1, "one line, however long");
+            } else {
+                let err = outcome.expect_err("strict mode rejects the line");
+                assert!(err.contains(&format!("{MAX_WIRE_LINE} bytes")), "{err}");
+            }
+            drop(src);
+            feeder.join().unwrap();
+        }
     }
 }

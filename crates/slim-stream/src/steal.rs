@@ -31,12 +31,6 @@ pub enum PoolMode {
     /// total work, not the hottest shard.
     #[default]
     Stealing,
-    /// Block placement with stealing **disabled** — each chunk runs on
-    /// the worker its block maps to, reproducing the old static
-    /// per-shard partition (one straggler shard stalls its worker while
-    /// the rest idle). Kept as the benchmark baseline the stealing mode
-    /// is measured against.
-    Static,
     /// Seeded pseudo-random chunk placement and per-worker victim
     /// order, with stealing enabled: a deterministic stand-in for an
     /// adversarial steal schedule. `tests/shard_equivalence.rs`
@@ -62,7 +56,7 @@ fn mix(mut x: u64) -> u64 {
 pub(crate) struct ChunkQueues {
     queues: Vec<Mutex<VecDeque<usize>>>,
     /// Per worker: the order other queues are scanned when its own runs
-    /// dry. Empty inner vectors disable stealing ([`PoolMode::Static`]).
+    /// dry.
     victims: Vec<Vec<usize>>,
     /// Chunks not yet *executed* (claimed-but-running chunks still
     /// count): the pool's phase-completion condition.
@@ -77,10 +71,9 @@ impl ChunkQueues {
         assert!(workers > 0, "pool needs at least one worker");
         let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
         match mode {
-            PoolMode::Stealing | PoolMode::Static => {
+            PoolMode::Stealing => {
                 // Contiguous blocks: worker w owns ids
-                // [w·n/W, (w+1)·n/W). With one chunk per shard this is
-                // exactly the old static shard partition.
+                // [w·n/W, (w+1)·n/W).
                 for id in 0..chunks {
                     queues[id * workers / chunks.max(1)].push_back(id);
                 }
@@ -93,9 +86,6 @@ impl ChunkQueues {
         }
         let victims: Vec<Vec<usize>> = (0..workers)
             .map(|w| {
-                if matches!(mode, PoolMode::Static) || workers == 1 {
-                    return Vec::new();
-                }
                 // Rotation starting after the worker itself, so victim
                 // scans of different workers don't all pile onto queue 0.
                 let mut order: Vec<usize> = (w + 1..workers).chain(0..w).collect();
@@ -179,19 +169,6 @@ mod tests {
         assert!(q.is_done());
         // Worker 0 owned the first block only; the rest were steals.
         assert_eq!(q.steals(), 10 - 10usize.div_ceil(3) as u64);
-    }
-
-    #[test]
-    fn static_mode_never_steals() {
-        let q = ChunkQueues::new(9, 3, PoolMode::Static);
-        let own = drain_as(&q, 1);
-        // Exactly worker 1's block, nothing stolen, phase unfinished.
-        assert_eq!(own, vec![3, 4, 5]);
-        assert_eq!(q.steals(), 0);
-        assert!(!q.is_done());
-        drain_as(&q, 0);
-        drain_as(&q, 2);
-        assert!(q.is_done());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use slim::core::{EntityId, Timestamp};
 use slim::geo::LatLng;
-use slim::stream::testing::{FaultPlan, ScriptStep, ScriptedSource};
+use slim::stream::testing::{FaultPlan, ScriptStep, ScriptedConnections, ScriptedSource};
 use slim::stream::{
     DriveOptions, EpochLog, LinkSnapshot, LinkUpdate, Side, StreamConfig, StreamEngine,
     StreamEvent, StreamStats, TickPolicy,
@@ -385,6 +385,66 @@ fn recovery_crosses_shard_and_worker_counts() {
             &recovered,
             woke_at,
             &format!("cross-config {shards}x{workers}"),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A drive start that is rejected — the wrong tick policy, or a tier
+/// that cannot replay the accepted prefix — must leave the recovery
+/// state where it was: the corrected retry resumes from the checkpoint
+/// and is bit-identical to the unbroken run, instead of replaying from
+/// event 0 on top of the recovered engine.
+#[test]
+fn a_rejected_start_keeps_the_recovery_state_for_the_retry() {
+    let events = fixed_workload(40);
+    let policy = TickPolicy::EveryN(23);
+    let reference = unbroken(&events, 1, 1, policy);
+
+    let dir = temp_dir("retry");
+    let mut engine = StreamEngine::new(config(2, 2)).expect("valid config");
+    engine.set_checkpoint_policy(dir.clone(), 16, 2);
+    engine.set_fault_plan(FaultPlan::kill_at(events.len() as u64 / 2));
+    engine
+        .drive(source(&events), &options(policy))
+        .expect_err("killed");
+    drop(engine);
+
+    for wrong in ["tick policy", "tier"] {
+        let mut engine = StreamEngine::recover(config(2, 2), &dir).expect("recover");
+        let woke_at = engine.stats().snapshots_published;
+        let recovered_events = engine.stats().events;
+        let log = EpochLog::new();
+        engine.set_epoch_log(log.clone());
+        let err = match wrong {
+            "tick policy" => engine.drive(
+                source(&events),
+                &options(TickPolicy::Watermark { max_lag_secs: 900 }),
+            ),
+            _ => engine.drive_fan_in(
+                ScriptedConnections::single_stage(vec![vec![ScriptStep::Batch(events.clone())]]),
+                &options(policy),
+            ),
+        }
+        .expect_err("the mismatched start must be rejected");
+        assert!(
+            err.contains("does not match") || err.contains("replayable"),
+            "wrong {wrong}: unexpected error: {err}"
+        );
+        assert_eq!(
+            engine.stats().events,
+            recovered_events,
+            "wrong {wrong}: a rejected start consumes nothing"
+        );
+        engine
+            .drive(source(&events), &options(policy))
+            .expect("the corrected retry resumes");
+        let recovered = finish(engine, &log);
+        assert_recovery_matches(
+            &reference,
+            &recovered,
+            woke_at,
+            &format!("retry after a wrong {wrong}"),
         );
     }
     std::fs::remove_dir_all(&dir).ok();

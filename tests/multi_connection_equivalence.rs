@@ -23,10 +23,10 @@ use proptest::prelude::*;
 use slim::core::{EntityId, Timestamp};
 use slim::geo::LatLng;
 use slim::stream::source::channel::Sender;
-use slim::stream::testing::{ScriptStep, ScriptedConnections, VirtualClock};
+use slim::stream::testing::{ScriptStep, ScriptedConnections, ScriptedSource, VirtualClock};
 use slim::stream::{
-    ConnMessage, DriveOptions, FanIn, LinkUpdate, Side, StreamConfig, StreamEngine, StreamEvent,
-    TickPolicy,
+    ConnMessage, DriveOptions, FanIn, IngestReport, LinkUpdate, Side, StreamConfig, StreamEngine,
+    StreamEvent, StreamStats, TickPolicy,
 };
 
 /// Out-of-order tolerance of every schedule below; per-connection
@@ -275,6 +275,115 @@ proptest! {
             TickPolicy::Watermark { max_lag_secs: LAG_SECS },
         );
         prop_assert_eq!(&reference.finalized, &wm.finalized);
+    }
+}
+
+/// One script through either entry of the drive loop. The flow
+/// observations (`blocked_producer_ns`, `queue_high_watermark`) measure
+/// thread interleaving, not the stream — zeroed before comparison.
+fn run_one_script(
+    steps: &[ScriptStep],
+    as_tier: bool,
+    policy: TickPolicy,
+    lag: i64,
+) -> (IngestReport, StreamStats, Vec<slim::core::Edge>) {
+    let mut engine = StreamEngine::new(config(2, 2, 0)).expect("valid config");
+    let opts = DriveOptions {
+        queue_cap: 7,
+        source_batch: 13,
+        tick_policy: policy,
+        max_lag_secs: lag,
+        ..DriveOptions::default()
+    };
+    let mut report = if as_tier {
+        engine.drive_fan_in(
+            ScriptedConnections::single_stage(vec![steps.to_vec()]),
+            &opts,
+        )
+    } else {
+        engine.drive(ScriptedSource::new(steps.to_vec()), &opts)
+    }
+    .expect("drive");
+    report.blocked_producer_ns = 0;
+    report.queue_high_watermark = 0;
+    let mut stats = *engine.stats();
+    stats.blocked_producer_ns = 0;
+    stats.queue_high_watermark = 0;
+    engine.refresh();
+    (report, stats, engine.links().to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    // A single source *is* the one-connection tier: the same script
+    // through `drive` and through `drive_fan_in` gives the same report,
+    // stats and links under every tick policy — at lag 0, where each
+    // displaced arrival is late, and at a lag that covers the disorder.
+    // The one field a tier cannot fill in is the source's poll counts:
+    // `drive` reports exactly the scripted stalls, a tier reports none.
+    #[test]
+    fn a_single_source_is_the_one_connection_tier(case in arb_case()) {
+        // One connection's delivery: every stage's scripts in turn,
+        // i.e. the canonical stream under bounded jitter with stalls
+        // (scripted deaths dropped — after one, a source's script ends).
+        let steps: Vec<ScriptStep> = case
+            .stages
+            .iter()
+            .flatten()
+            .flatten()
+            .filter(|s| !matches!(s, ScriptStep::Error(_)))
+            .cloned()
+            .collect();
+        let stalls: u64 = steps
+            .iter()
+            .map(|s| if let ScriptStep::Stall(n) = s { u64::from(*n) } else { 0 })
+            .sum();
+        // At lag 0 the frontier is the newest time seen: an arrival
+        // strictly older than it is late.
+        let mut newest = i64::MIN;
+        let mut displaced = 0u64;
+        for step in &steps {
+            if let ScriptStep::Batch(events) = step {
+                for ev in events {
+                    displaced += u64::from(ev.time.secs() < newest);
+                    newest = newest.max(ev.time.secs());
+                }
+            }
+        }
+        // Stages are time-contiguous but a stage's connections overlap,
+        // so played back to back the displacement can reach a stage's
+        // whole span.
+        let covering = 40_000;
+        for policy in [
+            TickPolicy::EveryN(23),
+            TickPolicy::EventTime { interval_secs: 1_800 },
+            TickPolicy::Watermark { max_lag_secs: 0 },
+        ] {
+            for lag in [0, covering] {
+                let (mut source, source_stats, source_links) =
+                    run_one_script(&steps, false, policy, lag);
+                let (tier, tier_stats, tier_links) = run_one_script(&steps, true, policy, lag);
+                let tag = format!("{policy:?} at lag {lag}");
+                prop_assert!(source.connections == 1, "{}: a source is one connection", tag);
+                prop_assert!(
+                    source.late_events == if lag == 0 { displaced } else { 0 },
+                    "{}: {} late, {} displaced", tag, source.late_events, displaced
+                );
+                prop_assert!(source.source_stalls == stalls, "{}: scripted stalls", tag);
+                source.source_batches = 0;
+                source.source_stalls = 0;
+                prop_assert!(
+                    source == tier,
+                    "{}: reports differ:\n{:#?}\nvs\n{:#?}", tag, source, tier
+                );
+                prop_assert!(
+                    source_stats == tier_stats,
+                    "{}: stats differ:\n{:#?}\nvs\n{:#?}", tag, source_stats, tier_stats
+                );
+                prop_assert_eq!(&source_links, &tier_links);
+            }
+        }
     }
 }
 

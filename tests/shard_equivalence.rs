@@ -202,10 +202,10 @@ proptest! {
     // the scripted scheduler hook (`PoolMode::Scripted { seed }`) draws
     // chunk placement and per-worker victim order from the proptest
     // seed, so every case exercises a different schedule — and every
-    // schedule, worker count, and the static-partition baseline must be
-    // observationally identical to the 1-worker replay. Chunk outputs
-    // merge in chunk-id order at the barrier; this test is the contract
-    // that that merge leaves no schedule dependence behind.
+    // schedule and worker count must be observationally identical to
+    // the 1-worker replay. Chunk outputs merge in chunk-id order at the
+    // barrier; this test is the contract that that merge leaves no
+    // schedule dependence behind.
     #[test]
     fn steal_schedules_and_worker_counts_are_invariant(
         events in arb_dense_events(),
@@ -226,7 +226,6 @@ proptest! {
             (2usize, PoolMode::Scripted { seed }),
             (4, PoolMode::Scripted { seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) }),
             (4, PoolMode::Stealing),
-            (4, PoolMode::Static),
         ] {
             let other = replay_pool(&events, cfg, workers, mode);
             prop_assert!(

@@ -17,8 +17,8 @@ use std::net::TcpStream;
 
 use proptest::prelude::*;
 
-use slim::stream::source::{channel, parse_wire_line};
-use slim::stream::{ConnMessage, FanIn, TcpIngestTier, WireFormat};
+use slim::stream::source::{channel, parse_wire_line, SourcePoll, MAX_WIRE_LINE};
+use slim::stream::{ConnMessage, FanIn, StreamSource, TcpIngestTier, TcpLineSource, WireFormat};
 
 /// One scripted feed line: built from generated parts, possibly
 /// mangled. The raw string never contains `\n`/`\r` — line framing
@@ -127,6 +127,71 @@ proptest! {
         // One clean Leave carrying the oracle's rejection count.
         prop_assert_eq!(leave_malformed, vec![expected_malformed]);
     }
+}
+
+/// The wire bounds a line to [`MAX_WIRE_LINE`] bytes the way the query
+/// port bounds its own: megabytes without a newline are one malformed
+/// line to a lenient connection (the valid line after them still
+/// arrives), and to a strict reader an error that names the bound
+/// instead of quoting the line back.
+#[test]
+fn an_endless_line_is_one_malformed_line() {
+    let valid = "L,7,10.0,20.5,300";
+    let feed = move |addr: std::net::SocketAddr| {
+        std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            let junk = vec![b'x'; 64 * 1024];
+            for _ in 0..48 {
+                // 3 MiB; a strict reader hangs up at the bound.
+                if s.write_all(&junk).is_err() {
+                    return;
+                }
+            }
+            let _ = s.write_all(format!("\n{valid}\n").as_bytes());
+        })
+    };
+
+    let tier = TcpIngestTier::bind("127.0.0.1:0", WireFormat::Csv, 1).unwrap();
+    let feeder = feed(tier.local_addr().unwrap());
+    let (tx, rx) = channel::bounded::<ConnMessage>(64);
+    let tier_thread = std::thread::spawn(move || tier.run(tx));
+    let mut msgs = Vec::new();
+    let mut buf = Vec::new();
+    while rx.recv_many(&mut buf, 32) {
+        msgs.append(&mut buf);
+    }
+    feeder.join().unwrap();
+    tier_thread.join().unwrap().unwrap();
+    let expected = parse_wire_line(WireFormat::Csv, valid).unwrap().unwrap();
+    assert_eq!(
+        msgs,
+        vec![
+            ConnMessage::Join { conn: 0 },
+            ConnMessage::Event {
+                conn: 0,
+                event: expected
+            },
+            ConnMessage::Leave {
+                conn: 0,
+                malformed_lines: 1
+            },
+        ]
+    );
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let feeder = feed(listener.local_addr().unwrap());
+    let (stream, _) = listener.accept().unwrap();
+    let mut strict = TcpLineSource::from_stream(stream);
+    let err = loop {
+        match strict.next_batch(16) {
+            Ok(SourcePoll::End) => panic!("a strict reader must reject the line"),
+            Ok(_) => {}
+            Err(e) => break e,
+        }
+    };
+    assert!(err.contains(&format!("{MAX_WIRE_LINE} bytes")), "{err}");
+    drop(strict);
+    feeder.join().unwrap();
 }
 
 /// The wire bounds a timestamp to ±2^53 s in every spelling — CSV
