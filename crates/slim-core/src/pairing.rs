@@ -37,13 +37,19 @@ thread_local! {
     /// window of every pair that visits them. The function is pure, so
     /// memoized values are exact, and thread-locality keeps the scoring
     /// hot path lock-free. The memo lives as long as its thread: a batch
-    /// scoring worker amortizes across its whole candidate chunk, a
-    /// serial (single-shard) streaming engine across all its ticks, and
-    /// short-lived multi-shard tick workers within one tick's job list —
-    /// the dominant reuse in every case, since a pair's cells recur per
-    /// window.
+    /// scoring worker amortizes across its whole candidate chunk, and a
+    /// streaming engine across all its ticks — on the engine thread and
+    /// on its pool workers alike, since the pool's threads are spawned
+    /// once per engine and persist until it is dropped. A pair's cells
+    /// recur per window and per tick, so that is the dominant reuse.
     static CELL_GEOMETRY: RefCell<HashMap<CellId, (LatLng, f64)>> =
         RefCell::new(HashMap::new());
+
+    /// The pairing kernel's working buffers. Same lifetime as the memo
+    /// above: they grow to the largest window a thread has paired and
+    /// are reused from then on, so a warm thread pairs a window without
+    /// touching the allocator.
+    static SCRATCH: RefCell<PairingScratch> = RefCell::new(PairingScratch::default());
 }
 
 /// Memoized [`cell_center_and_radius`].
@@ -95,132 +101,183 @@ impl BinColumn for &[CellId] {
     }
 }
 
-fn distance_matrix<A: BinColumn, B: BinColumn>(a: A, b: B) -> Vec<f64> {
-    // Look up each cell's center + radius once per side: the matrix is
-    // O(n·m) but the (trigonometry-heavy) vertex geometry is O(n + m)
-    // hash probes, hitting the thread-local memo for recurring cells.
-    let ga: Vec<_> = (0..a.len())
-        .map(|i| {
-            let c = a.cell(i);
-            (c, cached_cell_geometry(c))
-        })
-        .collect();
-    let gb: Vec<_> = (0..b.len())
-        .map(|i| {
-            let c = b.cell(i);
-            (c, cached_cell_geometry(c))
-        })
-        .collect();
-    let mut d = Vec::with_capacity(a.len() * b.len());
-    for (ca, pa) in &ga {
-        for (cb, pb) in &gb {
-            // Same level on both sides: equality is the only containment.
-            d.push(if ca == cb {
-                0.0
-            } else {
-                bounded_distance_m(pa, pb)
+/// Which pair lists [`with_window_pairs`] selects from a window's
+/// distance matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Selection {
+    /// `N` only.
+    Nearest,
+    /// `N`, then `N'` over the same matrix (the alibi pass).
+    NearestAndFurthest,
+    /// `N'` only.
+    Furthest,
+    /// The Cartesian product.
+    All,
+}
+
+/// One window's geometry, distance matrix and selected pairs, in
+/// buffers that outlive the window (see `SCRATCH`). Every buffer is
+/// cleared before it is refilled — the pair lists by
+/// [`with_window_pairs`], the rest where they are filled — so nothing
+/// of the previous window (a `used` flag, a stride, a pair) is ever
+/// read.
+#[derive(Default)]
+struct PairingScratch {
+    /// Per side: each bin's cell with its center and bounding radius.
+    geom: [Vec<(CellId, (LatLng, f64))>; 2],
+    /// Row-major `|a| × |b|` cell distances, metres.
+    dist: Vec<f64>,
+    /// Per side: bins already consumed by the running greedy selection.
+    used: [Vec<bool>; 2],
+    /// `N` (or the Cartesian product).
+    primary: Vec<BinPair>,
+    /// `N'`.
+    furthest: Vec<BinPair>,
+}
+
+impl PairingScratch {
+    /// Looks up each cell's center + radius once per side — O(n + m)
+    /// probes of the thread-local memo — and fills the O(n·m) matrix.
+    fn load<A: BinColumn, B: BinColumn>(&mut self, a: A, b: B) {
+        let [ga, gb] = &mut self.geom;
+        ga.clear();
+        ga.extend((0..a.len()).map(|i| (a.cell(i), cached_cell_geometry(a.cell(i)))));
+        gb.clear();
+        gb.extend((0..b.len()).map(|i| (b.cell(i), cached_cell_geometry(b.cell(i)))));
+        self.dist.clear();
+        self.dist.reserve(ga.len() * gb.len());
+        for (ca, pa) in ga.iter() {
+            for (cb, pb) in gb.iter() {
+                // Same level on both sides: equality is the only containment.
+                self.dist.push(if ca == cb {
+                    0.0
+                } else {
+                    bounded_distance_m(pa, pb)
+                });
+            }
+        }
+    }
+
+    /// Greedy extremal matching over the loaded matrix: repeatedly takes
+    /// the smallest (`want_min`) or largest remaining distance, first in
+    /// row-major order on ties, and retires both bins. Appends to `N`
+    /// (`want_min`) or `N'`.
+    fn select(&mut self, want_min: bool) {
+        let (n, m) = (self.geom[0].len(), self.geom[1].len());
+        let out = if want_min {
+            &mut self.primary
+        } else {
+            &mut self.furthest
+        };
+        let [a_used, b_used] = &mut self.used;
+        a_used.clear();
+        a_used.resize(n, false);
+        b_used.clear();
+        b_used.resize(m, false);
+        for _ in 0..n.min(m) {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for (ai, row) in self.dist.chunks_exact(m).enumerate() {
+                if a_used[ai] {
+                    continue;
+                }
+                for (bi, &dist) in row.iter().enumerate() {
+                    if b_used[bi] {
+                        continue;
+                    }
+                    let better = match best {
+                        None => true,
+                        Some((_, _, cur)) if want_min => dist < cur,
+                        Some((_, _, cur)) => dist > cur,
+                    };
+                    if better {
+                        best = Some((ai, bi, dist));
+                    }
+                }
+            }
+            let (ai, bi, dist) = best.expect("rounds bounded by remaining bins");
+            a_used[ai] = true;
+            b_used[bi] = true;
+            out.push(BinPair {
+                e_idx: ai,
+                i_idx: bi,
+                dist_m: dist,
             });
         }
     }
-    d
+
+    /// Appends every cell of the loaded matrix to the primary list as a
+    /// pair, row-major.
+    fn select_all(&mut self) {
+        let m = self.geom[1].len();
+        self.primary
+            .extend(self.dist.iter().enumerate().map(|(k, &dist_m)| BinPair {
+                e_idx: k / m,
+                i_idx: k % m,
+                dist_m,
+            }));
+    }
 }
 
-/// Greedy extremal matching shared by [`mutually_nearest`] and
-/// [`mutually_furthest`]. `want_min` selects the objective.
-fn extremal_pairs<A: BinColumn, B: BinColumn>(a: A, b: B, want_min: bool) -> Vec<BinPair> {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return Vec::new();
-    }
-    let d = distance_matrix(a, b);
-    let mut a_used = vec![false; n];
-    let mut b_used = vec![false; m];
-    let rounds = n.min(m);
-    let mut out = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (ai, au) in a_used.iter().enumerate() {
-            if *au {
-                continue;
+/// The pairing kernel: builds the window's distance matrix **once** and
+/// runs every requested selection over it, handing `f` the primary list
+/// (`N`, or the Cartesian product) and the `N'` list (each empty unless
+/// asked for). The lists live in the calling thread's scratch buffers,
+/// so `f` must not pair another window.
+pub(crate) fn with_window_pairs<A: BinColumn, B: BinColumn, R>(
+    a: A,
+    b: B,
+    selection: Selection,
+    f: impl FnOnce(&[BinPair], &[BinPair]) -> R,
+) -> R {
+    SCRATCH.with(|scratch| {
+        let mut s = scratch.borrow_mut();
+        s.load(a, b);
+        s.primary.clear();
+        s.furthest.clear();
+        match selection {
+            Selection::All => s.select_all(),
+            Selection::Nearest => s.select(true),
+            Selection::NearestAndFurthest => {
+                s.select(true);
+                s.select(false);
             }
-            for (bi, bu) in b_used.iter().enumerate() {
-                if *bu {
-                    continue;
-                }
-                let dist = d[ai * m + bi];
-                let better = match best {
-                    None => true,
-                    Some((_, _, cur)) => {
-                        if want_min {
-                            dist < cur
-                        } else {
-                            dist > cur
-                        }
-                    }
-                };
-                if better {
-                    best = Some((ai, bi, dist));
-                }
-            }
+            Selection::Furthest => s.select(false),
         }
-        let (ai, bi, dist) = best.expect("rounds bounded by remaining bins");
-        a_used[ai] = true;
-        b_used[bi] = true;
-        out.push(BinPair {
-            e_idx: ai,
-            i_idx: bi,
-            dist_m: dist,
-        });
-    }
-    out
+        f(&s.primary, &s.furthest)
+    })
 }
 
 /// The paper's pairing function `N_w`: greedy globally-closest pairs,
 /// each bin used at most once, `min(|a|, |b|)` pairs total.
 pub fn mutually_nearest(a: &[(CellId, u32)], b: &[(CellId, u32)]) -> Vec<BinPair> {
-    extremal_pairs(a, b, true)
+    with_window_pairs(a, b, Selection::Nearest, |nearest, _| nearest.to_vec())
 }
 
 /// The paper's `N'_w`: greedy globally-furthest pairs, used for the
 /// optional alibi-detection pass.
 pub fn mutually_furthest(a: &[(CellId, u32)], b: &[(CellId, u32)]) -> Vec<BinPair> {
-    extremal_pairs(a, b, false)
+    with_window_pairs(a, b, Selection::Furthest, |_, furthest| furthest.to_vec())
 }
 
 /// [`mutually_nearest`] over bare cell-id columns (the arena layout);
 /// bit-identical output for identical cell content.
 pub fn mutually_nearest_cells(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
-    extremal_pairs(a, b, true)
+    with_window_pairs(a, b, Selection::Nearest, |nearest, _| nearest.to_vec())
 }
 
 /// [`mutually_furthest`] over bare cell-id columns.
 pub fn mutually_furthest_cells(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
-    extremal_pairs(a, b, false)
+    with_window_pairs(a, b, Selection::Furthest, |_, furthest| furthest.to_vec())
 }
 
 /// The Cartesian product of bins — the "All Pairs" ablation.
 pub fn all_pairs(a: &[(CellId, u32)], b: &[(CellId, u32)]) -> Vec<BinPair> {
-    all_pairs_generic(a, b)
+    with_window_pairs(a, b, Selection::All, |all, _| all.to_vec())
 }
 
 /// [`all_pairs`] over bare cell-id columns.
 pub fn all_pairs_cells(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
-    all_pairs_generic(a, b)
-}
-
-fn all_pairs_generic<A: BinColumn, B: BinColumn>(a: A, b: B) -> Vec<BinPair> {
-    let d = distance_matrix(a, b);
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for ai in 0..a.len() {
-        for bi in 0..b.len() {
-            out.push(BinPair {
-                e_idx: ai,
-                i_idx: bi,
-                dist_m: d[ai * b.len() + bi],
-            });
-        }
-    }
-    out
+    with_window_pairs(a, b, Selection::All, |all, _| all.to_vec())
 }
 
 #[cfg(test)]
@@ -233,6 +290,141 @@ mod tests {
             .iter()
             .map(|&(lat, lng)| (CellId::from_latlng(LatLng::from_degrees(lat, lng), 14), 1))
             .collect()
+    }
+
+    /// The kernel this module replaced, kept as the oracle: one distance
+    /// matrix and one set of flags allocated per call.
+    fn extremal_pairs_oracle(a: &[CellId], b: &[CellId], want_min: bool) -> Vec<BinPair> {
+        let (n, m) = (a.len(), b.len());
+        let geom = |cells: &[CellId]| -> Vec<_> {
+            cells
+                .iter()
+                .map(|&c| (c, cell_center_and_radius(c)))
+                .collect()
+        };
+        let (ga, gb) = (geom(a), geom(b));
+        let mut d = Vec::with_capacity(n * m);
+        for (ca, pa) in &ga {
+            for (cb, pb) in &gb {
+                d.push(if ca == cb {
+                    0.0
+                } else {
+                    bounded_distance_m(pa, pb)
+                });
+            }
+        }
+        let mut a_used = vec![false; n];
+        let mut b_used = vec![false; m];
+        let mut out = Vec::new();
+        for _ in 0..n.min(m) {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for ai in (0..n).filter(|&ai| !a_used[ai]) {
+                for bi in (0..m).filter(|&bi| !b_used[bi]) {
+                    let dist = d[ai * m + bi];
+                    let better = match best {
+                        None => true,
+                        Some((_, _, cur)) => {
+                            if want_min {
+                                dist < cur
+                            } else {
+                                dist > cur
+                            }
+                        }
+                    };
+                    if better {
+                        best = Some((ai, bi, dist));
+                    }
+                }
+            }
+            let (ai, bi, dist) = best.expect("rounds bounded by remaining bins");
+            a_used[ai] = true;
+            b_used[bi] = true;
+            out.push(BinPair {
+                e_idx: ai,
+                i_idx: bi,
+                dist_m: dist,
+            });
+        }
+        out
+    }
+
+    /// The one-matrix kernel against the two-call oracle on random cell
+    /// columns drawn from a small grid — so cells repeat within and
+    /// across sides and distances tie — run back to back on this
+    /// thread's one scratch through sizes that grow *and* shrink (1×1,
+    /// n ≠ m, an empty side), so a stale `used` flag, pair or matrix
+    /// stride from the previous window would show.
+    #[test]
+    fn one_matrix_kernel_matches_two_call_oracle() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) % n
+        };
+        let sizes = [
+            (1, 1),
+            (5, 2),
+            (2, 5),
+            (1, 4),
+            (6, 6),
+            (0, 3),
+            (3, 1),
+            (1, 1),
+            (7, 3),
+            (2, 2),
+        ];
+        let bits = |pairs: &[BinPair]| -> Vec<(usize, usize, u64)> {
+            pairs
+                .iter()
+                .map(|p| (p.e_idx, p.i_idx, p.dist_m.to_bits()))
+                .collect()
+        };
+        for round in 0..40 {
+            for &(n, m) in &sizes {
+                let mut column = |len: usize| -> Vec<CellId> {
+                    (0..len)
+                        .map(|_| {
+                            // A 3×3 grid of equally spaced cells, one far
+                            // outlier: ties and repeats are the norm.
+                            let (i, j) = (next(3) as f64, next(3) as f64);
+                            let far = if next(8) == 0 { 5.0 } else { 0.0 };
+                            let at = LatLng::from_degrees(10.0 + 0.1 * i + far, 20.0 + 0.1 * j);
+                            CellId::from_latlng(at, 12)
+                        })
+                        .collect()
+                };
+                let (a, b) = (column(n), column(m));
+                let nearest = extremal_pairs_oracle(&a, &b, true);
+                let furthest = extremal_pairs_oracle(&a, &b, false);
+                let ctx = format!("round {round}, {n}×{m}");
+                with_window_pairs(&a[..], &b[..], Selection::NearestAndFurthest, |n1, f1| {
+                    assert_eq!(bits(n1), bits(&nearest), "N, {ctx}");
+                    assert_eq!(bits(f1), bits(&furthest), "N', {ctx}");
+                });
+                with_window_pairs(&a[..], &b[..], Selection::Nearest, |n1, f1| {
+                    assert_eq!(bits(n1), bits(&nearest), "N alone, {ctx}");
+                    assert!(f1.is_empty(), "N' not asked for, {ctx}");
+                });
+                assert_eq!(
+                    bits(&mutually_furthest_cells(&a, &b)),
+                    bits(&furthest),
+                    "N' alone, {ctx}"
+                );
+                // The bin layout reads the same cells through the same body.
+                let with_counts = |cells: &[CellId]| -> Vec<(CellId, u32)> {
+                    cells.iter().map(|&c| (c, 1)).collect()
+                };
+                let (ab, bb) = (with_counts(&a), with_counts(&b));
+                assert_eq!(bits(&mutually_nearest(&ab, &bb)), bits(&nearest), "{ctx}");
+                let all = all_pairs_cells(&a, &b);
+                assert_eq!(all.len(), n * m, "{ctx}");
+                for (k, p) in all.iter().enumerate() {
+                    assert_eq!((p.e_idx, p.i_idx), (k / m, k % m), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,7 @@
 use crate::config::{PairingMode, SlimConfig};
 use crate::df::DfStats;
 use crate::history::{HistorySet, MobilityHistory};
-use crate::pairing::{
-    all_pairs, all_pairs_cells, mutually_furthest, mutually_furthest_cells, mutually_nearest,
-    mutually_nearest_cells, BinColumn, BinPair,
-};
+use crate::pairing::{with_window_pairs, BinColumn, BinPair, Selection};
 use crate::proximity::{is_alibi, proximity_of_distance};
 use crate::record::EntityId;
 use crate::stats::LinkageStats;
@@ -172,43 +169,16 @@ impl<'a> SimilarityScorer<'a> {
         stats.bin_pair_comparisons += (bu.len() * bv.len()) as u64;
         stats.record_pair_comparisons += hu.records_in(w) as u64 * hv.records_in(w) as u64;
 
-        let mut total = 0.0;
-        let pairs = match self.cfg.pairing {
-            PairingMode::MutuallyNearest => mutually_nearest(bu, bv),
-            PairingMode::AllPairs => all_pairs(bu, bv),
-        };
-        for p in &pairs {
-            total += self.contribution(w, bu, bv, p, stats);
-        }
-
-        // Optional mutually-furthest alibi pass (Alg. 1): add only
-        // negative deltas, and skip pairs already selected by N to
-        // avoid double counting.
-        if self.cfg.use_mfn && self.cfg.pairing == PairingMode::MutuallyNearest {
-            for p in mutually_furthest(bu, bv) {
-                if pairs
-                    .iter()
-                    .any(|q| q.e_idx == p.e_idx && q.i_idx == p.i_idx)
-                {
-                    continue;
-                }
-                let delta = self.contribution(w, bu, bv, &p, stats);
-                if delta < 0.0 {
-                    total += delta;
-                }
-            }
-        }
-        total
+        self.paired_contributions(w, bu, bv, stats)
     }
 
     /// [`SimilarityScorer::window_contribution`] over struct-of-arrays
     /// window runs: `(cu, nu)` / `(cv, nv)` are each one window's
     /// parallel `(cells, counts)` column slices (the
     /// [`crate::arena::EntityView::window_run`] shape — cells sorted,
-    /// counts positionally parallel). Every arithmetic operation, its
-    /// order, and every stats counter bump mirror the per-entity path
-    /// exactly, so the two layouts produce bit-identical contributions
-    /// for identical bin content.
+    /// counts positionally parallel). Past the two record counts, both
+    /// layouts run one body, so they produce bit-identical contributions
+    /// and stats bumps for identical bin content.
     pub fn window_contribution_cells(
         &self,
         w: crate::window::WindowIdx,
@@ -224,30 +194,46 @@ impl<'a> SimilarityScorer<'a> {
         let rv: u32 = nv.iter().sum();
         stats.record_pair_comparisons += ru as u64 * rv as u64;
 
-        let mut total = 0.0;
-        let pairs = match self.cfg.pairing {
-            PairingMode::MutuallyNearest => mutually_nearest_cells(cu, cv),
-            PairingMode::AllPairs => all_pairs_cells(cu, cv),
-        };
-        for p in &pairs {
-            total += self.contribution(w, cu, cv, p, stats);
-        }
+        self.paired_contributions(w, cu, cv, stats)
+    }
 
-        if self.cfg.use_mfn && self.cfg.pairing == PairingMode::MutuallyNearest {
-            for p in mutually_furthest_cells(cu, cv) {
+    /// The body both layouts share: pairs the window's bins over one
+    /// distance matrix and sums the selected pairs' contributions —
+    /// `N` (or all pairs) in selection order, then the optional
+    /// mutually-furthest alibi pass (Alg. 1), which adds only negative
+    /// deltas and skips pairs already selected by `N` to avoid double
+    /// counting.
+    fn paired_contributions<A: BinColumn, B: BinColumn>(
+        &self,
+        w: crate::window::WindowIdx,
+        bu: A,
+        bv: B,
+        stats: &mut LinkageStats,
+    ) -> f64 {
+        let selection = match self.cfg.pairing {
+            PairingMode::MutuallyNearest if self.cfg.use_mfn => Selection::NearestAndFurthest,
+            PairingMode::MutuallyNearest => Selection::Nearest,
+            PairingMode::AllPairs => Selection::All,
+        };
+        with_window_pairs(bu, bv, selection, |pairs, furthest| {
+            let mut total = 0.0;
+            for p in pairs {
+                total += self.contribution(w, bu, bv, p, stats);
+            }
+            for p in furthest {
                 if pairs
                     .iter()
                     .any(|q| q.e_idx == p.e_idx && q.i_idx == p.i_idx)
                 {
                     continue;
                 }
-                let delta = self.contribution(w, cu, cv, &p, stats);
+                let delta = self.contribution(w, bu, bv, p, stats);
                 if delta < 0.0 {
                     total += delta;
                 }
             }
-        }
-        total
+            total
+        })
     }
 
     /// One bin pair's weighted proximity contribution (unnormalized).
@@ -588,6 +574,7 @@ mod tests {
             c.pairing = pairing;
             c.use_mfn = use_mfn;
             let scorer = SimilarityScorer::new(&c, &l, &r);
+            let mut bumped = LinkageStats::default();
             for w in common_windows(hu, hv).chain([9999]) {
                 let (bu, bv) = (hu.bins_in(w), hv.bins_in(w));
                 let split = |bins: &[(geocell::CellId, u32)]| {
@@ -602,7 +589,16 @@ mod tests {
                 let soa = scorer.window_contribution_cells(w, (&cu, &nu), (&cv, &nv), &mut s2);
                 assert_eq!(legacy.to_bits(), soa.to_bits(), "window {w}");
                 assert_eq!(s1, s2, "stats must bump identically, window {w}");
+                bumped.merge(&s1);
             }
+            // ... and not vacuously: the windows above exercise every
+            // counter the kernel touches, in every mode.
+            assert!(
+                bumped.bin_pair_comparisons > 0
+                    && bumped.record_pair_comparisons > bumped.bin_pair_comparisons
+                    && bumped.alibi_pairs > 0,
+                "{pairing:?}: {bumped:?}"
+            );
         }
     }
 

@@ -64,7 +64,7 @@
 //! 1-shard one and vice versa.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -78,7 +78,7 @@ use crate::config::StreamConfig;
 use crate::engine::StreamStats;
 use crate::event::{Side, StreamEvent};
 use crate::lsh::{RingDump, SpanRing};
-use crate::shard::BinnedEvent;
+use crate::shard::{BinnedEvent, Contribution};
 use crate::source::pump::Ticker;
 use crate::store::HistoryDump;
 use crate::testing::FaultPlan;
@@ -255,7 +255,7 @@ pub(crate) struct ShardsDump<'a> {
     /// Cached `(pair, window)` score contributions. These deliberately
     /// lag drifting idf, so they are restored verbatim — never
     /// recomputed.
-    pub(crate) cache: Vec<(PairKey, Cow<'a, BTreeMap<WindowIdx, f64>>)>,
+    pub(crate) cache: Vec<(PairKey, Cow<'a, [Contribution]>)>,
     /// Pairs whose cache is not yet complete.
     pub(crate) fresh: Vec<PairKey>,
     /// Last emitted edge weight per pair.
@@ -963,9 +963,9 @@ fn encode_shards(out: &mut Vec<u8>, s: &ShardsDump) {
     put_seq(out, &s.rings, put_ring);
     put_seq(out, &s.cache, |o, (p, wins)| {
         put_pair(o, p);
-        put_seq(o, wins.iter(), |o, (w, v)| {
-            put_u32(o, *w);
-            put_f64(o, *v);
+        put_seq(o, wins.iter(), |o, &(w, v)| {
+            put_u32(o, w);
+            put_f64(o, v);
         });
     });
     put_seq(out, &s.fresh, put_pair);
@@ -994,7 +994,12 @@ fn decode_shards(payload: &[u8]) -> Result<ShardsDump<'static>, String> {
     s.rings = d.vec(dec_ring)?;
     s.cache = d.vec(|d| {
         let pair = dec_pair(d)?;
-        Ok((pair, Cow::Owned(d.collect(|d| Ok((d.u32()?, d.f64()?)))?)))
+        let wins = d.vec(|d| Ok((d.u32()?, d.f64()?)))?;
+        // The shard binary-searches this list: it must arrive sorted.
+        if wins.windows(2).any(|p| p[0].0 >= p[1].0) {
+            return Err(format!("pair {pair:?}: cached windows not ascending"));
+        }
+        Ok((pair, Cow::Owned(wins)))
     })?;
     s.fresh = d.vec(dec_pair)?;
     s.edges = d.vec(|d| Ok((dec_pair(d)?, d.f64()?)))?;
@@ -1251,6 +1256,7 @@ pub(crate) fn load_latest(dir: &Path) -> Result<(Image<'static>, u64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A checkpoint the parent of the borrow-don't-clone write path
     /// wrote (see `tests/checkpoint_format.rs` for the workload).
@@ -1419,7 +1425,7 @@ mod tests {
                 }],
                 cache: vec![(
                     (EntityId(7), EntityId(3)),
-                    Cow::Owned(BTreeMap::from([(0, 0.5), (1, 0.25)])),
+                    Cow::Owned(vec![(0, 0.5), (1, 0.25)]),
                 )],
                 fresh: vec![(EntityId(7), EntityId(3))],
                 edges: vec![((EntityId(7), EntityId(3)), 0.75)],
@@ -1645,6 +1651,19 @@ mod tests {
         frame(&mut bytes, TAG_END, |_| {});
         let err = decode(&bytes).expect_err("the rings run out of payload");
         assert!(err.contains("truncated"), "unexpected error: {err}");
+    }
+
+    /// The shard binary-searches a pair's cached windows, so a
+    /// CRC-valid image that lists them out of order, or twice, is
+    /// refused at the door rather than restored.
+    #[test]
+    fn unsorted_cached_windows_are_rejected() {
+        for wins in [vec![(1, 0.25), (0, 0.5)], vec![(0, 0.5), (0, 0.25)]] {
+            let mut state = sample_state();
+            state.shards.cache[0].1 = Cow::Owned(wins);
+            let err = decode(&encode(&state)).expect_err("windows must ascend");
+            assert!(err.contains("not ascending"), "unexpected error: {err}");
+        }
     }
 
     /// A failed write removes its own temp file; a temp file a killed

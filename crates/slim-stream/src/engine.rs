@@ -78,8 +78,8 @@ use crate::lsh::LshGeometry;
 use crate::merge;
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::shard::{
-    bin_event, entity_shard, lookup_view, BinnedEvent, EngineShard, ExpiryEffects, IngestEffects,
-    RescoreJob, RescoreOutcome, ScoredPair,
+    bin_event, entity_shard, lookup_view, merged_contributions, BinnedEvent, EngineShard,
+    ExpiryEffects, IngestEffects, PairWindows, RescoreJob, RescoreOutcome, ScoredPair,
 };
 use crate::snapshot::{EpochLog, EpochPointer, LinkSnapshot};
 use crate::source::Clock;
@@ -781,7 +781,7 @@ impl StreamEngine {
             shards.rings.extend(shard.rings.export());
             shards
                 .cache
-                .extend(shard.cache.iter().map(|(&p, m)| (p, Cow::Borrowed(m))));
+                .extend(shard.cache.iter().map(|(&p, m)| (p, Cow::Borrowed(&m[..]))));
             shards.fresh.extend(shard.fresh.iter().copied());
             shards
                 .edges
@@ -1551,8 +1551,16 @@ impl StreamEngine {
         }
         dirty.sort_unstable_by_key(|&(side, e, _)| (side, e));
 
-        let jobs: Vec<Vec<RescoreJob>> =
-            self.shards.iter().map(|s| s.gather_jobs(&dirty)).collect();
+        // The rescore fan-out and fan-in are per-shard work like any
+        // other phase: each shard resolves the dirty list against its
+        // own adjacency (read-only) and later patches its own caches.
+        let parallel = dirty.len() >= PARALLEL_RESCORE_THRESHOLD;
+        let jobs: Vec<Vec<RescoreJob>> = self.pool.run_gated(
+            PhaseId::Rescore,
+            parallel,
+            self.shards.iter().collect(),
+            |shard: &EngineShard| shard.gather_jobs(&dirty),
+        );
         self.stats.dirty_pairs_visited += jobs.iter().map(|j| j.len() as u64).sum::<u64>();
         self.stats.cached_pairs_at_ticks += self
             .shards
@@ -1562,14 +1570,22 @@ impl StreamEngine {
 
         // Rescore shard-parallel (read-only over all shards + merged
         // stats), then apply each shard's outcomes to its own cache.
-        let outcomes = self.score_jobs(&jobs);
-        let mut emptied: Vec<(usize, (EntityId, EntityId))> = Vec::new();
-        for (idx, (shard, (shard_outcomes, shard_stats, shard_kernel))) in
-            self.shards.iter_mut().zip(outcomes).enumerate()
-        {
+        let scored = self.score_jobs(&jobs);
+        let mut work: Vec<(&mut EngineShard, Vec<RescoreOutcome>)> = Vec::new();
+        for (shard, (outcomes, shard_stats, shard_kernel)) in self.shards.iter_mut().zip(scored) {
             self.scoring_stats.merge(&shard_stats);
             self.tel.score_kernel.merge(&shard_kernel);
-            let report = shard.apply_outcomes(shard_outcomes);
+            work.push((shard, outcomes));
+        }
+        let reports = self
+            .pool
+            .run_gated(PhaseId::Rescore, parallel, work, |(shard, outcomes)| {
+                shard.apply_outcomes(outcomes)
+            });
+        // Folded in shard order, so the counters and the retirement
+        // candidates do not depend on which worker applied what.
+        let mut emptied: Vec<(usize, (EntityId, EntityId))> = Vec::new();
+        for (idx, report) in reports.into_iter().enumerate() {
             self.stats.rescored_windows += report.rescored_windows;
             emptied.extend(report.emptied.into_iter().map(|p| (idx, p)));
         }
@@ -1750,17 +1766,11 @@ impl StreamEngine {
                     out.push((*pair, None));
                     continue;
                 };
-                // Start from the owning shard's cached contributions of
-                // the pair's untouched windows and patch in the
-                // recomputed ones (dropping zeros), exactly as the
-                // barrier-side apply used to.
-                let mut merged = self.shards[owner]
-                    .cache
-                    .get(pair)
-                    .cloned()
-                    .unwrap_or_default();
+                // Recompute the job's windows into the patch (zeros
+                // included: they tell the owner to drop the window).
+                let mut patch = PairWindows::new();
                 let mut t_last = clock.as_ref().map(|c| c.now_ns()).unwrap_or(0);
-                let rescored = match (spec, hu, hv) {
+                match (spec, hu, hv) {
                     // The batch kernel: a fresh pair with both endpoints
                     // in arena storage is scored by one linear merge
                     // over the two entities' window columns, feeding
@@ -1770,51 +1780,39 @@ impl StreamEngine {
                     // order) is exactly `window_contribution`'s, so the
                     // result is bit-identical to the legacy path.
                     (None, HistoryView::Arena(vu), HistoryView::Arena(vv)) => {
-                        let mut n = 0u64;
                         for_common_runs(&vu, &vv, |w, ru, rv| {
                             let c = scorer.window_contribution_cells(w, ru, rv, &mut stats);
-                            if c == 0.0 {
-                                merged.remove(&w);
-                            } else {
-                                merged.insert(w, c);
-                            }
-                            n += 1;
+                            patch.push((w, c));
                             lap(&clock, &mut t_last, &mut kernel);
                         });
-                        n
                     }
                     _ => {
-                        let windows: Vec<WindowIdx> = match spec {
-                            Some(ws) => ws.clone(),
-                            None => common_windows_of(&hu, &hv),
-                        };
-                        let n = windows.len() as u64;
-                        for w in windows {
-                            let c = window_contribution_view(&scorer, &hu, &hv, w, &mut stats);
-                            if c == 0.0 {
-                                merged.remove(&w);
-                            } else {
-                                merged.insert(w, c);
+                        let common;
+                        let windows: &[WindowIdx] = match spec {
+                            Some(ws) => ws,
+                            None => {
+                                common = common_windows_of(&hu, &hv);
+                                &common
                             }
+                        };
+                        patch.reserve_exact(windows.len());
+                        for &w in windows {
+                            let c = window_contribution_view(&scorer, &hu, &hv, w, &mut stats);
+                            patch.push((w, c));
                             lap(&clock, &mut t_last, &mut kernel);
                         }
-                        n
                     }
-                };
+                }
                 // `Σ contributions / pair norm` in ascending window
-                // order — the same arithmetic and order the full
-                // assembly sweep used, so a pair scored fresh here is
-                // bit-identical to a from-scratch edge assembly.
-                let sum: f64 = merged.values().sum();
+                // order over the owning shard's cached contributions of
+                // the untouched windows and the patch — the same
+                // arithmetic and order the full assembly sweep used, so
+                // a pair scored fresh here is bit-identical to a
+                // from-scratch edge assembly. The cache is only read.
+                let cached = self.shards[owner].cache.get(pair).map_or(&[][..], |c| c);
+                let sum: f64 = merged_contributions(cached, &patch).sum();
                 let score = sum / scorer.pair_norm_bins(hu.num_bins(), hv.num_bins());
-                out.push((
-                    *pair,
-                    Some(ScoredPair {
-                        windows: merged,
-                        rescored,
-                        score,
-                    }),
-                ));
+                out.push((*pair, Some(ScoredPair { patch, score })));
             }
             (out, stats, kernel)
         };

@@ -16,6 +16,7 @@
 //! deltas) or coalesced into ordered sets, so the barrier result — and
 //! with it the whole engine — is bit-identical for any shard count.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use geocell::CellId;
@@ -85,6 +86,21 @@ pub(crate) fn lookup_view(
     shards[entity_shard(side, entity, shards.len())].histories[side.idx()].view(entity)
 }
 
+/// The ascending union of two ascending, duplicate-free window lists.
+fn union_sorted(a: &[WindowIdx], b: &[WindowIdx]) -> Vec<WindowIdx> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let w = a[i].min(b[j]);
+        i += usize::from(a[i] == w);
+        j += usize::from(b[j] == w);
+        out.push(w);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Cross-shard effects of one shard's ingest phase, folded in at the
 /// merge barrier.
 #[derive(Debug, Default)]
@@ -124,28 +140,101 @@ pub(crate) struct ExpiryEffects {
     pub(crate) demoted_records: u64,
 }
 
-/// A rescore work item: one owned pair plus the windows to recompute
-/// (`None` = fresh pair, rescore all common windows).
-pub(crate) type RescoreJob = (PairKey, Option<Vec<WindowIdx>>);
+/// A rescore work item: one owned pair plus the windows to recompute,
+/// ascending (`None` = fresh pair, rescore all common windows). A pair
+/// with one dirty endpoint borrows that entity's window list from the
+/// tick's dirty list; only a pair dirty on both sides owns a merged one.
+pub(crate) type RescoreJob<'d> = (PairKey, Option<Cow<'d, [WindowIdx]>>);
 
-/// The result of rescoring one pair: the pair's *merged* contribution
-/// cache (untouched windows carried over, dirty windows recomputed,
-/// zeros dropped) plus its re-assembled edge score — computed on the
-/// worker so the barrier only patches. `None` = an endpoint history
-/// vanished; drop the pair.
+/// One window's unnormalized contribution to a pair's score.
+pub(crate) type Contribution = (WindowIdx, f64);
+
+/// One pair's cached contributions: strictly ascending by window, no
+/// zero entries (a window contributing zero is absent). Flat, so a
+/// rescore worker reads it as a borrowed slice and the owning shard
+/// patches it in place.
+pub(crate) type PairWindows = Vec<Contribution>;
+
+/// The result of rescoring one pair: only what changed — the *patch* —
+/// plus the pair's re-assembled edge score, computed on the worker so
+/// the barrier only patches. `None` = an endpoint history vanished;
+/// drop the pair.
 #[derive(Debug)]
 pub(crate) struct ScoredPair {
-    /// The pair's full window → contribution map after this tick.
-    pub(crate) windows: BTreeMap<WindowIdx, f64>,
-    /// How many windows were actually recomputed.
-    pub(crate) rescored: u64,
-    /// The normalized edge score over `windows` (`Σ contributions /
-    /// pair norm`); an edge exists iff it is strictly positive.
+    /// Every window recomputed this tick with its new contribution,
+    /// strictly ascending; a zero contribution means "drop the window".
+    pub(crate) patch: PairWindows,
+    /// The normalized edge score over the patched cache (`Σ
+    /// contributions / pair norm`, see [`merged_contributions`]); an
+    /// edge exists iff it is strictly positive.
     pub(crate) score: f64,
 }
 
 /// See [`ScoredPair`].
 pub(crate) type RescoreOutcome = (PairKey, Option<ScoredPair>);
+
+/// The contributions a pair's cache will hold once `patch` is applied,
+/// in ascending window order, without building that cache: a merge-walk
+/// of the two window-sorted slices in which a patched window overrides
+/// the cached one and a zero patch entry yields nothing. Summing it is
+/// the same left fold, over the same values in the same order, as
+/// summing the patched cache — which is what makes the worker-side edge
+/// score bit-identical to a from-scratch assembly.
+pub(crate) fn merged_contributions<'a>(
+    cached: &'a [Contribution],
+    patch: &'a [Contribution],
+) -> impl Iterator<Item = f64> + 'a {
+    // In streaming the patch lands at the cache's tail: everything
+    // below its first window passes through untouched.
+    let head = match patch.first() {
+        Some(&(first, _)) => cached.partition_point(|&(w, _)| w < first),
+        None => cached.len(),
+    };
+    let (untouched, mut cached) = cached.split_at(head);
+    let mut patch = patch;
+    let tail = std::iter::from_fn(move || loop {
+        let Some(&(wp, p)) = patch.first() else {
+            let (&(_, c), rest) = cached.split_first()?;
+            cached = rest;
+            return Some(c);
+        };
+        match cached.first() {
+            Some(&(wc, c)) if wc < wp => {
+                cached = &cached[1..];
+                return Some(c);
+            }
+            // Overridden: the cached value is not summed.
+            Some(&(wc, _)) if wc == wp => cached = &cached[1..],
+            _ => {}
+        }
+        patch = &patch[1..];
+        if p != 0.0 {
+            return Some(p);
+        }
+    });
+    untouched.iter().map(|&(_, c)| c).chain(tail)
+}
+
+/// Applies a [`ScoredPair::patch`] to a pair's cache in place — by
+/// binary search, except at the tail, where a streaming patch lands.
+fn apply_patch(windows: &mut PairWindows, patch: &[Contribution]) {
+    for &(w, c) in patch {
+        if windows.last().is_none_or(|&(last, _)| last < w) {
+            if c != 0.0 {
+                windows.push((w, c));
+            }
+            continue;
+        }
+        match windows.binary_search_by_key(&w, |&(cached, _)| cached) {
+            Ok(i) if c == 0.0 => {
+                windows.remove(i);
+            }
+            Ok(i) => windows[i].1 = c,
+            Err(i) if c != 0.0 => windows.insert(i, (w, c)),
+            Err(_) => {}
+        }
+    }
+}
 
 /// What applying a tick's rescore outcomes changed on this shard.
 #[derive(Debug, Default)]
@@ -200,9 +289,9 @@ pub(crate) struct EngineShard {
     pub(crate) window_entities: BTreeMap<WindowIdx, [BTreeSet<EntityId>; 2]>,
     /// LSH rings of homed entities (empty when LSH is disabled).
     pub(crate) rings: ShardRings,
-    /// Per owned candidate pair: window → unnormalized score
-    /// contribution.
-    pub(crate) cache: HashMap<PairKey, BTreeMap<WindowIdx, f64>>,
+    /// Per owned candidate pair: its per-window unnormalized score
+    /// contributions.
+    pub(crate) cache: HashMap<PairKey, PairWindows>,
     /// Owned pairs discovered since the last tick; their full common
     /// window set is scored at the next tick.
     pub(crate) fresh: HashSet<PairKey>,
@@ -461,7 +550,7 @@ impl EngineShard {
     /// contribution cache, a fresh mark, and both adjacency endpoints.
     pub(crate) fn add_candidate(&mut self, pair: PairKey) {
         if let std::collections::hash_map::Entry::Vacant(slot) = self.cache.entry(pair) {
-            slot.insert(BTreeMap::new());
+            slot.insert(PairWindows::new());
             self.fresh.insert(pair);
             self.adjacency.insert(pair);
         }
@@ -504,39 +593,55 @@ impl EngineShard {
     /// Builds this tick's rescore jobs: every owned fresh pair (all
     /// common windows) plus every owned pair adjacent to a globally
     /// dirty entity (exactly the union of its endpoints' dirty
-    /// windows). Sorted by pair for reproducible work lists.
-    pub(crate) fn gather_jobs(
+    /// windows). `dirty` is sorted by `(side, entity)`; the jobs come
+    /// back sorted by pair for reproducible work lists.
+    pub(crate) fn gather_jobs<'d>(
         &self,
-        dirty: &[(Side, EntityId, Vec<WindowIdx>)],
-    ) -> Vec<RescoreJob> {
-        let mut dirty_jobs: HashMap<PairKey, BTreeSet<WindowIdx>> = HashMap::new();
-        for (side, e, windows) in dirty {
-            let Some(pairs) = self.adjacency.pairs_of(*side, *e) else {
-                continue;
-            };
-            for &pair in pairs {
-                if self.fresh.contains(&pair) {
-                    continue;
-                }
-                dirty_jobs
-                    .entry(pair)
-                    .or_default()
-                    .extend(windows.iter().copied());
+        dirty: &'d [(Side, EntityId, Vec<WindowIdx>)],
+    ) -> Vec<RescoreJob<'d>> {
+        let (left, right) = dirty.split_at(dirty.partition_point(|&(s, ..)| s == Side::Left));
+        let windows_of = |block: &'d [(Side, EntityId, Vec<WindowIdx>)], e: EntityId| {
+            let at = block.binary_search_by_key(&e, |&(_, e, _)| e).ok()?;
+            Some(block[at].2.as_slice())
+        };
+        let mut jobs: Vec<RescoreJob> = self.fresh.iter().map(|&p| (p, None)).collect();
+        // A pair has one Left and one Right endpoint, so it is adjacent
+        // to at most one dirty entity per side: its window list is that
+        // entity's list, or the union of the two.
+        for (_, u, ws) in left {
+            let pairs = self
+                .adjacency
+                .pairs_of(Side::Left, *u)
+                .into_iter()
+                .flatten();
+            for &pair in pairs.filter(|p| !self.fresh.contains(p)) {
+                let windows = match windows_of(right, pair.1) {
+                    Some(other) => Cow::Owned(union_sorted(ws, other)),
+                    None => Cow::Borrowed(ws.as_slice()),
+                };
+                jobs.push((pair, Some(windows)));
             }
         }
-        let mut jobs: Vec<RescoreJob> = self.fresh.iter().map(|&p| (p, None)).collect();
-        jobs.extend(
-            dirty_jobs
+        for (_, v, ws) in right {
+            let pairs = self
+                .adjacency
+                .pairs_of(Side::Right, *v)
                 .into_iter()
-                .map(|(p, ws)| (p, Some(ws.into_iter().collect::<Vec<_>>()))),
-        );
+                .flatten();
+            for &pair in pairs.filter(|p| !self.fresh.contains(p)) {
+                // A dirty Left endpoint already produced this pair's job.
+                if windows_of(left, pair.0).is_none() {
+                    jobs.push((pair, Some(Cow::Borrowed(ws.as_slice()))));
+                }
+            }
+        }
         jobs.sort_unstable_by_key(|&(pair, _)| pair);
         jobs
     }
 
     /// Applies one tick's rescore outcomes to the owned pair cache —
-    /// swapping in the worker-merged window maps and patching the edge
-    /// cache — and resets the fresh/dirty marks.
+    /// patching each visited pair's windows in place and its entry in
+    /// the edge cache — and resets the fresh/dirty marks.
     pub(crate) fn apply_outcomes(&mut self, outcomes: Vec<RescoreOutcome>) -> ApplyReport {
         let mut report = ApplyReport::default();
         for (pair, scored) in outcomes {
@@ -550,13 +655,13 @@ impl EngineShard {
                     self.patch_edge(pair, None);
                 }
                 Some(scored) => {
-                    report.rescored_windows += scored.rescored;
-                    let score = (scored.score > 0.0).then_some(scored.score);
-                    if scored.windows.is_empty() {
+                    report.rescored_windows += scored.patch.len() as u64;
+                    let windows = self.cache.entry(pair).or_default();
+                    apply_patch(windows, &scored.patch);
+                    if windows.is_empty() {
                         report.emptied.push(pair);
                     }
-                    self.cache.insert(pair, scored.windows);
-                    self.patch_edge(pair, score);
+                    self.patch_edge(pair, (scored.score > 0.0).then_some(scored.score));
                 }
             }
         }
@@ -579,6 +684,16 @@ mod tests {
     use super::*;
     use geocell::LatLng;
 
+    /// A seeded xorshift generator: `next(n)` draws from `0..n`.
+    fn xorshift(mut x: u64) -> impl FnMut(u64) -> u64 {
+        move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) % n
+        }
+    }
+
     /// Random `apply_events` / `expire` sequences over a handful of
     /// sparse entities (so buffers park, activate, demote and re-buffer
     /// all the time). After every step the index invariant holds —
@@ -589,13 +704,7 @@ mod tests {
     #[test]
     fn pending_index_covers_every_parked_event_and_expires_with_the_window() {
         let cell = |k: u64| CellId::from_latlng(LatLng::from_degrees(20.0, k as f64), 12);
-        let mut x = 0xD1B5_4A32_D192_ED03u64;
-        let mut next = move |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x >> 33) % n
-        };
+        let mut next = xorshift(0xD1B5_4A32_D192_ED03u64);
         for (min_records, capacity) in [(2usize, 6u32), (5, 4), (1, 3), (3, 12)] {
             let mut shard = EngineShard::new(StorageMode::Arena, true);
             let (mut watermark, mut keep_from) = (0u32, 0u32);
@@ -652,6 +761,142 @@ mod tests {
             );
             assert!(pruned > 0, "min_records {min_records}: nothing pruned");
             assert!(demoted > 0, "min_records {min_records}: nothing demoted");
+        }
+    }
+
+    /// Random patch sequences against a `BTreeMap` oracle (the cache's
+    /// previous representation): tail inserts, mid-range inserts,
+    /// overwrites, zero-drops of present and absent windows, the empty
+    /// patch. After every step the flat cache holds the oracle's
+    /// entries, is empty exactly when the oracle is, and the fold a
+    /// worker computes *before* the patch is applied equals the sum
+    /// over the patched oracle bit for bit — the empty and all-zero
+    /// cases included.
+    #[test]
+    fn flat_cache_patches_like_a_btreemap_and_folds_bit_identically() {
+        let mut next = xorshift(0xA076_1D64_78BD_642Fu64);
+        let (mut emptied, mut mid_inserts, mut absent_drops, mut all_zero) = (0, 0, 0, 0);
+        for _ in 0..60 {
+            let mut flat = PairWindows::new();
+            let mut oracle: BTreeMap<WindowIdx, f64> = BTreeMap::new();
+            let mut frontier: WindowIdx = 0;
+            for step in 0..200 {
+                // 0..4 distinct ascending windows: mostly at or past the
+                // frontier (the streaming shape), sometimes anywhere.
+                let mut windows: BTreeSet<WindowIdx> = BTreeSet::new();
+                for _ in 0..next(5) {
+                    windows.insert(match next(3) {
+                        0 => next(u64::from(frontier) + 1) as WindowIdx,
+                        _ => frontier + next(3) as WindowIdx,
+                    });
+                }
+                let wipe = next(12) == 0;
+                let patch: PairWindows = if wipe {
+                    oracle.keys().map(|&w| (w, 0.0)).collect()
+                } else {
+                    let value = |n: u64| match n {
+                        0 => 0.0,
+                        1 => -0.0,
+                        // Mixed signs and magnitudes, so the fold's
+                        // order shows in its low bits.
+                        n => (n as f64 - 500.0) * 1.000_000_1e-3,
+                    };
+                    windows.iter().map(|&w| (w, value(next(1000)))).collect()
+                };
+                frontier = frontier.max(patch.last().map_or(0, |&(w, _)| w));
+                all_zero += usize::from(!patch.is_empty() && patch.iter().all(|&(_, c)| c == 0.0));
+
+                let folded: f64 = merged_contributions(&flat, &patch).sum();
+                for &(w, c) in &patch {
+                    let cached = oracle.contains_key(&w);
+                    absent_drops += usize::from(c == 0.0 && !cached);
+                    mid_inserts += usize::from(
+                        c != 0.0 && !cached && oracle.keys().next_back().is_some_and(|&l| w < l),
+                    );
+                    if c == 0.0 {
+                        oracle.remove(&w);
+                    } else {
+                        oracle.insert(w, c);
+                    }
+                }
+                apply_patch(&mut flat, &patch);
+
+                let expected: Vec<(WindowIdx, u64)> =
+                    oracle.iter().map(|(&w, c)| (w, c.to_bits())).collect();
+                let got: Vec<(WindowIdx, u64)> =
+                    flat.iter().map(|&(w, c)| (w, c.to_bits())).collect();
+                assert_eq!(got, expected, "step {step}, patch {patch:?}");
+                assert_eq!(flat.is_empty(), oracle.is_empty(), "step {step}");
+                let summed: f64 = oracle.values().sum();
+                assert_eq!(
+                    folded.to_bits(),
+                    summed.to_bits(),
+                    "step {step}: fold {folded:e} vs oracle sum {summed:e}, patch {patch:?}"
+                );
+                emptied += usize::from(flat.is_empty() && !patch.is_empty());
+            }
+        }
+        // The sequences exercised what they claim to.
+        assert!(emptied > 0 && mid_inserts > 0 && absent_drops > 0 && all_zero > 0);
+    }
+
+    /// `gather_jobs` against the per-tick `HashMap<PairKey, BTreeSet>`
+    /// union it replaced: same pairs, same window lists, same order —
+    /// for pairs dirty on the Left, on the Right, on both, on neither,
+    /// and fresh.
+    #[test]
+    fn gathered_jobs_are_the_union_of_the_endpoints_dirty_windows() {
+        let mut next = xorshift(0x2545_F491_4F6C_DD1Du64);
+        for round in 0..50 {
+            let mut shard = EngineShard::new(StorageMode::Arena, false);
+            for _ in 0..next(30) {
+                shard.add_candidate((EntityId(next(6)), EntityId(next(6))));
+            }
+            // Some pairs stay fresh, the rest have been scored before.
+            let scored: Vec<PairKey> = shard
+                .fresh
+                .iter()
+                .copied()
+                .filter(|_| next(3) > 0)
+                .collect();
+            for pair in &scored {
+                shard.fresh.remove(pair);
+            }
+            let mut dirty: Vec<(Side, EntityId, Vec<WindowIdx>)> = Vec::new();
+            for side in [Side::Left, Side::Right] {
+                for e in 0..7 {
+                    if next(2) == 0 {
+                        continue;
+                    }
+                    let windows: BTreeSet<WindowIdx> =
+                        (0..1 + next(4)).map(|_| next(8) as u32).collect();
+                    dirty.push((side, EntityId(e), windows.into_iter().collect()));
+                }
+            }
+
+            let mut union: HashMap<PairKey, BTreeSet<WindowIdx>> = HashMap::new();
+            for (side, e, windows) in &dirty {
+                for &pair in shard.adjacency.pairs_of(*side, *e).into_iter().flatten() {
+                    if !shard.fresh.contains(&pair) {
+                        union.entry(pair).or_default().extend(windows);
+                    }
+                }
+            }
+            let mut expected: Vec<(PairKey, Option<Vec<WindowIdx>>)> =
+                shard.fresh.iter().map(|&p| (p, None)).collect();
+            expected.extend(
+                union
+                    .into_iter()
+                    .map(|(p, ws)| (p, Some(ws.into_iter().collect()))),
+            );
+            expected.sort_unstable();
+
+            let got: Vec<(PairKey, Option<Vec<WindowIdx>>)> = shard
+                .gather_jobs(&dirty)
+                .into_iter()
+                .map(|(p, ws)| (p, ws.map(Cow::into_owned)))
+                .collect();
+            assert_eq!(got, expected, "round {round}, dirty {dirty:?}");
         }
     }
 
