@@ -545,6 +545,14 @@ impl StreamEngine {
         out
     }
 
+    /// The shard partition, the merged `[left, right]` df statistics and
+    /// the watermark, read-only — what
+    /// [`crate::testing::RecomputeOracle`] compares against a
+    /// recomputation from the events.
+    pub(crate) fn windowed_state(&self) -> (&[EngineShard], &[DfStats; 2], WindowIdx) {
+        (&self.shards, &self.df, self.watermark)
+    }
+
     fn lsh_level(&self) -> Option<u8> {
         self.lsh.as_ref().map(|l| l.geom.spatial_level)
     }

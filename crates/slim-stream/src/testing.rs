@@ -8,11 +8,23 @@
 //! replays an exact script of batches, stalls, EOF, and errors, and
 //! [`VirtualClock`] is an explicitly advanced clock that plugs into
 //! [`crate::source::SyntheticSource`]'s rate control.
+//!
+//! [`RecomputeOracle`] is the reference the engine's incrementally
+//! maintained windowed state is held to: the batch builder, run over
+//! the events the engine was fed.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use crate::event::StreamEvent;
+use slim_core::similarity::{common_windows, SimilarityScorer};
+use slim_core::{EntityId, HistorySet, LinkageStats, LocationDataset, MobilityHistory, WindowIdx};
+
+use crate::adjacency::PairKey;
+use crate::config::StreamConfig;
+use crate::engine::{LinkUpdate, StreamEngine};
+use crate::event::{Side, StreamEvent};
+use crate::shard::{entity_shard, Contribution, EngineShard, PairWindows};
 use crate::source::channel::Sender;
 use crate::source::{Clock, ConnMessage, FanIn, SourcePoll, StreamSource};
 
@@ -235,6 +247,341 @@ impl FaultPlan {
             ..Self::default()
         }
     }
+}
+
+/// What a [`RecomputeOracle`] has seen the engine do, summed over its
+/// checks — so a suite can assert that its runs were not vacuous.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OracleCoverage {
+    /// State checks run (one per fed chunk and per manual tick).
+    pub checks: u64,
+    /// Pair-cache checks run (one per refresh tick).
+    pub ticks: u64,
+    /// Entities whose history was live at one check and gone at the next.
+    pub removed_entities: u64,
+    /// Removed entities whose history came back.
+    pub reactivated_entities: u64,
+    /// Cached `(pair, window)` contributions equal to their recomputation.
+    pub fresh_contributions: u64,
+    /// Cached contributions carried over from an earlier tick with their
+    /// window's bins unchanged — the lazily refreshed ones.
+    pub carried_contributions: u64,
+}
+
+/// The pair caches and the rebuilt histories as of the previous tick.
+#[derive(Debug)]
+struct TickState {
+    sets: [HistorySet; 2],
+    cache: HashMap<PairKey, PairWindows>,
+    edges: HashMap<PairKey, f64>,
+}
+
+/// Holds an engine's windowed state to **recomputation from the events
+/// it was fed**: the maintained state must be a function of the live
+/// event slice, however it was reached.
+///
+/// Drive the engine through [`RecomputeOracle::ingest`] and
+/// [`RecomputeOracle::refresh`] only. After every chunk the oracle cuts
+/// the live slice — every fed event whose window is at or above
+/// `watermark + 1 − window_capacity`, the engine's own expiry rule —
+/// runs it through the batch path (`filter_min_records`, then
+/// [`HistorySet::build`] with the engine's scheme and spatial level) and
+/// compares, per side: the active and the pending (min-records) entity
+/// sets with their buffer sizes, every history as the engine
+/// materializes it and as its store exports it (windows, bins, counts,
+/// per-window record counts), and the merged df statistics.
+///
+/// After every tick it also checks each cached pair. Contributions are
+/// refreshed lazily (an untouched window keeps the idf it was last
+/// scored with), so the contract is: a cached `(window, contribution)`
+/// is bit-equal to [`SimilarityScorer::window_contribution`] over the
+/// rebuilt histories, **or** it is bit-equal to what the cache held at
+/// the previous tick *and* neither endpoint's bins in that window moved
+/// since. The cached edge score is `Σ cached / pair_norm` over the
+/// rebuilt sets under the same rule (stale only if nothing of the pair
+/// moved), no cached pair has an endpoint outside the live slice, and
+/// without LSH the cached pairs are exactly `active × active`.
+#[derive(Debug, Default)]
+pub struct RecomputeOracle {
+    fed: Vec<StreamEvent>,
+    /// Events accepted since the last tick — the engine's own counter,
+    /// mirrored so that chunks can end on tick boundaries.
+    since_tick: usize,
+    prev: Option<TickState>,
+    /// Per side: entities live at the previous check, and those that
+    /// were ever removed.
+    live: [BTreeSet<EntityId>; 2],
+    removed: [BTreeSet<EntityId>; 2],
+    coverage: OracleCoverage,
+}
+
+impl RecomputeOracle {
+    /// An oracle for a fresh engine.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// What the checks so far have covered.
+    pub fn coverage(&self) -> OracleCoverage {
+        self.coverage
+    }
+
+    /// Feeds `events` through [`StreamEngine::ingest_batch`], cut so
+    /// that an automatic tick can only fire on a chunk's last event, and
+    /// checks the engine after every chunk (pairs too when it ticked).
+    pub fn ingest(
+        &mut self,
+        engine: &mut StreamEngine,
+        events: &[StreamEvent],
+    ) -> Result<Vec<LinkUpdate>, String> {
+        let every = engine.config().refresh_every;
+        let mut updates = Vec::new();
+        let mut rest = events;
+        while !rest.is_empty() {
+            // The tick fires on the `every`-th accepted event: a chunk
+            // no longer than the rest of the interval ends at or before it.
+            let room = match every {
+                0 => rest.len(),
+                n => (n - self.since_tick).min(rest.len()),
+            };
+            let (chunk, tail) = rest.split_at(room);
+            rest = tail;
+            let before = *engine.stats();
+            updates.extend(engine.ingest_batch(chunk));
+            self.fed.extend_from_slice(chunk);
+            let ticked = engine.stats().ticks > before.ticks;
+            self.since_tick = match ticked {
+                true => 0,
+                false => self.since_tick + (engine.stats().events - before.events) as usize,
+            };
+            self.check(engine, ticked)?;
+        }
+        Ok(updates)
+    }
+
+    /// Runs a manual tick and checks the engine after it.
+    pub fn refresh(&mut self, engine: &mut StreamEngine) -> Result<Vec<LinkUpdate>, String> {
+        let updates = engine.refresh();
+        self.since_tick = 0;
+        self.check(engine, true)?;
+        Ok(updates)
+    }
+
+    fn check(&mut self, engine: &StreamEngine, ticked: bool) -> Result<(), String> {
+        let Some(&scheme) = engine.scheme() else {
+            return Ok(());
+        };
+        let cfg = engine.config();
+        let (shards, df, watermark) = engine.windowed_state();
+        let keep_from = cfg
+            .window_capacity
+            .map_or(0, |cap| watermark.saturating_add(1).saturating_sub(cap));
+        let min_records = cfg.slim.min_records;
+        self.coverage.checks += 1;
+
+        let mut sets = Vec::with_capacity(2);
+        for side in [Side::Left, Side::Right] {
+            let i = side.idx();
+            let live = self
+                .fed
+                .iter()
+                .filter(|ev| ev.side == side && scheme.window_of(ev.time) >= keep_from);
+            let mut window_records: HashMap<EntityId, BTreeMap<WindowIdx, u32>> = HashMap::new();
+            for ev in live.clone() {
+                let counts = window_records.entry(ev.entity).or_default();
+                *counts.entry(scheme.window_of(ev.time)).or_insert(0) += 1;
+            }
+            let mut dataset = LocationDataset::from_records(live.map(StreamEvent::to_record));
+
+            // The min-records filter splits the slice's entities into
+            // parked and active.
+            let parked: BTreeMap<EntityId, usize> = dataset
+                .entities()
+                .map(|e| (e, dataset.records_of(e).len()))
+                .filter(|&(_, n)| n <= min_records)
+                .collect();
+            let pending: BTreeMap<EntityId, usize> = shards
+                .iter()
+                .flat_map(|s| s.pending()[i].iter().map(|(&e, buffer)| (e, buffer.len())))
+                .collect();
+            if pending != parked {
+                return Err(format!(
+                    "{side:?} pending buffers {pending:?}, the live slice parks {parked:?}"
+                ));
+            }
+            dataset.filter_min_records(min_records);
+            let set = HistorySet::build(&dataset, scheme, cfg.slim.spatial_level, watermark + 1);
+            let want_active = set.entities_sorted();
+            let mut active: Vec<EntityId> = shards
+                .iter()
+                .flat_map(|s| s.active[i].iter().copied())
+                .collect();
+            active.sort_unstable();
+            if active != want_active || engine.tracked_entities_sorted(side) != want_active {
+                return Err(format!(
+                    "{side:?} active {active:?}, tracked {:?}, the live slice keeps {want_active:?}",
+                    engine.tracked_entities_sorted(side)
+                ));
+            }
+            if df[i] != *set.df_stats() {
+                return Err(format!(
+                    "{side:?} df statistics diverged: {} bins / {} entities maintained, {} / {} \
+                     recomputed (or a per-bin frequency differs)",
+                    df[i].total_bins(),
+                    df[i].num_entities(),
+                    set.df_stats().total_bins(),
+                    set.df_stats().num_entities()
+                ));
+            }
+            for &e in &want_active {
+                let want = set.history(e).expect("listed by the set");
+                let have = engine.history(side, e).expect("tracked");
+                if !same_bins(&have, want)
+                    || (have.num_bins(), have.num_records())
+                        != (want.num_bins(), want.num_records())
+                {
+                    return Err(format!("{side:?} {e:?}: materialized history diverged"));
+                }
+                let dump = shards[entity_shard(side, e, shards.len())].histories[i]
+                    .export_entity(e)
+                    .expect("tracked");
+                let columns = want
+                    .windows()
+                    .flat_map(|w| want.bins_in(w).iter().map(move |&(c, n)| (w, c, n)));
+                let exported =
+                    (0..dump.wins.len()).map(|k| (dump.wins[k], dump.cells[k], dump.counts[k]));
+                if dump.cells.len() != dump.wins.len()
+                    || dump.counts.len() != dump.wins.len()
+                    || !exported.eq(columns)
+                {
+                    return Err(format!("{side:?} {e:?}: stored columns diverged"));
+                }
+                if !dump
+                    .window_records
+                    .iter()
+                    .copied()
+                    .eq(window_records[&e].iter().map(|(&w, &n)| (w, n)))
+                {
+                    return Err(format!(
+                        "{side:?} {e:?}: per-window record counts {:?}, the live slice has {:?}",
+                        dump.window_records, window_records[&e]
+                    ));
+                }
+            }
+
+            let now: BTreeSet<EntityId> = want_active.into_iter().collect();
+            for &e in self.live[i].difference(&now) {
+                self.removed[i].insert(e);
+                self.coverage.removed_entities += 1;
+            }
+            let returned = now.difference(&self.live[i]);
+            self.coverage.reactivated_entities +=
+                returned.filter(|e| self.removed[i].contains(e)).count() as u64;
+            self.live[i] = now;
+            sets.push(set);
+        }
+        if ticked {
+            let [left, right]: [HistorySet; 2] = sets.try_into().expect("two sides");
+            self.check_pairs(cfg, shards, [left, right])?;
+        }
+        Ok(())
+    }
+
+    fn check_pairs(
+        &mut self,
+        cfg: &StreamConfig,
+        shards: &[EngineShard],
+        sets: [HistorySet; 2],
+    ) -> Result<(), String> {
+        self.coverage.ticks += 1;
+        let scorer = SimilarityScorer::new(&cfg.slim, &sets[0], &sets[1]);
+        let prev = self.prev.as_ref();
+        let bits_at = |list: &[Contribution], w: WindowIdx| {
+            let at = list.binary_search_by_key(&w, |&(cached, _)| cached).ok()?;
+            Some(list[at].1.to_bits())
+        };
+        let mut unused = LinkageStats::default();
+        let mut cache = HashMap::new();
+        let mut edges = HashMap::new();
+        for shard in shards {
+            if let Some(orphan) = shard.edges.keys().find(|p| !shard.cache.contains_key(p)) {
+                return Err(format!("edge {orphan:?} has no cached pair"));
+            }
+            edges.extend(shard.edges.iter().map(|(&pair, &score)| (pair, score)));
+            for (&pair, cached) in &shard.cache {
+                let (Some(hu), Some(hv)) = (sets[0].history(pair.0), sets[1].history(pair.1))
+                else {
+                    return Err(format!(
+                        "cached pair {pair:?} has an endpoint outside the live slice"
+                    ));
+                };
+                if cached.windows(2).any(|p| p[0].0 >= p[1].0) || cached.iter().any(|c| c.1 == 0.0)
+                {
+                    return Err(format!(
+                        "pair {pair:?}: cache not ascending or holds a zero"
+                    ));
+                }
+                let prev_cached = prev.and_then(|p| p.cache.get(&pair));
+                let prev_u = prev.and_then(|p| p.sets[0].history(pair.0));
+                let prev_v = prev.and_then(|p| p.sets[1].history(pair.1));
+                let windows: BTreeSet<WindowIdx> = common_windows(hu, hv)
+                    .chain(cached.iter().map(|&(w, _)| w))
+                    .collect();
+                for w in windows {
+                    let fresh = scorer.window_contribution(hu, hv, w, &mut unused);
+                    let want = (fresh != 0.0).then(|| fresh.to_bits());
+                    let have = bits_at(cached, w);
+                    if have == want {
+                        self.coverage.fresh_contributions += 1;
+                        continue;
+                    }
+                    let carried = prev_cached.is_some_and(|p| bits_at(p, w) == have)
+                        && prev_u.is_some_and(|p| p.bins_in(w) == hu.bins_in(w))
+                        && prev_v.is_some_and(|p| p.bins_in(w) == hv.bins_in(w));
+                    if !carried {
+                        return Err(format!(
+                            "pair {pair:?} window {w}: cached {:?}, recomputed {fresh:?}, and it \
+                             is not a value carried over an unchanged window",
+                            have.map(f64::from_bits)
+                        ));
+                    }
+                    self.coverage.carried_contributions += 1;
+                }
+                let sum: f64 = cached.iter().map(|&(_, c)| c).sum();
+                let score = sum / scorer.pair_norm(pair.0, pair.1);
+                let want = (score > 0.0).then(|| score.to_bits());
+                let have = shard.edges.get(&pair).map(|s| s.to_bits());
+                let untouched = || {
+                    prev.is_some_and(|p| p.edges.get(&pair).map(|s| s.to_bits()) == have)
+                        && prev_cached == Some(cached)
+                        && prev_u.is_some_and(|p| same_bins(p, hu))
+                        && prev_v.is_some_and(|p| same_bins(p, hv))
+                };
+                if have != want && !untouched() {
+                    return Err(format!(
+                        "pair {pair:?}: edge {:?}, recomputed {score:?}, and the pair moved \
+                         since the last tick",
+                        have.map(f64::from_bits)
+                    ));
+                }
+                cache.insert(pair, cached.clone());
+            }
+        }
+        let cross = sets[0].num_entities() * sets[1].num_entities();
+        if cfg.lsh.is_none() && cache.len() != cross {
+            return Err(format!(
+                "{} cached pairs, brute force over the live slice has {cross}",
+                cache.len()
+            ));
+        }
+        self.prev = Some(TickState { sets, cache, edges });
+        Ok(())
+    }
+}
+
+/// Same windows, same bins in each.
+fn same_bins(a: &MobilityHistory, b: &MobilityHistory) -> bool {
+    a.windows().eq(b.windows()) && a.windows().all(|w| a.bins_in(w) == b.bins_in(w))
 }
 
 /// A manually advanced monotone clock for rate-control tests. Cloning

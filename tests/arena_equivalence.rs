@@ -1,44 +1,69 @@
-//! Storage-representation invariance: the columnar arena history store
-//! ([`slim::core::arena::HistoryArena`], `StorageMode::Arena`) must be
-//! **observationally identical** to the pointer-chasing legacy store
-//! (`StorageMode::Legacy`) on arbitrary event streams — served links,
-//! emitted update streams, work counters, scoring statistics, candidate
-//! sets, and the finalized output, all bit-for-bit, for every shard
-//! count and every worker count. This is the acceptance contract of the
-//! struct-of-arrays refactor: the arena may only change *where bins
-//! live in memory*, never the sequence of floating-point operations
-//! that scores them.
+//! The engine's windowed state against **recomputation**: every replay
+//! here is driven through [`RecomputeOracle`], which after every chunk
+//! rebuilds the live event slice through the batch path and compares it
+//! with what the engine maintained incrementally — histories, df
+//! statistics, the active and pending entity sets, and at every tick the
+//! cached per-pair contributions and edge scores (see the oracle's docs
+//! for the exact contract). On top of that, everything observable about
+//! a replay — served links, emitted update streams, work counters,
+//! scoring statistics, candidate sets, the finalized output — must be
+//! bit-identical for every storage mode, shard count and worker count.
+//!
+//! The properties also assert that, summed over their cases, the runs
+//! were not vacuous: windows were evicted, entities expired away and
+//! came back, the min-records filter demoted and re-activated, events
+//! arrived too late, arenas compacted, and lazily refreshed
+//! contributions were actually carried across ticks.
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use slim::core::{EntityId, LinkageStats, Timestamp};
 use slim::geo::LatLng;
 use slim::lsh::LshConfig;
+use slim::stream::testing::{OracleCoverage, RecomputeOracle};
 use slim::stream::{
     LinkUpdate, Side, StorageMode, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig,
     StreamStats,
 };
 
+const CASES: u32 = 12;
+
 /// Raw tuples → events. Entities orbit one of a few regional anchors
 /// (so some cross-side pairs genuinely collide and link while others
-/// never meet), timestamps land in ~33 windows of 900 s, and the stream
-/// is deliberately left unsorted: out-of-order and late events are part
-/// of the contract. Entity churn (sliding window + min-records
-/// oscillation) exercises arena eviction, tombstoning, and compaction.
+/// never meet). Event time advances through ~33 windows of 900 s over
+/// the stream, each event lagging its slot by up to ~3 windows — so the
+/// window slides steadily and arrivals are out of order inside it — and
+/// one in ten by up to half the span, which is what arrives too late.
+/// One event in five is a region record (one record, several bins: the
+/// per-window record counts must stay exact). With ~20 entities and 8
+/// live windows, most entities hover around the min-records threshold:
+/// demotion, re-activation, eviction to empty, tombstones and arena
+/// compaction all happen in a few hundred events.
 fn arb_events() -> impl Strategy<Value = Vec<StreamEvent>> {
-    prop::collection::vec((0u8..2, 0u64..10, 0.0f64..0.01, 0i64..30_000), 40..300).prop_map(|raw| {
+    let raw = (0u8..2, 0u64..10, 0.0f64..0.01, 0i64..30_000, 0u8..5);
+    prop::collection::vec(raw, 40..300).prop_map(|raw| {
+        let n = raw.len() as i64;
         raw.into_iter()
-            .map(|(side, entity, jitter, t)| {
+            .enumerate()
+            .map(|(k, (side, entity, jitter, lag, region_die))| {
                 let side = if side == 0 { Side::Left } else { Side::Right };
                 let region = (entity % 3) as f64;
                 let lat = -20.0 + 18.0 * region + jitter;
                 let lng = -100.0 + 40.0 * region + 100.0 * jitter;
-                StreamEvent::new(
+                let lag = if lag % 10 == 0 { lag / 2 } else { lag / 10 };
+                let t = (k as i64 * 30_000 / n - lag).max(0);
+                let mut ev = StreamEvent::new(
                     side,
                     EntityId(entity),
                     LatLng::from_degrees(lat, lng),
                     Timestamp(t),
-                )
+                );
+                if region_die == 0 {
+                    ev.accuracy_m = 2_000.0;
+                }
+                ev
             })
             .collect()
     })
@@ -59,27 +84,99 @@ struct Observation {
     finalized: Vec<(EntityId, EntityId, f64)>,
 }
 
+/// What the runs of one property exercised, summed over its cases.
+#[derive(Debug, Default)]
+struct Exercised {
+    cases: u32,
+    oracle: OracleCoverage,
+    evicted_windows: u64,
+    demoted_entities: u64,
+    late_dropped: u64,
+    arena_compactions: u64,
+}
+
+impl Exercised {
+    const fn new() -> Self {
+        Self {
+            cases: 0,
+            oracle: OracleCoverage {
+                checks: 0,
+                ticks: 0,
+                removed_entities: 0,
+                reactivated_entities: 0,
+                fresh_contributions: 0,
+                carried_contributions: 0,
+            },
+            evicted_windows: 0,
+            demoted_entities: 0,
+            late_dropped: 0,
+            arena_compactions: 0,
+        }
+    }
+
+    fn absorb(&mut self, oracle: OracleCoverage, stats: &StreamStats) {
+        let o = &mut self.oracle;
+        o.checks += oracle.checks;
+        o.ticks += oracle.ticks;
+        o.removed_entities += oracle.removed_entities;
+        o.reactivated_entities += oracle.reactivated_entities;
+        o.fresh_contributions += oracle.fresh_contributions;
+        o.carried_contributions += oracle.carried_contributions;
+        self.evicted_windows += stats.evicted_windows;
+        self.demoted_entities += stats.demoted_entities;
+        self.late_dropped += stats.late_dropped;
+        self.arena_compactions += stats.arena_compactions;
+    }
+
+    /// Closes one case; after the last one, the sums must show that the
+    /// oracle was looking at every maintenance path.
+    fn close_case(&mut self) {
+        self.cases += 1;
+        if self.cases < CASES {
+            return;
+        }
+        let o = self.oracle;
+        assert!(
+            o.ticks > 0
+                && o.removed_entities > 0
+                && o.reactivated_entities > 0
+                && o.fresh_contributions > 0
+                && o.carried_contributions > 0
+                && self.evicted_windows > 0
+                && self.demoted_entities > 0
+                && self.late_dropped > 0
+                && self.arena_compactions > 0,
+            "vacuous runs: {self:?}"
+        );
+    }
+}
+
+/// Replays `events` through the oracle (every chunk and every tick is
+/// checked against recomputation) and returns what was observable.
 fn replay(
     events: &[StreamEvent],
     mut cfg: StreamConfig,
     storage: StorageMode,
     shards: usize,
     workers: usize,
-) -> Observation {
+    exercised: &Mutex<Exercised>,
+) -> Result<Observation, String> {
     cfg.storage = storage;
     cfg.num_shards = shards;
     cfg.num_workers = workers;
+    let context = |e| format!("{storage:?}, {shards} shards, {workers} workers: {e}");
     let mut engine = StreamEngine::new(cfg).expect("valid config");
-    let mut updates = Vec::new();
-    // Mixed ingestion paths: batched chunks with ticks firing inside.
-    for chunk in events.chunks(53) {
-        updates.extend(engine.ingest_batch(chunk));
-    }
-    updates.extend(engine.refresh());
+    let mut oracle = RecomputeOracle::new();
+    let mut updates = oracle.ingest(&mut engine, events).map_err(context)?;
+    updates.extend(oracle.refresh(&mut engine).map_err(context)?);
     let served = engine.links().to_vec();
     let stats = *engine.stats();
     let scoring = *engine.scoring_stats();
     let candidate_pairs = engine.num_candidate_pairs();
+    exercised
+        .lock()
+        .expect("coverage lock")
+        .absorb(oracle.coverage(), &stats);
     let finalized = engine
         .into_finalized()
         .expect("finalize")
@@ -87,25 +184,29 @@ fn replay(
         .into_iter()
         .map(|e| (e.left, e.right, e.weight))
         .collect();
-    Observation {
+    Ok(Observation {
         updates,
         served,
         stats,
         scoring,
         candidate_pairs,
         finalized,
-    }
+    })
 }
 
+static BRUTE: Mutex<Exercised> = Mutex::new(Exercised::new());
+static LSH: Mutex<Exercised> = Mutex::new(Exercised::new());
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     // Brute-force candidates, sliding window (arena eviction +
-    // demotion re-buffering in play), mid-stream ticks. The legacy
-    // single-shard replay is the reference; the arena must match it at
-    // every shard × worker combination — including the shard counts
-    // that split linked pairs across shard boundaries and the worker
-    // counts that dispatch rescore chunks through the stealing pool.
+    // demotion re-buffering in play), mid-stream ticks. Every replay
+    // is held to recomputation by the oracle; the legacy single-shard
+    // replay is the reference the arena must also match at every shard
+    // × worker combination — including the shard counts that split
+    // linked pairs across shard boundaries and the worker counts that
+    // dispatch rescore chunks through the stealing pool.
     #[test]
     fn arena_is_bit_identical_to_legacy_store(events in arb_events()) {
         let cfg = StreamConfig {
@@ -117,10 +218,11 @@ proptest! {
             },
             ..StreamConfig::default()
         };
-        let reference = replay(&events, cfg, StorageMode::Legacy, 1, 1);
+        let reference = replay(&events, cfg, StorageMode::Legacy, 1, 1, &BRUTE);
+        prop_assert!(reference.is_ok(), "{}", reference.unwrap_err());
         for shards in [1usize, 2, 4, 7] {
             for workers in [1usize, 2, 4] {
-                let arena = replay(&events, cfg, StorageMode::Arena, shards, workers);
+                let arena = replay(&events, cfg, StorageMode::Arena, shards, workers, &BRUTE);
                 prop_assert!(
                     reference == arena,
                     "arena ({} shards, {} workers) diverged from legacy:\n{:#?}\nvs\n{:#?}",
@@ -130,8 +232,9 @@ proptest! {
         }
         // And the legacy store itself stays shard-invariant with the
         // refactored façade in front of it.
-        let legacy4 = replay(&events, cfg, StorageMode::Legacy, 4, 2);
+        let legacy4 = replay(&events, cfg, StorageMode::Legacy, 4, 2, &BRUTE);
         prop_assert!(reference == legacy4, "legacy 4-shard diverged from 1-shard");
+        BRUTE.lock().expect("coverage lock").close_case();
     }
 
     // LSH candidate discovery over arena-backed histories: ring
@@ -156,14 +259,16 @@ proptest! {
             }),
             ..StreamConfig::default()
         };
-        let reference = replay(&events, cfg, StorageMode::Legacy, 1, 1);
-        for (shards, workers) in [(2usize, 1usize), (4, 2), (7, 4)] {
-            let arena = replay(&events, cfg, StorageMode::Arena, shards, workers);
+        let reference = replay(&events, cfg, StorageMode::Legacy, 1, 1, &LSH);
+        prop_assert!(reference.is_ok(), "{}", reference.unwrap_err());
+        for (shards, workers) in [(1usize, 1usize), (2, 1), (4, 2), (7, 4)] {
+            let arena = replay(&events, cfg, StorageMode::Arena, shards, workers, &LSH);
             prop_assert!(
                 reference == arena,
                 "LSH arena ({} shards, {} workers) diverged from legacy:\n{:#?}\nvs\n{:#?}",
                 shards, workers, reference, arena
             );
         }
+        LSH.lock().expect("coverage lock").close_case();
     }
 }
