@@ -22,8 +22,8 @@
 //!    channel, watermark reorder buffer. Reports sustained events/s
 //!    plus the backpressure counters (`blocked_producer_ns`,
 //!    `queue_high_watermark`) and asserts nothing was dropped or late.
-//!    `--source synthetic` runs this phase plus the serve, kernel, and
-//!    connection phases (the CI smoke form:
+//!    `--source synthetic` runs this phase plus the serve, connection
+//!    and checkpoint phases (the CI smoke form:
 //!    `cargo bench --bench streaming -- --source synthetic --smoke`),
 //!    and is followed by **serve** — the same drive repeated with a
 //!    loopback link-query client hammering the epoch-snapshot read
@@ -37,19 +37,7 @@
 //!    **bit-identical across every worker count** and that chunks
 //!    were actually stolen (`steal_events > 0`); the speedup over the
 //!    sweep's smallest worker count is reported, not asserted;
-//! 6. **kernel** — the rescore scoring kernel measured through both
-//!    history representations: the same tick-heavy replay once over
-//!    the columnar arena store (`StorageMode::Arena`, the default) and
-//!    once over the legacy per-entity map (`StorageMode::Legacy`),
-//!    with telemetry on so the per-window `score_kernel_ns` histogram
-//!    is live. Reports events/s and ns per rescored window for each
-//!    representation and asserts the kernel actually ran
-//!    (`score_kernel` count > 0) and that the two replays are
-//!    **bit-identical** — links, counters, scoring stats, candidates,
-//!    and finalized output. Runs in the `--source synthetic` CI smoke
-//!    form too, so `score_kernel_ns` lands in `BENCH_STREAMING.json`
-//!    on every CI run;
-//! 7. **connections** — the multi-connection ingest tier: the replay is
+//! 6. **connections** — the multi-connection ingest tier: the replay is
 //!    dealt round-robin to N loopback TCP clients whose feeds the
 //!    accept loop fans into the engine through the MPSC channel and the
 //!    watermark frontier merge. One record per connection count (16 in
@@ -60,7 +48,7 @@
 //!    where each client paces itself with a seeded on/off
 //!    (`slim::datagen::bursty_offsets`) schedule, the uneven-rate
 //!    regime the frontier merge exists for;
-//! 8. **checkpoint** — the ingest drive run once with durability off
+//! 7. **checkpoint** — the ingest drive run once with durability off
 //!    and once writing CRC-framed checkpoints every 20k events
 //!    (keep-2 retention) into a scratch directory, reporting the
 //!    events/s overhead of the checkpoint path and the write-latency
@@ -109,9 +97,7 @@ const PHASE_FLOOR_EVENTS_PER_SEC: f64 = 15_000.0;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 use slim::lsh::LshConfig;
-use slim::stream::{
-    merge_datasets, PoolMode, StorageMode, StreamConfig, StreamEngine, StreamLshConfig,
-};
+use slim::stream::{merge_datasets, PoolMode, StreamConfig, StreamEngine, StreamLshConfig};
 use slim::telemetry::JsonObj;
 
 /// The `BENCH_STREAMING.json` envelope layout. Bumped whenever the
@@ -533,7 +519,7 @@ fn run_serve_phase(log: &mut BenchLog, events: &[slim::stream::StreamEvent]) {
     );
 }
 
-/// Phase 7: the multi-connection ingest tier over real loopback
+/// Phase 6: the multi-connection ingest tier over real loopback
 /// sockets. For each connection count the replay is dealt round-robin
 /// to that many TCP clients; each client's wire bytes are rendered
 /// before the clock starts, so the timed region is accept → parse →
@@ -643,7 +629,7 @@ fn run_connections_phase(
     rate_at_max
 }
 
-/// Phase 7b: the same tier under *bursty* feeds — each client paces
+/// Phase 6b: the same tier under *bursty* feeds — each client paces
 /// itself with a seeded on/off schedule (`slim::datagen`), so the
 /// tier sees dense per-connection bursts separated by silences, at
 /// genuinely different duty cycles per connection. Structural record
@@ -809,7 +795,6 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, sweep: &[usize]) {
             num_workers: workers,
             pool_mode: PoolMode::Stealing,
             telemetry: true,
-            storage: StorageMode::Arena,
             lsh: None,
             slim: slim::core::SlimConfig {
                 // 1-minute windows: a tick's ingest chunk spans dozens
@@ -906,117 +891,7 @@ fn run_skew_phase(log: &mut BenchLog, smoke: bool, sweep: &[usize]) {
     }
 }
 
-/// What one kernel-phase replay observed — everything that must be
-/// bit-identical across history representations.
-#[derive(PartialEq)]
-struct KernelObservation {
-    links: Vec<slim::core::Edge>,
-    stats: slim::stream::StreamStats,
-    scoring: slim::core::LinkageStats,
-    candidate_pairs: usize,
-    finalized: Vec<(slim::core::EntityId, slim::core::EntityId, f64)>,
-}
-
-/// Phase 6: the scoring-kernel microbench. The same tick-heavy replay
-/// (a refresh per 4k-event chunk, so the rescore kernel dominates)
-/// runs once over the columnar arena history store and once over the
-/// legacy per-entity map, telemetry on, and reports sustained events/s
-/// plus the kernel's ns-per-rescored-window from the `score_kernel_ns`
-/// histogram. The representations must be observationally
-/// indistinguishable — same links, counters, scoring statistics,
-/// candidate set, and finalized output (`StreamStats` equality already
-/// excludes the representation-dependent `arena_compactions`) — and
-/// the kernel histogram must have actually recorded on both sides.
-/// Timing is report-only: the arena's win is locality, and asserting a
-/// ratio on shared runners would be noise-gated anyway.
-fn run_kernel_phase(log: &mut BenchLog, events: &[slim::stream::StreamEvent]) {
-    const KERNEL_SHARDS: usize = 4;
-    let run = |storage: StorageMode| {
-        let mut cfg = bench_config(KERNEL_SHARDS);
-        cfg.refresh_every = 0; // manual tick per chunk
-        cfg.telemetry = true;
-        cfg.storage = storage;
-        let mut engine = StreamEngine::new(cfg).expect("valid config");
-        let t0 = Instant::now();
-        for chunk in events.chunks(4_096) {
-            engine.ingest_batch(chunk);
-            engine.refresh();
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let kernel = engine.score_kernel_histogram();
-        let stats = *engine.stats();
-        let (links, scoring, candidate_pairs) = (
-            engine.links().to_vec(),
-            *engine.scoring_stats(),
-            engine.num_candidate_pairs(),
-        );
-        let finalized = engine
-            .into_finalized()
-            .expect("finalize")
-            .links
-            .into_iter()
-            .map(|e| (e.left, e.right, e.weight))
-            .collect();
-        let obs = KernelObservation {
-            links,
-            stats,
-            scoring,
-            candidate_pairs,
-            finalized,
-        };
-        (elapsed, kernel, obs)
-    };
-
-    let mut reference: Option<KernelObservation> = None;
-    for (mode, name) in [
-        (StorageMode::Arena, "arena"),
-        (StorageMode::Legacy, "legacy"),
-    ] {
-        let (elapsed, kernel, obs) = run(mode);
-        assert!(
-            kernel.count() > 0,
-            "{name}: the tick-heavy replay must exercise the scoring kernel"
-        );
-        let ns_per_window = kernel.sum() as f64 / kernel.count() as f64;
-        let events_per_sec = events.len() as f64 / elapsed;
-        println!(
-            "        kernel: {name:>6} store → {:.3}s ({:.0} events/s; \
-             {:.0} ns/window over {} rescored windows, p50/p95 {}/{} ns)",
-            elapsed,
-            events_per_sec,
-            ns_per_window,
-            kernel.count(),
-            kernel.p50(),
-            kernel.p95(),
-        );
-        log.emit(
-            JsonObj::new()
-                .str("bench", "streaming_kernel")
-                .str("mode", name)
-                .u64("shards", KERNEL_SHARDS as u64)
-                .u64("events", events.len() as u64)
-                .f64("elapsed_s", elapsed)
-                .f64("events_per_sec", events_per_sec)
-                .u64("score_kernel_windows", kernel.count())
-                .u64("score_kernel_ns_total", kernel.sum())
-                .f64("score_kernel_ns_per_window", ns_per_window)
-                .u64("score_kernel_p50_ns", kernel.p50())
-                .u64("score_kernel_p95_ns", kernel.p95())
-                .u64("ticks", obs.stats.ticks)
-                .u64("links", obs.links.len() as u64),
-        );
-        match &reference {
-            None => reference = Some(obs),
-            Some(reference) => assert!(
-                *reference == obs,
-                "legacy-store replay diverged from the arena replay — the \
-                 representations are not observationally identical"
-            ),
-        }
-    }
-}
-
-/// Phase 8: checkpoint overhead. The same front-end drive runs once
+/// Phase 7: checkpoint overhead. The same front-end drive runs once
 /// with durability off and once writing CRC-framed checkpoints every
 /// 20k events (`--checkpoint-every` equivalent, keep-2 retention) into
 /// a scratch directory. Reports the events/s cost of the checkpoint
@@ -1183,9 +1058,6 @@ fn main() {
         // Serve-while-ingest rides along in the smoke form so the
         // query-latency series is persisted on every CI run.
         run_serve_phase(&mut log, &events);
-        // The kernel microbench rides along in the smoke form so the
-        // score_kernel_ns series is persisted on every CI run.
-        run_kernel_phase(&mut log, &events);
         // So does the multi-connection tier, at CI scale: 16 loopback
         // feeds full speed, then 16 bursty feeds.
         run_connections_phase(&mut log, &events, &[16]);
@@ -1478,16 +1350,12 @@ fn main() {
     // swept over `--workers`, bit-identity asserted across the sweep.
     run_skew_phase(&mut log, smoke, &workers_sweep);
 
-    // Phase 6: the scoring-kernel microbench — arena vs legacy store,
-    // bit-identity asserted, ns/window reported from score_kernel_ns.
-    run_kernel_phase(&mut log, &events);
-
-    // Phase 7: the multi-connection ingest tier, swept up to 128
+    // Phase 6: the multi-connection ingest tier, swept up to 128
     // concurrent loopback feeds, plus the bursty uneven-rate record.
     let connections_rate = run_connections_phase(&mut log, &events, &[16, 64, 128]);
     run_bursty_connections(&mut log, &events, 16);
 
-    // Phase 8: the checkpoint-overhead record — durability cost vs the
+    // Phase 7: the checkpoint-overhead record — durability cost vs the
     // checkpoint-off drive, plus the write-latency percentiles.
     run_checkpoint_phase(&mut log, &events);
     log.write();

@@ -1,10 +1,12 @@
 //! Columnar (struct-of-arrays) storage for mobility histories.
 //!
-//! [`crate::history::MobilityHistory`] is an array-of-structs: each
-//! entity owns a `BTreeMap` of per-window bin vectors behind a hash
-//! lookup, so a scan-heavy scoring pass chases pointers for every
-//! window of every pair. A [`HistoryArena`] stores the same leaf bins
-//! of *many* entities in three parallel columns —
+//! [`crate::history::MobilityHistory`] — what the batch pipeline builds
+//! — is an array-of-structs: each entity owns a `BTreeMap` of
+//! per-window bin vectors behind a hash lookup, so a scan-heavy scoring
+//! pass chases pointers for every window of every pair. A
+//! [`HistoryArena`] is the incrementally maintained form (the streaming
+//! engine's only history layout): it stores the same leaf bins of
+//! *many* entities in three parallel columns —
 //!
 //! ```text
 //! directory (per entity)        parallel column vecs
@@ -18,7 +20,7 @@
 //! — with each entity a contiguous index range: `wins` ascending, and
 //! cells sorted within each window run (the exact order
 //! `MobilityHistory::bins_in` exposes, which is what keeps scoring over
-//! arena slices bit-identical to scoring over per-entity structs).
+//! arena slices bit-identical to scoring over batch-built structs).
 //!
 //! * **Append** grows an entity in place while its range has slack and
 //!   relocates it to the column tail with a doubled chunk otherwise
@@ -31,9 +33,10 @@
 //!   entities) are reclaimed by a periodic **compaction** pass once
 //!   they outnumber the live bins; [`HistoryArena::compactions`] counts
 //!   the passes for telemetry.
-//! * A fully evicted entity leaves a tombstone in the directory whose
-//!   **generation** counter is bumped if the entity returns — unit
-//!   tests and (future) snapshot consumers can detect range reuse.
+//! * An entity evicted to empty is dropped: it leaves a tombstone in
+//!   the directory whose **generation** counter is bumped if the entity
+//!   returns — unit tests and (future) snapshot consumers can detect
+//!   range reuse.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -63,8 +66,6 @@ struct EntitySlot {
     cap: usize,
     /// Bumped every time an emptied entity is re-created.
     generation: u32,
-    /// Explicitly tombstoned via [`HistoryArena::remove_entity`].
-    dead: bool,
     num_records: u32,
     /// Records per window, sorted by window.
     window_records: Vec<(WindowIdx, u32)>,
@@ -147,19 +148,15 @@ impl HistoryArena {
     /// ([`crate::history::record_cells`] output), `w` the record's
     /// window. Returns the cells that created *new* bins (for document-
     /// frequency maintenance) and whether the entity was created by
-    /// this call — the same contract as
-    /// [`MobilityHistory::append`] plus entity creation.
+    /// this call.
     pub fn append(&mut self, e: EntityId, w: WindowIdx, cells: &[CellId]) -> (Vec<CellId>, bool) {
         let created = match self.dir.get_mut(&e) {
             Some(slot) if slot.len > 0 => false,
             Some(slot) => {
-                // Emptied or tombstoned: resurrect under a new
-                // generation, abandoning any leftover slack.
+                // A tombstone (no bins, no slack): resurrect under a
+                // new generation.
                 slot.generation += 1;
                 slot.off = self.wins.len();
-                self.dead_slots += slot.cap;
-                slot.cap = 0;
-                slot.dead = false;
                 true
             }
             None => {
@@ -258,20 +255,20 @@ impl HistoryArena {
     }
 
     /// Drops every bin of window `w` from entity `e`, unwinding the
-    /// record counters. Returns the removed bins in
-    /// [`MobilityHistory::evict_window`]'s form. The caller decides
-    /// what an emptied entity means (see
-    /// [`HistoryArena::remove_entity`]).
-    pub fn evict_window(&mut self, e: EntityId, w: WindowIdx) -> CellCounts {
+    /// record counters, and drops the entity itself when that was its
+    /// last window. Returns the removed bins (sorted by cell, for
+    /// document-frequency maintenance) and whether the entity was
+    /// removed; absent entities and windows yield `(empty, false)`.
+    pub fn evict_window(&mut self, e: EntityId, w: WindowIdx) -> (CellCounts, bool) {
         let Some(slot) = self.dir.get_mut(&e) else {
-            return CellCounts::new();
+            return (CellCounts::new(), false);
         };
         let (off, len) = (slot.off, slot.len);
         let wins = &self.wins[off..off + len];
         let r0 = wins.partition_point(|&x| x < w);
         let r1 = r0 + wins[r0..].partition_point(|&x| x == w);
         if r0 == r1 {
-            return CellCounts::new();
+            return (CellCounts::new(), false);
         }
         let run = r1 - r0;
         let out: CellCounts = (off + r0..off + r1)
@@ -298,38 +295,24 @@ impl HistoryArena {
             let (_, cnt) = slot.window_records.remove(i);
             slot.num_records -= cnt;
         }
-        if slot.len == 0 {
-            // Evicted to empty: the entity is gone observably (its
-            // slack is reclaimed at tombstone or resurrection time).
+        let emptied = slot.len == 0;
+        if emptied {
             self.live_entities -= 1;
         }
         self.live_bins -= run;
         self.maybe_compact();
-        out
-    }
-
-    /// Tombstones `e`: the directory entry stays (preserving the
-    /// generation counter) but the entity no longer exists observably.
-    /// Returns `false` if the entity was absent or already tombstoned.
-    pub fn remove_entity(&mut self, e: EntityId) -> bool {
-        let Some(slot) = self.dir.get_mut(&e) else {
-            return false;
-        };
-        if slot.dead {
-            return false;
+        if emptied {
+            // The directory entry stays as a tombstone (preserving the
+            // generation counter); its slack is abandoned. Compaction
+            // is checked once for the evicted run and once for the
+            // slack: `compactions()` feeds a pinned engine counter, so
+            // the two checks are not folded into one.
+            let slot = self.dir.get_mut(&e).expect("evicted above");
+            self.dead_slots += slot.cap;
+            slot.cap = 0;
+            self.maybe_compact();
         }
-        if slot.len > 0 {
-            self.live_entities -= 1;
-        }
-        self.live_bins -= slot.len;
-        self.dead_slots += slot.cap;
-        slot.len = 0;
-        slot.cap = 0;
-        slot.num_records = 0;
-        slot.window_records.clear();
-        slot.dead = true;
-        self.maybe_compact();
-        true
+        (out, emptied)
     }
 
     /// The live view of `e`'s columns, `None` for absent or tombstoned
@@ -397,8 +380,7 @@ impl HistoryArena {
             }
             leaves.insert(w, run);
         }
-        let window_records = slot.window_records.iter().copied().collect();
-        Some(MobilityHistory::from_leaves(e, leaves, window_records))
+        Some(MobilityHistory::from_leaves(e, leaves, slot.num_records))
     }
 
     /// One entity's live columns plus the per-window record counts,
@@ -432,7 +414,6 @@ impl HistoryArena {
             len: n,
             cap: n,
             generation: 0,
-            dead: false,
             num_records: window_records.iter().map(|&(_, c)| c).sum(),
             window_records,
         };
@@ -498,11 +479,53 @@ mod tests {
         v
     }
 
-    /// Appends must mirror `MobilityHistory::append` bin for bin.
+    /// The plain model the arena is held to: bin counts and per-window
+    /// record counts in ordered maps, turned into a history through the
+    /// batch constructor.
+    #[derive(Default)]
+    struct Model {
+        bins: BTreeMap<(WindowIdx, CellId), u32>,
+        records: BTreeMap<WindowIdx, u32>,
+    }
+
+    impl Model {
+        /// Counts one record; returns the cells that created new bins.
+        fn append(&mut self, w: WindowIdx, cells: &[CellId]) -> Vec<CellId> {
+            *self.records.entry(w).or_insert(0) += 1;
+            let mut new_bins = Vec::new();
+            for &c in cells {
+                let n = self.bins.entry((w, c)).or_insert(0);
+                *n += 1;
+                if *n == 1 {
+                    new_bins.push(c);
+                }
+            }
+            new_bins
+        }
+
+        /// Drops window `w`; returns its bins, sorted by cell.
+        fn evict(&mut self, w: WindowIdx) -> CellCounts {
+            self.records.remove(&w);
+            let of_w = self.bins.iter().filter(|(&(bw, _), _)| bw == w);
+            let out = of_w.map(|(&(_, c), &n)| (c, n)).collect();
+            self.bins.retain(|&(bw, _), _| bw != w);
+            out
+        }
+
+        fn history(&self, e: EntityId) -> MobilityHistory {
+            let mut leaves: BTreeMap<WindowIdx, CellCounts> = BTreeMap::new();
+            for (&(w, c), &n) in &self.bins {
+                leaves.entry(w).or_default().push((c, n));
+            }
+            MobilityHistory::from_leaves(e, leaves, self.records.values().sum())
+        }
+    }
+
+    /// Appends must mirror the model bin for bin.
     #[test]
     fn append_matches_mobility_history() {
         let mut arena = HistoryArena::new();
-        let mut h = MobilityHistory::empty(EntityId(1));
+        let mut model = Model::default();
         let records: Vec<(WindowIdx, Vec<CellId>)> = vec![
             (3, sorted(vec![cell(1)])),
             (1, sorted(vec![cell(2), cell(3)])),
@@ -512,9 +535,10 @@ mod tests {
         ];
         for (w, cells) in &records {
             let (new_a, _) = arena.append(EntityId(1), *w, cells);
-            let new_h = h.append(*w, cells);
+            let new_h = model.append(*w, cells);
             assert_eq!(new_a, new_h, "new-bin reports must agree");
         }
+        let h = model.history(EntityId(1));
         let v = arena.view(EntityId(1)).unwrap();
         assert_eq!(v.num_bins(), h.num_bins());
         assert_eq!(v.num_records(), h.num_records());
@@ -524,9 +548,9 @@ mod tests {
         );
         for w in h.windows() {
             let (cells, counts) = v.window_run(w);
-            let legacy = h.bins_in(w);
-            assert_eq!(cells.len(), legacy.len());
-            for (i, &(c, n)) in legacy.iter().enumerate() {
+            let bins = h.bins_in(w);
+            assert_eq!(cells.len(), bins.len());
+            for (i, &(c, n)) in bins.iter().enumerate() {
                 assert_eq!((cells[i], counts[i]), (c, n), "window {w} bin {i}");
             }
         }
@@ -535,22 +559,23 @@ mod tests {
     }
 
     /// Evicting the leading window advances the range; evicting a
-    /// middle window shifts — both must match the per-entity structs.
+    /// middle window shifts — both must match the model.
     #[test]
     fn evict_matches_mobility_history() {
         let mut arena = HistoryArena::new();
-        let mut h = MobilityHistory::empty(EntityId(7));
+        let mut model = Model::default();
         for w in 0..5u32 {
             let cs = sorted(vec![cell(w as u64), cell(w as u64 + 1)]);
             arena.append(EntityId(7), w, &cs);
-            h.append(w, &cs);
+            model.append(w, &cs);
         }
         // Leading run (range advance).
-        assert_eq!(arena.evict_window(EntityId(7), 0), h.evict_window(0));
+        assert_eq!(arena.evict_window(EntityId(7), 0), (model.evict(0), false));
         // Mid-range run (shift).
-        assert_eq!(arena.evict_window(EntityId(7), 3), h.evict_window(3));
+        assert_eq!(arena.evict_window(EntityId(7), 3), (model.evict(3), false));
         // Absent window is a no-op on both.
-        assert_eq!(arena.evict_window(EntityId(7), 3), h.evict_window(3));
+        assert_eq!(arena.evict_window(EntityId(7), 3), (model.evict(3), false));
+        let h = model.history(EntityId(7));
         let v = arena.view(EntityId(7)).unwrap();
         assert_eq!(v.num_records(), h.num_records());
         assert_eq!(v.num_bins(), h.num_bins());
@@ -564,13 +589,13 @@ mod tests {
         arena.append(EntityId(5), 0, &cs);
         assert_eq!(arena.generation(EntityId(5)), Some(0));
         assert_eq!(arena.len(), 1);
-        arena.evict_window(EntityId(5), 0);
-        assert!(arena.remove_entity(EntityId(5)));
+        // Evicting the last window removes the entity.
+        assert_eq!(arena.evict_window(EntityId(5), 0), (vec![(cs[0], 1)], true));
         assert!(arena.view(EntityId(5)).is_none());
         assert_eq!(arena.num_records(EntityId(5)), 0);
         assert_eq!(arena.len(), 0);
-        // A second removal is a no-op.
-        assert!(!arena.remove_entity(EntityId(5)));
+        // A second eviction is a no-op.
+        assert_eq!(arena.evict_window(EntityId(5), 0), (Vec::new(), false));
         // Resurrection bumps the generation and reports creation.
         let (_, created) = arena.append(EntityId(5), 9, &cs);
         assert!(created);
@@ -591,34 +616,34 @@ mod tests {
     #[test]
     fn compaction_preserves_content() {
         let mut arena = HistoryArena::new();
-        let mut reference: Vec<MobilityHistory> = Vec::new();
+        let mut models: Vec<Model> = Vec::new();
         for e in 0..8u64 {
-            let mut h = MobilityHistory::empty(EntityId(e));
+            let mut model = Model::default();
             for w in 0..40u32 {
                 let cs = sorted(vec![cell(e * 100 + w as u64)]);
                 arena.append(EntityId(e), w, &cs);
-                h.append(w, &cs);
+                model.append(w, &cs);
             }
-            reference.push(h);
+            models.push(model);
         }
         // Slide a window over everything: lots of leading-run advances.
         for w in 0..35u32 {
             for e in 0..8u64 {
                 arena.evict_window(EntityId(e), w);
-                reference[e as usize].evict_window(w);
+                models[e as usize].evict(w);
             }
         }
         assert!(arena.compactions() > 0, "churn must have compacted");
         for e in 0..8u64 {
             let v = arena.view(EntityId(e)).unwrap();
-            let h = &reference[e as usize];
+            let h = models[e as usize].history(EntityId(e));
             assert_eq!(v.num_bins(), h.num_bins());
             assert_eq!(v.num_records(), h.num_records());
             for w in h.windows() {
                 let (cells, counts) = v.window_run(w);
-                let legacy = h.bins_in(w);
-                assert_eq!(cells.len(), legacy.len());
-                for (i, &(c, n)) in legacy.iter().enumerate() {
+                let bins = h.bins_in(w);
+                assert_eq!(cells.len(), bins.len());
+                for (i, &(c, n)) in bins.iter().enumerate() {
                     assert_eq!((cells[i], counts[i]), (c, n));
                 }
             }
@@ -634,12 +659,13 @@ mod tests {
     #[test]
     fn materialize_round_trips() {
         let mut arena = HistoryArena::new();
-        let mut h = MobilityHistory::empty(EntityId(2));
+        let mut model = Model::default();
         for (w, k) in [(0u32, 1u64), (0, 2), (4, 1), (7, 3)] {
             let cs = sorted(vec![cell(k), cell(k + 1)]);
             arena.append(EntityId(2), w, &cs);
-            h.append(w, &cs);
+            model.append(w, &cs);
         }
+        let h = model.history(EntityId(2));
         let m = arena.materialize(EntityId(2)).unwrap();
         assert_eq!(m.entity(), EntityId(2));
         assert_eq!(m.num_bins(), h.num_bins());

@@ -55,10 +55,6 @@ pub struct MobilityHistory {
     num_bins: usize,
     /// Total number of records aggregated.
     num_records: u32,
-    /// Records per window. Differs from the bin-count sum for region
-    /// records (one record, several cells); incremental eviction needs
-    /// the true per-window record count to unwind `num_records`.
-    window_records: BTreeMap<WindowIdx, u32>,
     /// Hierarchical aggregate for dominating-cell range queries.
     tree: TemporalTree,
 }
@@ -75,14 +71,12 @@ impl MobilityHistory {
         domain: u32,
     ) -> Self {
         let mut leaves: BTreeMap<WindowIdx, HashMap<CellId, u32>> = BTreeMap::new();
-        let mut window_records: BTreeMap<WindowIdx, u32> = BTreeMap::new();
         let mut num_records = 0u32;
         for r in records {
             let w = scheme.window_of(r.time).min(domain.saturating_sub(1));
             for cell in record_cells(r, level) {
                 *leaves.entry(w).or_default().entry(cell).or_insert(0) += 1;
             }
-            *window_records.entry(w).or_insert(0) += 1;
             num_records += 1;
         }
         let leaves: BTreeMap<WindowIdx, CellCounts> = leaves
@@ -100,7 +94,6 @@ impl MobilityHistory {
             leaves,
             num_bins,
             num_records,
-            window_records,
             tree,
         }
     }
@@ -108,18 +101,17 @@ impl MobilityHistory {
     /// Rebuilds a history from externally maintained leaves — the
     /// materialization path of [`crate::arena::HistoryArena`]. `leaves`
     /// must hold sorted `(cell, count)` bins per window and
-    /// `window_records` the true per-window record counts (they differ
-    /// for region records). Counters are derived and the temporal tree
-    /// rebuilt, so the result answers every query exactly like a
-    /// history maintained by [`MobilityHistory::append`] /
-    /// [`MobilityHistory::evict_window`] over the same content.
+    /// `num_records` the true record count (it differs from the
+    /// bin-count sum for region records). The bin counter is derived
+    /// and the temporal tree built, so the result answers every query
+    /// exactly like a history [`MobilityHistory::build`] makes from the
+    /// same content.
     pub fn from_leaves(
         entity: EntityId,
         leaves: BTreeMap<WindowIdx, CellCounts>,
-        window_records: BTreeMap<WindowIdx, u32>,
+        num_records: u32,
     ) -> Self {
         let num_bins = leaves.values().map(Vec::len).sum();
-        let num_records = window_records.values().sum();
         let domain = leaves.keys().next_back().map(|&w| w + 1).unwrap_or(1);
         let tree = TemporalTree::build(domain, leaves.iter().map(|(&w, c)| (w, c.clone())));
         Self {
@@ -127,61 +119,8 @@ impl MobilityHistory {
             leaves,
             num_bins,
             num_records,
-            window_records,
             tree,
         }
-    }
-
-    /// An empty history ready for incremental [`MobilityHistory::append`]
-    /// calls — the streaming entry point. The temporal tree grows with
-    /// the appended windows.
-    pub fn empty(entity: EntityId) -> Self {
-        Self {
-            entity,
-            leaves: BTreeMap::new(),
-            num_bins: 0,
-            num_records: 0,
-            window_records: BTreeMap::new(),
-            tree: TemporalTree::new(1),
-        }
-    }
-
-    /// Appends one record's bins: `cells` must be the (sorted,
-    /// deduplicated) [`record_cells`] output for the record, `w` its
-    /// window. Returns the cells that created *new* bins in this history
-    /// — the caller ([`HistorySet::append_record`]) uses them to maintain
-    /// document frequencies incrementally.
-    pub fn append(&mut self, w: WindowIdx, cells: &[CellId]) -> Vec<CellId> {
-        let bins = self.leaves.entry(w).or_default();
-        let mut new_bins = Vec::new();
-        for &c in cells {
-            match bins.binary_search_by_key(&c, |&(cell, _)| cell) {
-                Ok(i) => bins[i].1 += 1,
-                Err(i) => {
-                    bins.insert(i, (c, 1));
-                    new_bins.push(c);
-                }
-            }
-        }
-        self.num_bins += new_bins.len();
-        self.num_records += 1;
-        *self.window_records.entry(w).or_insert(0) += 1;
-        let counts: CellCounts = cells.iter().map(|&c| (c, 1)).collect();
-        self.tree.insert(w, &counts);
-        new_bins
-    }
-
-    /// Drops every bin of window `w` (sliding-window expiry), unwinding
-    /// the bin/record counters and the temporal tree. Returns the
-    /// removed bins so callers can unwind dataset-level statistics.
-    pub fn evict_window(&mut self, w: WindowIdx) -> CellCounts {
-        let Some(bins) = self.leaves.remove(&w) else {
-            return CellCounts::new();
-        };
-        self.num_bins -= bins.len();
-        self.num_records -= self.window_records.remove(&w).unwrap_or(0);
-        self.tree.remove_window(w);
-        bins
     }
 
     /// The entity this history belongs to.
@@ -213,14 +152,6 @@ impl MobilityHistory {
     /// Number of records in one window.
     pub fn records_in(&self, w: WindowIdx) -> u32 {
         self.bins_in(w).iter().map(|&(_, c)| c).sum()
-    }
-
-    /// The true per-window record counts, ascending by window. Differs
-    /// from [`MobilityHistory::records_in`] for region records (one
-    /// record lands in several cells); checkpoint serialization needs
-    /// the exact counts so [`MobilityHistory::from_leaves`] round-trips.
-    pub fn window_record_counts(&self) -> impl Iterator<Item = (WindowIdx, u32)> + '_ {
-        self.window_records.iter().map(|(&w, &c)| (w, c))
     }
 
     /// Dominating grid cell over the window range `[lo, hi)`, coarsened to
@@ -282,28 +213,6 @@ impl HistorySet {
         }
     }
 
-    /// An empty history set over a fixed scheme/level, ready for
-    /// incremental [`HistorySet::append_record`] calls. The window
-    /// domain grows with the appended records.
-    ///
-    /// This is the *single-map* incremental entry point, for library
-    /// consumers maintaining one coherent set under updates; its unit
-    /// tests pin the append/evict ↔ batch-build equivalence that the
-    /// shared [`MobilityHistory`]/[`DfStats`] maintenance relies on.
-    /// The sharded streaming engine uses the same primitives but owns
-    /// its histories partitioned by entity hash, folding statistics
-    /// through [`crate::df::DfDelta`]s and reassembling a set via
-    /// [`HistorySet::from_parts`] only at finalization.
-    pub fn new_incremental(scheme: WindowScheme, spatial_level: u8) -> Self {
-        Self {
-            histories: HashMap::new(),
-            scheme,
-            spatial_level,
-            domain: 0,
-            stats: DfStats::new(),
-        }
-    }
-
     /// Assembles a set from externally maintained parts — the sharded
     /// streaming engine's finalization path: each shard owns a disjoint
     /// slice of the histories, and `stats` is the barrier-merged
@@ -330,62 +239,6 @@ impl HistorySet {
             domain,
             stats,
         }
-    }
-
-    /// Appends one record to its entity's history (created on first
-    /// touch), keeping document frequencies, total bin count, and the
-    /// window domain exact. Returns the record's window index.
-    ///
-    /// An unbounded sequence of `append_record` calls over the records of
-    /// a dataset produces a set identical to [`HistorySet::build`] on
-    /// that dataset (same bins, statistics, and therefore scores) as long
-    /// as no record precedes the scheme origin.
-    pub fn append_record(&mut self, r: &crate::record::Record) -> WindowIdx {
-        let cells = record_cells(r, self.spatial_level);
-        let w = self.scheme.window_of(r.time);
-        self.append_record_binned(r.entity, w, &cells);
-        w
-    }
-
-    /// [`HistorySet::append_record`] with the spatial binning already
-    /// done — the sharded streaming ingest path computes `cells` (the
-    /// [`record_cells`] output at this set's spatial level) on worker
-    /// threads and applies the appends serially.
-    pub fn append_record_binned(&mut self, entity: EntityId, w: WindowIdx, cells: &[CellId]) {
-        self.domain = self.domain.max(w + 1);
-        let mut created = false;
-        let h = self.histories.entry(entity).or_insert_with(|| {
-            created = true;
-            MobilityHistory::empty(entity)
-        });
-        let new_bins = h.append(w, cells);
-        if created {
-            self.stats.add_entity();
-        }
-        for c in new_bins {
-            self.stats.add_bin(w, c);
-        }
-    }
-
-    /// Evicts window `w` from one entity's history (sliding-window
-    /// expiry), unwinding document frequencies and the total bin count.
-    /// A history left empty is removed entirely, so `|U|` (and with it
-    /// the idf scale) tracks the live window content. Returns the
-    /// evicted bins.
-    pub fn evict_entity_window(&mut self, entity: EntityId, w: WindowIdx) -> CellCounts {
-        let Some(h) = self.histories.get_mut(&entity) else {
-            return CellCounts::new();
-        };
-        let bins = h.evict_window(w);
-        let emptied = h.num_records() == 0;
-        for &(c, _) in &bins {
-            self.stats.remove_bin(w, c);
-        }
-        if emptied {
-            self.histories.remove(&entity);
-            self.stats.remove_entity();
-        }
-        bins
     }
 
     /// The history of one entity.
@@ -564,108 +417,6 @@ mod tests {
         ]);
         let hs = HistorySet::build(&ds, scheme(), LEVEL, 4);
         assert!((hs.avg_bins() - 1.0).abs() < 1e-12);
-    }
-
-    /// Incremental appends over a record stream must reproduce the
-    /// batch-built set bit for bit: same bins, same document
-    /// frequencies, same averages — the invariant `slim-stream` relies
-    /// on for stream/batch equivalence.
-    #[test]
-    fn incremental_appends_match_batch_build() {
-        let mut records = Vec::new();
-        for e in 0..5u64 {
-            for k in 0..20i64 {
-                records.push(rec(
-                    e,
-                    k * 400,
-                    37.0 + 0.01 * ((k % 5) as f64) + 0.1 * e as f64,
-                    -122.0 - 0.02 * ((k % 3) as f64),
-                ));
-            }
-        }
-        // A region record exercises the multi-cell path.
-        records.push(Record::with_accuracy(
-            EntityId(2),
-            LatLng::from_degrees(37.05, -122.01),
-            Timestamp(3000),
-            400.0,
-        ));
-        let ds = LocationDataset::from_records(records.clone());
-        let sch = scheme();
-        let domain = sch.num_windows(Timestamp(20 * 400));
-        let batch = HistorySet::build(&ds, sch, 16, domain);
-
-        let mut incr = HistorySet::new_incremental(sch, 16);
-        for r in &records {
-            incr.append_record(r);
-        }
-
-        assert_eq!(incr.num_entities(), batch.num_entities());
-        assert!((incr.avg_bins() - batch.avg_bins()).abs() < 1e-12);
-        for e in batch.entities_sorted() {
-            let (hb, hi) = (batch.history(e).unwrap(), incr.history(e).unwrap());
-            assert_eq!(hb.num_bins(), hi.num_bins(), "{e}");
-            assert_eq!(hb.num_records(), hi.num_records(), "{e}");
-            for w in hb.windows() {
-                assert_eq!(hb.bins_in(w), hi.bins_in(w), "{e} window {w}");
-                // Document frequencies agree bin by bin.
-                for &(c, _) in hb.bins_in(w) {
-                    assert!((batch.idf(w, c) - incr.idf(w, c)).abs() < 1e-12);
-                }
-            }
-            // Dominating-cell queries go through the incrementally grown
-            // tree and must agree with the batch-built one.
-            assert_eq!(
-                hb.dominating_cell(0, domain, 12),
-                hi.dominating_cell(0, domain, 12),
-            );
-        }
-    }
-
-    #[test]
-    fn eviction_unwinds_statistics() {
-        let sch = scheme();
-        let mut hs = HistorySet::new_incremental(sch, LEVEL);
-        hs.append_record(&rec(1, 0, 37.0, -122.0));
-        hs.append_record(&rec(1, 0, 37.0, -122.0));
-        hs.append_record(&rec(1, 1000, 37.5, -121.5));
-        hs.append_record(&rec(2, 0, 37.0, -122.0));
-        let shared = CellId::from_latlng(LatLng::from_degrees(37.0, -122.0), LEVEL);
-        assert!((hs.idf(0, shared) - (2.0f64 / 2.0).ln()).abs() < 1e-12);
-
-        // Evict window 0 from entity 1: df drops to 1, bins shrink.
-        let evicted = hs.evict_entity_window(EntityId(1), 0);
-        assert_eq!(evicted, vec![(shared, 2)]);
-        assert!((hs.idf(0, shared) - (2.0f64 / 1.0).ln()).abs() < 1e-12);
-        assert_eq!(hs.history(EntityId(1)).unwrap().num_records(), 1);
-        assert_eq!(hs.history(EntityId(1)).unwrap().num_bins(), 1);
-
-        // Evicting the last window removes the entity entirely.
-        hs.evict_entity_window(EntityId(1), 1);
-        assert!(hs.history(EntityId(1)).is_none());
-        assert_eq!(hs.num_entities(), 1);
-        hs.evict_entity_window(EntityId(2), 0);
-        assert_eq!(hs.num_entities(), 0);
-        assert_eq!(hs.avg_bins(), 0.0);
-    }
-
-    #[test]
-    fn region_record_eviction_keeps_record_count_exact() {
-        let center = LatLng::from_degrees(37.0, -122.0);
-        let mut h = MobilityHistory::empty(EntityId(1));
-        let region = Record::with_accuracy(EntityId(1), center, Timestamp(0), 500.0);
-        let cells = record_cells(&region, 16);
-        assert!(cells.len() >= 2);
-        h.append(0, &cells);
-        h.append(
-            3,
-            &record_cells(&Record::new(EntityId(1), center, Timestamp(2700)), 16),
-        );
-        assert_eq!(h.num_records(), 2);
-        // One region record occupies several bins but is ONE record.
-        h.evict_window(0);
-        assert_eq!(h.num_records(), 1);
-        assert_eq!(h.num_bins(), 1);
     }
 
     #[test]

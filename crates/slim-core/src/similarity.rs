@@ -64,8 +64,8 @@ impl<'a> SimilarityScorer<'a> {
     }
 
     /// Creates a scorer from bare dataset-level statistics — for callers
-    /// that own the histories in another layout (the sharded streaming
-    /// engine partitions them by entity hash). Only the history-explicit
+    /// that own the histories themselves (the sharded streaming engine
+    /// keeps them in per-shard columnar arenas). Only the history-explicit
     /// methods ([`SimilarityScorer::score_histories`],
     /// [`SimilarityScorer::window_contribution`],
     /// [`SimilarityScorer::pair_norm_bins`]) are usable; the caller must
@@ -176,9 +176,10 @@ impl<'a> SimilarityScorer<'a> {
     /// window runs: `(cu, nu)` / `(cv, nv)` are each one window's
     /// parallel `(cells, counts)` column slices (the
     /// [`crate::arena::EntityView::window_run`] shape — cells sorted,
-    /// counts positionally parallel). Past the two record counts, both
-    /// layouts run one body, so they produce bit-identical contributions
-    /// and stats bumps for identical bin content.
+    /// counts positionally parallel) — what the streaming engine scores.
+    /// Past the two record counts, batch bins and arena columns run one
+    /// body, so they produce bit-identical contributions and stats
+    /// bumps for identical bin content.
     pub fn window_contribution_cells(
         &self,
         w: crate::window::WindowIdx,
@@ -197,7 +198,7 @@ impl<'a> SimilarityScorer<'a> {
         self.paired_contributions(w, cu, cv, stats)
     }
 
-    /// The body both layouts share: pairs the window's bins over one
+    /// The body batch bins and arena columns share: pairs the window's bins over one
     /// distance matrix and sums the selected pairs' contributions —
     /// `N` (or all pairs) in selection order, then the optional
     /// mutually-furthest alibi pass (Alg. 1), which adds only negative
@@ -237,8 +238,8 @@ impl<'a> SimilarityScorer<'a> {
     }
 
     /// One bin pair's weighted proximity contribution (unnormalized).
-    /// Generic over the bin layout (see [`BinColumn`]) so both storage
-    /// paths run the identical float sequence.
+    /// Generic over the bin layout (see [`BinColumn`]) so the batch and
+    /// the streaming path run the identical float sequence.
     fn contribution<A: BinColumn, B: BinColumn>(
         &self,
         w: crate::window::WindowIdx,
@@ -585,9 +586,9 @@ mod tests {
                 let ((cu, nu), (cv, nv)) = (split(bu), split(bv));
                 let mut s1 = LinkageStats::default();
                 let mut s2 = LinkageStats::default();
-                let legacy = scorer.window_contribution(hu, hv, w, &mut s1);
+                let aos = scorer.window_contribution(hu, hv, w, &mut s1);
                 let soa = scorer.window_contribution_cells(w, (&cu, &nu), (&cv, &nv), &mut s2);
-                assert_eq!(legacy.to_bits(), soa.to_bits(), "window {w}");
+                assert_eq!(aos.to_bits(), soa.to_bits(), "window {w}");
                 assert_eq!(s1, s2, "stats must bump identically, window {w}");
                 bumped.merge(&s1);
             }

@@ -20,32 +20,6 @@ use crate::window::WindowIdx;
 /// Sorted `(cell, count)` vector — the aggregate stored at each node.
 pub type CellCounts = Vec<(CellId, u32)>;
 
-/// Subtracts `src` from `dst` (both sorted by cell id), dropping cells
-/// whose count reaches zero. Counts in `dst` must cover `src`; this is
-/// the inverse of [`merge_counts`] used by incremental window eviction.
-///
-/// # Panics
-/// Panics (debug builds) if `src` contains a cell or count absent from
-/// `dst`.
-pub fn subtract_counts(dst: &mut CellCounts, src: &[(CellId, u32)]) {
-    if src.is_empty() {
-        return;
-    }
-    let mut j = 0;
-    dst.retain_mut(|(cell, count)| {
-        while j < src.len() && src[j].0 < *cell {
-            debug_assert!(false, "subtracting cell absent from aggregate");
-            j += 1;
-        }
-        if j < src.len() && src[j].0 == *cell {
-            debug_assert!(src[j].1 <= *count, "subtracting more than present");
-            *count = count.saturating_sub(src[j].1);
-            j += 1;
-        }
-        *count > 0
-    });
-}
-
 /// Merges `src` into `dst`, summing counts; both must be sorted by cell id
 /// and `dst` remains sorted.
 pub fn merge_counts(dst: &mut CellCounts, src: &[(CellId, u32)]) {
@@ -113,74 +87,6 @@ impl TemporalTree {
             }
         }
         Self { size, nodes }
-    }
-
-    /// An empty tree covering `domain` windows, ready for incremental
-    /// [`TemporalTree::insert`] calls.
-    pub fn new(domain: u32) -> Self {
-        Self {
-            size: domain.max(1).next_power_of_two(),
-            nodes: HashMap::new(),
-        }
-    }
-
-    /// Adds `counts` to the leaf of window `w`, updating every ancestor
-    /// aggregate in `O(log n)` merges. The domain grows automatically
-    /// (by rebuilding from the stored leaves — rare, amortized `O(1)`
-    /// per insert) when `w` falls outside it.
-    pub fn insert(&mut self, w: WindowIdx, counts: &[(CellId, u32)]) {
-        if counts.is_empty() {
-            return;
-        }
-        if w >= self.size {
-            self.grow(w + 1);
-        }
-        let mut node = self.size as u64 + w as u64;
-        loop {
-            merge_counts(self.nodes.entry(node).or_default(), counts);
-            if node == 1 {
-                break;
-            }
-            node /= 2;
-        }
-    }
-
-    /// Removes the whole leaf of window `w`, subtracting its counts from
-    /// every ancestor. No-op if the window holds no records.
-    pub fn remove_window(&mut self, w: WindowIdx) {
-        if w >= self.size {
-            return;
-        }
-        let leaf = self.size as u64 + w as u64;
-        let Some(counts) = self.nodes.remove(&leaf) else {
-            return;
-        };
-        let mut node = leaf / 2;
-        loop {
-            if let Some(agg) = self.nodes.get_mut(&node) {
-                subtract_counts(agg, &counts);
-                if agg.is_empty() {
-                    self.nodes.remove(&node);
-                }
-            }
-            if node <= 1 {
-                break;
-            }
-            node /= 2;
-        }
-    }
-
-    /// Doubles the domain until it covers `min_domain`, preserving all
-    /// leaves. Internal aggregates are rebuilt because leaf node indices
-    /// shift with the tree size.
-    fn grow(&mut self, min_domain: u32) {
-        let leaves: Vec<(WindowIdx, CellCounts)> = self
-            .nodes
-            .iter()
-            .filter(|&(&n, _)| n >= self.size as u64)
-            .map(|(&n, c)| ((n - self.size as u64) as WindowIdx, c.clone()))
-            .collect();
-        *self = Self::build(min_domain.max(1).next_power_of_two(), leaves.into_iter());
     }
 
     /// Aggregated counts over the half-open window range `[lo, hi)`.
@@ -382,65 +288,6 @@ mod tests {
     fn leaf_outside_domain_panics() {
         let a = cell(0.0, 12);
         let _ = TemporalTree::build(2, vec![(5, counts(&[(a, 1)]))].into_iter());
-    }
-
-    #[test]
-    fn subtract_counts_drops_zeros() {
-        let a = cell(0.0, 12);
-        let b = cell(1.0, 12);
-        let mut dst = counts(&[(a, 3), (b, 2)]);
-        subtract_counts(&mut dst, &counts(&[(a, 1), (b, 2)]));
-        assert_eq!(dst, counts(&[(a, 2)]));
-        subtract_counts(&mut dst, &[]);
-        assert_eq!(dst, counts(&[(a, 2)]));
-    }
-
-    #[test]
-    fn incremental_insert_matches_build() {
-        let a = cell(0.0, 12);
-        let b = cell(1.0, 12);
-        let leaves = vec![
-            (0u32, counts(&[(a, 2)])),
-            (3, counts(&[(a, 1), (b, 4)])),
-            (7, counts(&[(b, 1)])),
-        ];
-        let built = TemporalTree::build(8, leaves.clone().into_iter());
-        let mut incr = TemporalTree::new(8);
-        for (w, c) in &leaves {
-            incr.insert(*w, c);
-        }
-        for lo in 0..8 {
-            for hi in lo..=8 {
-                assert_eq!(built.query(lo, hi), incr.query(lo, hi), "[{lo}, {hi})");
-            }
-        }
-    }
-
-    #[test]
-    fn remove_window_inverts_insert() {
-        let a = cell(0.0, 12);
-        let b = cell(1.0, 12);
-        let mut tree = TemporalTree::new(8);
-        tree.insert(1, &counts(&[(a, 2)]));
-        tree.insert(5, &counts(&[(b, 3)]));
-        tree.remove_window(5);
-        assert_eq!(tree.query(0, 8), counts(&[(a, 2)]));
-        tree.remove_window(1);
-        assert_eq!(tree.query(0, 8), CellCounts::new());
-        assert_eq!(tree.node_count(), 0, "all nodes unwound");
-        // Removing an absent window is a no-op.
-        tree.remove_window(3);
-    }
-
-    #[test]
-    fn insert_grows_domain() {
-        let a = cell(0.0, 12);
-        let mut tree = TemporalTree::new(2);
-        tree.insert(0, &counts(&[(a, 1)]));
-        tree.insert(100, &counts(&[(a, 5)]));
-        assert_eq!(tree.query(0, 1), counts(&[(a, 1)]));
-        assert_eq!(tree.query(100, 101), counts(&[(a, 5)]));
-        assert_eq!(tree.query(0, 200), counts(&[(a, 6)]));
     }
 
     #[test]

@@ -80,7 +80,6 @@ use crate::event::{Side, StreamEvent};
 use crate::lsh::{RingDump, SpanRing};
 use crate::shard::{BinnedEvent, Contribution};
 use crate::source::pump::Ticker;
-use crate::store::HistoryDump;
 use crate::testing::FaultPlan;
 
 /// File magic: the first 8 bytes of every checkpoint.
@@ -229,6 +228,20 @@ pub(crate) struct DfDump {
     pub(crate) entries: Vec<(WindowIdx, CellId, u32)>,
     pub(crate) total_bins: u64,
     pub(crate) num_entities: u64,
+}
+
+/// One entity's history in canonical column form: `wins` ascending with
+/// one entry per bin, `cells` strictly ascending within each window run,
+/// `counts` parallel, plus the true per-window record counts (they
+/// differ from the bin-count sum for region records). Borrowed from a
+/// live arena on the write path, owned — and validated, see
+/// [`check_history`] — when decoded from a file.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HistoryDump<'a> {
+    pub(crate) wins: Cow<'a, [WindowIdx]>,
+    pub(crate) cells: Cow<'a, [CellId]>,
+    pub(crate) counts: Cow<'a, [u32]>,
+    pub(crate) window_records: Cow<'a, [(WindowIdx, u32)]>,
 }
 
 /// Per-shard state, merged across shards into globally sorted
@@ -636,6 +649,34 @@ fn dec_history(d: &mut Dec) -> Result<HistoryDump<'static>, String> {
     })
 }
 
+/// Refuses a decoded history the arena could not hold. The arena takes
+/// restored columns as they are — it binary-searches `wins`, slices all
+/// three columns by one range, and unwinds `num_records` from the
+/// per-window counts on eviction — so they must arrive exactly as an
+/// arena would have exported them.
+fn check_history(e: EntityId, h: &HistoryDump) -> Result<(), String> {
+    let fail = |what: &str| Err(format!("history of {e:?}: {what}"));
+    let n = h.wins.len();
+    if n == 0 {
+        return fail("no bins");
+    }
+    if h.cells.len() != n || h.counts.len() != n {
+        return fail("ragged columns");
+    }
+    if (1..n).any(|i| (h.wins[i - 1], h.cells[i - 1]) >= (h.wins[i], h.cells[i])) {
+        return fail("bins not ascending by (window, cell)");
+    }
+    if h.counts.contains(&0) || h.window_records.iter().any(|&(_, records)| records == 0) {
+        return fail("a zero count");
+    }
+    let mut windows = h.wins.to_vec();
+    windows.dedup();
+    if !h.window_records.iter().map(|&(w, _)| w).eq(windows) {
+        return fail("record counts do not list exactly the windows of the bins");
+    }
+    Ok(())
+}
+
 fn put_ring(out: &mut Vec<u8>, r: &RingDump) {
     put_side(out, r.side);
     put_u64(out, r.entity.0);
@@ -984,7 +1025,17 @@ fn decode_shards(payload: &[u8]) -> Result<ShardsDump<'static>, String> {
     let mut s = ShardsDump::default();
     let buffers = |d: &mut Dec| Ok((EntityId(d.u64()?), d.vec(dec_binned)?.into()));
     for side in 0..2 {
-        s.histories[side] = d.vec(|d| Ok((EntityId(d.u64()?), dec_history(d)?)))?;
+        s.histories[side] = d.vec(|d| {
+            let (e, h) = (EntityId(d.u64()?), dec_history(d)?);
+            check_history(e, &h)?;
+            Ok((e, h))
+        })?;
+        if let Some(p) = s.histories[side].windows(2).find(|p| p[0].0 >= p[1].0) {
+            return Err(format!(
+                "history of {:?}: listed twice or out of order",
+                p[1].0
+            ));
+        }
         s.pending[side] = d.vec(buffers)?;
         s.live_events[side] = d.vec(buffers)?;
         s.active[side] = d.vec(|d| Ok(EntityId(d.u64()?)))?;
@@ -1664,6 +1715,93 @@ mod tests {
             let err = decode(&encode(&state)).expect_err("windows must ascend");
             assert!(err.contains("not ascending"), "unexpected error: {err}");
         }
+    }
+
+    /// The arena restores history columns as they arrive, so a
+    /// CRC-valid image whose columns an arena could not have exported is
+    /// refused at the door — by name — rather than restored into
+    /// misaligned columns.
+    #[test]
+    fn malformed_history_columns_are_rejected() {
+        let cell = |k: u64| CellId::from_latlng(LatLng::from_degrees(1.0, k as f64), 12);
+        let (a, b) = (cell(1).min(cell(2)), cell(1).max(cell(2)));
+        let dump =
+            |wins: &[u32], cells: &[CellId], counts: &[u32], records: &[(u32, u32)]| HistoryDump {
+                wins: wins.to_vec().into(),
+                cells: cells.to_vec().into(),
+                counts: counts.to_vec().into(),
+                window_records: records.to_vec().into(),
+            };
+        // Window 0 holds a region record over both cells plus a point
+        // record, window 1 one point record.
+        let good = || dump(&[0, 0, 1], &[a, b, a], &[2, 1, 1], &[(0, 2), (1, 1)]);
+        let decode_with = |histories: Vec<(EntityId, HistoryDump<'static>)>| {
+            let mut state = sample_state();
+            state.shards.histories[0] = histories;
+            decode(&encode(&state)).map(|_| ())
+        };
+        assert_eq!(decode_with(vec![(EntityId(7), good())]), Ok(()));
+
+        let records = [(0, 2), (1, 1)];
+        let cases = [
+            ("ragged", dump(&[0, 0, 1], &[a, b], &[2, 1, 1], &records)),
+            (
+                "ragged",
+                dump(&[0, 0, 1], &[a, b, a], &[2, 1, 1, 1], &records),
+            ),
+            ("no bins", dump(&[], &[], &[], &[])),
+            (
+                "not ascending",
+                dump(&[0, 1, 0], &[a, a, b], &[2, 1, 1], &records),
+            ),
+            (
+                "not ascending",
+                dump(&[0, 0, 1], &[b, a, a], &[2, 1, 1], &records),
+            ),
+            (
+                "not ascending",
+                dump(&[0, 0, 1], &[a, a, a], &[2, 1, 1], &records),
+            ),
+            (
+                "zero count",
+                dump(&[0, 0, 1], &[a, b, a], &[2, 0, 1], &records),
+            ),
+            (
+                "zero count",
+                dump(&[0, 0, 1], &[a, b, a], &[2, 1, 1], &[(0, 2), (1, 0)]),
+            ),
+            (
+                "exactly the windows",
+                dump(&[0, 0, 1], &[a, b, a], &[2, 1, 1], &[(1, 1), (0, 2)]),
+            ),
+            (
+                "exactly the windows",
+                dump(&[0, 0, 1], &[a, b, a], &[2, 1, 1], &[(0, 2)]),
+            ),
+            (
+                "exactly the windows",
+                dump(
+                    &[0, 0, 1],
+                    &[a, b, a],
+                    &[2, 1, 1],
+                    &[(0, 2), (1, 1), (2, 1)],
+                ),
+            ),
+        ];
+        for (i, (expect, malformed)) in cases.into_iter().enumerate() {
+            let err = decode_with(vec![(EntityId(7), malformed)]).expect_err("malformed columns");
+            assert!(
+                err.contains("EntityId(7)") && err.contains(expect),
+                "case {i}: unexpected error: {err}"
+            );
+        }
+        // The same entity twice on one side.
+        let err = decode_with(vec![(EntityId(7), good()), (EntityId(7), good())])
+            .expect_err("an entity restored twice");
+        assert!(
+            err.contains("EntityId(7)") && err.contains("listed twice"),
+            "unexpected error: {err}"
+        );
     }
 
     /// A failed write removes its own temp file; a temp file a killed

@@ -31,25 +31,6 @@ impl Default for StreamLshConfig {
     }
 }
 
-/// How the engine stores per-shard mobility histories.
-///
-/// The observable contract — links, update streams, stats, and
-/// finalized output — is bit-identical between the two modes for any
-/// shard count, worker count, and steal schedule; the property tests
-/// in `tests/arena_equivalence.rs` pin this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageMode {
-    /// Struct-of-arrays columnar arenas
-    /// ([`slim_core::arena::HistoryArena`]): one contiguous index range
-    /// per entity, scored by a linear-sweep batch kernel. The
-    /// production mode.
-    #[default]
-    Arena,
-    /// The classic per-entity `HashMap<EntityId, MobilityHistory>`
-    /// structs — kept as the equivalence baseline.
-    Legacy,
-}
-
 /// Configuration of a [`crate::StreamEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
@@ -93,8 +74,6 @@ pub struct StreamConfig {
     /// whether this is on or off — disabling it only skips the clock
     /// reads and histogram updates on the hot paths.
     pub telemetry: bool,
-    /// History storage representation (columnar arena by default).
-    pub storage: StorageMode,
 }
 
 impl Default for StreamConfig {
@@ -108,7 +87,6 @@ impl Default for StreamConfig {
             pool_mode: PoolMode::default(),
             lsh: None,
             telemetry: true,
-            storage: StorageMode::default(),
         }
     }
 }

@@ -57,6 +57,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use slim_core::arena::HistoryArena;
 use slim_core::df::DfStats;
 use slim_core::similarity::SimilarityScorer;
 use slim_core::{
@@ -69,8 +70,8 @@ use slim_telemetry::{Histogram, MetricsRegistry, Snapshot, SnapshotSink};
 
 use crate::adjacency::PairKey;
 use crate::checkpoint::{
-    self, CheckpointPolicy, ConfigFingerprint, DfDump, EngineDump, Image, MetaDump, ResumeState,
-    ShardsDump,
+    self, CheckpointPolicy, ConfigFingerprint, DfDump, EngineDump, HistoryDump, Image, MetaDump,
+    ResumeState, ShardsDump,
 };
 use crate::config::StreamConfig;
 use crate::event::{Side, StreamEvent};
@@ -78,12 +79,11 @@ use crate::lsh::LshGeometry;
 use crate::merge;
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::shard::{
-    bin_event, entity_shard, lookup_view, merged_contributions, BinnedEvent, EngineShard,
-    ExpiryEffects, IngestEffects, PairWindows, RescoreJob, RescoreOutcome, ScoredPair,
+    bin_event, entity_shard, for_common_runs, lookup_view, merged_contributions, BinnedEvent,
+    EngineShard, ExpiryEffects, IngestEffects, PairWindows, RescoreJob, RescoreOutcome, ScoredPair,
 };
 use crate::snapshot::{EpochLog, EpochPointer, LinkSnapshot};
 use crate::source::Clock;
-use crate::store::{common_windows_of, for_common_runs, window_contribution_view, HistoryView};
 use crate::telemetry::{EngineTelemetry, PhaseId};
 use crate::testing::FaultPlan;
 
@@ -176,12 +176,12 @@ pub struct StreamStats {
     /// ring), so they keep counting toward reactivation exactly as a
     /// batch run over the live slice would count them.
     pub demoted_records: u64,
-    /// Columnar-arena compaction passes across all shards (0 under
-    /// [`crate::StorageMode::Legacy`]). Compaction triggers on
-    /// per-shard arena fill, which depends on how entities partition
-    /// across shards — deterministic for a fixed shard count but
-    /// legitimately different across shard counts, so this is
-    /// **excluded from `PartialEq`** like the scheduling telemetry.
+    /// Columnar-arena compaction passes across all shards. Each
+    /// shard's arenas compact on their own dead/live slot ratio, which
+    /// depends on how entities partition across shards — deterministic
+    /// for a fixed shard count but legitimately different across shard
+    /// counts, so this is **excluded from `PartialEq`** like the
+    /// scheduling telemetry.
     pub arena_compactions: u64,
     /// Chunks of shard work executed by a pool worker other than the
     /// one they were placed on — nonzero means the stealing pool
@@ -399,7 +399,6 @@ impl StreamEngine {
         cfg.validate()?;
         let num_shards = cfg.effective_shards();
         let num_workers = cfg.effective_workers();
-        let storage = cfg.storage;
         // Demotion (and with it the re-buffer ring) only exists under a
         // bounded window — unbounded engines never expire evidence.
         let retain_live = cfg.window_capacity.is_some();
@@ -412,7 +411,7 @@ impl StreamEngine {
             num_workers,
             scheme: None,
             shards: (0..num_shards)
-                .map(|_| EngineShard::new(storage, retain_live))
+                .map(|_| EngineShard::new(retain_live))
                 .collect(),
             df: [DfStats::new(), DfStats::new()],
             domain: 0,
@@ -477,7 +476,7 @@ impl StreamEngine {
     }
 
     /// Refreshes [`StreamStats::arena_compactions`] from the per-shard
-    /// stores. Called after phases that append or evict history.
+    /// arenas. Called after phases that append or evict history.
     fn sync_arena_stats(&mut self) {
         self.stats.arena_compactions = self
             .shards
@@ -519,8 +518,8 @@ impl StreamEngine {
     }
 
     /// The live history of one entity (`None` if filtered or expired).
-    /// Owned: the arena storage materializes the per-entity struct on
-    /// demand; this is an inspection API, not a hot path.
+    /// Owned: the arena materializes the per-entity struct on demand;
+    /// this is an inspection API, not a hot path.
     pub fn history(&self, side: Side, entity: EntityId) -> Option<MobilityHistory> {
         self.shards[entity_shard(side, entity, self.num_shards)].histories[side.idx()]
             .materialize(entity)
@@ -539,7 +538,7 @@ impl StreamEngine {
         let mut out: Vec<EntityId> = self
             .shards
             .iter()
-            .flat_map(|s| s.histories[side.idx()].entity_ids())
+            .flat_map(|s| s.histories[side.idx()].entities())
             .collect();
         out.sort_unstable();
         out
@@ -765,10 +764,16 @@ impl StreamEngine {
         let mut shards = ShardsDump::default();
         for shard in &self.shards {
             for i in 0..2 {
-                for e in shard.histories[i].entity_ids() {
-                    let dump = shard.histories[i]
+                for e in shard.histories[i].entities() {
+                    let (view, window_records) = shard.histories[i]
                         .export_entity(e)
-                        .expect("listed by entity_ids");
+                        .expect("listed by entities");
+                    let dump = HistoryDump {
+                        wins: view.wins.into(),
+                        cells: view.cells.into(),
+                        counts: view.counts.into(),
+                        window_records: window_records.into(),
+                    };
                     shards.histories[i].push((e, dump));
                 }
                 shards.pending[i].extend(
@@ -909,7 +914,13 @@ impl StreamEngine {
                 for &(w, _) in dump.window_records.iter() {
                     home.window_entities.entry(w).or_default()[i].insert(ent);
                 }
-                home.histories[i].restore_entity(ent, dump);
+                home.histories[i].restore_entity(
+                    ent,
+                    &dump.wins,
+                    &dump.cells,
+                    &dump.counts,
+                    dump.window_records.into_owned(),
+                );
             }
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(pending) {
@@ -1778,34 +1789,23 @@ impl StreamEngine {
                 // included: they tell the owner to drop the window).
                 let mut patch = PairWindows::new();
                 let mut t_last = clock.as_ref().map(|c| c.now_ns()).unwrap_or(0);
-                match (spec, hu, hv) {
-                    // The batch kernel: a fresh pair with both endpoints
-                    // in arena storage is scored by one linear merge
-                    // over the two entities' window columns, feeding
-                    // contiguous cell/count slices straight into the
-                    // scorer — no hashing, no per-window lookup. The
-                    // per-window arithmetic (and its accumulation
-                    // order) is exactly `window_contribution`'s, so the
-                    // result is bit-identical to the legacy path.
-                    (None, HistoryView::Arena(vu), HistoryView::Arena(vv)) => {
-                        for_common_runs(&vu, &vv, |w, ru, rv| {
-                            let c = scorer.window_contribution_cells(w, ru, rv, &mut stats);
-                            patch.push((w, c));
-                            lap(&clock, &mut t_last, &mut kernel);
-                        });
-                    }
-                    _ => {
-                        let common;
-                        let windows: &[WindowIdx] = match spec {
-                            Some(ws) => ws,
-                            None => {
-                                common = common_windows_of(&hu, &hv);
-                                &common
-                            }
-                        };
+                match spec {
+                    // A fresh pair: one linear merge over the two
+                    // entities' window columns feeds contiguous
+                    // cell/count slices of every common window straight
+                    // into the scorer — no hashing, no per-window
+                    // lookup.
+                    None => for_common_runs(&hu, &hv, |w, ru, rv| {
+                        let c = scorer.window_contribution_cells(w, ru, rv, &mut stats);
+                        patch.push((w, c));
+                        lap(&clock, &mut t_last, &mut kernel);
+                    }),
+                    // A dirty pair: exactly the listed windows.
+                    Some(windows) => {
                         patch.reserve_exact(windows.len());
-                        for &w in windows {
-                            let c = window_contribution_view(&scorer, &hu, &hv, w, &mut stats);
+                        for &w in windows.iter() {
+                            let (ru, rv) = (hu.window_run(w), hv.window_run(w));
+                            let c = scorer.window_contribution_cells(w, ru, rv, &mut stats);
                             patch.push((w, c));
                             lap(&clock, &mut t_last, &mut kernel);
                         }
@@ -1870,18 +1870,13 @@ impl StreamEngine {
         let Some(scheme) = self.scheme else {
             return Ok(empty_output());
         };
-        // Materializing owned histories (deep clones from the legacy
-        // map, struct rebuilds from the arena columns) is the expensive
-        // part of the borrowing finalizer; hand one chunk per shard to
-        // the pool when the state is big enough to pay. The merged map
-        // contents are independent of chunk scheduling.
+        // Materializing owned histories (struct rebuilds from the arena
+        // columns) is the expensive part of the borrowing finalizer;
+        // hand one chunk per shard to the pool when the state is big
+        // enough to pay. The merged map contents are independent of
+        // chunk scheduling.
         let clone_one = |shard: &EngineShard| -> [Vec<(EntityId, MobilityHistory)>; 2] {
-            [Side::Left, Side::Right].map(|side| {
-                shard.histories[side.idx()]
-                    .materialize_all()
-                    .into_iter()
-                    .collect()
-            })
+            [Side::Left, Side::Right].map(|side| materialize_all(&shard.histories[side.idx()]))
         };
         let total: usize = self
             .shards
@@ -1915,7 +1910,9 @@ impl StreamEngine {
         let mut sets = [HashMap::new(), HashMap::new()];
         for shard in &mut self.shards {
             for side in [Side::Left, Side::Right] {
-                sets[side.idx()].extend(shard.histories[side.idx()].drain_map());
+                // Each arena is freed as soon as it is materialized.
+                let arena = std::mem::take(&mut shard.histories[side.idx()]);
+                sets[side.idx()].extend(materialize_all(&arena));
             }
         }
         let [left, right] = sets;
@@ -1945,6 +1942,14 @@ impl StreamEngine {
             prepared.link()
         })
     }
+}
+
+/// Owned histories of every live entity of one arena.
+fn materialize_all(arena: &HistoryArena) -> Vec<(EntityId, MobilityHistory)> {
+    arena
+        .entities()
+        .map(|e| (e, arena.materialize(e).expect("entity is live")))
+        .collect()
 }
 
 fn empty_output() -> LinkageOutput {

@@ -137,12 +137,11 @@ mod shard;
 pub mod snapshot;
 pub mod source;
 mod steal;
-mod store;
 pub mod telemetry;
 pub mod testing;
 
 pub use checkpoint::CheckpointPolicy;
-pub use config::{StorageMode, StreamConfig, StreamLshConfig};
+pub use config::{StreamConfig, StreamLshConfig};
 pub use engine::{LinkUpdate, StreamEngine, StreamStats};
 pub use event::{batch_equivalent_origin, merge_datasets, Side, StreamEvent};
 pub use serve::{LinkQueryServer, ServeReport};

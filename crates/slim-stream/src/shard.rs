@@ -20,15 +20,14 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use geocell::CellId;
+use slim_core::arena::{EntityView, HistoryArena};
 use slim_core::df::DfDelta;
 use slim_core::history::record_cells;
 use slim_core::{EntityId, WindowIdx, WindowScheme};
 
 use crate::adjacency::{AdjacencyIndex, PairKey};
-use crate::config::StorageMode;
 use crate::event::{Side, StreamEvent};
 use crate::lsh::{LshGeometry, ShardRings};
-use crate::store::{HistoryStore, HistoryView};
 
 /// An event with its temporal/spatial binning done — the unit of work
 /// the sharded ingest path precomputes on worker threads.
@@ -82,8 +81,39 @@ pub(crate) fn lookup_view(
     shards: &[EngineShard],
     side: Side,
     entity: EntityId,
-) -> Option<HistoryView<'_>> {
+) -> Option<EntityView<'_>> {
     shards[entity_shard(side, entity, shards.len())].histories[side.idx()].view(entity)
+}
+
+/// Calls `f(w, (cells_u, counts_u), (cells_v, counts_v))` for every
+/// window common to both arena views, ascending — one linear merge over
+/// the two window columns, handing out contiguous column slices (the
+/// batch-kernel gather: no hashing, no per-window binary search).
+pub(crate) fn for_common_runs<'a>(
+    u: &EntityView<'a>,
+    v: &EntityView<'a>,
+    mut f: impl FnMut(WindowIdx, (&'a [CellId], &'a [u32]), (&'a [CellId], &'a [u32])),
+) {
+    let (uw, vw) = (u.wins, v.wins);
+    let (mut i, mut j) = (0, 0);
+    while i < uw.len() && j < vw.len() {
+        let (wi, wj) = (uw[i], vw[j]);
+        if wi < wj {
+            i += uw[i..].partition_point(|&x| x == wi);
+        } else if wj < wi {
+            j += vw[j..].partition_point(|&x| x == wj);
+        } else {
+            let ie = i + uw[i..].partition_point(|&x| x == wi);
+            let je = j + vw[j..].partition_point(|&x| x == wi);
+            f(
+                wi,
+                (&u.cells[i..ie], &u.counts[i..ie]),
+                (&v.cells[j..je], &v.counts[j..je]),
+            );
+            i = ie;
+            j = je;
+        }
+    }
 }
 
 /// The ascending union of two ascending, duplicate-free window lists.
@@ -268,7 +298,7 @@ pub(crate) struct EngineShard {
     /// Entities that crossed the min-records threshold.
     pub(crate) active: [HashSet<EntityId>; 2],
     /// This shard's slice of the per-side mobility histories.
-    pub(crate) histories: [HistoryStore; 2],
+    pub(crate) histories: [HistoryArena; 2],
     /// Raw still-live events of active homed entities, in stream order
     /// — the demotion re-buffer ring. Maintained only in
     /// sliding-window mode (`retain_live`): when expiry demotes an
@@ -310,15 +340,15 @@ pub(crate) struct EngineShard {
 }
 
 impl EngineShard {
-    /// An empty shard using the given history representation.
-    /// `retain_live` enables the demotion re-buffer ring (pointless —
-    /// and therefore off — when the window is unbounded).
-    pub(crate) fn new(storage: StorageMode, retain_live: bool) -> Self {
+    /// An empty shard. `retain_live` enables the demotion re-buffer
+    /// ring (pointless — and therefore off — when the window is
+    /// unbounded).
+    pub(crate) fn new(retain_live: bool) -> Self {
         Self {
             pending: Default::default(),
             pending_windows: BTreeMap::new(),
             active: Default::default(),
-            histories: [HistoryStore::new(storage), HistoryStore::new(storage)],
+            histories: Default::default(),
             live_events: Default::default(),
             retain_live,
             dirty: Default::default(),
@@ -482,7 +512,10 @@ impl EngineShard {
                     if demote {
                         fx.demoted_entities += 1;
                         fx.demoted_records += live as u64;
-                        let leftover = self.histories[side.idx()].windows_of(e);
+                        let leftover: Vec<WindowIdx> = self.histories[side.idx()]
+                            .view(e)
+                            .map(|v| v.windows().collect())
+                            .unwrap_or_default();
                         for lw in leftover {
                             self.evict_history_window(side, e, lw, &mut fx.df);
                             if let Some(sides) = self.window_entities.get_mut(&lw) {
@@ -533,7 +566,7 @@ impl EngineShard {
         w: WindowIdx,
         df: &mut [DfDelta; 2],
     ) {
-        if !self.histories[side.idx()].contains(e) {
+        if self.histories[side.idx()].view(e).is_none() {
             return;
         }
         let (bins, emptied) = self.histories[side.idx()].evict_window(e, w);
@@ -706,7 +739,7 @@ mod tests {
         let cell = |k: u64| CellId::from_latlng(LatLng::from_degrees(20.0, k as f64), 12);
         let mut next = xorshift(0xD1B5_4A32_D192_ED03u64);
         for (min_records, capacity) in [(2usize, 6u32), (5, 4), (1, 3), (3, 12)] {
-            let mut shard = EngineShard::new(StorageMode::Arena, true);
+            let mut shard = EngineShard::new(true);
             let (mut watermark, mut keep_from) = (0u32, 0u32);
             let (mut activated, mut demoted, mut pruned) = (0usize, 0u64, 0usize);
             for step in 0..1200 {
@@ -848,7 +881,7 @@ mod tests {
     fn gathered_jobs_are_the_union_of_the_endpoints_dirty_windows() {
         let mut next = xorshift(0x2545_F491_4F6C_DD1Du64);
         for round in 0..50 {
-            let mut shard = EngineShard::new(StorageMode::Arena, false);
+            let mut shard = EngineShard::new(false);
             for _ in 0..next(30) {
                 shard.add_candidate((EntityId(next(6)), EntityId(next(6))));
             }

@@ -253,8 +253,6 @@ impl FaultPlan {
 /// checks — so a suite can assert that its runs were not vacuous.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleCoverage {
-    /// State checks run (one per fed chunk and per manual tick).
-    pub checks: u64,
     /// Pair-cache checks run (one per refresh tick).
     pub ticks: u64,
     /// Entities whose history was live at one check and gone at the next.
@@ -368,123 +366,124 @@ impl RecomputeOracle {
     }
 
     fn check(&mut self, engine: &StreamEngine, ticked: bool) -> Result<(), String> {
-        let Some(&scheme) = engine.scheme() else {
+        if engine.scheme().is_none() {
             return Ok(());
-        };
+        }
+        let sets = [
+            self.check_side(engine, Side::Left)?,
+            self.check_side(engine, Side::Right)?,
+        ];
+        if ticked {
+            let (shards, ..) = engine.windowed_state();
+            self.check_pairs(engine.config(), shards, sets)?;
+        }
+        Ok(())
+    }
+
+    /// Checks one side's entity sets, histories and df statistics
+    /// against the rebuilt live slice, which it returns.
+    fn check_side(&mut self, engine: &StreamEngine, side: Side) -> Result<HistorySet, String> {
+        let scheme = *engine.scheme().expect("checked by the caller");
         let cfg = engine.config();
         let (shards, df, watermark) = engine.windowed_state();
         let keep_from = cfg
             .window_capacity
             .map_or(0, |cap| watermark.saturating_add(1).saturating_sub(cap));
         let min_records = cfg.slim.min_records;
-        self.coverage.checks += 1;
-
-        let mut sets = Vec::with_capacity(2);
-        for side in [Side::Left, Side::Right] {
-            let i = side.idx();
-            let live = self
-                .fed
-                .iter()
-                .filter(|ev| ev.side == side && scheme.window_of(ev.time) >= keep_from);
-            let mut window_records: HashMap<EntityId, BTreeMap<WindowIdx, u32>> = HashMap::new();
-            for ev in live.clone() {
-                let counts = window_records.entry(ev.entity).or_default();
-                *counts.entry(scheme.window_of(ev.time)).or_insert(0) += 1;
-            }
-            let mut dataset = LocationDataset::from_records(live.map(StreamEvent::to_record));
-
-            // The min-records filter splits the slice's entities into
-            // parked and active.
-            let parked: BTreeMap<EntityId, usize> = dataset
-                .entities()
-                .map(|e| (e, dataset.records_of(e).len()))
-                .filter(|&(_, n)| n <= min_records)
-                .collect();
-            let pending: BTreeMap<EntityId, usize> = shards
-                .iter()
-                .flat_map(|s| s.pending()[i].iter().map(|(&e, buffer)| (e, buffer.len())))
-                .collect();
-            if pending != parked {
-                return Err(format!(
-                    "{side:?} pending buffers {pending:?}, the live slice parks {parked:?}"
-                ));
-            }
-            dataset.filter_min_records(min_records);
-            let set = HistorySet::build(&dataset, scheme, cfg.slim.spatial_level, watermark + 1);
-            let want_active = set.entities_sorted();
-            let mut active: Vec<EntityId> = shards
-                .iter()
-                .flat_map(|s| s.active[i].iter().copied())
-                .collect();
-            active.sort_unstable();
-            if active != want_active || engine.tracked_entities_sorted(side) != want_active {
-                return Err(format!(
-                    "{side:?} active {active:?}, tracked {:?}, the live slice keeps {want_active:?}",
-                    engine.tracked_entities_sorted(side)
-                ));
-            }
-            if df[i] != *set.df_stats() {
-                return Err(format!(
-                    "{side:?} df statistics diverged: {} bins / {} entities maintained, {} / {} \
-                     recomputed (or a per-bin frequency differs)",
-                    df[i].total_bins(),
-                    df[i].num_entities(),
-                    set.df_stats().total_bins(),
-                    set.df_stats().num_entities()
-                ));
-            }
-            for &e in &want_active {
-                let want = set.history(e).expect("listed by the set");
-                let have = engine.history(side, e).expect("tracked");
-                if !same_bins(&have, want)
-                    || (have.num_bins(), have.num_records())
-                        != (want.num_bins(), want.num_records())
-                {
-                    return Err(format!("{side:?} {e:?}: materialized history diverged"));
-                }
-                let dump = shards[entity_shard(side, e, shards.len())].histories[i]
-                    .export_entity(e)
-                    .expect("tracked");
-                let columns = want
-                    .windows()
-                    .flat_map(|w| want.bins_in(w).iter().map(move |&(c, n)| (w, c, n)));
-                let exported =
-                    (0..dump.wins.len()).map(|k| (dump.wins[k], dump.cells[k], dump.counts[k]));
-                if dump.cells.len() != dump.wins.len()
-                    || dump.counts.len() != dump.wins.len()
-                    || !exported.eq(columns)
-                {
-                    return Err(format!("{side:?} {e:?}: stored columns diverged"));
-                }
-                if !dump
-                    .window_records
-                    .iter()
-                    .copied()
-                    .eq(window_records[&e].iter().map(|(&w, &n)| (w, n)))
-                {
-                    return Err(format!(
-                        "{side:?} {e:?}: per-window record counts {:?}, the live slice has {:?}",
-                        dump.window_records, window_records[&e]
-                    ));
-                }
-            }
-
-            let now: BTreeSet<EntityId> = want_active.into_iter().collect();
-            for &e in self.live[i].difference(&now) {
-                self.removed[i].insert(e);
-                self.coverage.removed_entities += 1;
-            }
-            let returned = now.difference(&self.live[i]);
-            self.coverage.reactivated_entities +=
-                returned.filter(|e| self.removed[i].contains(e)).count() as u64;
-            self.live[i] = now;
-            sets.push(set);
+        let i = side.idx();
+        let live = self
+            .fed
+            .iter()
+            .filter(|ev| ev.side == side && scheme.window_of(ev.time) >= keep_from);
+        let mut window_records: HashMap<EntityId, BTreeMap<WindowIdx, u32>> = HashMap::new();
+        for ev in live.clone() {
+            let counts = window_records.entry(ev.entity).or_default();
+            *counts.entry(scheme.window_of(ev.time)).or_insert(0) += 1;
         }
-        if ticked {
-            let [left, right]: [HistorySet; 2] = sets.try_into().expect("two sides");
-            self.check_pairs(cfg, shards, [left, right])?;
+        let mut dataset = LocationDataset::from_records(live.map(StreamEvent::to_record));
+
+        // The min-records filter splits the slice's entities into
+        // parked and active.
+        let parked: BTreeMap<EntityId, usize> = dataset
+            .entities()
+            .map(|e| (e, dataset.records_of(e).len()))
+            .filter(|&(_, n)| n <= min_records)
+            .collect();
+        let pending: BTreeMap<EntityId, usize> = shards
+            .iter()
+            .flat_map(|s| s.pending()[i].iter().map(|(&e, buffer)| (e, buffer.len())))
+            .collect();
+        if pending != parked {
+            return Err(format!(
+                "{side:?} pending buffers {pending:?}, the live slice parks {parked:?}"
+            ));
         }
-        Ok(())
+        dataset.filter_min_records(min_records);
+        let set = HistorySet::build(&dataset, scheme, cfg.slim.spatial_level, watermark + 1);
+        let want_active = set.entities_sorted();
+        let mut active: Vec<EntityId> = shards
+            .iter()
+            .flat_map(|s| s.active[i].iter().copied())
+            .collect();
+        active.sort_unstable();
+        if active != want_active || engine.tracked_entities_sorted(side) != want_active {
+            return Err(format!(
+                "{side:?} active {active:?}, tracked {:?}, the live slice keeps {want_active:?}",
+                engine.tracked_entities_sorted(side)
+            ));
+        }
+        if df[i] != *set.df_stats() {
+            return Err(format!(
+                "{side:?} df statistics diverged: {} bins / {} entities maintained, {} / {} \
+                 recomputed (or a per-bin frequency differs)",
+                df[i].total_bins(),
+                df[i].num_entities(),
+                set.df_stats().total_bins(),
+                set.df_stats().num_entities()
+            ));
+        }
+        for &e in &want_active {
+            let want = set.history(e).expect("listed by the set");
+            let have = engine.history(side, e).expect("tracked");
+            if !same_bins(&have, want)
+                || (have.num_bins(), have.num_records()) != (want.num_bins(), want.num_records())
+            {
+                return Err(format!("{side:?} {e:?}: materialized history diverged"));
+            }
+            let (view, records) = shards[entity_shard(side, e, shards.len())].histories[i]
+                .export_entity(e)
+                .expect("tracked");
+            let columns = want
+                .windows()
+                .flat_map(|w| want.bins_in(w).iter().map(move |&(c, n)| (w, c, n)));
+            let stored =
+                (0..view.wins.len()).map(|k| (view.wins[k], view.cells[k], view.counts[k]));
+            if view.cells.len() != view.wins.len()
+                || view.counts.len() != view.wins.len()
+                || !stored.eq(columns)
+            {
+                return Err(format!("{side:?} {e:?}: stored columns diverged"));
+            }
+            let counted = window_records[&e].iter().map(|(&w, &n)| (w, n));
+            if !records.iter().copied().eq(counted) {
+                return Err(format!(
+                    "{side:?} {e:?}: per-window record counts {records:?}, the live slice has \
+                     {:?}",
+                    window_records[&e]
+                ));
+            }
+        }
+
+        let now: BTreeSet<EntityId> = want_active.into_iter().collect();
+        for &e in self.live[i].difference(&now) {
+            self.removed[i].insert(e);
+            self.coverage.removed_entities += 1;
+        }
+        let returned = now.difference(&self.live[i]);
+        self.coverage.reactivated_entities +=
+            returned.filter(|e| self.removed[i].contains(e)).count() as u64;
+        self.live[i] = now;
+        Ok(set)
     }
 
     fn check_pairs(

@@ -7,7 +7,7 @@
 //! for the exact contract). On top of that, everything observable about
 //! a replay — served links, emitted update streams, work counters,
 //! scoring statistics, candidate sets, the finalized output — must be
-//! bit-identical for every storage mode, shard count and worker count.
+//! bit-identical for every shard count and worker count.
 //!
 //! The properties also assert that, summed over their cases, the runs
 //! were not vacuous: windows were evicted, entities expired away and
@@ -24,8 +24,7 @@ use slim::geo::LatLng;
 use slim::lsh::LshConfig;
 use slim::stream::testing::{OracleCoverage, RecomputeOracle};
 use slim::stream::{
-    LinkUpdate, Side, StorageMode, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig,
-    StreamStats,
+    LinkUpdate, Side, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig, StreamStats,
 };
 
 const CASES: u32 = 12;
@@ -70,7 +69,7 @@ fn arb_events() -> impl Strategy<Value = Vec<StreamEvent>> {
 }
 
 /// Everything observable about one replay. `StreamStats` participates
-/// directly: its `PartialEq` already excludes the representation- and
+/// directly: its `PartialEq` already excludes the partition- and
 /// schedule-dependent counters (`arena_compactions`, steal/busy
 /// telemetry), so `==` here means "same results and same *semantic*
 /// work", not "same memory layout".
@@ -84,70 +83,48 @@ struct Observation {
     finalized: Vec<(EntityId, EntityId, f64)>,
 }
 
-/// What the runs of one property exercised, summed over its cases.
-#[derive(Debug, Default)]
+/// Every replay of one property, kept so that its last case can look at
+/// the sums.
 struct Exercised {
     cases: u32,
-    oracle: OracleCoverage,
-    evicted_windows: u64,
-    demoted_entities: u64,
-    late_dropped: u64,
-    arena_compactions: u64,
+    replays: Vec<(OracleCoverage, StreamStats)>,
 }
 
 impl Exercised {
     const fn new() -> Self {
         Self {
             cases: 0,
-            oracle: OracleCoverage {
-                checks: 0,
-                ticks: 0,
-                removed_entities: 0,
-                reactivated_entities: 0,
-                fresh_contributions: 0,
-                carried_contributions: 0,
-            },
-            evicted_windows: 0,
-            demoted_entities: 0,
-            late_dropped: 0,
-            arena_compactions: 0,
+            replays: Vec::new(),
         }
     }
 
-    fn absorb(&mut self, oracle: OracleCoverage, stats: &StreamStats) {
-        let o = &mut self.oracle;
-        o.checks += oracle.checks;
-        o.ticks += oracle.ticks;
-        o.removed_entities += oracle.removed_entities;
-        o.reactivated_entities += oracle.reactivated_entities;
-        o.fresh_contributions += oracle.fresh_contributions;
-        o.carried_contributions += oracle.carried_contributions;
-        self.evicted_windows += stats.evicted_windows;
-        self.demoted_entities += stats.demoted_entities;
-        self.late_dropped += stats.late_dropped;
-        self.arena_compactions += stats.arena_compactions;
-    }
-
-    /// Closes one case; after the last one, the sums must show that the
-    /// oracle was looking at every maintenance path.
+    /// Closes one case; after the last one, the sums over every replay
+    /// must show that the oracle was looking at each maintenance path.
     fn close_case(&mut self) {
         self.cases += 1;
         if self.cases < CASES {
             return;
         }
-        let o = self.oracle;
-        assert!(
-            o.ticks > 0
-                && o.removed_entities > 0
-                && o.reactivated_entities > 0
-                && o.fresh_contributions > 0
-                && o.carried_contributions > 0
-                && self.evicted_windows > 0
-                && self.demoted_entities > 0
-                && self.late_dropped > 0
-                && self.arena_compactions > 0,
-            "vacuous runs: {self:?}"
-        );
+        type Replay = (OracleCoverage, StreamStats);
+        let sum = |of: fn(&Replay) -> u64| self.replays.iter().map(of).sum::<u64>();
+        let sums = [
+            ("ticks checked", sum(|r| r.0.ticks)),
+            ("entities removed", sum(|r| r.0.removed_entities)),
+            ("entities re-activated", sum(|r| r.0.reactivated_entities)),
+            (
+                "contributions equal to recomputation",
+                sum(|r| r.0.fresh_contributions),
+            ),
+            (
+                "contributions carried across a tick",
+                sum(|r| r.0.carried_contributions),
+            ),
+            ("windows evicted", sum(|r| r.1.evicted_windows)),
+            ("entities demoted", sum(|r| r.1.demoted_entities)),
+            ("events dropped late", sum(|r| r.1.late_dropped)),
+            ("arena compactions", sum(|r| r.1.arena_compactions)),
+        ];
+        assert!(sums.iter().all(|&(_, n)| n > 0), "vacuous runs: {sums:?}");
     }
 }
 
@@ -156,15 +133,13 @@ impl Exercised {
 fn replay(
     events: &[StreamEvent],
     mut cfg: StreamConfig,
-    storage: StorageMode,
     shards: usize,
     workers: usize,
     exercised: &Mutex<Exercised>,
 ) -> Result<Observation, String> {
-    cfg.storage = storage;
     cfg.num_shards = shards;
     cfg.num_workers = workers;
-    let context = |e| format!("{storage:?}, {shards} shards, {workers} workers: {e}");
+    let context = |e| format!("{shards} shards, {workers} workers: {e}");
     let mut engine = StreamEngine::new(cfg).expect("valid config");
     let mut oracle = RecomputeOracle::new();
     let mut updates = oracle.ingest(&mut engine, events).map_err(context)?;
@@ -173,10 +148,12 @@ fn replay(
     let stats = *engine.stats();
     let scoring = *engine.scoring_stats();
     let candidate_pairs = engine.num_candidate_pairs();
+    let coverage = (oracle.coverage(), stats);
     exercised
         .lock()
         .expect("coverage lock")
-        .absorb(oracle.coverage(), &stats);
+        .replays
+        .push(coverage);
     let finalized = engine
         .into_finalized()
         .expect("finalize")
@@ -202,11 +179,11 @@ proptest! {
 
     // Brute-force candidates, sliding window (arena eviction +
     // demotion re-buffering in play), mid-stream ticks. Every replay
-    // is held to recomputation by the oracle; the legacy single-shard
-    // replay is the reference the arena must also match at every shard
-    // × worker combination — including the shard counts that split
-    // linked pairs across shard boundaries and the worker counts that
-    // dispatch rescore chunks through the stealing pool.
+    // is held to recomputation by the oracle, at every shard × worker
+    // combination — including the shard counts that split linked pairs
+    // across shard boundaries and the worker counts that dispatch
+    // rescore chunks through the stealing pool — and they all observe
+    // the same thing.
     #[test]
     fn arena_is_bit_identical_to_legacy_store(events in arb_events()) {
         let cfg = StreamConfig {
@@ -218,28 +195,25 @@ proptest! {
             },
             ..StreamConfig::default()
         };
-        let reference = replay(&events, cfg, StorageMode::Legacy, 1, 1, &BRUTE);
+        let reference = replay(&events, cfg, 1, 1, &BRUTE);
         prop_assert!(reference.is_ok(), "{}", reference.unwrap_err());
         for shards in [1usize, 2, 4, 7] {
             for workers in [1usize, 2, 4] {
-                let arena = replay(&events, cfg, StorageMode::Arena, shards, workers, &BRUTE);
+                let observed = replay(&events, cfg, shards, workers, &BRUTE);
                 prop_assert!(
-                    reference == arena,
-                    "arena ({} shards, {} workers) diverged from legacy:\n{:#?}\nvs\n{:#?}",
-                    shards, workers, reference, arena
+                    reference == observed,
+                    "{} shards, {} workers diverged from 1 x 1:\n{:#?}\nvs\n{:#?}",
+                    shards, workers, reference, observed
                 );
             }
         }
-        // And the legacy store itself stays shard-invariant with the
-        // refactored façade in front of it.
-        let legacy4 = replay(&events, cfg, StorageMode::Legacy, 4, 2, &BRUTE);
-        prop_assert!(reference == legacy4, "legacy 4-shard diverged from 1-shard");
         BRUTE.lock().expect("coverage lock").close_case();
     }
 
-    // LSH candidate discovery over arena-backed histories: ring
-    // signatures, bucket-partition upserts, and candidate retirement
-    // must be representation-independent too.
+    // LSH candidate discovery over the same churn: ring signatures,
+    // bucket-partition upserts, and candidate retirement decide which
+    // pairs are cached at all; whatever is cached is held to
+    // recomputation.
     #[test]
     fn arena_matches_legacy_under_lsh(events in arb_events()) {
         let cfg = StreamConfig {
@@ -259,14 +233,14 @@ proptest! {
             }),
             ..StreamConfig::default()
         };
-        let reference = replay(&events, cfg, StorageMode::Legacy, 1, 1, &LSH);
+        let reference = replay(&events, cfg, 1, 1, &LSH);
         prop_assert!(reference.is_ok(), "{}", reference.unwrap_err());
-        for (shards, workers) in [(1usize, 1usize), (2, 1), (4, 2), (7, 4)] {
-            let arena = replay(&events, cfg, StorageMode::Arena, shards, workers, &LSH);
+        for (shards, workers) in [(2usize, 1usize), (4, 2), (7, 4)] {
+            let observed = replay(&events, cfg, shards, workers, &LSH);
             prop_assert!(
-                reference == arena,
-                "LSH arena ({} shards, {} workers) diverged from legacy:\n{:#?}\nvs\n{:#?}",
-                shards, workers, reference, arena
+                reference == observed,
+                "LSH, {} shards, {} workers diverged from 1 x 1:\n{:#?}\nvs\n{:#?}",
+                shards, workers, reference, observed
             );
         }
         LSH.lock().expect("coverage lock").close_case();

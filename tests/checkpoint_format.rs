@@ -2,8 +2,8 @@
 //! last checkpoint the commit *before* the write path was rebuilt
 //! (table-driven CRC, borrowed image, in-place frames) wrote when driven
 //! over [`workload`]. Driving today's engine over the same workload must
-//! write the same bytes — at any shard count, worker count and storage
-//! mode — which is why the format `VERSION` is still 1. (The codec half
+//! write the same bytes — at any shard count and worker count — which
+//! is why the format `VERSION` is still 1. (The codec half
 //! of the proof — the fixture decodes and re-encodes byte-identically —
 //! is a unit test beside the codec in `checkpoint.rs`.)
 //!
@@ -16,8 +16,7 @@ use slim::geo::LatLng;
 use slim::lsh::LshConfig;
 use slim::stream::testing::script;
 use slim::stream::{
-    DriveOptions, Side, StorageMode, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig,
-    TickPolicy,
+    DriveOptions, Side, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig, TickPolicy,
 };
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/ckpt-v1.slim");
@@ -66,13 +65,12 @@ fn workload() -> Vec<StreamEvent> {
     events
 }
 
-fn config(shards: usize, workers: usize, storage: StorageMode) -> StreamConfig {
+fn config(shards: usize, workers: usize) -> StreamConfig {
     StreamConfig {
         refresh_every: 0,
         num_shards: shards,
         num_workers: workers,
         window_capacity: Some(8),
-        storage,
         slim: SlimConfig {
             min_records: 2,
             ..SlimConfig::default()
@@ -92,13 +90,13 @@ fn config(shards: usize, workers: usize, storage: StorageMode) -> StreamConfig {
 
 /// Drives the workload with a checkpoint every 20 events, keeping one
 /// file, and returns that file's bytes (the image at event 60 of 68).
-fn written_image(shards: usize, workers: usize, storage: StorageMode) -> Vec<u8> {
+fn written_image(shards: usize, workers: usize) -> Vec<u8> {
     let dir = std::env::temp_dir().join(format!(
-        "slim-ckpt-format-{}-{shards}x{workers}-{storage:?}",
+        "slim-ckpt-format-{}-{shards}x{workers}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut engine = StreamEngine::new(config(shards, workers, storage)).expect("valid config");
+    let mut engine = StreamEngine::new(config(shards, workers)).expect("valid config");
     engine.set_checkpoint_policy(dir.clone(), 20, 1);
     let opts = DriveOptions {
         queue_cap: 32,
@@ -119,16 +117,14 @@ fn written_image(shards: usize, workers: usize, storage: StorageMode) -> Vec<u8>
 
 #[test]
 fn drive_writes_the_parent_commits_bytes_on_every_topology_and_storage_mode() {
-    for storage in [StorageMode::Arena, StorageMode::Legacy] {
-        for (shards, workers) in [(1usize, 1usize), (4, 2)] {
-            let bytes = written_image(shards, workers, storage);
-            assert!(
-                bytes == FIXTURE,
-                "{shards} shards x {workers} workers, {storage:?}: wrote {} bytes that differ \
-                 from the {}-byte fixture",
-                bytes.len(),
-                FIXTURE.len()
-            );
-        }
+    for (shards, workers) in [(1usize, 1usize), (4, 2)] {
+        let bytes = written_image(shards, workers);
+        assert!(
+            bytes == FIXTURE,
+            "{shards} shards x {workers} workers: wrote {} bytes that differ from the {}-byte \
+             fixture",
+            bytes.len(),
+            FIXTURE.len()
+        );
     }
 }
