@@ -19,19 +19,15 @@
 
 #![warn(missing_docs)]
 
-pub mod bursty;
 pub mod checkin;
 pub mod rng;
 pub mod sampling;
 pub mod scenario;
 pub mod taxi;
 pub mod trajectory;
-pub mod zipf;
 
-pub use bursty::{bursty_offsets, BurstyConfig};
 pub use checkin::{checkin_world, CheckinConfig};
 pub use sampling::{sample_two_views, SamplingMode, TwoViewSample, ViewConfig};
 pub use scenario::Scenario;
 pub use taxi::{taxi_world, TaxiConfig};
 pub use trajectory::{Segment, Trajectory, World};
-pub use zipf::{zipf_sample, ZipfConfig};

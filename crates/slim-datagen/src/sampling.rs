@@ -81,10 +81,8 @@ impl TwoViewSample {
     }
 }
 
-/// Samples one entity's records as seen by one service. Shared with
-/// the Zipf-skewed sampler ([`crate::zipf`]), which varies the view's
-/// sampling interval per entity rank.
-pub(crate) fn sample_records(
+/// Samples one entity's records as seen by one service.
+fn sample_records(
     entity: EntityId,
     traj: &Trajectory,
     view: &ViewConfig,

@@ -753,104 +753,20 @@ fn dec_ticker(d: &mut Dec) -> Result<Ticker, String> {
     }
 }
 
-/// Destructures so adding a [`StreamStats`] field is a compile error
-/// here until the wire layout (and [`VERSION`]) is updated.
+/// Every [`StreamStats`] row in declaration order — which is therefore
+/// the wire layout: a row may only be appended, with a [`VERSION`] bump.
 fn put_stats(out: &mut Vec<u8>, s: &StreamStats) {
-    let StreamStats {
-        events,
-        late_dropped,
-        ticks,
-        rescored_windows,
-        dirty_pairs_visited,
-        cached_pairs_at_ticks,
-        retired_pairs,
-        evicted_windows,
-        edges_patched,
-        matching_region_size,
-        em_warm_iters,
-        blocked_producer_ns,
-        queue_high_watermark,
-        late_events,
-        demoted_entities,
-        demoted_records,
-        arena_compactions,
-        steal_events,
-        max_worker_busy_ns,
-        min_worker_busy_ns,
-        malformed_lines,
-        connections_served,
-        idle_evictions,
-        snapshots_published,
-        queries_served,
-        checkpoints_written,
-        checkpoints_rejected,
-        checkpoint_bytes,
-    } = *s;
-    for v in [
-        events,
-        late_dropped,
-        ticks,
-        rescored_windows,
-        dirty_pairs_visited,
-        cached_pairs_at_ticks,
-        retired_pairs,
-        evicted_windows,
-        edges_patched,
-        matching_region_size,
-        em_warm_iters,
-        blocked_producer_ns,
-        queue_high_watermark,
-        late_events,
-        demoted_entities,
-        demoted_records,
-        arena_compactions,
-        steal_events,
-        max_worker_busy_ns,
-        min_worker_busy_ns,
-        malformed_lines,
-        connections_served,
-        idle_evictions,
-        snapshots_published,
-        queries_served,
-        checkpoints_written,
-        checkpoints_rejected,
-        checkpoint_bytes,
-    ] {
-        put_u64(out, v);
+    for (_, _, value) in s.rows() {
+        put_u64(out, value);
     }
 }
 
 fn dec_stats(d: &mut Dec) -> Result<StreamStats, String> {
-    Ok(StreamStats {
-        events: d.u64()?,
-        late_dropped: d.u64()?,
-        ticks: d.u64()?,
-        rescored_windows: d.u64()?,
-        dirty_pairs_visited: d.u64()?,
-        cached_pairs_at_ticks: d.u64()?,
-        retired_pairs: d.u64()?,
-        evicted_windows: d.u64()?,
-        edges_patched: d.u64()?,
-        matching_region_size: d.u64()?,
-        em_warm_iters: d.u64()?,
-        blocked_producer_ns: d.u64()?,
-        queue_high_watermark: d.u64()?,
-        late_events: d.u64()?,
-        demoted_entities: d.u64()?,
-        demoted_records: d.u64()?,
-        arena_compactions: d.u64()?,
-        steal_events: d.u64()?,
-        max_worker_busy_ns: d.u64()?,
-        min_worker_busy_ns: d.u64()?,
-        malformed_lines: d.u64()?,
-        connections_served: d.u64()?,
-        idle_evictions: d.u64()?,
-        snapshots_published: d.u64()?,
-        queries_served: d.u64()?,
-        checkpoints_written: d.u64()?,
-        checkpoints_rejected: d.u64()?,
-        checkpoint_bytes: d.u64()?,
-    })
+    let mut stats = StreamStats::default();
+    for (_, _, value) in stats.rows_mut() {
+        *value = d.u64()?;
+    }
+    Ok(stats)
 }
 
 fn put_scoring(out: &mut Vec<u8>, s: &LinkageStats) {

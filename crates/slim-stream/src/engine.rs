@@ -103,174 +103,187 @@ pub enum LinkUpdate {
     },
 }
 
-/// Engine work counters. Every counter except
-/// [`StreamStats::arena_compactions`], the scheduling telemetry
-/// ([`StreamStats::steal_events`],
-/// [`StreamStats::max_worker_busy_ns`],
-/// [`StreamStats::min_worker_busy_ns`]), and the stall-timing-dependent
-/// [`StreamStats::idle_evictions`] is defined over per-entity or
-/// per-pair events (or deterministic barrier merges), so the values are
-/// identical for any shard count, worker count, and steal schedule on
-/// the same event stream. The scheduling telemetry reports *how* the
-/// worker pool ran — it legitimately varies run to run — and arena
-/// compaction counts follow the per-shard partition; both are
-/// therefore **excluded from `PartialEq`** (the bit-identity contract
-/// the equivalence tests compare).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamStats {
+/// Which side of the bit-identity contract a [`StreamStats`] counter is
+/// on — the one decision its equality, the checkpoint codec, the
+/// metrics registry and the guard test all read from the table below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StatClass {
+    /// A function of the event stream (and the tick schedule) alone:
+    /// identical for any shard count, worker count, steal schedule and
+    /// delivery interleaving. Compared by `StreamStats`' `PartialEq`.
+    Deterministic,
+    /// Describes *how* a run executed — scheduling, thread interleaving,
+    /// the shard partition, the durability cadence — and legitimately
+    /// differs between two runs that must compare equal. Left out of
+    /// `PartialEq`.
+    Observational,
+}
+
+/// Declares [`StreamStats`] from one table of `class name` rows (with
+/// their docs): the struct, its equality over the deterministic rows,
+/// and the row iteration every other consumer uses. Declaration order
+/// is the checkpoint wire order — append, never reorder.
+macro_rules! stream_stats {
+    ($($(#[$doc:meta])* $class:ident $name:ident,)*) => {
+        /// Engine work counters, each either **deterministic** — defined
+        /// over per-entity or per-pair events (or deterministic barrier
+        /// merges), so identical for any shard count, worker count,
+        /// steal schedule and delivery interleaving on the same event
+        /// stream — or **observational**: how the run executed
+        /// (scheduling, channel flow, the per-shard partition, the
+        /// checkpoint cadence), which legitimately varies between runs
+        /// that must compare equal. `PartialEq` — the bit-identity
+        /// contract the equivalence tests compare — covers exactly the
+        /// deterministic counters; each field's docs say which it is.
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct StreamStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl StreamStats {
+            /// How many counters there are.
+            pub(crate) const ROWS: usize = [$(stringify!($name)),*].len();
+
+            /// Every counter as `(name, class, value)`, in declaration
+            /// order.
+            pub(crate) fn rows(&self) -> [(&'static str, StatClass, u64); Self::ROWS] {
+                [$((stringify!($name), StatClass::$class, self.$name)),*]
+            }
+
+            /// The same rows with the value writable.
+            pub(crate) fn rows_mut(
+                &mut self,
+            ) -> [(&'static str, StatClass, &mut u64); Self::ROWS] {
+                [$((stringify!($name), StatClass::$class, &mut self.$name)),*]
+            }
+        }
+    };
+}
+
+stream_stats! {
     /// Events accepted (including ones still in min-records buffers).
-    pub events: u64,
+    Deterministic events,
     /// Events dropped because their window had already expired.
-    pub late_dropped: u64,
+    Deterministic late_dropped,
     /// Refresh ticks run.
-    pub ticks: u64,
+    Deterministic ticks,
     /// `(pair, window)` contribution recomputations across all ticks.
-    pub rescored_windows: u64,
+    Deterministic rescored_windows,
     /// Candidate pairs visited by refresh ticks. Every visited pair was
     /// either freshly discovered or reached through the entity→pair
     /// adjacency index from a dirty entity — never a blind cache sweep.
-    pub dirty_pairs_visited: u64,
+    Deterministic dirty_pairs_visited,
     /// Σ over ticks of the cached-pair total at tick time: the work a
     /// full-cache sweep would have done. `dirty_pairs_visited` staying
     /// below this is the adjacency index paying off.
-    pub cached_pairs_at_ticks: u64,
+    Deterministic cached_pairs_at_ticks,
     /// Cached pairs retired because their ring signatures no longer
     /// collide in any LSH band *and* all their cached window
     /// contributions were evicted.
-    pub retired_pairs: u64,
+    Deterministic retired_pairs,
     /// Temporal windows expired out of the sliding window.
-    pub evicted_windows: u64,
+    Deterministic evicted_windows,
     /// Edge-cache entries patched (inserted, reweighted, or removed)
     /// across all barriers. Every patch is one pair's cached edge
     /// changing, so on a localized update this stays proportional to
     /// the update footprint — never to the cache size the pre-refactor
     /// barrier swept.
-    pub edges_patched: u64,
+    Deterministic edges_patched,
     /// Σ over ticks of the incremental matcher's conflict-region size
     /// (edges greedy selection actually re-ran over). Bounded by the
     /// connected components the patched edges touch, not the edge set.
-    pub matching_region_size: u64,
+    Deterministic matching_region_size,
     /// Σ EM iterations spent in warm-started GMM threshold fits (0 on
     /// cold fits — first tick, warm non-convergence fallback, or a
     /// non-GMM threshold method).
-    pub em_warm_iters: u64,
+    Deterministic em_warm_iters,
     /// Total nanoseconds an ingestion-front-end producer spent blocked
     /// on a full bounded channel across [`StreamEngine::drive`] runs —
     /// nonzero means backpressure reached the feed (the engine is the
-    /// bottleneck, not the source).
-    pub blocked_producer_ns: u64,
+    /// bottleneck, not the source). Wall-clock time, so observational.
+    Observational blocked_producer_ns,
     /// Highest bounded-channel occupancy observed by any
-    /// [`StreamEngine::drive`] run (≤ its `queue_cap`).
-    pub queue_high_watermark: u64,
+    /// [`StreamEngine::drive`] run (≤ its `queue_cap`). Follows how the
+    /// producer and consumer threads interleaved, so observational.
+    Observational queue_high_watermark,
     /// Arrivals rejected by the front-end watermark reorder buffer for
     /// exceeding the configured out-of-order lag. Distinct from
     /// [`StreamStats::late_dropped`], which counts events whose
     /// *window* had already expired out of the sliding window.
-    pub late_events: u64,
+    Deterministic late_events,
     /// Entities demoted because expiry left them at or below the
     /// min-records threshold.
-    pub demoted_entities: u64,
+    Deterministic demoted_entities,
     /// Still-live records unwound from the active slice by those
     /// demotions. The records are not lost: they move back into the
     /// entity's min-records pending buffer (the demotion re-buffer
     /// ring), so they keep counting toward reactivation exactly as a
     /// batch run over the live slice would count them.
-    pub demoted_records: u64,
+    Deterministic demoted_records,
     /// Columnar-arena compaction passes across all shards. Each
     /// shard's arenas compact on their own dead/live slot ratio, which
     /// depends on how entities partition across shards — deterministic
     /// for a fixed shard count but legitimately different across shard
-    /// counts, so this is **excluded from `PartialEq`** like the
-    /// scheduling telemetry.
-    pub arena_compactions: u64,
+    /// counts, so observational.
+    Observational arena_compactions,
     /// Chunks of shard work executed by a pool worker other than the
     /// one they were placed on — nonzero means the stealing pool
-    /// actually rebalanced a skewed phase. Scheduling telemetry:
-    /// varies with worker count and schedule, excluded from equality.
-    pub steal_events: u64,
+    /// actually rebalanced a skewed phase. Varies with worker count and
+    /// schedule.
+    Observational steal_events,
     /// Highest per-worker busy time (nanoseconds) across the pool over
-    /// the engine's lifetime. Under a static partition with a hot
-    /// shard, this diverges from [`StreamStats::min_worker_busy_ns`];
-    /// with stealing the two converge. Scheduling telemetry, excluded
-    /// from equality.
-    pub max_worker_busy_ns: u64,
+    /// the engine's lifetime. Under a hot shard this diverges from
+    /// [`StreamStats::min_worker_busy_ns`]; with stealing the two
+    /// converge.
+    Observational max_worker_busy_ns,
     /// Lowest per-worker busy time (nanoseconds) across the pool — `0`
-    /// until every worker has executed at least one chunk. Scheduling
-    /// telemetry, excluded from equality.
-    pub min_worker_busy_ns: u64,
+    /// until every worker has executed at least one chunk.
+    Observational min_worker_busy_ns,
     /// Wire lines that failed to parse on a lenient (multi-connection)
     /// ingest path and were counted + skipped instead of killing the
-    /// connection. A pure function of the fed bytes, so included in
-    /// equality.
-    pub malformed_lines: u64,
+    /// connection. A pure function of the fed bytes.
+    Deterministic malformed_lines,
     /// Connections that completed the fan-in protocol (joined the
     /// frontier) across [`StreamEngine::drive_fan_in`] runs. A function
-    /// of the scripted/accepted connection set, so included in equality.
-    pub connections_served: u64,
+    /// of the scripted/accepted connection set.
+    Deterministic connections_served,
     /// Connections evicted from the frontier merge for exceeding the
     /// idle timeout. Depends on wall-clock arrival timing (which thread
-    /// stalled how long), so — like the scheduling telemetry —
-    /// **excluded from `PartialEq`**.
-    pub idle_evictions: u64,
+    /// stalled how long).
+    Observational idle_evictions,
     /// Epoch snapshots published at tick barriers (one per refresh tick
     /// that ran with a window scheme). A pure function of the stream
-    /// prefix + tick schedule, so included in equality.
-    pub snapshots_published: u64,
+    /// prefix + tick schedule.
+    Deterministic snapshots_published,
     /// Link queries answered by epoch-snapshot query servers, folded in
     /// via [`StreamEngine::absorb_serve_report`] after a serving run. A
-    /// function of the queries the clients issued, so included in
-    /// equality (both sides of a comparison fold in the same report —
-    /// or none).
-    pub queries_served: u64,
+    /// function of the queries the clients issued (both sides of a
+    /// comparison fold in the same report — or none).
+    Deterministic queries_served,
     /// Checkpoint files written durably (temp + fsync + rename
     /// completed). A function of the checkpoint cadence, not of the
     /// event stream — a checkpoint-off run has 0 while producing
-    /// identical output — so **excluded from `PartialEq`** like the
-    /// scheduling telemetry.
-    pub checkpoints_written: u64,
+    /// identical output.
+    Observational checkpoints_written,
     /// Checkpoint files rejected during recovery (bad magic, torn
     /// frame, checksum mismatch) before a valid one loaded. Only a
     /// recovered run can have these; the unbroken reference it must
-    /// compare equal to never does — **excluded from `PartialEq`**.
-    pub checkpoints_rejected: u64,
+    /// compare equal to never does.
+    Observational checkpoints_rejected,
     /// Total bytes of durable checkpoint payload written. Follows
-    /// `checkpoints_written`, so likewise **excluded from `PartialEq`**.
-    pub checkpoint_bytes: u64,
+    /// `checkpoints_written`.
+    Observational checkpoint_bytes,
 }
 
 impl PartialEq for StreamStats {
-    /// Equality over the deterministic counters only: the scheduling
-    /// telemetry (`steal_events`, `max_worker_busy_ns`,
-    /// `min_worker_busy_ns`) describes where and when chunks ran, and
-    /// `arena_compactions` follows the per-shard arena fill — both are
-    /// degrees of freedom the bit-identity contract explicitly leaves
-    /// free.
+    /// Equality over the deterministic counters only: the observational
+    /// ones are degrees of freedom the bit-identity contract explicitly
+    /// leaves free.
     fn eq(&self, other: &Self) -> bool {
-        self.events == other.events
-            && self.late_dropped == other.late_dropped
-            && self.ticks == other.ticks
-            && self.rescored_windows == other.rescored_windows
-            && self.dirty_pairs_visited == other.dirty_pairs_visited
-            && self.cached_pairs_at_ticks == other.cached_pairs_at_ticks
-            && self.retired_pairs == other.retired_pairs
-            && self.evicted_windows == other.evicted_windows
-            && self.edges_patched == other.edges_patched
-            && self.matching_region_size == other.matching_region_size
-            && self.em_warm_iters == other.em_warm_iters
-            && self.blocked_producer_ns == other.blocked_producer_ns
-            && self.queue_high_watermark == other.queue_high_watermark
-            && self.late_events == other.late_events
-            && self.demoted_entities == other.demoted_entities
-            && self.demoted_records == other.demoted_records
-            && self.malformed_lines == other.malformed_lines
-            && self.connections_served == other.connections_served
-            && self.snapshots_published == other.snapshots_published
-            && self.queries_served == other.queries_served
-        // arena_compactions deliberately absent: shard-partition-dependent.
-        // idle_evictions deliberately absent: stall-timing-dependent.
-        // checkpoints_written / checkpoints_rejected / checkpoint_bytes
-        // deliberately absent: durability-cadence-dependent (a recovered
-        // run must compare equal to the unbroken reference).
+        self.rows()
+            .into_iter()
+            .zip(other.rows())
+            .all(|((_, class, a), (_, _, b))| class == StatClass::Observational || a == b)
     }
 }
 
@@ -661,13 +674,6 @@ impl StreamEngine {
         if self.tel.enabled {
             self.tel.frontier_lag.record(lag_secs);
         }
-    }
-
-    /// The per-connection frontier-lag histogram (event-time seconds a
-    /// connection's watermark trailed the frontier leader at each
-    /// advance), recorded by the drive loop.
-    pub fn frontier_lag_histogram(&self) -> Histogram {
-        self.tel.frontier_lag.clone()
     }
 
     /// Enables crash-safe checkpointing: every `every` consumed source
@@ -1164,34 +1170,10 @@ impl StreamEngine {
     /// single serialization path the CLI, the bench harness, and the
     /// scrape endpoint all consume.
     fn registry(&self) -> MetricsRegistry {
-        let s = &self.stats;
         let mut reg = MetricsRegistry::new();
-        reg.counter_set("events", s.events);
-        reg.counter_set("late_dropped", s.late_dropped);
-        reg.counter_set("ticks", s.ticks);
-        reg.counter_set("rescored_windows", s.rescored_windows);
-        reg.counter_set("dirty_pairs_visited", s.dirty_pairs_visited);
-        reg.counter_set("cached_pairs_at_ticks", s.cached_pairs_at_ticks);
-        reg.counter_set("retired_pairs", s.retired_pairs);
-        reg.counter_set("evicted_windows", s.evicted_windows);
-        reg.counter_set("edges_patched", s.edges_patched);
-        reg.counter_set("matching_region_size", s.matching_region_size);
-        reg.counter_set("em_warm_iters", s.em_warm_iters);
-        reg.counter_set("blocked_producer_ns", s.blocked_producer_ns);
-        reg.counter_set("queue_high_watermark", s.queue_high_watermark);
-        reg.counter_set("late_events", s.late_events);
-        reg.counter_set("demoted_entities", s.demoted_entities);
-        reg.counter_set("demoted_records", s.demoted_records);
-        reg.counter_set("arena_compactions", s.arena_compactions);
-        reg.counter_set("steal_events", s.steal_events);
-        reg.counter_set("malformed_lines", s.malformed_lines);
-        reg.counter_set("connections_served", s.connections_served);
-        reg.counter_set("idle_evictions", s.idle_evictions);
-        reg.counter_set("snapshots_published", s.snapshots_published);
-        reg.counter_set("queries_served", s.queries_served);
-        reg.counter_set("checkpoints_written", s.checkpoints_written);
-        reg.counter_set("checkpoints_rejected", s.checkpoints_rejected);
-        reg.counter_set("checkpoint_bytes", s.checkpoint_bytes);
+        for (name, _, value) in self.stats.rows() {
+            reg.counter_set(name, value);
+        }
         reg.gauge_set("links", self.links.len() as f64);
         reg.gauge_set("live_edges", self.num_live_edges() as f64);
         reg.gauge_set("candidate_pairs", self.num_candidate_pairs() as f64);
@@ -1976,48 +1958,16 @@ mod tests {
         Record::new(EntityId(e), LatLng::from_degrees(lat, lng), Timestamp(t))
     }
 
-    /// Guard on the manual `PartialEq`: every `StreamStats` field
-    /// participates in equality except exactly the scheduling-telemetry
-    /// trio (`steal_events`, `max_worker_busy_ns`,
-    /// `min_worker_busy_ns`). The exhaustive destructuring (no `..`)
-    /// makes adding a field a compile error here, forcing an explicit
-    /// decision about which side of the contract it lands on — and the
-    /// probe below then verifies the `eq` impl agrees.
+    /// Guard on the equality contract: the counters named here — and no
+    /// others — are observational, every row of the table carries the
+    /// class this list says, and `PartialEq` agrees with it row by row.
+    /// The list is the test's own statement of the contract, so moving
+    /// a counter across it in the table alone fails here.
     #[test]
     fn stream_stats_equality_covers_exactly_the_deterministic_fields() {
-        let base = StreamStats::default();
-        // Compile-time field inventory.
-        let StreamStats {
-            events: _,
-            late_dropped: _,
-            ticks: _,
-            rescored_windows: _,
-            dirty_pairs_visited: _,
-            cached_pairs_at_ticks: _,
-            retired_pairs: _,
-            evicted_windows: _,
-            edges_patched: _,
-            matching_region_size: _,
-            em_warm_iters: _,
-            blocked_producer_ns: _,
-            queue_high_watermark: _,
-            late_events: _,
-            demoted_entities: _,
-            demoted_records: _,
-            arena_compactions: _,
-            steal_events: _,
-            max_worker_busy_ns: _,
-            min_worker_busy_ns: _,
-            malformed_lines: _,
-            connections_served: _,
-            idle_evictions: _,
-            snapshots_published: _,
-            queries_served: _,
-            checkpoints_written: _,
-            checkpoints_rejected: _,
-            checkpoint_bytes: _,
-        } = base;
-        let excluded = [
+        let observational = [
+            "blocked_producer_ns",
+            "queue_high_watermark",
             "arena_compactions",
             "steal_events",
             "max_worker_busy_ns",
@@ -2027,45 +1977,25 @@ mod tests {
             "checkpoints_rejected",
             "checkpoint_bytes",
         ];
-        // One probe per field of the inventory above, same order.
-        type Probe = (&'static str, fn(&mut StreamStats));
-        let fields: [Probe; 28] = [
-            ("events", |s| s.events += 1),
-            ("late_dropped", |s| s.late_dropped += 1),
-            ("ticks", |s| s.ticks += 1),
-            ("rescored_windows", |s| s.rescored_windows += 1),
-            ("dirty_pairs_visited", |s| s.dirty_pairs_visited += 1),
-            ("cached_pairs_at_ticks", |s| s.cached_pairs_at_ticks += 1),
-            ("retired_pairs", |s| s.retired_pairs += 1),
-            ("evicted_windows", |s| s.evicted_windows += 1),
-            ("edges_patched", |s| s.edges_patched += 1),
-            ("matching_region_size", |s| s.matching_region_size += 1),
-            ("em_warm_iters", |s| s.em_warm_iters += 1),
-            ("blocked_producer_ns", |s| s.blocked_producer_ns += 1),
-            ("queue_high_watermark", |s| s.queue_high_watermark += 1),
-            ("late_events", |s| s.late_events += 1),
-            ("demoted_entities", |s| s.demoted_entities += 1),
-            ("demoted_records", |s| s.demoted_records += 1),
-            ("arena_compactions", |s| s.arena_compactions += 1),
-            ("steal_events", |s| s.steal_events += 1),
-            ("max_worker_busy_ns", |s| s.max_worker_busy_ns += 1),
-            ("min_worker_busy_ns", |s| s.min_worker_busy_ns += 1),
-            ("malformed_lines", |s| s.malformed_lines += 1),
-            ("connections_served", |s| s.connections_served += 1),
-            ("idle_evictions", |s| s.idle_evictions += 1),
-            ("snapshots_published", |s| s.snapshots_published += 1),
-            ("queries_served", |s| s.queries_served += 1),
-            ("checkpoints_written", |s| s.checkpoints_written += 1),
-            ("checkpoints_rejected", |s| s.checkpoints_rejected += 1),
-            ("checkpoint_bytes", |s| s.checkpoint_bytes += 1),
-        ];
-        for (name, bump) in fields {
+        let base = StreamStats::default();
+        let names: Vec<&str> = base.rows().iter().map(|r| r.0).collect();
+        for name in observational {
+            assert!(names.contains(&name), "`{name}` is not a StreamStats row");
+        }
+        // One probe per row: bump that counter alone.
+        for i in 0..StreamStats::ROWS {
             let mut probe = base;
-            bump(&mut probe);
-            let participates = probe != base;
+            let (name, class, value) = &mut probe.rows_mut()[i];
+            **value += 1;
+            let expected = if observational.contains(name) {
+                StatClass::Observational
+            } else {
+                StatClass::Deterministic
+            };
+            assert_eq!(*class, expected, "row `{name}` declares the wrong class");
             assert_eq!(
-                participates,
-                !excluded.contains(&name),
+                probe != base,
+                expected == StatClass::Deterministic,
                 "field `{name}` is on the wrong side of the StreamStats equality contract"
             );
         }
@@ -2827,6 +2757,14 @@ mod tests {
             engine.checkpoint_buf,
             image_of(200),
             "cleared, not appended to"
+        );
+        assert_eq!(
+            (
+                engine.stats().checkpoints_written,
+                engine.checkpoint_write_histogram().count()
+            ),
+            (2, 2),
+            "every committed checkpoint lands in the write-span histogram"
         );
 
         // A failing write (the directory path is taken by a file).

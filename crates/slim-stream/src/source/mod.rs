@@ -58,6 +58,7 @@ pub use tcp::{TcpLineSource, MAX_WIRE_LINE};
 
 use geocell::LatLng;
 use slim_core::{EntityId, Timestamp};
+use slim_telemetry::JsonValue;
 
 use crate::event::{Side, StreamEvent};
 
@@ -149,16 +150,18 @@ impl WireFormat {
 /// accepted, a timestamp near `i64::MAX` would poison the watermark
 /// frontier for the rest of the stream and push the window arithmetic
 /// to its overflow edge.
-const MAX_WIRE_TIMESTAMP: u64 = 1 << 53;
+const MAX_WIRE_TIMESTAMP: u128 = 1 << 53;
 
-/// Checks a parsed wire timestamp against [`MAX_WIRE_TIMESTAMP`].
-fn wire_timestamp(ts: i64) -> Result<Timestamp, String> {
+/// Checks a parsed wire timestamp against [`MAX_WIRE_TIMESTAMP`]. Takes
+/// the widest integer a wire spelling can carry, so the one bound is
+/// the only narrowing there is.
+fn wire_timestamp(ts: i128) -> Result<Timestamp, String> {
     if ts.unsigned_abs() > MAX_WIRE_TIMESTAMP {
         return Err(format!(
             "field `timestamp` out of range (|t| > 2^53 s): {ts}"
         ));
     }
-    Ok(Timestamp(ts))
+    Ok(Timestamp(ts as i64))
 }
 
 /// Parses one feed line in the given [`WireFormat`]. `Ok(None)` =
@@ -211,7 +214,7 @@ pub fn parse_event_line(line: &str) -> Result<Option<StreamEvent>, String> {
     let ts: i64 = ts_s
         .parse()
         .map_err(|_| format!("field `timestamp` is not an integer: `{ts_s}`"))?;
-    let time = wire_timestamp(ts)?;
+    let time = wire_timestamp(ts.into())?;
     if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lng) {
         return Err(format!("coordinates out of range: ({lat}, {lng})"));
     }
@@ -234,111 +237,9 @@ pub fn parse_event_line(line: &str) -> Result<Option<StreamEvent>, String> {
     }))
 }
 
-/// One scanned JSON scalar (the only shapes the event wire needs).
-#[derive(Debug, Clone, PartialEq)]
-enum JsonScalar {
-    Str(String),
-    Num(f64),
-}
-
-/// Scans one flat JSON object (`{"key": scalar, ...}`) into key/value
-/// pairs. No nesting, no arrays — deliberately minimal: the event wire
-/// is flat, and the sanctioned dependency set has no JSON crate. String
-/// values understand `\"`, `\\`, `\/`, `\n`, `\t`, `\r` escapes.
-/// Allocates a char buffer per line plus a `String` per key — simpler
-/// than zero-copy byte slicing, and affordable because it runs on the
-/// decoupled producer thread, behind the bounded channel, never on the
-/// engine's ingest path.
-fn scan_flat_json(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
-    let bytes: Vec<char> = line.chars().collect();
-    let mut i = 0usize;
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_whitespace() {
-            *i += 1;
-        }
-    };
-    let parse_string = |i: &mut usize| -> Result<String, String> {
-        if bytes.get(*i) != Some(&'"') {
-            return Err(format!("expected string at offset {i} in `{line}`"));
-        }
-        *i += 1;
-        let mut out = String::new();
-        while let Some(&c) = bytes.get(*i) {
-            *i += 1;
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = bytes.get(*i).copied().ok_or("truncated escape")?;
-                    *i += 1;
-                    out.push(match esc {
-                        '"' => '"',
-                        '\\' => '\\',
-                        '/' => '/',
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        other => return Err(format!("unsupported escape `\\{other}`")),
-                    });
-                }
-                other => out.push(other),
-            }
-        }
-        Err(format!("unterminated string in `{line}`"))
-    };
-    let parse_number = |i: &mut usize| -> Result<f64, String> {
-        let start = *i;
-        while *i < bytes.len() && matches!(bytes[*i], '0'..='9' | '-' | '+' | '.' | 'e' | 'E') {
-            *i += 1;
-        }
-        let text: String = bytes[start..*i].iter().collect();
-        text.parse()
-            .map_err(|_| format!("bad number `{text}` in `{line}`"))
-    };
-
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&'{') {
-        return Err(format!("expected a JSON object, got `{line}`"));
-    }
-    i += 1;
-    let mut fields = Vec::new();
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&'}') {
-        i += 1;
-    } else {
-        loop {
-            skip_ws(&mut i);
-            let key = parse_string(&mut i)?;
-            skip_ws(&mut i);
-            if bytes.get(i) != Some(&':') {
-                return Err(format!("expected `:` after key `{key}` in `{line}`"));
-            }
-            i += 1;
-            skip_ws(&mut i);
-            let value = match bytes.get(i) {
-                Some('"') => JsonScalar::Str(parse_string(&mut i)?),
-                Some('0'..='9' | '-' | '+' | '.') => JsonScalar::Num(parse_number(&mut i)?),
-                other => return Err(format!("unsupported value {other:?} in `{line}`")),
-            };
-            fields.push((key, value));
-            skip_ws(&mut i);
-            match bytes.get(i) {
-                Some(',') => i += 1,
-                Some('}') => {
-                    i += 1;
-                    break;
-                }
-                other => return Err(format!("expected `,` or `}}`, got {other:?} in `{line}`")),
-            }
-        }
-    }
-    skip_ws(&mut i);
-    if i != bytes.len() {
-        return Err(format!("trailing garbage after JSON object in `{line}`"));
-    }
-    Ok(fields)
-}
-
-/// The JSON-lines event wire format, one flat object per line:
+/// The JSON-lines event wire format, one flat object per line, read
+/// through the workspace's one flat-JSON reader
+/// ([`slim_telemetry::parse_flat_jsonl`]):
 ///
 /// ```text
 /// {"side":"L","entity":42,"lat":37.5,"lng":-122.25,"ts":12345,"acc":80.0}
@@ -347,50 +248,60 @@ fn scan_flat_json(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
 /// Accepted key aliases: `lat`/`latitude`, `lng`/`lon`/`longitude`,
 /// `ts`/`time`/`timestamp`, `acc`/`accuracy`/`accuracy_m` (optional).
 /// `side` takes the same spellings as the CSV format (`L`, `right`,
-/// `0`, …) as a string, or the numbers `0`/`1`. Key order is free,
-/// unknown keys are ignored (forward compatibility), and blank lines
-/// are skipped (`Ok(None)`). Range validation matches
-/// [`parse_event_line`].
+/// `0`, …) as a string, or the numbers `0`/`1`. Integers are exact: a
+/// bare or quoted `entity` may be any `u64`, exactly as the CSV wire
+/// and [`format_event_jsonl`] have it. Key order is free, unknown keys
+/// are ignored whatever their value (forward compatibility), and blank
+/// lines are skipped (`Ok(None)`). A known key holding `true`, `false`
+/// or `null` is an error — `null` is not the number 0. Range
+/// validation matches [`parse_event_line`].
 pub fn parse_event_jsonl(line: &str) -> Result<Option<StreamEvent>, String> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Ok(None);
     }
-    let fields = scan_flat_json(trimmed)?;
+    let fields =
+        slim_telemetry::parse_flat_jsonl(trimmed).map_err(|e| format!("{e} in `{trimmed}`"))?;
     let mut side: Option<Side> = None;
     let mut entity: Option<u64> = None;
     let mut lat: Option<f64> = None;
     let mut lng: Option<f64> = None;
     let mut ts: Option<Timestamp> = None;
     let mut accuracy = 0.0f64;
-    let as_int = |v: &JsonScalar, name: &str| -> Result<i64, String> {
+    let as_int = |v: &JsonValue, name: &str| -> Result<i128, String> {
         match v {
-            // Bound to f64's exactly-representable integer range: an
-            // `as i64` of e.g. 1e300 would otherwise saturate instead
-            // of erroring.
-            JsonScalar::Num(n) if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 => {
-                Ok(*n as i64)
+            JsonValue::U64(n) => Ok(i128::from(*n)),
+            // A signed, fractional or exponent spelling arrives as an
+            // f64: bound it to f64's exactly-representable integer
+            // range, or an `as` cast of e.g. 1e300 would saturate
+            // instead of erroring.
+            JsonValue::F64(n) if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 => {
+                Ok(*n as i128)
             }
-            JsonScalar::Str(s) => s
+            JsonValue::Str(s) => s
                 .parse()
                 .map_err(|_| format!("field `{name}` is not an integer: `{s}`")),
             _ => Err(format!("field `{name}` is not an integer: {v:?}")),
         }
     };
-    let as_num = |v: &JsonScalar, name: &str| -> Result<f64, String> {
+    let as_num = |v: &JsonValue, name: &str| -> Result<f64, String> {
         match v {
-            JsonScalar::Num(n) => Ok(*n),
-            JsonScalar::Str(s) => s
+            JsonValue::Str(s) => s
                 .parse()
                 .map_err(|_| format!("field `{name}` is not a number: `{s}`")),
+            _ => v
+                .as_f64()
+                .ok_or_else(|| format!("field `{name}` is not a number: {v:?}")),
         }
     };
     for (key, value) in &fields {
         match key.as_str() {
             "side" => {
                 let spelled = match value {
-                    JsonScalar::Str(s) => s.clone(),
-                    JsonScalar::Num(n) => format!("{n}"),
+                    JsonValue::Str(s) => s.clone(),
+                    JsonValue::U64(n) => n.to_string(),
+                    JsonValue::F64(n) => n.to_string(),
+                    other => format!("{other:?}"),
                 };
                 side = Some(match spelled.as_str() {
                     "L" | "l" | "left" | "LEFT" | "Left" | "0" => Side::Left,
@@ -403,7 +314,10 @@ pub fn parse_event_jsonl(line: &str) -> Result<Option<StreamEvent>, String> {
                 if v < 0 {
                     return Err(format!("field `entity` must be non-negative, got {v}"));
                 }
-                entity = Some(v as u64);
+                entity = Some(
+                    u64::try_from(v)
+                        .map_err(|_| format!("field `entity` does not fit 64 bits: {v}"))?,
+                );
             }
             "lat" | "latitude" => lat = Some(as_num(value, "lat")?),
             "lng" | "lon" | "longitude" => lng = Some(as_num(value, "lng")?),
@@ -557,6 +471,22 @@ mod tests {
         );
         assert_eq!(WireFormat::Jsonl.label(), "jsonl");
         assert_eq!(WireFormat::default(), WireFormat::Csv);
+        // Render → parse is the identity on ids over all of `u64`, on
+        // both wires: no spelling passes an id through an f64.
+        for id in [(1 << 53) + 1, u64::MAX] {
+            let ev = StreamEvent {
+                entity: EntityId(id),
+                ..ev
+            };
+            for wire in [WireFormat::Jsonl, WireFormat::Csv] {
+                let line = match wire {
+                    WireFormat::Jsonl => format_event_jsonl(&ev),
+                    WireFormat::Csv => format_event_line(&ev),
+                };
+                let back = parse_wire_line(wire, &line).unwrap().unwrap();
+                assert_eq!(back.entity, EntityId(id), "{} wire", wire.label());
+            }
+        }
     }
 
     #[test]
@@ -580,6 +510,27 @@ mod tests {
         assert_eq!(ev.time, Timestamp(-5));
         // Blank lines skip like the CSV wire.
         assert_eq!(parse_event_jsonl("   ").unwrap(), None);
+        // Integer ids are exact: two ids one apart above 2^53 stay two
+        // entities, bare or quoted, up to `u64::MAX`.
+        for (spelled, id) in [
+            ("9007199254740993", (1u64 << 53) + 1),
+            ("18446744073709551615", u64::MAX),
+            (r#""18446744073709551615""#, u64::MAX),
+        ] {
+            let line = format!(r#"{{"side":"L","entity":{spelled},"lat":0,"lng":0,"ts":1}}"#);
+            let ev = parse_event_jsonl(&line).unwrap().unwrap();
+            assert_eq!(ev.entity, EntityId(id), "`{line}`");
+        }
+        // An unknown key is ignored whatever JSON scalar it holds.
+        for extra in [r#""live":true"#, r#""device":null"#, r#""tag":"\u0041b""#] {
+            let line = format!(r#"{{"side":"L","entity":1,{extra},"lat":0,"lng":0,"ts":1}}"#);
+            let ev = parse_event_jsonl(&line).unwrap().unwrap();
+            assert_eq!(
+                (ev.entity, ev.time),
+                (EntityId(1), Timestamp(1)),
+                "`{line}`"
+            );
+        }
     }
 
     #[test]
@@ -594,6 +545,17 @@ mod tests {
             r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":1,"acc":-2}"#,
             r#"{"side":"L","entity":-3,"lat":0,"lng":0,"ts":1}"#,
             r#"{"side":"L" "entity":1}"#, // missing comma
+            // `null` is not 0 and a boolean is not a value of any known
+            // key.
+            r#"{"side":"L","entity":1,"lat":null,"lng":0,"ts":1}"#,
+            r#"{"side":"L","entity":null,"lat":0,"lng":0,"ts":1}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":1,"acc":null}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":true,"ts":1}"#,
+            r#"{"side":false,"entity":1,"lat":0,"lng":0,"ts":1}"#,
+            r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":true}"#,
+            // One past `u64::MAX`, bare and quoted.
+            r#"{"side":"L","entity":18446744073709551616,"lat":0,"lng":0,"ts":1}"#,
+            r#"{"side":"L","entity":"18446744073709551616","lat":0,"lng":0,"ts":1}"#,
             // Integers beyond f64's exact range must error, not
             // saturate into a frontier-poisoning timestamp.
             r#"{"side":"L","entity":1,"lat":0,"lng":0,"ts":1e300}"#,

@@ -1,10 +1,11 @@
 //! The one flat-JSON path in the workspace: a tiny ordered builder
 //! ([`JsonObj`]) and the matching one-level parser
 //! ([`parse_flat_jsonl`]). No JSON crate is sanctioned in this
-//! air-gapped build, so every emitter (metrics snapshots, the bench
-//! log) renders through here and every consumer (CLI tests, snapshot
-//! round-trips) parses through here — one serialization path instead
-//! of N hand-rolled `format!` strings.
+//! air-gapped build, so every emitter (metrics snapshots, the
+//! benchmark's result lines) renders through here and every consumer
+//! (the JSONL event wire, CLI tests, snapshot round-trips) parses
+//! through here — one serialization path instead of N hand-rolled
+//! `format!` strings and scanners.
 
 use std::fmt::Write as _;
 
@@ -20,6 +21,9 @@ pub enum JsonValue {
     Str(String),
     /// A boolean.
     Bool(bool),
+    /// A parsed `null`. Nothing renders one; it exists so that a reader
+    /// can tell "no value" from the number `0`.
+    Null,
 }
 
 impl JsonValue {
@@ -109,6 +113,7 @@ impl JsonObj {
                 JsonValue::Bool(b) => {
                     let _ = write!(out, "{b}");
                 }
+                JsonValue::Null => out.push_str("null"),
             }
         }
         out.push('}');
@@ -136,9 +141,10 @@ fn render_str(out: &mut String, s: &str) {
 
 /// Parses one flat (non-nested) JSON object line into ordered
 /// `(key, value)` pairs. Integers without sign/exponent/fraction parse
-/// as [`JsonValue::U64`]; other numbers as [`JsonValue::F64`]; `null`
-/// parses as `F64(0)`. Nested objects/arrays are rejected — snapshot
-/// lines are flat by design.
+/// as [`JsonValue::U64`] — exact over all of `u64` — and other numbers
+/// as [`JsonValue::F64`]; `null` parses as [`JsonValue::Null`]. Nested
+/// objects/arrays are rejected — snapshot and event lines are flat by
+/// design.
 pub fn parse_flat_jsonl(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut p = Parser {
         bytes: line.as_bytes(),
@@ -256,7 +262,7 @@ impl Parser<'_> {
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonValue::F64(0.0)),
+            Some(b'n') => self.keyword("null", JsonValue::Null),
             Some(b'{' | b'[') => Err("nested values not allowed in flat JSONL".into()),
             Some(_) => self.number(),
             None => Err("expected a value".into()),
@@ -335,6 +341,16 @@ mod tests {
         assert!(parse_flat_jsonl("{\"a\":1} extra").is_err());
         assert!(parse_flat_jsonl("{\"a\"1}").is_err());
         assert!(parse_flat_jsonl("").is_err());
+    }
+
+    #[test]
+    fn integers_are_exact_and_null_is_not_a_number() {
+        let fields = parse_flat_jsonl(r#"{"a":18446744073709551615,"b":null,"c":-1}"#).unwrap();
+        assert_eq!(fields[0].1, JsonValue::U64(u64::MAX));
+        assert_eq!(fields[1].1, JsonValue::Null);
+        assert_eq!((fields[1].1.as_u64(), fields[1].1.as_f64()), (None, None));
+        assert_eq!(fields[2].1, JsonValue::F64(-1.0));
+        assert!(parse_flat_jsonl(r#"{"a":18446744073709551616}"#).is_err());
     }
 
     #[test]

@@ -231,9 +231,7 @@ fn fixed_workload(windows: i64) -> Vec<StreamEvent> {
 }
 
 /// Everything observable about one drive (the `StreamStats` equality
-/// already excludes the scheduling telemetry). Flow observations
-/// (`blocked_producer_ns`, `queue_high_watermark`) measure thread
-/// interleaving, not the stream — zeroed before comparison.
+/// already excludes the scheduling and channel-flow telemetry).
 #[derive(Debug, PartialEq)]
 struct Observation {
     updates: Vec<LinkUpdate>,
@@ -311,9 +309,7 @@ fn observe(events: &[StreamEvent], readers: usize) -> Observation {
     }
 
     let served = engine.links().to_vec();
-    let mut stats = *engine.stats();
-    stats.blocked_producer_ns = 0;
-    stats.queue_high_watermark = 0;
+    let stats = *engine.stats();
     let finalized = engine
         .into_finalized()
         .expect("finalize")

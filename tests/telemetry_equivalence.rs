@@ -69,19 +69,6 @@ struct Observation {
     finalized: Vec<(EntityId, EntityId, f64)>,
 }
 
-/// Zero the bounded-channel flow observations before comparing.
-/// `blocked_producer_ns` and `queue_high_watermark` measure how the
-/// producer and consumer threads happened to interleave during
-/// [`StreamEngine::drive`] — like the steal counters, they are
-/// functions of scheduling, not of the event stream, and differ
-/// between two runs of the *same* configuration (telemetry off
-/// included). Every other counter must match bit-for-bit.
-fn scrub_flow_telemetry(mut stats: StreamStats) -> StreamStats {
-    stats.blocked_producer_ns = 0;
-    stats.queue_high_watermark = 0;
-    stats
-}
-
 fn config(workers: usize, telemetry: bool) -> StreamConfig {
     StreamConfig {
         window_capacity: Some(8),
@@ -128,7 +115,7 @@ fn run(
     let mut updates = report.updates;
     updates.extend(engine.refresh());
     let served = engine.links().to_vec();
-    let stats = scrub_flow_telemetry(*engine.stats());
+    let stats = *engine.stats();
     let finalized = engine
         .into_finalized()
         .expect("finalize")
