@@ -743,10 +743,23 @@ pub fn run(opts: &CliOptions) -> Result<String, String> {
         }
     };
 
-    log(&format!("loading {}", left.display()));
-    let left_ds = io::load_dataset_csv(&left).map_err(|e| format!("{}: {e}", left.display()))?;
-    log(&format!("loading {}", right.display()));
-    let right_ds = io::load_dataset_csv(&right).map_err(|e| format!("{}: {e}", right.display()))?;
+    log(&format!(
+        "loading {} and {}",
+        left.display(),
+        right.display()
+    ));
+    let load = |path: &std::path::Path| {
+        io::load_dataset_csv(path).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    // Side by side; the right loader is joined before either error is
+    // looked at.
+    let (left_ds, right_ds) = std::thread::scope(|s| {
+        let right_loader = s.spawn(|| load(&right));
+        let left_ds = load(&left);
+        let right_ds = right_loader.join().expect("the CSV loader does not panic");
+        (left_ds, right_ds)
+    });
+    let (left_ds, right_ds) = (left_ds?, right_ds?);
     log(&format!(
         "left: {} entities / {} records; right: {} entities / {} records",
         left_ds.num_entities(),
@@ -759,25 +772,23 @@ pub fn run(opts: &CliOptions) -> Result<String, String> {
         return run_stream(opts, stream_opts, Some((&left_ds, &right_ds)));
     }
 
-    let slim = Slim::new(opts.config)?;
+    // Histories are prepared once; the LSH filter takes its window scheme
+    // and its entities from them, so it cuts spans where the scorer does.
+    let prepared = Slim::new(opts.config)?.prepare(&left_ds, &right_ds);
     let output = match &opts.lsh {
         Some(lsh_cfg) => {
             log("building LSH signatures");
-            let filter = slim_lsh::LshFilter::build_auto(
-                *lsh_cfg,
-                &left_ds,
-                &right_ds,
-                opts.config.window_width_secs,
-            );
+            let filter =
+                slim_lsh::LshFilter::for_prepared(*lsh_cfg, &left_ds, &right_ds, &prepared);
             let candidates = filter.candidates();
             log(&format!(
                 "LSH: {} candidate pairs of {} possible",
                 candidates.len(),
                 left_ds.num_entities() * right_ds.num_entities()
             ));
-            slim.link_with_candidates(&left_ds, &right_ds, &candidates)
+            prepared.link_with_candidates(&candidates)
         }
-        None => slim.link(&left_ds, &right_ds),
+        None => prepared.link(),
     };
 
     let mut summary = format!(
@@ -2211,6 +2222,151 @@ mod tests {
             .expect("query count in serve line");
         assert!(queries >= 3, "{serve_line}");
         let _ = std::fs::remove_file(std::env::temp_dir().join("slim_cli_serve_links.csv"));
+    }
+
+    /// Writes `records` as a CSV the CLI can load.
+    fn write_csv(path: &std::path::Path, records: &[slim_core::Record]) {
+        let file = std::fs::File::create(path).unwrap();
+        slim_core::io::write_records_csv(file, records).unwrap();
+    }
+
+    #[test]
+    fn lsh_spans_are_cut_at_the_scorers_windows() {
+        use geocell::LatLng;
+        use slim_core::{EntityId, Record, Timestamp};
+
+        // Six entities seen by both services (ids + 1000 on the right),
+        // in a new level-12 cell every 15-minute window: left at :00:30,
+        // right at :10:00 of the same window.
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        let place = |e: u64, k: i64| {
+            LatLng::from_degrees(30.0 + 0.5 * e as f64, -100.0).offset(4_000.0 * k as f64, 1.0)
+        };
+        for e in 0..6u64 {
+            for k in 0..30i64 {
+                left.push(Record::new(
+                    EntityId(e),
+                    place(e, k),
+                    Timestamp(k * 900 + 30),
+                ));
+                right.push(Record::new(
+                    EntityId(1000 + e),
+                    place(e, k).offset(25.0, 2.0),
+                    Timestamp(k * 900 + 600),
+                ));
+            }
+        }
+        // A left entity the scorer drops (3 records ≤ min_records) whose
+        // first record is 7 minutes before everyone else's, walking right
+        // entity 1000's first cells. A window scheme started at *its*
+        // first record puts each right record one window after its left
+        // twin.
+        for (k, t) in [(0, -390), (0, 510), (1, 1410)] {
+            left.push(Record::new(EntityId(9000), place(0, k), Timestamp(t)));
+        }
+        let dir = std::env::temp_dir().join("slim_cli_lsh_scheme_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (left_csv, right_csv) = (dir.join("left.csv"), dir.join("right.csv"));
+        write_csv(&left_csv, &left);
+        write_csv(&right_csv, &right);
+
+        // One span per window, one row per band: a signature slot is a
+        // band, so a one-window shift breaks every collision.
+        let lsh = slim_lsh::LshConfig {
+            threshold: 0.1,
+            step_windows: 1,
+            spatial_level: 12,
+            num_buckets: 1 << 20,
+        };
+        let links_of = |lsh: Option<slim_lsh::LshConfig>| {
+            let out = dir.join("links.csv");
+            let opts = CliOptions {
+                left: Some(left_csv.clone()),
+                right: Some(right_csv.clone()),
+                lsh,
+                out: Some(out.clone()),
+                ..CliOptions::default()
+            };
+            run(&opts).unwrap();
+            std::fs::read_to_string(&out).unwrap()
+        };
+        let brute = links_of(None);
+        assert!(brute.lines().count() > 3, "brute force links:\n{brute}");
+        assert_eq!(links_of(Some(lsh)), brute);
+
+        // What `run` builds: the filter shares the prepared scheme and
+        // never names the dropped entity; `build_auto` does both.
+        let left_ds = slim_core::io::load_dataset_csv(&left_csv).unwrap();
+        let right_ds = slim_core::io::load_dataset_csv(&right_csv).unwrap();
+        let config = CliOptions::default().config;
+        let prepared = slim_core::Slim::new(config)
+            .unwrap()
+            .prepare(&left_ds, &right_ds);
+        assert!(prepared.left().history(EntityId(9000)).is_none());
+        let filter = slim_lsh::LshFilter::for_prepared(lsh, &left_ds, &right_ds, &prepared);
+        assert_eq!(filter.banding().1, 1, "one row per band");
+        assert_eq!(filter.scheme(), prepared.left().scheme());
+        let candidates = filter.candidates();
+        assert!(candidates.iter().all(|(l, _)| *l != EntityId(9000)));
+        for e in 0..6 {
+            assert!(candidates.contains(&(EntityId(e), EntityId(1000 + e))));
+        }
+        let auto =
+            slim_lsh::LshFilter::build_auto(lsh, &left_ds, &right_ds, config.window_width_secs);
+        assert_ne!(auto.scheme(), prepared.left().scheme());
+        assert!(auto.candidates().iter().any(|(l, _)| *l == EntityId(9000)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_missing_input_is_reported_under_its_own_path() {
+        use geocell::LatLng;
+        use slim_core::{EntityId, Record, Timestamp};
+
+        let dir = std::env::temp_dir().join("slim_cli_missing_input_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.csv");
+        let at = LatLng::from_degrees(37.0, -122.0);
+        write_csv(&good, &[Record::new(EntityId(1), at, Timestamp(0))]);
+        let (gone, also_gone) = (dir.join("gone.csv"), dir.join("also_gone.csv"));
+        // Whichever loader thread meets the missing file, the error names
+        // that file; with both missing, the left one.
+        for (left, right, named) in [
+            (&gone, &good, &gone),
+            (&good, &gone, &gone),
+            (&gone, &also_gone, &gone),
+        ] {
+            let opts = CliOptions {
+                left: Some(left.clone()),
+                right: Some(right.clone()),
+                ..CliOptions::default()
+            };
+            let err = run(&opts).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{}: I/O error", named.display())),
+                "{err}"
+            );
+        }
+        // A parse error carries the path and the line.
+        let bad = dir.join("bad.csv");
+        std::fs::write(
+            &bad,
+            "entity_id,latitude,longitude,timestamp\n1,0.0,0.0,0\n1,x,0.0,0\n",
+        )
+        .unwrap();
+        let opts = CliOptions {
+            left: Some(good.clone()),
+            right: Some(bad.clone()),
+            ..CliOptions::default()
+        };
+        let err = run(&opts).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{}: line 3:", bad.display())),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,18 +16,27 @@ pub struct LocationDataset {
 impl LocationDataset {
     /// Builds a dataset from an unordered record stream.
     pub fn from_records(records: impl IntoIterator<Item = Record>) -> Self {
-        let mut per_entity: HashMap<EntityId, Vec<Record>> = HashMap::new();
-        let mut total = 0usize;
+        let mut ds = Self::default();
         for r in records {
-            per_entity.entry(r.entity).or_default().push(r);
-            total += 1;
+            ds.push(r);
         }
-        for recs in per_entity.values_mut() {
+        ds.finish();
+        ds
+    }
+
+    /// Appends one record to its entity's group. The groups are not
+    /// time-sorted again until [`LocationDataset::finish`] runs.
+    pub(crate) fn push(&mut self, r: Record) {
+        self.per_entity.entry(r.entity).or_default().push(r);
+        self.total_records += 1;
+    }
+
+    /// Time-sorts every group (stably: records of equal time keep their
+    /// arrival order) and gives back the growth slack.
+    pub(crate) fn finish(&mut self) {
+        for recs in self.per_entity.values_mut() {
             recs.sort_by_key(|r| r.time);
-        }
-        Self {
-            per_entity,
-            total_records: total,
+            recs.shrink_to_fit();
         }
     }
 

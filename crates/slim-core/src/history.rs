@@ -8,14 +8,21 @@
 //! dataset plus the dataset-level statistics the similarity score needs:
 //! average history size (for BM25-style length normalization) and
 //! per-bin document frequencies (for the IDF award).
+//!
+//! The leaves are the representation: scoring, the df statistics and the
+//! arena read nothing else. The aggregation tree above them answers only
+//! [`MobilityHistory::dominating_cell`], so a history builds it from its
+//! leaves on the first such query and keeps it; a history that is never
+//! asked never pays for it.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use geocell::CellId;
 
 use crate::dataset::LocationDataset;
 use crate::df::DfStats;
-use crate::record::EntityId;
+use crate::record::{EntityId, Record};
 use crate::tree::{CellCounts, TemporalTree};
 use crate::window::{WindowIdx, WindowScheme};
 
@@ -26,23 +33,32 @@ use crate::window::{WindowIdx, WindowScheme};
 /// center plus eight compass points on the boundary, which covers all
 /// touched cells exactly while the region diameter is below ~3 cell
 /// widths — GPS accuracy discs versus city-block cells in practice.
-pub fn record_cells(r: &crate::record::Record, level: u8) -> Vec<CellId> {
+pub fn record_cells(r: &Record, level: u8) -> Vec<CellId> {
+    let mut cells = Vec::with_capacity(if r.is_region() { 9 } else { 1 });
+    visit_record_cells(r, level, |cell| cells.push(cell));
+    cells
+}
+
+/// Calls `visit` with each distinct cell of [`record_cells`], ascending,
+/// without allocating.
+fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
     let center = CellId::from_latlng(r.location, level);
     if !r.is_region() {
-        return vec![center];
+        return visit(center);
     }
-    let mut cells = Vec::with_capacity(9);
-    cells.push(center);
-    for k in 0..8 {
-        let bearing = k as f64 * std::f64::consts::TAU / 8.0;
-        cells.push(CellId::from_latlng(
-            r.location.offset(r.accuracy_m, bearing),
-            level,
-        ));
+    let mut cells = [center; 9];
+    for (k, cell) in cells.iter_mut().enumerate().skip(1) {
+        let bearing = (k - 1) as f64 * std::f64::consts::TAU / 8.0;
+        *cell = CellId::from_latlng(r.location.offset(r.accuracy_m, bearing), level);
     }
     cells.sort_unstable();
-    cells.dedup();
-    cells
+    let mut last = None;
+    for cell in cells {
+        if last != Some(cell) {
+            visit(cell);
+            last = Some(cell);
+        }
+    }
 }
 
 /// One entity's mobility history.
@@ -55,8 +71,11 @@ pub struct MobilityHistory {
     num_bins: usize,
     /// Total number of records aggregated.
     num_records: u32,
-    /// Hierarchical aggregate for dominating-cell range queries.
-    tree: TemporalTree,
+    /// Number of windows the aggregation tree spans.
+    domain: u32,
+    /// Hierarchical aggregate for dominating-cell range queries, built
+    /// from `leaves` by the first one.
+    tree: OnceLock<TemporalTree>,
 }
 
 impl MobilityHistory {
@@ -65,36 +84,37 @@ impl MobilityHistory {
     /// the linkage run (shared across both datasets).
     pub fn build(
         entity: EntityId,
-        records: &[crate::record::Record],
+        records: &[Record],
         scheme: &WindowScheme,
         level: u8,
         domain: u32,
     ) -> Self {
-        let mut leaves: BTreeMap<WindowIdx, HashMap<CellId, u32>> = BTreeMap::new();
-        let mut num_records = 0u32;
+        // Every (window, cell) occurrence, sorted: a bin is a run of equal
+        // pairs and its record count the run's length.
+        let last_window = domain.saturating_sub(1);
+        let mut occurrences: Vec<(WindowIdx, CellId)> = Vec::with_capacity(records.len());
         for r in records {
-            let w = scheme.window_of(r.time).min(domain.saturating_sub(1));
-            for cell in record_cells(r, level) {
-                *leaves.entry(w).or_default().entry(cell).or_insert(0) += 1;
-            }
-            num_records += 1;
+            let w = scheme.window_of(r.time).min(last_window);
+            visit_record_cells(r, level, |cell| occurrences.push((w, cell)));
         }
-        let leaves: BTreeMap<WindowIdx, CellCounts> = leaves
-            .into_iter()
-            .map(|(w, cells)| {
-                let mut v: CellCounts = cells.into_iter().collect();
-                v.sort_by_key(|&(c, _)| c);
-                (w, v)
+        occurrences.sort_unstable();
+        let leaves: BTreeMap<WindowIdx, CellCounts> = occurrences
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|window| {
+                let bins = window
+                    .chunk_by(|a, b| a.1 == b.1)
+                    .map(|bin| (bin[0].1, bin.len() as u32))
+                    .collect();
+                (window[0].0, bins)
             })
             .collect();
-        let num_bins = leaves.values().map(Vec::len).sum();
-        let tree = TemporalTree::build(domain, leaves.iter().map(|(&w, c)| (w, c.clone())));
         Self {
             entity,
+            num_bins: leaves.values().map(Vec::len).sum(),
             leaves,
-            num_bins,
-            num_records,
-            tree,
+            num_records: records.len() as u32,
+            domain,
+            tree: OnceLock::new(),
         }
     }
 
@@ -102,10 +122,9 @@ impl MobilityHistory {
     /// materialization path of [`crate::arena::HistoryArena`]. `leaves`
     /// must hold sorted `(cell, count)` bins per window and
     /// `num_records` the true record count (it differs from the
-    /// bin-count sum for region records). The bin counter is derived
-    /// and the temporal tree built, so the result answers every query
-    /// exactly like a history [`MobilityHistory::build`] makes from the
-    /// same content.
+    /// bin-count sum for region records). The bin counter is derived,
+    /// so the result answers every query exactly like a history
+    /// [`MobilityHistory::build`] makes from the same content.
     pub fn from_leaves(
         entity: EntityId,
         leaves: BTreeMap<WindowIdx, CellCounts>,
@@ -113,13 +132,13 @@ impl MobilityHistory {
     ) -> Self {
         let num_bins = leaves.values().map(Vec::len).sum();
         let domain = leaves.keys().next_back().map(|&w| w + 1).unwrap_or(1);
-        let tree = TemporalTree::build(domain, leaves.iter().map(|(&w, c)| (w, c.clone())));
         Self {
             entity,
             leaves,
             num_bins,
             num_records,
-            tree,
+            domain,
+            tree: OnceLock::new(),
         }
     }
 
@@ -156,8 +175,16 @@ impl MobilityHistory {
 
     /// Dominating grid cell over the window range `[lo, hi)`, coarsened to
     /// `level` (must be ≤ the history's bin level). `None` if no records.
+    ///
+    /// The first call builds the aggregation tree from the leaves; every
+    /// later one (and every clone taken after it) reuses it.
     pub fn dominating_cell(&self, lo: WindowIdx, hi: WindowIdx, level: u8) -> Option<CellId> {
-        self.tree.dominating_cell(lo, hi, level)
+        self.tree
+            .get_or_init(|| {
+                let leaves = self.leaves.iter().map(|(&w, bins)| (w, bins.clone()));
+                TemporalTree::build(self.domain, leaves)
+            })
+            .dominating_cell(lo, hi, level)
     }
 
     /// Number of non-empty windows.
@@ -180,7 +207,8 @@ pub struct HistorySet {
 }
 
 impl HistorySet {
-    /// Builds histories for every entity of `dataset`.
+    /// Builds histories for every entity of `dataset`, on all available
+    /// cores.
     ///
     /// `domain` must cover the whole linkage time span (use
     /// [`WindowScheme::num_windows`] on the max timestamp of *both*
@@ -191,18 +219,53 @@ impl HistorySet {
         spatial_level: u8,
         domain: u32,
     ) -> Self {
-        let mut histories = HashMap::with_capacity(dataset.num_entities());
+        let entities = dataset.entities_sorted();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::build_with_threads(dataset, &entities, scheme, spatial_level, domain, threads)
+    }
+
+    /// [`HistorySet::build`] over the listed `entities` of `dataset` only,
+    /// their histories built on `threads` threads. The result does not
+    /// depend on `threads`: the statistics are integer counters folded on
+    /// the caller.
+    pub(crate) fn build_with_threads(
+        dataset: &LocationDataset,
+        entities: &[EntityId],
+        scheme: WindowScheme,
+        spatial_level: u8,
+        domain: u32,
+        threads: usize,
+    ) -> Self {
+        let build_part = |part: &[EntityId]| -> Vec<MobilityHistory> {
+            part.iter()
+                .map(|&e| {
+                    MobilityHistory::build(e, dataset.records_of(e), &scheme, spatial_level, domain)
+                })
+                .collect()
+        };
+        let chunk = entities.len().div_ceil(threads.max(1)).max(1);
+        // The caller builds the first chunk itself: one thread spawns none.
+        let mut parts = entities.chunks(chunk);
+        let first = parts.next().unwrap_or(&[]);
+        let built = std::thread::scope(|s| {
+            let handles: Vec<_> = parts.map(|part| s.spawn(|| build_part(part))).collect();
+            let mut built = build_part(first);
+            for h in handles {
+                built.extend(h.join().expect("history building does not panic"));
+            }
+            built
+        });
+
+        let mut histories = HashMap::with_capacity(entities.len());
         let mut stats = DfStats::new();
-        for e in dataset.entities() {
-            let h =
-                MobilityHistory::build(e, dataset.records_of(e), &scheme, spatial_level, domain);
-            for w in h.windows().collect::<Vec<_>>() {
-                for &(cell, _) in h.bins_in(w) {
+        for h in built {
+            for (&w, bins) in &h.leaves {
+                for &(cell, _) in bins {
                     stats.add_bin(w, cell);
                 }
             }
             stats.add_entity();
-            histories.insert(e, h);
+            histories.insert(h.entity, h);
         }
         Self {
             histories,
@@ -407,6 +470,54 @@ mod tests {
         assert!((hs.length_norm(EntityId(2), 1.0) - 1.5).abs() < 1e-12);
         // Longer history ⇒ larger norm ⇒ smaller per-pair contribution.
         assert!(hs.length_norm(EntityId(2), 0.5) > hs.length_norm(EntityId(1), 0.5));
+    }
+
+    /// Entity `e` of `n`: `3 + e % 4` records, neighbours sharing bins.
+    fn spread(n: u64) -> LocationDataset {
+        LocationDataset::from_records((0..n).flat_map(|e| {
+            (0..3 + e % 4).map(move |k| {
+                rec(
+                    e,
+                    (e as i64 % 3 + k as i64) * 900,
+                    37.0 + 0.05 * (e / 2) as f64,
+                    -122.0,
+                )
+            })
+        }))
+    }
+
+    #[test]
+    fn build_does_not_depend_on_the_thread_count() {
+        // More entities than threads, fewer than threads, and none.
+        for n in [23, 2, 0] {
+            let ds = spread(n);
+            let entities = ds.entities_sorted();
+            let build = |t| HistorySet::build_with_threads(&ds, &entities, scheme(), LEVEL, 8, t);
+            let one = build(1);
+            assert_eq!(one.num_entities(), n as usize);
+            for threads in [2, 3, 7] {
+                let many = build(threads);
+                assert_eq!(
+                    many.entities_sorted(),
+                    entities,
+                    "{n} entities, {threads} threads"
+                );
+                for &e in &entities {
+                    let (a, b) = (one.history(e).unwrap(), many.history(e).unwrap());
+                    assert_eq!(a.leaves, b.leaves, "{e}, {threads} threads");
+                    assert_eq!(a.num_records(), b.num_records());
+                }
+                assert_eq!(
+                    many.df_stats(),
+                    one.df_stats(),
+                    "{n} entities, {threads} threads"
+                );
+            }
+            // The public entry point takes its count from the machine.
+            let public = HistorySet::build(&ds, scheme(), LEVEL, 8);
+            assert_eq!(public.df_stats(), one.df_stats());
+            assert_eq!(public.entities_sorted(), entities);
+        }
     }
 
     #[test]

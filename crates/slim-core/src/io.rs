@@ -105,33 +105,52 @@ fn parse_line(line: &str, lineno: usize) -> Result<Record, CsvError> {
     ))
 }
 
-/// Reads records from CSV. Skips a header line (first field non-numeric)
-/// and blank lines.
-pub fn read_records_csv<R: BufRead>(reader: R) -> Result<Vec<Record>, CsvError> {
-    let mut out = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
+/// Parses `reader` line by line through one reused buffer, handing each
+/// record to `sink`. Skips a header line (first field non-numeric) and
+/// blank lines.
+fn for_each_record<R: BufRead>(
+    mut reader: R,
+    mut sink: impl FnMut(Record),
+) -> Result<(), CsvError> {
+    let mut line = String::new();
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(());
+        }
+        lineno += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
-        if idx == 0 {
+        if lineno == 1 {
             // Header detection: a non-numeric first field.
             let first = trimmed.split(',').next().unwrap_or("").trim();
             if first.parse::<u64>().is_err() {
                 continue;
             }
         }
-        out.push(parse_line(trimmed, idx + 1)?);
+        sink(parse_line(trimmed, lineno)?);
     }
+}
+
+/// Reads records from CSV. Skips a header line (first field non-numeric)
+/// and blank lines.
+pub fn read_records_csv<R: BufRead>(reader: R) -> Result<Vec<Record>, CsvError> {
+    let mut out = Vec::new();
+    for_each_record(reader, |r| out.push(r))?;
     Ok(out)
 }
 
-/// Loads a dataset from a CSV file path.
+/// Loads a dataset from a CSV file path: each parsed record goes straight
+/// into its entity's group, so the file is never held as one vector.
 pub fn load_dataset_csv(path: &std::path::Path) -> Result<LocationDataset, CsvError> {
     let file = std::fs::File::open(path)?;
-    let records = read_records_csv(std::io::BufReader::new(file))?;
-    Ok(LocationDataset::from_records(records))
+    let mut dataset = LocationDataset::default();
+    for_each_record(std::io::BufReader::new(file), |r| dataset.push(r))?;
+    dataset.finish();
+    Ok(dataset)
 }
 
 /// Writes records as CSV (with header).
@@ -220,6 +239,70 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("line 2"), "{msg}");
         assert!(msg.contains("entity_id"), "{msg}");
+    }
+
+    /// Writes `text` to a scratch file of its own and loads it.
+    fn load_text(name: &str, text: &str) -> Result<LocationDataset, CsvError> {
+        let path = std::env::temp_dir().join(format!("slim_core_io_{name}.csv"));
+        std::fs::write(&path, text).unwrap();
+        let loaded = load_dataset_csv(&path);
+        let _ = std::fs::remove_file(&path);
+        loaded
+    }
+
+    #[test]
+    fn loading_a_file_equals_grouping_its_records() {
+        // Header, blank lines, interleaved entities, time going backwards,
+        // and equal timestamps whose file order must survive the sort.
+        let csv = "entity_id,latitude,longitude,timestamp,accuracy_m\n\
+                   7,10.0,20.0,50\n\n\
+                   3,11.0,21.0,40,12.5\n\
+                   7,10.1,20.0,30\n\
+                   7,10.2,20.0,30\n\
+                   3,11.1,21.0,40\n\
+                   7,10.3,20.0,30\n  \n\
+                   9,12.0,22.0,-5\n";
+        let loaded = load_text("equivalence", csv).unwrap();
+        let grouped = LocationDataset::from_records(read_records_csv(csv.as_bytes()).unwrap());
+        assert_eq!(loaded.num_records(), 7);
+        assert_eq!(loaded.num_records(), grouped.num_records());
+        assert_eq!(loaded.entities_sorted(), grouped.entities_sorted());
+        for e in grouped.entities_sorted() {
+            assert_eq!(loaded.records_of(e), grouped.records_of(e), "{e}");
+        }
+        let lats: Vec<f64> = loaded
+            .records_of(EntityId(7))
+            .iter()
+            .map(|r| r.location.lat_deg())
+            .collect();
+        let want = [10.1, 10.2, 10.3, 10.0];
+        assert!(
+            lats.iter().zip(want).all(|(a, b)| (a - b).abs() < 1e-9),
+            "{lats:?}"
+        );
+    }
+
+    #[test]
+    fn loader_counts_skipped_lines_in_its_line_numbers() {
+        let csv = "entity_id,latitude,longitude,timestamp\n\n7,10.0,oops,42\n";
+        for err in [
+            load_text("line_numbers", csv).unwrap_err(),
+            read_records_csv(csv.as_bytes()).unwrap_err(),
+        ] {
+            let msg = err.to_string();
+            assert!(msg.starts_with("line 3:"), "{msg}");
+            assert!(msg.contains("longitude"), "{msg}");
+        }
+        // Only line 1 may be a header.
+        let late_header = "\nentity_id,latitude,longitude,timestamp\n";
+        let msg = load_text("late_header", late_header)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.starts_with("line 2:"), "{msg}");
+        assert!(matches!(
+            load_dataset_csv(std::path::Path::new("/nonexistent/slim.csv")),
+            Err(CsvError::Io(_))
+        ));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::config::SlimConfig;
 use crate::dataset::LocationDataset;
 use crate::history::HistorySet;
 use crate::matching::{exact_max_matching, greedy_max_matching, Edge};
-use crate::record::EntityId;
+use crate::record::{EntityId, Timestamp};
 use crate::similarity::SimilarityScorer;
 use crate::stats::LinkageStats;
 use crate::threshold::{select_threshold, StopThreshold};
@@ -66,24 +66,30 @@ impl Slim {
     }
 
     /// Builds mobility histories for both datasets over a shared window
-    /// scheme. Entities with too few records are dropped here (paper
-    /// §5.1).
+    /// scheme, the two sides concurrently. Entities with too few records
+    /// are dropped here (paper §5.1): they get no history, and the scheme
+    /// starts at the earliest record of the entities that stay.
     pub fn prepare(&self, left: &LocationDataset, right: &LocationDataset) -> PreparedLinkage {
-        let mut left = left.clone();
-        let mut right = right.clone();
-        left.filter_min_records(self.cfg.min_records);
-        right.filter_min_records(self.cfg.min_records);
-
-        let span = |d: &LocationDataset| d.time_span();
-        let (lo, hi) = match (span(&left), span(&right)) {
+        let (left_kept, left_span) = kept_entities(left, self.cfg.min_records);
+        let (right_kept, right_span) = kept_entities(right, self.cfg.min_records);
+        let (lo, hi) = match (left_span, right_span) {
             (Some((l0, l1)), Some((r0, r1))) => (l0.min(r0), l1.max(r1)),
             (Some(s), None) | (None, Some(s)) => s,
-            (None, None) => (crate::record::Timestamp(0), crate::record::Timestamp(0)),
+            (None, None) => (Timestamp(0), Timestamp(0)),
         };
         let scheme = WindowScheme::new(lo, self.cfg.window_width_secs);
         let domain = scheme.num_windows(hi);
-        let left_hs = HistorySet::build(&left, scheme, self.cfg.spatial_level, domain);
-        let right_hs = HistorySet::build(&right, scheme, self.cfg.spatial_level, domain);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let build = |dataset: &LocationDataset, kept: &[EntityId]| {
+            let level = self.cfg.spatial_level;
+            HistorySet::build_with_threads(dataset, kept, scheme, level, domain, threads)
+        };
+        let (left_hs, right_hs) = std::thread::scope(|s| {
+            let right_side = s.spawn(|| build(right, &right_kept));
+            let left_hs = build(left, &left_kept);
+            let right_hs = right_side.join().expect("history building does not panic");
+            (left_hs, right_hs)
+        });
         PreparedLinkage {
             cfg: self.cfg,
             left: left_hs,
@@ -106,6 +112,27 @@ impl Slim {
     ) -> LinkageOutput {
         self.prepare(left, right).link_with_candidates(candidates)
     }
+}
+
+/// The entities of `dataset` holding more than `min_records` records,
+/// sorted, and the time span of their records — what
+/// [`LocationDataset::filter_min_records`] then
+/// [`LocationDataset::time_span`] would leave, without copying a record.
+fn kept_entities(
+    dataset: &LocationDataset,
+    min_records: usize,
+) -> (Vec<EntityId>, Option<(Timestamp, Timestamp)>) {
+    let mut kept = dataset.entities_sorted();
+    kept.retain(|&e| dataset.records_of(e).len() > min_records);
+    // Each group is time-sorted, so its ends are its span.
+    let span = kept
+        .iter()
+        .filter_map(|&e| {
+            let records = dataset.records_of(e);
+            Some((records.first()?.time, records.last()?.time))
+        })
+        .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)));
+    (kept, span)
 }
 
 impl PreparedLinkage {
@@ -390,6 +417,85 @@ mod tests {
         let slim = Slim::new(SlimConfig::default()).unwrap();
         let prepared = slim.prepare(&l, &r_records);
         assert!(prepared.right().history(EntityId(2000)).is_none());
+    }
+
+    /// `Slim::prepare` as it was before it stopped copying datasets:
+    /// clone, drop the sparse entities, span what is left, build each
+    /// side on one thread.
+    fn prepare_by_copy(
+        cfg: &SlimConfig,
+        left: &LocationDataset,
+        right: &LocationDataset,
+    ) -> (HistorySet, HistorySet) {
+        let (mut left, mut right) = (left.clone(), right.clone());
+        left.filter_min_records(cfg.min_records);
+        right.filter_min_records(cfg.min_records);
+        let (lo, hi) = match (left.time_span(), right.time_span()) {
+            (Some((l0, l1)), Some((r0, r1))) => (l0.min(r0), l1.max(r1)),
+            (Some(s), None) | (None, Some(s)) => s,
+            (None, None) => (Timestamp(0), Timestamp(0)),
+        };
+        let scheme = WindowScheme::new(lo, cfg.window_width_secs);
+        let domain = scheme.num_windows(hi);
+        let build = |ds: &LocationDataset| {
+            let entities = ds.entities_sorted();
+            HistorySet::build_with_threads(ds, &entities, scheme, cfg.spatial_level, domain, 1)
+        };
+        (build(&left), build(&right))
+    }
+
+    #[test]
+    fn prepare_equals_the_copying_reference() {
+        let cfg = SlimConfig::default();
+        assert_eq!(cfg.min_records, 5, "the boundary below is 5 | 6 records");
+        let (l, r) = two_views(5, 3);
+        let dense = |ds: &LocationDataset| -> Vec<Record> {
+            ds.entities_sorted()
+                .into_iter()
+                .flat_map(|e| ds.records_of(e).to_vec())
+                .collect()
+        };
+        // Left gains an entity of exactly 5 records (dropped) that starts
+        // and ends outside everyone else's span, so keeping it would move
+        // both the origin and the domain; right gains one of exactly 6
+        // (kept) that does the same and must move them.
+        let at = LatLng::from_degrees(37.3, -122.3);
+        let sparse = |e: u64, n: i64, t0: i64| {
+            (0..n).map(move |k| Record::new(EntityId(e), at, Timestamp(t0 + k * 9_000)))
+        };
+        let mut l_recs = dense(&l);
+        l_recs.extend(sparse(3000, 5, -5_000));
+        let mut r_recs = dense(&r);
+        r_recs.extend(sparse(4000, 6, -2_000));
+        let cases = [
+            (
+                LocationDataset::from_records(l_recs),
+                LocationDataset::from_records(r_recs),
+            ),
+            (l, LocationDataset::from_records(Vec::new())),
+            (
+                LocationDataset::from_records(sparse(1, 5, 0)),
+                LocationDataset::from_records(sparse(2, 5, 70)),
+            ),
+        ];
+        for (left, right) in &cases {
+            let prepared = Slim::new(cfg).unwrap().prepare(left, right);
+            let (want_l, want_r) = prepare_by_copy(&cfg, left, right);
+            for (got, want) in [(prepared.left(), &want_l), (prepared.right(), &want_r)] {
+                assert_eq!(got.scheme(), want.scheme());
+                assert_eq!(got.domain(), want.domain());
+                assert_eq!(got.entities_sorted(), want.entities_sorted());
+                assert_eq!(got.avg_bins(), want.avg_bins());
+                assert_eq!(got.df_stats(), want.df_stats());
+            }
+        }
+        let prepared = Slim::new(cfg).unwrap().prepare(&cases[0].0, &cases[0].1);
+        assert!(prepared.left().history(EntityId(3000)).is_none());
+        assert!(prepared.right().history(EntityId(4000)).is_some());
+        assert_eq!(
+            prepared.left().scheme(),
+            &WindowScheme::new(Timestamp(-2_000), cfg.window_width_secs)
+        );
     }
 
     #[test]

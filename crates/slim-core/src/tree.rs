@@ -9,7 +9,11 @@
 //! construction uses.
 //!
 //! The tree is stored sparsely: only nodes whose subtree contains at least
-//! one record are materialized.
+//! one record are materialized. Nothing but the dominating-cell query
+//! reads it, so a [`crate::history::MobilityHistory`] does not build its
+//! tree with its leaves: the first
+//! [`dominating_cell`](crate::history::MobilityHistory::dominating_cell)
+//! call does, from the leaves, and the history keeps it from then on.
 
 use std::collections::HashMap;
 

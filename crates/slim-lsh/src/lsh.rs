@@ -6,10 +6,10 @@
 //! link_with_candidates`] consumes.
 
 use serde::{Deserialize, Serialize};
-use slim_core::{EntityId, LocationDataset, Timestamp, WindowScheme};
+use slim_core::{EntityId, LocationDataset, PreparedLinkage, Timestamp, WindowScheme};
 
 use crate::banding::{bands_for_threshold, candidate_pairs};
-use crate::signature::{num_queries, signatures_for_dataset, Signature};
+use crate::signature::{num_queries, signatures_for_entities, Signature};
 
 /// LSH parameters (paper §4): the similarity threshold `t`, the query
 /// step (how many leaf windows one dominating-cell query spans), the
@@ -44,6 +44,7 @@ impl Default for LshConfig {
 #[derive(Debug, Clone)]
 pub struct LshFilter {
     cfg: LshConfig,
+    scheme: WindowScheme,
     left: Vec<Signature>,
     right: Vec<Signature>,
     bands: usize,
@@ -51,11 +52,12 @@ pub struct LshFilter {
 }
 
 impl LshFilter {
-    /// Builds signatures for both datasets over a shared window scheme.
+    /// Builds signatures for both datasets over a shared window scheme,
+    /// the two sides concurrently.
     ///
-    /// `scheme`/`domain` must match the ones the linkage pipeline uses
-    /// (take them from [`slim_core::PreparedLinkage`]'s history sets) so
-    /// the signature queries align with the leaf windows.
+    /// `scheme`/`domain` must match the ones the linkage pipeline uses so
+    /// the signature queries align with the leaf windows;
+    /// [`LshFilter::for_prepared`] takes them from the pipeline itself.
     pub fn build(
         cfg: LshConfig,
         left: &LocationDataset,
@@ -63,22 +65,37 @@ impl LshFilter {
         scheme: &WindowScheme,
         domain: u32,
     ) -> Self {
-        let s = num_queries(domain, cfg.step_windows);
-        let (bands, rows) = bands_for_threshold(s, cfg.threshold);
-        let l = signatures_for_dataset(left, scheme, domain, cfg.step_windows, cfg.spatial_level);
-        let r = signatures_for_dataset(right, scheme, domain, cfg.step_windows, cfg.spatial_level);
-        Self {
-            cfg,
-            left: l,
-            right: r,
-            bands,
-            rows,
-        }
+        let (l, r) = (left.entities_sorted(), right.entities_sorted());
+        Self::build_sides(cfg, (left, &l), (right, &r), scheme, domain)
     }
 
-    /// Convenience: derives the window scheme from the datasets' joint
-    /// time span and `window_width_secs` (matching what
-    /// [`slim_core::Slim::prepare`] does internally).
+    /// The filter for a prepared linkage: cut at the scorer's own window
+    /// scheme and domain, with signatures for exactly the entities the
+    /// scorer kept. `left`/`right` are the datasets `prepared` was made
+    /// from.
+    pub fn for_prepared(
+        cfg: LshConfig,
+        left: &LocationDataset,
+        right: &LocationDataset,
+        prepared: &PreparedLinkage,
+    ) -> Self {
+        let scorer = prepared.left();
+        let (l, r) = (scorer.entities_sorted(), prepared.right().entities_sorted());
+        Self::build_sides(
+            cfg,
+            (left, &l),
+            (right, &r),
+            scorer.scheme(),
+            scorer.domain(),
+        )
+    }
+
+    /// Convenience: derives the window scheme from the joint time span of
+    /// *all* records of both datasets and `window_width_secs`. That is
+    /// the scheme [`slim_core::Slim::prepare`] derives only while no
+    /// entity is dropped for having too few records: `prepare` starts its
+    /// scheme at the earliest record of the entities it keeps. Use
+    /// [`LshFilter::for_prepared`] wherever the two must agree.
     pub fn build_auto(
         cfg: LshConfig,
         left: &LocationDataset,
@@ -93,6 +110,44 @@ impl LshFilter {
         let scheme = WindowScheme::new(lo, window_width_secs);
         let domain = scheme.num_windows(hi);
         Self::build(cfg, left, right, &scheme, domain)
+    }
+
+    /// Signatures of each side's listed entities, the right side on a
+    /// thread of its own.
+    fn build_sides(
+        cfg: LshConfig,
+        left: (&LocationDataset, &[EntityId]),
+        right: (&LocationDataset, &[EntityId]),
+        scheme: &WindowScheme,
+        domain: u32,
+    ) -> Self {
+        let s = num_queries(domain, cfg.step_windows);
+        let (bands, rows) = bands_for_threshold(s, cfg.threshold);
+        let sign = |(ds, entities): (&LocationDataset, &[EntityId])| {
+            let (step, level) = (cfg.step_windows, cfg.spatial_level);
+            signatures_for_entities(ds, entities, scheme, domain, step, level)
+        };
+        let (left, right) = std::thread::scope(|s| {
+            let right_side = s.spawn(|| sign(right));
+            let left = sign(left);
+            let right = right_side
+                .join()
+                .expect("signature building does not panic");
+            (left, right)
+        });
+        Self {
+            cfg,
+            scheme: *scheme,
+            left,
+            right,
+            bands,
+            rows,
+        }
+    }
+
+    /// The window scheme the signature spans are cut at.
+    pub fn scheme(&self) -> &WindowScheme {
+        &self.scheme
     }
 
     /// Candidate entity pairs (sorted, deduplicated).

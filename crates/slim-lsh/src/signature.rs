@@ -105,9 +105,29 @@ pub fn signatures_for_dataset(
     step: u32,
     spatial_level: u8,
 ) -> Vec<Signature> {
-    ds.entities_sorted()
-        .into_iter()
-        .map(|e| signature_from_records(e, ds.records_of(e), scheme, domain, step, spatial_level))
+    signatures_for_entities(
+        ds,
+        &ds.entities_sorted(),
+        scheme,
+        domain,
+        step,
+        spatial_level,
+    )
+}
+
+/// Builds the signatures of the listed entities of a dataset, in list
+/// order.
+pub(crate) fn signatures_for_entities(
+    ds: &LocationDataset,
+    entities: &[EntityId],
+    scheme: &WindowScheme,
+    domain: u32,
+    step: u32,
+    spatial_level: u8,
+) -> Vec<Signature> {
+    entities
+        .iter()
+        .map(|&e| signature_from_records(e, ds.records_of(e), scheme, domain, step, spatial_level))
         .collect()
 }
 

@@ -9,13 +9,40 @@ use slim::core::matching::{greedy_max_matching, is_valid_matching, Edge};
 use slim::core::pairing::{all_pairs, mutually_furthest, mutually_nearest};
 use slim::core::proximity::proximity_of_distance;
 use slim::core::threshold::{otsu, two_means};
-use slim::core::tree::{merge_counts, TemporalTree};
-use slim::core::{EntityId, Timestamp, WindowScheme};
+use slim::core::tree::{merge_counts, CellCounts, TemporalTree};
+use slim::core::{record_cells, EntityId, MobilityHistory, Record, Timestamp, WindowScheme};
 use slim::geo::{cell_min_distance_m, CellId, LatLng};
 use slim::lsh::{bands_for_threshold, collision_probability, lambert_w0};
 
 fn arb_latlng() -> impl Strategy<Value = LatLng> {
     (-85.0f64..85.0, -179.9f64..179.9).prop_map(|(lat, lng)| LatLng::from_degrees(lat, lng))
+}
+
+/// The leaves of a history by definition, built the way
+/// `MobilityHistory::build` did before it sorted runs: one `HashMap` of
+/// cell counts per window, every record's cells counted into it.
+fn leaves_by_definition(
+    records: &[Record],
+    scheme: &WindowScheme,
+    level: u8,
+    domain: u32,
+) -> std::collections::BTreeMap<u32, CellCounts> {
+    use std::collections::{BTreeMap, HashMap};
+    let mut leaves: BTreeMap<u32, HashMap<CellId, u32>> = BTreeMap::new();
+    for r in records {
+        let w = scheme.window_of(r.time).min(domain.saturating_sub(1));
+        for cell in record_cells(r, level) {
+            *leaves.entry(w).or_default().entry(cell).or_insert(0) += 1;
+        }
+    }
+    leaves
+        .into_iter()
+        .map(|(w, cells)| {
+            let mut bins: CellCounts = cells.into_iter().collect();
+            bins.sort_by_key(|&(c, _)| c);
+            (w, bins)
+        })
+        .collect()
 }
 
 proptest! {
@@ -215,6 +242,58 @@ proptest! {
         let mut ba = cb.clone();
         merge_counts(&mut ba, &ca);
         prop_assert_eq!(ab, ba);
+    }
+
+    // ---- mobility histories ----
+
+    #[test]
+    fn history_build_equals_the_definition(
+        // (time slot, east step, north step, accuracy choice): arrival
+        // order is random, slots repeat (equal timestamps), slots from 45 on
+        // lie beyond the 32-window domain (the clamp), and the radii span
+        // one to several level-16 cells.
+        raw in prop::collection::vec((0i64..64, 0u8..5, 0u8..5, 0usize..5), 0..60),
+        ranges in prop::collection::vec((0u32..40, 0u32..40, 0usize..3), 1..8),
+    ) {
+        const LEVEL: u8 = 16;
+        const DOMAIN: u32 = 32;
+        let scheme = WindowScheme::new(Timestamp(0), 900);
+        let home = LatLng::from_degrees(37.0, -122.0);
+        let records: Vec<Record> = raw
+            .iter()
+            .map(|&(slot, east, north, acc)| {
+                let at = home.offset(120.0 * east as f64, 0.0).offset(120.0 * north as f64, 1.5);
+                let accuracy = [0.0, 0.0, 40.0, 150.0, 400.0][acc];
+                Record::with_accuracy(EntityId(1), at, Timestamp(slot * 640), accuracy)
+            })
+            .collect();
+        let want = leaves_by_definition(&records, &scheme, LEVEL, DOMAIN);
+
+        let built = MobilityHistory::build(EntityId(1), &records, &scheme, LEVEL, DOMAIN);
+        prop_assert_eq!(built.windows().collect::<Vec<_>>(), want.keys().copied().collect::<Vec<_>>());
+        for (&w, bins) in &want {
+            prop_assert_eq!(built.bins_in(w), &bins[..]);
+        }
+        prop_assert_eq!(built.num_bins(), want.values().map(Vec::len).sum::<usize>());
+        prop_assert_eq!(built.num_records() as usize, records.len());
+
+        // The tree a history builds on its first dominating-cell query is
+        // the eager one, whichever constructor made the history and
+        // whether a clone was taken before or after that query.
+        let tree = TemporalTree::build(DOMAIN, want.iter().map(|(&w, bins)| (w, bins.clone())));
+        let from_leaves = MobilityHistory::from_leaves(EntityId(1), want.clone(), records.len() as u32);
+        let cloned_before = built.clone();
+        for (i, &(lo, len, coarsen)) in ranges.iter().enumerate() {
+            let (hi, level) = (lo + len, [LEVEL, 12, 8][coarsen]);
+            let expect = tree.dominating_cell(lo, hi, level);
+            prop_assert_eq!(built.dominating_cell(lo, hi, level), expect);
+            prop_assert_eq!(from_leaves.dominating_cell(lo, hi, level), expect);
+            prop_assert_eq!(cloned_before.dominating_cell(lo, hi, level), expect);
+            if i == 0 {
+                let cloned_after = built.clone();
+                prop_assert_eq!(cloned_after.dominating_cell(lo, hi, level), expect);
+            }
+        }
     }
 
     // ---- numerics ----
