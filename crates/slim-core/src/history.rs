@@ -9,8 +9,14 @@
 //! average history size (for BM25-style length normalization) and
 //! per-bin document frequencies (for the IDF award).
 //!
-//! The leaves are the representation: scoring, the df statistics and the
-//! arena read nothing else. The aggregation tree above them answers only
+//! The leaves are the representation: scoring, the df statistics, the
+//! LSH signatures and the arena read nothing else. They are stored flat,
+//! as three columns — the non-empty windows ascending, each window's end
+//! offset, and one `(cell, count)` vector of every bin in window-then-cell
+//! order — so a history is three allocations however many windows it
+//! spans, [`MobilityHistory::bins_in`] is a binary search, and
+//! [`MobilityHistory::window_bins`] walks the `(window, bins)` runs in
+//! order without a lookup. The aggregation tree above them answers only
 //! [`MobilityHistory::dominating_cell`], so a history builds it from its
 //! leaves on the first such query and keeps it; a history that is never
 //! asked never pays for it.
@@ -65,10 +71,13 @@ fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
 #[derive(Debug, Clone)]
 pub struct MobilityHistory {
     entity: EntityId,
-    /// Leaf bins: window index → sorted `(cell, record count)`.
-    leaves: BTreeMap<WindowIdx, CellCounts>,
-    /// Total number of time-location bins (`|H_u|` in the paper).
-    num_bins: usize,
+    /// The windows holding bins, ascending.
+    windows: Vec<WindowIdx>,
+    /// `ends[i]`: one past the last bin of `windows[i]` in `bins`.
+    ends: Vec<u32>,
+    /// Every leaf bin, by window then cell: `(cell, record count)`. Its
+    /// length is the number of time-location bins (`|H_u|` in the paper).
+    bins: Vec<(CellId, u32)>,
     /// Total number of records aggregated.
     num_records: u32,
     /// Number of windows the aggregation tree spans.
@@ -98,21 +107,29 @@ impl MobilityHistory {
             visit_record_cells(r, level, |cell| occurrences.push((w, cell)));
         }
         occurrences.sort_unstable();
-        let leaves: BTreeMap<WindowIdx, CellCounts> = occurrences
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|window| {
-                let bins = window
-                    .chunk_by(|a, b| a.1 == b.1)
-                    .map(|bin| (bin[0].1, bin.len() as u32))
-                    .collect();
-                (window[0].0, bins)
-            })
-            .collect();
+        let mut history = Self::new(entity, records.len() as u32, domain);
+        for bin in occurrences.chunk_by(|a, b| a == b) {
+            let (w, cell) = bin[0];
+            history.bins.push((cell, bin.len() as u32));
+            let end = history.bins.len() as u32;
+            match history.ends.last_mut() {
+                Some(last) if history.windows.last() == Some(&w) => *last = end,
+                _ => {
+                    history.windows.push(w);
+                    history.ends.push(end);
+                }
+            }
+        }
+        history
+    }
+
+    fn new(entity: EntityId, num_records: u32, domain: u32) -> Self {
         Self {
             entity,
-            num_bins: leaves.values().map(Vec::len).sum(),
-            leaves,
-            num_records: records.len() as u32,
+            windows: Vec::new(),
+            ends: Vec::new(),
+            bins: Vec::new(),
+            num_records,
             domain,
             tree: OnceLock::new(),
         }
@@ -130,16 +147,17 @@ impl MobilityHistory {
         leaves: BTreeMap<WindowIdx, CellCounts>,
         num_records: u32,
     ) -> Self {
-        let num_bins = leaves.values().map(Vec::len).sum();
         let domain = leaves.keys().next_back().map(|&w| w + 1).unwrap_or(1);
-        Self {
-            entity,
-            leaves,
-            num_bins,
-            num_records,
-            domain,
-            tree: OnceLock::new(),
+        let mut history = Self::new(entity, num_records, domain);
+        history
+            .bins
+            .reserve_exact(leaves.values().map(Vec::len).sum());
+        for (w, bins) in leaves {
+            history.windows.push(w);
+            history.bins.extend(bins);
+            history.ends.push(history.bins.len() as u32);
         }
+        history
     }
 
     /// The entity this history belongs to.
@@ -149,18 +167,32 @@ impl MobilityHistory {
 
     /// All non-empty windows, ascending.
     pub fn windows(&self) -> impl Iterator<Item = WindowIdx> + '_ {
-        self.leaves.keys().copied()
+        self.windows.iter().copied()
+    }
+
+    /// Every non-empty window with its bins (sorted by cell id), windows
+    /// ascending — one pass over the leaves, no lookups.
+    pub fn window_bins(&self) -> impl Iterator<Item = (WindowIdx, &[(CellId, u32)])> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.windows
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&w, (start, &end))| (w, &self.bins[start as usize..end as usize]))
     }
 
     /// The bins of one window (sorted by cell id); empty if the window has
     /// no records.
     pub fn bins_in(&self, w: WindowIdx) -> &[(CellId, u32)] {
-        self.leaves.get(&w).map(Vec::as_slice).unwrap_or(&[])
+        let Ok(i) = self.windows.binary_search(&w) else {
+            return &[];
+        };
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bins[start as usize..self.ends[i] as usize]
     }
 
     /// Number of time-location bins, `|H_u|`.
     pub fn num_bins(&self) -> usize {
-        self.num_bins
+        self.bins.len()
     }
 
     /// Number of records aggregated into this history.
@@ -181,7 +213,7 @@ impl MobilityHistory {
     pub fn dominating_cell(&self, lo: WindowIdx, hi: WindowIdx, level: u8) -> Option<CellId> {
         self.tree
             .get_or_init(|| {
-                let leaves = self.leaves.iter().map(|(&w, bins)| (w, bins.clone()));
+                let leaves = self.window_bins().map(|(w, bins)| (w, bins.to_vec()));
                 TemporalTree::build(self.domain, leaves)
             })
             .dominating_cell(lo, hi, level)
@@ -189,7 +221,7 @@ impl MobilityHistory {
 
     /// Number of non-empty windows.
     pub fn num_windows(&self) -> usize {
-        self.leaves.len()
+        self.windows.len()
     }
 }
 
@@ -259,7 +291,7 @@ impl HistorySet {
         let mut histories = HashMap::with_capacity(entities.len());
         let mut stats = DfStats::new();
         for h in built {
-            for (&w, bins) in &h.leaves {
+            for (w, bins) in h.window_bins() {
                 for &(cell, _) in bins {
                     stats.add_bin(w, cell);
                 }
@@ -504,7 +536,10 @@ mod tests {
                 );
                 for &e in &entities {
                     let (a, b) = (one.history(e).unwrap(), many.history(e).unwrap());
-                    assert_eq!(a.leaves, b.leaves, "{e}, {threads} threads");
+                    assert!(
+                        a.window_bins().eq(b.window_bins()),
+                        "{e}, {threads} threads"
+                    );
                     assert_eq!(a.num_records(), b.num_records());
                 }
                 assert_eq!(
@@ -555,6 +590,72 @@ mod tests {
         let h = MobilityHistory::build(EntityId(1), &[region], &scheme(), 16, 4);
         assert_eq!(h.num_records(), 1);
         assert!(h.num_bins() >= 2, "region must occupy several bins");
+    }
+
+    #[test]
+    fn bins_in_finds_stored_windows_only() {
+        // Windows 2, 5 (two cells) and 9 of a 12-window domain.
+        let records = vec![
+            rec(1, 2 * 900, 37.0, -122.0),
+            rec(1, 5 * 900, 37.0, -122.0),
+            rec(1, 5 * 900 + 1, 37.5, -121.5),
+            rec(1, 5 * 900 + 2, 37.0, -122.0),
+            rec(1, 9 * 900, 10.0, 10.0),
+        ];
+        let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 12);
+        let cell = |lat, lng| CellId::from_latlng(LatLng::from_degrees(lat, lng), LEVEL);
+        let (sf, east, far) = (cell(37.0, -122.0), cell(37.5, -121.5), cell(10.0, 10.0));
+        let mut five = [(sf, 2), (east, 1)];
+        five.sort_unstable();
+        assert_eq!(h.bins_in(2), &[(sf, 1)]);
+        assert_eq!(h.bins_in(5), &five[..]);
+        assert_eq!(h.bins_in(9), &[(far, 1)]);
+        // Before the first, between stored ones, after the last, and far
+        // past the domain.
+        for w in [0, 1, 3, 4, 6, 8, 10, 11, u32::MAX] {
+            assert!(h.bins_in(w).is_empty(), "window {w}");
+            assert_eq!(h.records_in(w), 0, "window {w}");
+        }
+        assert_eq!(h.records_in(5), 3);
+        let runs: Vec<_> = h.window_bins().collect();
+        assert_eq!(
+            runs,
+            vec![(2, &[(sf, 1)][..]), (5, &five[..]), (9, &[(far, 1)][..])]
+        );
+        // A history without records answers every window with nothing.
+        let empty = MobilityHistory::build(EntityId(2), &[], &scheme(), LEVEL, 12);
+        assert!(empty.bins_in(0).is_empty() && empty.window_bins().next().is_none());
+    }
+
+    #[test]
+    fn from_leaves_round_trips_the_flat_leaves() {
+        let center = LatLng::from_degrees(37.0, -122.0);
+        let records: Vec<Record> = (0..40)
+            .map(|k| {
+                let at = center.offset(150.0 * (k % 5) as f64, k as f64);
+                Record::with_accuracy(EntityId(3), at, Timestamp(k * 500), (k % 3) as f64 * 120.0)
+            })
+            .collect();
+        let h = MobilityHistory::build(EntityId(3), &records, &scheme(), 16, 30);
+        assert!(h.num_windows() > 5 && h.num_bins() > h.num_windows());
+        let leaves: BTreeMap<WindowIdx, CellCounts> = h
+            .window_bins()
+            .map(|(w, bins)| (w, bins.to_vec()))
+            .collect();
+        let back = MobilityHistory::from_leaves(EntityId(3), leaves, h.num_records());
+        assert!(back.window_bins().eq(h.window_bins()));
+        assert!(back.windows().eq(h.windows()));
+        assert_eq!(back.num_bins(), h.num_bins());
+        assert_eq!(back.num_windows(), h.num_windows());
+        assert_eq!(back.num_records(), h.num_records());
+        for w in 0..32 {
+            assert_eq!(back.bins_in(w), h.bins_in(w), "window {w}");
+        }
+        let last = h.windows().last().unwrap();
+        assert_eq!(
+            back.dominating_cell(0, last + 1, 12),
+            h.dominating_cell(0, 30, 12)
+        );
     }
 
     #[test]

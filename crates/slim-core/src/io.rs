@@ -12,8 +12,11 @@
 //! * `accuracy_m` — optional region radius in metres (paper §2.1).
 //!
 //! A header line is skipped automatically when the first field is not
-//! numeric. Parsing is strict otherwise: a malformed line aborts with a
-//! line-numbered error rather than silently dropping data.
+//! numeric. Parsing is strict otherwise: a malformed line — a byte that
+//! is not UTF-8 included — aborts with a line-numbered error rather than
+//! silently dropping data. Lines of plain decimal fields, the shape
+//! [`write_records_csv`] produces, take an exact fast path; every other
+//! line, and every error, goes through the general parser.
 
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -105,6 +108,114 @@ fn parse_line(line: &str, lineno: usize) -> Result<Record, CsvError> {
     ))
 }
 
+/// Most significant digits a fast-path number may have: below 10¹⁵ the
+/// digits are an integer `m < 2⁵³`, exact as an `f64`.
+const FAST_DIGITS: u32 = 15;
+
+/// Most fractional digits a fast-path number may have: `10²²` is the
+/// largest power of ten exact as an `f64`.
+const FAST_FRACTION: usize = 22;
+
+/// `10^k` for `k ≤ FAST_FRACTION`, each exact.
+const POW10: [f64; FAST_FRACTION + 1] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A non-empty run of ASCII digits as an integer; `None` on anything
+/// else or on overflow.
+fn fast_uint(field: &[u8]) -> Option<u64> {
+    if field.is_empty() {
+        return None;
+    }
+    field.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
+/// `[-]digits[.digits]` with at most [`FAST_DIGITS`] significant and
+/// [`FAST_FRACTION`] fractional digits, as `m / 10^k` — Clinger's fast
+/// path: both operands are exact, so the one correctly rounded division
+/// is the correctly rounded value `str::parse` returns. `None` on every
+/// other shape.
+fn fast_f64(field: &[u8]) -> Option<f64> {
+    let (negative, unsigned) = match field.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, field),
+    };
+    let (int, frac) = match unsigned.iter().position(|&b| b == b'.') {
+        Some(dot) if dot + 1 < unsigned.len() => (&unsigned[..dot], &unsigned[dot + 1..]),
+        Some(_) => return None,
+        None => (unsigned, &[][..]),
+    };
+    if int.is_empty() || frac.len() > FAST_FRACTION {
+        return None;
+    }
+    let mut m = 0u64;
+    let mut significant = 0;
+    for &b in int.iter().chain(frac) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        m = m * 10 + u64::from(digit);
+        significant += u32::from(m != 0);
+        if significant > FAST_DIGITS {
+            return None;
+        }
+    }
+    let value = m as f64 / POW10[frac.len()];
+    Some(if negative { -value } else { value })
+}
+
+/// The record of an ASCII line in the one shape the writers produce —
+/// four or five fields of plain decimals, in range — without `str`
+/// splitting, Unicode trimming or the general float parser. `None` sends
+/// the line to [`parse_line`], the only producer of errors, which gives
+/// the same record for every line this accepts.
+fn fast_record(line: &[u8]) -> Option<Record> {
+    let mut fields = line.split(|&b| b == b',').map(<[u8]>::trim_ascii);
+    let entity = fast_uint(fields.next()?)?;
+    let lat = fast_f64(fields.next()?)?;
+    let lng = fast_f64(fields.next()?)?;
+    let ts = fields.next()?;
+    let ts = match ts.split_first() {
+        Some((b'-', digits)) => -i64::try_from(fast_uint(digits)?).ok()?,
+        _ => i64::try_from(fast_uint(ts)?).ok()?,
+    };
+    let accuracy = match fields.next() {
+        Some([]) | None => 0.0,
+        Some(field) => fast_f64(field)?,
+    };
+    let in_range = (-90.0..=90.0).contains(&lat)
+        && (-180.0..=180.0).contains(&lng)
+        && accuracy >= 0.0
+        && fields.next().is_none();
+    in_range.then(|| {
+        Record::with_accuracy(
+            EntityId(entity),
+            LatLng::from_degrees(lat, lng),
+            Timestamp(ts),
+            accuracy,
+        )
+    })
+}
+
+/// One data line (already trimmed) as a record: the fast path where it
+/// applies, [`parse_line`] otherwise.
+fn parse_record(line: &str, lineno: usize) -> Result<Record, CsvError> {
+    if line.is_ascii() {
+        if let Some(record) = fast_record(line.as_bytes()) {
+            return Ok(record);
+        }
+    }
+    parse_line(line, lineno)
+}
+
 /// Parses `reader` line by line through one reused buffer, handing each
 /// record to `sink`. Skips a header line (first field non-numeric) and
 /// blank lines.
@@ -112,14 +223,18 @@ fn for_each_record<R: BufRead>(
     mut reader: R,
     mut sink: impl FnMut(Record),
 ) -> Result<(), CsvError> {
-    let mut line = String::new();
+    let mut bytes = Vec::new();
     let mut lineno = 0usize;
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        bytes.clear();
+        if reader.read_until(b'\n', &mut bytes)? == 0 {
             return Ok(());
         }
         lineno += 1;
+        let line = std::str::from_utf8(&bytes).map_err(|_| CsvError::Parse {
+            line: lineno,
+            message: "not valid UTF-8".to_string(),
+        })?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -131,7 +246,7 @@ fn for_each_record<R: BufRead>(
                 continue;
             }
         }
-        sink(parse_line(trimmed, lineno)?);
+        sink(parse_record(trimmed, lineno)?);
     }
 }
 
@@ -242,7 +357,7 @@ mod tests {
     }
 
     /// Writes `text` to a scratch file of its own and loads it.
-    fn load_text(name: &str, text: &str) -> Result<LocationDataset, CsvError> {
+    fn load_text(name: &str, text: impl AsRef<[u8]>) -> Result<LocationDataset, CsvError> {
         let path = std::env::temp_dir().join(format!("slim_core_io_{name}.csv"));
         std::fs::write(&path, text).unwrap();
         let loaded = load_dataset_csv(&path);
@@ -303,6 +418,231 @@ mod tests {
             load_dataset_csv(std::path::Path::new("/nonexistent/slim.csv")),
             Err(CsvError::Io(_))
         ));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_reports_its_line_number() {
+        let csv = b"entity_id,latitude,longitude,timestamp\n1,37.0,-122.0,5\n2,37.\xff0,-122.0,5\n";
+        for err in [
+            load_text("not_utf8", csv).unwrap_err(),
+            read_records_csv(&csv[..]).unwrap_err(),
+        ] {
+            assert_eq!(err.to_string(), "line 3: not valid UTF-8");
+        }
+        // Only that line: valid UTF-8 beyond ASCII still parses.
+        let nbsp = "1,\u{a0}37.5,-122.0,5\n";
+        let recs = read_records_csv(nbsp.as_bytes()).unwrap();
+        assert_eq!(recs[0].location.lat_deg(), 37.5);
+    }
+
+    /// Digits for a decimal of `significant` digits, `frac` of them after
+    /// the point (leading zeros pad a fraction longer than the digits).
+    fn decimal(rng: &mut rand::rngs::StdRng, significant: usize, frac: usize) -> String {
+        use rand::Rng;
+        let digits: String = (0..significant)
+            .map(|i| char::from(b'0' + rng.random_range(u8::from(i == 0)..10)))
+            .collect();
+        let digits = format!("{digits:0>width$}", width = frac + 1);
+        let (int, fraction) = digits.split_at(digits.len() - frac);
+        if frac == 0 {
+            int.to_string()
+        } else {
+            format!("{int}.{fraction}")
+        }
+    }
+
+    #[test]
+    fn fast_numbers_are_the_parsers_numbers() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut fast = [0usize; 2];
+        let mut check = |s: &str| {
+            let want = s.parse::<f64>().ok().filter(|v| v.is_finite());
+            match fast_f64(s.as_bytes()) {
+                Some(v) => {
+                    assert_eq!(Some(v.to_bits()), want.map(f64::to_bits), "`{s}`");
+                    fast[0] += 1;
+                }
+                None => fast[1] += 1,
+            }
+        };
+        for significant in 1..=17 {
+            for frac in 0..=23 {
+                for _ in 0..40 {
+                    let s = decimal(&mut rng, significant, frac);
+                    check(&s);
+                    check(&format!("-{s}"));
+                }
+            }
+        }
+        for s in [
+            "0",
+            "-0",
+            "0.0",
+            "-0.0",
+            "90",
+            "-90",
+            "180.000",
+            "-180",
+            "007.50",
+            "9007199254740993",
+            "123456789012345",
+            "1234567890123456",
+            "0.0000000000000000000001",
+            "+5",
+            "1e5",
+            "1E-5",
+            "inf",
+            "-inf",
+            "nan",
+            "NaN",
+            ".5",
+            "5.",
+            "-.5",
+            "-",
+            "",
+            "--5",
+            "1.2.3",
+            "0x10",
+            "1_0",
+        ] {
+            check(s);
+        }
+        let [taken, declined] = fast;
+        assert!(taken > 20_000 && declined > 4_000, "{taken} / {declined}");
+        // What the fast path must decline, exactly at its limits.
+        for s in [
+            "1234567890123456",
+            "0.1234567890123456",
+            "0.00000000000000000000001",
+            "+5",
+            "1e5",
+            ".5",
+            "5.",
+        ] {
+            assert_eq!(fast_f64(s.as_bytes()), None, "`{s}`");
+        }
+        assert_eq!(fast_f64(b"123456789012345"), Some(123456789012345.0));
+        assert_eq!(fast_f64(b"0.0000000000000000000001"), Some(1e-22));
+        assert_eq!(
+            fast_f64(b"-0.0").map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+    }
+
+    #[test]
+    fn fast_lines_are_the_parsers_records() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(26);
+        let entities = [
+            "7",
+            "007",
+            "+7",
+            "-7",
+            "18446744073709551615",
+            "18446744073709551616",
+        ];
+        let coordinates = [
+            "-0.0",
+            "90",
+            "-90",
+            "90.0000001",
+            "-180",
+            "180",
+            "180.0000001",
+            "95",
+            ".5",
+            "5.",
+            "+37.5",
+            "3.75e1",
+            "\u{a0}37.5",
+            "\t37.5 ",
+            "",
+        ];
+        let timestamps = [
+            "0",
+            "-0",
+            "-50",
+            "+50",
+            "1.5",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "",
+        ];
+        let accuracies = [
+            "0", "-0.0", "12.5", " 3 ", "-1", "inf", "nan", "1e2", "+4", "",
+        ];
+        // One field in ten is a listed spelling.
+        fn odd<'a>(rng: &mut StdRng, listed: &[&'a str]) -> Option<&'a str> {
+            (rng.random_range(0..10) == 0).then(|| listed[rng.random_range(0..listed.len())])
+        }
+        // Or a decimal of 1–3 integer and 0–23 fractional digits, either sign.
+        let number = |rng: &mut StdRng, listed: &[&str]| -> String {
+            if let Some(field) = odd(rng, listed) {
+                return field.to_string();
+            }
+            let (int, frac) = (rng.random_range(1usize..=3), rng.random_range(0..=23));
+            let text = decimal(rng, int + frac, frac);
+            match rng.random_range(0..2) {
+                0 => format!("-{text}"),
+                _ => text,
+            }
+        };
+        let mut outcome = [0usize; 3];
+        for _ in 0..20_000 {
+            let entity = odd(&mut rng, &entities).map_or_else(
+                || rng.random_range(0..100_000u64).to_string(),
+                str::to_string,
+            );
+            let ts = odd(&mut rng, &timestamps).map_or_else(
+                || {
+                    rng.random_range(-1_000_000_000i64..1_000_000_000)
+                        .to_string()
+                },
+                str::to_string,
+            );
+            let mut fields = vec![
+                entity,
+                number(&mut rng, &coordinates),
+                number(&mut rng, &coordinates),
+                ts,
+            ];
+            // Four fields, five, an empty fifth, or six.
+            match rng.random_range(0..4) {
+                0 => {}
+                1 => fields.push(number(&mut rng, &accuracies)),
+                2 => fields.push(String::new()),
+                _ => fields.extend([number(&mut rng, &accuracies), "x".to_string()]),
+            }
+            let line = fields.join(",");
+            let got = parse_record(&line, 9);
+            match (got, parse_line(&line, 9)) {
+                (Ok(a), Ok(b)) => {
+                    let bits = |r: &Record| {
+                        (
+                            r.entity,
+                            r.time,
+                            r.location.lat_rad().to_bits(),
+                            r.location.lng_rad().to_bits(),
+                            r.accuracy_m.to_bits(),
+                        )
+                    };
+                    assert_eq!(bits(&a), bits(&b), "`{line}`");
+                    outcome[usize::from(fast_record(line.as_bytes()).is_none())] += 1;
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "`{line}`");
+                    outcome[2] += 1;
+                }
+                (a, b) => panic!("`{line}`: {a:?} vs {b:?}"),
+            }
+        }
+        let [fast, fallback, errors] = outcome;
+        assert!(
+            fast > 1_000 && fallback > 100 && errors > 1_000,
+            "{outcome:?}"
+        );
     }
 
     #[test]

@@ -98,7 +98,9 @@ impl<'a> SimilarityScorer<'a> {
 
     /// Scores two explicit histories: the sum of per-window
     /// [`SimilarityScorer::window_contribution`]s over the common
-    /// windows, divided by the pair's length normalization.
+    /// windows, ascending, divided by the pair's length normalization.
+    /// One merge walk over both histories' window runs finds the common
+    /// windows and their bins together.
     pub fn score_histories(
         &self,
         hu: &MobilityHistory,
@@ -107,9 +109,19 @@ impl<'a> SimilarityScorer<'a> {
     ) -> f64 {
         stats.scored_entity_pairs += 1;
         let norm = self.pair_norm_bins(hu.num_bins(), hv.num_bins());
+        let (mut runs_u, mut runs_v) = (hu.window_bins(), hv.window_bins());
+        let (mut next_u, mut next_v) = (runs_u.next(), runs_v.next());
         let mut total = 0.0;
-        for w in common_windows(hu, hv) {
-            total += self.window_contribution(hu, hv, w, stats);
+        while let (Some((wu, bu)), Some((wv, bv))) = (next_u, next_v) {
+            match wu.cmp(&wv) {
+                std::cmp::Ordering::Less => next_u = runs_u.next(),
+                std::cmp::Ordering::Greater => next_v = runs_v.next(),
+                std::cmp::Ordering::Equal => {
+                    total += self.window_bins_contribution(wu, bu, bv, stats);
+                    next_u = runs_u.next();
+                    next_v = runs_v.next();
+                }
+            }
         }
         total / norm
     }
@@ -161,13 +173,24 @@ impl<'a> SimilarityScorer<'a> {
         w: crate::window::WindowIdx,
         stats: &mut LinkageStats,
     ) -> f64 {
-        let bu = hu.bins_in(w);
-        let bv = hv.bins_in(w);
+        self.window_bins_contribution(w, hu.bins_in(w), hv.bins_in(w), stats)
+    }
+
+    /// [`SimilarityScorer::window_contribution`] over one window's bins
+    /// of each history, however they were found.
+    fn window_bins_contribution(
+        &self,
+        w: crate::window::WindowIdx,
+        bu: &[(geocell::CellId, u32)],
+        bv: &[(geocell::CellId, u32)],
+        stats: &mut LinkageStats,
+    ) -> f64 {
         if bu.is_empty() || bv.is_empty() {
             return 0.0;
         }
         stats.bin_pair_comparisons += (bu.len() * bv.len()) as u64;
-        stats.record_pair_comparisons += hu.records_in(w) as u64 * hv.records_in(w) as u64;
+        let records = |bins: &[(geocell::CellId, u32)]| bins.iter().map(|&(_, c)| c).sum::<u32>();
+        stats.record_pair_comparisons += records(bu) as u64 * records(bv) as u64;
 
         self.paired_contributions(w, bu, bv, stats)
     }
@@ -540,6 +563,73 @@ mod tests {
         assert_eq!(full, reassembled, "must be the identical arithmetic");
         // Non-common windows contribute exactly zero.
         assert_eq!(scorer.window_contribution(hu, hv, 9999, &mut stats), 0.0);
+    }
+
+    /// The merge walk must be the per-window definition exactly: the
+    /// contributions of the common windows folded in ascending order,
+    /// divided by the pair norm — same bits, same stats bumps — on
+    /// histories whose windows overlap, interleave, touch one side only,
+    /// or miss each other entirely.
+    #[test]
+    fn merge_walk_equals_the_per_window_sum() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        let (mut common, mut disjoint, mut one_sided) = (0, 0, 0);
+        for case in 0..16 {
+            // Left activity in windows [0, 24), right in [shift, shift + 24):
+            // from the same band to past the left's end (and clamped into
+            // the last window of the domain).
+            let shift = rng.random_range(0i64..40);
+            let mut side = |base: u64, first: i64| {
+                let mut records = Vec::new();
+                for e in 0..5 {
+                    for _ in 0..rng.random_range(1..30) {
+                        let t = rng.random_range(first * 900..(first + 24) * 900);
+                        let (dlat, dlng) = (rng.random_range(0.0..0.4), rng.random_range(0.0..0.4));
+                        records.push(rec(base + e, t, 37.0 + dlat, -122.0 - dlng));
+                    }
+                }
+                records
+            };
+            let (left, right) = (side(0, 0), side(100, shift));
+            let (l, r) = sets(left, right);
+            for (pairing, use_mfn) in [
+                (PairingMode::MutuallyNearest, true),
+                (PairingMode::AllPairs, false),
+            ] {
+                let c = SlimConfig {
+                    pairing,
+                    use_mfn,
+                    ..cfg()
+                };
+                let scorer = SimilarityScorer::new(&c, &l, &r);
+                for u in l.entities_sorted() {
+                    for v in r.entities_sorted() {
+                        let (hu, hv) = (l.history(u).unwrap(), r.history(v).unwrap());
+                        let mut walked = LinkageStats::default();
+                        let score = scorer.score_histories(hu, hv, &mut walked);
+                        let mut defined = LinkageStats {
+                            scored_entity_pairs: 1,
+                            ..LinkageStats::default()
+                        };
+                        let sum = common_windows(hu, hv).fold(0.0, |total, w| {
+                            total + scorer.window_contribution(hu, hv, w, &mut defined)
+                        });
+                        let want = sum / scorer.pair_norm(u, v);
+                        assert_eq!(score.to_bits(), want.to_bits(), "case {case}, {u}-{v}");
+                        assert_eq!(walked, defined, "case {case}, {u}-{v}");
+                        let shared = common_windows(hu, hv).count();
+                        common += usize::from(shared > 0);
+                        disjoint += usize::from(shared == 0);
+                        one_sided += usize::from(shared > 0 && shared < hu.num_windows());
+                    }
+                }
+            }
+        }
+        assert!(
+            common > 0 && disjoint > 0 && one_sided > 0,
+            "{common} / {disjoint} / {one_sided}"
+        );
     }
 
     /// The struct-of-arrays contribution kernel must be bit-identical

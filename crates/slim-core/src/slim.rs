@@ -10,6 +10,7 @@
 //! the LSH crate (and any other blocking scheme) can plug in without a
 //! dependency cycle; `None` means brute-force all pairs.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::config::MatchingMethod;
@@ -216,42 +217,63 @@ impl PreparedLinkage {
 
     /// Computes similarity scores for candidate pairs, keeping only
     /// positive-score edges (paper: "If the score is negative, no edges
-    /// are added to the graph"). Work is split over all available cores.
+    /// are added to the graph"). Work is shared by all available cores.
     pub fn score_pairs(&self, candidates: &[(EntityId, EntityId)]) -> (Vec<Edge>, LinkageStats) {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(candidates.len().max(1));
-        let chunk = candidates.len().div_ceil(threads.max(1)).max(1);
-        let scorer = SimilarityScorer::new(&self.cfg, &self.left, &self.right);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.score_pairs_with_threads(candidates, threads)
+    }
 
-        let results: Vec<(Vec<Edge>, LinkageStats)> = std::thread::scope(|s| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|part| {
-                    let scorer = &scorer;
-                    s.spawn(move || {
-                        let mut local_stats = LinkageStats::default();
-                        let mut local_edges = Vec::new();
-                        for &(u, v) in part {
-                            if let Some(score) = scorer.score(u, v, &mut local_stats) {
-                                if score > 0.0 {
-                                    local_edges.push(Edge {
-                                        left: u,
-                                        right: v,
-                                        weight: score,
-                                    });
-                                }
-                            }
+    /// [`PreparedLinkage::score_pairs`] on `threads` threads, the caller
+    /// one of them. A pair's cost varies by orders of magnitude (a true
+    /// pair shares hundreds of windows, a false one few), so the threads
+    /// claim small blocks of candidates until none are left instead of
+    /// taking fixed shares. The result does not depend on `threads` or on
+    /// which thread scored what: edges are sorted, stats are integer sums.
+    pub(crate) fn score_pairs_with_threads(
+        &self,
+        candidates: &[(EntityId, EntityId)],
+        threads: usize,
+    ) -> (Vec<Edge>, LinkageStats) {
+        const BLOCK: usize = 4;
+        let scorer = SimilarityScorer::new(&self.cfg, &self.left, &self.right);
+        // The next unclaimed candidate. `Relaxed`: it hands out indices
+        // and publishes nothing; the candidates and histories are shared
+        // read-only, and the scope's joins order the results.
+        let claimed = AtomicUsize::new(0);
+        let work = || {
+            let mut local_stats = LinkageStats::default();
+            let mut local_edges = Vec::new();
+            loop {
+                let start = claimed.fetch_add(BLOCK, Ordering::Relaxed);
+                if start >= candidates.len() {
+                    break;
+                }
+                for &(u, v) in &candidates[start..(start + BLOCK).min(candidates.len())] {
+                    if let Some(score) = scorer.score(u, v, &mut local_stats) {
+                        if score > 0.0 {
+                            local_edges.push(Edge {
+                                left: u,
+                                right: v,
+                                weight: score,
+                            });
                         }
-                        (local_edges, local_stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scoring threads must not panic"))
-                .collect()
+                    }
+                }
+            }
+            (local_edges, local_stats)
+        };
+        let helpers = threads
+            .min(candidates.len().div_ceil(BLOCK))
+            .saturating_sub(1);
+        let results: Vec<(Vec<Edge>, LinkageStats)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+            let mut results = vec![work()];
+            results.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("scoring threads must not panic")),
+            );
+            results
         });
 
         let mut edges = Vec::new();
@@ -496,6 +518,48 @@ mod tests {
             prepared.left().scheme(),
             &WindowScheme::new(Timestamp(-2_000), cfg.window_width_secs)
         );
+    }
+
+    #[test]
+    fn scoring_does_not_depend_on_the_thread_count() {
+        let (l, r) = two_views(9, 5);
+        let prepared = Slim::new(SlimConfig::default()).unwrap().prepare(&l, &r);
+        // Every pair, a second copy of every seventh, one entity missing
+        // on each side, all in reverse order.
+        let mut all = prepared.all_pairs();
+        let again: Vec<_> = all.iter().step_by(7).copied().collect();
+        all.extend(again);
+        all.extend([
+            (EntityId(77), EntityId(1000)),
+            (EntityId(0), EntityId(5555)),
+        ]);
+        all.reverse();
+        let bits = |edges: &[Edge]| -> Vec<(EntityId, EntityId, u64)> {
+            edges
+                .iter()
+                .map(|e| (e.left, e.right, e.weight.to_bits()))
+                .collect()
+        };
+        for candidates in [&all[..], &all[..5], &[]] {
+            let (want_edges, want_stats) = prepared.score_pairs_with_threads(candidates, 1);
+            for threads in [2, 3, 7] {
+                let (edges, stats) = prepared.score_pairs_with_threads(candidates, threads);
+                assert_eq!(bits(&edges), bits(&want_edges), "{threads} threads");
+                assert_eq!(stats, want_stats, "{threads} threads");
+            }
+            let (edges, stats) = prepared.score_pairs(candidates);
+            assert_eq!((bits(&edges), stats), (bits(&want_edges), want_stats));
+        }
+        // Not vacuous: the missing entities are skipped, a duplicate pair
+        // is scored twice into two equal edges, and edges come sorted.
+        let (edges, stats) = prepared.score_pairs_with_threads(&all, 1);
+        assert_eq!(stats.scored_entity_pairs as usize, all.len() - 2);
+        assert!(edges
+            .windows(2)
+            .all(|p| (p[0].left, p[0].right) <= (p[1].left, p[1].right)));
+        assert!(edges
+            .windows(2)
+            .any(|p| (p[0].left, p[0].right) == (p[1].left, p[1].right)));
     }
 
     #[test]

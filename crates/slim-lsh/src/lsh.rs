@@ -6,10 +6,10 @@
 //! link_with_candidates`] consumes.
 
 use serde::{Deserialize, Serialize};
-use slim_core::{EntityId, LocationDataset, PreparedLinkage, Timestamp, WindowScheme};
+use slim_core::{EntityId, HistorySet, LocationDataset, PreparedLinkage, Timestamp, WindowScheme};
 
 use crate::banding::{bands_for_threshold, candidate_pairs};
-use crate::signature::{num_queries, signatures_for_entities, Signature};
+use crate::signature::{num_queries, signature_from_bins, signatures_for_entities, Signature};
 
 /// LSH parameters (paper §4): the similarity threshold `t`, the query
 /// step (how many leaf windows one dominating-cell query spans), the
@@ -72,22 +72,32 @@ impl LshFilter {
     /// The filter for a prepared linkage: cut at the scorer's own window
     /// scheme and domain, with signatures for exactly the entities the
     /// scorer kept. `left`/`right` are the datasets `prepared` was made
-    /// from.
+    /// from. At the histories' own spatial level the signatures are read
+    /// off their bins ([`signature_from_bins`]), which hold exactly the
+    /// counts the records would give; at any other level they come from
+    /// the records.
     pub fn for_prepared(
         cfg: LshConfig,
         left: &LocationDataset,
         right: &LocationDataset,
         prepared: &PreparedLinkage,
     ) -> Self {
-        let scorer = prepared.left();
-        let (l, r) = (scorer.entities_sorted(), prepared.right().entities_sorted());
-        Self::build_sides(
-            cfg,
-            (left, &l),
-            (right, &r),
-            scorer.scheme(),
-            scorer.domain(),
-        )
+        let (lh, rh) = (prepared.left(), prepared.right());
+        let (scheme, domain) = (lh.scheme(), lh.domain());
+        if cfg.spatial_level != lh.spatial_level() {
+            let (l, r) = (lh.entities_sorted(), rh.entities_sorted());
+            return Self::build_sides(cfg, (left, &l), (right, &r), scheme, domain);
+        }
+        let sign = |side: &HistorySet| -> Vec<Signature> {
+            side.entities_sorted()
+                .into_iter()
+                .map(|e| {
+                    let history = side.history(e).expect("a listed entity has a history");
+                    signature_from_bins(history, domain, cfg.step_windows)
+                })
+                .collect()
+        };
+        Self::signed(cfg, scheme, domain, || sign(lh), || sign(rh))
     }
 
     /// Convenience: derives the window scheme from the joint time span of
@@ -112,8 +122,7 @@ impl LshFilter {
         Self::build(cfg, left, right, &scheme, domain)
     }
 
-    /// Signatures of each side's listed entities, the right side on a
-    /// thread of its own.
+    /// Signatures of each side's listed entities, from their records.
     fn build_sides(
         cfg: LshConfig,
         left: (&LocationDataset, &[EntityId]),
@@ -121,15 +130,27 @@ impl LshFilter {
         scheme: &WindowScheme,
         domain: u32,
     ) -> Self {
-        let s = num_queries(domain, cfg.step_windows);
-        let (bands, rows) = bands_for_threshold(s, cfg.threshold);
         let sign = |(ds, entities): (&LocationDataset, &[EntityId])| {
             let (step, level) = (cfg.step_windows, cfg.spatial_level);
             signatures_for_entities(ds, entities, scheme, domain, step, level)
         };
+        Self::signed(cfg, scheme, domain, || sign(left), || sign(right))
+    }
+
+    /// The filter over the signatures `left` and `right` build, the right
+    /// side on a thread of its own.
+    fn signed(
+        cfg: LshConfig,
+        scheme: &WindowScheme,
+        domain: u32,
+        left: impl FnOnce() -> Vec<Signature>,
+        right: impl FnOnce() -> Vec<Signature> + Send,
+    ) -> Self {
+        let s = num_queries(domain, cfg.step_windows);
+        let (bands, rows) = bands_for_threshold(s, cfg.threshold);
         let (left, right) = std::thread::scope(|s| {
-            let right_side = s.spawn(|| sign(right));
-            let left = sign(left);
+            let right_side = s.spawn(right);
+            let left = left();
             let right = right_side
                 .join()
                 .expect("signature building does not panic");
@@ -272,6 +293,62 @@ mod tests {
         let (bands, rows) = filter.banding();
         assert!(bands * rows >= filter.signature_size());
         assert!(filter.signature_size() == filter.left_signatures()[0].cells.len());
+    }
+
+    #[test]
+    fn prepared_signatures_are_the_records_signatures_at_every_level() {
+        // Region records of 0–400 m, and a left entity of 3 records that
+        // `prepare` drops.
+        let (l, r) = views(6, 4);
+        let regions = |ds: &LocationDataset, extra: Vec<Record>| {
+            let mut records = extra;
+            for e in ds.entities_sorted() {
+                for (k, rec) in ds.records_of(e).iter().enumerate() {
+                    let radius = (k % 5) as f64 * 100.0;
+                    records.push(Record::with_accuracy(e, rec.location, rec.time, radius));
+                }
+            }
+            LocationDataset::from_records(records)
+        };
+        let at = LatLng::from_degrees(35.0, -120.0);
+        let sparse = (0..3)
+            .map(|k| Record::new(EntityId(77), at, Timestamp(k * 900)))
+            .collect();
+        let (l, r) = (regions(&l, sparse), regions(&r, Vec::new()));
+        let slim = slim_core::Slim::new(slim_core::SlimConfig::default()).unwrap();
+        let prepared = slim.prepare(&l, &r);
+        assert!(prepared.left().history(EntityId(77)).is_none());
+        assert_eq!(prepared.left().spatial_level(), 12);
+        for level in [12, 10, 16] {
+            let lsh = LshConfig {
+                spatial_level: level,
+                step_windows: 7,
+                ..cfg()
+            };
+            let filter = LshFilter::for_prepared(lsh, &l, &r, &prepared);
+            let records_path = |ds: &LocationDataset, side: &HistorySet| -> Vec<Signature> {
+                side.entities_sorted()
+                    .into_iter()
+                    .map(|e| {
+                        crate::signature_from_records(
+                            e,
+                            ds.records_of(e),
+                            side.scheme(),
+                            side.domain(),
+                            lsh.step_windows,
+                            level,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(filter.left_signatures(), records_path(&l, prepared.left()));
+            assert_eq!(
+                filter.right_signatures(),
+                records_path(&r, prepared.right())
+            );
+            assert_eq!(filter.scheme(), prepared.left().scheme());
+            assert!(filter.left_signatures().iter().any(|s| s.occupancy() > 0));
+        }
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! signature. Spans with no records get a placeholder (`None`) that never
 //! matches anything.
 //!
-//! Signatures are built straight from records, because the LSH spatial
-//! level is a free parameter that may be *finer* than the similarity
-//! bins' level (Fig. 8 sweeps it past the default level 12), and the
-//! history tree can only coarsen. When the LSH level is at or above the
-//! history level, [`signature_from_history`] produces an identical result
-//! via `O(log n)` tree queries, demonstrating the paper's use of "the
-//! appropriate level of the mobility history tree".
+//! The definition is [`signature_from_records`]: every record counts once
+//! in each distinct cell it touches at the LSH level, in the span of its
+//! (domain-clamped) window. The LSH spatial level is a free parameter
+//! that may be *finer* than the similarity bins' level (Fig. 8 sweeps it
+//! past the default level 12), and bins can only coarsen, so that path
+//! stays. When the two levels are equal — the default and the fig-11
+//! settings — a history's bins hold exactly those counts, and
+//! [`signature_from_bins`] reads the signature off them in one pass.
+//!
+//! [`signature_from_history`] answers the same spans with `O(log n)`
+//! queries on the history's aggregation tree (the paper's "appropriate
+//! level of the mobility history tree"). It agrees with the records path
+//! at equal levels, and at a coarser LSH level for point records only:
+//! the tree coarsens per-bin counts, so a region record whose disc
+//! touches several fine cells inside one coarse cell counts once per
+//! fine cell there, where the records path counts it once.
 
 use std::collections::HashMap;
 
@@ -131,9 +140,50 @@ pub(crate) fn signatures_for_entities(
         .collect()
 }
 
+/// Builds the signature of a history's own bins, at their spatial level:
+/// per span of `step` windows, the cell with the largest summed count,
+/// ties to the smaller [`CellId`] — [`signature_from_records`]' rule.
+/// Windows past `domain` count in the last span, as the records path
+/// clamps them.
+///
+/// This is [`signature_from_records`] over the records the history was
+/// built from whenever the history was built with the same window scheme
+/// and domain and the LSH level is the history's level: a bin's count is
+/// the number of the window's records touching its cell, each counted
+/// once per distinct cell, which is what the records path adds up.
+pub fn signature_from_bins(history: &MobilityHistory, domain: u32, step: u32) -> Signature {
+    let n = num_queries(domain, step);
+    let span_of = |w: u32| (w.min(domain.saturating_sub(1)) / step) as usize;
+    let mut cells = vec![None; n];
+    let mut counts: Vec<(CellId, u32)> = Vec::new();
+    let mut runs = history.window_bins().peekable();
+    while let Some(&(first, _)) = runs.peek() {
+        let span = span_of(first);
+        counts.clear();
+        while let Some((_, bins)) = runs.next_if(|&(w, _)| span_of(w) == span) {
+            counts.extend_from_slice(bins);
+        }
+        counts.sort_unstable_by_key(|&(cell, _)| cell);
+        let mut best: Option<(CellId, u32)> = None;
+        for run in counts.chunk_by(|a, b| a.0 == b.0) {
+            let total = run.iter().map(|&(_, c)| c).sum();
+            if best.is_none_or(|(_, most)| total > most) {
+                best = Some((run[0].0, total));
+            }
+        }
+        cells[span] = best.map(|(cell, _)| cell);
+    }
+    Signature {
+        entity: history.entity(),
+        cells,
+    }
+}
+
 /// Builds a signature through the mobility-history tree's dominating-cell
 /// range queries. Only valid when `spatial_level` is at or coarser than
-/// the history's bin level.
+/// the history's bin level, and equal to [`signature_from_records`] at
+/// the bin level, or at a coarser one for point records only (see the
+/// module doc).
 pub fn signature_from_history(
     history: &MobilityHistory,
     domain: u32,
@@ -229,6 +279,7 @@ mod tests {
         let _ = a.similarity(&b);
     }
 
+    /// Point records only: see the module doc for region records.
     #[test]
     fn history_and_record_signatures_agree_at_coarse_levels() {
         let records: Vec<Record> = (0..50)
@@ -252,6 +303,90 @@ mod tests {
                 signature_from_history(hs.history(EntityId(1)).unwrap(), domain, step, lsh_level);
             assert_eq!(via_records, via_history, "step {step} level {lsh_level}");
         }
+    }
+
+    #[test]
+    fn bin_signatures_break_ties_to_the_smaller_cell_and_clamp_late_windows() {
+        let (a, b) = ((37.0, -122.0), (37.5, -121.0));
+        let cell_a = CellId::from_latlng(LatLng::from_degrees(a.0, a.1), LEVEL);
+        let cell_b = CellId::from_latlng(LatLng::from_degrees(b.0, b.1), LEVEL);
+        let records = vec![
+            // Span 0 (windows 0–4): one record in each cell, a tie.
+            rec(1, 0, a.0, a.1),
+            rec(1, 4 * 900, b.0, b.1),
+            // Span 1 (windows 5–9): empty.
+            // Span 2 (windows 10–11 of a 12-window domain; step 5 does not
+            // divide it): `b` once in window 10, `a` twice past the domain,
+            // clamped into window 11.
+            rec(1, 10 * 900, b.0, b.1),
+            rec(1, 30 * 900, a.0, a.1),
+            rec(1, 31 * 900, a.0, a.1),
+        ];
+        let (domain, step) = (12, 5);
+        let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, domain);
+        let via_bins = signature_from_bins(&h, domain, step);
+        assert_eq!(
+            via_bins.cells,
+            vec![Some(cell_a.min(cell_b)), None, Some(cell_a)]
+        );
+        let via_records =
+            signature_from_records(EntityId(1), &records, &scheme(), domain, step, LEVEL);
+        assert_eq!(via_bins, via_records);
+        let empty = MobilityHistory::build(EntityId(2), &[], &scheme(), LEVEL, domain);
+        assert_eq!(
+            signature_from_bins(&empty, domain, step).cells,
+            vec![None; 3]
+        );
+    }
+
+    #[test]
+    fn history_signatures_count_region_records_per_bin_cell() {
+        // Region records at the bin level: the tree, the bins and the
+        // records agree.
+        let center = LatLng::from_degrees(37.0, -122.0);
+        let records: Vec<Record> = (0..40)
+            .map(|k| {
+                let at = center.offset(90.0 * (k % 6) as f64, k as f64);
+                let radius = [0.0, 150.0, 400.0][k as usize % 3];
+                Record::with_accuracy(EntityId(1), at, Timestamp(k * 600), radius)
+            })
+            .collect();
+        let (sch, domain) = (scheme(), 30);
+        let ds = LocationDataset::from_records(records.clone());
+        let hs = HistorySet::build(&ds, sch, 16, domain);
+        let history = hs.history(EntityId(1)).unwrap();
+        for step in [1, 3, 4, 7] {
+            let via_records = signature_from_records(EntityId(1), &records, &sch, domain, step, 16);
+            assert_eq!(
+                signature_from_history(history, domain, step, 16),
+                via_records
+            );
+            assert_eq!(signature_from_bins(history, domain, step), via_records);
+        }
+
+        // At a coarser LSH level they differ: one region record whose disc
+        // covers several level-16 cells of one level-12 cell `x`, and two
+        // point records in another level-12 cell `y`. The records path
+        // counts x once and y twice; the tree adds up x's fine bins.
+        let x = CellId::from_latlng(center, 12);
+        let y = CellId::from_latlng(LatLng::from_degrees(37.2, -122.2), 12);
+        let region = Record::with_accuracy(EntityId(2), x.center(), Timestamp(0), 400.0);
+        assert_eq!(slim_core::record_cells(&region, 12), vec![x]);
+        assert!(slim_core::record_cells(&region, 16).len() >= 3);
+        let records = vec![
+            region,
+            Record::new(EntityId(2), y.center(), Timestamp(60)),
+            Record::new(EntityId(2), y.center(), Timestamp(120)),
+        ];
+        let ds = LocationDataset::from_records(records.clone());
+        let hs = HistorySet::build(&ds, sch, 16, 4);
+        let history = hs.history(EntityId(2)).unwrap();
+        let via_records = signature_from_records(EntityId(2), &records, &sch, 4, 4, 12);
+        assert_eq!(via_records.cells, vec![Some(y)]);
+        assert_eq!(
+            signature_from_history(history, 4, 4, 12).cells,
+            vec![Some(x)]
+        );
     }
 
     #[test]

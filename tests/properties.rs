@@ -10,9 +10,15 @@ use slim::core::pairing::{all_pairs, mutually_furthest, mutually_nearest};
 use slim::core::proximity::proximity_of_distance;
 use slim::core::threshold::{otsu, two_means};
 use slim::core::tree::{merge_counts, CellCounts, TemporalTree};
-use slim::core::{record_cells, EntityId, MobilityHistory, Record, Timestamp, WindowScheme};
+use slim::core::{
+    record_cells, EntityId, LocationDataset, MobilityHistory, Record, Slim, SlimConfig, Timestamp,
+    WindowScheme,
+};
 use slim::geo::{cell_min_distance_m, CellId, LatLng};
-use slim::lsh::{bands_for_threshold, collision_probability, lambert_w0};
+use slim::lsh::{
+    bands_for_threshold, collision_probability, lambert_w0, signature_from_bins,
+    signature_from_records,
+};
 
 fn arb_latlng() -> impl Strategy<Value = LatLng> {
     (-85.0f64..85.0, -179.9f64..179.9).prop_map(|(lat, lng)| LatLng::from_degrees(lat, lng))
@@ -292,6 +298,49 @@ proptest! {
             if i == 0 {
                 let cloned_after = built.clone();
                 prop_assert_eq!(cloned_after.dominating_cell(lo, hi, level), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn signatures_from_bins_equal_the_records_path(
+        // (entity, time slot, east step, north step, accuracy choice):
+        // slots from 45 on lie beyond the 32-window domain, a few records
+        // over few cells make tied counts common, and entities of 5
+        // records or fewer are dropped by `prepare`.
+        raw in prop::collection::vec((0u64..4, 0i64..64, 0u8..4, 0u8..4, 0usize..5), 0..80),
+        fine in 0usize..2,
+        step in 1u32..12,
+    ) {
+        let (level, spacing) = [(12, 1_500.0), (16, 120.0)][fine];
+        let home = LatLng::from_degrees(37.0, -122.0);
+        let records: Vec<Record> = raw
+            .iter()
+            .map(|&(e, slot, east, north, acc)| {
+                let at = home.offset(spacing * east as f64, 0.0).offset(spacing * north as f64, 1.5);
+                let accuracy = [0.0, 0.0, 40.0, 150.0, 400.0][acc];
+                Record::with_accuracy(EntityId(e), at, Timestamp(slot * 640), accuracy)
+            })
+            .collect();
+        let left = LocationDataset::from_records(records);
+        let right = LocationDataset::from_records(Vec::new());
+        let cfg = SlimConfig { spatial_level: level, ..SlimConfig::default() };
+        let prepared = Slim::new(cfg).unwrap().prepare(&left, &right);
+        let side = prepared.left();
+        // The domain the histories were built with, and a shorter one
+        // that leaves records past its end.
+        for domain in [side.domain(), 32] {
+            for e in side.entities_sorted() {
+                let via_records = signature_from_records(
+                    e, left.records_of(e), side.scheme(), domain, step, level,
+                );
+                if domain == side.domain() {
+                    let history = side.history(e).unwrap();
+                    prop_assert_eq!(signature_from_bins(history, domain, step), via_records);
+                } else {
+                    let history = MobilityHistory::build(e, left.records_of(e), side.scheme(), level, domain);
+                    prop_assert_eq!(signature_from_bins(&history, domain, step), via_records);
+                }
             }
         }
     }
