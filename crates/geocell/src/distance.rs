@@ -9,6 +9,7 @@
 //! at distance 0, alibi penalty beyond the runaway distance).
 
 use crate::cellid::CellId;
+use crate::latlng::{haversine_m, LatLng};
 
 /// Mean Earth radius in metres (the value used by S2).
 pub const EARTH_RADIUS_M: f64 = 6_371_010.0;
@@ -54,6 +55,38 @@ pub fn bounded_distance_m(
     // Radii are summed first so the result is exactly symmetric in the
     // arguments (IEEE addition commutes; chained subtraction does not).
     (a.0.distance_m(&b.0) - (a.1 + b.1)).max(0.0)
+}
+
+/// Everything [`bounded_distance_m`] reads of one cell — center, exact
+/// circumradius, and the cosine of the center's latitude — computed
+/// once, for callers that memoize per cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellGeometry {
+    /// The cell's center.
+    pub center: LatLng,
+    /// The cell's exact circumradius, metres.
+    pub radius_m: f64,
+    /// `cos` of the center's latitude.
+    pub cos_lat: f64,
+}
+
+impl CellGeometry {
+    /// The geometry of `cell`.
+    pub fn of(cell: CellId) -> Self {
+        let (center, radius_m) = cell_center_and_radius(cell);
+        Self {
+            center,
+            radius_m,
+            cos_lat: center.lat_rad().cos(),
+        }
+    }
+
+    /// [`bounded_distance_m`] from the cached cosines: the same
+    /// haversine body, so the same bits.
+    pub fn bounded_distance_m(&self, other: &CellGeometry) -> f64 {
+        let d = haversine_m(&self.center, self.cos_lat, &other.center, other.cos_lat);
+        (d - (self.radius_m + other.radius_m)).max(0.0)
+    }
 }
 
 /// Lower bound on the minimum great-circle distance between two cells, in

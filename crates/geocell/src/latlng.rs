@@ -79,12 +79,7 @@ impl LatLng {
     ///
     /// Numerically stable for both tiny and antipodal separations.
     pub fn distance_m(&self, other: &LatLng) -> f64 {
-        let dlat = other.lat_rad - self.lat_rad;
-        let dlng = other.lng_rad - self.lng_rad;
-        let a = (dlat / 2.0).sin().powi(2)
-            + self.lat_rad.cos() * other.lat_rad.cos() * (dlng / 2.0).sin().powi(2);
-        let c = 2.0 * a.sqrt().clamp(0.0, 1.0).asin();
-        EARTH_RADIUS_M * c
+        haversine_m(self, self.lat_rad.cos(), other, other.lat_rad.cos())
     }
 
     /// Returns the point obtained by moving `dist_m` metres from `self`
@@ -101,6 +96,18 @@ impl LatLng {
         let lng2 = self.lng_rad + y.atan2(x);
         LatLng::from_radians(lat2, lng2)
     }
+}
+
+/// The haversine body behind [`LatLng::distance_m`], with each point's
+/// `cos(lat)` passed in: a caller that caches the cosines (one per cell,
+/// see [`crate::CellGeometry`]) runs the same operations in the same
+/// order, so it gets the same bits without the two `cos` calls.
+pub(crate) fn haversine_m(a: &LatLng, cos_lat_a: f64, b: &LatLng, cos_lat_b: f64) -> f64 {
+    let dlat = b.lat_rad - a.lat_rad;
+    let dlng = b.lng_rad - a.lng_rad;
+    let h = (dlat / 2.0).sin().powi(2) + cos_lat_a * cos_lat_b * (dlng / 2.0).sin().powi(2);
+    let c = 2.0 * h.sqrt().clamp(0.0, 1.0).asin();
+    EARTH_RADIUS_M * c
 }
 
 impl fmt::Display for LatLng {

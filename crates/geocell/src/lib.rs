@@ -46,7 +46,7 @@ mod point;
 pub use cellid::{CellId, MAX_LEVEL, NUM_FACES};
 pub use distance::{
     bounded_distance_m, cell_center_and_radius, cell_circumradius_m, cell_min_distance_m,
-    exact_cell_radius_m, EARTH_RADIUS_M,
+    exact_cell_radius_m, CellGeometry, EARTH_RADIUS_M,
 };
 pub use face::{face_uv_to_xyz, st_to_uv, uv_to_st, xyz_to_face_uv};
 pub use latlng::LatLng;

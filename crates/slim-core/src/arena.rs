@@ -39,10 +39,10 @@
 //!   range reuse.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use geocell::CellId;
 
+use crate::fasthash::FastMap;
 use crate::history::MobilityHistory;
 use crate::record::EntityId;
 use crate::tree::CellCounts;
@@ -78,7 +78,9 @@ pub struct HistoryArena {
     wins: Vec<WindowIdx>,
     cells: Vec<CellId>,
     counts: Vec<u32>,
-    dir: HashMap<EntityId, EntitySlot>,
+    /// Keyed under [`crate::fasthash`]: every view, append and evict
+    /// probes it.
+    dir: FastMap<EntityId, EntitySlot>,
     /// Bins currently reachable through the directory.
     live_bins: usize,
     /// Physically abandoned slots (not reusable slack) awaiting

@@ -13,19 +13,35 @@
 //! counters, so delta application is commutative and the merged state is
 //! bit-identical to what a serial engine (or the batch
 //! [`crate::history::HistorySet::build`]) would hold.
-
-use std::collections::HashMap;
+//!
+//! Every scored bin pair probes two document frequencies and every
+//! applied or expired bin one delta, so both maps are keyed under
+//! [`crate::fasthash`]. The scorer reads idf through an [`IdfTable`]:
+//! idf depends only on `(|U|, df)`, so the `ln` of every df below
+//! [`IDF_TABLE_LEN`] is taken once when the table is built, by the same
+//! expression [`DfStats::idf`] evaluates.
 
 use geocell::CellId;
 
+use crate::fasthash::FastMap;
 use crate::window::WindowIdx;
+
+/// df values below this bound read their idf from an [`IdfTable`]; a
+/// fixed constant, not a tuning option.
+pub const IDF_TABLE_LEN: usize = 64;
+
+/// `ln(|U| / df)`: paper Eq. 3, the one expression behind
+/// [`DfStats::idf`] and [`IdfTable`].
+fn idf_of(num_entities: usize, df: u32) -> f64 {
+    (num_entities as f64 / df as f64).ln()
+}
 
 /// Dataset-level statistics the similarity score reads: per-bin document
 /// frequencies, total bins, entity count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DfStats {
     /// `(window, cell)` → number of distinct entities with that bin.
-    bin_df: HashMap<(WindowIdx, CellId), u32>,
+    bin_df: FastMap<(WindowIdx, CellId), u32>,
     /// Total bins across all histories (`Σ |H_u|`).
     total_bins: usize,
     /// Number of entities with a (non-empty) history (`|U|`).
@@ -56,8 +72,12 @@ impl DfStats {
     /// Inverse document frequency of a time-location bin (paper Eq. 3):
     /// `ln(|U| / df)`. Bins never seen get the maximal idf `ln(|U|)`.
     pub fn idf(&self, w: WindowIdx, cell: CellId) -> f64 {
-        let df = self.bin_df.get(&(w, cell)).copied().unwrap_or(1).max(1);
-        (self.num_entities as f64 / df as f64).ln()
+        idf_of(self.num_entities, self.idf_df(w, cell))
+    }
+
+    /// The df [`DfStats::idf`] divides by: at least 1.
+    fn idf_df(&self, w: WindowIdx, cell: CellId) -> u32 {
+        self.bin_df.get(&(w, cell)).copied().unwrap_or(1).max(1)
     }
 
     /// Average bins per history (`Σ|H_u'| / |U|`, paper Eq. 2
@@ -161,11 +181,42 @@ impl DfStats {
     }
 }
 
+/// [`DfStats::idf`] with the `ln` of every df below [`IDF_TABLE_LEN`]
+/// taken once, at construction (one per df, per side and scorer: once
+/// per batch scoring pass and once per streaming tick). A larger df
+/// falls back to [`DfStats::idf`]. Both evaluate the one expression on
+/// the same operands, so every idf keeps its bits.
+#[derive(Debug, Clone)]
+pub struct IdfTable<'a> {
+    stats: &'a DfStats,
+    by_df: [f64; IDF_TABLE_LEN],
+}
+
+impl<'a> IdfTable<'a> {
+    /// The table over `stats`' current `|U|`.
+    pub fn new(stats: &'a DfStats) -> Self {
+        Self {
+            stats,
+            by_df: std::array::from_fn(|df| idf_of(stats.num_entities, df as u32)),
+        }
+    }
+
+    /// [`DfStats::idf`], bit for bit.
+    #[inline]
+    pub fn idf(&self, w: WindowIdx, cell: CellId) -> f64 {
+        let df = self.stats.idf_df(w, cell);
+        match self.by_df.get(df as usize) {
+            Some(&idf) => idf,
+            None => idf_of(self.stats.num_entities, df),
+        }
+    }
+}
+
 /// One shard's pending adjustments to a [`DfStats`], accumulated during
 /// a parallel phase and applied (in any order) at the merge barrier.
 #[derive(Debug, Clone, Default)]
 pub struct DfDelta {
-    bin_df: HashMap<(WindowIdx, CellId), i32>,
+    bin_df: FastMap<(WindowIdx, CellId), i32>,
     total_bins: i64,
     num_entities: i64,
 }
@@ -298,6 +349,36 @@ mod tests {
         assert_eq!(s.num_entities(), 1);
         assert!(!a.is_empty());
         assert!(DfDelta::new().is_empty());
+    }
+
+    /// The table's idf is `DfStats::idf`'s, bit for bit, for every df
+    /// from 1 to 200 — below, at and above the table bound — and for
+    /// an unseen bin, over several entity counts.
+    #[test]
+    fn idf_table_is_bit_identical_to_the_direct_idf() {
+        for entities in [1usize, 7, 100] {
+            let mut s = DfStats::new();
+            for _ in 0..entities {
+                s.add_entity();
+            }
+            for df in 1..=200u32 {
+                for _ in 0..df {
+                    s.add_bin(df, cell(0.0));
+                }
+            }
+            let table = IdfTable::new(&s);
+            for df in 1..=200u32 {
+                assert_eq!(s.df(df, cell(0.0)), df);
+                let (direct, tabled) = (s.idf(df, cell(0.0)), table.idf(df, cell(0.0)));
+                assert_eq!(
+                    tabled.to_bits(),
+                    direct.to_bits(),
+                    "|U| {entities}, df {df}"
+                );
+            }
+            let unseen = table.idf(999, cell(5.0));
+            assert_eq!(unseen.to_bits(), s.idf(999, cell(5.0)).to_bits());
+        }
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod config;
 pub mod dataset;
 pub mod df;
 pub mod erf;
+pub mod fasthash;
 pub mod gmm;
 pub mod history;
 pub mod hungarian;

@@ -13,10 +13,11 @@
 //! delta endpoints — and is guaranteed edge-for-edge identical to
 //! [`greedy_max_matching`] over the full edge set.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
+use crate::fasthash::{FastMap, FastSet};
 use crate::record::EntityId;
 
 /// A weighted edge of the bipartite linkage graph.
@@ -149,14 +150,17 @@ pub struct DeltaReport {
 /// own component claimed an endpoint first — so the maintained matching
 /// is **edge-for-edge identical** to a from-scratch
 /// [`greedy_max_matching`] over the full edge set, in the same order.
+///
+/// Every map is keyed under [`crate::fasthash`]: each delta probes them,
+/// and no output reads their order.
 #[derive(Debug, Default)]
 pub struct IncrementalMatcher {
     /// Live edge weights, keyed by pair.
-    weights: HashMap<(EntityId, EntityId), f64>,
+    weights: FastMap<(EntityId, EntityId), f64>,
     /// Per side: endpoint entity → pairs containing it.
-    adj: [HashMap<EntityId, HashSet<(EntityId, EntityId)>>; 2],
+    adj: [FastMap<EntityId, FastSet<(EntityId, EntityId)>>; 2],
     /// The current matching, keyed by pair.
-    matched: HashMap<(EntityId, EntityId), f64>,
+    matched: FastMap<(EntityId, EntityId), f64>,
 }
 
 impl IncrementalMatcher {
@@ -250,7 +254,7 @@ impl IncrementalMatcher {
         // updated graph) of the touched endpoints. A removed edge's
         // endpoints are seeded even when now isolated, so their old
         // matches are still torn down.
-        let mut region: [HashSet<EntityId>; 2] = [HashSet::new(), HashSet::new()];
+        let mut region: [FastSet<EntityId>; 2] = Default::default();
         while let Some((side, e)) = frontier.pop() {
             if !region[side].insert(e) {
                 continue;
@@ -284,13 +288,13 @@ impl IncrementalMatcher {
         // Swap the region's slice of the matching, reporting the churn:
         // `unmatched` = old region matches not reproduced bit-identically,
         // `matched` = new region matches that are not carried over.
-        let old_in_region: HashMap<(EntityId, EntityId), f64> = self
+        let old_in_region: FastMap<(EntityId, EntityId), f64> = self
             .matched
             .iter()
             .filter(|&(&(l, _), _)| region[0].contains(&l))
             .map(|(&pair, &w)| (pair, w))
             .collect();
-        let new_in_region: HashMap<(EntityId, EntityId), f64> = local
+        let new_in_region: FastMap<(EntityId, EntityId), f64> = local
             .iter()
             .map(|e| ((e.left, e.right), e.weight))
             .collect();

@@ -7,11 +7,19 @@
 //! pair (no over-counting). The mutually-furthest variant `N'` does the
 //! same with the *largest* distance and feeds the alibi check of Alg. 1.
 //! The Cartesian-product variant exists for the Fig. 10 ablation.
+//!
+//! The kernel reads each cell's geometry from a per-thread memo keyed
+//! under [`crate::fasthash`]: center, exact radius, and the cosine of
+//! the center's latitude ([`CellGeometry`]), so a distance is one
+//! haversine with no `cos` and no SipHash probe. The haversine is the
+//! body `LatLng::distance_m` runs, so every distance keeps the bits of
+//! the uncached [`geocell::bounded_distance_m`].
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
-use geocell::{bounded_distance_m, cell_center_and_radius, CellId, LatLng};
+use geocell::{CellGeometry, CellId};
+
+use crate::fasthash::FastMap;
 
 /// One selected pair: indices into the two bin slices plus the cell
 /// distance in metres.
@@ -32,7 +40,7 @@ pub struct BinPair {
 const GEOMETRY_CACHE_CAP: usize = 1 << 18;
 
 thread_local! {
-    /// Cell geometry memo: `cell_center_and_radius` walks the cell's four
+    /// Cell geometry memo: [`CellGeometry::of`] walks the cell's four
     /// vertices through trigonometry, and the same cells recur in every
     /// window of every pair that visits them. The function is pure, so
     /// memoized values are exact, and thread-locality keeps the scoring
@@ -42,8 +50,8 @@ thread_local! {
     /// on its pool workers alike, since the pool's threads are spawned
     /// once per engine and persist until it is dropped. A pair's cells
     /// recur per window and per tick, so that is the dominant reuse.
-    static CELL_GEOMETRY: RefCell<HashMap<CellId, (LatLng, f64)>> =
-        RefCell::new(HashMap::new());
+    static CELL_GEOMETRY: RefCell<FastMap<CellId, CellGeometry>> =
+        RefCell::new(FastMap::default());
 
     /// The pairing kernel's working buffers. Same lifetime as the memo
     /// above: they grow to the largest window a thread has paired and
@@ -52,16 +60,14 @@ thread_local! {
     static SCRATCH: RefCell<PairingScratch> = RefCell::new(PairingScratch::default());
 }
 
-/// Memoized [`cell_center_and_radius`].
-pub fn cached_cell_geometry(cell: CellId) -> (LatLng, f64) {
+/// Memoized [`CellGeometry::of`].
+pub fn cached_cell_geometry(cell: CellId) -> CellGeometry {
     CELL_GEOMETRY.with(|memo| {
         let mut memo = memo.borrow_mut();
         if memo.len() >= GEOMETRY_CACHE_CAP {
             memo.clear();
         }
-        *memo
-            .entry(cell)
-            .or_insert_with(|| cell_center_and_radius(cell))
+        *memo.entry(cell).or_insert_with(|| CellGeometry::of(cell))
     })
 }
 
@@ -123,8 +129,8 @@ pub(crate) enum Selection {
 /// read.
 #[derive(Default)]
 struct PairingScratch {
-    /// Per side: each bin's cell with its center and bounding radius.
-    geom: [Vec<(CellId, (LatLng, f64))>; 2],
+    /// Per side: each bin's cell with its geometry.
+    geom: [Vec<(CellId, CellGeometry)>; 2],
     /// Row-major `|a| × |b|` cell distances, metres.
     dist: Vec<f64>,
     /// Per side: bins already consumed by the running greedy selection.
@@ -152,7 +158,7 @@ impl PairingScratch {
                 self.dist.push(if ca == cb {
                     0.0
                 } else {
-                    bounded_distance_m(pa, pb)
+                    pa.bounded_distance_m(pb)
                 });
             }
         }
@@ -283,7 +289,7 @@ pub fn all_pairs_cells(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geocell::LatLng;
+    use geocell::{bounded_distance_m, cell_center_and_radius, LatLng};
 
     fn bins(coords: &[(f64, f64)]) -> Vec<(CellId, u32)> {
         coords
@@ -493,14 +499,29 @@ mod tests {
 
     #[test]
     fn cached_geometry_matches_direct_computation() {
-        for &(lat, lng) in &[(37.0, -122.0), (10.0, 10.0), (-33.0, 151.0)] {
+        let mut cells = Vec::new();
+        for &(lat, lng) in &[(37.0, -122.0), (37.3, -121.8), (10.0, 10.0), (-33.0, 151.0)] {
             for level in [8u8, 12, 16] {
                 let c = CellId::from_latlng(LatLng::from_degrees(lat, lng), level);
-                let direct = cell_center_and_radius(c);
+                let (center, radius_m) = cell_center_and_radius(c);
                 // First call populates the memo, second hits it; both must
-                // be bit-identical to the uncached computation.
-                assert_eq!(cached_cell_geometry(c), direct);
-                assert_eq!(cached_cell_geometry(c), direct);
+                // be bit-identical to the uncached computation, the
+                // cached cosine included.
+                for cached in [cached_cell_geometry(c), cached_cell_geometry(c)] {
+                    assert_eq!(cached.center, center);
+                    assert_eq!(cached.radius_m.to_bits(), radius_m.to_bits());
+                    assert_eq!(cached.cos_lat.to_bits(), center.lat_rad().cos().to_bits());
+                }
+                cells.push(c);
+            }
+        }
+        // The distance from cached cosines is the uncached bound, bit for bit.
+        for &a in &cells {
+            for &b in &cells {
+                let direct =
+                    bounded_distance_m(&cell_center_and_radius(a), &cell_center_and_radius(b));
+                let cached = cached_cell_geometry(a).bounded_distance_m(&cached_cell_geometry(b));
+                assert_eq!(cached.to_bits(), direct.to_bits(), "{a:?} {b:?}");
             }
         }
     }

@@ -11,7 +11,7 @@
 //! switches so the Fig. 10 variants are pure configuration.
 
 use crate::config::{PairingMode, SlimConfig};
-use crate::df::DfStats;
+use crate::df::{DfStats, IdfTable};
 use crate::history::{HistorySet, MobilityHistory};
 use crate::pairing::{with_window_pairs, BinColumn, BinPair, Selection};
 use crate::proximity::{is_alibi, proximity_of_distance};
@@ -27,10 +27,16 @@ use crate::stats::LinkageStats;
 /// ([`SimilarityScorer::from_df_stats`], the sharded streaming engine —
 /// the caller resolves histories itself, e.g. across shard-partitioned
 /// maps). Both produce bit-identical scores for the same inputs.
+///
+/// Construction builds each side's [`IdfTable`], so a scorer is meant to
+/// live for a whole scoring pass (a batch `score_pairs`, a streaming
+/// tick), not for one pair.
 pub struct SimilarityScorer<'a> {
     cfg: &'a SlimConfig,
     left_df: &'a DfStats,
     right_df: &'a DfStats,
+    left_idf: IdfTable<'a>,
+    right_idf: IdfTable<'a>,
     left: Option<&'a HistorySet>,
     right: Option<&'a HistorySet>,
     runaway_m: f64,
@@ -54,12 +60,9 @@ impl<'a> SimilarityScorer<'a> {
             "history sets must share a spatial level"
         );
         Self {
-            cfg,
-            left_df: left.df_stats(),
-            right_df: right.df_stats(),
             left: Some(left),
             right: Some(right),
-            runaway_m: cfg.runaway_m(),
+            ..Self::from_df_stats(cfg, left.df_stats(), right.df_stats())
         }
     }
 
@@ -75,6 +78,8 @@ impl<'a> SimilarityScorer<'a> {
             cfg,
             left_df,
             right_df,
+            left_idf: IdfTable::new(left_df),
+            right_idf: IdfTable::new(right_df),
             left: None,
             right: None,
             runaway_m: cfg.runaway_m(),
@@ -276,8 +281,8 @@ impl<'a> SimilarityScorer<'a> {
         }
         let prox = proximity_of_distance(p.dist_m, self.runaway_m);
         let idf = if self.cfg.use_idf {
-            let idf_e = self.left_df.idf(w, bu.cell(p.e_idx));
-            let idf_i = self.right_df.idf(w, bv.cell(p.i_idx));
+            let idf_e = self.left_idf.idf(w, bu.cell(p.e_idx));
+            let idf_i = self.right_idf.idf(w, bv.cell(p.i_idx));
             idf_e.min(idf_i)
         } else {
             1.0

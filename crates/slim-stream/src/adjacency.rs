@@ -15,10 +15,10 @@
 //! endpoints are indexed: a Right entity's pairs may be owned by any
 //! shard, so every shard resolves the globally gathered dirty-entity
 //! list against its local adjacency — the lookups that miss cost one
-//! hash probe per (shard, dirty entity), not one per pair.
+//! hash probe per (shard, dirty entity), not one per pair. Both levels
+//! are keyed under [`slim_core::fasthash`].
 
-use std::collections::{HashMap, HashSet};
-
+use slim_core::fasthash::{FastMap, FastSet};
 use slim_core::EntityId;
 
 use crate::event::Side;
@@ -30,7 +30,7 @@ pub(crate) type PairKey = (EntityId, EntityId);
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AdjacencyIndex {
     /// Per side: entity → owned pairs containing it.
-    by_entity: [HashMap<EntityId, HashSet<PairKey>>; 2],
+    by_entity: [FastMap<EntityId, FastSet<PairKey>>; 2],
 }
 
 impl AdjacencyIndex {
@@ -61,7 +61,7 @@ impl AdjacencyIndex {
 
     /// The owned pairs containing `entity` on `side` (`None` = no owned
     /// pair touches it).
-    pub(crate) fn pairs_of(&self, side: Side, entity: EntityId) -> Option<&HashSet<PairKey>> {
+    pub(crate) fn pairs_of(&self, side: Side, entity: EntityId) -> Option<&FastSet<PairKey>> {
         self.by_entity[side.idx()].get(&entity)
     }
 
@@ -79,7 +79,7 @@ impl AdjacencyIndex {
     /// Number of pairs adjacent to `entity` on `side`.
     #[cfg(test)]
     pub(crate) fn degree(&self, side: Side, entity: EntityId) -> usize {
-        self.pairs_of(side, entity).map(HashSet::len).unwrap_or(0)
+        self.pairs_of(side, entity).map(FastSet::len).unwrap_or(0)
     }
 
     /// Number of indexed endpoint entities on `side`.

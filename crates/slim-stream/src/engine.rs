@@ -79,8 +79,9 @@ use crate::lsh::LshGeometry;
 use crate::merge;
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::shard::{
-    bin_event, entity_shard, for_common_runs, lookup_view, merged_contributions, BinnedEvent,
-    EngineShard, ExpiryEffects, IngestEffects, PairWindows, RescoreJob, RescoreOutcome, ScoredPair,
+    bin_event, entity_shard, fold_patched, for_common_runs, lookup_view, BinnedEvent, CachedPair,
+    EngineShard, ExpiryEffects, FoldMark, IngestEffects, PairWindows, RescoreJob, RescoreOutcome,
+    ScoredPair,
 };
 use crate::snapshot::{EpochLog, EpochPointer, LinkSnapshot};
 use crate::source::Clock;
@@ -798,9 +799,12 @@ impl StreamEngine {
                 shards.dead[i].extend(shard.dead[i].iter().copied());
             }
             shards.rings.extend(shard.rings.export());
-            shards
-                .cache
-                .extend(shard.cache.iter().map(|(&p, m)| (p, Cow::Borrowed(&m[..]))));
+            shards.cache.extend(
+                shard
+                    .cache
+                    .iter()
+                    .map(|(&p, m)| (p, Cow::Borrowed(&m.windows[..]))),
+            );
             shards.fresh.extend(shard.fresh.iter().copied());
             shards
                 .edges
@@ -980,7 +984,9 @@ impl StreamEngine {
         }
         for (pair, wins) in cache {
             let owner = &mut self.shards[entity_shard(Side::Left, pair.0, n)];
-            owner.cache.insert(pair, wins.into_owned());
+            owner
+                .cache
+                .insert(pair, CachedPair::from_windows(wins.into_owned()));
             owner.adjacency.insert(pair);
         }
         for pair in fresh {
@@ -1798,11 +1804,23 @@ impl StreamEngine {
                 // the untouched windows and the patch — the same
                 // arithmetic and order the full assembly sweep used, so
                 // a pair scored fresh here is bit-identical to a
-                // from-scratch edge assembly. The cache is only read.
-                let cached = self.shards[owner].cache.get(pair).map_or(&[][..], |c| c);
-                let sum: f64 = merged_contributions(cached, &patch).sum();
+                // from-scratch edge assembly. The fold resumes from the
+                // pair's mark when the patch leaves the marked prefix
+                // alone, so a visit reads what it rescores, not the
+                // pair's whole cache. The cache is only read.
+                let (windows, mark) = self.shards[owner]
+                    .cache
+                    .get(pair)
+                    .map_or((&[][..], FoldMark::START), |e| (&e.windows[..], e.mark));
+                let (sum, mark) = fold_patched(windows, mark, &patch);
+                if cfg!(debug_assertions) {
+                    // Every debug engine run checks every visit: the
+                    // resumed fold has the full fold's bits.
+                    let full = fold_patched(windows, FoldMark::START, &patch).0;
+                    assert_eq!(sum.to_bits(), full.to_bits(), "resumed fold of {pair:?}");
+                }
                 let score = sum / scorer.pair_norm_bins(hu.num_bins(), hv.num_bins());
-                out.push((*pair, Some(ScoredPair { patch, score })));
+                out.push((*pair, Some(ScoredPair { patch, score, mark })));
             }
             (out, stats, kernel)
         };

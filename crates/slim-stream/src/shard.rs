@@ -15,6 +15,13 @@
 //! next merge barrier. Every effect is either commutative (integer
 //! deltas) or coalesced into ordered sets, so the barrier result — and
 //! with it the whole engine — is bit-identical for any shard count.
+//!
+//! A cached pair ([`CachedPair`]) is its window-sorted contributions
+//! plus a [`FoldMark`]: the partial left fold of a prefix of them. A
+//! rescore whose patch starts at or above the mark resumes the score's
+//! fold there ([`fold_patched`]) — the same additions in the same order
+//! as the full fold, so the same bits — and a visit on a dense stream
+//! reads the few windows it rescores instead of the pair's whole cache.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -22,6 +29,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use geocell::CellId;
 use slim_core::arena::{EntityView, HistoryArena};
 use slim_core::df::DfDelta;
+use slim_core::fasthash::{FastMap, FastSet};
 use slim_core::history::record_cells;
 use slim_core::{EntityId, WindowIdx, WindowScheme};
 
@@ -185,6 +193,130 @@ pub(crate) type Contribution = (WindowIdx, f64);
 /// patches it in place.
 pub(crate) type PairWindows = Vec<Contribution>;
 
+/// The neutral element of the contribution fold: `-0.0 + x == x` for
+/// every `x`, zeros included.
+const FOLD_IDENTITY: f64 = -0.0;
+
+/// Where a pair's score fold can resume: `sum` is the left fold of
+/// `windows[..index]` of the pair's cache, every one of which is below
+/// `window`; no entry from `index` on is. Derived state: never
+/// checkpointed, and a fresh or recovered pair starts at
+/// [`FoldMark::START`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FoldMark {
+    pub(crate) window: WindowIdx,
+    pub(crate) index: usize,
+    pub(crate) sum: f64,
+}
+
+impl FoldMark {
+    /// The empty prefix.
+    pub(crate) const START: FoldMark = FoldMark {
+        window: 0,
+        index: 0,
+        sum: FOLD_IDENTITY,
+    };
+}
+
+impl Default for FoldMark {
+    fn default() -> Self {
+        Self::START
+    }
+}
+
+/// One owned pair's cache entry: its contributions and their fold mark.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CachedPair {
+    pub(crate) windows: PairWindows,
+    pub(crate) mark: FoldMark,
+}
+
+impl CachedPair {
+    /// A pair restored with its contributions (checkpoint recovery):
+    /// the mark starts over.
+    pub(crate) fn from_windows(windows: PairWindows) -> Self {
+        Self {
+            windows,
+            mark: FoldMark::START,
+        }
+    }
+
+    /// Applies a rescore outcome's patch and stores the mark the worker
+    /// placed for the patched cache (`None`: the patch was empty and the
+    /// cache, with its mark, is unchanged).
+    fn apply(&mut self, patch: &[Contribution], mark: Option<FoldMark>) {
+        apply_patch(&mut self.windows, patch);
+        if let Some(mark) = mark {
+            self.mark = mark;
+        }
+    }
+}
+
+/// Why `mark` does not mark `windows` (`None` when it does): its index
+/// must split the cache below and at-or-above its window, and its sum
+/// must have the bits of the left fold of the prefix.
+pub(crate) fn mark_violation(windows: &[Contribution], mark: &FoldMark) -> Option<String> {
+    let Some((below, rest)) = windows.split_at_checked(mark.index) else {
+        return Some(format!(
+            "mark {mark:?} past the cache's {} entries",
+            windows.len()
+        ));
+    };
+    if below.iter().any(|&(w, _)| w >= mark.window) || rest.iter().any(|&(w, _)| w < mark.window) {
+        return Some(format!(
+            "mark {mark:?} does not split the cache at its window"
+        ));
+    }
+    let prefix = below.iter().fold(FOLD_IDENTITY, |sum, &(_, c)| sum + c);
+    (prefix.to_bits() != mark.sum.to_bits())
+        .then(|| format!("mark {mark:?}: the prefix folds to {prefix:e}"))
+}
+
+/// `Σ contributions` of the cache `cached` (marked by `mark`) will hold
+/// once `patch` is applied, folded left in ascending window order —
+/// plus the mark to store with the patched cache.
+///
+/// When the patch is empty or starts at or after the mark, the fold
+/// resumes from the mark's partial sum over `cached[index..]` merged
+/// with the patch: the marked prefix is untouched and comes first, so
+/// this repeats the full fold's additions in the full fold's order and
+/// gives its bits. Otherwise the fold starts from scratch. Either way
+/// the new mark sits just before the patch's last window, where the
+/// next tick's patch of a dense stream tends to begin.
+pub(crate) fn fold_patched(
+    cached: &[Contribution],
+    mark: FoldMark,
+    patch: &[Contribution],
+) -> (f64, Option<FoldMark>) {
+    let from = match patch.first() {
+        Some(&(first, _)) if first < mark.window => FoldMark::START,
+        _ => mark,
+    };
+    let tail = merged_contributions(&cached[from.index..], patch);
+    let Some(&(last, _)) = patch.last() else {
+        return (tail.fold(from.sum, |sum, (_, c)| sum + c), None);
+    };
+    let (mut sum, mut index) = (from.sum, from.index);
+    let mut next = None;
+    for (w, c) in tail {
+        if w >= last && next.is_none() {
+            next = Some(FoldMark {
+                window: last,
+                index,
+                sum,
+            });
+        }
+        sum += c;
+        index += 1;
+    }
+    let next = next.unwrap_or(FoldMark {
+        window: last,
+        index,
+        sum,
+    });
+    (sum, Some(next))
+}
+
 /// The result of rescoring one pair: only what changed — the *patch* —
 /// plus the pair's re-assembled edge score, computed on the worker so
 /// the barrier only patches. `None` = an endpoint history vanished;
@@ -195,9 +327,11 @@ pub(crate) struct ScoredPair {
     /// strictly ascending; a zero contribution means "drop the window".
     pub(crate) patch: PairWindows,
     /// The normalized edge score over the patched cache (`Σ
-    /// contributions / pair norm`, see [`merged_contributions`]); an
-    /// edge exists iff it is strictly positive.
+    /// contributions / pair norm`, see [`fold_patched`]); an edge
+    /// exists iff it is strictly positive.
     pub(crate) score: f64,
+    /// The fold mark for the patched cache (`None`: keep the old one).
+    pub(crate) mark: Option<FoldMark>,
 }
 
 /// See [`ScoredPair`].
@@ -210,10 +344,10 @@ pub(crate) type RescoreOutcome = (PairKey, Option<ScoredPair>);
 /// the same left fold, over the same values in the same order, as
 /// summing the patched cache — which is what makes the worker-side edge
 /// score bit-identical to a from-scratch assembly.
-pub(crate) fn merged_contributions<'a>(
+fn merged_contributions<'a>(
     cached: &'a [Contribution],
     patch: &'a [Contribution],
-) -> impl Iterator<Item = f64> + 'a {
+) -> impl Iterator<Item = Contribution> + 'a {
     // In streaming the patch lands at the cache's tail: everything
     // below its first window passes through untouched.
     let head = match patch.first() {
@@ -224,14 +358,14 @@ pub(crate) fn merged_contributions<'a>(
     let mut patch = patch;
     let tail = std::iter::from_fn(move || loop {
         let Some(&(wp, p)) = patch.first() else {
-            let (&(_, c), rest) = cached.split_first()?;
+            let (&entry, rest) = cached.split_first()?;
             cached = rest;
-            return Some(c);
+            return Some(entry);
         };
         match cached.first() {
-            Some(&(wc, c)) if wc < wp => {
+            Some(&entry) if entry.0 < wp => {
                 cached = &cached[1..];
-                return Some(c);
+                return Some(entry);
             }
             // Overridden: the cached value is not summed.
             Some(&(wc, _)) if wc == wp => cached = &cached[1..],
@@ -239,10 +373,10 @@ pub(crate) fn merged_contributions<'a>(
         }
         patch = &patch[1..];
         if p != 0.0 {
-            return Some(p);
+            return Some((wp, p));
         }
     });
-    untouched.iter().map(|&(_, c)| c).chain(tail)
+    untouched.iter().copied().chain(tail)
 }
 
 /// Applies a [`ScoredPair::patch`] to a pair's cache in place — by
@@ -320,11 +454,12 @@ pub(crate) struct EngineShard {
     /// LSH rings of homed entities (empty when LSH is disabled).
     pub(crate) rings: ShardRings,
     /// Per owned candidate pair: its per-window unnormalized score
-    /// contributions.
-    pub(crate) cache: HashMap<PairKey, PairWindows>,
+    /// contributions and their fold mark. Probed by every visit, so
+    /// keyed under [`slim_core::fasthash`], like `fresh`.
+    pub(crate) cache: FastMap<PairKey, CachedPair>,
     /// Owned pairs discovered since the last tick; their full common
     /// window set is scored at the next tick.
-    pub(crate) fresh: HashSet<PairKey>,
+    pub(crate) fresh: FastSet<PairKey>,
     /// Entity→pair adjacency over the owned pairs.
     pub(crate) adjacency: AdjacencyIndex,
     /// The shard's **edge cache**: assembled, normalized scores of its
@@ -355,8 +490,8 @@ impl EngineShard {
             dead: Default::default(),
             window_entities: BTreeMap::new(),
             rings: ShardRings::default(),
-            cache: HashMap::new(),
-            fresh: HashSet::new(),
+            cache: FastMap::default(),
+            fresh: FastSet::default(),
             adjacency: AdjacencyIndex::default(),
             edges: BTreeMap::new(),
             edge_deltas: BTreeMap::new(),
@@ -583,7 +718,7 @@ impl EngineShard {
     /// contribution cache, a fresh mark, and both adjacency endpoints.
     pub(crate) fn add_candidate(&mut self, pair: PairKey) {
         if let std::collections::hash_map::Entry::Vacant(slot) = self.cache.entry(pair) {
-            slot.insert(PairWindows::new());
+            slot.insert(CachedPair::default());
             self.fresh.insert(pair);
             self.adjacency.insert(pair);
         }
@@ -689,9 +824,9 @@ impl EngineShard {
                 }
                 Some(scored) => {
                     report.rescored_windows += scored.patch.len() as u64;
-                    let windows = self.cache.entry(pair).or_default();
-                    apply_patch(windows, &scored.patch);
-                    if windows.is_empty() {
+                    let entry = self.cache.entry(pair).or_default();
+                    entry.apply(&scored.patch, scored.mark);
+                    if entry.windows.is_empty() {
                         report.emptied.push(pair);
                     }
                     self.patch_edge(pair, (scored.score > 0.0).then_some(scored.score));
@@ -800,17 +935,20 @@ mod tests {
     /// Random patch sequences against a `BTreeMap` oracle (the cache's
     /// previous representation): tail inserts, mid-range inserts,
     /// overwrites, zero-drops of present and absent windows, the empty
-    /// patch. After every step the flat cache holds the oracle's
-    /// entries, is empty exactly when the oracle is, and the fold a
-    /// worker computes *before* the patch is applied equals the sum
-    /// over the patched oracle bit for bit — the empty and all-zero
-    /// cases included.
+    /// patch, all-zero wipes. The cache carries its fold mark as the
+    /// engine's does. After every step the flat cache holds the
+    /// oracle's entries, is empty exactly when the oracle is, the mark
+    /// marks the patched cache, and the fold a worker computes *before*
+    /// the patch is applied — resumed from the mark, or from scratch
+    /// when the patch reaches below it — equals the sum over the
+    /// patched oracle bit for bit.
     #[test]
     fn flat_cache_patches_like_a_btreemap_and_folds_bit_identically() {
         let mut next = xorshift(0xA076_1D64_78BD_642Fu64);
         let (mut emptied, mut mid_inserts, mut absent_drops, mut all_zero) = (0, 0, 0, 0);
+        let (mut resumed, mut fell_back, mut empty_patches) = (0, 0, 0);
         for _ in 0..60 {
-            let mut flat = PairWindows::new();
+            let mut entry = CachedPair::default();
             let mut oracle: BTreeMap<WindowIdx, f64> = BTreeMap::new();
             let mut frontier: WindowIdx = 0;
             for step in 0..200 {
@@ -838,8 +976,23 @@ mod tests {
                 };
                 frontier = frontier.max(patch.last().map_or(0, |&(w, _)| w));
                 all_zero += usize::from(!patch.is_empty() && patch.iter().all(|&(_, c)| c == 0.0));
+                match patch.first() {
+                    None => empty_patches += 1,
+                    Some(&(w, _)) if w < entry.mark.window => fell_back += 1,
+                    Some(_) => resumed += usize::from(entry.mark.index > 0),
+                }
 
-                let folded: f64 = merged_contributions(&flat, &patch).sum();
+                let (folded, mark) = fold_patched(&entry.windows, entry.mark, &patch);
+                let (full, full_mark) = fold_patched(&entry.windows, FoldMark::START, &patch);
+                assert_eq!(
+                    folded.to_bits(),
+                    full.to_bits(),
+                    "step {step}: resumed vs full"
+                );
+                assert_eq!(
+                    mark, full_mark,
+                    "step {step}: the mark must not depend on the path"
+                );
                 for &(w, c) in &patch {
                     let cached = oracle.contains_key(&w);
                     absent_drops += usize::from(c == 0.0 && !cached);
@@ -852,25 +1005,35 @@ mod tests {
                         oracle.insert(w, c);
                     }
                 }
-                apply_patch(&mut flat, &patch);
+                entry.apply(&patch, mark);
 
                 let expected: Vec<(WindowIdx, u64)> =
                     oracle.iter().map(|(&w, c)| (w, c.to_bits())).collect();
-                let got: Vec<(WindowIdx, u64)> =
-                    flat.iter().map(|&(w, c)| (w, c.to_bits())).collect();
+                let got: Vec<(WindowIdx, u64)> = entry
+                    .windows
+                    .iter()
+                    .map(|&(w, c)| (w, c.to_bits()))
+                    .collect();
                 assert_eq!(got, expected, "step {step}, patch {patch:?}");
-                assert_eq!(flat.is_empty(), oracle.is_empty(), "step {step}");
+                assert_eq!(entry.windows.is_empty(), oracle.is_empty(), "step {step}");
+                if let Some(why) = mark_violation(&entry.windows, &entry.mark) {
+                    panic!("step {step}, patch {patch:?}: {why}");
+                }
                 let summed: f64 = oracle.values().sum();
                 assert_eq!(
                     folded.to_bits(),
                     summed.to_bits(),
                     "step {step}: fold {folded:e} vs oracle sum {summed:e}, patch {patch:?}"
                 );
-                emptied += usize::from(flat.is_empty() && !patch.is_empty());
+                emptied += usize::from(entry.windows.is_empty() && !patch.is_empty());
             }
         }
         // The sequences exercised what they claim to.
         assert!(emptied > 0 && mid_inserts > 0 && absent_drops > 0 && all_zero > 0);
+        assert!(
+            resumed > 0 && fell_back > 0 && empty_patches > 0,
+            "{resumed} resumed / {fell_back} fell back / {empty_patches} empty"
+        );
     }
 
     /// `gather_jobs` against the per-tick `HashMap<PairKey, BTreeSet>`

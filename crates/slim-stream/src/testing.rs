@@ -24,7 +24,9 @@ use crate::adjacency::PairKey;
 use crate::config::StreamConfig;
 use crate::engine::{LinkUpdate, StreamEngine};
 use crate::event::{Side, StreamEvent};
-use crate::shard::{entity_shard, Contribution, EngineShard, PairWindows};
+use crate::shard::{
+    entity_shard, mark_violation, CachedPair, Contribution, EngineShard, PairWindows,
+};
 use crate::source::channel::Sender;
 use crate::source::{Clock, ConnMessage, FanIn, SourcePoll, StreamSource};
 
@@ -507,7 +509,11 @@ impl RecomputeOracle {
                 return Err(format!("edge {orphan:?} has no cached pair"));
             }
             edges.extend(shard.edges.iter().map(|(&pair, &score)| (pair, score)));
-            for (&pair, cached) in &shard.cache {
+            for (&pair, entry) in &shard.cache {
+                let CachedPair {
+                    windows: cached,
+                    mark,
+                } = entry;
                 let (Some(hu), Some(hv)) = (sets[0].history(pair.0), sets[1].history(pair.1))
                 else {
                     return Err(format!(
@@ -519,6 +525,9 @@ impl RecomputeOracle {
                     return Err(format!(
                         "pair {pair:?}: cache not ascending or holds a zero"
                     ));
+                }
+                if let Some(why) = mark_violation(cached, mark) {
+                    return Err(format!("pair {pair:?}: {why}"));
                 }
                 let prev_cached = prev.and_then(|p| p.cache.get(&pair));
                 let prev_u = prev.and_then(|p| p.sets[0].history(pair.0));

@@ -185,7 +185,7 @@ proptest! {
     // rescore chunks through the stealing pool — and they all observe
     // the same thing.
     #[test]
-    fn arena_is_bit_identical_to_legacy_store(events in arb_events()) {
+    fn arena_is_bit_identical_to_recomputation(events in arb_events()) {
         let cfg = StreamConfig {
             window_capacity: Some(8),
             refresh_every: 23,
@@ -215,7 +215,7 @@ proptest! {
     // pairs are cached at all; whatever is cached is held to
     // recomputation.
     #[test]
-    fn arena_matches_legacy_under_lsh(events in arb_events()) {
+    fn arena_matches_recomputation_under_lsh(events in arb_events()) {
         let cfg = StreamConfig {
             window_capacity: Some(8),
             refresh_every: 31,
