@@ -58,13 +58,13 @@ fn bench_proximity(c: &mut Criterion) {
 
 fn bench_pairing(c: &mut Criterion) {
     let pts = sf_points(16);
-    let bins_a: Vec<(CellId, u32)> = pts[..8]
+    let bins_a: Vec<CellId> = pts[..8]
         .iter()
-        .map(|&p| (CellId::from_latlng(p, 12), 1))
+        .map(|&p| CellId::from_latlng(p, 12))
         .collect();
-    let bins_b: Vec<(CellId, u32)> = pts[8..]
+    let bins_b: Vec<CellId> = pts[8..]
         .iter()
-        .map(|&p| (CellId::from_latlng(p, 12), 1))
+        .map(|&p| CellId::from_latlng(p, 12))
         .collect();
     c.bench_function("mnn_pairing_8x8", |b| {
         b.iter(|| black_box(mutually_nearest(&bins_a, &bins_b)))

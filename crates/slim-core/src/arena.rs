@@ -1,12 +1,12 @@
 //! Columnar (struct-of-arrays) storage for mobility histories.
 //!
-//! [`crate::history::MobilityHistory`] — what the batch pipeline builds
-//! — is an array-of-structs: each entity owns a `BTreeMap` of
-//! per-window bin vectors behind a hash lookup, so a scan-heavy scoring
-//! pass chases pointers for every window of every pair. A
-//! [`HistoryArena`] is the incrementally maintained form (the streaming
-//! engine's only history layout): it stores the same leaf bins of
-//! *many* entities in three parallel columns —
+//! A history is three parallel columns — the window of each bin
+//! (ascending), its cell (sorted within a window run) and its record
+//! count — and [`EntityView`] borrows them. A batch-built
+//! [`MobilityHistory`] owns one entity's columns; a [`HistoryArena`] is
+//! the incrementally maintained form (the streaming engine's only
+//! history layout) and stores the columns of *many* entities side by
+//! side —
 //!
 //! ```text
 //! directory (per entity)        parallel column vecs
@@ -17,10 +17,11 @@
 //! └─────────┴───────────────┘
 //! ```
 //!
-//! — with each entity a contiguous index range: `wins` ascending, and
-//! cells sorted within each window run (the exact order
-//! `MobilityHistory::bins_in` exposes, which is what keeps scoring over
-//! arena slices bit-identical to scoring over batch-built structs).
+//! — with each entity a contiguous index range. Both stores hand out
+//! the same view, so one run walk ([`EntityView::runs`],
+//! [`common_runs`]) and one scoring kernel read either, and scoring an
+//! arena view is bit-identical to scoring the batch-built history of
+//! the same records.
 //!
 //! * **Append** grows an entity in place while its range has slack and
 //!   relocates it to the column tail with a doubled chunk otherwise
@@ -38,15 +39,15 @@
 //!   returns — unit tests and (future) snapshot consumers can detect
 //!   range reuse.
 
-use std::collections::BTreeMap;
-
 use geocell::CellId;
 
 use crate::fasthash::FastMap;
 use crate::history::MobilityHistory;
 use crate::record::EntityId;
-use crate::tree::CellCounts;
 use crate::window::WindowIdx;
+
+/// One window's bins as `(cell, record count)`, sorted by cell.
+pub type CellCounts = Vec<(CellId, u32)>;
 
 /// Smallest tail chunk allocated for a fresh or relocated entity.
 const MIN_CHUNK: usize = 4;
@@ -93,8 +94,8 @@ pub struct HistoryArena {
 
 /// A borrowed view of one entity's columns: `wins` ascending with one
 /// entry per bin, `cells` sorted within each window run, `counts`
-/// parallel to both.
-#[derive(Debug, Clone, Copy)]
+/// parallel to both. Equal views hold the same bins and record count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntityView<'a> {
     /// Window index of each bin (ascending, one entry per bin).
     pub wins: &'a [WindowIdx],
@@ -102,8 +103,11 @@ pub struct EntityView<'a> {
     pub cells: &'a [CellId],
     /// Record count of each bin.
     pub counts: &'a [u32],
-    num_records: u32,
+    pub(crate) num_records: u32,
 }
+
+/// The `(cells, counts)` column slices of one window run.
+pub type Run<'a> = (&'a [CellId], &'a [u32]);
 
 impl<'a> EntityView<'a> {
     /// Total bins, `|H_u|`.
@@ -117,25 +121,67 @@ impl<'a> EntityView<'a> {
     }
 
     /// The `(cells, counts)` column slices of one window (both empty if
-    /// the window has no bins) — the exact content and order of
-    /// [`MobilityHistory::bins_in`].
-    pub fn window_run(&self, w: WindowIdx) -> (&'a [CellId], &'a [u32]) {
-        let r0 = self.wins.partition_point(|&x| x < w);
-        let r1 = r0 + self.wins[r0..].partition_point(|&x| x == w);
+    /// the window has no bins).
+    pub fn window_run(&self, w: WindowIdx) -> Run<'a> {
+        let (r0, r1) = run_bounds(self.wins, w);
         (&self.cells[r0..r1], &self.counts[r0..r1])
     }
 
-    /// Non-empty windows, ascending (run starts of `wins`).
-    pub fn windows(&self) -> impl Iterator<Item = WindowIdx> + 'a {
-        let wins = self.wins;
+    /// Every non-empty window with its run, windows ascending — one pass
+    /// over the columns, no lookups.
+    pub fn runs(&self) -> impl Iterator<Item = (WindowIdx, &'a [CellId], &'a [u32])> + 'a {
+        let view = *self;
         let mut i = 0;
         std::iter::from_fn(move || {
-            let w = *wins.get(i)?;
-            while i < wins.len() && wins[i] == w {
-                i += 1;
-            }
-            Some(w)
+            let w = *view.wins.get(i)?;
+            let start = i;
+            i += run_len(&view.wins[i..], w);
+            Some((w, &view.cells[start..i], &view.counts[start..i]))
         })
+    }
+
+    /// Non-empty windows, ascending.
+    pub fn windows(&self) -> impl Iterator<Item = WindowIdx> + 'a {
+        self.runs().map(|(w, ..)| w)
+    }
+}
+
+/// How many leading entries of `wins` equal `w`. Runs are short (about
+/// one and a half bins a window on dense data), so a scan beats a
+/// binary search for the end.
+fn run_len(wins: &[WindowIdx], w: WindowIdx) -> usize {
+    wins.iter().take_while(|&&x| x == w).count()
+}
+
+/// The index range of window `w`'s run in an ascending window column
+/// (empty, at the insertion point, if `w` has no bins).
+fn run_bounds(wins: &[WindowIdx], w: WindowIdx) -> (usize, usize) {
+    let r0 = wins.partition_point(|&x| x < w);
+    (r0, r0 + run_len(&wins[r0..], w))
+}
+
+/// Calls `f(w, run_u, run_v)` for every window common to both views,
+/// ascending — one linear merge over the two window columns. The batch
+/// scorer and the streaming engine's fresh pairs both walk pairs
+/// through it.
+pub fn common_runs<'a>(
+    u: &EntityView<'a>,
+    v: &EntityView<'a>,
+    mut f: impl FnMut(WindowIdx, Run<'a>, Run<'a>),
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < u.wins.len() && j < v.wins.len() {
+        // Consume the smaller window's run on each side that holds it.
+        let w = u.wins[i].min(v.wins[j]);
+        let (iu, jv) = (i + run_len(&u.wins[i..], w), j + run_len(&v.wins[j..], w));
+        if iu > i && jv > j {
+            f(
+                w,
+                (&u.cells[i..iu], &u.counts[i..iu]),
+                (&v.cells[j..jv], &v.counts[j..jv]),
+            );
+        }
+        (i, j) = (iu, jv);
     }
 }
 
@@ -198,9 +244,7 @@ impl HistoryArena {
     fn insert_bin(&mut self, e: EntityId, w: WindowIdx, c: CellId) -> bool {
         let slot = &self.dir[&e];
         let (off, len) = (slot.off, slot.len);
-        let wins = &self.wins[off..off + len];
-        let r0 = wins.partition_point(|&x| x < w);
-        let r1 = r0 + wins[r0..].partition_point(|&x| x == w);
+        let (r0, r1) = run_bounds(&self.wins[off..off + len], w);
         match self.cells[off + r0..off + r1].binary_search(&c) {
             Ok(i) => {
                 self.counts[off + r0 + i] += 1;
@@ -266,9 +310,7 @@ impl HistoryArena {
             return (CellCounts::new(), false);
         };
         let (off, len) = (slot.off, slot.len);
-        let wins = &self.wins[off..off + len];
-        let r0 = wins.partition_point(|&x| x < w);
-        let r1 = r0 + wins[r0..].partition_point(|&x| x == w);
+        let (r0, r1) = run_bounds(&self.wins[off..off + len], w);
         if r0 == r1 {
             return (CellCounts::new(), false);
         }
@@ -363,26 +405,10 @@ impl HistoryArena {
         self.compactions
     }
 
-    /// Rebuilds `e` as an owned [`MobilityHistory`] (the finalization
-    /// path); `None` for absent/tombstoned entities.
+    /// Copies `e`'s columns into an owned [`MobilityHistory`] (the
+    /// finalization path); `None` for absent/tombstoned entities.
     pub fn materialize(&self, e: EntityId) -> Option<MobilityHistory> {
-        let slot = self.dir.get(&e)?;
-        if slot.len == 0 {
-            return None;
-        }
-        let (off, len) = (slot.off, slot.len);
-        let mut leaves: BTreeMap<WindowIdx, CellCounts> = BTreeMap::new();
-        let mut i = off;
-        while i < off + len {
-            let w = self.wins[i];
-            let mut run = CellCounts::new();
-            while i < off + len && self.wins[i] == w {
-                run.push((self.cells[i], self.counts[i]));
-                i += 1;
-            }
-            leaves.insert(w, run);
-        }
-        Some(MobilityHistory::from_leaves(e, leaves, slot.num_records))
+        Some(MobilityHistory::from_view(e, self.view(e)?))
     }
 
     /// One entity's live columns plus the per-window record counts,
@@ -466,6 +492,8 @@ impl HistoryArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use geocell::LatLng;
 
     fn cell(k: u64) -> CellId {
@@ -482,8 +510,7 @@ mod tests {
     }
 
     /// The plain model the arena is held to: bin counts and per-window
-    /// record counts in ordered maps, turned into a history through the
-    /// batch constructor.
+    /// record counts in ordered maps, turned into a history's columns.
     #[derive(Default)]
     struct Model {
         bins: BTreeMap<(WindowIdx, CellId), u32>,
@@ -515,11 +542,16 @@ mod tests {
         }
 
         fn history(&self, e: EntityId) -> MobilityHistory {
-            let mut leaves: BTreeMap<WindowIdx, CellCounts> = BTreeMap::new();
-            for (&(w, c), &n) in &self.bins {
-                leaves.entry(w).or_default().push((c, n));
-            }
-            MobilityHistory::from_leaves(e, leaves, self.records.values().sum())
+            let wins: Vec<_> = self.bins.keys().map(|&(w, _)| w).collect();
+            let cells: Vec<_> = self.bins.keys().map(|&(_, c)| c).collect();
+            let counts: Vec<_> = self.bins.values().copied().collect();
+            let view = EntityView {
+                wins: &wins,
+                cells: &cells,
+                counts: &counts,
+                num_records: self.records.values().sum(),
+            };
+            MobilityHistory::from_view(e, view)
         }
     }
 
@@ -542,22 +574,16 @@ mod tests {
         }
         let h = model.history(EntityId(1));
         let v = arena.view(EntityId(1)).unwrap();
-        assert_eq!(v.num_bins(), h.num_bins());
-        assert_eq!(v.num_records(), h.num_records());
-        assert_eq!(
-            v.windows().collect::<Vec<_>>(),
-            h.windows().collect::<Vec<_>>()
-        );
-        for w in h.windows() {
-            let (cells, counts) = v.window_run(w);
-            let bins = h.bins_in(w);
-            assert_eq!(cells.len(), bins.len());
-            for (i, &(c, n)) in bins.iter().enumerate() {
-                assert_eq!((cells[i], counts[i]), (c, n), "window {w} bin {i}");
-            }
+        assert_eq!(v, h.view());
+        assert_eq!(v.windows().collect::<Vec<_>>(), vec![1, 2, 3]);
+        let runs: Vec<_> = v.runs().collect();
+        for (w, cells, counts) in runs {
+            assert_eq!(v.window_run(w), (cells, counts), "window {w}");
         }
-        // Absent windows yield empty runs, like `bins_in`.
-        assert_eq!(v.window_run(99), (&[][..], &[][..]));
+        // Absent windows yield empty runs.
+        for w in [0, 4, 99] {
+            assert_eq!(v.window_run(w), (&[][..], &[][..]), "window {w}");
+        }
     }
 
     /// Evicting the leading window advances the range; evicting a
@@ -579,8 +605,7 @@ mod tests {
         assert_eq!(arena.evict_window(EntityId(7), 3), (model.evict(3), false));
         let h = model.history(EntityId(7));
         let v = arena.view(EntityId(7)).unwrap();
-        assert_eq!(v.num_records(), h.num_records());
-        assert_eq!(v.num_bins(), h.num_bins());
+        assert_eq!(v, h.view());
         assert_eq!(v.windows().collect::<Vec<_>>(), vec![1, 2, 4]);
     }
 
@@ -637,18 +662,8 @@ mod tests {
         }
         assert!(arena.compactions() > 0, "churn must have compacted");
         for e in 0..8u64 {
-            let v = arena.view(EntityId(e)).unwrap();
             let h = models[e as usize].history(EntityId(e));
-            assert_eq!(v.num_bins(), h.num_bins());
-            assert_eq!(v.num_records(), h.num_records());
-            for w in h.windows() {
-                let (cells, counts) = v.window_run(w);
-                let bins = h.bins_in(w);
-                assert_eq!(cells.len(), bins.len());
-                for (i, &(c, n)) in bins.iter().enumerate() {
-                    assert_eq!((cells[i], counts[i]), (c, n));
-                }
-            }
+            assert_eq!(arena.view(EntityId(e)).unwrap(), h.view());
         }
         // Appending after compaction still works (ranges relocated).
         let (new_bins, created) = arena.append(EntityId(3), 50, &sorted(vec![cell(999)]));
@@ -656,27 +671,42 @@ mod tests {
         assert_eq!(new_bins.len(), 1);
     }
 
-    /// Materialized histories must round-trip through the batch
-    /// constructor: same bins, counters, and query behaviour.
+    /// A materialized history is the batch-built history of the same
+    /// records, column for column: appending each record's cells in
+    /// arrival order lands in the layout `MobilityHistory::build` sorts
+    /// them into.
     #[test]
     fn materialize_round_trips() {
+        use crate::history::record_cells;
+        use crate::record::{Record, Timestamp};
+        use crate::window::WindowScheme;
+
+        let scheme = WindowScheme::new(Timestamp(0), 900);
+        let center = LatLng::from_degrees(37.0, -122.0);
+        // Out of time order, repeated cells, region records over several
+        // cells, and several bins in most windows.
+        let records: Vec<Record> = (0..40i64)
+            .map(|k| {
+                let at = center.offset(150.0 * (k % 5) as f64, k as f64);
+                let t = Timestamp((k * 7 % 40) * 400);
+                Record::with_accuracy(EntityId(2), at, t, (k % 3) as f64 * 120.0)
+            })
+            .collect();
         let mut arena = HistoryArena::new();
         let mut model = Model::default();
-        for (w, k) in [(0u32, 1u64), (0, 2), (4, 1), (7, 3)] {
-            let cs = sorted(vec![cell(k), cell(k + 1)]);
-            arena.append(EntityId(2), w, &cs);
-            model.append(w, &cs);
+        for r in &records {
+            let (w, cells) = (scheme.window_of(r.time), record_cells(r, 16));
+            arena.append(EntityId(2), w, &cells);
+            model.append(w, &cells);
         }
-        let h = model.history(EntityId(2));
+        let built = MobilityHistory::build(EntityId(2), &records, &scheme, 16, 64);
         let m = arena.materialize(EntityId(2)).unwrap();
         assert_eq!(m.entity(), EntityId(2));
-        assert_eq!(m.num_bins(), h.num_bins());
-        assert_eq!(m.num_records(), h.num_records());
-        assert_eq!(m.num_windows(), h.num_windows());
-        for w in h.windows() {
-            assert_eq!(m.bins_in(w), h.bins_in(w), "window {w}");
-        }
-        assert_eq!(m.dominating_cell(0, 8, 12), h.dominating_cell(0, 8, 12));
+        assert_eq!(m.view(), built.view());
+        assert_eq!(m.view(), model.history(EntityId(2)).view());
+        assert_eq!(m.view(), arena.view(EntityId(2)).unwrap());
+        assert!(m.view().windows().count() > 5 && m.num_bins() > 20);
+        assert_eq!(m.num_records(), 40);
         assert!(arena.materialize(EntityId(99)).is_none());
     }
 }

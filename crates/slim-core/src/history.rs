@@ -1,35 +1,35 @@
-//! Mobility histories: the paper's hierarchical summary representation.
+//! Mobility histories: the paper's summary representation.
 //!
 //! A mobility history distributes an entity's records over *time-location
-//! bins*: the leaf temporal windows each hold the set of spatial grid
-//! cells (at a configured level) the entity visited in that window,
-//! together with record counts; internal tree nodes aggregate those counts
-//! (see [`crate::tree`]). A [`HistorySet`] owns all histories of one
-//! dataset plus the dataset-level statistics the similarity score needs:
-//! average history size (for BM25-style length normalization) and
-//! per-bin document frequencies (for the IDF award).
+//! bins*: each temporal window holds the set of spatial grid cells (at a
+//! configured level) the entity visited in it, together with record
+//! counts. A [`HistorySet`] owns all histories of one dataset plus the
+//! dataset-level statistics the similarity score needs: average history
+//! size (for BM25-style length normalization) and per-bin document
+//! frequencies (for the IDF award).
 //!
-//! The leaves are the representation: scoring, the df statistics, the
-//! LSH signatures and the arena read nothing else. They are stored flat,
-//! as three columns — the non-empty windows ascending, each window's end
-//! offset, and one `(cell, count)` vector of every bin in window-then-cell
-//! order — so a history is three allocations however many windows it
-//! spans, [`MobilityHistory::bins_in`] is a binary search, and
-//! [`MobilityHistory::window_bins`] walks the `(window, bins)` runs in
-//! order without a lookup. The aggregation tree above them answers only
-//! [`MobilityHistory::dominating_cell`], so a history builds it from its
-//! leaves on the first such query and keeps it; a history that is never
-//! asked never pays for it.
+//! The bins are the whole representation: scoring, the df statistics and
+//! the LSH signatures read nothing else. A history stores them as the
+//! streaming engine's arena does — three parallel columns, the window of
+//! each bin ascending, its cell sorted within the window's run, and its
+//! record count — and [`MobilityHistory::view`] lends them out as the
+//! same [`EntityView`] an arena range gives, so one run walk and one
+//! scoring kernel serve both stores.
+//!
+//! The paper (§2.3) also keeps an aggregation tree above the bins to
+//! answer dominating-cell queries over arbitrary window ranges. Nothing
+//! here asks for arbitrary ranges: the LSH signature asks for fixed-step,
+//! disjoint spans, once per entity, and one linear pass over the flat
+//! bins answers those.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
+use std::collections::HashMap;
 
 use geocell::CellId;
 
+use crate::arena::EntityView;
 use crate::dataset::LocationDataset;
 use crate::df::DfStats;
 use crate::record::{EntityId, Record};
-use crate::tree::{CellCounts, TemporalTree};
 use crate::window::{WindowIdx, WindowScheme};
 
 /// The grid cells one record maps to at the given level.
@@ -67,30 +67,27 @@ fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
     }
 }
 
-/// One entity's mobility history.
+/// One entity's mobility history: its bins as the columns an
+/// [`EntityView`] borrows.
 #[derive(Debug, Clone)]
 pub struct MobilityHistory {
     entity: EntityId,
-    /// The windows holding bins, ascending.
-    windows: Vec<WindowIdx>,
-    /// `ends[i]`: one past the last bin of `windows[i]` in `bins`.
-    ends: Vec<u32>,
-    /// Every leaf bin, by window then cell: `(cell, record count)`. Its
-    /// length is the number of time-location bins (`|H_u|` in the paper).
-    bins: Vec<(CellId, u32)>,
+    /// The window of each bin, ascending (one entry per bin).
+    wins: Vec<WindowIdx>,
+    /// The cell of each bin, sorted within a window run.
+    cells: Vec<CellId>,
+    /// The record count of each bin. The column length is the number
+    /// of time-location bins (`|H_u|` in the paper).
+    counts: Vec<u32>,
     /// Total number of records aggregated.
     num_records: u32,
-    /// Number of windows the aggregation tree spans.
-    domain: u32,
-    /// Hierarchical aggregate for dominating-cell range queries, built
-    /// from `leaves` by the first one.
-    tree: OnceLock<TemporalTree>,
 }
 
 impl MobilityHistory {
     /// Builds a history from records, binning with `scheme` at the given
     /// spatial `level`. `domain` is the total number of windows covered by
-    /// the linkage run (shared across both datasets).
+    /// the linkage run (shared across both datasets); later records count
+    /// in its last window.
     pub fn build(
         entity: EntityId,
         records: &[Record],
@@ -107,57 +104,42 @@ impl MobilityHistory {
             visit_record_cells(r, level, |cell| occurrences.push((w, cell)));
         }
         occurrences.sort_unstable();
-        let mut history = Self::new(entity, records.len() as u32, domain);
+        let mut history = Self {
+            entity,
+            wins: Vec::new(),
+            cells: Vec::new(),
+            counts: Vec::new(),
+            num_records: records.len() as u32,
+        };
         for bin in occurrences.chunk_by(|a, b| a == b) {
             let (w, cell) = bin[0];
-            history.bins.push((cell, bin.len() as u32));
-            let end = history.bins.len() as u32;
-            match history.ends.last_mut() {
-                Some(last) if history.windows.last() == Some(&w) => *last = end,
-                _ => {
-                    history.windows.push(w);
-                    history.ends.push(end);
-                }
-            }
+            history.wins.push(w);
+            history.cells.push(cell);
+            history.counts.push(bin.len() as u32);
         }
         history
     }
 
-    fn new(entity: EntityId, num_records: u32, domain: u32) -> Self {
+    /// Copies a view's columns — how an arena range becomes an owned
+    /// history.
+    pub(crate) fn from_view(entity: EntityId, view: EntityView<'_>) -> Self {
         Self {
             entity,
-            windows: Vec::new(),
-            ends: Vec::new(),
-            bins: Vec::new(),
-            num_records,
-            domain,
-            tree: OnceLock::new(),
+            wins: view.wins.to_vec(),
+            cells: view.cells.to_vec(),
+            counts: view.counts.to_vec(),
+            num_records: view.num_records(),
         }
     }
 
-    /// Rebuilds a history from externally maintained leaves — the
-    /// materialization path of [`crate::arena::HistoryArena`]. `leaves`
-    /// must hold sorted `(cell, count)` bins per window and
-    /// `num_records` the true record count (it differs from the
-    /// bin-count sum for region records). The bin counter is derived,
-    /// so the result answers every query exactly like a history
-    /// [`MobilityHistory::build`] makes from the same content.
-    pub fn from_leaves(
-        entity: EntityId,
-        leaves: BTreeMap<WindowIdx, CellCounts>,
-        num_records: u32,
-    ) -> Self {
-        let domain = leaves.keys().next_back().map(|&w| w + 1).unwrap_or(1);
-        let mut history = Self::new(entity, num_records, domain);
-        history
-            .bins
-            .reserve_exact(leaves.values().map(Vec::len).sum());
-        for (w, bins) in leaves {
-            history.windows.push(w);
-            history.bins.extend(bins);
-            history.ends.push(history.bins.len() as u32);
+    /// The history's columns, as an arena range lends its own.
+    pub fn view(&self) -> EntityView<'_> {
+        EntityView {
+            wins: &self.wins,
+            cells: &self.cells,
+            counts: &self.counts,
+            num_records: self.num_records,
         }
-        history
     }
 
     /// The entity this history belongs to.
@@ -165,63 +147,14 @@ impl MobilityHistory {
         self.entity
     }
 
-    /// All non-empty windows, ascending.
-    pub fn windows(&self) -> impl Iterator<Item = WindowIdx> + '_ {
-        self.windows.iter().copied()
-    }
-
-    /// Every non-empty window with its bins (sorted by cell id), windows
-    /// ascending — one pass over the leaves, no lookups.
-    pub fn window_bins(&self) -> impl Iterator<Item = (WindowIdx, &[(CellId, u32)])> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        self.windows
-            .iter()
-            .zip(starts.zip(&self.ends))
-            .map(|(&w, (start, &end))| (w, &self.bins[start as usize..end as usize]))
-    }
-
-    /// The bins of one window (sorted by cell id); empty if the window has
-    /// no records.
-    pub fn bins_in(&self, w: WindowIdx) -> &[(CellId, u32)] {
-        let Ok(i) = self.windows.binary_search(&w) else {
-            return &[];
-        };
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bins[start as usize..self.ends[i] as usize]
-    }
-
     /// Number of time-location bins, `|H_u|`.
     pub fn num_bins(&self) -> usize {
-        self.bins.len()
+        self.wins.len()
     }
 
     /// Number of records aggregated into this history.
     pub fn num_records(&self) -> u32 {
         self.num_records
-    }
-
-    /// Number of records in one window.
-    pub fn records_in(&self, w: WindowIdx) -> u32 {
-        self.bins_in(w).iter().map(|&(_, c)| c).sum()
-    }
-
-    /// Dominating grid cell over the window range `[lo, hi)`, coarsened to
-    /// `level` (must be ≤ the history's bin level). `None` if no records.
-    ///
-    /// The first call builds the aggregation tree from the leaves; every
-    /// later one (and every clone taken after it) reuses it.
-    pub fn dominating_cell(&self, lo: WindowIdx, hi: WindowIdx, level: u8) -> Option<CellId> {
-        self.tree
-            .get_or_init(|| {
-                let leaves = self.window_bins().map(|(w, bins)| (w, bins.to_vec()));
-                TemporalTree::build(self.domain, leaves)
-            })
-            .dominating_cell(lo, hi, level)
-    }
-
-    /// Number of non-empty windows.
-    pub fn num_windows(&self) -> usize {
-        self.windows.len()
     }
 }
 
@@ -291,8 +224,8 @@ impl HistorySet {
         let mut histories = HashMap::with_capacity(entities.len());
         let mut stats = DfStats::new();
         for h in built {
-            for (w, bins) in h.window_bins() {
-                for &(cell, _) in bins {
+            for (w, cells, _) in h.view().runs() {
+                for &cell in cells {
                     stats.add_bin(w, cell);
                 }
             }
@@ -424,39 +357,19 @@ mod tests {
             rec(1, 1000, 37.5, -121.5), // next window, different cell
         ];
         let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 10);
+        let v = h.view();
         assert_eq!(h.num_records(), 4);
-        assert_eq!(h.num_windows(), 2);
+        assert_eq!(v.windows().count(), 2);
         assert_eq!(h.num_bins(), 3);
-        assert_eq!(h.bins_in(0).len(), 1);
-        assert_eq!(h.bins_in(0)[0].1, 2); // two records in the bin
-        assert_eq!(h.bins_in(1).len(), 2);
-        assert_eq!(h.records_in(1), 2);
+        assert_eq!(v.window_run(0), (&v.cells[..1], &[2][..])); // two records in the bin
+        assert_eq!(v.window_run(1).1, &[1, 1]);
     }
 
     #[test]
     fn empty_history() {
         let h = MobilityHistory::build(EntityId(7), &[], &scheme(), LEVEL, 4);
         assert_eq!(h.num_bins(), 0);
-        assert_eq!(h.num_windows(), 0);
-        assert!(h.dominating_cell(0, 4, LEVEL).is_none());
-    }
-
-    #[test]
-    fn dominating_cell_via_tree() {
-        let records = vec![
-            rec(1, 0, 37.0, -122.0),
-            rec(1, 10, 37.0, -122.0),
-            rec(1, 20, 10.0, 10.0),
-            rec(1, 1000, 10.0, 10.0),
-        ];
-        let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 10);
-        let sf = CellId::from_latlng(LatLng::from_degrees(37.0, -122.0), LEVEL);
-        let other = CellId::from_latlng(LatLng::from_degrees(10.0, 10.0), LEVEL);
-        // Window 0 only: SF appears twice, other once.
-        assert_eq!(h.dominating_cell(0, 1, LEVEL), Some(sf));
-        // Full range: other has 2, sf has 2 → deterministic tie-break.
-        let dom = h.dominating_cell(0, 10, LEVEL).unwrap();
-        assert!(dom == sf.min(other));
+        assert_eq!(h.view().windows().count(), 0);
     }
 
     #[test]
@@ -536,11 +449,7 @@ mod tests {
                 );
                 for &e in &entities {
                     let (a, b) = (one.history(e).unwrap(), many.history(e).unwrap());
-                    assert!(
-                        a.window_bins().eq(b.window_bins()),
-                        "{e}, {threads} threads"
-                    );
-                    assert_eq!(a.num_records(), b.num_records());
+                    assert_eq!(a.view(), b.view(), "{e}, {threads} threads");
                 }
                 assert_eq!(
                     many.df_stats(),
@@ -603,59 +512,34 @@ mod tests {
             rec(1, 9 * 900, 10.0, 10.0),
         ];
         let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 12);
+        let v = h.view();
         let cell = |lat, lng| CellId::from_latlng(LatLng::from_degrees(lat, lng), LEVEL);
         let (sf, east, far) = (cell(37.0, -122.0), cell(37.5, -121.5), cell(10.0, 10.0));
-        let mut five = [(sf, 2), (east, 1)];
-        five.sort_unstable();
-        assert_eq!(h.bins_in(2), &[(sf, 1)]);
-        assert_eq!(h.bins_in(5), &five[..]);
-        assert_eq!(h.bins_in(9), &[(far, 1)]);
+        let five = if sf < east {
+            ([sf, east], [2, 1])
+        } else {
+            ([east, sf], [1, 2])
+        };
+        assert_eq!(v.window_run(2), (&[sf][..], &[1][..]));
+        assert_eq!(v.window_run(5), (&five.0[..], &five.1[..]));
+        assert_eq!(v.window_run(9), (&[far][..], &[1][..]));
         // Before the first, between stored ones, after the last, and far
         // past the domain.
         for w in [0, 1, 3, 4, 6, 8, 10, 11, u32::MAX] {
-            assert!(h.bins_in(w).is_empty(), "window {w}");
-            assert_eq!(h.records_in(w), 0, "window {w}");
+            assert_eq!(v.window_run(w), (&[][..], &[][..]), "window {w}");
         }
-        assert_eq!(h.records_in(5), 3);
-        let runs: Vec<_> = h.window_bins().collect();
+        let runs: Vec<_> = v.runs().collect();
         assert_eq!(
             runs,
-            vec![(2, &[(sf, 1)][..]), (5, &five[..]), (9, &[(far, 1)][..])]
+            vec![
+                (2, &[sf][..], &[1][..]),
+                (5, &five.0[..], &five.1[..]),
+                (9, &[far][..], &[1][..])
+            ]
         );
         // A history without records answers every window with nothing.
         let empty = MobilityHistory::build(EntityId(2), &[], &scheme(), LEVEL, 12);
-        assert!(empty.bins_in(0).is_empty() && empty.window_bins().next().is_none());
-    }
-
-    #[test]
-    fn from_leaves_round_trips_the_flat_leaves() {
-        let center = LatLng::from_degrees(37.0, -122.0);
-        let records: Vec<Record> = (0..40)
-            .map(|k| {
-                let at = center.offset(150.0 * (k % 5) as f64, k as f64);
-                Record::with_accuracy(EntityId(3), at, Timestamp(k * 500), (k % 3) as f64 * 120.0)
-            })
-            .collect();
-        let h = MobilityHistory::build(EntityId(3), &records, &scheme(), 16, 30);
-        assert!(h.num_windows() > 5 && h.num_bins() > h.num_windows());
-        let leaves: BTreeMap<WindowIdx, CellCounts> = h
-            .window_bins()
-            .map(|(w, bins)| (w, bins.to_vec()))
-            .collect();
-        let back = MobilityHistory::from_leaves(EntityId(3), leaves, h.num_records());
-        assert!(back.window_bins().eq(h.window_bins()));
-        assert!(back.windows().eq(h.windows()));
-        assert_eq!(back.num_bins(), h.num_bins());
-        assert_eq!(back.num_windows(), h.num_windows());
-        assert_eq!(back.num_records(), h.num_records());
-        for w in 0..32 {
-            assert_eq!(back.bins_in(w), h.bins_in(w), "window {w}");
-        }
-        let last = h.windows().last().unwrap();
-        assert_eq!(
-            back.dominating_cell(0, last + 1, 12),
-            h.dominating_cell(0, 30, 12)
-        );
+        assert!(empty.view().window_run(0).0.is_empty() && empty.view().runs().next().is_none());
     }
 
     #[test]
@@ -664,6 +548,6 @@ mod tests {
         // than panicking in the tree build.
         let records = vec![rec(1, 900 * 50, 37.0, -122.0)];
         let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 10);
-        assert_eq!(h.windows().collect::<Vec<_>>(), vec![9]);
+        assert_eq!(h.view().windows().collect::<Vec<_>>(), vec![9]);
     }
 }

@@ -8,7 +8,7 @@
 //! The pipeline (paper §2.4):
 //!
 //! 1. Records are aggregated into [`history::MobilityHistory`] summaries —
-//!    hierarchical time-location bins over a shared
+//!    time-location bins over a shared
 //!    [`window::WindowScheme`] and a spatial grid level (see `geocell`).
 //! 2. Candidate entity pairs are scored with the
 //!    [`similarity::SimilarityScorer`]: mutually-nearest-neighbour bin
@@ -70,11 +70,10 @@ pub mod slim;
 pub mod stats;
 pub mod threshold;
 pub mod time;
-pub mod tree;
 pub mod tuning;
 pub mod window;
 
-pub use arena::{EntityView, HistoryArena};
+pub use arena::{common_runs, EntityView, HistoryArena};
 pub use config::{MatchingMethod, PairingMode, SlimConfig, ThresholdMethod};
 pub use dataset::LocationDataset;
 pub use df::{DfDelta, DfStats};

@@ -8,7 +8,9 @@
 //! same with the *largest* distance and feeds the alibi check of Alg. 1.
 //! The Cartesian-product variant exists for the Fig. 10 ablation.
 //!
-//! The kernel reads each cell's geometry from a per-thread memo keyed
+//! Each side is one window's cell column
+//! ([`crate::arena::EntityView::window_run`]); pairing reads nothing
+//! else. The kernel reads each cell's geometry from a per-thread memo keyed
 //! under [`crate::fasthash`]: center, exact radius, and the cosine of
 //! the center's latitude ([`CellGeometry`]), so a distance is one
 //! haversine with no `cos` and no SipHash probe. The haversine is the
@@ -71,42 +73,6 @@ pub fn cached_cell_geometry(cell: CellId) -> CellGeometry {
     })
 }
 
-/// A read-only cell-id column over a window's bins. Pairing only ever
-/// reads cell ids, so it is generic over the storage layout: the
-/// classic array-of-structs `&[(CellId, u32)]` bins of
-/// [`crate::history::MobilityHistory`] and the bare `&[CellId]` column
-/// of [`crate::arena::HistoryArena`] monomorphize to the *identical*
-/// arithmetic — bit-identical pair selections for identical cell
-/// content.
-pub trait BinColumn: Copy {
-    /// Number of bins.
-    fn len(&self) -> usize;
-    /// Whether there are no bins.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Cell id of the `i`-th bin.
-    fn cell(&self, i: usize) -> CellId;
-}
-
-impl BinColumn for &[(CellId, u32)] {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn cell(&self, i: usize) -> CellId {
-        self[i].0
-    }
-}
-
-impl BinColumn for &[CellId] {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn cell(&self, i: usize) -> CellId {
-        self[i]
-    }
-}
-
 /// Which pair lists [`with_window_pairs`] selects from a window's
 /// distance matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,12 +110,12 @@ struct PairingScratch {
 impl PairingScratch {
     /// Looks up each cell's center + radius once per side — O(n + m)
     /// probes of the thread-local memo — and fills the O(n·m) matrix.
-    fn load<A: BinColumn, B: BinColumn>(&mut self, a: A, b: B) {
+    fn load(&mut self, a: &[CellId], b: &[CellId]) {
         let [ga, gb] = &mut self.geom;
         ga.clear();
-        ga.extend((0..a.len()).map(|i| (a.cell(i), cached_cell_geometry(a.cell(i)))));
+        ga.extend(a.iter().map(|&c| (c, cached_cell_geometry(c))));
         gb.clear();
-        gb.extend((0..b.len()).map(|i| (b.cell(i), cached_cell_geometry(b.cell(i)))));
+        gb.extend(b.iter().map(|&c| (c, cached_cell_geometry(c))));
         self.dist.clear();
         self.dist.reserve(ga.len() * gb.len());
         for (ca, pa) in ga.iter() {
@@ -229,9 +195,9 @@ impl PairingScratch {
 /// (`N`, or the Cartesian product) and the `N'` list (each empty unless
 /// asked for). The lists live in the calling thread's scratch buffers,
 /// so `f` must not pair another window.
-pub(crate) fn with_window_pairs<A: BinColumn, B: BinColumn, R>(
-    a: A,
-    b: B,
+pub(crate) fn with_window_pairs<R>(
+    a: &[CellId],
+    b: &[CellId],
     selection: Selection,
     f: impl FnOnce(&[BinPair], &[BinPair]) -> R,
 ) -> R {
@@ -253,36 +219,21 @@ pub(crate) fn with_window_pairs<A: BinColumn, B: BinColumn, R>(
     })
 }
 
-/// The paper's pairing function `N_w`: greedy globally-closest pairs,
-/// each bin used at most once, `min(|a|, |b|)` pairs total.
-pub fn mutually_nearest(a: &[(CellId, u32)], b: &[(CellId, u32)]) -> Vec<BinPair> {
+/// The paper's pairing function `N_w` over two windows' cells: greedy
+/// globally-closest pairs, each bin used at most once, `min(|a|, |b|)`
+/// pairs total.
+pub fn mutually_nearest(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
     with_window_pairs(a, b, Selection::Nearest, |nearest, _| nearest.to_vec())
 }
 
 /// The paper's `N'_w`: greedy globally-furthest pairs, used for the
 /// optional alibi-detection pass.
-pub fn mutually_furthest(a: &[(CellId, u32)], b: &[(CellId, u32)]) -> Vec<BinPair> {
-    with_window_pairs(a, b, Selection::Furthest, |_, furthest| furthest.to_vec())
-}
-
-/// [`mutually_nearest`] over bare cell-id columns (the arena layout);
-/// bit-identical output for identical cell content.
-pub fn mutually_nearest_cells(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
-    with_window_pairs(a, b, Selection::Nearest, |nearest, _| nearest.to_vec())
-}
-
-/// [`mutually_furthest`] over bare cell-id columns.
-pub fn mutually_furthest_cells(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
+pub fn mutually_furthest(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
     with_window_pairs(a, b, Selection::Furthest, |_, furthest| furthest.to_vec())
 }
 
 /// The Cartesian product of bins — the "All Pairs" ablation.
-pub fn all_pairs(a: &[(CellId, u32)], b: &[(CellId, u32)]) -> Vec<BinPair> {
-    with_window_pairs(a, b, Selection::All, |all, _| all.to_vec())
-}
-
-/// [`all_pairs`] over bare cell-id columns.
-pub fn all_pairs_cells(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
+pub fn all_pairs(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
     with_window_pairs(a, b, Selection::All, |all, _| all.to_vec())
 }
 
@@ -291,10 +242,10 @@ mod tests {
     use super::*;
     use geocell::{bounded_distance_m, cell_center_and_radius, LatLng};
 
-    fn bins(coords: &[(f64, f64)]) -> Vec<(CellId, u32)> {
+    fn bins(coords: &[(f64, f64)]) -> Vec<CellId> {
         coords
             .iter()
-            .map(|&(lat, lng)| (CellId::from_latlng(LatLng::from_degrees(lat, lng), 14), 1))
+            .map(|&(lat, lng)| CellId::from_latlng(LatLng::from_degrees(lat, lng), 14))
             .collect()
     }
 
@@ -405,26 +356,21 @@ mod tests {
                 let nearest = extremal_pairs_oracle(&a, &b, true);
                 let furthest = extremal_pairs_oracle(&a, &b, false);
                 let ctx = format!("round {round}, {n}×{m}");
-                with_window_pairs(&a[..], &b[..], Selection::NearestAndFurthest, |n1, f1| {
+                with_window_pairs(&a, &b, Selection::NearestAndFurthest, |n1, f1| {
                     assert_eq!(bits(n1), bits(&nearest), "N, {ctx}");
                     assert_eq!(bits(f1), bits(&furthest), "N', {ctx}");
                 });
-                with_window_pairs(&a[..], &b[..], Selection::Nearest, |n1, f1| {
+                with_window_pairs(&a, &b, Selection::Nearest, |n1, f1| {
                     assert_eq!(bits(n1), bits(&nearest), "N alone, {ctx}");
                     assert!(f1.is_empty(), "N' not asked for, {ctx}");
                 });
                 assert_eq!(
-                    bits(&mutually_furthest_cells(&a, &b)),
+                    bits(&mutually_furthest(&a, &b)),
                     bits(&furthest),
                     "N' alone, {ctx}"
                 );
-                // The bin layout reads the same cells through the same body.
-                let with_counts = |cells: &[CellId]| -> Vec<(CellId, u32)> {
-                    cells.iter().map(|&c| (c, 1)).collect()
-                };
-                let (ab, bb) = (with_counts(&a), with_counts(&b));
-                assert_eq!(bits(&mutually_nearest(&ab, &bb)), bits(&nearest), "{ctx}");
-                let all = all_pairs_cells(&a, &b);
+                assert_eq!(bits(&mutually_nearest(&a, &b)), bits(&nearest), "{ctx}");
+                let all = all_pairs(&a, &b);
                 assert_eq!(all.len(), n * m, "{ctx}");
                 for (k, p) in all.iter().enumerate() {
                     assert_eq!((p.e_idx, p.i_idx), (k / m, k % m), "{ctx}");

@@ -10,13 +10,17 @@
 //! furthest (alibi) pairs. The IDF and normalization factors are ablation
 //! switches so the Fig. 10 variants are pure configuration.
 
+use geocell::CellId;
+
+use crate::arena::{common_runs, EntityView, Run};
 use crate::config::{PairingMode, SlimConfig};
 use crate::df::{DfStats, IdfTable};
-use crate::history::{HistorySet, MobilityHistory};
-use crate::pairing::{with_window_pairs, BinColumn, BinPair, Selection};
+use crate::history::HistorySet;
+use crate::pairing::{with_window_pairs, BinPair, Selection};
 use crate::proximity::{is_alibi, proximity_of_distance};
 use crate::record::EntityId;
 use crate::stats::LinkageStats;
+use crate::window::WindowIdx;
 
 /// Scores entity pairs across two datasets under one configuration.
 ///
@@ -26,7 +30,8 @@ use crate::stats::LinkageStats;
 /// batch pipeline — entity-id lookups work) or over bare stats
 /// ([`SimilarityScorer::from_df_stats`], the sharded streaming engine —
 /// the caller resolves histories itself, e.g. across shard-partitioned
-/// maps). Both produce bit-identical scores for the same inputs.
+/// arenas). Both read histories as [`EntityView`]s, so they produce
+/// bit-identical scores for the same bins, whichever store holds them.
 ///
 /// Construction builds each side's [`IdfTable`], so a scorer is meant to
 /// live for a whole scoring pass (a batch `score_pairs`, a streaming
@@ -98,36 +103,27 @@ impl<'a> SimilarityScorer<'a> {
         let right = self.right.expect("score-by-id needs history sets");
         let hu = left.history(u)?;
         let hv = right.history(v)?;
-        Some(self.score_histories(hu, hv, stats))
+        Some(self.score_histories(&hu.view(), &hv.view(), stats))
     }
 
-    /// Scores two explicit histories: the sum of per-window
-    /// [`SimilarityScorer::window_contribution`]s over the common
-    /// windows, ascending, divided by the pair's length normalization.
-    /// One merge walk over both histories' window runs finds the common
-    /// windows and their bins together.
+    /// Scores two explicit histories, from either store: the sum of
+    /// per-window [`SimilarityScorer::window_contribution`]s over the
+    /// common windows, ascending, divided by the pair's length
+    /// normalization. One merge walk ([`common_runs`]) over both
+    /// histories' window runs finds the common windows and their bins
+    /// together.
     pub fn score_histories(
         &self,
-        hu: &MobilityHistory,
-        hv: &MobilityHistory,
+        hu: &EntityView<'_>,
+        hv: &EntityView<'_>,
         stats: &mut LinkageStats,
     ) -> f64 {
         stats.scored_entity_pairs += 1;
         let norm = self.pair_norm_bins(hu.num_bins(), hv.num_bins());
-        let (mut runs_u, mut runs_v) = (hu.window_bins(), hv.window_bins());
-        let (mut next_u, mut next_v) = (runs_u.next(), runs_v.next());
         let mut total = 0.0;
-        while let (Some((wu, bu)), Some((wv, bv))) = (next_u, next_v) {
-            match wu.cmp(&wv) {
-                std::cmp::Ordering::Less => next_u = runs_u.next(),
-                std::cmp::Ordering::Greater => next_v = runs_v.next(),
-                std::cmp::Ordering::Equal => {
-                    total += self.window_bins_contribution(wu, bu, bv, stats);
-                    next_u = runs_u.next();
-                    next_v = runs_v.next();
-                }
-            }
-        }
+        common_runs(hu, hv, |w, ru, rv| {
+            total += self.window_contribution(w, ru, rv, stats);
+        });
         total / norm
     }
 
@@ -162,8 +158,10 @@ impl<'a> SimilarityScorer<'a> {
 
     /// The *unnormalized* contribution of one temporal window to a
     /// pair's score: mutually-nearest (or all-pairs) proximity·idf
-    /// awards plus mutually-furthest alibi penalties. Returns 0 when the
-    /// window is not common to both histories.
+    /// awards plus mutually-furthest alibi penalties. `(cu, nu)` and
+    /// `(cv, nv)` are the window's runs in each history
+    /// ([`EntityView::window_run`]); the contribution is 0 when either
+    /// is empty, i.e. when the window is not common to both.
     ///
     /// This is the incremental-maintenance primitive: a streamed score
     /// is a per-window contribution cache, and an update to window `w`
@@ -173,46 +171,9 @@ impl<'a> SimilarityScorer<'a> {
     /// [`SimilarityScorer::score_histories`] computes it.
     pub fn window_contribution(
         &self,
-        hu: &MobilityHistory,
-        hv: &MobilityHistory,
-        w: crate::window::WindowIdx,
-        stats: &mut LinkageStats,
-    ) -> f64 {
-        self.window_bins_contribution(w, hu.bins_in(w), hv.bins_in(w), stats)
-    }
-
-    /// [`SimilarityScorer::window_contribution`] over one window's bins
-    /// of each history, however they were found.
-    fn window_bins_contribution(
-        &self,
-        w: crate::window::WindowIdx,
-        bu: &[(geocell::CellId, u32)],
-        bv: &[(geocell::CellId, u32)],
-        stats: &mut LinkageStats,
-    ) -> f64 {
-        if bu.is_empty() || bv.is_empty() {
-            return 0.0;
-        }
-        stats.bin_pair_comparisons += (bu.len() * bv.len()) as u64;
-        let records = |bins: &[(geocell::CellId, u32)]| bins.iter().map(|&(_, c)| c).sum::<u32>();
-        stats.record_pair_comparisons += records(bu) as u64 * records(bv) as u64;
-
-        self.paired_contributions(w, bu, bv, stats)
-    }
-
-    /// [`SimilarityScorer::window_contribution`] over struct-of-arrays
-    /// window runs: `(cu, nu)` / `(cv, nv)` are each one window's
-    /// parallel `(cells, counts)` column slices (the
-    /// [`crate::arena::EntityView::window_run`] shape — cells sorted,
-    /// counts positionally parallel) — what the streaming engine scores.
-    /// Past the two record counts, batch bins and arena columns run one
-    /// body, so they produce bit-identical contributions and stats
-    /// bumps for identical bin content.
-    pub fn window_contribution_cells(
-        &self,
-        w: crate::window::WindowIdx,
-        (cu, nu): (&[geocell::CellId], &[u32]),
-        (cv, nv): (&[geocell::CellId], &[u32]),
+        w: WindowIdx,
+        (cu, nu): Run<'_>,
+        (cv, nv): Run<'_>,
         stats: &mut LinkageStats,
     ) -> f64 {
         if cu.is_empty() || cv.is_empty() {
@@ -226,17 +187,16 @@ impl<'a> SimilarityScorer<'a> {
         self.paired_contributions(w, cu, cv, stats)
     }
 
-    /// The body batch bins and arena columns share: pairs the window's bins over one
-    /// distance matrix and sums the selected pairs' contributions —
+    /// Pairs the window's bins over one distance matrix and sums the selected pairs' contributions —
     /// `N` (or all pairs) in selection order, then the optional
     /// mutually-furthest alibi pass (Alg. 1), which adds only negative
     /// deltas and skips pairs already selected by `N` to avoid double
     /// counting.
-    fn paired_contributions<A: BinColumn, B: BinColumn>(
+    fn paired_contributions(
         &self,
-        w: crate::window::WindowIdx,
-        bu: A,
-        bv: B,
+        w: WindowIdx,
+        bu: &[CellId],
+        bv: &[CellId],
         stats: &mut LinkageStats,
     ) -> f64 {
         let selection = match self.cfg.pairing {
@@ -266,13 +226,11 @@ impl<'a> SimilarityScorer<'a> {
     }
 
     /// One bin pair's weighted proximity contribution (unnormalized).
-    /// Generic over the bin layout (see [`BinColumn`]) so the batch and
-    /// the streaming path run the identical float sequence.
-    fn contribution<A: BinColumn, B: BinColumn>(
+    fn contribution(
         &self,
-        w: crate::window::WindowIdx,
-        bu: A,
-        bv: B,
+        w: WindowIdx,
+        bu: &[CellId],
+        bv: &[CellId],
         p: &BinPair,
         stats: &mut LinkageStats,
     ) -> f64 {
@@ -281,8 +239,8 @@ impl<'a> SimilarityScorer<'a> {
         }
         let prox = proximity_of_distance(p.dist_m, self.runaway_m);
         let idf = if self.cfg.use_idf {
-            let idf_e = self.left_idf.idf(w, bu.cell(p.e_idx));
-            let idf_i = self.right_idf.idf(w, bv.cell(p.i_idx));
+            let idf_e = self.left_idf.idf(w, bu[p.e_idx]);
+            let idf_i = self.right_idf.idf(w, bv[p.i_idx]);
             idf_e.min(idf_i)
         } else {
             1.0
@@ -291,36 +249,12 @@ impl<'a> SimilarityScorer<'a> {
     }
 }
 
-/// Iterates window indices present in both histories, ascending.
-pub fn common_windows<'h>(
-    a: &'h MobilityHistory,
-    b: &'h MobilityHistory,
-) -> impl Iterator<Item = crate::window::WindowIdx> + 'h {
-    // Merge-intersect two sorted streams.
-    let mut ita = a.windows().peekable();
-    let mut itb = b.windows().peekable();
-    std::iter::from_fn(move || loop {
-        let (&wa, &wb) = (ita.peek()?, itb.peek()?);
-        match wa.cmp(&wb) {
-            std::cmp::Ordering::Less => {
-                ita.next();
-            }
-            std::cmp::Ordering::Greater => {
-                itb.next();
-            }
-            std::cmp::Ordering::Equal => {
-                ita.next();
-                itb.next();
-                return Some(wa);
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::HistoryArena;
     use crate::dataset::LocationDataset;
+    use crate::history::record_cells;
     use crate::record::{Record, Timestamp};
     use crate::window::WindowScheme;
     use geocell::LatLng;
@@ -341,6 +275,27 @@ mod tests {
 
     fn cfg() -> SlimConfig {
         SlimConfig::default()
+    }
+
+    /// The arena the streaming engine would hold for `records`: each
+    /// record's cells appended to its entity in arrival order, in the
+    /// window the batch build clamps it to.
+    fn arena_of(records: &[Record]) -> HistoryArena {
+        let scheme = WindowScheme::new(Timestamp(0), 900);
+        let mut arena = HistoryArena::new();
+        for r in records {
+            let w = scheme.window_of(r.time).min(DOMAIN - 1);
+            arena.append(r.entity, w, &record_cells(r, LEVEL));
+        }
+        arena
+    }
+
+    /// The windows both views hold, found by per-window lookup rather
+    /// than by the merge walk.
+    fn shared_windows(u: &EntityView<'_>, v: &EntityView<'_>) -> Vec<WindowIdx> {
+        u.windows()
+            .filter(|&w| !v.window_run(w).0.is_empty())
+            .collect()
     }
 
     /// Background entities in remote, mutually distant cells. Without
@@ -556,25 +511,35 @@ mod tests {
         let c = cfg();
         let scorer = SimilarityScorer::new(&c, &l, &r);
         let (hu, hv) = (
-            l.history(EntityId(1)).unwrap(),
-            r.history(EntityId(2)).unwrap(),
+            l.history(EntityId(1)).unwrap().view(),
+            r.history(EntityId(2)).unwrap().view(),
         );
         let mut stats = LinkageStats::default();
-        let full = scorer.score_histories(hu, hv, &mut stats);
-        let sum: f64 = common_windows(hu, hv)
-            .map(|w| scorer.window_contribution(hu, hv, w, &mut stats))
+        let full = scorer.score_histories(&hu, &hv, &mut stats);
+        let contribution = |w, stats: &mut _| {
+            scorer.window_contribution(w, hu.window_run(w), hv.window_run(w), stats)
+        };
+        let sum: f64 = shared_windows(&hu, &hv)
+            .into_iter()
+            .map(|w| contribution(w, &mut stats))
             .sum();
         let reassembled = sum / scorer.pair_norm(EntityId(1), EntityId(2));
         assert_eq!(full, reassembled, "must be the identical arithmetic");
-        // Non-common windows contribute exactly zero.
-        assert_eq!(scorer.window_contribution(hu, hv, 9999, &mut stats), 0.0);
+        // Windows of one side only, or of neither, contribute exactly zero.
+        for w in hu.windows().chain(hv.windows()).chain([9999]) {
+            if !shared_windows(&hu, &hv).contains(&w) {
+                assert_eq!(contribution(w, &mut stats), 0.0, "window {w}");
+            }
+        }
     }
 
     /// The merge walk must be the per-window definition exactly: the
     /// contributions of the common windows folded in ascending order,
     /// divided by the pair norm — same bits, same stats bumps — on
     /// histories whose windows overlap, interleave, touch one side only,
-    /// or miss each other entirely.
+    /// or miss each other entirely. The arena the streaming engine
+    /// appends the same records into scores through the same walk to
+    /// the same bits.
     #[test]
     fn merge_walk_equals_the_per_window_sum() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -597,6 +562,7 @@ mod tests {
                 records
             };
             let (left, right) = (side(0, 0), side(100, shift));
+            let arenas = [arena_of(&left), arena_of(&right)];
             let (l, r) = sets(left, right);
             for (pairing, use_mfn) in [
                 (PairingMode::MutuallyNearest, true),
@@ -610,23 +576,46 @@ mod tests {
                 let scorer = SimilarityScorer::new(&c, &l, &r);
                 for u in l.entities_sorted() {
                     for v in r.entities_sorted() {
-                        let (hu, hv) = (l.history(u).unwrap(), r.history(v).unwrap());
+                        let (hu, hv) = (l.history(u).unwrap().view(), r.history(v).unwrap().view());
                         let mut walked = LinkageStats::default();
-                        let score = scorer.score_histories(hu, hv, &mut walked);
+                        let score = scorer.score_histories(&hu, &hv, &mut walked);
                         let mut defined = LinkageStats {
                             scored_entity_pairs: 1,
                             ..LinkageStats::default()
                         };
-                        let sum = common_windows(hu, hv).fold(0.0, |total, w| {
-                            total + scorer.window_contribution(hu, hv, w, &mut defined)
+                        let shared = shared_windows(&hu, &hv);
+                        let sum = shared.iter().fold(0.0, |total, &w| {
+                            let (ru, rv) = (hu.window_run(w), hv.window_run(w));
+                            total + scorer.window_contribution(w, ru, rv, &mut defined)
                         });
                         let want = sum / scorer.pair_norm(u, v);
                         assert_eq!(score.to_bits(), want.to_bits(), "case {case}, {u}-{v}");
                         assert_eq!(walked, defined, "case {case}, {u}-{v}");
-                        let shared = common_windows(hu, hv).count();
-                        common += usize::from(shared > 0);
-                        disjoint += usize::from(shared == 0);
-                        one_sided += usize::from(shared > 0 && shared < hu.num_windows());
+
+                        let (au, av) = (arenas[0].view(u).unwrap(), arenas[1].view(v).unwrap());
+                        let mut streamed = LinkageStats::default();
+                        let arena_score = scorer.score_histories(&au, &av, &mut streamed);
+                        assert_eq!(
+                            arena_score.to_bits(),
+                            want.to_bits(),
+                            "arena, case {case}, {u}-{v}"
+                        );
+                        assert_eq!(streamed, defined, "arena, case {case}, {u}-{v}");
+                        let mut walked_windows = Vec::new();
+                        common_runs(&au, &av, |w, ru, rv| {
+                            assert_eq!(
+                                (ru, rv),
+                                (hu.window_run(w), hv.window_run(w)),
+                                "window {w}"
+                            );
+                            walked_windows.push(w);
+                        });
+                        assert_eq!(walked_windows, shared, "case {case}, {u}-{v}");
+
+                        common += usize::from(!shared.is_empty());
+                        disjoint += usize::from(shared.is_empty());
+                        one_sided +=
+                            usize::from(!shared.is_empty() && shared.len() < hu.windows().count());
                     }
                 }
             }
@@ -637,9 +626,9 @@ mod tests {
         );
     }
 
-    /// The struct-of-arrays contribution kernel must be bit-identical
-    /// to the per-entity path — same float result, same stats bumps —
-    /// in every pairing/ablation mode.
+    /// The kernel reads the streaming arena's column runs and the batch
+    /// history's to bit-identical contributions and stats bumps, in
+    /// every pairing/ablation mode, and not vacuously.
     #[test]
     fn cells_kernel_matches_window_contribution() {
         let mut left = vec![
@@ -656,11 +645,13 @@ mod tests {
         ];
         left.extend(fillers(500));
         right.extend(fillers(600));
+        let (al, ar) = (arena_of(&left), arena_of(&right));
         let (l, r) = sets(left, right);
         let (hu, hv) = (
-            l.history(EntityId(1)).unwrap(),
-            r.history(EntityId(2)).unwrap(),
+            l.history(EntityId(1)).unwrap().view(),
+            r.history(EntityId(2)).unwrap().view(),
         );
+        let (au, av) = (al.view(EntityId(1)).unwrap(), ar.view(EntityId(2)).unwrap());
         for (pairing, use_mfn) in [
             (PairingMode::MutuallyNearest, true),
             (PairingMode::MutuallyNearest, false),
@@ -671,19 +662,14 @@ mod tests {
             c.use_mfn = use_mfn;
             let scorer = SimilarityScorer::new(&c, &l, &r);
             let mut bumped = LinkageStats::default();
-            for w in common_windows(hu, hv).chain([9999]) {
-                let (bu, bv) = (hu.bins_in(w), hv.bins_in(w));
-                let split = |bins: &[(geocell::CellId, u32)]| {
-                    let cells: Vec<_> = bins.iter().map(|&(c, _)| c).collect();
-                    let counts: Vec<_> = bins.iter().map(|&(_, n)| n).collect();
-                    (cells, counts)
-                };
-                let ((cu, nu), (cv, nv)) = (split(bu), split(bv));
+            for w in shared_windows(&hu, &hv).into_iter().chain([9999]) {
                 let mut s1 = LinkageStats::default();
                 let mut s2 = LinkageStats::default();
-                let aos = scorer.window_contribution(hu, hv, w, &mut s1);
-                let soa = scorer.window_contribution_cells(w, (&cu, &nu), (&cv, &nv), &mut s2);
-                assert_eq!(aos.to_bits(), soa.to_bits(), "window {w}");
+                let batch =
+                    scorer.window_contribution(w, hu.window_run(w), hv.window_run(w), &mut s1);
+                let arena =
+                    scorer.window_contribution(w, au.window_run(w), av.window_run(w), &mut s2);
+                assert_eq!(batch.to_bits(), arena.to_bits(), "window {w}");
                 assert_eq!(s1, s2, "stats must bump identically, window {w}");
                 bumped.merge(&s1);
             }

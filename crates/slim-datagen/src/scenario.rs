@@ -6,8 +6,8 @@
 //!
 //! Both accept a `scale` factor so benches can trade fidelity for
 //! runtime; `scale = 1.0` approaches paper-sized inputs, the defaults
-//! used by the experiment drivers are smaller (documented per driver in
-//! EXPERIMENTS.md).
+//! used by the experiment drivers are smaller (`examples/reproduce.rs`
+//! prints the scales it runs at).
 
 use crate::checkin::{checkin_world, CheckinConfig};
 use crate::sampling::SamplingMode;

@@ -117,7 +117,7 @@ mod tests {
         }
         // At the fine level the TP cluster must clearly out-score FPs
         // (the full separation-grows-with-detail claim needs paper-scale
-        // data and is exercised by the reproduce harness / EXPERIMENTS.md).
+        // data: see the fig-6 table `examples/reproduce.rs` prints).
         let fine = &fits[1];
         if !fine.fp_weights.is_empty() {
             let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;

@@ -48,7 +48,7 @@ pub fn run_grid(
 /// spans, placeholders cap even a true pair's signature similarity near
 /// 0.2 under this crate's strict placeholder-counting similarity (the
 /// paper's definition is ambiguous on whether placeholders count toward
-/// the signature size; see EXPERIMENTS.md).
+/// the signature size).
 pub fn run_grid_with_threshold(
     scenario: &Scenario,
     levels: &[u8],

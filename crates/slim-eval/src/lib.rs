@@ -18,8 +18,7 @@
 //!
 //! Each driver returns structured points plus a [`table::Table`]
 //! rendering the same series the paper plots. The repository-level
-//! `reproduce` example prints all of them; EXPERIMENTS.md records
-//! paper-vs-measured shapes.
+//! `reproduce` example (`examples/reproduce.rs`) prints all of them.
 
 #![warn(missing_docs)]
 

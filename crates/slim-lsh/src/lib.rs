@@ -51,6 +51,5 @@ pub use banding::{
 pub use lambertw::lambert_w0;
 pub use lsh::{LshConfig, LshFilter};
 pub use signature::{
-    num_queries, signature_from_bins, signature_from_history, signature_from_records,
-    signatures_for_dataset, Signature,
+    num_queries, signature_from_bins, signature_from_records, signatures_for_dataset, Signature,
 };

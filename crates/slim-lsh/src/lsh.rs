@@ -93,7 +93,7 @@ impl LshFilter {
                 .into_iter()
                 .map(|e| {
                     let history = side.history(e).expect("a listed entity has a history");
-                    signature_from_bins(history, domain, cfg.step_windows)
+                    signature_from_bins(e, history.view(), domain, cfg.step_windows)
                 })
                 .collect()
         };
@@ -104,8 +104,16 @@ impl LshFilter {
     /// *all* records of both datasets and `window_width_secs`. That is
     /// the scheme [`slim_core::Slim::prepare`] derives only while no
     /// entity is dropped for having too few records: `prepare` starts its
-    /// scheme at the earliest record of the entities it keeps. Use
+    /// scheme at the earliest record of the entities it keeps, and a
+    /// candidate from here can name an entity `prepare` dropped. Use
     /// [`LshFilter::for_prepared`] wherever the two must agree.
+    ///
+    /// Remaining callers: figures 8, 9 and 11 (`slim-eval`), four test
+    /// files (`tests/lsh_integration.rs`, `tests/robustness.rs`,
+    /// `tests/baseline_comparison.rs`, and the `slim-cli` test that
+    /// contrasts the two schemes), and the benchmark's decomposed LSH
+    /// stage (`bench/src/batch.rs`). It stays until the benchmark moves
+    /// to [`LshFilter::for_prepared`] in a change of its own.
     pub fn build_auto(
         cfg: LshConfig,
         left: &LocationDataset,

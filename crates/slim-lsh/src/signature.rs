@@ -15,20 +15,19 @@
 //! stays. When the two levels are equal — the default and the fig-11
 //! settings — a history's bins hold exactly those counts, and
 //! [`signature_from_bins`] reads the signature off them in one pass.
+//! It reads an [`EntityView`], so a batch history and a streaming arena
+//! range sign alike.
 //!
-//! [`signature_from_history`] answers the same spans with `O(log n)`
-//! queries on the history's aggregation tree (the paper's "appropriate
-//! level of the mobility history tree"). It agrees with the records path
-//! at equal levels, and at a coarser LSH level for point records only:
-//! the tree coarsens per-bin counts, so a region record whose disc
-//! touches several fine cells inside one coarse cell counts once per
-//! fine cell there, where the records path counts it once.
+//! The paper answers the spans with range queries on an aggregation
+//! tree over the bins. The spans are fixed-step and disjoint and each
+//! entity is signed once, so the one linear pass is all the tree would
+//! compute.
 
 use std::collections::HashMap;
 
 use geocell::CellId;
 use serde::{Deserialize, Serialize};
-use slim_core::{EntityId, LocationDataset, MobilityHistory, WindowScheme};
+use slim_core::{EntityId, EntityView, LocationDataset, WindowScheme};
 
 /// A signature: one optional dominating cell per query span.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,28 +139,33 @@ pub(crate) fn signatures_for_entities(
         .collect()
 }
 
-/// Builds the signature of a history's own bins, at their spatial level:
-/// per span of `step` windows, the cell with the largest summed count,
-/// ties to the smaller [`CellId`] — [`signature_from_records`]' rule.
-/// Windows past `domain` count in the last span, as the records path
-/// clamps them.
+/// Builds the signature of `entity` from its bins, at their spatial
+/// level: per span of `step` windows, the cell with the largest summed
+/// count, ties to the smaller [`CellId`] — [`signature_from_records`]'
+/// rule. Windows past `domain` count in the last span, as the records
+/// path clamps them.
 ///
-/// This is [`signature_from_records`] over the records the history was
-/// built from whenever the history was built with the same window scheme
-/// and domain and the LSH level is the history's level: a bin's count is
-/// the number of the window's records touching its cell, each counted
-/// once per distinct cell, which is what the records path adds up.
-pub fn signature_from_bins(history: &MobilityHistory, domain: u32, step: u32) -> Signature {
+/// This is [`signature_from_records`] over the records the bins were
+/// built from whenever they were built with the same window scheme and
+/// domain and the LSH level is the bins' level: a bin's count is the
+/// number of the window's records touching its cell, each counted once
+/// per distinct cell, which is what the records path adds up.
+pub fn signature_from_bins(
+    entity: EntityId,
+    bins: EntityView<'_>,
+    domain: u32,
+    step: u32,
+) -> Signature {
     let n = num_queries(domain, step);
     let span_of = |w: u32| (w.min(domain.saturating_sub(1)) / step) as usize;
     let mut cells = vec![None; n];
     let mut counts: Vec<(CellId, u32)> = Vec::new();
-    let mut runs = history.window_bins().peekable();
-    while let Some(&(first, _)) = runs.peek() {
+    let mut runs = bins.runs().peekable();
+    while let Some(&(first, ..)) = runs.peek() {
         let span = span_of(first);
         counts.clear();
-        while let Some((_, bins)) = runs.next_if(|&(w, _)| span_of(w) == span) {
-            counts.extend_from_slice(bins);
+        while let Some((_, run_cells, run_counts)) = runs.next_if(|&(w, ..)| span_of(w) == span) {
+            counts.extend(run_cells.iter().copied().zip(run_counts.iter().copied()));
         }
         counts.sort_unstable_by_key(|&(cell, _)| cell);
         let mut best: Option<(CellId, u32)> = None;
@@ -173,38 +177,14 @@ pub fn signature_from_bins(history: &MobilityHistory, domain: u32, step: u32) ->
         }
         cells[span] = best.map(|(cell, _)| cell);
     }
-    Signature {
-        entity: history.entity(),
-        cells,
-    }
-}
-
-/// Builds a signature through the mobility-history tree's dominating-cell
-/// range queries. Only valid when `spatial_level` is at or coarser than
-/// the history's bin level, and equal to [`signature_from_records`] at
-/// the bin level, or at a coarser one for point records only (see the
-/// module doc).
-pub fn signature_from_history(
-    history: &MobilityHistory,
-    domain: u32,
-    step: u32,
-    spatial_level: u8,
-) -> Signature {
-    let n = num_queries(domain, step);
-    let cells = (0..n as u32)
-        .map(|q| history.dominating_cell(q * step, ((q + 1) * step).min(domain), spatial_level))
-        .collect();
-    Signature {
-        entity: history.entity(),
-        cells,
-    }
+    Signature { entity, cells }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use geocell::LatLng;
-    use slim_core::{HistorySet, Record, Timestamp};
+    use slim_core::{HistorySet, MobilityHistory, Record, Timestamp};
 
     const LEVEL: u8 = 12;
 
@@ -279,7 +259,8 @@ mod tests {
         let _ = a.similarity(&b);
     }
 
-    /// Point records only: see the module doc for region records.
+    /// A history built at a coarse level signs like the records at that
+    /// level (point records; the region case is below).
     #[test]
     fn history_and_record_signatures_agree_at_coarse_levels() {
         let records: Vec<Record> = (0..50)
@@ -295,13 +276,14 @@ mod tests {
         let sch = scheme();
         let domain = 40;
         let ds = LocationDataset::from_records(records.clone());
-        let hs = HistorySet::build(&ds, sch, LEVEL, domain);
         for (step, lsh_level) in [(4u32, 12u8), (8, 10), (5, 8)] {
+            let hs = HistorySet::build(&ds, sch, lsh_level, domain);
             let via_records =
                 signature_from_records(EntityId(1), &records, &sch, domain, step, lsh_level);
-            let via_history =
-                signature_from_history(hs.history(EntityId(1)).unwrap(), domain, step, lsh_level);
+            let history = hs.history(EntityId(1)).unwrap();
+            let via_history = signature_from_bins(EntityId(1), history.view(), domain, step);
             assert_eq!(via_records, via_history, "step {step} level {lsh_level}");
+            assert!(via_history.occupancy() > 1, "step {step} level {lsh_level}");
         }
     }
 
@@ -324,7 +306,7 @@ mod tests {
         ];
         let (domain, step) = (12, 5);
         let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, domain);
-        let via_bins = signature_from_bins(&h, domain, step);
+        let via_bins = signature_from_bins(EntityId(1), h.view(), domain, step);
         assert_eq!(
             via_bins.cells,
             vec![Some(cell_a.min(cell_b)), None, Some(cell_a)]
@@ -334,15 +316,15 @@ mod tests {
         assert_eq!(via_bins, via_records);
         let empty = MobilityHistory::build(EntityId(2), &[], &scheme(), LEVEL, domain);
         assert_eq!(
-            signature_from_bins(&empty, domain, step).cells,
+            signature_from_bins(EntityId(2), empty.view(), domain, step).cells,
             vec![None; 3]
         );
     }
 
     #[test]
     fn history_signatures_count_region_records_per_bin_cell() {
-        // Region records at the bin level: the tree, the bins and the
-        // records agree.
+        // Region records at the bin level: the bins, of either store,
+        // and the records agree.
         let center = LatLng::from_degrees(37.0, -122.0);
         let records: Vec<Record> = (0..40)
             .map(|k| {
@@ -355,38 +337,21 @@ mod tests {
         let ds = LocationDataset::from_records(records.clone());
         let hs = HistorySet::build(&ds, sch, 16, domain);
         let history = hs.history(EntityId(1)).unwrap();
+        let mut arena = slim_core::HistoryArena::new();
+        for r in &records {
+            let w = sch.window_of(r.time).min(domain - 1);
+            arena.append(EntityId(1), w, &slim_core::record_cells(r, 16));
+        }
+        let appended = arena.view(EntityId(1)).unwrap();
         for step in [1, 3, 4, 7] {
             let via_records = signature_from_records(EntityId(1), &records, &sch, domain, step, 16);
-            assert_eq!(
-                signature_from_history(history, domain, step, 16),
-                via_records
-            );
-            assert_eq!(signature_from_bins(history, domain, step), via_records);
+            for bins in [history.view(), appended] {
+                assert_eq!(
+                    signature_from_bins(EntityId(1), bins, domain, step),
+                    via_records
+                );
+            }
         }
-
-        // At a coarser LSH level they differ: one region record whose disc
-        // covers several level-16 cells of one level-12 cell `x`, and two
-        // point records in another level-12 cell `y`. The records path
-        // counts x once and y twice; the tree adds up x's fine bins.
-        let x = CellId::from_latlng(center, 12);
-        let y = CellId::from_latlng(LatLng::from_degrees(37.2, -122.2), 12);
-        let region = Record::with_accuracy(EntityId(2), x.center(), Timestamp(0), 400.0);
-        assert_eq!(slim_core::record_cells(&region, 12), vec![x]);
-        assert!(slim_core::record_cells(&region, 16).len() >= 3);
-        let records = vec![
-            region,
-            Record::new(EntityId(2), y.center(), Timestamp(60)),
-            Record::new(EntityId(2), y.center(), Timestamp(120)),
-        ];
-        let ds = LocationDataset::from_records(records.clone());
-        let hs = HistorySet::build(&ds, sch, 16, 4);
-        let history = hs.history(EntityId(2)).unwrap();
-        let via_records = signature_from_records(EntityId(2), &records, &sch, 4, 4, 12);
-        assert_eq!(via_records.cells, vec![Some(y)]);
-        assert_eq!(
-            signature_from_history(history, 4, 4, 12).cells,
-            vec![Some(x)]
-        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use slim_core::arena::HistoryArena;
+use slim_core::arena::{common_runs, HistoryArena};
 use slim_core::df::DfStats;
 use slim_core::similarity::SimilarityScorer;
 use slim_core::{
@@ -79,9 +79,8 @@ use crate::lsh::LshGeometry;
 use crate::merge;
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::shard::{
-    bin_event, entity_shard, fold_patched, for_common_runs, lookup_view, BinnedEvent, CachedPair,
-    EngineShard, ExpiryEffects, FoldMark, IngestEffects, PairWindows, RescoreJob, RescoreOutcome,
-    ScoredPair,
+    bin_event, entity_shard, fold_patched, lookup_view, BinnedEvent, CachedPair, EngineShard,
+    ExpiryEffects, FoldMark, IngestEffects, PairWindows, RescoreJob, RescoreOutcome, ScoredPair,
 };
 use crate::snapshot::{EpochLog, EpochPointer, LinkSnapshot};
 use crate::source::Clock;
@@ -1778,13 +1777,13 @@ impl StreamEngine {
                 let mut patch = PairWindows::new();
                 let mut t_last = clock.as_ref().map(|c| c.now_ns()).unwrap_or(0);
                 match spec {
-                    // A fresh pair: one linear merge over the two
-                    // entities' window columns feeds contiguous
+                    // A fresh pair: the batch scorer's merge walk over
+                    // the two entities' window columns feeds contiguous
                     // cell/count slices of every common window straight
-                    // into the scorer — no hashing, no per-window
+                    // into the kernel — no hashing, no per-window
                     // lookup.
-                    None => for_common_runs(&hu, &hv, |w, ru, rv| {
-                        let c = scorer.window_contribution_cells(w, ru, rv, &mut stats);
+                    None => common_runs(&hu, &hv, |w, ru, rv| {
+                        let c = scorer.window_contribution(w, ru, rv, &mut stats);
                         patch.push((w, c));
                         lap(&clock, &mut t_last, &mut kernel);
                     }),
@@ -1793,7 +1792,7 @@ impl StreamEngine {
                         patch.reserve_exact(windows.len());
                         for &w in windows.iter() {
                             let (ru, rv) = (hu.window_run(w), hv.window_run(w));
-                            let c = scorer.window_contribution_cells(w, ru, rv, &mut stats);
+                            let c = scorer.window_contribution(w, ru, rv, &mut stats);
                             patch.push((w, c));
                             lap(&clock, &mut t_last, &mut kernel);
                         }
@@ -1870,11 +1869,11 @@ impl StreamEngine {
         let Some(scheme) = self.scheme else {
             return Ok(empty_output());
         };
-        // Materializing owned histories (struct rebuilds from the arena
-        // columns) is the expensive part of the borrowing finalizer;
-        // hand one chunk per shard to the pool when the state is big
-        // enough to pay. The merged map contents are independent of
-        // chunk scheduling.
+        // Materializing owned histories (three column copies per
+        // entity) is the copying part of the borrowing finalizer; hand
+        // one chunk per shard to the pool when the state is big enough
+        // to pay. The merged map contents are independent of chunk
+        // scheduling.
         let clone_one = |shard: &EngineShard| -> [Vec<(EntityId, MobilityHistory)>; 2] {
             [Side::Left, Side::Right].map(|side| materialize_all(&shard.histories[side.idx()]))
         };
@@ -2481,12 +2480,9 @@ mod tests {
         // Only the last 10 windows of history remain.
         for e in entities {
             let h = engine.history(Side::Left, e).unwrap();
-            assert!(
-                h.num_windows() <= 10,
-                "{e} kept {} windows",
-                h.num_windows()
-            );
-            assert!(h.windows().all(|w| w + 10 > engine.watermark));
+            let windows: Vec<_> = h.view().windows().collect();
+            assert!(windows.len() <= 10, "{e} kept {} windows", windows.len());
+            assert!(windows.iter().all(|w| w + 10 > engine.watermark));
         }
         // Still linkable from recent windows alone.
         assert!(!engine.links().is_empty());

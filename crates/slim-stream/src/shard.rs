@@ -93,37 +93,6 @@ pub(crate) fn lookup_view(
     shards[entity_shard(side, entity, shards.len())].histories[side.idx()].view(entity)
 }
 
-/// Calls `f(w, (cells_u, counts_u), (cells_v, counts_v))` for every
-/// window common to both arena views, ascending — one linear merge over
-/// the two window columns, handing out contiguous column slices (the
-/// batch-kernel gather: no hashing, no per-window binary search).
-pub(crate) fn for_common_runs<'a>(
-    u: &EntityView<'a>,
-    v: &EntityView<'a>,
-    mut f: impl FnMut(WindowIdx, (&'a [CellId], &'a [u32]), (&'a [CellId], &'a [u32])),
-) {
-    let (uw, vw) = (u.wins, v.wins);
-    let (mut i, mut j) = (0, 0);
-    while i < uw.len() && j < vw.len() {
-        let (wi, wj) = (uw[i], vw[j]);
-        if wi < wj {
-            i += uw[i..].partition_point(|&x| x == wi);
-        } else if wj < wi {
-            j += vw[j..].partition_point(|&x| x == wj);
-        } else {
-            let ie = i + uw[i..].partition_point(|&x| x == wi);
-            let je = j + vw[j..].partition_point(|&x| x == wi);
-            f(
-                wi,
-                (&u.cells[i..ie], &u.counts[i..ie]),
-                (&v.cells[j..je], &v.counts[j..je]),
-            );
-            i = ie;
-            j = je;
-        }
-    }
-}
-
 /// The ascending union of two ascending, duplicate-free window lists.
 fn union_sorted(a: &[WindowIdx], b: &[WindowIdx]) -> Vec<WindowIdx> {
     let mut out = Vec::with_capacity(a.len() + b.len());

@@ -17,8 +17,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use slim_core::similarity::{common_windows, SimilarityScorer};
-use slim_core::{EntityId, HistorySet, LinkageStats, LocationDataset, MobilityHistory, WindowIdx};
+use slim_core::similarity::SimilarityScorer;
+use slim_core::{EntityId, EntityView, HistorySet, LinkageStats, LocationDataset, WindowIdx};
 
 use crate::adjacency::PairKey;
 use crate::config::StreamConfig;
@@ -287,9 +287,11 @@ struct TickState {
 /// runs it through the batch path (`filter_min_records`, then
 /// [`HistorySet::build`] with the engine's scheme and spatial level) and
 /// compares, per side: the active and the pending (min-records) entity
-/// sets with their buffer sizes, every history as the engine
-/// materializes it and as its store exports it (windows, bins, counts,
-/// per-window record counts), and the merged df statistics.
+/// sets with their buffer sizes, every history's columns as the engine
+/// materializes them and as its store exports them against the rebuilt
+/// history's (windows, cells, counts and the record total, one view
+/// equality), the per-window record counts, and the merged df
+/// statistics.
 ///
 /// After every tick it also checks each cached pair. Contributions are
 /// refreshed lazily (an untouched window keeps the idf it was last
@@ -445,25 +447,12 @@ impl RecomputeOracle {
             ));
         }
         for &e in &want_active {
-            let want = set.history(e).expect("listed by the set");
-            let have = engine.history(side, e).expect("tracked");
-            if !same_bins(&have, want)
-                || (have.num_bins(), have.num_records()) != (want.num_bins(), want.num_records())
-            {
-                return Err(format!("{side:?} {e:?}: materialized history diverged"));
-            }
-            let (view, records) = shards[entity_shard(side, e, shards.len())].histories[i]
+            let want = set.history(e).expect("listed by the set").view();
+            let (stored, records) = shards[entity_shard(side, e, shards.len())].histories[i]
                 .export_entity(e)
                 .expect("tracked");
-            let columns = want
-                .windows()
-                .flat_map(|w| want.bins_in(w).iter().map(move |&(c, n)| (w, c, n)));
-            let stored =
-                (0..view.wins.len()).map(|k| (view.wins[k], view.cells[k], view.counts[k]));
-            if view.cells.len() != view.wins.len()
-                || view.counts.len() != view.wins.len()
-                || !stored.eq(columns)
-            {
+            let materialized = engine.history(side, e).expect("tracked");
+            if stored != want || materialized.view() != want {
                 return Err(format!("{side:?} {e:?}: stored columns diverged"));
             }
             let counted = window_records[&e].iter().map(|(&w, &n)| (w, n));
@@ -514,8 +503,10 @@ impl RecomputeOracle {
                     windows: cached,
                     mark,
                 } = entry;
-                let (Some(hu), Some(hv)) = (sets[0].history(pair.0), sets[1].history(pair.1))
-                else {
+                let (Some(hu), Some(hv)) = (
+                    sets[0].history(pair.0).map(|h| h.view()),
+                    sets[1].history(pair.1).map(|h| h.view()),
+                ) else {
                     return Err(format!(
                         "cached pair {pair:?} has an endpoint outside the live slice"
                     ));
@@ -530,13 +521,14 @@ impl RecomputeOracle {
                     return Err(format!("pair {pair:?}: {why}"));
                 }
                 let prev_cached = prev.and_then(|p| p.cache.get(&pair));
-                let prev_u = prev.and_then(|p| p.sets[0].history(pair.0));
-                let prev_v = prev.and_then(|p| p.sets[1].history(pair.1));
-                let windows: BTreeSet<WindowIdx> = common_windows(hu, hv)
-                    .chain(cached.iter().map(|&(w, _)| w))
-                    .collect();
+                let prev_u = prev.and_then(|p| p.sets[0].history(pair.0).map(|h| h.view()));
+                let prev_v = prev.and_then(|p| p.sets[1].history(pair.1).map(|h| h.view()));
+                // The common windows by lookup, not by the engine's walk.
+                let mut windows: BTreeSet<WindowIdx> = cached.iter().map(|&(w, _)| w).collect();
+                windows.extend(hu.windows().filter(|&w| !hv.window_run(w).0.is_empty()));
                 for w in windows {
-                    let fresh = scorer.window_contribution(hu, hv, w, &mut unused);
+                    let (ru, rv) = (hu.window_run(w), hv.window_run(w));
+                    let fresh = scorer.window_contribution(w, ru, rv, &mut unused);
                     let want = (fresh != 0.0).then(|| fresh.to_bits());
                     let have = bits_at(cached, w);
                     if have == want {
@@ -544,8 +536,8 @@ impl RecomputeOracle {
                         continue;
                     }
                     let carried = prev_cached.is_some_and(|p| bits_at(p, w) == have)
-                        && prev_u.is_some_and(|p| p.bins_in(w) == hu.bins_in(w))
-                        && prev_v.is_some_and(|p| p.bins_in(w) == hv.bins_in(w));
+                        && prev_u.is_some_and(|p| p.window_run(w) == ru)
+                        && prev_v.is_some_and(|p| p.window_run(w) == rv);
                     if !carried {
                         return Err(format!(
                             "pair {pair:?} window {w}: cached {:?}, recomputed {fresh:?}, and it \
@@ -588,8 +580,8 @@ impl RecomputeOracle {
 }
 
 /// Same windows, same bins in each.
-fn same_bins(a: &MobilityHistory, b: &MobilityHistory) -> bool {
-    a.windows().eq(b.windows()) && a.windows().all(|w| a.bins_in(w) == b.bins_in(w))
+fn same_bins(a: EntityView<'_>, b: EntityView<'_>) -> bool {
+    (a.wins, a.cells, a.counts) == (b.wins, b.cells, b.counts)
 }
 
 /// A manually advanced monotone clock for rate-control tests. Cloning

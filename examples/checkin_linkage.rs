@@ -47,9 +47,12 @@ fn main() {
     let brute_time = t0.elapsed();
     let brute_m = evaluate_edges(&brute.links, &sample.ground_truth);
 
-    // LSH-filtered.
+    // LSH-filtered: the filter is cut at the prepared linkage's own
+    // windows and signs only the entities `prepare` kept, so no
+    // candidate names an entity the scorer dropped.
     let t0 = Instant::now();
-    let filter = LshFilter::build_auto(
+    let prepared = slim.prepare(&sample.left, &sample.right);
+    let filter = LshFilter::for_prepared(
         // Sparse check-ins need long query spans (24 h) so a span holds a
         // record at all, city-scale cells so co-captured stays agree, and
         // a low similarity threshold: with ~11 records over 26 spans most
@@ -63,10 +66,10 @@ fn main() {
         },
         &sample.left,
         &sample.right,
-        cfg.window_width_secs,
+        &prepared,
     );
     let candidates = filter.candidates();
-    let lsh = slim.link_with_candidates(&sample.left, &sample.right, &candidates);
+    let lsh = prepared.link_with_candidates(&candidates);
     let lsh_time = t0.elapsed();
     let lsh_m = evaluate_edges(&lsh.links, &sample.ground_truth);
 
@@ -88,6 +91,10 @@ fn main() {
     println!(
         "wall time        {:>10.2?}        {:>10.2?}",
         brute_time, lsh_time
+    );
+    println!(
+        "P / R            {:>5.3} / {:>5.3}     {:>5.3} / {:>5.3}",
+        brute_m.precision, brute_m.recall, lsh_m.precision, lsh_m.recall
     );
     println!(
         "F1               {:>12.3}      {:>12.3}  (relative {:.3})",

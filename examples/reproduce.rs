@@ -6,8 +6,8 @@
 //! cargo run --release --example reproduce -- --only fig8,fig9
 //! ```
 //!
-//! Prints one table per paper figure (2, 4-11). EXPERIMENTS.md records
-//! how the shapes compare with the published plots.
+//! Prints the scales it runs at, then one table per paper figure (2,
+//! 4-11); compare their shapes with the published plots.
 
 use slim::eval::figures::{self, RunSettings};
 

@@ -116,7 +116,7 @@ fn written_image(shards: usize, workers: usize) -> Vec<u8> {
 }
 
 #[test]
-fn drive_writes_the_parent_commits_bytes_on_every_topology_and_storage_mode() {
+fn drive_writes_the_parent_commits_bytes_on_every_topology() {
     for (shards, workers) in [(1usize, 1usize), (4, 2)] {
         let bytes = written_image(shards, workers);
         assert!(

@@ -9,7 +9,6 @@ use slim::core::matching::{greedy_max_matching, is_valid_matching, Edge};
 use slim::core::pairing::{all_pairs, mutually_furthest, mutually_nearest};
 use slim::core::proximity::proximity_of_distance;
 use slim::core::threshold::{otsu, two_means};
-use slim::core::tree::{merge_counts, CellCounts, TemporalTree};
 use slim::core::{
     record_cells, EntityId, LocationDataset, MobilityHistory, Record, Slim, SlimConfig, Timestamp,
     WindowScheme,
@@ -32,7 +31,7 @@ fn leaves_by_definition(
     scheme: &WindowScheme,
     level: u8,
     domain: u32,
-) -> std::collections::BTreeMap<u32, CellCounts> {
+) -> std::collections::BTreeMap<u32, Vec<(CellId, u32)>> {
     use std::collections::{BTreeMap, HashMap};
     let mut leaves: BTreeMap<u32, HashMap<CellId, u32>> = BTreeMap::new();
     for r in records {
@@ -44,7 +43,7 @@ fn leaves_by_definition(
     leaves
         .into_iter()
         .map(|(w, cells)| {
-            let mut bins: CellCounts = cells.into_iter().collect();
+            let mut bins: Vec<(CellId, u32)> = cells.into_iter().collect();
             bins.sort_by_key(|&(c, _)| c);
             (w, bins)
         })
@@ -138,8 +137,8 @@ proptest! {
         a in prop::collection::vec(arb_latlng(), 0..8),
         b in prop::collection::vec(arb_latlng(), 0..8),
     ) {
-        let bins = |v: &[LatLng]| -> Vec<(CellId, u32)> {
-            v.iter().map(|&ll| (CellId::from_latlng(ll, 12), 1)).collect()
+        let bins = |v: &[LatLng]| -> Vec<CellId> {
+            v.iter().map(|&ll| CellId::from_latlng(ll, 12)).collect()
         };
         let (ba, bb) = (bins(&a), bins(&b));
         let nn = mutually_nearest(&ba, &bb);
@@ -186,70 +185,6 @@ proptest! {
         prop_assert!(greedy_total <= opt + 1e-9);
     }
 
-    // ---- temporal tree ----
-
-    #[test]
-    fn tree_query_equals_naive_sum(
-        leaves in prop::collection::vec((0u32..32, 0u8..4, 1u32..5), 0..24),
-        lo in 0u32..32,
-        len in 0u32..32,
-    ) {
-        use std::collections::BTreeMap;
-        let cells: Vec<CellId> = (0..4)
-            .map(|k| CellId::from_latlng(LatLng::from_degrees(10.0, k as f64 * 10.0), 12))
-            .collect();
-        // Aggregate duplicate (window, cell) entries.
-        let mut per_window: BTreeMap<u32, BTreeMap<CellId, u32>> = BTreeMap::new();
-        for &(w, c, n) in &leaves {
-            *per_window.entry(w).or_default().entry(cells[c as usize]).or_insert(0) += n;
-        }
-        let tree = TemporalTree::build(
-            32,
-            per_window.iter().map(|(&w, m)| {
-                let mut v: Vec<(CellId, u32)> = m.iter().map(|(&c, &n)| (c, n)).collect();
-                v.sort_by_key(|&(c, _)| c);
-                (w, v)
-            }),
-        );
-        let hi = (lo + len).min(32);
-        let got = tree.query(lo, hi);
-        // Naive reference.
-        let mut want: BTreeMap<CellId, u32> = BTreeMap::new();
-        for (&w, m) in &per_window {
-            if w >= lo && w < hi {
-                for (&c, &n) in m {
-                    *want.entry(c).or_insert(0) += n;
-                }
-            }
-        }
-        let want: Vec<(CellId, u32)> = want.into_iter().collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn merge_counts_is_commutative(
-        a in prop::collection::vec((0u8..6, 1u32..9), 0..10),
-        b in prop::collection::vec((0u8..6, 1u32..9), 0..10),
-    ) {
-        use std::collections::BTreeMap;
-        let cells: Vec<CellId> = (0..6)
-            .map(|k| CellId::from_latlng(LatLng::from_degrees(-20.0, k as f64 * 7.0), 10))
-            .collect();
-        let to_counts = |v: &[(u8, u32)]| {
-            let mut m: BTreeMap<CellId, u32> = BTreeMap::new();
-            for &(c, n) in v {
-                *m.entry(cells[c as usize]).or_insert(0) += n;
-            }
-            m.into_iter().collect::<Vec<_>>()
-        };
-        let (ca, cb) = (to_counts(&a), to_counts(&b));
-        let mut ab = ca.clone();
-        merge_counts(&mut ab, &cb);
-        let mut ba = cb.clone();
-        merge_counts(&mut ba, &ca);
-        prop_assert_eq!(ab, ba);
-    }
-
     // ---- mobility histories ----
 
     #[test]
@@ -259,7 +194,6 @@ proptest! {
         // lie beyond the 32-window domain (the clamp), and the radii span
         // one to several level-16 cells.
         raw in prop::collection::vec((0i64..64, 0u8..5, 0u8..5, 0usize..5), 0..60),
-        ranges in prop::collection::vec((0u32..40, 0u32..40, 0usize..3), 1..8),
     ) {
         const LEVEL: u8 = 16;
         const DOMAIN: u32 = 32;
@@ -276,30 +210,14 @@ proptest! {
         let want = leaves_by_definition(&records, &scheme, LEVEL, DOMAIN);
 
         let built = MobilityHistory::build(EntityId(1), &records, &scheme, LEVEL, DOMAIN);
-        prop_assert_eq!(built.windows().collect::<Vec<_>>(), want.keys().copied().collect::<Vec<_>>());
-        for (&w, bins) in &want {
-            prop_assert_eq!(built.bins_in(w), &bins[..]);
+        let view = built.view();
+        prop_assert_eq!(view.windows().collect::<Vec<_>>(), want.keys().copied().collect::<Vec<_>>());
+        for (w, cells, counts) in view.runs() {
+            let run: Vec<(CellId, u32)> = cells.iter().copied().zip(counts.iter().copied()).collect();
+            prop_assert_eq!(&run, &want[&w]);
         }
         prop_assert_eq!(built.num_bins(), want.values().map(Vec::len).sum::<usize>());
         prop_assert_eq!(built.num_records() as usize, records.len());
-
-        // The tree a history builds on its first dominating-cell query is
-        // the eager one, whichever constructor made the history and
-        // whether a clone was taken before or after that query.
-        let tree = TemporalTree::build(DOMAIN, want.iter().map(|(&w, bins)| (w, bins.clone())));
-        let from_leaves = MobilityHistory::from_leaves(EntityId(1), want.clone(), records.len() as u32);
-        let cloned_before = built.clone();
-        for (i, &(lo, len, coarsen)) in ranges.iter().enumerate() {
-            let (hi, level) = (lo + len, [LEVEL, 12, 8][coarsen]);
-            let expect = tree.dominating_cell(lo, hi, level);
-            prop_assert_eq!(built.dominating_cell(lo, hi, level), expect);
-            prop_assert_eq!(from_leaves.dominating_cell(lo, hi, level), expect);
-            prop_assert_eq!(cloned_before.dominating_cell(lo, hi, level), expect);
-            if i == 0 {
-                let cloned_after = built.clone();
-                prop_assert_eq!(cloned_after.dominating_cell(lo, hi, level), expect);
-            }
-        }
     }
 
     #[test]
@@ -336,10 +254,10 @@ proptest! {
                 );
                 if domain == side.domain() {
                     let history = side.history(e).unwrap();
-                    prop_assert_eq!(signature_from_bins(history, domain, step), via_records);
+                    prop_assert_eq!(signature_from_bins(e, history.view(), domain, step), via_records);
                 } else {
                     let history = MobilityHistory::build(e, left.records_of(e), side.scheme(), level, domain);
-                    prop_assert_eq!(signature_from_bins(&history, domain, step), via_records);
+                    prop_assert_eq!(signature_from_bins(e, history.view(), domain, step), via_records);
                 }
             }
         }
