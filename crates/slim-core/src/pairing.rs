@@ -10,8 +10,8 @@
 //!
 //! Each side is one window's cell column
 //! ([`crate::arena::EntityView::window_run`]); pairing reads nothing
-//! else. The kernel reads each cell's geometry from a per-thread memo keyed
-//! under [`crate::fasthash`]: center, exact radius, and the cosine of
+//! else. The kernel reads each cell's geometry from a per-thread memo
+//! keyed under [`crate::fasthash`]: center, exact radius, and the cosine of
 //! the center's latitude ([`CellGeometry`]), so a distance is one
 //! haversine with no `cos` and no SipHash probe. The haversine is the
 //! body `LatLng::distance_m` runs, so every distance keeps the bits of
