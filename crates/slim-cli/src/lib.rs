@@ -4,6 +4,14 @@
 //! — no CLI dependency is sanctioned for this project) and the run logic,
 //! split out so both can be unit-tested.
 //!
+//! Every flag is one row of a table: `(flag, value name, mode, help)`,
+//! where the mode says whether the flag turns on the LSH filter, the
+//! streaming engine, or neither. `parse_args` looks each argument up in
+//! the table and hands its value to one setter `match`; `--help`
+//! ([`USAGE`]) is rendered from the same rows, with every
+//! `[default: …]` read back from the `Default` impls of the options it
+//! sets, so the text cannot drift from the code.
+//!
 //! ```text
 //! slim-link LEFT.csv RIGHT.csv [options]
 //! slim-link --stream LEFT.csv RIGHT.csv [options]   # replay as an event stream
@@ -15,6 +23,7 @@
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
+use std::sync::LazyLock;
 
 use slim_core::{MatchingMethod, SlimConfig, ThresholdMethod};
 use slim_stream::TickPolicy;
@@ -175,8 +184,108 @@ pub struct CliOptions {
     pub verbose: bool,
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// Which run mode a flag turns on: `Batch` flags turn on none (they
+/// configure the linkage every mode runs, or the output).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Batch,
+    Lsh,
+    Stream,
+}
+use Mode::{Batch, Lsh, Stream};
+
+/// The flag table, one `(flag, value name, mode, help)` row per flag; a
+/// switch has an empty value name. `parse_args` looks flags up here,
+/// [`set`] writes their values, and [`USAGE`] is rendered from it with
+/// the defaults [`shown_default`] reads back from the `Default` impls.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &str, Mode, &str)] = &[
+    ("--window-mins", "N", Batch, "temporal window width in minutes"),
+    ("--level", "N", Batch, "spatial grid level (0-30)"),
+    ("--b", "F", Batch, "length-normalization strength"),
+    ("--speed-kmh", "F", Batch, "max entity speed for alibis"),
+    ("--threshold", "METHOD", Batch, "gmm | otsu | 2means | none"),
+    ("--exact-matching", "", Batch, "exact Hungarian instead of greedy"),
+    ("--lsh", "", Lsh, "enable the LSH candidate filter"),
+    ("--lsh-threshold", "F", Lsh, "LSH similarity threshold"),
+    ("--lsh-step", "N", Lsh, "query span in windows"),
+    ("--lsh-level", "N", Lsh, "dominating-cell spatial level"),
+    ("--buckets", "N", Lsh, "LSH bucket count"),
+    ("--stream", "", Stream, "replay the CSVs as a timestamped event stream through the \
+        incremental engine, reporting link updates at each refresh tick"),
+    ("--stream-window", "N", Stream, "sliding window in temporal windows; 0 keeps the full \
+        history"),
+    ("--refresh-every", "N", Stream, "events between refresh ticks"),
+    ("--batch-size", "N", Stream, "ingest batch size for sharded binning"),
+    ("--shards", "N", Stream, "engine state shards (the state partition); output is \
+        bit-identical for every value; 0 = one per core"),
+    ("--workers", "N", Stream, "persistent worker-pool size executing chunked shard work with \
+        work stealing — decoupled from --shards, so a hot shard is drained by every free \
+        worker; output is bit-identical for every value; 0 = one per core"),
+    ("--source", "MODE", Stream, "ingestion front-end: csv (replay the two CSVs), tcp (tail a \
+        live feed at the HOST:PORT given in place of the dataset paths), or synthetic (a \
+        generated live workload)"),
+    ("--wire", "FORMAT", Stream, "--source tcp line format: csv (side,entity,lat,lng,ts[,acc]) \
+        or jsonl (one flat JSON object per line)"),
+    ("--connections", "N", Stream, "--source tcp multi-connection mode: listen at HOST:PORT and \
+        accept exactly N client feeds, fanned into the engine with per-connection watermarks \
+        merged into a global frontier; 0 = dial HOST:PORT as a single client"),
+    ("--idle-timeout", "SECS", Stream, "evict a connection from the watermark frontier after \
+        SECS without an event, so one stalled client cannot freeze event time; revived \
+        connections re-merge, their too-old events are counted late; 0 = wait forever"),
+    ("--tick-policy", "SPEC", Stream, "when refresh ticks fire while draining the source: \
+        every:N (ingested events), event-time:S (stream seconds), or watermark:LAG (buffer \
+        out-of-order events up to LAG seconds and tick as temporal windows seal)"),
+    ("--queue-cap", "N", Stream, "bounded ingest queue capacity in events; a full queue blocks \
+        the feed — counted backpressure, never dropped events"),
+    ("--max-lag", "SECS", Stream, "out-of-order tolerance of the ingest reorder buffer in \
+        event-time seconds, independent of the tick policy; older arrivals are counted late \
+        and dropped"),
+    ("--rate", "F", Stream, "synthetic source pacing in events/s; 0 = unthrottled"),
+    ("--synthetic-scale", "F", Stream, "synthetic workload scale"),
+    ("--synthetic-seed", "N", Stream, "synthetic workload seed"),
+    ("--metrics-every", "N", Stream, "events between telemetry snapshots while streaming; each \
+        snapshot is one flat JSONL line on stderr (or --metrics-file) and refreshes the \
+        --metrics-addr page; output is bit-identical for every cadence; 0 = periodic snapshots \
+        off"),
+    ("--metrics-file", "FILE", Stream, "write JSONL metrics snapshots to FILE instead of \
+        stderr; a final snapshot matching the summary counters closes the stream (implies \
+        --stream)"),
+    ("--metrics-addr", "ADDR", Stream, "serve the latest snapshot as Prometheus text exposition \
+        over HTTP at ADDR (host:port, e.g. 127.0.0.1:9898; port 0 picks one — the bound address \
+        is logged with --verbose; implies --stream)"),
+    ("--serve", "ADDR", Stream, "answer link queries over TCP at ADDR while ingesting, from the \
+        epoch snapshot published at each refresh tick (line protocol: LINKS ENTITY, THRESHOLD, \
+        EPOCH; one reply per line; port 0 picks one — the bound address is logged with \
+        --verbose; implies --stream)"),
+    ("--checkpoint-dir", "DIR", Stream, "write crash-recovery checkpoints into DIR (CRC-framed, \
+        written atomically: temp file + fsync + rename; implies --stream)"),
+    ("--checkpoint-every", "N", Stream, "events between checkpoints; requires --checkpoint-dir; \
+        output is bit-identical at every cadence; 0 = off"),
+    ("--checkpoint-keep", "K", Stream, "keep the newest K checkpoint files, pruning older ones \
+        after each write; >= 2 leaves a fall-back for a torn newest"),
+    ("--recover", "", Stream, "resume from the newest valid checkpoint in --checkpoint-dir \
+        (falling back past torn or corrupt files), skip the already-consumed event prefix, and \
+        continue bit-identically to a run that never crashed"),
+    ("--out", "FILE", Batch, "write links CSV here (default: stdout)"),
+    ("--demo", "DIR", Batch, "generate a synthetic dataset pair in DIR, then link it"),
+    ("--verbose", "", Batch, "progress output on stderr"),
+    ("--help", "", Batch, "this text"),
+];
+
+/// The `--threshold` spellings.
+const THRESHOLDS: [(&str, ThresholdMethod); 4] = [
+    ("gmm", ThresholdMethod::GmmExpectedF1),
+    ("otsu", ThresholdMethod::Otsu),
+    ("2means", ThresholdMethod::TwoMeans),
+    ("none", ThresholdMethod::None),
+];
+
+/// Usage text: a fixed head, then one entry per [`FLAGS`] row with its
+/// help wrapped from column 25 and its `[default: …]` at column 60.
+pub static USAGE: LazyLock<String> = LazyLock::new(|| {
+    let mut text = String::from(
+        "\
 slim-link — link the entities of two location datasets (SLIM, SIGMOD'20)
 
 USAGE:
@@ -190,403 +299,188 @@ CSV format: entity_id,latitude,longitude,timestamp[,accuracy_m]
 TCP feed format (one event per line): side(L|R),entity_id,latitude,longitude,timestamp[,accuracy_m]
 
 OPTIONS:
-    --window-mins N      temporal window width in minutes   [default: 15]
-    --level N            spatial grid level (0-30)          [default: 12]
-    --b F                length-normalization strength      [default: 0.5]
-    --speed-kmh F        max entity speed for alibis        [default: 120]
-    --threshold METHOD   gmm | otsu | 2means | none         [default: gmm]
-    --exact-matching     exact Hungarian instead of greedy
-    --lsh                enable the LSH candidate filter
-    --lsh-threshold F    LSH similarity threshold           [default: 0.6]
-    --lsh-step N         query span in windows              [default: 48]
-    --lsh-level N        dominating-cell spatial level      [default: 16]
-    --buckets N          LSH bucket count                   [default: 4096]
-    --stream             replay the CSVs as a timestamped event stream
-                         through the incremental engine, reporting link
-                         updates at each refresh tick
-    --stream-window N    sliding window in temporal windows; 0 keeps the
-                         full history                       [default: 0]
-    --refresh-every N    events between refresh ticks       [default: 10000]
-    --batch-size N       ingest batch size for sharded
-                         binning                            [default: 8192]
-    --shards N           engine state shards (the state partition);
-                         output is bit-identical for every value;
-                         0 = one per core                 [default: 0]
-    --workers N          persistent worker-pool size executing chunked
-                         shard work with work stealing — decoupled from
-                         --shards, so a hot shard is drained by every
-                         free worker; output is bit-identical for every
-                         value; 0 = one per core          [default: 0]
-    --source MODE        ingestion front-end: csv (replay the two CSVs),
-                         tcp (tail a live feed at the HOST:PORT given in
-                         place of the dataset paths), or synthetic (a
-                         generated live workload)         [default: csv]
-    --wire FORMAT        --source tcp line format: csv
-                         (side,entity,lat,lng,ts[,acc]) or jsonl (one
-                         flat JSON object per line)       [default: csv]
-    --connections N      --source tcp multi-connection mode: listen at
-                         HOST:PORT and accept exactly N client feeds,
-                         fanned into the engine with per-connection
-                         watermarks merged into a global frontier;
-                         0 = dial HOST:PORT as a single client
-                                                          [default: 0]
-    --idle-timeout SECS  evict a connection from the watermark frontier
-                         after SECS without an event, so one stalled
-                         client cannot freeze event time; revived
-                         connections re-merge, their too-old events are
-                         counted late; 0 = wait forever   [default: 0]
-    --tick-policy SPEC   when refresh ticks fire while draining the
-                         source: every:N (ingested events), event-time:S
-                         (stream seconds), or watermark:LAG (buffer out-
-                         of-order events up to LAG seconds and tick as
-                         temporal windows seal)   [default: every:10000]
-    --queue-cap N        bounded ingest queue capacity in events; a full
-                         queue blocks the feed — counted backpressure,
-                         never dropped events          [default: 65536]
-    --max-lag SECS       out-of-order tolerance of the ingest reorder
-                         buffer in event-time seconds, independent of
-                         the tick policy; older arrivals are counted
-                         late and dropped                 [default: 0]
-    --rate F             synthetic source pacing in events/s;
-                         0 = unthrottled                  [default: 0]
-    --synthetic-scale F  synthetic workload scale         [default: 0.05]
-    --synthetic-seed N   synthetic workload seed          [default: 42]
-    --metrics-every N    events between telemetry snapshots while
-                         streaming; each snapshot is one flat JSONL
-                         line on stderr (or --metrics-file) and
-                         refreshes the --metrics-addr page; output is
-                         bit-identical for every cadence; 0 = periodic
-                         snapshots off                    [default: 0]
-    --metrics-file FILE  write JSONL metrics snapshots to FILE instead
-                         of stderr; a final snapshot matching the
-                         summary counters closes the stream (implies
-                         --stream)
-    --metrics-addr ADDR  serve the latest snapshot as Prometheus text
-                         exposition over HTTP at ADDR (host:port, e.g.
-                         127.0.0.1:9898; port 0 picks one — the bound
-                         address is logged with --verbose; implies
-                         --stream)
-    --serve ADDR         answer link queries over TCP at ADDR while
-                         ingesting, from the epoch snapshot published at
-                         each refresh tick (line protocol: LINKS ENTITY,
-                         THRESHOLD, EPOCH; one reply per line; port 0
-                         picks one — the bound address is logged with
-                         --verbose; implies --stream)
-    --checkpoint-dir DIR write crash-recovery checkpoints into DIR
-                         (CRC-framed, written atomically: temp file +
-                         fsync + rename; implies --stream)
-    --checkpoint-every N events between checkpoints; requires
-                         --checkpoint-dir; output is bit-identical at
-                         every cadence; 0 = off          [default: 0]
-    --checkpoint-keep K  keep the newest K checkpoint files, pruning
-                         older ones after each write; >= 2 leaves a
-                         fall-back for a torn newest    [default: 2]
-    --recover            resume from the newest valid checkpoint in
-                         --checkpoint-dir (falling back past torn or
-                         corrupt files), skip the already-consumed
-                         event prefix, and continue bit-identically to
-                         a run that never crashed
-    --out FILE           write links CSV here (default: stdout)
-    --demo DIR           generate a synthetic dataset pair in DIR, then link it
-    --verbose            progress output on stderr
-    --help               this text
-";
+",
+    );
+    let width = |s: &str| s.chars().count();
+    for &(flag, value, _, help) in FLAGS {
+        let mut line = format!("    {:<20}", format!("{flag} {value}").trim_end());
+        for word in help.split_whitespace() {
+            if width(&line) + 1 + width(word) > 76 {
+                text += &format!("{line}\n");
+                line = " ".repeat(24);
+            }
+            line += &format!(" {word}");
+        }
+        if let Some(default) = shown_default(flag) {
+            if width(&line) >= 60 {
+                text += &format!("{line}\n");
+                line.clear();
+            }
+            line = format!("{line:60}[default: {default}]");
+        }
+        text += &format!("{line}\n");
+    }
+    text
+});
+
+/// The `[default: …]` a flag's `--help` entry shows, read from the
+/// `Default` impls (`None` for a switch or an unset path).
+fn shown_default(flag: &str) -> Option<String> {
+    let (c, l, s) = (
+        SlimConfig::default(),
+        slim_lsh::LshConfig::default(),
+        StreamOptions::default(),
+    );
+    Some(match flag {
+        "--window-mins" => (c.window_width_secs / 60).to_string(),
+        "--level" => c.spatial_level.to_string(),
+        "--b" => c.b.to_string(),
+        // m/s → km/h, rounded past the conversion's float noise.
+        "--speed-kmh" => ((c.max_speed_m_per_s * 3.6e6).round() / 1e6).to_string(),
+        "--threshold" => THRESHOLDS
+            .iter()
+            .find(|t| t.1 == c.threshold_method)?
+            .0
+            .to_string(),
+        "--lsh-threshold" => l.threshold.to_string(),
+        "--lsh-step" => l.step_windows.to_string(),
+        "--lsh-level" => l.spatial_level.to_string(),
+        "--buckets" => l.num_buckets.to_string(),
+        "--stream-window" => s.window_capacity.unwrap_or(0).to_string(),
+        "--refresh-every" => s.refresh_every.to_string(),
+        "--batch-size" => s.batch_size.to_string(),
+        "--shards" => s.num_shards.to_string(),
+        "--workers" => s.num_workers.to_string(),
+        "--source" => s.source.label().to_string(),
+        "--wire" => s.wire.label().to_string(),
+        "--connections" => s.connections.to_string(),
+        "--idle-timeout" => s.idle_timeout_secs.to_string(),
+        "--tick-policy" => format!("every:{}", s.refresh_every),
+        "--queue-cap" => s.queue_cap.to_string(),
+        "--max-lag" => s.max_lag_secs.to_string(),
+        "--rate" => s.rate.to_string(),
+        "--synthetic-scale" => s.synthetic_scale.to_string(),
+        "--synthetic-seed" => s.synthetic_seed.to_string(),
+        "--metrics-every" => s.metrics_every.to_string(),
+        "--checkpoint-every" => s.checkpoint_every.to_string(),
+        "--checkpoint-keep" => s.checkpoint_keep.to_string(),
+        _ => return None,
+    })
+}
+
+/// Writes one flag's value (`""` for a switch) into the options it
+/// configures, rejecting a value outside the flag's range.
+fn set(
+    flag: &str,
+    v: &str,
+    o: &mut CliOptions,
+    lsh: &mut slim_lsh::LshConfig,
+    s: &mut StreamOptions,
+) -> Result<(), String> {
+    fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| format!("bad {flag} `{v}`"))
+    }
+    fn pick<T: Copy>(flag: &str, v: &str, names: &[(&str, T)]) -> Result<T, String> {
+        let names_list: Vec<&str> = names.iter().map(|n| n.0).collect();
+        let found = names.iter().find(|n| n.0 == v).map(|n| n.1);
+        found.ok_or_else(|| format!("unknown {flag} `{v}` ({})", names_list.join(" | ")))
+    }
+    fn checked<T>(flag: &str, v: T, ok: impl Fn(&T) -> bool, rule: &str) -> Result<T, String> {
+        ok(&v).then_some(v).ok_or(format!("{flag} must be {rule}"))
+    }
+    match flag {
+        "--window-mins" => {
+            let secs = num::<i64>(flag, v)?.checked_mul(60);
+            o.config.window_width_secs = secs.ok_or(format!("{flag} `{v}` is too large"))?;
+        }
+        "--level" => o.config.spatial_level = num(flag, v)?,
+        "--b" => o.config.b = num(flag, v)?,
+        "--speed-kmh" => o.config.max_speed_m_per_s = num::<f64>(flag, v)? * 1000.0 / 3600.0,
+        "--threshold" => o.config.threshold_method = pick(flag, v, &THRESHOLDS)?,
+        "--exact-matching" => o.config.matching_method = MatchingMethod::HungarianExact,
+        "--lsh-threshold" => lsh.threshold = num(flag, v)?,
+        "--lsh-step" => lsh.step_windows = num(flag, v)?,
+        "--lsh-level" => lsh.spatial_level = num(flag, v)?,
+        "--buckets" => lsh.num_buckets = num(flag, v)?,
+        "--stream-window" => s.window_capacity = Some(num(flag, v)?).filter(|&w| w > 0),
+        "--refresh-every" => s.refresh_every = num(flag, v)?,
+        "--batch-size" => s.batch_size = checked(flag, num(flag, v)?, |&n| n > 0, "positive")?,
+        "--shards" => s.num_shards = num(flag, v)?,
+        "--workers" => s.num_workers = num(flag, v)?,
+        "--source" => {
+            let kinds = [SourceKind::Csv, SourceKind::Tcp, SourceKind::Synthetic];
+            s.source = pick(flag, v, &kinds.map(|k| (k.label(), k)))?;
+        }
+        "--wire" => {
+            let wires = [slim_stream::WireFormat::Csv, slim_stream::WireFormat::Jsonl];
+            s.wire = pick(flag, v, &wires.map(|w| (w.label(), w)))?;
+        }
+        "--connections" => s.connections = num(flag, v)?,
+        "--idle-timeout" => s.idle_timeout_secs = num(flag, v)?,
+        "--tick-policy" => s.tick_policy = Some(parse_tick_policy(v)?),
+        "--queue-cap" => s.queue_cap = checked(flag, num(flag, v)?, |&n| n > 0, "positive")?,
+        "--max-lag" => s.max_lag_secs = checked(flag, num(flag, v)?, |&l| l >= 0, "non-negative")?,
+        "--rate" => {
+            let ok = |r: &f64| r.is_finite() && *r >= 0.0;
+            s.rate = checked(flag, num(flag, v)?, ok, "a non-negative number")?;
+        }
+        "--synthetic-scale" => {
+            let ok = |x: &f64| *x > 0.0 && *x <= 4.0;
+            s.synthetic_scale = checked(flag, num(flag, v)?, ok, "in (0, 4]")?;
+        }
+        "--synthetic-seed" => s.synthetic_seed = num(flag, v)?,
+        "--metrics-every" => s.metrics_every = num(flag, v)?,
+        "--metrics-file" => o.metrics_file = Some(PathBuf::from(v)),
+        "--metrics-addr" => o.metrics_addr = Some(v.to_string()),
+        "--serve" => o.serve_addr = Some(v.to_string()),
+        "--checkpoint-dir" => o.checkpoint_dir = Some(PathBuf::from(v)),
+        "--checkpoint-every" => s.checkpoint_every = num(flag, v)?,
+        "--checkpoint-keep" => {
+            s.checkpoint_keep = checked(flag, num(flag, v)?, |&k| k > 0, "positive")?;
+        }
+        "--recover" => o.recover = true,
+        "--out" => o.out = Some(PathBuf::from(v)),
+        "--demo" => o.demo = Some(PathBuf::from(v)),
+        "--verbose" => o.verbose = true,
+        // These only turn their mode on.
+        "--lsh" | "--stream" => {}
+        _ => unreachable!("{flag} has a FLAGS row but no setter"),
+    }
+    Ok(())
+}
 
 /// Parses arguments (excluding `argv[0]`).
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut lsh_cfg = slim_lsh::LshConfig::default();
-    let mut want_lsh = false;
     let mut stream_opts = StreamOptions::default();
-    let mut want_stream = false;
+    let (mut want_lsh, mut want_stream) = (false, false);
     let mut positional: Vec<PathBuf> = Vec::new();
 
-    let mut i = 0;
-    let take_value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while i < args.len() {
-        let arg = args[i].as_str();
-        match arg {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--verbose" | "-v" => {
-                opts.verbose = true;
-                i += 1;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = match arg.as_str() {
+            "-h" => "--help",
+            "-v" => "--verbose",
+            other => other,
+        };
+        let Some(&(flag, value, mode, _)) = FLAGS.iter().find(|row| row.0 == name) else {
+            if name.starts_with('-') {
+                return Err(format!("unknown option `{name}`\n\n{}", *USAGE));
             }
-            "--lsh" => {
-                want_lsh = true;
-                i += 1;
-            }
-            "--stream" => {
-                want_stream = true;
-                i += 1;
-            }
-            "--stream-window" => {
-                let v = take_value(args, i, arg)?;
-                let w: u32 = v
-                    .parse()
-                    .map_err(|_| format!("bad --stream-window `{v}`"))?;
-                stream_opts.window_capacity = (w > 0).then_some(w);
-                want_stream = true;
-                i += 2;
-            }
-            "--refresh-every" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.refresh_every = v
-                    .parse()
-                    .map_err(|_| format!("bad --refresh-every `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--batch-size" => {
-                let v = take_value(args, i, arg)?;
-                let n: usize = v.parse().map_err(|_| format!("bad --batch-size `{v}`"))?;
-                if n == 0 {
-                    return Err("--batch-size must be positive".to_string());
-                }
-                stream_opts.batch_size = n;
-                want_stream = true;
-                i += 2;
-            }
-            "--shards" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.num_shards = v.parse().map_err(|_| format!("bad --shards `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--workers" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.num_workers = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--wire" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.wire = match v.as_str() {
-                    "csv" => slim_stream::WireFormat::Csv,
-                    "jsonl" => slim_stream::WireFormat::Jsonl,
-                    other => return Err(format!("unknown wire format `{other}` (csv | jsonl)")),
-                };
-                want_stream = true;
-                i += 2;
-            }
-            "--connections" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.connections =
-                    v.parse().map_err(|_| format!("bad --connections `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--idle-timeout" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.idle_timeout_secs =
-                    v.parse().map_err(|_| format!("bad --idle-timeout `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--source" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.source = match v.as_str() {
-                    "csv" => SourceKind::Csv,
-                    "tcp" => SourceKind::Tcp,
-                    "synthetic" => SourceKind::Synthetic,
-                    other => {
-                        return Err(format!("unknown source `{other}` (csv | tcp | synthetic)"))
-                    }
-                };
-                want_stream = true;
-                i += 2;
-            }
-            "--tick-policy" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.tick_policy = Some(parse_tick_policy(&v)?);
-                want_stream = true;
-                i += 2;
-            }
-            "--queue-cap" => {
-                let v = take_value(args, i, arg)?;
-                let n: usize = v.parse().map_err(|_| format!("bad --queue-cap `{v}`"))?;
-                if n == 0 {
-                    return Err("--queue-cap must be positive".to_string());
-                }
-                stream_opts.queue_cap = n;
-                want_stream = true;
-                i += 2;
-            }
-            "--max-lag" => {
-                let v = take_value(args, i, arg)?;
-                let lag: i64 = v.parse().map_err(|_| format!("bad --max-lag `{v}`"))?;
-                if lag < 0 {
-                    return Err("--max-lag must be non-negative".to_string());
-                }
-                stream_opts.max_lag_secs = lag;
-                want_stream = true;
-                i += 2;
-            }
-            "--rate" => {
-                let v = take_value(args, i, arg)?;
-                let r: f64 = v.parse().map_err(|_| format!("bad --rate `{v}`"))?;
-                if !(r.is_finite() && r >= 0.0) {
-                    return Err("--rate must be a non-negative number".to_string());
-                }
-                stream_opts.rate = r;
-                want_stream = true;
-                i += 2;
-            }
-            "--synthetic-scale" => {
-                let v = take_value(args, i, arg)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --synthetic-scale `{v}`"))?;
-                if !(s > 0.0 && s <= 4.0) {
-                    return Err("--synthetic-scale must be in (0, 4]".to_string());
-                }
-                stream_opts.synthetic_scale = s;
-                want_stream = true;
-                i += 2;
-            }
-            "--synthetic-seed" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.synthetic_seed = v
-                    .parse()
-                    .map_err(|_| format!("bad --synthetic-seed `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--metrics-every" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.metrics_every = v
-                    .parse()
-                    .map_err(|_| format!("bad --metrics-every `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--metrics-file" => {
-                opts.metrics_file = Some(PathBuf::from(take_value(args, i, arg)?));
-                want_stream = true;
-                i += 2;
-            }
-            "--metrics-addr" => {
-                opts.metrics_addr = Some(take_value(args, i, arg)?);
-                want_stream = true;
-                i += 2;
-            }
-            "--serve" => {
-                opts.serve_addr = Some(take_value(args, i, arg)?);
-                want_stream = true;
-                i += 2;
-            }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(PathBuf::from(take_value(args, i, arg)?));
-                want_stream = true;
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                let v = take_value(args, i, arg)?;
-                stream_opts.checkpoint_every = v
-                    .parse()
-                    .map_err(|_| format!("bad --checkpoint-every `{v}`"))?;
-                want_stream = true;
-                i += 2;
-            }
-            "--checkpoint-keep" => {
-                let v = take_value(args, i, arg)?;
-                let k: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --checkpoint-keep `{v}`"))?;
-                if k == 0 {
-                    return Err("--checkpoint-keep must be positive".to_string());
-                }
-                stream_opts.checkpoint_keep = k;
-                want_stream = true;
-                i += 2;
-            }
-            "--recover" => {
-                opts.recover = true;
-                want_stream = true;
-                i += 1;
-            }
-            "--exact-matching" => {
-                opts.config.matching_method = MatchingMethod::HungarianExact;
-                i += 1;
-            }
-            "--window-mins" => {
-                let v = take_value(args, i, arg)?;
-                let mins: i64 = v.parse().map_err(|_| format!("bad --window-mins `{v}`"))?;
-                opts.config.window_width_secs = mins * 60;
-                i += 2;
-            }
-            "--level" => {
-                let v = take_value(args, i, arg)?;
-                opts.config.spatial_level = v.parse().map_err(|_| format!("bad --level `{v}`"))?;
-                i += 2;
-            }
-            "--b" => {
-                let v = take_value(args, i, arg)?;
-                opts.config.b = v.parse().map_err(|_| format!("bad --b `{v}`"))?;
-                i += 2;
-            }
-            "--speed-kmh" => {
-                let v = take_value(args, i, arg)?;
-                let kmh: f64 = v.parse().map_err(|_| format!("bad --speed-kmh `{v}`"))?;
-                opts.config.max_speed_m_per_s = kmh * 1000.0 / 3600.0;
-                i += 2;
-            }
-            "--threshold" => {
-                let v = take_value(args, i, arg)?;
-                opts.config.threshold_method = match v.as_str() {
-                    "gmm" => ThresholdMethod::GmmExpectedF1,
-                    "otsu" => ThresholdMethod::Otsu,
-                    "2means" => ThresholdMethod::TwoMeans,
-                    "none" => ThresholdMethod::None,
-                    other => return Err(format!("unknown threshold method `{other}`")),
-                };
-                i += 2;
-            }
-            "--lsh-threshold" => {
-                let v = take_value(args, i, arg)?;
-                lsh_cfg.threshold = v
-                    .parse()
-                    .map_err(|_| format!("bad --lsh-threshold `{v}`"))?;
-                want_lsh = true;
-                i += 2;
-            }
-            "--lsh-step" => {
-                let v = take_value(args, i, arg)?;
-                lsh_cfg.step_windows = v.parse().map_err(|_| format!("bad --lsh-step `{v}`"))?;
-                want_lsh = true;
-                i += 2;
-            }
-            "--lsh-level" => {
-                let v = take_value(args, i, arg)?;
-                lsh_cfg.spatial_level = v.parse().map_err(|_| format!("bad --lsh-level `{v}`"))?;
-                want_lsh = true;
-                i += 2;
-            }
-            "--buckets" => {
-                let v = take_value(args, i, arg)?;
-                lsh_cfg.num_buckets = v.parse().map_err(|_| format!("bad --buckets `{v}`"))?;
-                want_lsh = true;
-                i += 2;
-            }
-            "--out" => {
-                opts.out = Some(PathBuf::from(take_value(args, i, arg)?));
-                i += 2;
-            }
-            "--demo" => {
-                opts.demo = Some(PathBuf::from(take_value(args, i, arg)?));
-                i += 2;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`\n\n{USAGE}"));
-            }
-            _ => {
-                positional.push(PathBuf::from(arg));
-                i += 1;
-            }
+            positional.push(PathBuf::from(arg));
+            continue;
+        };
+        if flag == "--help" {
+            return Err(USAGE.to_string());
         }
+        let v = match value {
+            "" => "",
+            _ => args.next().ok_or(format!("{flag} requires a value"))?,
+        };
+        set(flag, v, &mut opts, &mut lsh_cfg, &mut stream_opts)?;
+        want_lsh |= mode == Lsh;
+        want_stream |= mode == Stream;
     }
 
     if opts.demo.is_none() {
@@ -602,8 +496,9 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             SourceKind::Csv => {
                 if positional.len() != 2 {
                     return Err(format!(
-                        "expected exactly two dataset paths, got {}\n\n{USAGE}",
-                        positional.len()
+                        "expected exactly two dataset paths, got {}\n\n{}",
+                        positional.len(),
+                        *USAGE
                     ));
                 }
                 opts.right = Some(positional.pop().unwrap());
@@ -628,34 +523,27 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         return Err("--demo takes no dataset paths".to_string());
     }
     if want_lsh {
+        lsh_cfg.validate()?;
         opts.lsh = Some(lsh_cfg);
     }
     if want_stream {
-        if opts.demo.is_some() {
-            return Err("--stream cannot be combined with --demo".to_string());
-        }
-        if stream_opts.connections > 0 && stream_opts.source != SourceKind::Tcp {
-            return Err("--connections requires --source tcp".to_string());
-        }
-        if stream_opts.idle_timeout_secs > 0 && stream_opts.connections == 0 {
-            return Err(
-                "--idle-timeout requires --connections (a single feed has no other \
-                 connection to hold up)"
-                    .to_string(),
-            );
-        }
-        if stream_opts.checkpoint_every > 0 && opts.checkpoint_dir.is_none() {
-            return Err("--checkpoint-every requires --checkpoint-dir".to_string());
-        }
-        if opts.recover && opts.checkpoint_dir.is_none() {
-            return Err("--recover requires --checkpoint-dir".to_string());
-        }
-        if opts.checkpoint_dir.is_some() && stream_opts.connections > 0 {
-            return Err(
-                "checkpointing needs a replayable source: --checkpoint-dir cannot be \
-                 combined with --connections (N sockets cannot replay their accepted prefix)"
-                    .to_string(),
-            );
+        let s = &stream_opts;
+        let no_dir = opts.checkpoint_dir.is_none();
+        // The cross-flag rules, first broken one reported.
+        #[rustfmt::skip]
+        let rules = [
+            (opts.demo.is_some(), "--stream cannot be combined with --demo"),
+            (s.connections > 0 && s.source != SourceKind::Tcp, "--connections requires --source tcp"),
+            (s.idle_timeout_secs > 0 && s.connections == 0, "--idle-timeout requires --connections \
+                (a single feed has no other connection to hold up)"),
+            (s.checkpoint_every > 0 && no_dir, "--checkpoint-every requires --checkpoint-dir"),
+            (opts.recover && no_dir, "--recover requires --checkpoint-dir"),
+            (!no_dir && s.connections > 0, "checkpointing needs a replayable source: \
+                --checkpoint-dir cannot be combined with --connections (N sockets cannot replay \
+                their accepted prefix)"),
+        ];
+        if let Some((_, broken)) = rules.iter().find(|rule| rule.0) {
+            return Err(broken.to_string());
         }
         opts.stream = Some(stream_opts);
     }
@@ -791,7 +679,7 @@ pub fn run(opts: &CliOptions) -> Result<String, String> {
         None => prepared.link(),
     };
 
-    let mut summary = format!(
+    let summary = format!(
         "{} links ({} matched, {} positive edges, {} pairs scored) in {:.2?}\n",
         output.links.len(),
         output.matching.len(),
@@ -799,24 +687,34 @@ pub fn run(opts: &CliOptions) -> Result<String, String> {
         output.stats.scored_entity_pairs,
         output.elapsed
     );
+    finish(summary, &output, opts)
+}
+
+/// The tail both modes share: the stop-threshold line, then the links
+/// CSV, written to `--out` or appended to the summary.
+fn finish(
+    mut summary: String,
+    output: &slim_core::LinkageOutput,
+    opts: &CliOptions,
+) -> Result<String, String> {
+    use slim_core::io::write_links_csv;
     if let Some(t) = &output.threshold {
         summary.push_str(&format!(
             "stop threshold {:.2} (expected precision {:.3}, recall {:.3})\n",
             t.threshold, t.expected_precision, t.expected_recall
         ));
     }
-
     match &opts.out {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("creating {}: {e}", path.display()))?;
-            io::write_links_csv(std::io::BufWriter::new(file), &output.links)
+            write_links_csv(std::io::BufWriter::new(file), &output.links)
                 .map_err(|e| e.to_string())?;
             summary.push_str(&format!("links written to {}\n", path.display()));
         }
         None => {
             let mut buf = Vec::new();
-            io::write_links_csv(&mut buf, &output.links).map_err(|e| e.to_string())?;
+            write_links_csv(&mut buf, &output.links).map_err(|e| e.to_string())?;
             summary.push_str(&String::from_utf8_lossy(&buf));
         }
     }
@@ -857,7 +755,7 @@ fn run_stream(
     stream_opts: &StreamOptions,
     datasets: Option<(&slim_core::LocationDataset, &slim_core::LocationDataset)>,
 ) -> Result<String, String> {
-    use slim_core::io;
+    use slim_core::LocationDataset;
     use slim_stream::source::{CsvReplaySource, SyntheticSource, TcpLineSource};
     use slim_stream::{
         batch_equivalent_origin, merge_datasets, DriveOptions, LinkUpdate, StreamConfig,
@@ -900,20 +798,6 @@ fn run_stream(
         max_lag_secs: stream_opts.max_lag_secs,
         metrics_every: stream_opts.metrics_every,
         idle_timeout_secs: stream_opts.idle_timeout_secs,
-        ..DriveOptions::default()
-    };
-
-    // A recovered engine restores its origin, counters, and link state
-    // from the newest valid checkpoint, so the fresh-engine origin
-    // pinning below is bypassed for it.
-    let recover_dir = if opts.recover {
-        Some(
-            opts.checkpoint_dir
-                .clone()
-                .ok_or_else(|| "--recover requires --checkpoint-dir".to_string())?,
-        )
-    } else {
-        None
     };
 
     /// Which entry to the drive loop the configured front-end takes:
@@ -923,22 +807,28 @@ fn run_stream(
         FanIn(slim_stream::TcpIngestTier),
     }
 
-    // Build the engine and the source. Replay-style sources know their
-    // data up front, so the window origin is pinned to what the batch
-    // pipeline would use — an unbounded replay then finalizes
-    // bit-identically even when the earliest record belongs to a sparse
-    // entity the min-records filter drops. A live TCP feed cannot be
-    // pinned; its origin is the first event.
+    // The engine. A recovered one restores its origin, counters and link
+    // state from the newest valid checkpoint. Replay-style sources know
+    // their data up front, so a fresh engine's window origin is pinned to
+    // what the batch pipeline would use — an unbounded replay then
+    // finalizes bit-identically even when the earliest record belongs to
+    // a sparse entity the min-records filter drops. A live TCP feed
+    // cannot be pinned; its origin is the first event.
+    let open_engine = |pinned: Option<(&LocationDataset, &LocationDataset)>| {
+        if opts.recover {
+            let dir = opts.checkpoint_dir.as_ref();
+            return StreamEngine::recover(cfg, dir.ok_or("--recover requires --checkpoint-dir")?);
+        }
+        let min_records = opts.config.min_records;
+        match pinned.and_then(|(l, r)| batch_equivalent_origin(l, r, min_records)) {
+            Some(origin) => StreamEngine::with_origin(cfg, origin),
+            None => StreamEngine::new(cfg),
+        }
+    };
     let (mut engine, source): (StreamEngine, FrontEnd) = match stream_opts.source {
         SourceKind::Csv => {
             let (left_ds, right_ds) = datasets.expect("csv streams load datasets first");
-            let engine = match &recover_dir {
-                Some(dir) => StreamEngine::recover(cfg, dir)?,
-                None => match batch_equivalent_origin(left_ds, right_ds, opts.config.min_records) {
-                    Some(origin) => StreamEngine::with_origin(cfg, origin)?,
-                    None => StreamEngine::new(cfg)?,
-                },
-            };
+            let engine = open_engine(Some((left_ds, right_ds)))?;
             let source = CsvReplaySource::from_datasets(left_ds, right_ds);
             log(&format!("replaying {} events", source.events().len()));
             (engine, FrontEnd::Single(Box::new(source)))
@@ -966,12 +856,8 @@ fn run_stream(
                     "tailing live feed at {addr} ({} wire)",
                     stream_opts.wire.label()
                 ));
-                let engine = match &recover_dir {
-                    Some(dir) => StreamEngine::recover(cfg, dir)?,
-                    None => StreamEngine::new(cfg)?,
-                };
                 (
-                    engine,
+                    open_engine(None)?,
                     FrontEnd::Single(Box::new(TcpLineSource::connect_with(
                         addr,
                         stream_opts.wire,
@@ -985,30 +871,15 @@ fn run_stream(
                 stream_opts.synthetic_seed,
             );
             let synthetic_sample = scenario.sample(0.5, stream_opts.synthetic_seed);
-            let engine = match &recover_dir {
-                Some(dir) => StreamEngine::recover(cfg, dir)?,
-                None => match batch_equivalent_origin(
-                    &synthetic_sample.left,
-                    &synthetic_sample.right,
-                    opts.config.min_records,
-                ) {
-                    Some(origin) => StreamEngine::with_origin(cfg, origin)?,
-                    None => StreamEngine::new(cfg)?,
-                },
-            };
+            let engine = open_engine(Some((&synthetic_sample.left, &synthetic_sample.right)))?;
             let events = merge_datasets(&synthetic_sample.left, &synthetic_sample.right);
-            log(&format!(
-                "feeding {} synthetic events{}",
-                events.len(),
-                if stream_opts.rate > 0.0 {
-                    format!(" at {} events/s", stream_opts.rate)
-                } else {
-                    String::new()
-                }
-            ));
+            let (n, rate) = (events.len(), stream_opts.rate);
             let mut source = SyntheticSource::from_events(events);
-            if stream_opts.rate > 0.0 {
-                source = source.with_rate(stream_opts.rate);
+            if rate > 0.0 {
+                source = source.with_rate(rate);
+                log(&format!("feeding {n} synthetic events at {rate} events/s"));
+            } else {
+                log(&format!("feeding {n} synthetic events"));
             }
             (engine, FrontEnd::Single(Box::new(source)))
         }
@@ -1173,7 +1044,7 @@ fn run_stream(
     } else {
         0.0
     };
-    let mut summary = format!(
+    let summary = format!(
         "stream: {} events via {} source at {:.0} events/s, {} ticks \
          ({added} added / {removed} removed / {reweighted} reweighted updates)\n\
          ingest: queue high-watermark {} of {}, producer blocked {:.2} ms, \
@@ -1238,27 +1109,7 @@ fn run_stream(
         output.stats.scored_entity_pairs,
         output.elapsed
     );
-    if let Some(t) = &output.threshold {
-        summary.push_str(&format!(
-            "stop threshold {:.2} (expected precision {:.3}, recall {:.3})\n",
-            t.threshold, t.expected_precision, t.expected_recall
-        ));
-    }
-    match &opts.out {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("creating {}: {e}", path.display()))?;
-            io::write_links_csv(std::io::BufWriter::new(file), &output.links)
-                .map_err(|e| e.to_string())?;
-            summary.push_str(&format!("links written to {}\n", path.display()));
-        }
-        None => {
-            let mut buf = Vec::new();
-            io::write_links_csv(&mut buf, &output.links).map_err(|e| e.to_string())?;
-            summary.push_str(&String::from_utf8_lossy(&buf));
-        }
-    }
-    Ok(summary)
+    finish(summary, &output, opts)
 }
 
 #[cfg(test)]
@@ -1329,6 +1180,20 @@ mod tests {
     fn invalid_config_rejected_at_parse_time() {
         let err = parse(&["a.csv", "b.csv", "--b", "3.0"]).unwrap_err();
         assert!(err.contains("outside"), "{err}");
+        // Values the library would panic on, wrap, or silently accept.
+        for bad in [
+            &["--lsh-step", "0"][..],
+            &["--lsh-threshold", "0"],
+            &["--lsh-threshold", "1.5"],
+            &["--lsh-threshold", "nan"],
+            &["--lsh-level", "40"],
+            &["--stream", "--lsh-level", "40"],
+            &["--speed-kmh", "nan"],
+            &["--window-mins", "153722867280912931"],
+        ] {
+            let args = [&["a.csv", "b.csv"][..], bad].concat();
+            assert!(parse(&args).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl SlimConfig {
         if !(0.0..=1.0).contains(&self.b) {
             return Err(format!("b = {} outside [0, 1]", self.b));
         }
-        if self.max_speed_m_per_s <= 0.0 {
+        if self.max_speed_m_per_s.is_nan() || self.max_speed_m_per_s <= 0.0 {
             return Err("max_speed_m_per_s must be positive".into());
         }
         Ok(())
@@ -155,5 +155,15 @@ mod tests {
             ..SlimConfig::default()
         };
         assert!(bad_speed.validate().is_err());
+    }
+
+    /// `v <= 0.0` is false for NaN; the check must reject it anyway.
+    #[test]
+    fn validation_rejects_a_nan_speed() {
+        let nan_speed = SlimConfig {
+            max_speed_m_per_s: f64::NAN,
+            ..SlimConfig::default()
+        };
+        assert!(nan_speed.validate().is_err());
     }
 }

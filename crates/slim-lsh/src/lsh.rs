@@ -39,6 +39,28 @@ impl Default for LshConfig {
     }
 }
 
+impl LshConfig {
+    /// Checks the ranges the filter relies on, returning a description
+    /// of the first problem found: a positive step, a threshold inside
+    /// `(0, 1)` (NaN is not), and a level the cell grid has.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.step_windows == 0 {
+            return Err("lsh step_windows must be positive".into());
+        }
+        if !(self.threshold > 0.0 && self.threshold < 1.0) {
+            return Err(format!("lsh threshold {} outside (0, 1)", self.threshold));
+        }
+        if self.spatial_level > geocell::MAX_LEVEL {
+            return Err(format!(
+                "lsh spatial_level {} exceeds max {}",
+                self.spatial_level,
+                geocell::MAX_LEVEL
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The built filter: signatures for both datasets plus the banding
 /// parameters derived from the signature size and threshold.
 #[derive(Debug, Clone)]
@@ -221,6 +243,26 @@ mod tests {
     use super::*;
     use geocell::LatLng;
     use slim_core::Record;
+
+    #[test]
+    fn validate_rejects_what_the_filter_would_panic_on() {
+        assert!(LshConfig::default().validate().is_ok());
+        let with = |step_windows, threshold, spatial_level| LshConfig {
+            step_windows,
+            threshold,
+            spatial_level,
+            ..LshConfig::default()
+        };
+        assert!(with(0, 0.6, 16)
+            .validate()
+            .unwrap_err()
+            .contains("step_windows"));
+        for t in [0.0, 1.0, 1.5, -0.1, f64::NAN] {
+            assert!(with(48, t, 16).validate().is_err(), "threshold {t}");
+        }
+        let too_fine = with(48, 0.6, geocell::MAX_LEVEL + 1);
+        assert!(too_fine.validate().unwrap_err().contains("spatial_level"));
+    }
 
     /// `n` entities, first `common` shared across views (ids offset by
     /// 1000 on the right), each orbiting its own anchor.

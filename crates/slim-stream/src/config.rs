@@ -104,15 +104,7 @@ impl StreamConfig {
             if lsh.spans == 0 {
                 return Err("lsh.spans must be positive".into());
             }
-            if lsh.base.step_windows == 0 {
-                return Err("lsh.base.step_windows must be positive".into());
-            }
-            if !(lsh.base.threshold > 0.0 && lsh.base.threshold < 1.0) {
-                return Err(format!(
-                    "lsh.base.threshold {} outside (0, 1)",
-                    lsh.base.threshold
-                ));
-            }
+            lsh.base.validate()?;
             if let Some(w) = self.window_capacity {
                 let coverage = lsh.spans as u64 * lsh.base.step_windows as u64;
                 if coverage < w as u64 {
@@ -196,6 +188,33 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("ring covers"), "{err}");
+    }
+
+    #[test]
+    fn rejects_invalid_lsh_config() {
+        for base in [
+            LshConfig {
+                step_windows: 0,
+                ..LshConfig::default()
+            },
+            LshConfig {
+                threshold: f64::NAN,
+                ..LshConfig::default()
+            },
+            LshConfig {
+                spatial_level: 31,
+                ..LshConfig::default()
+            },
+        ] {
+            let cfg = StreamConfig {
+                lsh: Some(StreamLshConfig {
+                    base,
+                    ..StreamLshConfig::default()
+                }),
+                ..StreamConfig::default()
+            };
+            assert!(cfg.validate().is_err(), "{base:?}");
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! all fanning into a single [`Receiver`], and the channel closes only
 //! when the *last* sender drops. Because the counters live in the
 //! shared core, `blocked_producer_ns` is automatically the **aggregate**
-//! pressure across all producers — exactly what [`QueueSizer`] should
-//! react to. Built on `Mutex<VecDeque>` + two `Condvar`s; the
+//! pressure across all producers. Built on `Mutex<VecDeque>` + two `Condvar`s; the
 //! shims-only build environment rules out `crossbeam`, and the
 //! blocking fan-in shape of the pump does not need lock-free
 //! cleverness.
@@ -33,8 +32,7 @@ pub struct ChannelStats {
 
 struct Inner<T> {
     queue: VecDeque<T>,
-    /// Current capacity — mutable so the consumer can grow the queue
-    /// adaptively ([`Receiver::set_capacity`]) when backpressure bites.
+    /// The fixed capacity.
     cap: usize,
     /// Live senders; the channel closes when the count reaches zero.
     senders: usize,
@@ -301,27 +299,6 @@ impl<T> Receiver<T> {
         self.len() == 0
     }
 
-    /// Current capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.inner.lock().expect("channel poisoned").cap
-    }
-
-    /// Changes the channel capacity (adaptive queue sizing). Growing
-    /// wakes a producer parked on the old, smaller bound; shrinking
-    /// below the current occupancy simply blocks new sends until the
-    /// queue drains past the new bound — nothing queued is ever lost.
-    ///
-    /// # Panics
-    /// Panics if `cap` is zero (the same rendezvous-deadlock guard as
-    /// [`bounded`]).
-    pub fn set_capacity(&self, cap: usize) {
-        assert!(cap > 0, "channel capacity must be positive");
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
-        inner.cap = cap;
-        drop(inner);
-        self.shared.not_full.notify_all();
-    }
-
     /// Whether any producer is parked on a full queue right now.
     pub fn producer_blocked(&self) -> bool {
         self.producers_blocked() > 0
@@ -353,69 +330,6 @@ impl<T> Drop for Receiver<T> {
         inner.rx_alive = false;
         drop(inner);
         self.shared.not_full.notify_all();
-    }
-}
-
-/// The adaptive queue-sizing policy: grow the bounded queue (doubling,
-/// up to a hard cap) whenever the producer's *newly accumulated*
-/// blocked time since the last observation crosses a threshold. A pure
-/// decision function over the channel's `blocked_producer_ns` counter,
-/// kept separate from the channel so the policy is unit-testable
-/// without threads; the pump applies its decisions via
-/// [`Receiver::set_capacity`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueSizer {
-    cap: usize,
-    max_cap: usize,
-    grow_threshold_ns: u64,
-    last_blocked_ns: u64,
-}
-
-impl QueueSizer {
-    /// Default growth trigger: ≥ 1 ms of fresh producer blocked time
-    /// per drain interval.
-    pub const DEFAULT_GROW_THRESHOLD_NS: u64 = 1_000_000;
-
-    /// A policy starting at `cap`, never exceeding `max_cap`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < cap ≤ max_cap`.
-    pub fn new(cap: usize, max_cap: usize) -> Self {
-        assert!(cap > 0, "queue capacity must be positive");
-        assert!(max_cap >= cap, "max capacity {max_cap} below initial {cap}");
-        Self {
-            cap,
-            max_cap,
-            grow_threshold_ns: Self::DEFAULT_GROW_THRESHOLD_NS,
-            last_blocked_ns: 0,
-        }
-    }
-
-    /// Overrides the growth threshold (nanoseconds of fresh blocked
-    /// time per observation interval).
-    pub fn with_threshold(mut self, grow_threshold_ns: u64) -> Self {
-        self.grow_threshold_ns = grow_threshold_ns.max(1);
-        self
-    }
-
-    /// The capacity the policy currently prescribes.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Feeds the channel's cumulative `blocked_producer_ns` counter at
-    /// the end of one drain interval. Returns the new capacity when the
-    /// interval's fresh blocked time crossed the threshold and there is
-    /// headroom left, `None` otherwise.
-    pub fn observe(&mut self, blocked_producer_ns: u64) -> Option<usize> {
-        let fresh = blocked_producer_ns.saturating_sub(self.last_blocked_ns);
-        self.last_blocked_ns = blocked_producer_ns;
-        if fresh >= self.grow_threshold_ns && self.cap < self.max_cap {
-            self.cap = self.cap.saturating_mul(2).min(self.max_cap);
-            Some(self.cap)
-        } else {
-            None
-        }
     }
 }
 
@@ -533,56 +447,6 @@ mod tests {
         let _ = bounded::<u32>(0);
     }
 
-    /// The resize policy, exactly as the pump drives it: cumulative
-    /// blocked-time observations per drain interval, growth only when
-    /// the *fresh* blocked time crosses the threshold, doubling, and a
-    /// hard clamp at the cap.
-    #[test]
-    fn queue_sizer_grows_on_threshold_and_clamps() {
-        let mut sizer = QueueSizer::new(4, 11).with_threshold(1_000);
-        assert_eq!(sizer.capacity(), 4);
-        // Below threshold: no resize.
-        assert_eq!(sizer.observe(999), None);
-        // Crossing it (999 → 2_100 is 1_101 fresh ns): double.
-        assert_eq!(sizer.observe(2_100), Some(8));
-        // Quiet interval: the already-counted blocked time must not
-        // re-trigger growth.
-        assert_eq!(sizer.observe(2_100), None);
-        // Next burst clamps at max_cap, then stays put forever.
-        assert_eq!(sizer.observe(5_000), Some(11));
-        assert_eq!(sizer.observe(50_000), None);
-        assert_eq!(sizer.capacity(), 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "below initial")]
-    fn queue_sizer_rejects_inverted_bounds() {
-        let _ = QueueSizer::new(8, 4);
-    }
-
-    /// A producer parked on a full queue is released by a capacity
-    /// grow — the mechanism adaptive sizing rides on.
-    #[test]
-    fn growing_capacity_unblocks_a_parked_producer() {
-        let (tx, rx) = bounded::<u32>(2);
-        let producer = std::thread::spawn(move || {
-            for i in 0..6 {
-                tx.send(i).expect("receiver alive");
-            }
-        });
-        while !(rx.len() == 2 && rx.producer_blocked()) {
-            std::thread::yield_now();
-        }
-        rx.set_capacity(6);
-        assert_eq!(rx.capacity(), 6);
-        producer.join().expect("producer");
-        // All six landed without a single drain: the new bound held.
-        let mut buf = Vec::new();
-        assert!(rx.recv_many(&mut buf, 10));
-        assert_eq!(buf, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(rx.stats().queue_high_watermark, 6);
-    }
-
     /// MPSC fan-in: eight cloned senders interleave disjoint ranges and
     /// the channel reports EOF only after the *last* clone drops —
     /// every item arrives exactly once.
@@ -662,14 +526,12 @@ mod tests {
         assert!(!rx.recv_many(&mut buf, 4), "last drop closes");
     }
 
-    /// The satellite contract of adaptive sizing on the MPSC path: with
-    /// several producers parked on one tiny queue, the shared
-    /// `blocked_producer_ns` counter aggregates *all* of their blocked
-    /// time, so a [`QueueSizer`] observing the receiver's stats reacts
-    /// to total fan-in pressure, and growing the capacity releases all
-    /// parked producers at once.
+    /// Fan-in pressure is one counter: with several producers parked on
+    /// one tiny queue, the shared `blocked_producer_ns` aggregates all of
+    /// their blocked time, and a drain releases every parked producer
+    /// without losing an item.
     #[test]
-    fn aggregate_producer_pressure_drives_capacity_growth() {
+    fn aggregate_producer_pressure_is_counted_on_the_receiver() {
         const PRODUCERS: usize = 3;
         let (tx, rx) = bounded::<u64>(2);
         let handles: Vec<_> = (0..PRODUCERS as u64)
@@ -688,29 +550,18 @@ mod tests {
         while !(rx.len() == 2 && rx.producers_blocked() >= 2) {
             std::thread::yield_now();
         }
-        // Give the parked producers a moment to accumulate blocked ns
-        // before snapshotting (the counter only advances on wake, so
-        // release them by growing capacity first, then observe).
-        let mut sizer = QueueSizer::new(2, 64).with_threshold(1);
-        rx.set_capacity(PRODUCERS * 4 + 2);
-        for h in handles {
-            h.join().expect("producer panicked");
-        }
-        let stats = rx.stats();
-        assert!(
-            stats.blocked_producer_ns > 0,
-            "aggregate blocked time must be visible on the receiver"
-        );
-        assert_eq!(
-            sizer.observe(stats.blocked_producer_ns),
-            Some(4),
-            "aggregate pressure must trigger growth"
-        );
         let mut got = Vec::new();
         let mut buf = Vec::new();
         while rx.recv_many(&mut buf, 64) {
             got.append(&mut buf);
         }
+        for h in handles {
+            h.join().expect("producer panicked");
+        }
+        assert!(
+            rx.stats().blocked_producer_ns > 0,
+            "aggregate blocked time must be visible on the receiver"
+        );
         assert_eq!(got.len(), PRODUCERS * 4, "nothing dropped under fan-in");
     }
 }

@@ -22,14 +22,6 @@ impl CsvReplaySource {
         Self::from_events(merge_datasets(left, right))
     }
 
-    /// Replays two CSV files (format of [`slim_core::io`]).
-    pub fn from_paths(left: &std::path::Path, right: &std::path::Path) -> Result<Self, String> {
-        let load = |p: &std::path::Path| {
-            slim_core::io::load_dataset_csv(p).map_err(|e| format!("{}: {e}", p.display()))
-        };
-        Ok(Self::from_datasets(&load(left)?, &load(right)?))
-    }
-
     /// Replays a pre-built event sequence verbatim (delivery order =
     /// the given order).
     pub fn from_events(events: Vec<StreamEvent>) -> Self {

@@ -41,14 +41,6 @@ pub struct DriveOptions {
     /// Bounded-channel capacity in events: the producer blocks (never
     /// drops) when this many events are in flight.
     pub queue_cap: usize,
-    /// Adaptive queue sizing ceiling: when above `queue_cap`, the pump
-    /// doubles the channel capacity (up to this cap) whenever a drain
-    /// interval accumulates more than
-    /// [`channel::QueueSizer::DEFAULT_GROW_THRESHOLD_NS`] of fresh producer
-    /// blocked time — backpressure still bounds the queue, it just
-    /// stops throttling a feed the engine could actually absorb. `0`
-    /// (or `== queue_cap`) keeps the classic fixed capacity.
-    pub queue_cap_max: usize,
     /// Maximum events per source poll and per channel drain.
     pub source_batch: usize,
     /// When to fire refresh ticks while draining.
@@ -81,7 +73,6 @@ impl Default for DriveOptions {
     fn default() -> Self {
         Self {
             queue_cap: 65_536,
-            queue_cap_max: 0,
             source_batch: 4_096,
             tick_policy: TickPolicy::default(),
             max_lag_secs: 0,
@@ -104,11 +95,8 @@ pub struct IngestReport {
     pub late_events: u64,
     /// Nanoseconds the producer spent blocked on a full channel.
     pub blocked_producer_ns: u64,
-    /// Highest channel occupancy observed (≤ the final capacity).
+    /// Highest channel occupancy observed (≤ `queue_cap`).
     pub queue_high_watermark: u64,
-    /// The channel capacity at EOF: `queue_cap` unless adaptive sizing
-    /// (`queue_cap_max`) grew it mid-drive.
-    pub queue_grown_to: u64,
     /// Source polls that returned a batch ([`StreamEngine::drive`]
     /// only: a tier does not report its connections' polls).
     pub source_batches: u64,
@@ -393,12 +381,6 @@ fn validate(opts: &DriveOptions) -> Result<i64, String> {
     if opts.queue_cap == 0 {
         return Err("drive: queue_cap must be positive".into());
     }
-    if opts.queue_cap_max != 0 && opts.queue_cap_max < opts.queue_cap {
-        return Err(format!(
-            "drive: queue_cap_max {} is below queue_cap {}",
-            opts.queue_cap_max, opts.queue_cap
-        ));
-    }
     if opts.source_batch == 0 {
         return Err("drive: source_batch must be positive".into());
     }
@@ -539,16 +521,11 @@ pub(crate) fn run<F: FanIn + Send>(
     // checkpoint write); `Some` skips the EOF flush and fails the run.
     let mut fault: Option<String> = None;
 
-    let (producer_result, channel_stats, queue_grown_to) = std::thread::scope(|scope| {
+    let (producer_result, channel_stats) = std::thread::scope(|scope| {
         let (tx, rx) = channel::bounded::<ConnMessage>(opts.queue_cap);
         let producer = scope.spawn(move || fan_in.run(tx));
 
         let mut arrivals: Vec<ConnMessage> = Vec::new();
-        // Adaptive queue sizing: observed once per drain interval, so
-        // a sustained backlog grows the queue while a one-off stall
-        // does not.
-        let mut sizer = (opts.queue_cap_max > opts.queue_cap)
-            .then(|| channel::QueueSizer::new(opts.queue_cap, opts.queue_cap_max));
         'drain: loop {
             if idle_ns == 0 {
                 if !rx.recv_many(&mut arrivals, opts.source_batch) {
@@ -561,11 +538,6 @@ pub(crate) fn run<F: FanIn + Send>(
                     // frontier can move; the end of the (empty) chunk
                     // below checks it.
                     RecvTimeout::Items | RecvTimeout::TimedOut => {}
-                }
-            }
-            if let Some(sizer) = &mut sizer {
-                if let Some(cap) = sizer.observe(rx.stats().blocked_producer_ns) {
-                    rx.set_capacity(cap);
                 }
             }
             pump.tel.stamp_admit();
@@ -683,7 +655,6 @@ pub(crate) fn run<F: FanIn + Send>(
             pump.tel.finish(pump.engine, &pump.report);
         }
         let stats = rx.stats();
-        let final_cap = sizer.map_or(opts.queue_cap, |s| s.capacity()) as u64;
         // On an early stop a producer may still be blocked on a full
         // channel; dropping the receiver errors its next send, which it
         // treats as a clean exit.
@@ -691,7 +662,7 @@ pub(crate) fn run<F: FanIn + Send>(
         let result = producer
             .join()
             .unwrap_or_else(|_| Err("drive: producer tier thread panicked".into()));
-        (result, stats, final_cap)
+        (result, stats)
     });
     producer_result?;
     if let Some(fault) = fault {
@@ -705,7 +676,6 @@ pub(crate) fn run<F: FanIn + Send>(
     report.late_events = pump.reorder.late_events();
     report.blocked_producer_ns = channel_stats.blocked_producer_ns;
     report.queue_high_watermark = channel_stats.queue_high_watermark;
-    report.queue_grown_to = queue_grown_to;
     report.idle_evictions = pump.frontier.idle_evictions();
     pump.engine.absorb_ingest_report(&report);
     pump.engine.set_live_connections(0);
@@ -884,43 +854,6 @@ mod tests {
         assert!(err.contains("fell over"), "{err}");
         // Events before the error were still delivered.
         assert!(engine.stats().events > 0);
-    }
-
-    /// Adaptive sizing end to end: the drive completes losslessly, the
-    /// final capacity stays inside `[queue_cap, queue_cap_max]`, and a
-    /// fixed-capacity drive reports its capacity untouched. (Whether
-    /// growth actually triggers depends on scheduler timing — the
-    /// deterministic policy decisions are pinned by the `QueueSizer`
-    /// unit tests.)
-    #[test]
-    fn adaptive_queue_growth_stays_bounded_and_lossless() {
-        let events = workload(12);
-        let total = events.len() as u64;
-        let mut adaptive = engine();
-        let report = adaptive
-            .drive(
-                script(events.clone(), 16),
-                &DriveOptions {
-                    queue_cap: 4,
-                    queue_cap_max: 64,
-                    source_batch: 16,
-                    tick_policy: TickPolicy::EveryN(0),
-                    ..DriveOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(report.events_delivered, total, "adaptive drive lost events");
-        assert!(
-            (4..=64).contains(&(report.queue_grown_to as usize)),
-            "final capacity {} outside [4, 64]",
-            report.queue_grown_to
-        );
-        // Fixed capacity reports itself verbatim.
-        let mut fixed = engine();
-        let report = fixed
-            .drive(script(events, 16), &DriveOptions::default())
-            .unwrap();
-        assert_eq!(report.queue_grown_to, 65_536);
     }
 
     /// Snapshot cadence: `metrics_every = N` emits one snapshot per N
@@ -1125,13 +1058,6 @@ mod tests {
         let mut engine = engine();
         let opts = DriveOptions {
             queue_cap: 0,
-            ..DriveOptions::default()
-        };
-        assert!(engine.drive(script(Vec::new(), 1), &opts).is_err());
-        // An adaptive ceiling below the initial capacity is an error.
-        let opts = DriveOptions {
-            queue_cap: 512,
-            queue_cap_max: 16,
             ..DriveOptions::default()
         };
         assert!(engine.drive(script(Vec::new(), 1), &opts).is_err());
