@@ -155,11 +155,7 @@ mod tests {
             ..SlimConfig::default()
         };
         assert!(bad_speed.validate().is_err());
-    }
-
-    /// `v <= 0.0` is false for NaN; the check must reject it anyway.
-    #[test]
-    fn validation_rejects_a_nan_speed() {
+        // `v <= 0.0` is false for NaN; it must be rejected anyway.
         let nan_speed = SlimConfig {
             max_speed_m_per_s: f64::NAN,
             ..SlimConfig::default()

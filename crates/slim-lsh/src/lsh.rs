@@ -244,26 +244,6 @@ mod tests {
     use geocell::LatLng;
     use slim_core::Record;
 
-    #[test]
-    fn validate_rejects_what_the_filter_would_panic_on() {
-        assert!(LshConfig::default().validate().is_ok());
-        let with = |step_windows, threshold, spatial_level| LshConfig {
-            step_windows,
-            threshold,
-            spatial_level,
-            ..LshConfig::default()
-        };
-        assert!(with(0, 0.6, 16)
-            .validate()
-            .unwrap_err()
-            .contains("step_windows"));
-        for t in [0.0, 1.0, 1.5, -0.1, f64::NAN] {
-            assert!(with(48, t, 16).validate().is_err(), "threshold {t}");
-        }
-        let too_fine = with(48, 0.6, geocell::MAX_LEVEL + 1);
-        assert!(too_fine.validate().unwrap_err().contains("spatial_level"));
-    }
-
     /// `n` entities, first `common` shared across views (ids offset by
     /// 1000 on the right), each orbiting its own anchor.
     fn views(n: u64, common: u64) -> (LocationDataset, LocationDataset) {

@@ -9,9 +9,9 @@
 //! all fanning into a single [`Receiver`], and the channel closes only
 //! when the *last* sender drops. Because the counters live in the
 //! shared core, `blocked_producer_ns` is automatically the **aggregate**
-//! pressure across all producers. Built on `Mutex<VecDeque>` + two `Condvar`s; the
-//! shims-only build environment rules out `crossbeam`, and the
-//! blocking fan-in shape of the pump does not need lock-free
+//! pressure across all producers. Built on `Mutex<VecDeque>` + two
+//! `Condvar`s; the shims-only build environment rules out `crossbeam`,
+//! and the blocking fan-in shape of the pump does not need lock-free
 //! cleverness.
 
 use std::collections::VecDeque;
@@ -32,7 +32,7 @@ pub struct ChannelStats {
 
 struct Inner<T> {
     queue: VecDeque<T>,
-    /// The fixed capacity.
+    /// Capacity in items, fixed at creation.
     cap: usize,
     /// Live senders; the channel closes when the count reaches zero.
     senders: usize,
