@@ -1413,6 +1413,49 @@ mod tests {
         }
     }
 
+    /// `sample_state()` encoded three times — with its own `Watermark`
+    /// ticker, with `EveryN` and with `EventTime` — one file after the
+    /// other, as the encoder wrote them when every layout still had a
+    /// hand-mirrored decoder. It pins the layouts the v1 fixture never
+    /// reaches (a warm seed, an epoch threshold, dirty marks, dead
+    /// entities, fresh pairs, edge deltas, empty ring slots, the other
+    /// two tickers), so an edit made the same way to both halves of a
+    /// layout cannot pass as a round trip.
+    const LAYOUT_PIN: &[u8] = include_bytes!("../../../tests/fixtures/ckpt-v1-layouts.bin");
+
+    #[test]
+    fn sample_images_encode_to_the_pinned_bytes() {
+        let tickers = [
+            sample_state().pump.ticker,
+            Ticker::EveryN,
+            Ticker::EventTime {
+                interval: 600,
+                origin: Some(1000),
+                last_cell: Some(3),
+            },
+        ];
+        let mut rest = LAYOUT_PIN;
+        for ticker in tickers {
+            let mut image = sample_state();
+            image.pump.ticker = ticker;
+            let bytes = encode(&image);
+            let (pinned, tail) = rest.split_at(bytes.len().min(rest.len()));
+            assert!(
+                bytes == pinned,
+                "{:?}: encoded bytes changed",
+                image.pump.ticker
+            );
+            let back = decode(pinned).expect("the pinned image decodes");
+            assert!(
+                encode(&back) == pinned,
+                "{:?}: re-encoded",
+                image.pump.ticker
+            );
+            rest = tail;
+        }
+        assert!(rest.is_empty(), "{} pinned bytes left over", rest.len());
+    }
+
     /// Field-by-field equality of two checkpoint states, via the
     /// canonical wire form (the structs hold floats, so the bit-exact
     /// comparison the format guarantees *is* encoded equality).
