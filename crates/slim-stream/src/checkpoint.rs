@@ -28,6 +28,14 @@
 //! to the next-older file. A length the file claims is never trusted
 //! for more than the bytes actually present.
 //!
+//! # Codec
+//!
+//! Every type on the wire has one `Wire` impl whose `put` and `get`
+//! spell its layout once; a record goes through `wire_struct!`, whose
+//! field list is both the write order and the read order. Adding a
+//! field is therefore one edit — plus a `VERSION` bump, because the
+//! bytes change.
+//!
 //! # Write path
 //!
 //! There is one encoder, [`encode_into`], and it serializes an
@@ -64,7 +72,7 @@
 //! 1-shard one and vice versa.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -353,51 +361,14 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Wire primitives
+// Codec
 // ---------------------------------------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_opt<T>(out: &mut Vec<u8>, v: &Option<T>, f: impl Fn(&mut Vec<u8>, &T)) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            f(out, x);
-        }
-    }
-}
-
-/// A length-prefixed sequence, straight from whatever holds it (slice,
-/// `BTreeMap`, `BTreeSet`) — nothing is collected first.
-fn put_seq<I: ExactSizeIterator>(
-    out: &mut Vec<u8>,
-    items: impl IntoIterator<IntoIter = I>,
-    f: impl Fn(&mut Vec<u8>, I::Item),
-) {
-    let items = items.into_iter();
-    put_u64(out, items.len() as u64);
-    for it in items {
-        f(out, it);
-    }
+/// One type's wire layout, written once: `put` appends it and `get`
+/// reads it back in the same order, so the two halves cannot drift.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(d: &mut Dec) -> Result<Self, String>;
 }
 
 /// Most elements [`Dec::vec`] reserves room for before any has parsed.
@@ -433,45 +404,17 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn opt<T>(&mut self, f: impl Fn(&mut Self) -> Result<T, String>) -> Result<Option<T>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            t => Err(format!("invalid option tag {t}")),
-        }
-    }
-
     /// A sequence length. Every element costs at least one byte on the
     /// wire, so a length beyond the remaining payload is corrupt.
     fn len(&mut self) -> Result<usize, String> {
-        let n = self.u64()? as usize;
+        let n = u64::get(self)? as usize;
         if n > self.remaining() {
             return Err(format!("corrupt sequence length {n} exceeds payload"));
         }
         Ok(n)
     }
 
-    fn vec<T>(&mut self, f: impl Fn(&mut Self) -> Result<T, String>) -> Result<Vec<T>, String> {
+    fn vec<T: Wire>(&mut self) -> Result<Vec<T>, String> {
         let n = self.len()?;
         // The one-byte-per-element bound above still lets a CRC-valid
         // file claim millions of elements that are ~100 bytes each in
@@ -479,18 +422,15 @@ impl<'a> Dec<'a> {
         // vector grow only as elements actually parse.
         let mut v = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
-            v.push(f(self)?);
+            v.push(T::get(self)?);
         }
         Ok(v)
     }
 
     /// [`Dec::vec`] into a map or set (which allocate per element
     /// parsed, so need no reservation cap).
-    fn collect<T, C: FromIterator<T>>(
-        &mut self,
-        f: impl Fn(&mut Self) -> Result<T, String>,
-    ) -> Result<C, String> {
-        (0..self.len()?).map(|_| f(self)).collect()
+    fn collect<T: Wire, C: FromIterator<T>>(&mut self) -> Result<C, String> {
+        (0..self.len()?).map(|_| T::get(self)).collect()
     }
 
     fn done(&self) -> Result<(), String> {
@@ -502,151 +442,390 @@ impl<'a> Dec<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Composite encodings
-// ---------------------------------------------------------------------
-
-fn put_side(out: &mut Vec<u8>, s: Side) {
-    put_u8(
-        out,
-        match s {
-            Side::Left => 0,
-            Side::Right => 1,
-        },
-    );
+/// Decodes one frame payload: exactly one `T`, nothing after it.
+fn section<T: Wire>(payload: &[u8]) -> Result<T, String> {
+    let mut d = Dec::new(payload);
+    let v = T::get(&mut d)?;
+    d.done()?;
+    Ok(v)
 }
 
-fn dec_side(d: &mut Dec) -> Result<Side, String> {
-    match d.u8()? {
-        0 => Ok(Side::Left),
-        1 => Ok(Side::Right),
-        t => Err(format!("invalid side tag {t}")),
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec) -> Result<Self, String> {
+                let bytes = d.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().unwrap()))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64, i64);
+
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(f64::from_bits(u64::get(d)?))
     }
 }
 
-fn put_event(out: &mut Vec<u8>, ev: &StreamEvent) {
-    put_side(out, ev.side);
-    put_u64(out, ev.entity.0);
-    put_f64(out, ev.location.lat_rad());
-    put_f64(out, ev.location.lng_rad());
-    put_i64(out, ev.time.secs());
-    put_f64(out, ev.accuracy_m);
-}
-
-fn dec_event(d: &mut Dec) -> Result<StreamEvent, String> {
-    let side = dec_side(d)?;
-    let entity = EntityId(d.u64()?);
-    let lat = d.f64()?;
-    let lng = d.f64()?;
-    let time = Timestamp(d.i64()?);
-    let accuracy_m = d.f64()?;
-    Ok(StreamEvent {
-        side,
-        entity,
-        location: LatLng::from_radians(lat, lng),
-        time,
-        accuracy_m,
-    })
-}
-
-fn put_edge(out: &mut Vec<u8>, e: &Edge) {
-    put_u64(out, e.left.0);
-    put_u64(out, e.right.0);
-    put_f64(out, e.weight);
-}
-
-fn dec_edge(d: &mut Dec) -> Result<Edge, String> {
-    Ok(Edge {
-        left: EntityId(d.u64()?),
-        right: EntityId(d.u64()?),
-        weight: d.f64()?,
-    })
-}
-
-fn put_pair(out: &mut Vec<u8>, p: &PairKey) {
-    put_u64(out, p.0 .0);
-    put_u64(out, p.1 .0);
-}
-
-fn dec_pair(d: &mut Dec) -> Result<PairKey, String> {
-    Ok((EntityId(d.u64()?), EntityId(d.u64()?)))
-}
-
-fn put_cell(out: &mut Vec<u8>, c: &CellId) {
-    put_u64(out, c.to_u64());
-}
-
-/// Decodes a cell id. The CRC has already vouched for the bytes, so
-/// invalid bits can only mean a writer bug — but return an error
-/// rather than panicking all the same.
-fn dec_cell(d: &mut Dec) -> Result<CellId, String> {
-    let raw = d.u64()?;
-    CellId::try_from_u64(raw).ok_or_else(|| format!("invalid cell id {raw:#x}"))
-}
-
-fn put_gmm(out: &mut Vec<u8>, g: &Gmm2) {
-    for c in [&g.low, &g.high] {
-        put_f64(out, c.weight);
-        put_f64(out, c.mean);
-        put_f64(out, c.std_dev);
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => 0u8.put(out),
+            Some(x) => {
+                1u8.put(out);
+                x.put(out);
+            }
+        }
     }
-    put_f64(out, g.avg_log_likelihood);
-    put_u32(out, g.iterations);
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        match u8::get(d)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(d)?)),
+            t => Err(format!("invalid option tag {t}")),
+        }
+    }
 }
 
-fn dec_gmm(d: &mut Dec) -> Result<Gmm2, String> {
-    let comp = |d: &mut Dec| -> Result<Component, String> {
-        Ok(Component {
-            weight: d.f64()?,
-            mean: d.f64()?,
-            std_dev: d.f64()?,
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok((A::get(d)?, B::get(d)?, C::get(d)?))
+    }
+}
+
+impl<T: Wire> Wire for [T; 2] {
+    fn put(&self, out: &mut Vec<u8>) {
+        self[0].put(out);
+        self[1].put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok([T::get(d)?, T::get(d)?])
+    }
+}
+
+/// A length-prefixed sequence, straight from whatever holds it (slice,
+/// `BTreeMap`, `BTreeSet`) — nothing is collected first.
+fn write_seq<'a, T: Wire + 'a>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
+    (items.len() as u64).put(out);
+    for it in items {
+        it.put(out);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        write_seq(out, self.iter());
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        d.vec()
+    }
+}
+
+impl<T: Wire + Clone> Wire for Cow<'_, [T]> {
+    fn put(&self, out: &mut Vec<u8>) {
+        write_seq(out, self.iter());
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(Cow::Owned(d.vec()?))
+    }
+}
+
+impl<T: Wire + Clone> Wire for Cow<'_, T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(Cow::Owned(T::get(d)?))
+    }
+}
+
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        write_seq(out, self.iter());
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        d.collect()
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        d.collect()
+    }
+}
+
+/// A record whose wire layout is its fields in the order listed: the
+/// one list is both the write order and the read order.
+macro_rules! wire_struct {
+    ($($ty:ty { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(d: &mut Dec) -> Result<Self, String> {
+                Ok(Self { $($field: Wire::get(d)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    Edge { left, right, weight }
+    Component { weight, mean, std_dev }
+    Gmm2 { low, high, avg_log_likelihood, iterations }
+    LinkageStats {
+        scored_entity_pairs,
+        bin_pair_comparisons,
+        record_pair_comparisons,
+        alibi_pairs,
+    }
+    BinnedEvent { side, entity, w, cells, lsh_cells }
+    HistoryDump<'_> { wins, cells, counts, window_records }
+    RingDump<'_> { side, entity, ring }
+    DfDump { entries, total_bins, num_entities }
+    LshFingerprint { spans, step_windows, spatial_level, threshold_bits, num_buckets }
+    ConfigFingerprint { window_width_secs, spatial_level, min_records, window_capacity, lsh }
+    MetaDump { consumed, fingerprint }
+    EngineDump {
+        origin,
+        domain,
+        watermark,
+        expired_below,
+        events_since_refresh,
+        stats,
+        scoring,
+        links,
+        epoch_events,
+        epoch_threshold,
+        epoch_frontier,
+        matcher_edges,
+        warm_seed,
+        df,
+    }
+    ResumeState { consumed, reorder_max_seen, reorder_held, reorder_late, ticker }
+}
+
+impl Wire for Side {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.idx() as u8).put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        match u8::get(d)? {
+            0 => Ok(Side::Left),
+            1 => Ok(Side::Right),
+            t => Err(format!("invalid side tag {t}")),
+        }
+    }
+}
+
+impl Wire for EntityId {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(EntityId(u64::get(d)?))
+    }
+}
+
+/// A cell id. The CRC has already vouched for the bytes, so invalid
+/// bits can only mean a writer bug — but return an error rather than
+/// panicking all the same.
+impl Wire for CellId {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_u64().put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        let raw = u64::get(d)?;
+        CellId::try_from_u64(raw).ok_or_else(|| format!("invalid cell id {raw:#x}"))
+    }
+}
+
+/// An event with its location in radians, exactly as it was built.
+impl Wire for StreamEvent {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.side.put(out);
+        self.entity.put(out);
+        self.location.lat_rad().put(out);
+        self.location.lng_rad().put(out);
+        self.time.secs().put(out);
+        self.accuracy_m.put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(StreamEvent {
+            side: Wire::get(d)?,
+            entity: Wire::get(d)?,
+            location: LatLng::from_radians(f64::get(d)?, f64::get(d)?),
+            time: Timestamp(i64::get(d)?),
+            accuracy_m: f64::get(d)?,
         })
-    };
-    let low = comp(d)?;
-    let high = comp(d)?;
-    Ok(Gmm2 {
-        low,
-        high,
-        avg_log_likelihood: d.f64()?,
-        iterations: d.u32()?,
-    })
+    }
 }
 
-fn put_binned(out: &mut Vec<u8>, b: &BinnedEvent) {
-    put_side(out, b.side);
-    put_u64(out, b.entity.0);
-    put_u32(out, b.w);
-    put_seq(out, &b.cells, put_cell);
-    put_seq(out, &b.lsh_cells, put_cell);
+/// The ring without its band-bucket cache: that is derived from `sig`,
+/// and `ShardRings::restore` rebuilds it.
+impl Wire for SpanRing {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.slots.put(out);
+        self.owners.put(out);
+        self.sig.put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(SpanRing {
+            slots: Wire::get(d)?,
+            owners: Wire::get(d)?,
+            sig: Wire::get(d)?,
+            buckets: Vec::new(),
+        })
+    }
 }
 
-fn dec_binned(d: &mut Dec) -> Result<BinnedEvent, String> {
-    Ok(BinnedEvent {
-        side: dec_side(d)?,
-        entity: EntityId(d.u64()?),
-        w: d.u32()?,
-        cells: d.vec(dec_cell)?,
-        lsh_cells: d.vec(dec_cell)?,
-    })
+/// A tag byte, then the variant's fields.
+impl Wire for Ticker {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Ticker::EveryN => 0u8.put(out),
+            Ticker::EventTime {
+                interval,
+                origin,
+                last_cell,
+            } => {
+                1u8.put(out);
+                interval.put(out);
+                origin.put(out);
+                last_cell.put(out);
+            }
+            Ticker::Watermark {
+                width,
+                origin,
+                sealed_below,
+                pending,
+            } => {
+                2u8.put(out);
+                width.put(out);
+                origin.put(out);
+                sealed_below.put(out);
+                pending.put(out);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        match u8::get(d)? {
+            0 => Ok(Ticker::EveryN),
+            1 => Ok(Ticker::EventTime {
+                interval: Wire::get(d)?,
+                origin: Wire::get(d)?,
+                last_cell: Wire::get(d)?,
+            }),
+            2 => Ok(Ticker::Watermark {
+                width: Wire::get(d)?,
+                origin: Wire::get(d)?,
+                sealed_below: Wire::get(d)?,
+                pending: Wire::get(d)?,
+            }),
+            t => Err(format!("invalid ticker tag {t}")),
+        }
+    }
 }
 
-fn put_history(out: &mut Vec<u8>, h: &HistoryDump) {
-    put_seq(out, h.wins.iter(), |o, w| put_u32(o, *w));
-    put_seq(out, h.cells.iter(), put_cell);
-    put_seq(out, h.counts.iter(), |o, c| put_u32(o, *c));
-    put_seq(out, h.window_records.iter(), |o, (w, n)| {
-        put_u32(o, *w);
-        put_u32(o, *n);
-    });
+/// Every [`StreamStats`] row in declaration order — which is therefore
+/// the wire layout: a row may only be appended, with a [`VERSION`] bump.
+impl Wire for StreamStats {
+    fn put(&self, out: &mut Vec<u8>) {
+        for (_, _, value) in self.rows() {
+            value.put(out);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        let mut stats = StreamStats::default();
+        for (_, _, value) in stats.rows_mut() {
+            *value = u64::get(d)?;
+        }
+        Ok(stats)
+    }
 }
 
-fn dec_history(d: &mut Dec) -> Result<HistoryDump<'static>, String> {
-    Ok(HistoryDump {
-        wins: d.vec(|d| d.u32())?.into(),
-        cells: d.vec(dec_cell)?.into(),
-        counts: d.vec(|d| d.u32())?.into(),
-        window_records: d.vec(|d| Ok((d.u32()?, d.u32()?)))?.into(),
-    })
+/// Side 0's six per-side collections, then side 1's, then the
+/// cross-side ones. Decoding refuses what a shard could not hold: a
+/// malformed history ([`check_history`]), an entity listed twice or
+/// out of order, and a pair's cached windows out of order (the shard
+/// binary-searches them).
+impl Wire for ShardsDump<'_> {
+    fn put(&self, out: &mut Vec<u8>) {
+        for i in 0..2 {
+            self.histories[i].put(out);
+            self.pending[i].put(out);
+            self.live_events[i].put(out);
+            self.active[i].put(out);
+            self.dirty[i].put(out);
+            self.dead[i].put(out);
+        }
+        self.rings.put(out);
+        self.cache.put(out);
+        self.fresh.put(out);
+        self.edges.put(out);
+        self.edge_deltas.put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        let mut s = ShardsDump::default();
+        for i in 0..2 {
+            s.histories[i] = d.vec()?;
+            for (e, h) in &s.histories[i] {
+                check_history(*e, h)?;
+            }
+            if let Some(p) = s.histories[i].windows(2).find(|p| p[0].0 >= p[1].0) {
+                return Err(format!(
+                    "history of {:?}: listed twice or out of order",
+                    p[1].0
+                ));
+            }
+            s.pending[i] = d.vec()?;
+            s.live_events[i] = d.vec()?;
+            s.active[i] = d.vec()?;
+            s.dirty[i] = d.vec()?;
+            s.dead[i] = d.vec()?;
+        }
+        s.rings = d.vec()?;
+        s.cache = d.vec()?;
+        if let Some((pair, _)) = s
+            .cache
+            .iter()
+            .find(|(_, wins)| wins.windows(2).any(|p| p[0].0 >= p[1].0))
+        {
+            return Err(format!("pair {pair:?}: cached windows not ascending"));
+        }
+        s.fresh = d.vec()?;
+        s.edges = d.vec()?;
+        s.edge_deltas = d.vec()?;
+        Ok(s)
+    }
 }
 
 /// Refuses a decoded history the arena could not hold. The arena takes
@@ -677,325 +856,6 @@ fn check_history(e: EntityId, h: &HistoryDump) -> Result<(), String> {
     Ok(())
 }
 
-fn put_ring(out: &mut Vec<u8>, r: &RingDump) {
-    put_side(out, r.side);
-    put_u64(out, r.entity.0);
-    put_seq(out, &r.ring.slots, |o, slot| {
-        put_seq(o, slot, |o, ((w, c), n)| {
-            put_u32(o, *w);
-            put_cell(o, c);
-            put_u32(o, *n);
-        });
-    });
-    put_seq(out, &r.ring.owners, |o, own| {
-        put_opt(o, own, |o, w| put_u32(o, *w));
-    });
-    put_seq(out, &r.ring.sig, |o, s| put_opt(o, s, put_cell));
-}
-
-fn dec_ring(d: &mut Dec) -> Result<RingDump<'static>, String> {
-    Ok(RingDump {
-        side: dec_side(d)?,
-        entity: EntityId(d.u64()?),
-        ring: Cow::Owned(SpanRing {
-            slots: d.vec(|d| d.collect(|d| Ok(((d.u32()?, dec_cell(d)?), d.u32()?))))?,
-            owners: d.vec(|d| d.opt(|d| d.u32()))?,
-            sig: d.vec(|d| d.opt(dec_cell))?,
-            // Derived from `sig`; `ShardRings::restore` rebuilds it.
-            buckets: Vec::new(),
-        }),
-    })
-}
-
-fn put_ticker(out: &mut Vec<u8>, t: &Ticker) {
-    match t {
-        Ticker::EveryN => put_u8(out, 0),
-        Ticker::EventTime {
-            interval,
-            origin,
-            last_cell,
-        } => {
-            put_u8(out, 1);
-            put_i64(out, *interval);
-            put_opt(out, origin, |o, v| put_i64(o, *v));
-            put_opt(out, last_cell, |o, v| put_u32(o, *v));
-        }
-        Ticker::Watermark {
-            width,
-            origin,
-            sealed_below,
-            pending,
-        } => {
-            put_u8(out, 2);
-            put_i64(out, *width);
-            put_opt(out, origin, |o, v| put_i64(o, *v));
-            put_u32(out, *sealed_below);
-            put_seq(out, pending, put_event);
-        }
-    }
-}
-
-fn dec_ticker(d: &mut Dec) -> Result<Ticker, String> {
-    match d.u8()? {
-        0 => Ok(Ticker::EveryN),
-        1 => Ok(Ticker::EventTime {
-            interval: d.i64()?,
-            origin: d.opt(|d| d.i64())?,
-            last_cell: d.opt(|d| d.u32())?,
-        }),
-        2 => Ok(Ticker::Watermark {
-            width: d.i64()?,
-            origin: d.opt(|d| d.i64())?,
-            sealed_below: d.u32()?,
-            pending: d.vec(dec_event)?,
-        }),
-        t => Err(format!("invalid ticker tag {t}")),
-    }
-}
-
-/// Every [`StreamStats`] row in declaration order — which is therefore
-/// the wire layout: a row may only be appended, with a [`VERSION`] bump.
-fn put_stats(out: &mut Vec<u8>, s: &StreamStats) {
-    for (_, _, value) in s.rows() {
-        put_u64(out, value);
-    }
-}
-
-fn dec_stats(d: &mut Dec) -> Result<StreamStats, String> {
-    let mut stats = StreamStats::default();
-    for (_, _, value) in stats.rows_mut() {
-        *value = d.u64()?;
-    }
-    Ok(stats)
-}
-
-fn put_scoring(out: &mut Vec<u8>, s: &LinkageStats) {
-    let LinkageStats {
-        scored_entity_pairs,
-        bin_pair_comparisons,
-        record_pair_comparisons,
-        alibi_pairs,
-    } = *s;
-    for v in [
-        scored_entity_pairs,
-        bin_pair_comparisons,
-        record_pair_comparisons,
-        alibi_pairs,
-    ] {
-        put_u64(out, v);
-    }
-}
-
-fn dec_scoring(d: &mut Dec) -> Result<LinkageStats, String> {
-    Ok(LinkageStats {
-        scored_entity_pairs: d.u64()?,
-        bin_pair_comparisons: d.u64()?,
-        record_pair_comparisons: d.u64()?,
-        alibi_pairs: d.u64()?,
-    })
-}
-
-fn put_df(out: &mut Vec<u8>, df: &DfDump) {
-    put_seq(out, &df.entries, |o, (w, c, n)| {
-        put_u32(o, *w);
-        put_cell(o, c);
-        put_u32(o, *n);
-    });
-    put_u64(out, df.total_bins);
-    put_u64(out, df.num_entities);
-}
-
-fn dec_df(d: &mut Dec) -> Result<DfDump, String> {
-    Ok(DfDump {
-        entries: d.vec(|d| Ok((d.u32()?, dec_cell(d)?, d.u32()?)))?,
-        total_bins: d.u64()?,
-        num_entities: d.u64()?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Section codecs
-// ---------------------------------------------------------------------
-
-fn encode_meta(out: &mut Vec<u8>, m: &MetaDump) {
-    put_u64(out, m.consumed);
-    let f = &m.fingerprint;
-    put_i64(out, f.window_width_secs);
-    put_u8(out, f.spatial_level);
-    put_u64(out, f.min_records);
-    put_opt(out, &f.window_capacity, |o, v| put_u32(o, *v));
-    put_opt(out, &f.lsh, |o, l| {
-        put_u64(o, l.spans);
-        put_u32(o, l.step_windows);
-        put_u8(o, l.spatial_level);
-        put_u64(o, l.threshold_bits);
-        put_u64(o, l.num_buckets);
-    });
-}
-
-fn decode_meta(payload: &[u8]) -> Result<MetaDump, String> {
-    let mut d = Dec::new(payload);
-    let consumed = d.u64()?;
-    let fingerprint = ConfigFingerprint {
-        window_width_secs: d.i64()?,
-        spatial_level: d.u8()?,
-        min_records: d.u64()?,
-        window_capacity: d.opt(|d| d.u32())?,
-        lsh: d.opt(|d| {
-            Ok(LshFingerprint {
-                spans: d.u64()?,
-                step_windows: d.u32()?,
-                spatial_level: d.u8()?,
-                threshold_bits: d.u64()?,
-                num_buckets: d.u64()?,
-            })
-        })?,
-    };
-    d.done()?;
-    Ok(MetaDump {
-        consumed,
-        fingerprint,
-    })
-}
-
-fn encode_engine(out: &mut Vec<u8>, e: &EngineDump) {
-    put_opt(out, &e.origin, |o, v| put_i64(o, *v));
-    put_u32(out, e.domain);
-    put_u32(out, e.watermark);
-    put_u32(out, e.expired_below);
-    put_u64(out, e.events_since_refresh);
-    put_stats(out, &e.stats);
-    put_scoring(out, &e.scoring);
-    put_seq(out, &e.links, put_edge);
-    put_u64(out, e.epoch_events);
-    put_opt(out, &e.epoch_threshold, |o, v| put_f64(o, *v));
-    put_opt(out, &e.epoch_frontier, |o, v| put_i64(o, *v));
-    put_seq(out, &e.matcher_edges, put_edge);
-    put_opt(out, &e.warm_seed, put_gmm);
-    put_df(out, &e.df[0]);
-    put_df(out, &e.df[1]);
-}
-
-fn decode_engine(payload: &[u8]) -> Result<EngineDump, String> {
-    let mut d = Dec::new(payload);
-    let e = EngineDump {
-        origin: d.opt(|d| d.i64())?,
-        domain: d.u32()?,
-        watermark: d.u32()?,
-        expired_below: d.u32()?,
-        events_since_refresh: d.u64()?,
-        stats: dec_stats(&mut d)?,
-        scoring: dec_scoring(&mut d)?,
-        links: d.vec(dec_edge)?,
-        epoch_events: d.u64()?,
-        epoch_threshold: d.opt(|d| d.f64())?,
-        epoch_frontier: d.opt(|d| d.i64())?,
-        matcher_edges: d.vec(dec_edge)?,
-        warm_seed: d.opt(dec_gmm)?,
-        df: [dec_df(&mut d)?, dec_df(&mut d)?],
-    };
-    d.done()?;
-    Ok(e)
-}
-
-fn encode_shards(out: &mut Vec<u8>, s: &ShardsDump) {
-    for side in 0..2 {
-        put_seq(out, &s.histories[side], |o, (e, h)| {
-            put_u64(o, e.0);
-            put_history(o, h);
-        });
-        for buffers in [&s.pending[side], &s.live_events[side]] {
-            put_seq(out, buffers, |o, (e, evs)| {
-                put_u64(o, e.0);
-                put_seq(o, evs.iter(), put_binned);
-            });
-        }
-        put_seq(out, &s.active[side], |o, e| put_u64(o, e.0));
-        put_seq(out, &s.dirty[side], |o, (e, ws)| {
-            put_u64(o, e.0);
-            put_seq(o, ws.iter(), |o, w| put_u32(o, *w));
-        });
-        put_seq(out, &s.dead[side], |o, e| put_u64(o, e.0));
-    }
-    put_seq(out, &s.rings, put_ring);
-    put_seq(out, &s.cache, |o, (p, wins)| {
-        put_pair(o, p);
-        put_seq(o, wins.iter(), |o, &(w, v)| {
-            put_u32(o, w);
-            put_f64(o, v);
-        });
-    });
-    put_seq(out, &s.fresh, put_pair);
-    put_seq(out, &s.edges, |o, (p, w)| {
-        put_pair(o, p);
-        put_f64(o, *w);
-    });
-    put_seq(out, &s.edge_deltas, |o, (p, w)| {
-        put_pair(o, p);
-        put_opt(o, w, |o, v| put_f64(o, *v));
-    });
-}
-
-fn decode_shards(payload: &[u8]) -> Result<ShardsDump<'static>, String> {
-    let mut d = Dec::new(payload);
-    let mut s = ShardsDump::default();
-    let buffers = |d: &mut Dec| Ok((EntityId(d.u64()?), d.vec(dec_binned)?.into()));
-    for side in 0..2 {
-        s.histories[side] = d.vec(|d| {
-            let (e, h) = (EntityId(d.u64()?), dec_history(d)?);
-            check_history(e, &h)?;
-            Ok((e, h))
-        })?;
-        if let Some(p) = s.histories[side].windows(2).find(|p| p[0].0 >= p[1].0) {
-            return Err(format!(
-                "history of {:?}: listed twice or out of order",
-                p[1].0
-            ));
-        }
-        s.pending[side] = d.vec(buffers)?;
-        s.live_events[side] = d.vec(buffers)?;
-        s.active[side] = d.vec(|d| Ok(EntityId(d.u64()?)))?;
-        s.dirty[side] = d.vec(|d| Ok((EntityId(d.u64()?), Cow::Owned(d.collect(|d| d.u32())?))))?;
-        s.dead[side] = d.vec(|d| Ok(EntityId(d.u64()?)))?;
-    }
-    s.rings = d.vec(dec_ring)?;
-    s.cache = d.vec(|d| {
-        let pair = dec_pair(d)?;
-        let wins = d.vec(|d| Ok((d.u32()?, d.f64()?)))?;
-        // The shard binary-searches this list: it must arrive sorted.
-        if wins.windows(2).any(|p| p[0].0 >= p[1].0) {
-            return Err(format!("pair {pair:?}: cached windows not ascending"));
-        }
-        Ok((pair, Cow::Owned(wins)))
-    })?;
-    s.fresh = d.vec(dec_pair)?;
-    s.edges = d.vec(|d| Ok((dec_pair(d)?, d.f64()?)))?;
-    s.edge_deltas = d.vec(|d| Ok((dec_pair(d)?, d.opt(|d| d.f64())?)))?;
-    d.done()?;
-    Ok(s)
-}
-
-fn encode_pump(out: &mut Vec<u8>, p: &ResumeState) {
-    put_u64(out, p.consumed);
-    put_opt(out, &p.reorder_max_seen, |o, v| put_i64(o, *v));
-    put_seq(out, &p.reorder_held, put_event);
-    put_u64(out, p.reorder_late);
-    put_ticker(out, &p.ticker);
-}
-
-fn decode_pump(payload: &[u8]) -> Result<ResumeState, String> {
-    let mut d = Dec::new(payload);
-    let p = ResumeState {
-        consumed: d.u64()?,
-        reorder_max_seen: d.opt(|d| d.i64())?,
-        reorder_held: d.vec(dec_event)?,
-        reorder_late: d.u64()?,
-        ticker: dec_ticker(&mut d)?,
-    };
-    d.done()?;
-    Ok(p)
-}
-
 // ---------------------------------------------------------------------
 // Whole-file codec
 // ---------------------------------------------------------------------
@@ -1007,7 +867,7 @@ const FRAME_LEN_CRC: usize = 12;
 /// the length and CRC slots are reserved first and patched once the
 /// payload range is known.
 fn frame(out: &mut Vec<u8>, tag: u32, body: impl FnOnce(&mut Vec<u8>)) {
-    put_u32(out, tag);
+    tag.put(out);
     let header = out.len();
     out.extend_from_slice(&[0; FRAME_LEN_CRC]);
     let payload = out.len();
@@ -1024,11 +884,11 @@ fn frame(out: &mut Vec<u8>, tag: u32, body: impl FnOnce(&mut Vec<u8>)) {
 pub(crate) fn encode_into(out: &mut Vec<u8>, image: &Image) {
     out.clear();
     out.extend_from_slice(MAGIC);
-    put_u32(out, VERSION);
-    frame(out, TAG_META, |o| encode_meta(o, &image.meta));
-    frame(out, TAG_ENGINE, |o| encode_engine(o, &image.engine));
-    frame(out, TAG_SHARDS, |o| encode_shards(o, &image.shards));
-    frame(out, TAG_PUMP, |o| encode_pump(o, &image.pump));
+    VERSION.put(out);
+    frame(out, TAG_META, |o| image.meta.put(o));
+    frame(out, TAG_ENGINE, |o| image.engine.put(o));
+    frame(out, TAG_SHARDS, |o| image.shards.put(o));
+    frame(out, TAG_PUMP, |o| image.pump.put(o));
     frame(out, TAG_END, |_| {});
 }
 
@@ -1041,7 +901,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Image<'static>, String> {
     if d.take(MAGIC.len())? != MAGIC {
         return Err("bad magic: not a checkpoint file".into());
     }
-    let version = d.u32()?;
+    let version = u32::get(&mut d)?;
     if version != VERSION {
         return Err(format!(
             "unsupported checkpoint version {version} (expected {VERSION})"
@@ -1052,9 +912,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Image<'static>, String> {
     let mut shards = None;
     let mut pump = None;
     loop {
-        let tag = d.u32()?;
-        let len = d.u64()? as usize;
-        let crc = d.u32()?;
+        let tag = u32::get(&mut d)?;
+        let len = u64::get(&mut d)? as usize;
+        let crc = u32::get(&mut d)?;
         let payload = d.take(len)?;
         if crc32(payload) != crc {
             return Err(format!("CRC mismatch in frame tag {tag}"));
@@ -1066,10 +926,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Image<'static>, String> {
                 }
                 break;
             }
-            TAG_META if meta.is_none() => meta = Some(decode_meta(payload)?),
-            TAG_ENGINE if engine.is_none() => engine = Some(decode_engine(payload)?),
-            TAG_SHARDS if shards.is_none() => shards = Some(decode_shards(payload)?),
-            TAG_PUMP if pump.is_none() => pump = Some(decode_pump(payload)?),
+            TAG_META if meta.is_none() => meta = Some(section(payload)?),
+            TAG_ENGINE if engine.is_none() => engine = Some(section(payload)?),
+            TAG_SHARDS if shards.is_none() => shards = Some(section(payload)?),
+            TAG_PUMP if pump.is_none() => pump = Some(section(payload)?),
             TAG_META | TAG_ENGINE | TAG_SHARDS | TAG_PUMP => {
                 return Err(format!("duplicate frame tag {tag}"));
             }
@@ -1223,7 +1083,6 @@ pub(crate) fn load_latest(dir: &Path) -> Result<(Image<'static>, u64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     /// A checkpoint the parent of the borrow-don't-clone write path
     /// wrote (see `tests/checkpoint_format.rs` for the workload).
@@ -1646,18 +1505,18 @@ mod tests {
         const CLAIMED: usize = 11_000_000;
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        put_u32(&mut bytes, VERSION);
+        VERSION.put(&mut bytes);
         let sample = sample_state();
-        frame(&mut bytes, TAG_META, |o| encode_meta(o, &sample.meta));
-        frame(&mut bytes, TAG_ENGINE, |o| encode_engine(o, &sample.engine));
+        frame(&mut bytes, TAG_META, |o| sample.meta.put(o));
+        frame(&mut bytes, TAG_ENGINE, |o| sample.engine.put(o));
         frame(&mut bytes, TAG_SHARDS, |o| {
             for _ in 0..12 {
-                put_u64(o, 0); // six empty per-side collections, twice
+                0u64.put(o); // six empty per-side collections, twice
             }
-            put_u64(o, CLAIMED as u64); // rings
+            (CLAIMED as u64).put(o); // rings
             o.resize(o.len() + CLAIMED, 0);
         });
-        frame(&mut bytes, TAG_PUMP, |o| encode_pump(o, &sample.pump));
+        frame(&mut bytes, TAG_PUMP, |o| sample.pump.put(o));
         frame(&mut bytes, TAG_END, |_| {});
         let err = decode(&bytes).expect_err("the rings run out of payload");
         assert!(err.contains("truncated"), "unexpected error: {err}");
@@ -1761,6 +1620,45 @@ mod tests {
             err.contains("EntityId(7)") && err.contains("listed twice"),
             "unexpected error: {err}"
         );
+    }
+
+    /// A ring's columns are indexed by slot, so a CRC-valid image whose
+    /// ring has more or fewer slots, owners or signature cells than the
+    /// configured spans is refused by recovery rather than restored
+    /// into a panic at the first hash or `add`.
+    #[test]
+    fn misshapen_rings_are_rejected() {
+        let cfg = StreamConfig {
+            lsh: Some(crate::StreamLshConfig {
+                spans: 2,
+                ..Default::default()
+            }),
+            ..StreamConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("slim-ckpt-ring-{}", std::process::id()));
+        let recover_with = |cut: fn(&mut SpanRing)| {
+            let _ = fs::remove_dir_all(&dir);
+            let mut state = sample_state();
+            state.meta.fingerprint = ConfigFingerprint::of(&cfg);
+            cut(state.shards.rings[0].ring.to_mut());
+            write_atomic(&dir, 42, &encode(&state)).unwrap();
+            crate::StreamEngine::recover(cfg, &dir).map(|_| ())
+        };
+        assert_eq!(recover_with(|_| {}), Ok(()));
+        let cuts: [fn(&mut SpanRing); 4] = [
+            |r| r.sig.truncate(1),
+            |r| r.owners.truncate(1),
+            |r| r.slots.truncate(1),
+            |r| r.sig.push(None),
+        ];
+        for (i, cut) in cuts.into_iter().enumerate() {
+            let err = recover_with(cut).expect_err("a misshapen ring");
+            assert!(
+                err.contains("ring of Left EntityId(7)") && err.contains("2 spans"),
+                "case {i}: unexpected error: {err}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A failed write removes its own temp file; a temp file a killed

@@ -974,7 +974,7 @@ impl StreamEngine {
             for dump in rings {
                 let (side, ent) = (dump.side, dump.entity);
                 let home = &mut self.shards[entity_shard(side, ent, n)];
-                home.rings.restore(&lsh.geom, dump);
+                home.rings.restore(&lsh.geom, dump)?;
                 let buckets = home.rings.buckets(side, ent).expect("restored above");
                 for partition in &mut lsh.partitions {
                     let _ = partition.upsert_hashed(side.index_side(), ent, buckets);

@@ -282,13 +282,28 @@ impl ShardRings {
     /// recovery inverse. The band-bucket cache does not travel in the
     /// dump and is rebuilt here from the restored signature, so the
     /// ring answers `buckets` and every subsequent `add`/`evict`
-    /// exactly like the checkpointed one.
-    pub(crate) fn restore(&mut self, geom: &LshGeometry, dump: RingDump<'_>) {
+    /// exactly like the checkpointed one. A ring with a column of any
+    /// length but `spans` is an error: hashing or filling it would index
+    /// past its end.
+    pub(crate) fn restore(&mut self, geom: &LshGeometry, dump: RingDump<'_>) -> Result<(), String> {
+        let r = &dump.ring;
+        if [r.slots.len(), r.owners.len(), r.sig.len()] != [geom.spans; 3] {
+            return Err(format!(
+                "ring of {:?} {:?}: {} slots, {} owners and {} signature cells for {} spans",
+                dump.side,
+                dump.entity,
+                r.slots.len(),
+                r.owners.len(),
+                r.sig.len(),
+                geom.spans
+            ));
+        }
         let mut ring = dump.ring.into_owned();
         ring.buckets = (0..geom.bands)
             .map(|band| band_bucket_of(&ring.sig, band, geom.rows, geom.num_buckets))
             .collect();
         self.rings.insert((dump.side, dump.entity), ring);
+        Ok(())
     }
 
     #[cfg(test)]
@@ -510,7 +525,7 @@ mod tests {
                             .collect();
                         rings = ShardRings::default();
                         for d in dumps {
-                            rings.restore(&g, d);
+                            rings.restore(&g, d).expect("an exported ring fits");
                         }
                         "restore"
                     }

@@ -127,10 +127,12 @@ impl LinkQueryServer {
                             .name("slim-serve-conn".into())
                             .spawn(move || serve_connection(conn, &shared));
                         if let Ok(handler) = handler {
-                            handlers
-                                .lock()
-                                .expect("handler list poisoned")
-                                .push(handler);
+                            let mut handlers = handlers.lock().expect("handler list poisoned");
+                            // A finished handler's handle still holds its
+                            // thread's stack; dropping it lets that go, so
+                            // the list holds live connections only.
+                            handlers.retain(|h| !h.is_finished());
+                            handlers.push(handler);
                         }
                     }
                 })
@@ -421,6 +423,28 @@ mod tests {
             frontier: Some(Timestamp(900)),
         }));
         assert_eq!(ask("EPOCH"), "OK epoch=1 links=1 events=10 frontier=900");
+    }
+
+    /// Closed connections do not pile up: each accept drops the handles
+    /// of handlers that have finished, so after many short connections
+    /// the list holds a few at most, not one per connection ever made.
+    #[test]
+    fn finished_handlers_are_not_kept() {
+        let server = LinkQueryServer::bind("127.0.0.1:0", published()).expect("bind");
+        for _ in 0..100 {
+            let conn = TcpStream::connect(server.local_addr()).expect("connect");
+            let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
+            (&conn).write_all(b"EPOCH\n").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert!(reply.starts_with("OK epoch=4"), "{reply:?}");
+        }
+        let kept = server.handlers.lock().unwrap().len();
+        assert!(
+            kept < 20,
+            "{kept} handles kept after 100 closed connections"
+        );
+        assert_eq!(server.queries_served(), 100);
     }
 
     /// An oversized line gets one `ERR` reply and the connection is
