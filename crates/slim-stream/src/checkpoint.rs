@@ -415,6 +415,15 @@ impl<'a> Dec<'a> {
     }
 
     fn vec<T: Wire>(&mut self) -> Result<Vec<T>, String> {
+        self.vec_checked(|_| Ok(()))
+    }
+
+    /// [`Dec::vec`], refusing an element `check` rejects as soon as it
+    /// has parsed.
+    fn vec_checked<T: Wire>(
+        &mut self,
+        check: impl Fn(&T) -> Result<(), String>,
+    ) -> Result<Vec<T>, String> {
         let n = self.len()?;
         // The one-byte-per-element bound above still lets a CRC-valid
         // file claim millions of elements that are ~100 bytes each in
@@ -422,7 +431,9 @@ impl<'a> Dec<'a> {
         // vector grow only as elements actually parse.
         let mut v = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
-            v.push(T::get(self)?);
+            let item = T::get(self)?;
+            check(&item)?;
+            v.push(item);
         }
         Ok(v)
     }
@@ -796,10 +807,7 @@ impl Wire for ShardsDump<'_> {
     fn get(d: &mut Dec) -> Result<Self, String> {
         let mut s = ShardsDump::default();
         for i in 0..2 {
-            s.histories[i] = d.vec()?;
-            for (e, h) in &s.histories[i] {
-                check_history(*e, h)?;
-            }
+            s.histories[i] = d.vec_checked(|(e, h)| check_history(*e, h))?;
             if let Some(p) = s.histories[i].windows(2).find(|p| p[0].0 >= p[1].0) {
                 return Err(format!(
                     "history of {:?}: listed twice or out of order",
@@ -813,14 +821,12 @@ impl Wire for ShardsDump<'_> {
             s.dead[i] = d.vec()?;
         }
         s.rings = d.vec()?;
-        s.cache = d.vec()?;
-        if let Some((pair, _)) = s
-            .cache
-            .iter()
-            .find(|(_, wins)| wins.windows(2).any(|p| p[0].0 >= p[1].0))
-        {
-            return Err(format!("pair {pair:?}: cached windows not ascending"));
-        }
+        s.cache = d.vec_checked(|(pair, wins): &(PairKey, Cow<[Contribution]>)| {
+            if wins.windows(2).any(|p| p[0].0 >= p[1].0) {
+                return Err(format!("pair {pair:?}: cached windows not ascending"));
+            }
+            Ok(())
+        })?;
         s.fresh = d.vec()?;
         s.edges = d.vec()?;
         s.edge_deltas = d.vec()?;

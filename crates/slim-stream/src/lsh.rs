@@ -287,15 +287,11 @@ impl ShardRings {
     /// past its end.
     pub(crate) fn restore(&mut self, geom: &LshGeometry, dump: RingDump<'_>) -> Result<(), String> {
         let r = &dump.ring;
-        if [r.slots.len(), r.owners.len(), r.sig.len()] != [geom.spans; 3] {
+        let lens = [r.slots.len(), r.owners.len(), r.sig.len()];
+        if lens != [geom.spans; 3] {
             return Err(format!(
-                "ring of {:?} {:?}: {} slots, {} owners and {} signature cells for {} spans",
-                dump.side,
-                dump.entity,
-                r.slots.len(),
-                r.owners.len(),
-                r.sig.len(),
-                geom.spans
+                "ring of {:?} {:?}: {lens:?} slots, owners, signature cells for {} spans",
+                dump.side, dump.entity, geom.spans
             ));
         }
         let mut ring = dump.ring.into_owned();
