@@ -469,7 +469,7 @@ macro_rules! wire_int {
             }
             fn get(d: &mut Dec) -> Result<Self, String> {
                 let bytes = d.take(std::mem::size_of::<$t>())?;
-                Ok(<$t>::from_le_bytes(bytes.try_into().unwrap()))
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("took its size")))
             }
         }
     )*};
@@ -535,8 +535,8 @@ impl<T: Wire> Wire for [T; 2] {
     }
 }
 
-/// A length-prefixed sequence, straight from whatever holds it (slice,
-/// `BTreeMap`, `BTreeSet`) — nothing is collected first.
+/// A length-prefixed sequence, straight from whatever holds it (`Vec`,
+/// borrowed slice, `BTreeSet`) — nothing is collected first.
 fn write_seq<'a, T: Wire + 'a>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
     (items.len() as u64).put(out);
     for it in items {
