@@ -158,6 +158,31 @@ fn bench_lsh_kernels(c: &mut Criterion) {
     });
 }
 
+/// The window kernel by window shape: a one-scan row (1×1, 1×2) and the
+/// greedy matrix (2×2, 4×4), each window resolved on the fly as the
+/// batch scorer does. Half the cells lie beyond the runaway distance
+/// of the other side's, so the alibi pass runs.
+fn bench_window_shapes(c: &mut Criterion) {
+    let (l, r, cfg) = scoring_fixture();
+    let scorer = slim::core::similarity::SimilarityScorer::new(&cfg, &l, &r);
+    let cells = |lat: f64, n: usize| -> Vec<CellId> {
+        let mut cells: Vec<CellId> = (0..n)
+            .map(|k| CellId::from_latlng(LatLng::from_degrees(lat + 0.3 * k as f64, -122.3), 12))
+            .collect();
+        cells.sort_unstable();
+        cells
+    };
+    for (n, m) in [(1, 1), (1, 2), (2, 2), (4, 4)] {
+        let (a, b) = (cells(37.3, n), cells(37.31, m));
+        let (na, nb) = (vec![1u32; n], vec![1u32; m]);
+        c.bench_function(&format!("window_contribution_{n}x{m}"), |bench| {
+            let mut stats = LinkageStats::default();
+            bench
+                .iter(|| black_box(scorer.window_contribution(4, (&a, &na), (&b, &nb), &mut stats)))
+        });
+    }
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default();
@@ -167,6 +192,7 @@ criterion_group! {
         bench_proximity,
         bench_pairing,
         bench_similarity,
+        bench_window_shapes,
         bench_gmm,
         bench_lsh_kernels,
 }

@@ -8,14 +8,21 @@
 //! same with the *largest* distance and feeds the alibi check of Alg. 1.
 //! The Cartesian-product variant exists for the Fig. 10 ablation.
 //!
-//! Each side is one window's cell column
-//! ([`crate::arena::EntityView::window_run`]); pairing reads nothing
-//! else. The kernel reads each cell's geometry from a per-thread memo
-//! keyed under [`crate::fasthash`]: center, exact radius, and the cosine of
-//! the center's latitude ([`CellGeometry`]), so a distance is one
-//! haversine with no `cos` and no SipHash probe. The haversine is the
-//! body `LatLng::distance_m` runs, so every distance keeps the bits of
-//! the uncached [`geocell::bounded_distance_m`].
+//! Each side is one window's cells with their geometry ([`Bins`]): the
+//! center, exact radius, and cosine of the center's latitude
+//! ([`CellGeometry`]), so a distance is one haversine with no `cos` and
+//! no map probe. The haversine is the body `LatLng::distance_m` runs, so
+//! every distance keeps the bits of the uncached
+//! [`geocell::bounded_distance_m`]. Callers resolve the geometry from a
+//! per-thread memo keyed under [`crate::fasthash`], one borrow a window
+//! ([`with_geometry_memo`]).
+//!
+//! A single-row or single-column window is paired in one scan: its `N`
+//! is the first smallest distance in row-major order and its `N'` the
+//! first largest, which is what one round of the greedy loop picks.
+//! `N'` can be cut short ([`Selection::NearestAndFurthest`]'s cutoff):
+//! greedy picks never grow in distance, so once a pick is within the
+//! cutoff every later one is too.
 
 use std::cell::RefCell;
 
@@ -35,6 +42,10 @@ pub struct BinPair {
     pub dist_m: f64,
 }
 
+/// One side of a window as the kernel reads it: each bin's cell, and
+/// beside it that cell's geometry.
+pub type Bins<'a> = (&'a [CellId], &'a [CellGeometry]);
+
 /// Entries kept in the per-thread geometry memo before it is reset. The
 /// working set of real workloads is the distinct cells of one city-ish
 /// region (tens of thousands); the cap only guards against unbounded
@@ -52,8 +63,7 @@ thread_local! {
     /// on its pool workers alike, since the pool's threads are spawned
     /// once per engine and persist until it is dropped. A pair's cells
     /// recur per window and per tick, so that is the dominant reuse.
-    static CELL_GEOMETRY: RefCell<FastMap<CellId, CellGeometry>> =
-        RefCell::new(FastMap::default());
+    static CELL_GEOMETRY: RefCell<GeometryMemo> = RefCell::new(GeometryMemo::default());
 
     /// The pairing kernel's working buffers. Same lifetime as the memo
     /// above: they grow to the largest window a thread has paired and
@@ -62,41 +72,64 @@ thread_local! {
     static SCRATCH: RefCell<PairingScratch> = RefCell::new(PairingScratch::default());
 }
 
+/// The calling thread's cell geometry memo, lent by
+/// [`with_geometry_memo`].
+#[derive(Default)]
+pub(crate) struct GeometryMemo(FastMap<CellId, CellGeometry>);
+
+impl GeometryMemo {
+    /// Memoized [`CellGeometry::of`].
+    pub(crate) fn of(&mut self, cell: CellId) -> CellGeometry {
+        if self.0.len() >= GEOMETRY_CACHE_CAP {
+            self.0.clear();
+        }
+        *self.0.entry(cell).or_insert_with(|| CellGeometry::of(cell))
+    }
+}
+
+/// Lends the calling thread's geometry memo to `f`: one borrow for any
+/// number of cells.
+pub(crate) fn with_geometry_memo<R>(f: impl FnOnce(&mut GeometryMemo) -> R) -> R {
+    CELL_GEOMETRY.with(|memo| f(&mut memo.borrow_mut()))
+}
+
 /// Memoized [`CellGeometry::of`].
 pub fn cached_cell_geometry(cell: CellId) -> CellGeometry {
-    CELL_GEOMETRY.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        if memo.len() >= GEOMETRY_CACHE_CAP {
-            memo.clear();
-        }
-        *memo.entry(cell).or_insert_with(|| CellGeometry::of(cell))
-    })
+    with_geometry_memo(|memo| memo.of(cell))
 }
 
 /// Which pair lists [`with_window_pairs`] selects from a window's
-/// distance matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// distances. A cutoff keeps the prefix of `N'` farther than it
+/// (`f64::NEG_INFINITY` keeps all of `N'`).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Selection {
     /// `N` only.
     Nearest,
-    /// `N`, then `N'` over the same matrix (the alibi pass).
-    NearestAndFurthest,
-    /// `N'` only.
-    Furthest,
+    /// `N`, then `N'` down to the cutoff (the alibi pass).
+    NearestAndFurthest(f64),
+    /// `N'` down to the cutoff only.
+    Furthest(f64),
     /// The Cartesian product.
     All,
 }
 
-/// One window's geometry, distance matrix and selected pairs, in
-/// buffers that outlive the window (see `SCRATCH`). Every buffer is
-/// cleared before it is refilled — the pair lists by
-/// [`with_window_pairs`], the rest where they are filled — so nothing
-/// of the previous window (a `used` flag, a stride, a pair) is ever
-/// read.
+/// The distance the kernel pairs by, `a` first.
+fn distance((ca, ga): (&CellId, &CellGeometry), (cb, gb): (&CellId, &CellGeometry)) -> f64 {
+    // Same level on both sides: equality is the only containment.
+    if ca == cb {
+        0.0
+    } else {
+        ga.bounded_distance_m(gb)
+    }
+}
+
+/// One window's distance matrix and selected pairs, in buffers that
+/// outlive the window (see `SCRATCH`). Every buffer is cleared before
+/// it is refilled — the pair lists by [`with_window_pairs`], the rest
+/// where they are filled — so nothing of the previous window (a `used`
+/// flag, a stride, a pair) is ever read.
 #[derive(Default)]
 struct PairingScratch {
-    /// Per side: each bin's cell with its geometry.
-    geom: [Vec<(CellId, CellGeometry)>; 2],
     /// Row-major `|a| × |b|` cell distances, metres.
     dist: Vec<f64>,
     /// Per side: bins already consumed by the running greedy selection.
@@ -108,34 +141,50 @@ struct PairingScratch {
 }
 
 impl PairingScratch {
-    /// Looks up each cell's center + radius once per side — O(n + m)
-    /// probes of the thread-local memo — and fills the O(n·m) matrix.
-    fn load(&mut self, a: &[CellId], b: &[CellId]) {
-        let [ga, gb] = &mut self.geom;
-        ga.clear();
-        ga.extend(a.iter().map(|&c| (c, cached_cell_geometry(c))));
-        gb.clear();
-        gb.extend(b.iter().map(|&c| (c, cached_cell_geometry(c))));
-        self.dist.clear();
-        self.dist.reserve(ga.len() * gb.len());
-        for (ca, pa) in ga.iter() {
-            for (cb, pb) in gb.iter() {
-                // Same level on both sides: equality is the only containment.
-                self.dist.push(if ca == cb {
-                    0.0
-                } else {
-                    pa.bounded_distance_m(pb)
-                });
-            }
+    /// Runs `selection` over two non-empty sides.
+    fn pair(&mut self, a: Bins<'_>, b: Bins<'_>, selection: Selection) {
+        let (nearest, cutoff) = match selection {
+            Selection::All => return self.select_all(a, b),
+            Selection::Nearest => (true, None),
+            Selection::NearestAndFurthest(cutoff) => (true, Some(cutoff)),
+            Selection::Furthest(cutoff) => (false, Some(cutoff)),
+        };
+        if a.0.len() == 1 || b.0.len() == 1 {
+            return self.scan(a, b, nearest, cutoff);
+        }
+        let largest = self.load(a, b);
+        if nearest {
+            self.select(b.0.len(), true, None);
+        }
+        // No pick of `N'` can beat the cutoff when no cell does.
+        if let Some(cutoff) = cutoff.filter(|&c| largest > c) {
+            self.select(b.0.len(), false, Some(cutoff));
         }
     }
 
-    /// Greedy extremal matching over the loaded matrix: repeatedly takes
-    /// the smallest (`want_min`) or largest remaining distance, first in
-    /// row-major order on ties, and retires both bins. Appends to `N`
-    /// (`want_min`) or `N'`.
-    fn select(&mut self, want_min: bool) {
-        let (n, m) = (self.geom[0].len(), self.geom[1].len());
+    /// Fills the O(n·m) matrix and returns its largest distance.
+    fn load(&mut self, a: Bins<'_>, b: Bins<'_>) -> f64 {
+        self.dist.clear();
+        self.dist.reserve(a.0.len() * b.0.len());
+        let mut largest = f64::NEG_INFINITY;
+        for pa in a.0.iter().zip(a.1) {
+            for pb in b.0.iter().zip(b.1) {
+                let d = distance(pa, pb);
+                largest = largest.max(d);
+                self.dist.push(d);
+            }
+        }
+        largest
+    }
+
+    /// Greedy extremal matching over the loaded matrix of `m` columns:
+    /// repeatedly takes the smallest (`want_min`) or largest remaining
+    /// distance, first in row-major order on ties, and retires both
+    /// bins. Appends to `N` (`want_min`) or `N'`, which ends at the
+    /// first pick within `cutoff`: picks never grow, so none after it
+    /// would be farther.
+    fn select(&mut self, m: usize, want_min: bool, cutoff: Option<f64>) {
+        let n = self.dist.len() / m;
         let out = if want_min {
             &mut self.primary
         } else {
@@ -167,6 +216,9 @@ impl PairingScratch {
                 }
             }
             let (ai, bi, dist) = best.expect("rounds bounded by remaining bins");
+            if cutoff.is_some_and(|c| dist <= c) {
+                break;
+            }
             a_used[ai] = true;
             b_used[bi] = true;
             out.push(BinPair {
@@ -177,45 +229,93 @@ impl PairingScratch {
         }
     }
 
-    /// Appends every cell of the loaded matrix to the primary list as a
-    /// pair, row-major.
-    fn select_all(&mut self) {
-        let m = self.geom[1].len();
-        self.primary
-            .extend(self.dist.iter().enumerate().map(|(k, &dist_m)| BinPair {
-                e_idx: k / m,
-                i_idx: k % m,
+    /// A single row or column in one scan, no matrix: `N` is its first
+    /// smallest distance and `N'` its first largest — the one round the
+    /// greedy loop would run, same tie rule.
+    fn scan(&mut self, a: Bins<'_>, b: Bins<'_>, nearest: bool, cutoff: Option<f64>) {
+        let row = a.0.len() == 1;
+        let at = |k: usize| if row { (0, k) } else { (k, 0) };
+        let dist = |k: usize| {
+            let (ai, bi) = at(k);
+            distance((&a.0[ai], &a.1[ai]), (&b.0[bi], &b.1[bi]))
+        };
+        let d0 = dist(0);
+        let (mut near, mut far) = ((0, d0), (0, d0));
+        for k in 1..a.0.len().max(b.0.len()) {
+            let d = dist(k);
+            if d < near.1 {
+                near = (k, d);
+            }
+            if d > far.1 {
+                far = (k, d);
+            }
+        }
+        let pair = |(k, dist_m): (usize, f64)| {
+            let (e_idx, i_idx) = at(k);
+            BinPair {
+                e_idx,
+                i_idx,
                 dist_m,
-            }));
+            }
+        };
+        if nearest {
+            self.primary.push(pair(near));
+        }
+        if cutoff.is_some_and(|c| far.1 > c) {
+            self.furthest.push(pair(far));
+        }
+    }
+
+    /// Appends every cell pair to the primary list, row-major.
+    fn select_all(&mut self, a: Bins<'_>, b: Bins<'_>) {
+        for (e_idx, pa) in a.0.iter().zip(a.1).enumerate() {
+            for (i_idx, pb) in b.0.iter().zip(b.1).enumerate() {
+                self.primary.push(BinPair {
+                    e_idx,
+                    i_idx,
+                    dist_m: distance(pa, pb),
+                });
+            }
+        }
     }
 }
 
-/// The pairing kernel: builds the window's distance matrix **once** and
-/// runs every requested selection over it, handing `f` the primary list
-/// (`N`, or the Cartesian product) and the `N'` list (each empty unless
-/// asked for). The lists live in the calling thread's scratch buffers,
-/// so `f` must not pair another window.
+/// The pairing kernel: runs the requested selections over the window's
+/// distances — one matrix, built once, for a window of at least two
+/// rows and two columns, one scan otherwise — and hands `f` the primary
+/// list (`N`, or the Cartesian product) and the `N'` list (each empty
+/// unless asked for). The lists live in the calling thread's scratch
+/// buffers, so `f` must not pair another window.
 pub(crate) fn with_window_pairs<R>(
-    a: &[CellId],
-    b: &[CellId],
+    a: Bins<'_>,
+    b: Bins<'_>,
     selection: Selection,
     f: impl FnOnce(&[BinPair], &[BinPair]) -> R,
 ) -> R {
     SCRATCH.with(|scratch| {
         let mut s = scratch.borrow_mut();
-        s.load(a, b);
         s.primary.clear();
         s.furthest.clear();
-        match selection {
-            Selection::All => s.select_all(),
-            Selection::Nearest => s.select(true),
-            Selection::NearestAndFurthest => {
-                s.select(true);
-                s.select(false);
-            }
-            Selection::Furthest => s.select(false),
+        if !a.0.is_empty() && !b.0.is_empty() {
+            s.pair(a, b, selection);
         }
         f(&s.primary, &s.furthest)
+    })
+}
+
+/// [`with_window_pairs`] over bare cells, geometry from the memo.
+fn cell_pairs(
+    a: &[CellId],
+    b: &[CellId],
+    selection: Selection,
+    pick: for<'p> fn(&'p [BinPair], &'p [BinPair]) -> &'p [BinPair],
+) -> Vec<BinPair> {
+    let (ga, gb): (Vec<_>, Vec<_>) = with_geometry_memo(|memo| {
+        let mut geometry = |cells: &[CellId]| cells.iter().map(|&c| memo.of(c)).collect();
+        (geometry(a), geometry(b))
+    });
+    with_window_pairs((a, &ga), (b, &gb), selection, |primary, furthest| {
+        pick(primary, furthest).to_vec()
     })
 }
 
@@ -223,22 +323,23 @@ pub(crate) fn with_window_pairs<R>(
 /// globally-closest pairs, each bin used at most once, `min(|a|, |b|)`
 /// pairs total.
 pub fn mutually_nearest(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
-    with_window_pairs(a, b, Selection::Nearest, |nearest, _| nearest.to_vec())
+    cell_pairs(a, b, Selection::Nearest, |nearest, _| nearest)
 }
 
 /// The paper's `N'_w`: greedy globally-furthest pairs, used for the
 /// optional alibi-detection pass.
 pub fn mutually_furthest(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
-    with_window_pairs(a, b, Selection::Furthest, |_, furthest| furthest.to_vec())
+    let whole = Selection::Furthest(f64::NEG_INFINITY);
+    cell_pairs(a, b, whole, |_, furthest| furthest)
 }
 
 /// The Cartesian product of bins — the "All Pairs" ablation.
 pub fn all_pairs(a: &[CellId], b: &[CellId]) -> Vec<BinPair> {
-    with_window_pairs(a, b, Selection::All, |all, _| all.to_vec())
+    cell_pairs(a, b, Selection::All, |all, _| all)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use geocell::{bounded_distance_m, cell_center_and_radius, LatLng};
 
@@ -249,9 +350,22 @@ mod tests {
             .collect()
     }
 
+    /// The prefix of `N'` farther apart than `cutoff`.
+    fn furthest_beyond(a: &[CellId], b: &[CellId], cutoff: f64) -> Vec<BinPair> {
+        cell_pairs(a, b, Selection::Furthest(cutoff), |_, furthest| furthest)
+    }
+
+    fn geometry(cells: &[CellId]) -> Vec<CellGeometry> {
+        cells.iter().map(|&c| CellGeometry::of(c)).collect()
+    }
+
     /// The kernel this module replaced, kept as the oracle: one distance
     /// matrix and one set of flags allocated per call.
-    fn extremal_pairs_oracle(a: &[CellId], b: &[CellId], want_min: bool) -> Vec<BinPair> {
+    pub(crate) fn extremal_pairs_oracle(
+        a: &[CellId],
+        b: &[CellId],
+        want_min: bool,
+    ) -> Vec<BinPair> {
         let (n, m) = (a.len(), b.len());
         let geom = |cells: &[CellId]| -> Vec<_> {
             cells
@@ -305,8 +419,9 @@ mod tests {
         out
     }
 
-    /// The one-matrix kernel against the two-call oracle on random cell
-    /// columns drawn from a small grid — so cells repeat within and
+    /// The kernel — one matrix, or one scan for a single row or column,
+    /// with `N'` whole or cut — against the two-call oracle on random
+    /// cell columns drawn from a small grid — so cells repeat within and
     /// across sides and distances tie — run back to back on this
     /// thread's one scratch through sizes that grow *and* shrink (1×1,
     /// n ≠ m, an empty side), so a stale `used` flag, pair or matrix
@@ -353,17 +468,38 @@ mod tests {
                         .collect()
                 };
                 let (a, b) = (column(n), column(m));
+                let (ga, gb) = (geometry(&a), geometry(&b));
                 let nearest = extremal_pairs_oracle(&a, &b, true);
                 let furthest = extremal_pairs_oracle(&a, &b, false);
                 let ctx = format!("round {round}, {n}×{m}");
-                with_window_pairs(&a, &b, Selection::NearestAndFurthest, |n1, f1| {
+                let full = Selection::NearestAndFurthest(f64::NEG_INFINITY);
+                with_window_pairs((&a, &ga), (&b, &gb), full, |n1, f1| {
                     assert_eq!(bits(n1), bits(&nearest), "N, {ctx}");
                     assert_eq!(bits(f1), bits(&furthest), "N', {ctx}");
                 });
-                with_window_pairs(&a, &b, Selection::Nearest, |n1, f1| {
+                with_window_pairs((&a, &ga), (&b, &gb), Selection::Nearest, |n1, f1| {
                     assert_eq!(bits(n1), bits(&nearest), "N alone, {ctx}");
                     assert!(f1.is_empty(), "N' not asked for, {ctx}");
                 });
+                // Cut at each distance of `N'` in turn, and between
+                // them: the cut list is the prefix farther than the cut.
+                for cutoff in furthest.iter().flat_map(|p| [p.dist_m, p.dist_m - 1.0]) {
+                    let beyond: Vec<BinPair> = furthest
+                        .iter()
+                        .copied()
+                        .take_while(|p| p.dist_m > cutoff)
+                        .collect();
+                    let cut = Selection::NearestAndFurthest(cutoff);
+                    with_window_pairs((&a, &ga), (&b, &gb), cut, |n1, f1| {
+                        assert_eq!(bits(n1), bits(&nearest), "N, cut {cutoff}, {ctx}");
+                        assert_eq!(bits(f1), bits(&beyond), "N' cut {cutoff}, {ctx}");
+                    });
+                    assert_eq!(
+                        bits(&furthest_beyond(&a, &b, cutoff)),
+                        bits(&beyond),
+                        "{ctx}"
+                    );
+                }
                 assert_eq!(
                     bits(&mutually_furthest(&a, &b)),
                     bits(&furthest),
@@ -377,6 +513,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A pick exactly at the cutoff is within it: `is_alibi` is strict,
+    /// so the cut `N'` ends there, in the greedy loop and in the scan.
+    #[test]
+    fn furthest_cut_drops_a_pick_exactly_at_the_cutoff() {
+        let base = LatLng::from_degrees(37.0, -122.0);
+        let at = |m: f64, bearing: f64| {
+            let p = base.offset(m, bearing);
+            (p.lat_deg(), p.lng_deg())
+        };
+        let a = bins(&[at(0.0, 0.0), at(40_000.0, 0.0)]);
+        let b = bins(&[at(10_000.0, 1.0), at(90_000.0, 2.0)]);
+        let full = mutually_furthest(&a, &b);
+        assert_eq!(full.len(), 2);
+        assert!(full[0].dist_m > full[1].dist_m, "{full:?}");
+        let cutoff = full[1].dist_m;
+        assert!(!crate::proximity::is_alibi(cutoff, cutoff));
+        assert_eq!(furthest_beyond(&a, &b, cutoff), full[..1]);
+        assert_eq!(furthest_beyond(&a, &b, full[0].dist_m), []);
+        let row = mutually_furthest(&a[..1], &b);
+        assert_eq!(furthest_beyond(&a[..1], &b, row[0].dist_m), []);
+        assert_eq!(furthest_beyond(&a[..1], &b, row[0].dist_m - 1.0), row);
     }
 
     #[test]

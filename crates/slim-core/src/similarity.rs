@@ -10,17 +10,82 @@
 //! furthest (alibi) pairs. The IDF and normalization factors are ablation
 //! switches so the Fig. 10 variants are pure configuration.
 
-use geocell::CellId;
+use std::cell::RefCell;
+
+use geocell::{CellGeometry, CellId};
 
 use crate::arena::{common_runs, EntityView, Run};
 use crate::config::{PairingMode, SlimConfig};
 use crate::df::{DfStats, IdfTable};
 use crate::history::HistorySet;
-use crate::pairing::{with_window_pairs, BinPair, Selection};
+use crate::pairing::{with_geometry_memo, with_window_pairs, BinPair, GeometryMemo, Selection};
 use crate::proximity::{is_alibi, proximity_of_distance};
 use crate::record::EntityId;
 use crate::stats::LinkageStats;
 use crate::window::WindowIdx;
+
+/// One side's run of a window, resolved for the window kernel
+/// ([`SimilarityScorer::resolved_contribution`]): each bin's cell, its
+/// geometry and its idf, and the run's record total.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResolvedRun<'a> {
+    /// The run's cells.
+    pub cells: &'a [CellId],
+    /// Each cell's geometry.
+    pub geometry: &'a [CellGeometry],
+    /// Each bin's idf (all 1 when idf is switched off).
+    pub idf: &'a [f64],
+    /// Records aggregated into the run's bins.
+    pub records: u32,
+}
+
+/// Resolved runs laid end to end, so a memo of them is three columns
+/// and a [`RunSpan`] per run.
+#[derive(Debug, Default)]
+pub struct ResolvedRuns {
+    cells: Vec<CellId>,
+    geometry: Vec<CellGeometry>,
+    idf: Vec<f64>,
+}
+
+/// Where one run sits in a [`ResolvedRuns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSpan {
+    start: u32,
+    len: u32,
+    records: u32,
+}
+
+impl ResolvedRuns {
+    /// Forgets every run; their spans must not be read again.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+        self.geometry.clear();
+        self.idf.clear();
+    }
+
+    /// Bins held, over all runs.
+    pub fn bins(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The run at `span`.
+    pub fn get(&self, span: RunSpan) -> ResolvedRun<'_> {
+        let range = span.start as usize..(span.start + span.len) as usize;
+        ResolvedRun {
+            cells: &self.cells[range.clone()],
+            geometry: &self.geometry[range.clone()],
+            idf: &self.idf[range],
+            records: span.records,
+        }
+    }
+}
+
+thread_local! {
+    /// The two runs [`SimilarityScorer::window_contribution`] resolves
+    /// per window, in buffers that live as long as the thread.
+    static WINDOW_RUNS: RefCell<ResolvedRuns> = RefCell::new(ResolvedRuns::default());
+}
 
 /// Scores entity pairs across two datasets under one configuration.
 ///
@@ -40,8 +105,8 @@ pub struct SimilarityScorer<'a> {
     cfg: &'a SlimConfig,
     left_df: &'a DfStats,
     right_df: &'a DfStats,
-    left_idf: IdfTable<'a>,
-    right_idf: IdfTable<'a>,
+    /// Left then right.
+    idf: [IdfTable<'a>; 2],
     left: Option<&'a HistorySet>,
     right: Option<&'a HistorySet>,
     runaway_m: f64,
@@ -76,6 +141,8 @@ impl<'a> SimilarityScorer<'a> {
     /// keeps them in per-shard columnar arenas). Only the history-explicit
     /// methods ([`SimilarityScorer::score_histories`],
     /// [`SimilarityScorer::window_contribution`],
+    /// [`SimilarityScorer::resolve_run`],
+    /// [`SimilarityScorer::resolved_contribution`],
     /// [`SimilarityScorer::pair_norm_bins`]) are usable; the caller must
     /// guarantee both datasets share one window scheme and spatial level.
     pub fn from_df_stats(cfg: &'a SlimConfig, left_df: &'a DfStats, right_df: &'a DfStats) -> Self {
@@ -83,8 +150,7 @@ impl<'a> SimilarityScorer<'a> {
             cfg,
             left_df,
             right_df,
-            left_idf: IdfTable::new(left_df),
-            right_idf: IdfTable::new(right_df),
+            idf: [IdfTable::new(left_df), IdfTable::new(right_df)],
             left: None,
             right: None,
             runaway_m: cfg.runaway_m(),
@@ -168,55 +234,119 @@ impl<'a> SimilarityScorer<'a> {
     /// of either history only requires recomputing this term — the full
     /// score is the contribution sum over common windows divided by
     /// [`SimilarityScorer::pair_norm`], exactly as
-    /// [`SimilarityScorer::score_histories`] computes it.
+    /// [`SimilarityScorer::score_histories`] computes it. It resolves
+    /// both runs on the fly — one geometry-memo borrow for the window —
+    /// and runs [`SimilarityScorer::resolved_contribution`] on them.
     pub fn window_contribution(
         &self,
         w: WindowIdx,
-        (cu, nu): Run<'_>,
-        (cv, nv): Run<'_>,
+        ru: Run<'_>,
+        rv: Run<'_>,
         stats: &mut LinkageStats,
     ) -> f64 {
-        if cu.is_empty() || cv.is_empty() {
+        if ru.0.is_empty() || rv.0.is_empty() {
             return 0.0;
         }
-        stats.bin_pair_comparisons += (cu.len() * cv.len()) as u64;
-        let ru: u32 = nu.iter().sum();
-        let rv: u32 = nv.iter().sum();
-        stats.record_pair_comparisons += ru as u64 * rv as u64;
-
-        self.paired_contributions(w, cu, cv, stats)
+        WINDOW_RUNS.with(|runs| {
+            let mut runs = runs.borrow_mut();
+            runs.clear();
+            let (su, sv) = with_geometry_memo(|memo| {
+                (
+                    self.resolve_into(memo, 0, w, ru, &mut runs),
+                    self.resolve_into(memo, 1, w, rv, &mut runs),
+                )
+            });
+            self.resolved_contribution(runs.get(su), runs.get(sv), stats)
+        })
     }
 
-    /// Pairs the window's bins over one distance matrix and sums the selected pairs' contributions —
-    /// `N` (or all pairs) in selection order, then the optional
+    /// Appends window `w`'s run of one history to `into`, resolved for
+    /// [`SimilarityScorer::resolved_contribution`], and returns where it
+    /// sits. `side` is 0 for a left-dataset history, 1 for a right one.
+    /// A resolved run holds for as long as the scorer's df statistics
+    /// and the history's run do, so a caller may reuse it for every
+    /// partner of the history within one scoring pass.
+    pub fn resolve_run(
+        &self,
+        side: usize,
+        w: WindowIdx,
+        run: Run<'_>,
+        into: &mut ResolvedRuns,
+    ) -> RunSpan {
+        with_geometry_memo(|memo| self.resolve_into(memo, side, w, run, into))
+    }
+
+    fn resolve_into(
+        &self,
+        memo: &mut GeometryMemo,
+        side: usize,
+        w: WindowIdx,
+        (cells, counts): Run<'_>,
+        into: &mut ResolvedRuns,
+    ) -> RunSpan {
+        let start = into.cells.len() as u32;
+        into.cells.extend_from_slice(cells);
+        into.geometry.extend(cells.iter().map(|&c| memo.of(c)));
+        if self.cfg.use_idf {
+            into.idf
+                .extend(cells.iter().map(|&c| self.idf[side].idf(w, c)));
+        } else {
+            into.idf.resize(into.cells.len(), 1.0);
+        }
+        RunSpan {
+            start,
+            len: cells.len() as u32,
+            records: counts.iter().sum(),
+        }
+    }
+
+    /// The window kernel, over the two sides' resolved runs
+    /// ([`SimilarityScorer::resolve_run`]): the contribution
+    /// [`SimilarityScorer::window_contribution`] returns for the runs
+    /// they were resolved from, with the same work counters.
+    ///
+    /// Pairs the window's bins and sums the selected pairs'
+    /// contributions — `N` (or all pairs) in selection order, then the
     /// mutually-furthest alibi pass (Alg. 1), which adds only negative
     /// deltas and skips pairs already selected by `N` to avoid double
-    /// counting.
-    fn paired_contributions(
+    /// counting. The alibi pass reads only the prefix of `N'` farther
+    /// apart than the runaway distance: a pair within it has
+    /// `prox >= 0` (the correctly rounded `d / r` is at most 1 when
+    /// `d <= r`) and `idf >= 0` (`df <= |U|`), so its delta is never
+    /// negative, it is no alibi, and the full pass would not have added
+    /// it either.
+    pub fn resolved_contribution(
         &self,
-        w: WindowIdx,
-        bu: &[CellId],
-        bv: &[CellId],
+        u: ResolvedRun<'_>,
+        v: ResolvedRun<'_>,
         stats: &mut LinkageStats,
     ) -> f64 {
+        if u.cells.is_empty() || v.cells.is_empty() {
+            return 0.0;
+        }
+        stats.bin_pair_comparisons += (u.cells.len() * v.cells.len()) as u64;
+        stats.record_pair_comparisons += u.records as u64 * v.records as u64;
         let selection = match self.cfg.pairing {
-            PairingMode::MutuallyNearest if self.cfg.use_mfn => Selection::NearestAndFurthest,
+            PairingMode::MutuallyNearest if self.cfg.use_mfn => {
+                Selection::NearestAndFurthest(self.runaway_m)
+            }
             PairingMode::MutuallyNearest => Selection::Nearest,
             PairingMode::AllPairs => Selection::All,
         };
-        with_window_pairs(bu, bv, selection, |pairs, furthest| {
+        let (bu, bv) = ((u.cells, u.geometry), (v.cells, v.geometry));
+        with_window_pairs(bu, bv, selection, |pairs, alibis| {
             let mut total = 0.0;
             for p in pairs {
-                total += self.contribution(w, bu, bv, p, stats);
+                total += self.contribution(&u, &v, p, stats);
             }
-            for p in furthest {
+            for p in alibis {
                 if pairs
                     .iter()
                     .any(|q| q.e_idx == p.e_idx && q.i_idx == p.i_idx)
                 {
                     continue;
                 }
-                let delta = self.contribution(w, bu, bv, p, stats);
+                let delta = self.contribution(&u, &v, p, stats);
                 if delta < 0.0 {
                     total += delta;
                 }
@@ -228,9 +358,8 @@ impl<'a> SimilarityScorer<'a> {
     /// One bin pair's weighted proximity contribution (unnormalized).
     fn contribution(
         &self,
-        w: WindowIdx,
-        bu: &[CellId],
-        bv: &[CellId],
+        u: &ResolvedRun<'_>,
+        v: &ResolvedRun<'_>,
         p: &BinPair,
         stats: &mut LinkageStats,
     ) -> f64 {
@@ -238,13 +367,9 @@ impl<'a> SimilarityScorer<'a> {
             stats.alibi_pairs += 1;
         }
         let prox = proximity_of_distance(p.dist_m, self.runaway_m);
-        let idf = if self.cfg.use_idf {
-            let idf_e = self.left_idf.idf(w, bu[p.e_idx]);
-            let idf_i = self.right_idf.idf(w, bv[p.i_idx]);
-            idf_e.min(idf_i)
-        } else {
-            1.0
-        };
+        let idf = u.idf[p.e_idx].min(v.idf[p.i_idx]);
+        // The cut alibi pass relies on it.
+        debug_assert!(idf >= 0.0, "negative idf {idf}");
         prox * idf
     }
 }
@@ -682,6 +807,171 @@ mod tests {
                 "{pairing:?}: {bumped:?}"
             );
         }
+    }
+
+    /// The window kernel as it was before runs were resolved: full
+    /// greedy `N'` from the pairing oracle, idf read per pair.
+    fn oracle_contribution(
+        scorer: &SimilarityScorer<'_>,
+        w: WindowIdx,
+        (cu, nu): Run<'_>,
+        (cv, nv): Run<'_>,
+        stats: &mut LinkageStats,
+    ) -> f64 {
+        use crate::pairing::tests::extremal_pairs_oracle;
+        if cu.is_empty() || cv.is_empty() {
+            return 0.0;
+        }
+        stats.bin_pair_comparisons += (cu.len() * cv.len()) as u64;
+        let (ru, rv): (u32, u32) = (nu.iter().sum(), nv.iter().sum());
+        stats.record_pair_comparisons += ru as u64 * rv as u64;
+        let cfg = scorer.cfg;
+        let (pairs, furthest) = match cfg.pairing {
+            PairingMode::MutuallyNearest if cfg.use_mfn => (
+                extremal_pairs_oracle(cu, cv, true),
+                extremal_pairs_oracle(cu, cv, false),
+            ),
+            PairingMode::MutuallyNearest => (extremal_pairs_oracle(cu, cv, true), vec![]),
+            PairingMode::AllPairs => {
+                let all = (0..cu.len() * cv.len()).map(|k| {
+                    let (e_idx, i_idx) = (k / cv.len(), k % cv.len());
+                    let d = extremal_pairs_oracle(&cu[e_idx..=e_idx], &cv[i_idx..=i_idx], true);
+                    BinPair {
+                        e_idx,
+                        i_idx,
+                        ..d[0]
+                    }
+                });
+                (all.collect(), vec![])
+            }
+        };
+        let mut contribution = |p: &BinPair| {
+            if is_alibi(p.dist_m, scorer.runaway_m) {
+                stats.alibi_pairs += 1;
+            }
+            let prox = proximity_of_distance(p.dist_m, scorer.runaway_m);
+            let idf = if cfg.use_idf {
+                let idf_e = scorer.left_df.idf(w, cu[p.e_idx]);
+                idf_e.min(scorer.right_df.idf(w, cv[p.i_idx]))
+            } else {
+                1.0
+            };
+            prox * idf
+        };
+        let mut total = 0.0;
+        for p in &pairs {
+            total += contribution(p);
+        }
+        for p in &furthest {
+            if pairs
+                .iter()
+                .any(|q| (q.e_idx, q.i_idx) == (p.e_idx, p.i_idx))
+            {
+                continue;
+            }
+            let delta = contribution(p);
+            if delta < 0.0 {
+                total += delta;
+            }
+        }
+        total
+    }
+
+    /// The resolved-run kernel — cut alibi pass, one-scan shapes, idf
+    /// resolved per bin — returns the oracle's contribution bits and
+    /// counters on random windows from 1×1 to 6×6 with repeated cells
+    /// (ties and same-cell pairs) and distances on both sides of the
+    /// runaway, for every pairing mode × `use_mfn` × `use_idf`; through
+    /// `window_contribution` and through runs resolved ahead into one
+    /// shared column set. Not vacuously: alibis are counted, and `N'`
+    /// picks within the runaway are cut.
+    #[test]
+    fn resolved_kernel_matches_the_full_pass_oracle() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(36);
+        let grid: Vec<CellId> = (0..16)
+            .map(|k| {
+                let far = if k == 15 { 0.5 } else { 0.0 };
+                let at = (
+                    37.0 + 0.08 * (k / 4) as f64 + far,
+                    -122.0 + 0.08 * (k % 4) as f64,
+                );
+                CellId::from_latlng(LatLng::from_degrees(at.0, at.1), LEVEL)
+            })
+            .collect();
+        // df from 1 to |U| = 12 per (window, cell) and side; a cell left
+        // out reads df 1.
+        let df = |rng: &mut StdRng| {
+            let mut df = DfStats::new();
+            for _ in 0..12 {
+                df.add_entity();
+            }
+            for w in 0..4 {
+                for &c in &grid[..14] {
+                    for _ in 0..rng.random_range(1..=12) {
+                        df.add_bin(w, c);
+                    }
+                }
+            }
+            df
+        };
+        let (left_df, right_df) = (df(&mut rng), df(&mut rng));
+        let column = |rng: &mut StdRng, len: usize| -> (Vec<CellId>, Vec<u32>) {
+            let mut cells: Vec<CellId> = (0..len)
+                .map(|_| grid[rng.random_range(0..16usize)])
+                .collect();
+            cells.sort_unstable();
+            let counts = cells.iter().map(|_| rng.random_range(1..4)).collect();
+            (cells, counts)
+        };
+        let mut sums = LinkageStats::default();
+        let mut cut = 0;
+        for case in 0..300 {
+            let (n, m) = (rng.random_range(1..=6), rng.random_range(1..=6));
+            let ((cu, nu), (cv, nv)) = (column(&mut rng, n), column(&mut rng, m));
+            let w = rng.random_range(0..4);
+            let full = crate::pairing::mutually_furthest(&cu, &cv);
+            cut += full
+                .iter()
+                .filter(|p| p.dist_m <= cfg().runaway_m())
+                .count();
+            for pairing in [PairingMode::MutuallyNearest, PairingMode::AllPairs] {
+                for (use_mfn, use_idf) in
+                    [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let c = SlimConfig {
+                        pairing,
+                        use_mfn,
+                        use_idf,
+                        ..cfg()
+                    };
+                    let scorer = SimilarityScorer::from_df_stats(&c, &left_df, &right_df);
+                    let ctx =
+                        format!("case {case}, {n}×{m}, {pairing:?}, mfn {use_mfn}, idf {use_idf}");
+                    let mut want_stats = LinkageStats::default();
+                    let want =
+                        oracle_contribution(&scorer, w, (&cu, &nu), (&cv, &nv), &mut want_stats);
+                    let mut stats = LinkageStats::default();
+                    let got = scorer.window_contribution(w, (&cu, &nu), (&cv, &nv), &mut stats);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
+                    assert_eq!(stats, want_stats, "{ctx}");
+                    // Resolved ahead, behind another run in the columns.
+                    let mut runs = ResolvedRuns::default();
+                    let other = scorer.resolve_run(0, w, (&grid[..3], &[1, 1, 1]), &mut runs);
+                    let (su, sv) = (
+                        scorer.resolve_run(0, w, (&cu, &nu), &mut runs),
+                        scorer.resolve_run(1, w, (&cv, &nv), &mut runs),
+                    );
+                    assert_eq!(runs.get(other).cells, &grid[..3]);
+                    let mut ahead = LinkageStats::default();
+                    let got = scorer.resolved_contribution(runs.get(su), runs.get(sv), &mut ahead);
+                    assert_eq!(got.to_bits(), want.to_bits(), "ahead, {ctx}");
+                    assert_eq!(ahead, want_stats, "ahead, {ctx}");
+                    sums.merge(&stats);
+                }
+            }
+        }
+        assert!(sums.alibi_pairs > 0 && cut > 0, "{sums:?}, {cut} cut");
     }
 
     #[test]

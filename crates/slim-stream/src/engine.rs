@@ -78,6 +78,7 @@ use crate::event::{Side, StreamEvent};
 use crate::lsh::LshGeometry;
 use crate::merge;
 use crate::pool::{chunk_ranges, WorkerPool};
+use crate::run_memo::{self, RunMemo};
 use crate::shard::{
     bin_event, entity_shard, fold_patched, lookup_view, BinnedEvent, CachedPair, EngineShard,
     ExpiryEffects, FoldMark, IngestEffects, PairWindows, RescoreJob, RescoreOutcome, ScoredPair,
@@ -1756,6 +1757,9 @@ impl StreamEngine {
                 *t_last = t;
             }
         }
+        // A dirty tick visits each (side, entity, window) run once per
+        // partner: each worker resolves it once for the whole pass.
+        let pass = run_memo::next_pass();
         let score_list = |(owner, list): (usize, &[RescoreJob])| -> (
             Vec<RescoreOutcome>,
             LinkageStats,
@@ -1781,22 +1785,26 @@ impl StreamEngine {
                     // the two entities' window columns feeds contiguous
                     // cell/count slices of every common window straight
                     // into the kernel — no hashing, no per-window
-                    // lookup.
+                    // lookup. Its runs are resolved per visit: a walk's
+                    // old windows seldom recur within a tick, and a memo
+                    // miss costs more than resolving in place.
                     None => common_runs(&hu, &hv, |w, ru, rv| {
                         let c = scorer.window_contribution(w, ru, rv, &mut stats);
                         patch.push((w, c));
                         lap(&clock, &mut t_last, &mut kernel);
                     }),
-                    // A dirty pair: exactly the listed windows.
-                    Some(windows) => {
+                    // A dirty pair: exactly the listed windows, through
+                    // the pass's resolved runs — a window's run is looked
+                    // up only when the memo lacks it.
+                    Some(windows) => RunMemo::with(pass, |memo| {
                         patch.reserve_exact(windows.len());
                         for &w in windows.iter() {
-                            let (ru, rv) = (hu.window_run(w), hv.window_run(w));
-                            let c = scorer.window_contribution(w, ru, rv, &mut stats);
+                            let (ru, rv) = (|| hu.window_run(w), || hv.window_run(w));
+                            let c = memo.window_contribution(&scorer, *pair, w, ru, rv, &mut stats);
                             patch.push((w, c));
                             lap(&clock, &mut t_last, &mut kernel);
                         }
-                    }
+                    }),
                 }
                 // `Σ contributions / pair norm` in ascending window
                 // order over the owning shard's cached contributions of

@@ -132,6 +132,7 @@ pub mod event;
 mod lsh;
 mod merge;
 mod pool;
+mod run_memo;
 pub mod serve;
 mod shard;
 pub mod snapshot;

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use slim::core::{EntityId, LinkageStats, Timestamp};
+use slim::core::{EntityId, LinkageStats, PairingMode, SlimConfig, Timestamp};
 use slim::geo::LatLng;
 use slim::lsh::LshConfig;
 use slim::stream::testing::{OracleCoverage, RecomputeOracle};
@@ -173,6 +173,7 @@ fn replay(
 
 static BRUTE: Mutex<Exercised> = Mutex::new(Exercised::new());
 static LSH: Mutex<Exercised> = Mutex::new(Exercised::new());
+static KERNELS: Mutex<Exercised> = Mutex::new(Exercised::new());
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
@@ -244,5 +245,40 @@ proptest! {
             );
         }
         LSH.lock().expect("coverage lock").close_case();
+    }
+
+    // The Fig. 10 kernel variants — all pairs, no alibi pass, no idf —
+    // over the same churn: each selection mode's resolved-run path is
+    // held to recomputation, not only the default's, at shard and
+    // worker counts that split pairs and dispatch rescore chunks.
+    #[test]
+    fn kernel_variants_match_recomputation(events in arb_events()) {
+        let base = SlimConfig {
+            min_records: 2,
+            ..SlimConfig::default()
+        };
+        for slim in [
+            SlimConfig { pairing: PairingMode::AllPairs, ..base },
+            SlimConfig { use_mfn: false, ..base },
+            SlimConfig { use_idf: false, ..base },
+        ] {
+            let cfg = StreamConfig {
+                window_capacity: Some(8),
+                refresh_every: 23,
+                slim,
+                ..StreamConfig::default()
+            };
+            let reference = replay(&events, cfg, 1, 1, &KERNELS);
+            prop_assert!(reference.is_ok(), "{:?}: {}", slim, reference.unwrap_err());
+            for (shards, workers) in [(2usize, 2usize), (4, 4)] {
+                let observed = replay(&events, cfg, shards, workers, &KERNELS);
+                prop_assert!(
+                    reference == observed,
+                    "{:?}, {} shards, {} workers diverged from 1 x 1:\n{:#?}\nvs\n{:#?}",
+                    slim, shards, workers, reference, observed
+                );
+            }
+        }
+        KERNELS.lock().expect("coverage lock").close_case();
     }
 }
