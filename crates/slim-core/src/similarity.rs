@@ -18,7 +18,7 @@ use crate::arena::{common_runs, EntityView, Run};
 use crate::config::{PairingMode, SlimConfig};
 use crate::df::{DfStats, IdfTable};
 use crate::history::HistorySet;
-use crate::pairing::{with_geometry_memo, with_window_pairs, BinPair, GeometryMemo, Selection};
+use crate::pairing::{with_geometry_memo, with_window_pairs, BinPair, Bins, Selection};
 use crate::proximity::{is_alibi, proximity_of_distance};
 use crate::record::EntityId;
 use crate::stats::LinkageStats;
@@ -82,9 +82,10 @@ impl ResolvedRuns {
 }
 
 thread_local! {
-    /// The two runs [`SimilarityScorer::window_contribution`] resolves
-    /// per window, in buffers that live as long as the thread.
-    static WINDOW_RUNS: RefCell<ResolvedRuns> = RefCell::new(ResolvedRuns::default());
+    /// Each side's cell geometry for
+    /// [`SimilarityScorer::window_contribution`], in buffers that live
+    /// as long as the thread.
+    static WINDOW_GEOMETRY: RefCell<[Vec<CellGeometry>; 2]> = RefCell::default();
 }
 
 /// Scores entity pairs across two datasets under one configuration.
@@ -234,29 +235,36 @@ impl<'a> SimilarityScorer<'a> {
     /// of either history only requires recomputing this term — the full
     /// score is the contribution sum over common windows divided by
     /// [`SimilarityScorer::pair_norm`], exactly as
-    /// [`SimilarityScorer::score_histories`] computes it. It resolves
-    /// both runs on the fly — one geometry-memo borrow for the window —
-    /// and runs [`SimilarityScorer::resolved_contribution`] on them.
+    /// [`SimilarityScorer::score_histories`] computes it. It reads both
+    /// runs' geometry on the fly — one geometry-memo borrow for the
+    /// window — and a selected pair's idf when the kernel asks for it.
     pub fn window_contribution(
         &self,
         w: WindowIdx,
-        ru: Run<'_>,
-        rv: Run<'_>,
+        (cu, nu): Run<'_>,
+        (cv, nv): Run<'_>,
         stats: &mut LinkageStats,
     ) -> f64 {
-        if ru.0.is_empty() || rv.0.is_empty() {
+        if cu.is_empty() || cv.is_empty() {
             return 0.0;
         }
-        WINDOW_RUNS.with(|runs| {
-            let mut runs = runs.borrow_mut();
-            runs.clear();
-            let (su, sv) = with_geometry_memo(|memo| {
-                (
-                    self.resolve_into(memo, 0, w, ru, &mut runs),
-                    self.resolve_into(memo, 1, w, rv, &mut runs),
-                )
+        WINDOW_GEOMETRY.with(|geometry| {
+            let [gu, gv] = &mut *geometry.borrow_mut();
+            with_geometry_memo(|memo| {
+                for (cells, g) in [(cu, &mut *gu), (cv, &mut *gv)] {
+                    g.clear();
+                    g.extend(cells.iter().map(|&c| memo.of(c)));
+                }
             });
-            self.resolved_contribution(runs.get(su), runs.get(sv), stats)
+            let pair_idf = |e: usize, i: usize| {
+                if self.cfg.use_idf {
+                    self.idf[0].idf(w, cu[e]).min(self.idf[1].idf(w, cv[i]))
+                } else {
+                    1.0
+                }
+            };
+            let records = (nu.iter().sum(), nv.iter().sum());
+            self.kernel((cu, gu), (cv, gv), records, pair_idf, stats)
         })
     }
 
@@ -270,23 +278,12 @@ impl<'a> SimilarityScorer<'a> {
         &self,
         side: usize,
         w: WindowIdx,
-        run: Run<'_>,
-        into: &mut ResolvedRuns,
-    ) -> RunSpan {
-        with_geometry_memo(|memo| self.resolve_into(memo, side, w, run, into))
-    }
-
-    fn resolve_into(
-        &self,
-        memo: &mut GeometryMemo,
-        side: usize,
-        w: WindowIdx,
         (cells, counts): Run<'_>,
         into: &mut ResolvedRuns,
     ) -> RunSpan {
         let start = into.cells.len() as u32;
         into.cells.extend_from_slice(cells);
-        into.geometry.extend(cells.iter().map(|&c| memo.of(c)));
+        with_geometry_memo(|memo| into.geometry.extend(cells.iter().map(|&c| memo.of(c))));
         if self.cfg.use_idf {
             into.idf
                 .extend(cells.iter().map(|&c| self.idf[side].idf(w, c)));
@@ -300,10 +297,30 @@ impl<'a> SimilarityScorer<'a> {
         }
     }
 
-    /// The window kernel, over the two sides' resolved runs
-    /// ([`SimilarityScorer::resolve_run`]): the contribution
-    /// [`SimilarityScorer::window_contribution`] returns for the runs
-    /// they were resolved from, with the same work counters.
+    /// [`SimilarityScorer::window_contribution`] over the two sides'
+    /// resolved runs ([`SimilarityScorer::resolve_run`]): the same
+    /// contribution bits and work counters as for the runs they were
+    /// resolved from.
+    pub fn resolved_contribution(
+        &self,
+        u: ResolvedRun<'_>,
+        v: ResolvedRun<'_>,
+        stats: &mut LinkageStats,
+    ) -> f64 {
+        let pair_idf = |e: usize, i: usize| u.idf[e].min(v.idf[i]);
+        let records = (u.records, v.records);
+        self.kernel(
+            (u.cells, u.geometry),
+            (v.cells, v.geometry),
+            records,
+            pair_idf,
+            stats,
+        )
+    }
+
+    /// The window kernel, over each side's cells with their geometry and
+    /// record total; `pair_idf(e, i)` is the idf term of the bin pair
+    /// `(e, i)`.
     ///
     /// Pairs the window's bins and sums the selected pairs'
     /// contributions — `N` (or all pairs) in selection order, then the
@@ -315,17 +332,19 @@ impl<'a> SimilarityScorer<'a> {
     /// `d <= r`) and `idf >= 0` (`df <= |U|`), so its delta is never
     /// negative, it is no alibi, and the full pass would not have added
     /// it either.
-    pub fn resolved_contribution(
+    fn kernel(
         &self,
-        u: ResolvedRun<'_>,
-        v: ResolvedRun<'_>,
+        bu: Bins<'_>,
+        bv: Bins<'_>,
+        (ru, rv): (u32, u32),
+        pair_idf: impl Fn(usize, usize) -> f64,
         stats: &mut LinkageStats,
     ) -> f64 {
-        if u.cells.is_empty() || v.cells.is_empty() {
+        if bu.0.is_empty() || bv.0.is_empty() {
             return 0.0;
         }
-        stats.bin_pair_comparisons += (u.cells.len() * v.cells.len()) as u64;
-        stats.record_pair_comparisons += u.records as u64 * v.records as u64;
+        stats.bin_pair_comparisons += (bu.0.len() * bv.0.len()) as u64;
+        stats.record_pair_comparisons += ru as u64 * rv as u64;
         let selection = match self.cfg.pairing {
             PairingMode::MutuallyNearest if self.cfg.use_mfn => {
                 Selection::NearestAndFurthest(self.runaway_m)
@@ -333,11 +352,10 @@ impl<'a> SimilarityScorer<'a> {
             PairingMode::MutuallyNearest => Selection::Nearest,
             PairingMode::AllPairs => Selection::All,
         };
-        let (bu, bv) = ((u.cells, u.geometry), (v.cells, v.geometry));
         with_window_pairs(bu, bv, selection, |pairs, alibis| {
             let mut total = 0.0;
             for p in pairs {
-                total += self.contribution(&u, &v, p, stats);
+                total += self.contribution(p, &pair_idf, stats);
             }
             for p in alibis {
                 if pairs
@@ -346,7 +364,7 @@ impl<'a> SimilarityScorer<'a> {
                 {
                     continue;
                 }
-                let delta = self.contribution(&u, &v, p, stats);
+                let delta = self.contribution(p, &pair_idf, stats);
                 if delta < 0.0 {
                     total += delta;
                 }
@@ -358,16 +376,15 @@ impl<'a> SimilarityScorer<'a> {
     /// One bin pair's weighted proximity contribution (unnormalized).
     fn contribution(
         &self,
-        u: &ResolvedRun<'_>,
-        v: &ResolvedRun<'_>,
         p: &BinPair,
+        pair_idf: &impl Fn(usize, usize) -> f64,
         stats: &mut LinkageStats,
     ) -> f64 {
         if is_alibi(p.dist_m, self.runaway_m) {
             stats.alibi_pairs += 1;
         }
         let prox = proximity_of_distance(p.dist_m, self.runaway_m);
-        let idf = u.idf[p.e_idx].min(v.idf[p.i_idx]);
+        let idf = pair_idf(p.e_idx, p.i_idx);
         // The cut alibi pass relies on it.
         debug_assert!(idf >= 0.0, "negative idf {idf}");
         prox * idf
