@@ -8,19 +8,19 @@
 //! same with the *largest* distance and feeds the alibi check of Alg. 1.
 //! The Cartesian-product variant exists for the Fig. 10 ablation.
 //!
-//! Each side is one window's cells with their geometry ([`Bins`]): the
+//! Each side is one window's cells with their geometry (`Bins`): the
 //! center, exact radius, and cosine of the center's latitude
 //! ([`CellGeometry`]), so a distance is one haversine with no `cos` and
 //! no map probe. The haversine is the body `LatLng::distance_m` runs, so
 //! every distance keeps the bits of the uncached
 //! [`geocell::bounded_distance_m`]. Callers resolve the geometry from a
 //! per-thread memo keyed under [`crate::fasthash`], one borrow a window
-//! ([`with_geometry_memo`]).
+//! (`with_geometry_memo`).
 //!
 //! A single-row or single-column window is paired in one scan: its `N`
 //! is the first smallest distance in row-major order and its `N'` the
 //! first largest, which is what one round of the greedy loop picks.
-//! `N'` can be cut short ([`Selection::NearestAndFurthest`]'s cutoff):
+//! `N'` can be cut short (the cutoff of `Selection`'s furthest passes):
 //! greedy picks never grow in distance, so once a pick is within the
 //! cutoff every later one is too.
 
@@ -44,7 +44,7 @@ pub struct BinPair {
 
 /// One side of a window as the kernel reads it: each bin's cell, and
 /// beside it that cell's geometry.
-pub type Bins<'a> = (&'a [CellId], &'a [CellGeometry]);
+pub(crate) type Bins<'a> = (&'a [CellId], &'a [CellGeometry]);
 
 /// Entries kept in the per-thread geometry memo before it is reset. The
 /// working set of real workloads is the distinct cells of one city-ish

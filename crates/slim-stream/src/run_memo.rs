@@ -8,9 +8,11 @@
 //! reads only the run and the df statistics, and neither changes while
 //! a tick's jobs are scored, so each worker thread resolves such a run
 //! once per scoring pass and hands the kernel the resolved copy on every
-//! later visit. The memo is derived state: stamped with the pass that
-//! filled it and emptied when another pass starts, bounded by
-//! [`RUN_MEMO_CAP`], and never checkpointed.
+//! later visit. Only dirty pairs' windows go through it: a fresh pair's
+//! walk meets runs that seldom recur within the tick. The memo is
+//! derived state: stamped with the pass that filled it and emptied when
+//! another pass starts, bounded by [`RUN_MEMO_CAP`], and never
+//! checkpointed.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Alternated parent/change pairs of the benchmark's driver-form command.
+# Alternated parent/change pairs of the benchmark command in BENCHMARK.json.
 #
 #   scripts/bench-pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD METRIC SEED...
 #
