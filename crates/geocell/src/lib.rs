@@ -37,6 +37,8 @@
 //! assert_eq!(CellId::from_latlng(nearby, 12), cell);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cellid;
 mod distance;
 mod face;

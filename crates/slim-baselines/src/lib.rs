@@ -14,6 +14,7 @@
 //!   the paper does.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gm;
 pub mod kmeans;

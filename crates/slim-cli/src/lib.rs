@@ -21,6 +21,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::sync::LazyLock;
@@ -62,13 +63,15 @@ pub struct StreamOptions {
     pub refresh_every: usize,
     /// Ingest batch size: source poll size and channel drain size.
     pub batch_size: usize,
-    /// Engine state shards (`0` = one per available core). Output is
-    /// bit-identical for every value; this only changes parallelism.
+    /// Engine state shards (`0` = one per available core; at most
+    /// 1,024). Output is bit-identical for every value; this only
+    /// changes how state is partitioned.
     pub num_shards: usize,
     /// Persistent worker-pool size, decoupled from `num_shards`: shard
-    /// work is split into chunks distributed over work-stealing deques,
-    /// so a hot shard no longer pins tick latency to one thread. `0` =
-    /// one worker per core. Output is bit-identical for every value.
+    /// work is split into chunks, each worker claims a block of them
+    /// and then takes from the back of the others' blocks, so a hot
+    /// shard does not pin tick latency to one thread. `0` = one worker
+    /// per core; at most 1,024. Output is bit-identical for every value.
     pub num_workers: usize,
     /// The ingestion front-end.
     pub source: SourceKind,
@@ -218,10 +221,11 @@ const FLAGS: &[(&str, &str, Mode, &str)] = &[
     ("--refresh-every", "N", Stream, "events between refresh ticks"),
     ("--batch-size", "N", Stream, "ingest batch size for sharded binning"),
     ("--shards", "N", Stream, "engine state shards (the state partition); output is \
-        bit-identical for every value; 0 = one per core"),
-    ("--workers", "N", Stream, "persistent worker-pool size executing chunked shard work with \
-        work stealing — decoupled from --shards, so a hot shard is drained by every free \
-        worker; output is bit-identical for every value; 0 = one per core"),
+        bit-identical for every value; 0 = one per core; at most 1024"),
+    ("--workers", "N", Stream, "persistent worker-pool size: each worker claims its own block of \
+        a phase's chunks, then takes from the back of busier workers' blocks — decoupled from \
+        --shards, so a hot shard is drained by every free worker; output is bit-identical for \
+        every value; 0 = one per core; at most 1024"),
     ("--source", "MODE", Stream, "ingestion front-end: csv (replay the two CSVs), tcp (tail a \
         live feed at the HOST:PORT given in place of the dataset paths), or synthetic (a \
         generated live workload)"),
@@ -545,6 +549,14 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         if let Some((_, broken)) = rules.iter().find(|rule| rule.0) {
             return Err(broken.to_string());
         }
+        // The engine's own bounds on --shards / --workers, checked
+        // before anything is read or spawned.
+        slim_stream::StreamConfig {
+            num_shards: s.num_shards,
+            num_workers: s.num_workers,
+            ..slim_stream::StreamConfig::default()
+        }
+        .validate()?;
         opts.stream = Some(stream_opts);
     }
     opts.config.validate()?;
@@ -1305,6 +1317,12 @@ mod tests {
         let s = o.stream.unwrap();
         assert_eq!((s.num_shards, s.num_workers), (8, 4));
         assert!(parse(&["a.csv", "b.csv", "--workers", "x"]).is_err());
+        // Both are bounded at parse time; nothing is spawned to find out.
+        for flag in ["--shards", "--workers"] {
+            let err = parse(&["a.csv", "b.csv", "--stream", flag, "5000"]).unwrap_err();
+            assert!(err.contains("must be at most 1024"), "{flag}: {err}");
+            assert!(parse(&["a.csv", "b.csv", flag, "1024"]).is_ok(), "{flag}");
+        }
         assert!(parse(&["--demo", "/tmp/x", "--stream"]).is_err());
     }
 

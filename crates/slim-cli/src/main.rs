@@ -1,5 +1,7 @@
 //! `slim-link`: link two CSV location datasets with SLIM (SIGMOD 2020).
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match slim_cli::parse_args(&args) {

@@ -18,6 +18,7 @@
 //! "SM" setups with a scale knob.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkin;
 pub mod rng;

@@ -21,6 +21,7 @@
 //! `reproduce` example (`examples/reproduce.rs`) prints all of them.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod figures;
 pub mod metrics;

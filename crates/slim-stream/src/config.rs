@@ -3,8 +3,6 @@
 use slim_core::SlimConfig;
 use slim_lsh::LshConfig;
 
-use crate::steal::PoolMode;
-
 /// Configuration of the incremental LSH candidate filter in streaming
 /// mode.
 ///
@@ -31,6 +29,11 @@ impl Default for StreamLshConfig {
     }
 }
 
+/// The largest accepted [`StreamConfig::num_shards`] and
+/// [`StreamConfig::num_workers`]: the pool spawns a thread per worker,
+/// and per-shard and per-worker state is sized by the request.
+pub const MAX_PARALLELISM: usize = 1024;
+
 /// Configuration of a [`crate::StreamEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
@@ -48,23 +51,21 @@ pub struct StreamConfig {
     /// Engine state shards: per-entity state (histories, buffers, LSH
     /// rings) and per-pair state (contribution caches, adjacency) are
     /// partitioned by entity hash across this many
-    /// [`crate::shard::EngineShard`]s, and ingest/refresh phases run
-    /// one worker thread per shard. `0` = one shard per available
-    /// core. The engine's observable behaviour (links, stats,
-    /// finalized output) is bit-identical for every value.
+    /// [`crate::shard::EngineShard`]s. Shards are not threads: the
+    /// worker pool ([`StreamConfig::num_workers`]) runs their work.
+    /// `0` = one shard per available core, at most [`MAX_PARALLELISM`].
+    /// The engine's observable behaviour (links, stats, finalized
+    /// output) is bit-identical for every value.
     pub num_shards: usize,
-    /// Workers in the persistent execution pool — **decoupled from
-    /// [`StreamConfig::num_shards`]**: shards partition *state*, workers
-    /// execute *chunks* of shard work distributed over work-stealing
-    /// deques, so a hot shard's queue is consumed by every free worker
-    /// instead of stalling its home thread. `0` = one worker per
-    /// available core. Output is bit-identical for every value.
+    /// Workers in the persistent execution pool, the engine thread
+    /// included — **decoupled from [`StreamConfig::num_shards`]**:
+    /// shards partition *state*, workers execute *chunks* of shard
+    /// work. Each worker claims its own contiguous block of a phase's
+    /// chunks, then takes chunks from the back of other workers'
+    /// blocks, so a hot shard's queue is consumed by every free
+    /// worker. `0` = one worker per available core, at most
+    /// [`MAX_PARALLELISM`]. Output is bit-identical for every value.
     pub num_workers: usize,
-    /// How the pool places and schedules chunks. The default
-    /// ([`PoolMode::Stealing`]) is the production mode;
-    /// [`PoolMode::Scripted`] runs a seeded pseudo-random schedule
-    /// (property tests). Results are bit-identical across both.
-    pub pool_mode: PoolMode,
     /// Optional incremental LSH candidate filter. `None` = brute-force
     /// candidates (every active cross-dataset pair).
     pub lsh: Option<StreamLshConfig>,
@@ -84,7 +85,6 @@ impl Default for StreamConfig {
             refresh_every: 10_000,
             num_shards: 0,
             num_workers: 0,
-            pool_mode: PoolMode::default(),
             lsh: None,
             telemetry: true,
         }
@@ -95,6 +95,12 @@ impl StreamConfig {
     /// Validates parameter ranges and cross-parameter consistency.
     pub fn validate(&self) -> Result<(), String> {
         self.slim.validate()?;
+        let (shards, workers) = (self.num_shards, self.num_workers);
+        if shards.max(workers) > MAX_PARALLELISM {
+            return Err(format!(
+                "num_shards ({shards}) and num_workers ({workers}) must be at most {MAX_PARALLELISM}"
+            ));
+        }
         if let Some(w) = self.window_capacity {
             if w == 0 {
                 return Err("window_capacity must be at least 1 window".into());
@@ -120,26 +126,25 @@ impl StreamConfig {
 
     /// The effective shard count (resolving `0` to the core count).
     pub fn effective_shards(&self) -> usize {
-        if self.num_shards > 0 {
-            self.num_shards
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        or_core_count(self.num_shards)
     }
 
     /// The effective pool worker count (resolving `0` to the core
     /// count).
     pub fn effective_workers(&self) -> usize {
-        if self.num_workers > 0 {
-            self.num_workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        or_core_count(self.num_workers)
     }
+}
+
+/// `n`, or for `0` the available core count capped at
+/// [`MAX_PARALLELISM`].
+fn or_core_count(n: usize) -> usize {
+    if n > 0 {
+        return n;
+    }
+    std::thread::available_parallelism()
+        .map_or(1, |cores| cores.get())
+        .min(MAX_PARALLELISM)
 }
 
 #[cfg(test)]
@@ -151,7 +156,6 @@ mod tests {
         assert!(StreamConfig::default().validate().is_ok());
         assert!(StreamConfig::default().effective_shards() >= 1);
         assert!(StreamConfig::default().effective_workers() >= 1);
-        assert_eq!(StreamConfig::default().pool_mode, PoolMode::Stealing);
     }
 
     #[test]
@@ -162,6 +166,31 @@ mod tests {
         };
         assert_eq!(cfg.effective_workers(), 3);
         assert!(cfg.validate().is_ok());
+    }
+
+    /// Checked on the config only: an engine with this many workers
+    /// would start that many threads.
+    #[test]
+    fn rejects_shard_and_worker_counts_above_the_limit() {
+        for (shards, workers) in [
+            (MAX_PARALLELISM + 1, 1),
+            (1, MAX_PARALLELISM + 1),
+            (5000, 0),
+        ] {
+            let cfg = StreamConfig {
+                num_shards: shards,
+                num_workers: workers,
+                ..StreamConfig::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("must be at most 1024"), "{err}");
+        }
+        let at_limit = StreamConfig {
+            num_shards: MAX_PARALLELISM,
+            num_workers: MAX_PARALLELISM,
+            ..StreamConfig::default()
+        };
+        assert!(at_limit.validate().is_ok());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! [`EngineShard`] keyed by entity hash; the engine owns only the
 //! dataset-global residue: the merged df/idf statistics, the
 //! partitioned LSH bucket index, the watermark, and the served link
-//! set. Parallel phases run on a **persistent work-stealing worker
-//! pool** ([`crate::pool`]) spawned once per engine and reused across
+//! set. Parallel phases run on a **persistent worker pool**
+//! ([`crate::pool`]) spawned once per engine and reused across
 //! every ingest, refresh, and finalize phase: each phase's work is cut
 //! into deterministic chunks (fixed-size slices of binning / rescore
 //! queues, one chunk per shard where per-shard order matters) whose
@@ -28,7 +28,7 @@
 //! sets — which makes the engine's observable behaviour — served
 //! links, emitted [`LinkUpdate`] order, [`StreamStats`], and the
 //! finalized output — **bit-identical for every shard count, worker
-//! count, and steal schedule**.
+//! count, and claim interleaving**.
 //!
 //! A refresh tick discovers its work through the per-shard entity→pair
 //! [`crate::adjacency::AdjacencyIndex`]: only pairs adjacent to
@@ -110,8 +110,8 @@ pub enum LinkUpdate {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StatClass {
     /// A function of the event stream (and the tick schedule) alone:
-    /// identical for any shard count, worker count, steal schedule and
-    /// delivery interleaving. Compared by `StreamStats`' `PartialEq`.
+    /// identical for any shard count, worker count, claim interleaving
+    /// and delivery interleaving. Compared by `StreamStats`' `PartialEq`.
     Deterministic,
     /// Describes *how* a run executed — scheduling, thread interleaving,
     /// the shard partition, the durability cadence — and legitimately
@@ -129,7 +129,7 @@ macro_rules! stream_stats {
         /// Engine work counters, each either **deterministic** — defined
         /// over per-entity or per-pair events (or deterministic barrier
         /// merges), so identical for any shard count, worker count,
-        /// steal schedule and delivery interleaving on the same event
+        /// claim interleaving and delivery interleaving on the same event
         /// stream — or **observational**: how the run executed
         /// (scheduling, channel flow, the per-shard partition, the
         /// checkpoint cadence), which legitimately varies between runs
@@ -227,15 +227,15 @@ stream_stats! {
     /// for a fixed shard count but legitimately different across shard
     /// counts, so observational.
     Observational arena_compactions,
-    /// Chunks of shard work executed by a pool worker other than the
-    /// one they were placed on — nonzero means the stealing pool
-    /// actually rebalanced a skewed phase. Varies with worker count and
-    /// schedule.
+    /// Chunks of shard work a pool worker took from the back of another
+    /// worker's block — nonzero means the pool actually rebalanced a
+    /// skewed phase. Varies with worker count and schedule.
     Observational steal_events,
     /// Highest per-worker busy time (nanoseconds) across the pool over
-    /// the engine's lifetime. Under a hot shard this diverges from
-    /// [`StreamStats::min_worker_busy_ns`]; with stealing the two
-    /// converge.
+    /// the engine's lifetime. It would diverge from
+    /// [`StreamStats::min_worker_busy_ns`] if a hot shard's chunks
+    /// stayed on one worker; taking from other blocks keeps the two
+    /// close.
     Observational max_worker_busy_ns,
     /// Lowest per-worker busy time (nanoseconds) across the pool — `0`
     /// until every worker has executed at least one chunk.
@@ -336,7 +336,7 @@ const PARALLEL_RESCORE_THRESHOLD: usize = 32;
 const INGEST_BIN_CHUNK: usize = 512;
 
 /// Rescore jobs per chunk: a hot shard's job list splits into many
-/// stealable chunks, which is what makes tick latency track total
+/// chunks that any free worker can claim, which is what makes tick latency track total
 /// dirty work instead of the hottest shard. Fixed for the same
 /// determinism reason as [`INGEST_BIN_CHUNK`].
 const RESCORE_CHUNK: usize = 32;
@@ -418,7 +418,7 @@ impl StreamEngine {
         let retain_live = cfg.window_capacity.is_some();
         Ok(Self {
             lsh: cfg.lsh.as_ref().map(|l| LshRuntime::new(l, num_shards)),
-            pool: WorkerPool::new(num_workers, cfg.pool_mode, cfg.telemetry),
+            pool: WorkerPool::new(num_workers, cfg.telemetry),
             tel: EngineTelemetry::new(cfg.telemetry),
             cfg,
             num_shards,
@@ -1211,7 +1211,7 @@ impl StreamEngine {
     /// Ingests a batch of events, spreading the spatial binning (the
     /// trigonometry-heavy part of ingestion) across the worker pool as
     /// fixed-size chunks of the event list — skew-proof by
-    /// construction: a hot entity's events land in many stealable
+    /// construction: a hot entity's events land in many claimable
     /// chunks instead of one shard's bin queue — then applying the
     /// appends shard-parallel in stream order. Tick and expiry
     /// boundaries fire inside the batch
@@ -1314,8 +1314,8 @@ impl StreamEngine {
     /// Applies the queued segment on every shard (parallel when it
     /// pays) and folds the effects in at the barrier. Application must
     /// respect per-shard stream order, so the chunk grain here is one
-    /// shard's queue — stealing still lets idle workers take whole
-    /// shard queues off a busy worker's deque.
+    /// shard's queue — idle workers still take whole shard queues from
+    /// the back of a busy worker's block.
     fn flush(&mut self, queues: &mut [Vec<BinnedEvent>], queued: &mut usize) {
         if *queued == 0 {
             return;
@@ -1737,7 +1737,7 @@ impl StreamEngine {
     /// the outcome into the caches. Pure reads — dispatched to the
     /// worker pool as fixed-size **chunks of each shard's job list**
     /// when the tick is big enough to pay: a hot shard's jobs split
-    /// into many stealable chunks, so tick latency tracks total dirty
+    /// into many claimable chunks, so tick latency tracks total dirty
     /// work, not the hottest shard.
     /// Chunk outputs are regrouped per owning shard in chunk-id order,
     /// which reproduces the sequential job order exactly.
@@ -1977,7 +1977,6 @@ mod tests {
     use slim_core::{LocationDataset, Record, Slim, SlimConfig};
 
     use crate::event::merge_datasets;
-    use crate::steal::PoolMode;
 
     fn rec(e: u64, t: i64, lat: f64, lng: f64) -> Record {
         Record::new(EntityId(e), LatLng::from_degrees(lat, lng), Timestamp(t))
@@ -2135,8 +2134,8 @@ mod tests {
         }
     }
 
-    /// The execution-pool contract: worker count, pool mode, and steal
-    /// schedule may only move chunks between threads — links, updates,
+    /// The execution-pool contract: the worker count and the claim
+    /// interleaving may only move chunks between threads — links, updates,
     /// stats (scheduling telemetry excluded by `PartialEq`), and
     /// finalized output stay bit-identical. Batches are large enough to
     /// actually engage the pool (≥ the parallel thresholds).
@@ -2144,11 +2143,10 @@ mod tests {
     fn worker_counts_and_steal_schedules_are_observationally_identical() {
         let (l, r) = two_views(7, 4);
         let events = merge_datasets(&l, &r);
-        let run = |workers: usize, mode: PoolMode| {
+        let run = |workers: usize| {
             let mut cfg = stream_cfg();
             cfg.num_shards = 4;
             cfg.num_workers = workers;
-            cfg.pool_mode = mode;
             cfg.refresh_every = 150;
             cfg.window_capacity = Some(12);
             let mut engine = StreamEngine::new(cfg).unwrap();
@@ -2164,16 +2162,11 @@ mod tests {
             let finalized = engine.into_finalized().unwrap();
             (updates, links, stats, scoring, pairs, finalized)
         };
-        let reference = run(1, PoolMode::Stealing);
+        let reference = run(1);
         assert!(reference.2.ticks > 0);
-        for (workers, mode) in [
-            (2, PoolMode::Stealing),
-            (4, PoolMode::Stealing),
-            (3, PoolMode::Scripted { seed: 0xFEED }),
-            (3, PoolMode::Scripted { seed: 7 }),
-        ] {
-            let other = run(workers, mode);
-            let tag = format!("{workers} workers, {mode:?}");
+        for workers in [2, 3, 4] {
+            let other = run(workers);
+            let tag = format!("{workers} workers");
             assert_eq!(reference.0, other.0, "{tag}: update streams");
             assert_eq!(reference.1, other.1, "{tag}: served links");
             assert_eq!(reference.2, other.2, "{tag}: stream stats");

@@ -25,17 +25,18 @@
 //! `EngineShard` owns its entities' histories, min-records buffers,
 //! LSH rings, and the contribution caches + entity→pair adjacency of
 //! the pairs it owns (owner = shard of the Left entity). Execution is
-//! decoupled from that partition: a **persistent work-stealing worker
-//! pool** (spawned once per engine, `--workers`, independent of
-//! `--shards`) runs every parallel phase over *chunks* of the per-shard
-//! work queues, so a hot entity's home shard is consumed by every free
-//! worker instead of stalling the barrier. Only the dataset-global
+//! decoupled from that partition: a **persistent worker pool** (spawned
+//! once per engine, `--workers`, independent of `--shards`) runs every
+//! parallel phase over *chunks* of the per-shard work queues. Each
+//! worker claims its own block of chunk ids and then takes from the
+//! back of other workers' blocks, so a hot entity's home shard is
+//! consumed by every free worker instead of stalling the barrier. Only the dataset-global
 //! steps (df/idf statistics, bucket-partition handoff, edge assembly,
 //! matching, GMM thresholding) meet at merge barriers — and every
 //! barrier folds commutative deltas, sorted sets, or chunk-id-ordered
 //! outputs, so links, stats, and finalized output are bit-identical
-//! for every shard count, every worker count, and every steal
-//! schedule.
+//! for every shard count, every worker count, and every claim
+//! interleaving.
 //!
 //! ```text
 //!            ┌───────────── control scan (serial, cheap) ─────────────┐
@@ -123,6 +124,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod adjacency;
 pub mod checkpoint;
@@ -131,13 +133,13 @@ pub mod engine;
 pub mod event;
 mod lsh;
 mod merge;
+#[allow(unsafe_code)] // the phase-closure handoff; see its module docs
 mod pool;
 mod run_memo;
 pub mod serve;
 mod shard;
 pub mod snapshot;
 pub mod source;
-mod steal;
 pub mod telemetry;
 pub mod testing;
 
@@ -151,5 +153,4 @@ pub use source::{
     ConnMessage, ConnectionFrontier, CsvReplaySource, DriveOptions, FanIn, IngestReport,
     StreamSource, SyntheticSource, TcpIngestTier, TcpLineSource, TickPolicy, WireFormat,
 };
-pub use steal::PoolMode;
 pub use telemetry::PhaseId;

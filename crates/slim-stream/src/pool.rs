@@ -1,47 +1,48 @@
 //! The persistent worker pool behind every parallel engine phase.
 //!
-//! Before this pool, each ingest / refresh phase spawned one scoped
-//! thread per shard (`std::thread::scope`) and joined them at the
-//! barrier: thread churn on every phase, and a *static* partition — one
-//! hot entity's home shard became the straggler while every other core
-//! idled at the join. The pool inverts both properties:
+//! `workers − 1` threads are spawned lazily on the first parallel phase
+//! of a [`crate::StreamEngine`] and reused for every later ingest,
+//! refresh and finalize phase; the engine thread itself takes part as
+//! worker 0. (Spawning scoped threads per phase instead costs more than
+//! the handoff on the sparse workloads, which dispatch hundreds of
+//! small phases: see PERF.md.)
 //!
-//! * **Persistent.** `workers − 1` threads are spawned lazily on the
-//!   first parallel phase of a [`crate::StreamEngine`] and reused for
-//!   every subsequent ingest, refresh, and finalize phase; the engine
-//!   thread itself participates as worker 0.
-//! * **Work-stealing.** A phase is a list of [chunks](crate::steal) —
-//!   deterministic slices of the per-shard work queues — distributed
-//!   over per-worker deques. Idle workers steal from the back of busy
-//!   workers' deques, so a hot shard's queue is consumed by every free
-//!   core instead of serializing on its home worker.
+//! **Claim rule.** A phase is a list of chunks with dense ids (slices
+//! of the per-shard work queues). Worker `w` owns the contiguous block
+//! `[⌈w·n/W⌉, ⌈(w+1)·n/W⌉)` of the `n` ids and claims its own block
+//! from the front; once that is empty it takes the *back* of the next
+//! non-empty block in rotation order `w+1, …, W−1, 0, …, w−1`, so a hot
+//! shard's long run of chunks is eaten from both ends instead of
+//! serializing on one thread. Each block is one atomic `(front, back)`
+//! pair, claimed by compare-and-swap ([`Claims`]).
 //!
 //! **Determinism.** Chunk construction is a pure function of the work
 //! lists (never of the worker count), every chunk computes a pure
 //! function of its input, and [`WorkerPool::run`] returns outputs in
 //! chunk-id order — so links, update streams, stats, and finalized
-//! output are bit-identical for every worker count, every
-//! [`PoolMode`], and every steal schedule. Only the scheduling
-//! telemetry ([`WorkerPool::steal_events`],
-//! [`WorkerPool::busy_spread_ns`]) varies.
+//! output are bit-identical for every worker count and every claim
+//! interleaving. Only the scheduling telemetry
+//! ([`WorkerPool::steal_events`], [`WorkerPool::busy_spread_ns`])
+//! varies.
 //!
-//! **Safety.** Workers receive the phase task as a type-erased raw
-//! reference. The invariant making that sound: `run` does not return
-//! until every chunk has *finished executing* (`ChunkQueues::is_done`),
-//! and a worker only dereferences the task pointer while executing a
-//! chunk it claimed — a claimed-but-unfinished chunk keeps the phase
-//! incomplete, so the borrow can never be outlived. Stale task pointers
-//! held by late-waking workers are never dereferenced because their
-//! queues are already empty.
+//! **Safety.** Workers receive the phase closure as a type-erased raw
+//! reference ([`TaskRef`]) — the only `unsafe` in the workspace. The
+//! invariant making it sound: `run` does not return until every chunk
+//! has *finished executing* (`Claims::is_done`), and a worker only
+//! calls the task while executing a chunk it claimed — a
+//! claimed-but-unfinished chunk keeps the phase incomplete, so the
+//! borrow can never be outlived. A late-waking worker holding a stale
+//! phase finds every block of it empty and never calls its task.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use slim_telemetry::Histogram;
 
 use crate::source::{Clock, WallClock};
-use crate::steal::{ChunkQueues, PoolMode};
 use crate::telemetry::PhaseId;
 
 /// Splits `0..len` into contiguous ranges of at most `grain` — the
@@ -56,20 +57,29 @@ pub(crate) fn chunk_ranges(len: usize, grain: usize) -> Vec<std::ops::Range<usiz
         .collect()
 }
 
-/// A type-erased borrow of the phase closure. Only dereferenced while a
+/// A type-erased borrow of the phase closure. Only called while a
 /// claimed chunk is executing (see the module safety notes).
 #[derive(Clone, Copy)]
 struct TaskRef {
     data: *const (),
+    // SAFETY: callable only with the `data` it was built with, while
+    // that borrow is alive.
     call: unsafe fn(*const (), usize),
 }
 
-// SAFETY: the pointer is only dereferenced under the phase-lifetime
-// invariant documented on the module; the pointee is `Sync`.
+// SAFETY: `call` is a plain fn pointer. `data` points to an `F: Sync`,
+// so calling it from another thread is sound while the borrow lives,
+// and it is only dereferenced under the phase-lifetime invariant
+// documented on the module.
 unsafe impl Send for TaskRef {}
 
 fn task_ref<F: Fn(usize) + Sync>(f: &F) -> TaskRef {
+    /// # Safety
+    /// `data` must be the `&F` this `TaskRef` erased, still borrowed:
+    /// `drain` calls it only under the module's phase-lifetime
+    /// invariant.
     unsafe fn call<F: Fn(usize) + Sync>(data: *const (), id: usize) {
+        // SAFETY: the caller guarantees `data` is a live `&F`.
         (*(data as *const F))(id)
     }
     TaskRef {
@@ -78,12 +88,69 @@ fn task_ref<F: Fn(usize) + Sync>(f: &F) -> TaskRef {
     }
 }
 
-/// One published phase: the erased task, its chunk distribution, and
-/// the span-histogram slot its chunk timings land in.
+/// One phase's chunk claims (see the module docs for the rule). Block
+/// `w` packs its unclaimed ids `front..back` as `front << 32 | back`.
+struct Claims {
+    blocks: Vec<AtomicU64>,
+    /// Chunks not yet *executed* (claimed-but-running chunks still
+    /// count): the phase-completion condition `run` waits on.
+    remaining: AtomicUsize,
+}
+
+impl Claims {
+    fn new(chunks: usize, workers: usize) -> Self {
+        assert!(u32::try_from(chunks).is_ok(), "chunk ids must fit 32 bits");
+        let bound = |w: usize| (w * chunks).div_ceil(workers) as u64;
+        Self {
+            blocks: (0..workers)
+                .map(|w| AtomicU64::new(bound(w) << 32 | bound(w + 1)))
+                .collect(),
+            remaining: AtomicUsize::new(chunks),
+        }
+    }
+
+    /// Claims the next chunk for `worker`: its own block's front, else
+    /// the back of the next non-empty block in rotation order (a steal:
+    /// the flag is `true`). `None` = every block is empty (chunks may
+    /// still be *executing* elsewhere — see [`Claims::complete_one`]).
+    fn claim(&self, worker: usize) -> Option<(usize, bool)> {
+        if let Some(id) = self.take(worker, true) {
+            return Some((id, false));
+        }
+        let mut victims = (worker + 1..self.blocks.len()).chain(0..worker);
+        victims.find_map(|victim| Some((self.take(victim, false)?, true)))
+    }
+
+    /// Takes the front (or back) id of `block` with one compare-and-swap
+    /// loop, `None` when the block is empty. `Relaxed` suffices: a claim
+    /// publishes no data — chunk inputs and outputs sit behind their own
+    /// mutexes, and the phase itself is published under `Shared::ctl`.
+    fn take(&self, block: usize, front: bool) -> Option<usize> {
+        let unpack = |packed: u64| (packed >> 32, packed & u64::from(u32::MAX));
+        let seen = self.blocks[block].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            let (lo, hi) = unpack(cur);
+            (lo < hi).then(|| if front { cur + (1 << 32) } else { cur - 1 })
+        });
+        let (lo, hi) = unpack(seen.ok()?);
+        Some(if front { lo } else { hi - 1 } as usize)
+    }
+
+    /// Records one executed chunk; `true` when it was the last one.
+    fn complete_one(&self) -> bool {
+        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    fn is_done(&self) -> bool {
+        self.remaining.load(Ordering::Acquire) == 0
+    }
+}
+
+/// One published phase: the erased task, its chunk claims, and the
+/// span-histogram slot its chunk timings land in.
 #[derive(Clone)]
 struct PhaseRef {
     task: TaskRef,
-    queues: Arc<ChunkQueues>,
+    claims: Arc<Claims>,
     phase: PhaseId,
 }
 
@@ -100,11 +167,11 @@ struct Shared {
     work: Condvar,
     /// The submitter waits here for phase completion.
     done: Condvar,
-    /// Pool-lifetime chunk steals (cross-deque pops).
+    /// Pool-lifetime chunks taken from another worker's block.
     steal_events: AtomicU64,
     /// Pool-lifetime busy nanoseconds per worker — the skew telemetry:
-    /// under a static partition with a hot shard, max ≫ min; with
-    /// stealing they converge.
+    /// a hot block that the other workers could not take from would
+    /// show as max ≫ min.
     busy_ns: Vec<AtomicU64>,
     /// The span clock. Swappable (a `VirtualClock` makes recorded spans
     /// exactly reproducible); read once per drain, never per chunk.
@@ -125,17 +192,9 @@ struct Shared {
     panicked: AtomicBool,
 }
 
-/// A slot written by exactly one chunk (disjoint-index discipline).
-struct Slot<T>(std::cell::UnsafeCell<Option<T>>);
-
-// SAFETY: each slot index is accessed by exactly one executing chunk,
-// and the submitter reads only after the phase completed.
-unsafe impl<T: Send> Sync for Slot<T> {}
-
 /// See the module docs. One pool per [`crate::StreamEngine`].
 pub(crate) struct WorkerPool {
     workers: usize,
-    mode: PoolMode,
     shared: Arc<Shared>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Serializes whole phases: `run` holds this from publish to
@@ -149,11 +208,10 @@ impl WorkerPool {
     /// as worker 0; `workers − 1` threads are spawned lazily on first
     /// use). `workers == 1` runs every phase inline. `record_spans`
     /// enables the per-phase span histograms.
-    pub(crate) fn new(workers: usize, mode: PoolMode, record_spans: bool) -> Self {
+    pub(crate) fn new(workers: usize, record_spans: bool) -> Self {
         let workers = workers.max(1);
         Self {
             workers,
-            mode,
             shared: Arc::new(Shared {
                 ctl: Mutex::new(Ctl {
                     epoch: 0,
@@ -183,8 +241,8 @@ impl WorkerPool {
         *self.shared.clock.lock().expect("pool poisoned") = clock;
     }
 
-    /// Chunks executed by a worker other than the one they were placed
-    /// on, over the pool's lifetime.
+    /// Chunks taken from another worker's block, over the pool's
+    /// lifetime.
     pub(crate) fn steal_events(&self) -> u64 {
         self.shared.steal_events.load(Ordering::Relaxed)
     }
@@ -278,8 +336,8 @@ impl WorkerPool {
 
     /// Executes `f` once per item, returning outputs in item order.
     /// Items are the phase's chunks: item `i` is chunk id `i`. Inline
-    /// when the pool has one worker or one item; otherwise distributed
-    /// over the worker deques per the pool's [`PoolMode`]. Chunk spans
+    /// when the pool has one worker or one item; otherwise claimed by
+    /// the workers per the module's claim rule. Chunk spans
     /// are recorded under `phase` (one whole-phase span on the inline
     /// path).
     pub(crate) fn run<I: Send, T: Send>(
@@ -308,26 +366,21 @@ impl WorkerPool {
         }
         self.ensure_spawned();
 
-        let input: Vec<Slot<I>> = items
-            .into_iter()
-            .map(|i| Slot(std::cell::UnsafeCell::new(Some(i))))
-            .collect();
-        let output: Vec<Slot<T>> = (0..n)
-            .map(|_| Slot(std::cell::UnsafeCell::new(None)))
-            .collect();
+        // Chunk ids are claimed once, so each slot is locked once, by
+        // its chunk.
+        let input: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        let output: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let runner = |id: usize| {
-            // SAFETY: chunk ids are claimed exactly once, so slot `id`
-            // has exactly one accessor.
-            let item = unsafe { (*input[id].0.get()).take().expect("chunk claimed once") };
-            let value = f(item);
-            unsafe { *output[id].0.get() = Some(value) };
+            let item = input[id].lock().expect("pool poisoned").take();
+            let value = f(item.expect("chunk claimed once"));
+            *output[id].lock().expect("pool poisoned") = Some(value);
         };
 
         let _phase_guard = self.submit.lock().expect("pool poisoned");
-        let queues = Arc::new(ChunkQueues::new(n, self.workers, self.mode));
+        let claims = Arc::new(Claims::new(n, self.workers));
         let phase = PhaseRef {
             task: task_ref(&runner),
-            queues: Arc::clone(&queues),
+            claims: Arc::clone(&claims),
             phase,
         };
         {
@@ -340,32 +393,32 @@ impl WorkerPool {
         Self::drain(&self.shared, &phase, 0);
         {
             let mut ctl = self.shared.ctl.lock().expect("pool poisoned");
-            while !queues.is_done() {
+            while !claims.is_done() {
                 ctl = self.shared.done.wait(ctl).expect("pool poisoned");
             }
             ctl.phase = None;
         }
-        self.shared
-            .steal_events
-            .fetch_add(queues.steals(), Ordering::Relaxed);
         if self.shared.panicked.swap(false, Ordering::Relaxed) {
             panic!("pool worker panicked while executing a chunk");
         }
         output
             .into_iter()
-            .map(|s| s.0.into_inner().expect("every chunk executed"))
-            .collect()
+            .map(|slot| slot.into_inner().expect("pool poisoned"))
+            .collect::<Option<_>>()
+            .expect("every chunk executed")
     }
 
     /// The chunk-execution loop shared by workers and the submitter.
     fn drain(shared: &Shared, phase: &PhaseRef, worker: usize) {
         let clock = Arc::clone(&shared.clock.lock().expect("pool poisoned"));
-        while let Some(id) = phase.queues.pop(worker) {
+        while let Some((id, stolen)) = phase.claims.claim(worker) {
+            if stolen {
+                shared.steal_events.fetch_add(1, Ordering::Relaxed);
+            }
             let t0 = clock.now_ns();
             let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // SAFETY: see the module safety notes — the task borrow
-                // is alive because this chunk is claimed but not yet
-                // completed.
+                // SAFETY: the task borrow is alive because this chunk is
+                // claimed but not yet completed (module safety notes).
                 unsafe { (phase.task.call)(phase.task.data, id) }
             }))
             .is_ok();
@@ -378,7 +431,7 @@ impl WorkerPool {
             if !ok {
                 shared.panicked.store(true, Ordering::Relaxed);
             }
-            if phase.queues.complete_one() {
+            if phase.claims.complete_one() {
                 // Lock-then-notify so the submitter cannot miss the
                 // final completion between its check and its wait.
                 let _ctl = shared.ctl.lock().expect("pool poisoned");
@@ -445,7 +498,7 @@ mod tests {
 
     #[test]
     fn outputs_come_back_in_chunk_order() {
-        let pool = WorkerPool::new(4, PoolMode::Stealing, true);
+        let pool = WorkerPool::new(4, true);
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for _ in 0..3 {
@@ -472,7 +525,7 @@ mod tests {
     #[test]
     fn gated_inline_phases_book_one_span_per_close_iff_recording() {
         for (record, spans_per_close) in [(true, 1), (false, 0)] {
-            let pool = WorkerPool::new(2, PoolMode::Stealing, record);
+            let pool = WorkerPool::new(2, record);
             for closes in 1..=2 {
                 for _ in 0..3 {
                     let out = pool.run_gated(PhaseId::Expire, false, vec![1u64, 2, 3], |x| x + 1);
@@ -505,7 +558,7 @@ mod tests {
     fn mutable_borrows_ride_through_chunks() {
         // The engine's phase shape: chunks carry &mut slices of engine
         // state plus owned work, mutated on whichever worker runs them.
-        let pool = WorkerPool::new(3, PoolMode::Stealing, true);
+        let pool = WorkerPool::new(3, true);
         let mut cells: Vec<u64> = vec![0; 64];
         let work: Vec<(&mut u64, u64)> = cells.iter_mut().zip(0u64..).collect();
         let sums = pool.run(PhaseId::Apply, work, |(cell, add)| {
@@ -517,30 +570,14 @@ mod tests {
     }
 
     #[test]
-    fn scripted_schedules_change_nothing_observable() {
-        let items: Vec<u64> = (0..200).collect();
-        let reference =
-            WorkerPool::new(1, PoolMode::Stealing, true)
-                .run(PhaseId::Bin, items.clone(), |x| x * 3);
-        for seed in [0u64, 1, 42, u64::MAX] {
-            let pool = WorkerPool::new(4, PoolMode::Scripted { seed }, true);
-            assert_eq!(
-                pool.run(PhaseId::Bin, items.clone(), |x| x * 3),
-                reference,
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_phases_are_inline() {
-        let pool = WorkerPool::new(4, PoolMode::Stealing, true);
+        let pool = WorkerPool::new(4, true);
         assert_eq!(
             pool.run(PhaseId::Bin, Vec::<u8>::new(), |x| x),
             Vec::<u8>::new()
         );
         assert_eq!(pool.run(PhaseId::Bin, vec![9u8], |x| x + 1), vec![10]);
-        // Neither dispatched to the deques, so nothing could be stolen.
+        // Neither dispatched to the workers, so nothing could be stolen.
         assert_eq!(pool.steal_events(), 0);
         // The singleton still recorded one whole-phase span inline.
         assert_eq!(pool.phase_histograms()[PhaseId::Bin.idx()].count(), 1);
@@ -548,7 +585,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_keeps_busy_totals_only() {
-        let pool = WorkerPool::new(2, PoolMode::Stealing, false);
+        let pool = WorkerPool::new(2, false);
         let got = pool.run(PhaseId::Rescore, (0..64u64).collect(), |x| x + 1);
         assert_eq!(got.len(), 64);
         assert!(pool.busy_spread_ns().0 > 0, "busy totals always accrue");
@@ -558,7 +595,7 @@ mod tests {
     #[test]
     fn virtual_clock_makes_spans_exact() {
         use crate::testing::VirtualClock;
-        let pool = WorkerPool::new(3, PoolMode::Stealing, true);
+        let pool = WorkerPool::new(3, true);
         pool.set_clock(Arc::new(VirtualClock::new()));
         pool.run(PhaseId::Apply, (0..100u64).collect(), |x| x);
         let spans = &pool.phase_histograms()[PhaseId::Apply.idx()];
@@ -568,13 +605,109 @@ mod tests {
         assert_eq!(pool.busy_spread_ns(), (0, 0));
     }
 
+    /// A 2-worker phase of 16 chunks whose chunk `bad` panics.
+    fn panicking_phase(bad: u32) {
+        let pool = WorkerPool::new(2, true);
+        pool.run(PhaseId::Bin, (0..16).collect::<Vec<u32>>(), |x| {
+            assert!(x != bad, "injected failure");
+            x
+        });
+    }
+
+    /// The first chunk is the submitting thread's first claim ...
     #[test]
     #[should_panic(expected = "pool worker panicked")]
     fn chunk_panics_propagate_to_the_submitter() {
-        let pool = WorkerPool::new(2, PoolMode::Stealing, true);
-        pool.run(PhaseId::Bin, (0..16).collect::<Vec<u32>>(), |x| {
-            assert!(x != 7, "injected failure");
-            x
+        panicking_phase(0);
+    }
+
+    /// ... and the last chunk is the far end of the last block, run by
+    /// its owner or stolen from the back.
+    #[test]
+    #[should_panic(expected = "pool worker panicked")]
+    fn last_chunk_panics_propagate_to_the_submitter() {
+        panicking_phase(15);
+    }
+
+    /// Drains every block as `worker`: the ids in claim order, and how
+    /// many of them were steals.
+    fn drain_as(claims: &Claims, worker: usize) -> (Vec<usize>, usize) {
+        let (mut ids, mut steals) = (Vec::new(), 0);
+        while let Some((id, stolen)) = claims.claim(worker) {
+            claims.complete_one();
+            ids.push(id);
+            steals += usize::from(stolen);
+        }
+        (ids, steals)
+    }
+
+    #[test]
+    fn owners_take_their_front_and_others_take_the_back() {
+        let claims = Claims::new(8, 2);
+        // Blocks [0, 4) and [4, 8): worker 1 drains its own front first,
+        // then takes worker 0's back (3), not its front.
+        let own = |id| Some((id, false));
+        assert_eq!(
+            (0..5).map(|_| claims.claim(1)).collect::<Vec<_>>(),
+            [own(4), own(5), own(6), own(7), Some((3, true))]
+        );
+        assert_eq!(claims.claim(0), own(0), "owner still takes its front");
+
+        // Three blocks of 10: [0, 4), [4, 7), [7, 10). Worker 0 alone
+        // takes its front, then block 1's back, then block 2's back.
+        let claims = Claims::new(10, 3);
+        assert_eq!(
+            drain_as(&claims, 0),
+            (vec![0, 1, 2, 3, 6, 5, 4, 9, 8, 7], 10 - 4)
+        );
+        assert!(claims.is_done());
+        // Rotation order: worker 1 visits block 2 before block 0.
+        let claims = Claims::new(10, 3);
+        assert_eq!(
+            drain_as(&claims, 1),
+            (vec![4, 5, 6, 9, 8, 7, 3, 2, 1, 0], 10 - 3)
+        );
+    }
+
+    #[test]
+    fn every_chunk_is_claimed_once_under_contention() {
+        let (chunks, workers) = (10_000, 4);
+        let claims = &Claims::new(chunks, workers);
+        let start = &std::sync::Barrier::new(workers);
+        let got: Vec<(Vec<usize>, usize)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        start.wait();
+                        drain_as(claims, w)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        assert!(claims.is_done());
+        // A steal is exactly a claim outside the claimer's own block.
+        for (w, (ids, steals)) in got.iter().enumerate() {
+            let outside = ids.iter().filter(|&&id| id * workers / chunks != w);
+            assert_eq!(outside.count(), *steals, "worker {w}");
+        }
+        let mut all: Vec<usize> = got.into_iter().flat_map(|(ids, _)| ids).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..chunks).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn phases_of_zero_and_one_chunk() {
+        let claims = Claims::new(0, 3);
+        assert!(claims.is_done());
+        assert_eq!((0..3).find_map(|w| claims.claim(w)), None);
+        // One chunk: block 0 = [0, 1), blocks 1 and 2 empty. Worker 2
+        // steals it from block 0's back.
+        let claims = Claims::new(1, 3);
+        assert!(!claims.is_done());
+        assert_eq!(claims.claim(2), Some((0, true)));
+        assert_eq!((0..3).find_map(|w| claims.claim(w)), None);
+        assert!(claims.complete_one(), "the only chunk completes the phase");
+        assert!(claims.is_done());
     }
 }

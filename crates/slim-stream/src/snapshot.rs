@@ -38,7 +38,7 @@ pub struct LinkSnapshot {
     pub events: u64,
     /// The served link set, in the matcher's heaviest-first order
     /// (ties on `(left, right)`) — bit-identical across shard counts,
-    /// worker counts, and steal schedules for the same prefix + tick
+    /// worker counts, and claim interleavings for the same prefix + tick
     /// schedule.
     pub links: Vec<Edge>,
     /// The matched-weight stop threshold selected at this tick

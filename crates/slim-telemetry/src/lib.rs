@@ -28,6 +28,7 @@
 //! reproducible in tests.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod hist;
 mod json;

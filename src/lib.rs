@@ -38,6 +38,8 @@
 //! See `examples/` for end-to-end scenarios and `examples/reproduce.rs`
 //! for the harness regenerating the paper's figures.
 
+#![forbid(unsafe_code)]
+
 /// S2-style hierarchical spatial cells.
 pub use geocell as geo;
 
