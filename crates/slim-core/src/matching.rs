@@ -13,11 +13,12 @@
 //! delta endpoints — and is guaranteed edge-for-edge identical to
 //! [`greedy_max_matching`] over the full edge set.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use crate::fasthash::{FastMap, FastSet};
+use crate::fasthash::FastMap;
 use crate::record::EntityId;
 
 /// A weighted edge of the bipartite linkage graph.
@@ -52,6 +53,19 @@ pub fn heaviest_first(a: &Edge, b: &Edge) -> std::cmp::Ordering {
         .unwrap_or(std::cmp::Ordering::Equal)
         .then_with(|| a.left.cmp(&b.left))
         .then_with(|| a.right.cmp(&b.right))
+}
+
+/// An integer key that orders weights as [`heaviest_first`] does —
+/// heaviest first, `-0.0` equal to `0.0` — for every weight but NaN.
+fn heaviest_first_key(weight: f64) -> u64 {
+    // The sign-flip total-order trick, over `+0.0` for both zeros.
+    let bits = (weight + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
 }
 
 /// Greedy maximum-weight matching: repeatedly select the heaviest edge
@@ -142,25 +156,102 @@ pub struct DeltaReport {
 /// A greedy maximum-weight matching maintained under edge deltas.
 ///
 /// The matcher owns a copy of the live edge set plus a per-endpoint
-/// adjacency. Applying a delta batch re-runs [`greedy_max_matching`]
-/// over the *conflict region only*: the union of connected components
-/// (in the updated graph, plus the endpoints of removed edges) that
-/// contain a changed edge's endpoint. Greedy decisions never cross
-/// component boundaries — an edge is taken iff no heavier edge in its
-/// own component claimed an endpoint first — so the maintained matching
-/// is **edge-for-edge identical** to a from-scratch
-/// [`greedy_max_matching`] over the full edge set, in the same order.
+/// adjacency. Applying a delta batch re-runs greedy selection over the
+/// *conflict region only*: the union of connected components (in the
+/// updated graph, plus the endpoints of removed edges) that contain a
+/// changed edge's endpoint. Greedy decisions never cross component
+/// boundaries — an edge is taken iff no heavier edge in its own
+/// component claimed an endpoint first — so the maintained matching is
+/// **edge-for-edge identical** to a from-scratch [`greedy_max_matching`]
+/// over the full edge set, in the same order.
 ///
-/// Every map is keyed under [`crate::fasthash`]: each delta probes them,
-/// and no output reads their order.
+/// Endpoints are numbered densely per side, so a repair floods the
+/// region and runs its greedy pass over flat vectors — stamped per
+/// repair instead of cleared — and keeps each Left endpoint's match in
+/// a flat slot: a repair of the whole graph costs about one sort of the
+/// region's edges. Only the pair and entity lookups of the deltas
+/// themselves hash, under [`crate::fasthash`]; no output reads their
+/// order.
 #[derive(Debug, Default)]
 pub struct IncrementalMatcher {
-    /// Live edge weights, keyed by pair.
-    weights: FastMap<(EntityId, EntityId), f64>,
-    /// Per side: endpoint entity → pairs containing it.
-    adj: [FastMap<EntityId, FastSet<(EntityId, EntityId)>>; 2],
-    /// The current matching, keyed by pair.
-    matched: FastMap<(EntityId, EntityId), f64>,
+    /// Live edges by pair: their slot in `edges`.
+    index: FastMap<(EntityId, EntityId), u32>,
+    /// Edge slots; a vacant one (listed in `vacant`) is unreachable.
+    edges: Vec<LiveEdge>,
+    vacant: Vec<u32>,
+    /// The Left and the Right endpoints.
+    nodes: [Nodes; 2],
+    /// Per Left node: its edge in the current matching.
+    mate: Vec<Option<Edge>>,
+    /// Repairs run so far — the stamp of the current one.
+    repairs: u64,
+    /// The greedy order of the last repair, kept for its capacity.
+    order: Vec<(u64, EntityId, EntityId, u32)>,
+}
+
+/// A live edge and where its endpoints list it.
+#[derive(Debug, Clone, Copy)]
+struct LiveEdge {
+    edge: Edge,
+    /// Its Left and its Right node.
+    nodes: [u32; 2],
+    /// Its position in each node's edge list.
+    at: [u32; 2],
+}
+
+/// One side's endpoints, numbered densely. A node whose last edge went
+/// is recycled at the end of the repair.
+#[derive(Debug, Default)]
+struct Nodes {
+    ids: FastMap<EntityId, u32>,
+    /// Per node: its entity, its live edges (slots), and the last repair
+    /// that flooded it and that matched it.
+    entity: Vec<EntityId>,
+    edges: Vec<Vec<u32>>,
+    flooded: Vec<u64>,
+    taken: Vec<u64>,
+    vacant: Vec<u32>,
+}
+
+impl Nodes {
+    /// The node of `e`, numbered now if it has none.
+    fn node(&mut self, e: EntityId) -> u32 {
+        *self
+            .ids
+            .entry(e)
+            .or_insert_with(|| match self.vacant.pop() {
+                Some(n) => {
+                    self.entity[n as usize] = e;
+                    n
+                }
+                None => {
+                    self.entity.push(e);
+                    self.edges.push(Vec::new());
+                    self.flooded.push(0);
+                    self.taken.push(0);
+                    u32::try_from(self.entity.len() - 1).expect("fewer than 2^32 endpoints")
+                }
+            })
+    }
+
+    /// Unlists the edge at position `at` of `node`'s list; the edge
+    /// moved into its place gets its position fixed in `edges`.
+    fn unlist(&mut self, side: usize, node: u32, at: u32, edges: &mut [LiveEdge]) {
+        let list = &mut self.edges[node as usize];
+        list.swap_remove(at as usize);
+        if let Some(&moved) = list.get(at as usize) {
+            edges[moved as usize].at[side] = at;
+        }
+    }
+
+    /// Recycles `node` if it has no edge left (at most once).
+    fn release(&mut self, node: u32) {
+        let e = self.entity[node as usize];
+        if self.edges[node as usize].is_empty() && self.ids.get(&e) == Some(&node) {
+            self.ids.remove(&e);
+            self.vacant.push(node);
+        }
+    }
 }
 
 impl IncrementalMatcher {
@@ -171,22 +262,14 @@ impl IncrementalMatcher {
 
     /// Number of live edges.
     pub fn num_edges(&self) -> usize {
-        self.weights.len()
+        self.index.len()
     }
 
     /// The maintained matching, sorted heaviest-first with the
     /// `(left, right)` tie-break — exactly the order
     /// [`greedy_max_matching`] emits.
     pub fn matching(&self) -> Vec<Edge> {
-        let mut out: Vec<Edge> = self
-            .matched
-            .iter()
-            .map(|(&(left, right), &weight)| Edge {
-                left,
-                right,
-                weight,
-            })
-            .collect();
+        let mut out: Vec<Edge> = self.mate.iter().flatten().copied().collect();
         out.sort_by(heaviest_first);
         out
     }
@@ -196,13 +279,9 @@ impl IncrementalMatcher {
     /// re-match) expect.
     pub fn edges_sorted(&self) -> Vec<Edge> {
         let mut out: Vec<Edge> = self
-            .weights
-            .iter()
-            .map(|(&(left, right), &weight)| Edge {
-                left,
-                right,
-                weight,
-            })
+            .index
+            .values()
+            .map(|&slot| self.edges[slot as usize].edge)
             .collect();
         out.sort_by_key(|e| (e.left, e.right));
         out
@@ -213,111 +292,143 @@ impl IncrementalMatcher {
     pub fn apply_deltas(&mut self, deltas: &[EdgeDelta]) -> DeltaReport {
         let mut report = DeltaReport::default();
         // Seed the region with every endpoint a delta actually touched.
-        let mut frontier: Vec<(usize, EntityId)> = Vec::new();
+        let mut frontier: Vec<(usize, u32)> = Vec::new();
+        let mut emptied: Vec<(usize, u32)> = Vec::new();
+        let [lefts, rights] = &mut self.nodes;
         for d in deltas {
             let pair = (d.left, d.right);
-            let changed = match d.weight {
-                Some(w) => match self.weights.insert(pair, w) {
-                    Some(old) if old == w => false,
-                    Some(_) => true,
-                    None => {
-                        self.adj[0].entry(d.left).or_default().insert(pair);
-                        self.adj[1].entry(d.right).or_default().insert(pair);
-                        true
-                    }
-                },
-                None => {
-                    let existed = self.weights.remove(&pair).is_some();
-                    if existed {
-                        for (side, e) in [(0, d.left), (1, d.right)] {
-                            if let Some(set) = self.adj[side].get_mut(&e) {
-                                set.remove(&pair);
-                                if set.is_empty() {
-                                    self.adj[side].remove(&e);
-                                }
-                            }
-                        }
-                    }
-                    existed
+            let touched = match (d.weight, self.index.entry(pair)) {
+                (Some(w), Entry::Occupied(slot)) => {
+                    let live = &mut self.edges[*slot.get() as usize];
+                    (live.edge.weight != w).then(|| {
+                        live.edge.weight = w;
+                        live.nodes
+                    })
                 }
+                (Some(weight), Entry::Vacant(entry)) => {
+                    let nodes = [lefts.node(d.left), rights.node(d.right)];
+                    let (ll, rl) = (
+                        &mut lefts.edges[nodes[0] as usize],
+                        &mut rights.edges[nodes[1] as usize],
+                    );
+                    let live = LiveEdge {
+                        edge: Edge {
+                            left: d.left,
+                            right: d.right,
+                            weight,
+                        },
+                        nodes,
+                        at: [ll.len() as u32, rl.len() as u32],
+                    };
+                    let slot = match self.vacant.pop() {
+                        Some(slot) => {
+                            self.edges[slot as usize] = live;
+                            slot
+                        }
+                        None => {
+                            self.edges.push(live);
+                            u32::try_from(self.edges.len() - 1).expect("fewer than 2^32 edges")
+                        }
+                    };
+                    ll.push(slot);
+                    rl.push(slot);
+                    entry.insert(slot);
+                    Some(nodes)
+                }
+                (None, Entry::Occupied(slot)) => {
+                    let slot = slot.remove();
+                    let LiveEdge { nodes, at, .. } = self.edges[slot as usize];
+                    lefts.unlist(0, nodes[0], at[0], &mut self.edges);
+                    rights.unlist(1, nodes[1], at[1], &mut self.edges);
+                    self.vacant.push(slot);
+                    emptied.extend([(0, nodes[0]), (1, nodes[1])]);
+                    Some(nodes)
+                }
+                (None, Entry::Vacant(_)) => None,
             };
-            if changed {
-                frontier.push((0, d.left));
-                frontier.push((1, d.right));
+            if let Some([l, r]) = touched {
+                frontier.extend([(0, l), (1, r)]);
             }
         }
         if frontier.is_empty() {
             return report;
         }
+        self.mate.resize(lefts.entity.len(), None);
+        self.repairs += 1;
+        let stamp = self.repairs;
 
         // Flood the conflict region: connected components (in the
         // updated graph) of the touched endpoints. A removed edge's
         // endpoints are seeded even when now isolated, so their old
-        // matches are still torn down.
-        let mut region: [FastSet<EntityId>; 2] = Default::default();
-        while let Some((side, e)) = frontier.pop() {
-            if !region[side].insert(e) {
-                continue;
+        // matches are still torn down. Every edge with an endpoint in
+        // the region has both endpoints in it, so the region's edges are
+        // exactly those of its Left nodes, each collected once, as its
+        // Left node is reached.
+        frontier.retain(|&(side, n)| {
+            let flooded = &mut [&mut *lefts, &mut *rights][side].flooded[n as usize];
+            std::mem::replace(flooded, stamp) != stamp
+        });
+        let mut region: Vec<u32> = Vec::new();
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        while let Some((side, n)) = frontier.pop() {
+            let (this, other) = match side {
+                0 => (&*lefts, &mut *rights),
+                _ => (&*rights, &mut *lefts),
+            };
+            if side == 0 {
+                region.push(n);
             }
-            if let Some(pairs) = self.adj[side].get(&e) {
-                for &(l, r) in pairs {
-                    frontier.push((0, l));
-                    frontier.push((1, r));
-                }
-            }
-        }
-
-        // Collect the region's edges (every edge with an endpoint in
-        // the region has both endpoints in it) and re-run greedy over
-        // exactly that sub-multiset.
-        let mut region_edges: Vec<Edge> = Vec::new();
-        for &l in &region[0] {
-            if let Some(pairs) = self.adj[0].get(&l) {
-                for &(left, right) in pairs {
-                    region_edges.push(Edge {
+            for &slot in &this.edges[n as usize] {
+                let live = &self.edges[slot as usize];
+                if side == 0 {
+                    let Edge {
                         left,
                         right,
-                        weight: self.weights[&(left, right)],
-                    });
+                        weight,
+                    } = live.edge;
+                    order.push((heaviest_first_key(weight), left, right, slot));
+                }
+                let m = live.nodes[1 - side];
+                if std::mem::replace(&mut other.flooded[m as usize], stamp) != stamp {
+                    frontier.push((1 - side, m));
                 }
             }
         }
-        report.region_edges = region_edges.len();
-        let local = greedy_max_matching(&region_edges);
 
-        // Swap the region's slice of the matching, reporting the churn:
-        // `unmatched` = old region matches not reproduced bit-identically,
-        // `matched` = new region matches that are not carried over.
-        let old_in_region: FastMap<(EntityId, EntityId), f64> = self
-            .matched
-            .iter()
-            .filter(|&(&(l, _), _)| region[0].contains(&l))
-            .map(|(&pair, &w)| (pair, w))
-            .collect();
-        let new_in_region: FastMap<(EntityId, EntityId), f64> = local
-            .iter()
-            .map(|e| ((e.left, e.right), e.weight))
-            .collect();
-        for (&pair, &old_w) in &old_in_region {
-            self.matched.remove(&pair);
-            if new_in_region.get(&pair) != Some(&old_w) {
-                report.unmatched.push(Edge {
-                    left: pair.0,
-                    right: pair.1,
-                    weight: old_w,
-                });
+        // Re-run greedy over exactly the region's edges in
+        // [`heaviest_first`] order, swapping the region's slice of the
+        // matching as it goes and reporting the churn: `unmatched` = old
+        // region matches not reproduced bit-identically, `matched` = new
+        // region matches that are not carried over.
+        report.region_edges = order.len();
+        order.sort_unstable_by_key(|&(key, left, right, _)| (key, left, right));
+        for &(.., slot) in &order {
+            let LiveEdge {
+                edge,
+                nodes: [l, r],
+                ..
+            } = self.edges[slot as usize];
+            let (tl, tr) = (&mut lefts.taken[l as usize], &mut rights.taken[r as usize]);
+            if *tl == stamp || *tr == stamp {
+                continue;
+            }
+            (*tl, *tr) = (stamp, stamp);
+            let old = self.mate[l as usize].replace(edge);
+            if old != Some(edge) {
+                report.matched.push(edge);
+                report.unmatched.extend(old);
             }
         }
-        for (&pair, &w) in &new_in_region {
-            self.matched.insert(pair, w);
-            if old_in_region.get(&pair) != Some(&w) {
-                report.matched.push(Edge {
-                    left: pair.0,
-                    right: pair.1,
-                    weight: w,
-                });
+        for &l in &region {
+            if lefts.taken[l as usize] != stamp {
+                report.unmatched.extend(self.mate[l as usize].take());
             }
         }
+        for (side, n) in emptied {
+            [&mut *lefts, &mut *rights][side].release(n);
+        }
+        self.order = order;
         report.unmatched.sort_by_key(|e| (e.left, e.right));
         report.matched.sort_by_key(|e| (e.left, e.right));
         report

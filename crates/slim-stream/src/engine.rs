@@ -7,7 +7,7 @@
 //!              barrier: df/idf deltas · LSH partition upserts ·
 //!                       candidate registration (pair owner = Left shard)
 //! refresh ──► shard-∥ rescore of adjacency-reachable dirty pairs,
-//!              patching each shard's sorted edge cache in place
+//!              patching each shard's pair-slot table in place
 //!              barrier: k-way merge of per-shard edge-delta runs ·
 //!                       region-local incremental matching ·
 //!                       warm-started GMM threshold · link diff
@@ -30,8 +30,8 @@
 //! finalized output — **bit-identical for every shard count, worker
 //! count, and claim interleaving**.
 //!
-//! A refresh tick discovers its work through the per-shard entity→pair
-//! [`crate::adjacency::AdjacencyIndex`]: only pairs adjacent to
+//! A refresh tick discovers its work through the entity→pair adjacency
+//! of each shard's [`crate::adjacency::PairTable`]: only pairs adjacent to
 //! entities dirtied since the last tick are visited
 //! (`StreamStats::dirty_pairs_visited` vs
 //! `StreamStats::cached_pairs_at_ticks` measures the saving against
@@ -68,7 +68,7 @@ use slim_core::{
 use slim_lsh::{buckets_collide, BucketIndex};
 use slim_telemetry::{Histogram, MetricsRegistry, Snapshot, SnapshotSink};
 
-use crate::adjacency::PairKey;
+use crate::adjacency::{PairKey, PairSlot, SlotChanges, SlotId};
 use crate::checkpoint::{
     self, CheckpointPolicy, ConfigFingerprint, DfDump, EngineDump, HistoryDump, Image, MetaDump,
     ResumeState, ShardsDump,
@@ -80,8 +80,8 @@ use crate::merge;
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::run_memo::{self, RunMemo};
 use crate::shard::{
-    bin_event, entity_shard, fold_patched, lookup_view, BinnedEvent, CachedPair, EngineShard,
-    ExpiryEffects, FoldMark, IngestEffects, PairWindows, RescoreJob, RescoreOutcome, ScoredPair,
+    bin_event, entity_shard, lookup_view, union_sorted, BinnedEvent, CachedPair, Contribution,
+    EngineShard, ExpiryEffects, IngestEffects, RescoreJob,
 };
 use crate::snapshot::{EpochLog, EpochPointer, LinkSnapshot};
 use crate::source::Clock;
@@ -367,8 +367,8 @@ pub struct StreamEngine {
     /// The currently served link set (as of the last tick).
     links: Vec<Edge>,
     /// The greedy matching maintained under edge deltas — mirrors the
-    /// union of the per-shard edge caches; repaired region-locally at
-    /// each barrier.
+    /// union of the per-shard pair tables' edges; repaired
+    /// region-locally at each barrier.
     matcher: IncrementalMatcher,
     /// Warm-started stop-threshold state over the matched weights.
     threshold_state: ThresholdState,
@@ -521,14 +521,14 @@ impl StreamEngine {
 
     /// Number of candidate pairs currently tracked (across all shards).
     pub fn num_candidate_pairs(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.len()).sum()
+        self.shards.iter().map(|s| s.pairs.len()).sum()
     }
 
-    /// Number of live edges across the per-shard edge caches (pairs
+    /// Number of live edges across the per-shard pair tables (pairs
     /// whose assembled score was strictly positive at their last
     /// rescore).
     pub fn num_live_edges(&self) -> usize {
-        self.shards.iter().map(|s| s.edges.len()).sum()
+        self.shards.iter().map(|s| s.pairs.live_edges()).sum()
     }
 
     /// The live history of one entity (`None` if filtered or expired).
@@ -799,19 +799,18 @@ impl StreamEngine {
                 shards.dead[i].extend(shard.dead[i].iter().copied());
             }
             shards.rings.extend(shard.rings.export());
-            shards.cache.extend(
-                shard
+            for (_, slot) in shard.pairs.slots() {
+                shards
                     .cache
-                    .iter()
-                    .map(|(&p, m)| (p, Cow::Borrowed(&m.windows[..]))),
-            );
-            shards.fresh.extend(shard.fresh.iter().copied());
-            shards
-                .edges
-                .extend(shard.edges.iter().map(|(&p, &w)| (p, w)));
-            shards
-                .edge_deltas
-                .extend(shard.edge_deltas.iter().map(|(&p, &w)| (p, w)));
+                    .push((slot.pair, Cow::Borrowed(&slot.cached.windows[..])));
+                if slot.fresh {
+                    shards.fresh.push(slot.pair);
+                }
+                if let Some(w) = slot.edge {
+                    shards.edges.push((slot.pair, w));
+                }
+            }
+            shards.edge_deltas.extend(shard.pairs.edge_deltas());
         }
         for i in 0..2 {
             shards.histories[i].sort_unstable_by_key(|&(e, _)| e);
@@ -982,31 +981,23 @@ impl StreamEngine {
                 }
             }
         }
+        let owner = |pair: PairKey| entity_shard(Side::Left, pair.0, n);
         for (pair, wins) in cache {
-            let owner = &mut self.shards[entity_shard(Side::Left, pair.0, n)];
-            owner
-                .cache
-                .insert(pair, CachedPair::from_windows(wins.into_owned()));
-            owner.adjacency.insert(pair);
+            let cached = CachedPair::from_windows(wins.into_owned());
+            self.shards[owner(pair)].pairs.insert(pair, cached, false);
         }
         for pair in fresh {
-            self.shards[entity_shard(Side::Left, pair.0, n)]
-                .fresh
-                .insert(pair);
+            self.shards[owner(pair)].pairs.restore_fresh(pair)?;
         }
         for (pair, w) in edges {
-            self.shards[entity_shard(Side::Left, pair.0, n)]
-                .edges
-                .insert(pair, w);
+            self.shards[owner(pair)].pairs.restore_edge(pair, w)?;
         }
         for (pair, w) in edge_deltas {
-            self.shards[entity_shard(Side::Left, pair.0, n)]
-                .edge_deltas
-                .insert(pair, w);
+            self.shards[owner(pair)].pairs.restore_delta(pair, w);
         }
 
-        // The matcher travels as its full edge set (its caches lag the
-        // shard edge caches by the unconsumed deltas above) and is
+        // The matcher travels as its full edge set (it lags the shard
+        // pair tables' edges by the unconsumed deltas above) and is
         // rebuilt in one upsert batch; the threshold multiset is by
         // construction the current matching's weights.
         let deltas: Vec<EdgeDelta> = e
@@ -1357,7 +1348,7 @@ impl StreamEngine {
         // tick", and the next tick emits the Removed updates.
         for (side, e) in rebirths {
             for shard in &mut self.shards {
-                shard.drop_pairs_of(side, e);
+                shard.pairs.remove_pairs_of(side, e);
             }
         }
         if self.lsh.is_some() {
@@ -1395,7 +1386,9 @@ impl StreamEngine {
             Side::Right => (partner, entity),
         };
         let owner = entity_shard(Side::Left, pair.0, self.num_shards);
-        self.shards[owner].add_candidate(pair);
+        self.shards[owner]
+            .pairs
+            .insert(pair, CachedPair::default(), true);
     }
 
     /// Applies a coalesced signature-update set to every bucket
@@ -1513,7 +1506,7 @@ impl StreamEngine {
 
     /// Runs a refresh tick: drops dead-endpoint pairs, rescores exactly
     /// the adjacency-reachable dirty `(pair, window)` contributions
-    /// shard-parallel (patching the per-shard edge caches in place),
+    /// shard-parallel (patching the per-shard pair tables in place),
     /// retires collision-less empty pairs, then — at the merge barrier
     /// — k-way merges the per-shard edge-delta runs, repairs the
     /// maintained matching over the affected conflict region, refits
@@ -1541,7 +1534,7 @@ impl StreamEngine {
         dead.sort_unstable();
         for &(side, e) in &dead {
             for shard in &mut self.shards {
-                shard.drop_pairs_of(side, e);
+                shard.pairs.remove_pairs_of(side, e);
             }
         }
 
@@ -1572,26 +1565,27 @@ impl StreamEngine {
         self.stats.cached_pairs_at_ticks += self
             .shards
             .iter()
-            .map(|s| s.cache.len() as u64)
+            .map(|s| s.pairs.len() as u64)
             .sum::<u64>();
 
-        // Rescore shard-parallel (read-only over all shards + merged
-        // stats), then apply each shard's outcomes to its own cache.
-        let scored = self.score_jobs(&jobs);
-        let mut work: Vec<(&mut EngineShard, Vec<RescoreOutcome>)> = Vec::new();
-        for (shard, (outcomes, shard_stats, shard_kernel)) in self.shards.iter_mut().zip(scored) {
+        // Rescore shard-parallel — reading every shard's histories and
+        // the merged stats, each chunk patching its own slots — then
+        // absorb each shard's chunks into its pair table.
+        let rescored = self.rescore(&jobs);
+        let mut work: Vec<(&mut EngineShard, Vec<SlotChanges>)> = Vec::new();
+        for (shard, (changes, shard_stats, shard_kernel)) in self.shards.iter_mut().zip(rescored) {
             self.scoring_stats.merge(&shard_stats);
             self.tel.score_kernel.merge(&shard_kernel);
-            work.push((shard, outcomes));
+            work.push((shard, changes));
         }
         let reports = self
             .pool
-            .run_gated(PhaseId::Rescore, parallel, work, |(shard, outcomes)| {
-                shard.apply_outcomes(outcomes)
+            .run_gated(PhaseId::Rescore, parallel, work, |(shard, changes)| {
+                shard.finish_rescore(changes)
             });
         // Folded in shard order, so the counters and the retirement
         // candidates do not depend on which worker applied what.
-        let mut emptied: Vec<(usize, (EntityId, EntityId))> = Vec::new();
+        let mut emptied: Vec<(usize, (SlotId, PairKey))> = Vec::new();
         for (idx, report) in reports.into_iter().enumerate() {
             self.stats.rescored_windows += report.rescored_windows;
             emptied.extend(report.emptied.into_iter().map(|p| (idx, p)));
@@ -1604,9 +1598,9 @@ impl StreamEngine {
         // Only pairs visited this tick can have newly emptied, so the
         // check is O(dirty), not O(cache).
         if self.lsh.is_some() {
-            let retire: Vec<(usize, (EntityId, EntityId))> = emptied
+            let retire: Vec<(usize, (SlotId, PairKey))> = emptied
                 .into_iter()
-                .filter(|&(_, (u, v))| {
+                .filter(|&(_, (_, (u, v)))| {
                     let su = &self.shards[entity_shard(Side::Left, u, self.num_shards)];
                     let sv = &self.shards[entity_shard(Side::Right, v, self.num_shards)];
                     match (
@@ -1618,8 +1612,8 @@ impl StreamEngine {
                     }
                 })
                 .collect();
-            for (idx, pair) in retire {
-                self.shards[idx].retire(pair);
+            for (idx, (slot, _)) in retire {
+                self.shards[idx].pairs.remove(slot);
                 self.stats.retired_pairs += 1;
             }
         }
@@ -1634,7 +1628,7 @@ impl StreamEngine {
         let runs: Vec<Vec<(PairKey, Option<f64>)>> = self
             .shards
             .iter_mut()
-            .map(|s| s.take_edge_deltas().into_iter().collect())
+            .map(|s| s.pairs.take_edge_deltas())
             .collect();
         let deltas = merge::merge_delta_runs(runs);
         self.stats.edges_patched += deltas.len() as u64;
@@ -1676,15 +1670,23 @@ impl StreamEngine {
             }
             // The exact Hungarian matching has no incremental form:
             // assemble the full edge set by k-way-merging the per-shard
-            // sorted edge caches (no re-sort, no rescoring) and re-match
-            // from scratch. The whole arm (including its embedded
+            // edges, each run sorted by pair (no rescoring), and
+            // re-match from scratch. The whole arm (including its embedded
             // threshold selection) counts as matching time.
             MatchingMethod::HungarianExact => {
                 let t_match = self.tel.enabled.then(|| self.tel.now_ns());
                 let edge_runs: Vec<Vec<(PairKey, f64)>> = self
                     .shards
                     .iter()
-                    .map(|s| s.edges.iter().map(|(&p, &w)| (p, w)).collect())
+                    .map(|s| {
+                        let mut run: Vec<(PairKey, f64)> = s
+                            .pairs
+                            .slots()
+                            .filter_map(|(_, slot)| Some((slot.pair, slot.edge?)))
+                            .collect();
+                        run.sort_unstable_by_key(|&(p, _)| p);
+                        run
+                    })
                     .collect();
                 let edges = merge::kway_merge_edge_runs(edge_runs);
                 let (links, threshold) = merge::exact_match_and_threshold(&self.cfg.slim, &edges);
@@ -1731,20 +1733,21 @@ impl StreamEngine {
 
     /// Rescores the given per-shard job lists against the merged df
     /// statistics, resolving endpoint histories across shards, and
-    /// re-assembles each touched pair's edge score on the worker: the
-    /// recomputed contributions are merged with the pair's untouched
-    /// cached windows and normalized, so the barrier only has to patch
-    /// the outcome into the caches. Pure reads — dispatched to the
-    /// worker pool as fixed-size **chunks of each shard's job list**
-    /// when the tick is big enough to pay: a hot shard's jobs split
-    /// into many claimable chunks, so tick latency tracks total dirty
-    /// work, not the hottest shard.
-    /// Chunk outputs are regrouped per owning shard in chunk-id order,
-    /// which reproduces the sequential job order exactly.
-    fn score_jobs(
-        &self,
+    /// patches each touched pair in place: the recomputed contributions
+    /// are folded with the pair's untouched cached windows, normalized,
+    /// and written into its slot while its cache is still hot. The jobs
+    /// of each shard are cut into fixed-size **chunks** (one per shard
+    /// below the parallel threshold); each chunk owns the contiguous
+    /// range of its shard's slots its jobs fall in — jobs are sorted by
+    /// slot, so the ranges are disjoint and `split_at_mut` hands them
+    /// out — and the pool runs the chunks when the tick is big enough to
+    /// pay: a hot shard's jobs split into many claimable chunks, so tick
+    /// latency tracks total dirty work, not the hottest shard. Each
+    /// shard gets its chunks' [`SlotChanges`] back in chunk-id order.
+    fn rescore(
+        &mut self,
         jobs: &[Vec<RescoreJob>],
-    ) -> Vec<(Vec<RescoreOutcome>, LinkageStats, Histogram)> {
+    ) -> Vec<(Vec<SlotChanges>, LinkageStats, Histogram)> {
         let scorer = SimilarityScorer::from_df_stats(&self.cfg.slim, &self.df[0], &self.df[1]);
         // Per-window kernel timing: one chained clock read per scored
         // window, recorded into a chunk-local histogram and merged at
@@ -1760,27 +1763,41 @@ impl StreamEngine {
         // A dirty tick visits each (side, entity, window) run once per
         // partner: each worker resolves it once for the whole pass.
         let pass = run_memo::next_pass();
-        let score_list = |(owner, list): (usize, &[RescoreJob])| -> (
-            Vec<RescoreOutcome>,
-            LinkageStats,
-            Histogram,
-        ) {
-            let mut out = Vec::with_capacity(list.len());
+        let (histories, tables): (Vec<&[HistoryArena; 2]>, Vec<&mut [Option<PairSlot>]>) = self
+            .shards
+            .iter_mut()
+            .map(|shard| (&shard.histories, shard.pairs.slots_mut()))
+            .unzip();
+        type Chunk<'j, 'd, 's> = (&'j [RescoreJob<'d>], usize, &'s mut [Option<PairSlot>]);
+        let score_chunk = |(list, base, slots): Chunk| -> (SlotChanges, LinkageStats, Histogram) {
+            let mut changes = SlotChanges::default();
             let mut stats = LinkageStats::default();
             let mut kernel = Histogram::new();
-            for (pair, spec) in list {
-                let (Some(hu), Some(hv)) = (
-                    lookup_view(&self.shards, Side::Left, pair.0),
-                    lookup_view(&self.shards, Side::Right, pair.1),
-                ) else {
-                    out.push((*pair, None));
+            let mut patch: Vec<Contribution> = Vec::new();
+            // A registration burst gives one Left entity's pairs
+            // consecutive slots, so its jobs are often adjacent: its view
+            // is resolved once per run of them.
+            let mut left = None;
+            for job in list {
+                let pair = job.pair;
+                let hu = match left {
+                    Some((u, view)) if u == pair.0 => view,
+                    _ => {
+                        let view = lookup_view(&histories, Side::Left, pair.0);
+                        left = Some((pair.0, view));
+                        view
+                    }
+                };
+                let (Some(hu), Some(hv)) = (hu, lookup_view(&histories, Side::Right, pair.1))
+                else {
+                    changes.vanished.push(job.slot);
                     continue;
                 };
                 // Recompute the job's windows into the patch (zeros
-                // included: they tell the owner to drop the window).
-                let mut patch = PairWindows::new();
+                // included: they tell the cache to drop the window).
+                patch.clear();
                 let mut t_last = clock.as_ref().map(|c| c.now_ns()).unwrap_or(0);
-                match spec {
+                match job.windows {
                     // A fresh pair: the batch scorer's merge walk over
                     // the two entities' window columns feeds contiguous
                     // cell/count slices of every common window straight
@@ -1793,74 +1810,76 @@ impl StreamEngine {
                         patch.push((w, c));
                         lap(&clock, &mut t_last, &mut kernel);
                     }),
-                    // A dirty pair: exactly the listed windows, through
-                    // the pass's resolved runs — a window's run is looked
-                    // up only when the memo lacks it.
-                    Some(windows) => RunMemo::with(pass, |memo| {
-                        patch.reserve_exact(windows.len());
-                        for &w in windows.iter() {
+                    // A dirty pair: exactly the union of its endpoints'
+                    // dirty windows, through the pass's resolved runs —
+                    // a window's run is looked up only when the memo
+                    // lacks it.
+                    Some([wu, wv]) => RunMemo::with(pass, |memo| {
+                        for w in union_sorted(wu, wv) {
                             let (ru, rv) = (|| hu.window_run(w), || hv.window_run(w));
-                            let c = memo.window_contribution(&scorer, *pair, w, ru, rv, &mut stats);
+                            let c = memo.window_contribution(&scorer, pair, w, ru, rv, &mut stats);
                             patch.push((w, c));
                             lap(&clock, &mut t_last, &mut kernel);
                         }
                     }),
                 }
-                // `Σ contributions / pair norm` in ascending window
-                // order over the owning shard's cached contributions of
-                // the untouched windows and the patch — the same
+                // Patch the pair's cache, then `Σ contributions / pair
+                // norm` in ascending window order over it — the same
                 // arithmetic and order the full assembly sweep used, so
                 // a pair scored fresh here is bit-identical to a
                 // from-scratch edge assembly. The fold resumes from the
                 // pair's mark when the patch leaves the marked prefix
                 // alone, so a visit reads what it rescores, not the
-                // pair's whole cache. The cache is only read.
-                let (windows, mark) = self.shards[owner]
-                    .cache
-                    .get(pair)
-                    .map_or((&[][..], FoldMark::START), |e| (&e.windows[..], e.mark));
-                let (sum, mark) = fold_patched(windows, mark, &patch);
+                // pair's whole cache.
+                let slot = slots[job.slot as usize - base]
+                    .as_mut()
+                    .expect("a job's slot is live");
+                let sum = slot.cached.patch(&patch);
                 if cfg!(debug_assertions) {
                     // Every debug engine run checks every visit: the
                     // resumed fold has the full fold's bits.
-                    let full = fold_patched(windows, FoldMark::START, &patch).0;
+                    let full = slot.cached.full_fold();
                     assert_eq!(sum.to_bits(), full.to_bits(), "resumed fold of {pair:?}");
                 }
+                changes.rescored_windows += patch.len() as u64;
                 let score = sum / scorer.pair_norm_bins(hu.num_bins(), hv.num_bins());
-                out.push((*pair, Some(ScoredPair { patch, score, mark })));
+                slot.set_score(job.slot, score, &mut changes);
             }
-            (out, stats, kernel)
+            (changes, stats, kernel)
         };
 
+        // Cut each shard's job list — and with it the shard's slots —
+        // into chunks; below the threshold, one chunk per shard.
         let total: usize = jobs.iter().map(Vec::len).sum();
-        if total < PARALLEL_RESCORE_THRESHOLD || self.num_workers == 1 {
-            return jobs
-                .iter()
-                .enumerate()
-                .map(|(owner, list)| score_list((owner, list.as_slice())))
-                .collect();
-        }
-        // Chunk each shard's job list at the RESCORE_CHUNK grain.
+        let grain = if total >= PARALLEL_RESCORE_THRESHOLD && self.num_workers > 1 {
+            RESCORE_CHUNK
+        } else {
+            usize::MAX
+        };
         let mut owners: Vec<usize> = Vec::new();
-        let mut chunks: Vec<(usize, &[RescoreJob])> = Vec::new();
-        for (owner, list) in jobs.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            for range in chunk_ranges(list.len(), RESCORE_CHUNK) {
+        let mut chunks: Vec<Chunk> = Vec::new();
+        for (owner, (list, mut rest)) in jobs.iter().zip(tables).enumerate() {
+            let mut base = 0;
+            for range in chunk_ranges(list.len(), grain) {
+                let list = &list[range];
+                let end = list.last().expect("ranges are non-empty").slot as usize + 1;
+                let (slots, tail) = rest.split_at_mut(end - base);
                 owners.push(owner);
-                chunks.push((owner, &list[range]));
+                chunks.push((list, base, slots));
+                (rest, base) = (tail, end);
             }
         }
-        let outs = self.pool.run(PhaseId::Rescore, chunks, score_list);
-        // Regroup per owning shard; chunks were pushed (shard asc,
-        // range asc), so concatenation restores the sequential order.
-        let mut per_shard: Vec<(Vec<RescoreOutcome>, LinkageStats, Histogram)> = jobs
+        let outs: Vec<(SlotChanges, LinkageStats, Histogram)> = if grain == RESCORE_CHUNK {
+            self.pool.run(PhaseId::Rescore, chunks, score_chunk)
+        } else {
+            chunks.into_iter().map(score_chunk).collect()
+        };
+        let mut per_shard: Vec<(Vec<SlotChanges>, LinkageStats, Histogram)> = jobs
             .iter()
             .map(|_| (Vec::new(), LinkageStats::default(), Histogram::new()))
             .collect();
-        for (owner, (outcomes, stats, kernel)) in owners.into_iter().zip(outs) {
-            per_shard[owner].0.extend(outcomes);
+        for (owner, (changes, stats, kernel)) in owners.into_iter().zip(outs) {
+            per_shard[owner].0.push(changes);
             per_shard[owner].1.merge(&stats);
             per_shard[owner].2.merge(&kernel);
         }
@@ -1941,7 +1960,7 @@ impl StreamEngine {
             let mut candidates: Vec<(EntityId, EntityId)> = self
                 .shards
                 .iter()
-                .flat_map(|s| s.cache.keys().copied())
+                .flat_map(|s| s.pairs.slots().map(|(_, slot)| slot.pair))
                 .collect();
             candidates.sort_unstable();
             prepared.link_with_candidates(&candidates)

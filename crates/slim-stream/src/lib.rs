@@ -50,7 +50,7 @@
 //!            ╞═ barrier: df/idf deltas · LSH partition upserts ═╡
 //!            ╞═          candidate pairs → owning shard        ═╡
 //! tick  ───► rescore adjacency-reachable dirty (pair, window) (∥)
-//!            patch per-shard sorted edge caches in place
+//!            patch each pair's slot in the shard's pair table in place
 //!            retire collision-less empty pairs
 //!            ╞═ barrier: k-way merge of edge-delta runs   ═╡
 //!            ╞═ region-local delta matching · warm GMM fit ═╡
@@ -79,9 +79,10 @@
 //!    ([`StreamStats::dirty_pairs_visited`] vs
 //!    [`StreamStats::cached_pairs_at_ticks`] is the proof). The
 //!    barrier is bounded the same way: each shard keeps its owned
-//!    pairs' assembled scores in a pair-sorted **edge cache** patched
-//!    in place, the barrier k-way merges the per-shard sorted delta
-//!    runs ([`StreamStats::edges_patched`]), the greedy matching is
+//!    pairs' assembled scores in their slots, patched in place, and
+//!    appends each change to an edge-delta run; the barrier k-way
+//!    merges the per-shard runs, sorted by pair
+//!    ([`StreamStats::edges_patched`]), the greedy matching is
 //!    repaired over the delta-touched components only
 //!    ([`StreamStats::matching_region_size`]), and the GMM stop
 //!    threshold refits warm from the previous tick's mixture

@@ -1,11 +1,11 @@
 //! The single merge barrier of a refresh tick.
 //!
 //! Everything the sharded engine computes in parallel is per-entity or
-//! per-pair; only the dataset-global steps meet here. Since the
-//! per-shard **edge caches** landed, the barrier no longer sweeps the
-//! contribution caches: every shard maintains its owned pairs'
-//! assembled scores sorted by pair and describes each tick's changes as
-//! a sorted delta run, and the barrier k-way-merges those runs —
+//! per-pair; only the dataset-global steps meet here. The barrier never
+//! sweeps the contribution caches: every shard keeps its owned pairs'
+//! assembled scores (the edges) in its pair table and describes each
+//! tick's changes as a pair-sorted delta run, and the barrier
+//! k-way-merges those runs —
 //! `O(dirty)` — into the batch the incremental matcher and the
 //! warm-started threshold state consume. The full-assembly form
 //! ([`kway_merge_edge_runs`]) remains for the exact Hungarian path.
@@ -67,9 +67,9 @@ pub(crate) fn merge_delta_runs(runs: Vec<Vec<(PairKey, Option<f64>)>>) -> Vec<Ed
         .collect()
 }
 
-/// Full edge assembly from the per-shard sorted edge caches — the
-/// cold-path form (exact Hungarian re-match), `O(edges · log shards)`
-/// with no re-sorting and no rescoring.
+/// Full edge assembly from the per-shard edges, each run sorted by
+/// pair — the cold-path form (exact Hungarian re-match), with no
+/// rescoring.
 pub(crate) fn kway_merge_edge_runs(runs: Vec<Vec<(PairKey, f64)>>) -> Vec<Edge> {
     kway_merge(runs)
         .into_iter()

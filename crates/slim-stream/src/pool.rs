@@ -376,7 +376,7 @@ impl WorkerPool {
             *output[id].lock().expect("pool poisoned") = Some(value);
         };
 
-        let _phase_guard = self.submit.lock().expect("pool poisoned");
+        let phase_guard = self.submit.lock().expect("pool poisoned");
         let claims = Arc::new(Claims::new(n, self.workers));
         let phase = PhaseRef {
             task: task_ref(&runner),
@@ -399,6 +399,9 @@ impl WorkerPool {
             ctl.phase = None;
         }
         if self.shared.panicked.swap(false, Ordering::Relaxed) {
+            // Release the submit lock first: re-raising with it held
+            // would poison it for every later phase of this pool.
+            drop(phase_guard);
             panic!("pool worker panicked while executing a chunk");
         }
         output
@@ -627,6 +630,27 @@ mod tests {
     #[should_panic(expected = "pool worker panicked")]
     fn last_chunk_panics_propagate_to_the_submitter() {
         panicking_phase(15);
+    }
+
+    /// A caught chunk panic leaves the pool usable: the next phase on
+    /// the same pool runs every chunk and returns every output, in
+    /// order, instead of failing on a poisoned lock.
+    #[test]
+    fn the_pool_survives_a_caught_chunk_panic() {
+        let pool = WorkerPool::new(2, true);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(PhaseId::Bin, (0..16).collect::<Vec<u32>>(), |x| {
+                assert!(x != 3, "injected failure");
+                x
+            })
+        }));
+        let message = caught.expect_err("chunk 3 panics");
+        assert_eq!(
+            message.downcast_ref::<&str>(),
+            Some(&"pool worker panicked while executing a chunk")
+        );
+        let out = pool.run(PhaseId::Bin, (0..64u64).collect(), |x| x * 2);
+        assert_eq!(out, (0..64u64).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     /// Drains every block as `worker`: the ids in claim order, and how

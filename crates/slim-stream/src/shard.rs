@@ -4,9 +4,10 @@
 //! a deterministic entity hash ([`entity_shard`]): a shard owns the
 //! min-records buffers (with their window index), mobility histories,
 //! dirty marks, LSH rings, and window membership of the entities homed
-//! on it, plus the cached `(pair, window)` score contributions and the
-//! entity→pair [`AdjacencyIndex`] of the pairs it owns (**owner = home
-//! shard of the pair's Left entity**).
+//! on it, plus the [`PairTable`] of the pairs it owns (**owner = home
+//! shard of the pair's Left entity**): their cached `(pair, window)`
+//! score contributions, served edges, fresh flags and entity→pair
+//! adjacency, one slot per pair.
 //!
 //! Shard methods are designed for the engine's phase structure: during a
 //! parallel phase each shard mutates only its own state and *describes*
@@ -18,22 +19,26 @@
 //!
 //! A cached pair ([`CachedPair`]) is its window-sorted contributions
 //! plus a [`FoldMark`]: the partial left fold of a prefix of them. A
-//! rescore whose patch starts at or above the mark resumes the score's
-//! fold there ([`fold_patched`]) — the same additions in the same order
-//! as the full fold, so the same bits — and a visit on a dense stream
-//! reads the few windows it rescores instead of the pair's whole cache.
+//! rescore whose patch starts at or above the mark patches the cache
+//! and resumes the score's fold there ([`CachedPair::patch`]) — the
+//! same additions in the same order as the full fold, so the same bits
+//! — and a visit on a dense stream reads the few windows it rescores
+//! instead of the pair's whole cache.
+//!
+//! A refresh tick's visit is two steps over the pair table: the shard
+//! gathers its [`RescoreJob`]s (slot ids, sorted by slot), and the
+//! rescore chunks — each owning a disjoint slot range — score and patch
+//! them in place, handing the table only their [`SlotChanges`].
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use geocell::CellId;
 use slim_core::arena::{EntityView, HistoryArena};
 use slim_core::df::DfDelta;
-use slim_core::fasthash::{FastMap, FastSet};
 use slim_core::history::record_cells;
 use slim_core::{EntityId, WindowIdx, WindowScheme};
 
-use crate::adjacency::{AdjacencyIndex, PairKey};
+use crate::adjacency::{PairKey, PairTable, SlotChanges, SlotId};
 use crate::event::{Side, StreamEvent};
 use crate::lsh::{LshGeometry, ShardRings};
 
@@ -84,28 +89,33 @@ pub(crate) fn entity_shard(side: Side, entity: EntityId, shards: usize) -> usize
     (slim_lsh::fnv1a([side.idx() as u64, entity.0].into_iter()) % shards as u64) as usize
 }
 
-/// Resolves an entity's history view across the shard partition.
-pub(crate) fn lookup_view(
-    shards: &[EngineShard],
+/// Resolves an entity's history view across the shard partition, given
+/// every shard's histories in shard order.
+pub(crate) fn lookup_view<'a>(
+    histories: &[&'a [HistoryArena; 2]],
     side: Side,
     entity: EntityId,
-) -> Option<EntityView<'_>> {
-    shards[entity_shard(side, entity, shards.len())].histories[side.idx()].view(entity)
+) -> Option<EntityView<'a>> {
+    histories[entity_shard(side, entity, histories.len())][side.idx()].view(entity)
 }
 
-/// The ascending union of two ascending, duplicate-free window lists.
-fn union_sorted(a: &[WindowIdx], b: &[WindowIdx]) -> Vec<WindowIdx> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let w = a[i].min(b[j]);
-        i += usize::from(a[i] == w);
-        j += usize::from(b[j] == w);
-        out.push(w);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+/// The ascending union of two ascending, duplicate-free window lists,
+/// walked in place.
+pub(crate) fn union_sorted<'a>(
+    mut a: &'a [WindowIdx],
+    mut b: &'a [WindowIdx],
+) -> impl Iterator<Item = WindowIdx> + 'a {
+    std::iter::from_fn(move || {
+        let w = match (a.first(), b.first()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => return None,
+        };
+        a = a.strip_prefix(&[w]).unwrap_or(a);
+        b = b.strip_prefix(&[w]).unwrap_or(b);
+        Some(w)
+    })
 }
 
 /// Cross-shard effects of one shard's ingest phase, folded in at the
@@ -147,19 +157,24 @@ pub(crate) struct ExpiryEffects {
     pub(crate) demoted_records: u64,
 }
 
-/// A rescore work item: one owned pair plus the windows to recompute,
-/// ascending (`None` = fresh pair, rescore all common windows). A pair
-/// with one dirty endpoint borrows that entity's window list from the
-/// tick's dirty list; only a pair dirty on both sides owns a merged one.
-pub(crate) type RescoreJob<'d> = (PairKey, Option<Cow<'d, [WindowIdx]>>);
+/// A rescore work item: one owned pair, by slot, plus the windows to
+/// recompute — the union of its Left and its Right endpoint's dirty
+/// windows, borrowed from the tick's dirty list (an endpoint that is
+/// not dirty lends an empty list); `None` = a fresh pair, rescore all
+/// common windows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RescoreJob<'d> {
+    pub(crate) slot: SlotId,
+    pub(crate) pair: PairKey,
+    pub(crate) windows: Option<[&'d [WindowIdx]; 2]>,
+}
 
 /// One window's unnormalized contribution to a pair's score.
 pub(crate) type Contribution = (WindowIdx, f64);
 
 /// One pair's cached contributions: strictly ascending by window, no
 /// zero entries (a window contributing zero is absent). Flat, so a
-/// rescore worker reads it as a borrowed slice and the owning shard
-/// patches it in place.
+/// rescore chunk patches it in place.
 pub(crate) type PairWindows = Vec<Contribution>;
 
 /// The neutral element of the contribution fold: `-0.0 + x == x` for
@@ -210,14 +225,45 @@ impl CachedPair {
         }
     }
 
-    /// Applies a rescore outcome's patch and stores the mark the worker
-    /// placed for the patched cache (`None`: the patch was empty and the
-    /// cache, with its mark, is unchanged).
-    fn apply(&mut self, patch: &[Contribution], mark: Option<FoldMark>) {
+    /// Applies a rescore patch — every window recomputed this tick with
+    /// its new contribution, strictly ascending, a zero meaning "drop the
+    /// window" — in place, and returns `Σ contributions` of the patched
+    /// cache, folded left in ascending window order.
+    ///
+    /// When the patch is empty or starts at or after the mark, the fold
+    /// resumes from the mark's partial sum: the marked prefix is
+    /// untouched by the patch and comes first, so this repeats the full
+    /// fold's additions in the full fold's order and gives its bits.
+    /// Otherwise the fold starts from scratch. A non-empty patch moves the
+    /// mark to just before its last window, where the next tick's patch
+    /// of a dense stream tends to begin.
+    pub(crate) fn patch(&mut self, patch: &[Contribution]) -> f64 {
+        let from = match patch.first() {
+            Some(&(first, _)) if first < self.mark.window => FoldMark::START,
+            _ => self.mark,
+        };
         apply_patch(&mut self.windows, patch);
-        if let Some(mark) = mark {
-            self.mark = mark;
-        }
+        let tail = &self.windows[from.index..];
+        let fold =
+            |from: f64, entries: &[Contribution]| entries.iter().fold(from, |sum, &(_, c)| sum + c);
+        let Some(&(last, _)) = patch.last() else {
+            return fold(from.sum, tail);
+        };
+        let split = tail.partition_point(|&(w, _)| w < last);
+        self.mark = FoldMark {
+            window: last,
+            index: from.index + split,
+            sum: fold(from.sum, &tail[..split]),
+        };
+        fold(self.mark.sum, &tail[split..])
+    }
+
+    /// `Σ contributions` folded from the first window: what
+    /// [`CachedPair::patch`] must return, for the checks.
+    pub(crate) fn full_fold(&self) -> f64 {
+        self.windows
+            .iter()
+            .fold(FOLD_IDENTITY, |sum, &(_, c)| sum + c)
     }
 }
 
@@ -241,115 +287,10 @@ pub(crate) fn mark_violation(windows: &[Contribution], mark: &FoldMark) -> Optio
         .then(|| format!("mark {mark:?}: the prefix folds to {prefix:e}"))
 }
 
-/// `Σ contributions` of the cache `cached` (marked by `mark`) will hold
-/// once `patch` is applied, folded left in ascending window order —
-/// plus the mark to store with the patched cache.
-///
-/// When the patch is empty or starts at or after the mark, the fold
-/// resumes from the mark's partial sum over `cached[index..]` merged
-/// with the patch: the marked prefix is untouched and comes first, so
-/// this repeats the full fold's additions in the full fold's order and
-/// gives its bits. Otherwise the fold starts from scratch. Either way
-/// the new mark sits just before the patch's last window, where the
-/// next tick's patch of a dense stream tends to begin.
-pub(crate) fn fold_patched(
-    cached: &[Contribution],
-    mark: FoldMark,
-    patch: &[Contribution],
-) -> (f64, Option<FoldMark>) {
-    let from = match patch.first() {
-        Some(&(first, _)) if first < mark.window => FoldMark::START,
-        _ => mark,
-    };
-    let tail = merged_contributions(&cached[from.index..], patch);
-    let Some(&(last, _)) = patch.last() else {
-        return (tail.fold(from.sum, |sum, (_, c)| sum + c), None);
-    };
-    let (mut sum, mut index) = (from.sum, from.index);
-    let mut next = None;
-    for (w, c) in tail {
-        if w >= last && next.is_none() {
-            next = Some(FoldMark {
-                window: last,
-                index,
-                sum,
-            });
-        }
-        sum += c;
-        index += 1;
-    }
-    let next = next.unwrap_or(FoldMark {
-        window: last,
-        index,
-        sum,
-    });
-    (sum, Some(next))
-}
-
-/// The result of rescoring one pair: only what changed — the *patch* —
-/// plus the pair's re-assembled edge score, computed on the worker so
-/// the barrier only patches. `None` = an endpoint history vanished;
-/// drop the pair.
-#[derive(Debug)]
-pub(crate) struct ScoredPair {
-    /// Every window recomputed this tick with its new contribution,
-    /// strictly ascending; a zero contribution means "drop the window".
-    pub(crate) patch: PairWindows,
-    /// The normalized edge score over the patched cache (`Σ
-    /// contributions / pair norm`, see [`fold_patched`]); an edge
-    /// exists iff it is strictly positive.
-    pub(crate) score: f64,
-    /// The fold mark for the patched cache (`None`: keep the old one).
-    pub(crate) mark: Option<FoldMark>,
-}
-
-/// See [`ScoredPair`].
-pub(crate) type RescoreOutcome = (PairKey, Option<ScoredPair>);
-
-/// The contributions a pair's cache will hold once `patch` is applied,
-/// in ascending window order, without building that cache: a merge-walk
-/// of the two window-sorted slices in which a patched window overrides
-/// the cached one and a zero patch entry yields nothing. Summing it is
-/// the same left fold, over the same values in the same order, as
-/// summing the patched cache — which is what makes the worker-side edge
-/// score bit-identical to a from-scratch assembly.
-fn merged_contributions<'a>(
-    cached: &'a [Contribution],
-    patch: &'a [Contribution],
-) -> impl Iterator<Item = Contribution> + 'a {
-    // In streaming the patch lands at the cache's tail: everything
-    // below its first window passes through untouched.
-    let head = match patch.first() {
-        Some(&(first, _)) => cached.partition_point(|&(w, _)| w < first),
-        None => cached.len(),
-    };
-    let (untouched, mut cached) = cached.split_at(head);
-    let mut patch = patch;
-    let tail = std::iter::from_fn(move || loop {
-        let Some(&(wp, p)) = patch.first() else {
-            let (&entry, rest) = cached.split_first()?;
-            cached = rest;
-            return Some(entry);
-        };
-        match cached.first() {
-            Some(&entry) if entry.0 < wp => {
-                cached = &cached[1..];
-                return Some(entry);
-            }
-            // Overridden: the cached value is not summed.
-            Some(&(wc, _)) if wc == wp => cached = &cached[1..],
-            _ => {}
-        }
-        patch = &patch[1..];
-        if p != 0.0 {
-            return Some((wp, p));
-        }
-    });
-    untouched.iter().copied().chain(tail)
-}
-
-/// Applies a [`ScoredPair::patch`] to a pair's cache in place — by
-/// binary search, except at the tail, where a streaming patch lands.
+/// Applies a rescore patch to a pair's cache in place. A streaming
+/// patch lands at the cache's tail, so each window is looked for by
+/// galloping back from the end: the probes stay within the few entries
+/// a dense pair's visit touches instead of halving the whole cache.
 fn apply_patch(windows: &mut PairWindows, patch: &[Contribution]) {
     for &(w, c) in patch {
         if windows.last().is_none_or(|&(last, _)| last < w) {
@@ -358,25 +299,34 @@ fn apply_patch(windows: &mut PairWindows, patch: &[Contribution]) {
             }
             continue;
         }
-        match windows.binary_search_by_key(&w, |&(cached, _)| cached) {
-            Ok(i) if c == 0.0 => {
+        // `windows[hi..]` is at or above `w`; gallop `lo` down until
+        // `windows[lo]` is below it (or `lo` is 0).
+        let (mut lo, mut hi, mut step) = (windows.len() - 1, windows.len(), 1);
+        while lo > 0 && windows[lo].0 >= w {
+            hi = lo;
+            lo = lo.saturating_sub(step);
+            step *= 2;
+        }
+        let i = lo + windows[lo..hi].partition_point(|&(cached, _)| cached < w);
+        match windows.get(i) {
+            Some(&(cached, _)) if cached == w && c == 0.0 => {
                 windows.remove(i);
             }
-            Ok(i) => windows[i].1 = c,
-            Err(i) if c != 0.0 => windows.insert(i, (w, c)),
-            Err(_) => {}
+            Some(&(cached, _)) if cached == w => windows[i].1 = c,
+            _ if c != 0.0 => windows.insert(i, (w, c)),
+            _ => {}
         }
     }
 }
 
-/// What applying a tick's rescore outcomes changed on this shard.
+/// What a tick's rescore changed on this shard.
 #[derive(Debug, Default)]
 pub(crate) struct ApplyReport {
     /// `(pair, window)` contributions recomputed.
     pub(crate) rescored_windows: u64,
     /// Owned pairs whose cached contributions ended the tick empty —
     /// the retirement candidates.
-    pub(crate) emptied: Vec<PairKey>,
+    pub(crate) emptied: Vec<(SlotId, PairKey)>,
 }
 
 /// One shard of engine state. See the module docs for the ownership
@@ -422,25 +372,14 @@ pub(crate) struct EngineShard {
     pub(crate) window_entities: BTreeMap<WindowIdx, [BTreeSet<EntityId>; 2]>,
     /// LSH rings of homed entities (empty when LSH is disabled).
     pub(crate) rings: ShardRings,
-    /// Per owned candidate pair: its per-window unnormalized score
-    /// contributions and their fold mark. Probed by every visit, so
-    /// keyed under [`slim_core::fasthash`], like `fresh`.
-    pub(crate) cache: FastMap<PairKey, CachedPair>,
-    /// Owned pairs discovered since the last tick; their full common
-    /// window set is scored at the next tick.
-    pub(crate) fresh: FastSet<PairKey>,
-    /// Entity→pair adjacency over the owned pairs.
-    pub(crate) adjacency: AdjacencyIndex,
-    /// The shard's **edge cache**: assembled, normalized scores of its
-    /// owned pairs (strictly positive only), sorted by pair. Patched in
-    /// place by rescore outcomes instead of being rebuilt at every
-    /// barrier.
-    pub(crate) edges: BTreeMap<PairKey, f64>,
-    /// Edge-cache patches since the last barrier, coalesced by pair
-    /// (last write wins): `Some(score)` upserted, `None` removed. The
-    /// barrier drains these as one sorted run per shard and k-way
-    /// merges the runs into the global delta batch.
-    pub(crate) edge_deltas: BTreeMap<PairKey, Option<f64>>,
+    /// The owned candidate pairs: per pair, its per-window
+    /// unnormalized score contributions with their fold mark, its
+    /// served edge (the assembled, normalized score, strictly positive
+    /// only) and its fresh flag; the entity→pair adjacency; and the
+    /// edge changes since the last barrier, which the barrier drains as
+    /// one sorted run per shard and k-way merges into the global delta
+    /// batch.
+    pub(crate) pairs: PairTable,
 }
 
 impl EngineShard {
@@ -459,11 +398,7 @@ impl EngineShard {
             dead: Default::default(),
             window_entities: BTreeMap::new(),
             rings: ShardRings::default(),
-            cache: FastMap::default(),
-            fresh: FastSet::default(),
-            adjacency: AdjacencyIndex::default(),
-            edges: BTreeMap::new(),
-            edge_deltas: BTreeMap::new(),
+            pairs: PairTable::default(),
         }
     }
 
@@ -683,55 +618,12 @@ impl EngineShard {
         self.dirty[side.idx()].entry(e).or_default().insert(w);
     }
 
-    /// Registers an owned candidate pair (idempotent): an empty
-    /// contribution cache, a fresh mark, and both adjacency endpoints.
-    pub(crate) fn add_candidate(&mut self, pair: PairKey) {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.cache.entry(pair) {
-            slot.insert(CachedPair::default());
-            self.fresh.insert(pair);
-            self.adjacency.insert(pair);
-        }
-    }
-
-    /// Patches one owned pair's entry in the edge cache: upsert when
-    /// the score is strictly positive, removal otherwise. Records a
-    /// delta for the next barrier only when the cached edge actually
-    /// changed, so no-op rescores cost nothing downstream.
-    pub(crate) fn patch_edge(&mut self, pair: PairKey, score: Option<f64>) {
-        let changed = match score {
-            Some(s) => self.edges.insert(pair, s) != Some(s),
-            None => self.edges.remove(&pair).is_some(),
-        };
-        if changed {
-            self.edge_deltas.insert(pair, score);
-        }
-    }
-
-    /// Drains the edge-cache patches accumulated since the last
-    /// barrier, sorted by pair.
-    pub(crate) fn take_edge_deltas(&mut self) -> BTreeMap<PairKey, Option<f64>> {
-        std::mem::take(&mut self.edge_deltas)
-    }
-
-    /// Drops every owned pair adjacent to `(side, entity)` — the
-    /// adjacency index makes this O(degree) instead of an O(cache)
-    /// sweep. Used for dead-endpoint cleanup and rebirth purges.
-    pub(crate) fn drop_pairs_of(&mut self, side: Side, entity: EntityId) -> usize {
-        let pairs = self.adjacency.pairs_of_sorted(side, entity);
-        for &pair in &pairs {
-            self.cache.remove(&pair);
-            self.fresh.remove(&pair);
-            self.adjacency.remove(pair);
-            self.patch_edge(pair, None);
-        }
-        pairs.len()
-    }
-
     /// Builds this tick's rescore jobs: every owned fresh pair (all
     /// common windows) plus every owned pair adjacent to a globally
     /// dirty entity (exactly the union of its endpoints' dirty
     /// windows). `dirty` is sorted by `(side, entity)`; the jobs come
-    /// back sorted by pair for reproducible work lists.
+    /// back sorted by slot, so a run of them covers a contiguous slot
+    /// range that one rescore chunk can own.
     pub(crate) fn gather_jobs<'d>(
         &self,
         dirty: &'d [(Side, EntityId, Vec<WindowIdx>)],
@@ -741,78 +633,64 @@ impl EngineShard {
             let at = block.binary_search_by_key(&e, |&(_, e, _)| e).ok()?;
             Some(block[at].2.as_slice())
         };
-        let mut jobs: Vec<RescoreJob> = self.fresh.iter().map(|&p| (p, None)).collect();
+        let pairs = &self.pairs;
+        // Fresh pairs are scored whole, so their adjacency is skipped;
+        // between discovery bursts there are none to look for.
+        let mut fresh = pairs.fresh().to_vec();
+        fresh.sort_unstable();
+        let stale = |slot: SlotId| fresh.is_empty() || fresh.binary_search(&slot).is_err();
+        let mut jobs: Vec<RescoreJob> = fresh
+            .iter()
+            .map(|&slot| RescoreJob {
+                slot,
+                pair: pairs.slot(slot).pair,
+                windows: None,
+            })
+            .collect();
         // A pair has one Left and one Right endpoint, so it is adjacent
-        // to at most one dirty entity per side: its window list is that
-        // entity's list, or the union of the two.
+        // to at most one dirty entity per side: its window list is the
+        // union of those entities' lists.
         for (_, u, ws) in left {
-            let pairs = self
-                .adjacency
-                .pairs_of(Side::Left, *u)
-                .into_iter()
-                .flatten();
-            for &pair in pairs.filter(|p| !self.fresh.contains(p)) {
-                let windows = match windows_of(right, pair.1) {
-                    Some(other) => Cow::Owned(union_sorted(ws, other)),
-                    None => Cow::Borrowed(ws.as_slice()),
-                };
-                jobs.push((pair, Some(windows)));
+            for &(slot, v) in pairs.pairs_of(Side::Left, *u) {
+                if stale(slot) {
+                    let other = windows_of(right, v).unwrap_or_default();
+                    jobs.push(RescoreJob {
+                        slot,
+                        pair: (*u, v),
+                        windows: Some([ws, other]),
+                    });
+                }
             }
         }
         for (_, v, ws) in right {
-            let pairs = self
-                .adjacency
-                .pairs_of(Side::Right, *v)
-                .into_iter()
-                .flatten();
-            for &pair in pairs.filter(|p| !self.fresh.contains(p)) {
+            for &(slot, u) in pairs.pairs_of(Side::Right, *v) {
                 // A dirty Left endpoint already produced this pair's job.
-                if windows_of(left, pair.0).is_none() {
-                    jobs.push((pair, Some(Cow::Borrowed(ws.as_slice()))));
+                if stale(slot) && windows_of(left, u).is_none() {
+                    jobs.push(RescoreJob {
+                        slot,
+                        pair: (u, *v),
+                        windows: Some([&[], ws]),
+                    });
                 }
             }
         }
-        jobs.sort_unstable_by_key(|&(pair, _)| pair);
+        jobs.sort_unstable_by_key(|job| job.slot);
         jobs
     }
 
-    /// Applies one tick's rescore outcomes to the owned pair cache —
-    /// patching each visited pair's windows in place and its entry in
-    /// the edge cache — and resets the fresh/dirty marks.
-    pub(crate) fn apply_outcomes(&mut self, outcomes: Vec<RescoreOutcome>) -> ApplyReport {
+    /// Absorbs one tick's rescore chunks — this shard's, in chunk
+    /// order — into the owned pairs, then resets the fresh/dirty marks.
+    pub(crate) fn finish_rescore(&mut self, chunks: Vec<SlotChanges>) -> ApplyReport {
         let mut report = ApplyReport::default();
-        for (pair, scored) in outcomes {
-            match scored {
-                None => {
-                    // An endpoint history vanished between discovery and
-                    // scoring: drop the pair.
-                    self.cache.remove(&pair);
-                    self.fresh.remove(&pair);
-                    self.adjacency.remove(pair);
-                    self.patch_edge(pair, None);
-                }
-                Some(scored) => {
-                    report.rescored_windows += scored.patch.len() as u64;
-                    let entry = self.cache.entry(pair).or_default();
-                    entry.apply(&scored.patch, scored.mark);
-                    if entry.windows.is_empty() {
-                        report.emptied.push(pair);
-                    }
-                    self.patch_edge(pair, (scored.score > 0.0).then_some(scored.score));
-                }
-            }
+        for mut changes in chunks {
+            report.rescored_windows += changes.rescored_windows;
+            report.emptied.append(&mut changes.emptied);
+            self.pairs.absorb(changes);
         }
-        self.fresh.clear();
+        self.pairs.clear_fresh();
         self.dirty[0].clear();
         self.dirty[1].clear();
         report
-    }
-
-    /// Retires one owned pair (candidate-set retirement).
-    pub(crate) fn retire(&mut self, pair: PairKey) {
-        self.cache.remove(&pair);
-        self.adjacency.remove(pair);
-        self.patch_edge(pair, None);
     }
 }
 
@@ -907,10 +785,10 @@ mod tests {
     /// patch, all-zero wipes. The cache carries its fold mark as the
     /// engine's does. After every step the flat cache holds the
     /// oracle's entries, is empty exactly when the oracle is, the mark
-    /// marks the patched cache, and the fold a worker computes *before*
-    /// the patch is applied — resumed from the mark, or from scratch
-    /// when the patch reaches below it — equals the sum over the
-    /// patched oracle bit for bit.
+    /// marks the patched cache, and the fold the patch returns — resumed
+    /// from the mark, or from scratch when the patch reaches below it —
+    /// equals the sum over the patched oracle bit for bit, and equals
+    /// the fold and the mark of the same patch from an unmarked copy.
     #[test]
     fn flat_cache_patches_like_a_btreemap_and_folds_bit_identically() {
         let mut next = xorshift(0xA076_1D64_78BD_642Fu64);
@@ -951,17 +829,19 @@ mod tests {
                     Some(_) => resumed += usize::from(entry.mark.index > 0),
                 }
 
-                let (folded, mark) = fold_patched(&entry.windows, entry.mark, &patch);
-                let (full, full_mark) = fold_patched(&entry.windows, FoldMark::START, &patch);
+                let mut unmarked = CachedPair::from_windows(entry.windows.clone());
+                let full = unmarked.patch(&patch);
+                let folded = entry.patch(&patch);
                 assert_eq!(
                     folded.to_bits(),
                     full.to_bits(),
                     "step {step}: resumed vs full"
                 );
-                assert_eq!(
-                    mark, full_mark,
+                assert!(
+                    patch.is_empty() || entry.mark == unmarked.mark,
                     "step {step}: the mark must not depend on the path"
                 );
+                assert_eq!(folded.to_bits(), entry.full_fold().to_bits(), "step {step}");
                 for &(w, c) in &patch {
                     let cached = oracle.contains_key(&w);
                     absent_drops += usize::from(c == 0.0 && !cached);
@@ -974,7 +854,6 @@ mod tests {
                         oracle.insert(w, c);
                     }
                 }
-                entry.apply(&patch, mark);
 
                 let expected: Vec<(WindowIdx, u64)> =
                     oracle.iter().map(|(&w, c)| (w, c.to_bits())).collect();
@@ -1005,8 +884,8 @@ mod tests {
         );
     }
 
-    /// `gather_jobs` against the per-tick `HashMap<PairKey, BTreeSet>`
-    /// union it replaced: same pairs, same window lists, same order —
+    /// `gather_jobs` against a per-tick `HashMap<PairKey, BTreeSet>`
+    /// union: same pairs, same slots, same window lists, in slot order —
     /// for pairs dirty on the Left, on the Right, on both, on neither,
     /// and fresh.
     #[test]
@@ -1015,17 +894,15 @@ mod tests {
         for round in 0..50 {
             let mut shard = EngineShard::new(false);
             for _ in 0..next(30) {
-                shard.add_candidate((EntityId(next(6)), EntityId(next(6))));
+                let pair = (EntityId(next(6)), EntityId(next(6)));
+                shard.pairs.insert(pair, CachedPair::default(), false);
             }
-            // Some pairs stay fresh, the rest have been scored before.
-            let scored: Vec<PairKey> = shard
-                .fresh
-                .iter()
-                .copied()
-                .filter(|_| next(3) > 0)
-                .collect();
-            for pair in &scored {
-                shard.fresh.remove(pair);
+            // Some pairs are fresh, the rest have been scored before.
+            let pairs: Vec<PairKey> = shard.pairs.slots().map(|(_, s)| s.pair).collect();
+            for pair in pairs {
+                if next(3) == 0 {
+                    shard.pairs.restore_fresh(pair).unwrap();
+                }
             }
             let mut dirty: Vec<(Side, EntityId, Vec<WindowIdx>)> = Vec::new();
             for side in [Side::Left, Side::Right] {
@@ -1039,30 +916,160 @@ mod tests {
                 }
             }
 
+            let is_fresh = |pair: PairKey| shard.pairs.slot(shard.pairs.get(pair).unwrap()).fresh;
             let mut union: HashMap<PairKey, BTreeSet<WindowIdx>> = HashMap::new();
             for (side, e, windows) in &dirty {
-                for &pair in shard.adjacency.pairs_of(*side, *e).into_iter().flatten() {
-                    if !shard.fresh.contains(&pair) {
+                for &(slot, _) in shard.pairs.pairs_of(*side, *e) {
+                    let pair = shard.pairs.slot(slot).pair;
+                    if !is_fresh(pair) {
                         union.entry(pair).or_default().extend(windows);
                     }
                 }
             }
-            let mut expected: Vec<(PairKey, Option<Vec<WindowIdx>>)> =
-                shard.fresh.iter().map(|&p| (p, None)).collect();
-            expected.extend(
-                union
-                    .into_iter()
-                    .map(|(p, ws)| (p, Some(ws.into_iter().collect()))),
-            );
-            expected.sort_unstable();
+            type Job = (PairKey, SlotId, Option<Vec<WindowIdx>>);
+            let mut expected: Vec<Job> = shard
+                .pairs
+                .slots()
+                .filter(|(_, s)| s.fresh)
+                .map(|(id, s)| (s.pair, id, None))
+                .collect();
+            expected.extend(union.into_iter().map(|(p, ws)| {
+                (
+                    p,
+                    shard.pairs.get(p).unwrap(),
+                    Some(ws.into_iter().collect()),
+                )
+            }));
+            expected.sort_unstable_by_key(|&(_, slot, _)| slot);
 
-            let got: Vec<(PairKey, Option<Vec<WindowIdx>>)> = shard
+            let got: Vec<Job> = shard
                 .gather_jobs(&dirty)
                 .into_iter()
-                .map(|(p, ws)| (p, ws.map(Cow::into_owned)))
+                .map(|job| {
+                    let windows = job.windows.map(|[l, r]| union_sorted(l, r).collect());
+                    (job.pair, job.slot, windows)
+                })
                 .collect();
             assert_eq!(got, expected, "round {round}, dirty {dirty:?}");
         }
+    }
+
+    /// Edge deltas against a `BTreeMap` last-write-wins reference (the
+    /// run's previous representation): per tick, a few out-of-order
+    /// writers — dead-endpoint drops, vanished endpoints, and
+    /// registrations that reuse vacated slots — then a rescore in slot
+    /// order, cut into chunks as the engine cuts it, then retirement. A write reaches the reference exactly when it
+    /// changes the pair's served edge. After every tick the drained run
+    /// (and the checkpoint's view of it) equals the reference, and the
+    /// table stays consistent.
+    #[test]
+    fn edge_deltas_drain_like_a_last_write_wins_map() {
+        struct Reference {
+            writes: BTreeMap<PairKey, Option<f64>>,
+            last: Option<PairKey>,
+            unsorted: bool,
+            overwrites: usize,
+        }
+        impl Reference {
+            fn write(&mut self, pair: PairKey, old: Option<f64>, new: Option<f64>) {
+                if old == new {
+                    return;
+                }
+                self.unsorted |= self.last.is_some_and(|last| last >= pair);
+                self.last = Some(pair);
+                self.overwrites += usize::from(self.writes.insert(pair, new).is_some());
+            }
+        }
+        let mut next = xorshift(0x5851_F42D_4C95_7F2Du64);
+        let mut shard = EngineShard::new(false);
+        let (mut unsorted_ticks, mut overwrites) = (0, 0);
+        for tick in 0..400 {
+            let mut reference = Reference {
+                writes: BTreeMap::new(),
+                last: None,
+                unsorted: false,
+                overwrites: 0,
+            };
+            let remove = |shard: &mut EngineShard, slot: SlotId, r: &mut Reference| {
+                let edge = shard.pairs.slot(slot).edge;
+                let pair = shard.pairs.remove(slot);
+                r.write(pair, edge, None);
+            };
+            // Out-of-order writers before the apply.
+            for _ in 0..next(4) {
+                let pair = (EntityId(next(9)), EntityId(next(9)));
+                match next(3) {
+                    0 => {
+                        shard.pairs.insert(pair, CachedPair::default(), true);
+                    }
+                    1 => {
+                        let dead = shard.pairs.pairs_of(Side::Right, pair.1).to_vec();
+                        for (slot, _) in dead {
+                            remove(&mut shard, slot, &mut reference);
+                        }
+                    }
+                    _ => {
+                        if let Some(slot) = shard.pairs.get(pair) {
+                            remove(&mut shard, slot, &mut reference);
+                        }
+                    }
+                }
+            }
+            // The rescore: every fresh pair plus a random subset, in
+            // slot order and random chunks, some vanishing, scores drawn
+            // from a tiny palette so unchanged edges (no delta) are
+            // common.
+            let jobs: Vec<SlotId> = shard
+                .pairs
+                .slots()
+                .filter(|(_, s)| s.fresh || next(2) == 0)
+                .map(|(id, _)| id)
+                .collect();
+            let mut chunks = Vec::new();
+            for chunk in jobs.chunks(1 + next(8) as usize) {
+                let mut changes = SlotChanges::default();
+                for &id in chunk {
+                    let slot = shard.pairs.slots_mut()[id as usize].as_mut().unwrap();
+                    let (pair, old) = (slot.pair, slot.edge);
+                    if next(10) == 0 {
+                        changes.vanished.push(id);
+                        reference.write(pair, old, None);
+                        continue;
+                    }
+                    let score = [0.0, 0.25, 0.5, 2.0][next(4) as usize];
+                    let patch: PairWindows = match next(2) {
+                        0 => vec![(next(5) as WindowIdx, 1.0)],
+                        _ => Vec::new(),
+                    };
+                    slot.cached.patch(&patch);
+                    changes.rescored_windows += patch.len() as u64;
+                    slot.set_score(id, score, &mut changes);
+                    reference.write(pair, old, (score > 0.0).then_some(score));
+                }
+                chunks.push(changes);
+            }
+            let report = shard.finish_rescore(chunks);
+            // Retirement after the apply: some of the emptied pairs.
+            for (slot, pair) in report.emptied {
+                if next(2) == 0 {
+                    assert_eq!(shard.pairs.slot(slot).pair, pair);
+                    remove(&mut shard, slot, &mut reference);
+                }
+            }
+            unsorted_ticks += usize::from(reference.unsorted);
+            overwrites += reference.overwrites;
+            let want: Vec<(PairKey, Option<f64>)> = reference.writes.into_iter().collect();
+            assert_eq!(shard.pairs.edge_deltas(), want, "tick {tick}: export");
+            assert_eq!(shard.pairs.take_edge_deltas(), want, "tick {tick}");
+            if let Some(why) = shard.pairs.violation() {
+                panic!("tick {tick}: {why}");
+            }
+        }
+        // Both drain paths ran, and pairs were written twice in a tick.
+        assert!(
+            unsorted_ticks > 40 && unsorted_ticks < 360 && overwrites > 20,
+            "{unsorted_ticks} unsorted ticks, {overwrites} overwrites"
+        );
     }
 
     fn assert_index_covers_pending(shard: &EngineShard, step: usize) {

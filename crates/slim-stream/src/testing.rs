@@ -494,15 +494,20 @@ impl RecomputeOracle {
         let mut cache = HashMap::new();
         let mut edges = HashMap::new();
         for shard in shards {
-            if let Some(orphan) = shard.edges.keys().find(|p| !shard.cache.contains_key(p)) {
-                return Err(format!("edge {orphan:?} has no cached pair"));
+            // An edge lives in its pair's slot, so no edge can lack a
+            // cached pair; what can break is the table's bookkeeping.
+            if let Some(why) = shard.pairs.violation() {
+                return Err(format!("pair table: {why}"));
             }
-            edges.extend(shard.edges.iter().map(|(&pair, &score)| (pair, score)));
-            for (&pair, entry) in &shard.cache {
+            for (_, slot) in shard.pairs.slots() {
+                let pair = slot.pair;
                 let CachedPair {
                     windows: cached,
                     mark,
-                } = entry;
+                } = &slot.cached;
+                if let Some(score) = slot.edge {
+                    edges.insert(pair, score);
+                }
                 let (Some(hu), Some(hv)) = (
                     sets[0].history(pair.0).map(|h| h.view()),
                     sets[1].history(pair.1).map(|h| h.view()),
@@ -550,7 +555,7 @@ impl RecomputeOracle {
                 let sum: f64 = cached.iter().map(|&(_, c)| c).sum();
                 let score = sum / scorer.pair_norm(pair.0, pair.1);
                 let want = (score > 0.0).then(|| score.to_bits());
-                let have = shard.edges.get(&pair).map(|s| s.to_bits());
+                let have = slot.edge.map(|s| s.to_bits());
                 let untouched = || {
                     prev.is_some_and(|p| p.edges.get(&pair).map(|s| s.to_bits()) == have)
                         && prev_cached == Some(cached)
