@@ -52,7 +52,7 @@ pub(crate) type SlotId = u32;
 /// An adjacency entry: a pair's slot and its other endpoint.
 pub(crate) type Adjacent = (SlotId, EntityId);
 
-/// One edge-cache change: `Some(score)` upserted, `None` removed.
+/// One served-edge change: `Some(score)` upserted, `None` removed.
 pub(crate) type EdgeDeltaEntry = (PairKey, Option<f64>);
 
 /// All per-pair state of one owned candidate pair.
@@ -389,24 +389,23 @@ fn last_write_per_pair(deltas: &mut Vec<EdgeDeltaEntry>) {
     deltas.dedup_by_key(|&mut (pair, _)| pair);
 }
 
-/// The owned pairs of `table` adjacent to `(side, entity)`, sorted.
-#[cfg(test)]
-pub(crate) fn pairs_of_sorted(table: &PairTable, side: Side, entity: EntityId) -> Vec<PairKey> {
-    let mut pairs: Vec<PairKey> = table
-        .pairs_of(side, entity)
-        .iter()
-        .map(|&(id, _)| table.slot(id).pair)
-        .collect();
-    pairs.sort_unstable();
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pair(l: u64, r: u64) -> PairKey {
         (EntityId(l), EntityId(r))
+    }
+
+    /// The owned pairs of `table` adjacent to `(side, entity)`, sorted.
+    fn pairs_of_sorted(table: &PairTable, side: Side, entity: EntityId) -> Vec<PairKey> {
+        let mut pairs: Vec<PairKey> = table
+            .pairs_of(side, entity)
+            .iter()
+            .map(|&(id, _)| table.slot(id).pair)
+            .collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     fn add(table: &mut PairTable, p: PairKey) -> Option<SlotId> {

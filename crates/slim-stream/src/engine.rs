@@ -1553,7 +1553,8 @@ impl StreamEngine {
 
         // The rescore fan-out and fan-in are per-shard work like any
         // other phase: each shard resolves the dirty list against its
-        // own adjacency (read-only) and later patches its own caches.
+        // own adjacency (read-only) and later absorbs what the rescore
+        // chunks changed in its slots.
         let parallel = dirty.len() >= PARALLEL_RESCORE_THRESHOLD;
         let jobs: Vec<Vec<RescoreJob>> = self.pool.run_gated(
             PhaseId::Rescore,
@@ -1619,7 +1620,7 @@ impl StreamEngine {
         }
 
         // The merge barrier, delta-driven: drain each shard's
-        // pair-sorted edge-cache patch run, k-way merge the runs into
+        // edge-delta run, sorted by pair, k-way merge the runs into
         // the global delta batch, repair the maintained matching over
         // the affected conflict region only, and refit the stop
         // threshold warm from the previous tick's mixture — O(dirty +

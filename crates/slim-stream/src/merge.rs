@@ -53,8 +53,8 @@ pub(crate) fn kway_merge<T>(runs: Vec<Vec<(PairKey, T)>>) -> Vec<(PairKey, T)> {
     out
 }
 
-/// The barrier's delta assembly: drains every shard's edge-cache patch
-/// run and k-way-merges them into one pair-sorted [`EdgeDelta`] batch —
+/// The barrier's delta assembly: takes every shard's edge-delta run
+/// and k-way-merges them into one pair-sorted [`EdgeDelta`] batch —
 /// `O(dirty · log shards)` work, independent of the cache size.
 pub(crate) fn merge_delta_runs(runs: Vec<Vec<(PairKey, Option<f64>)>>) -> Vec<EdgeDelta> {
     kway_merge(runs)
