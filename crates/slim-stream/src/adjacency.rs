@@ -34,8 +34,7 @@
 //! append in no particular pair order, so
 //! [`PairTable::take_edge_deltas`] sorts the run stably by pair and
 //! keeps the last write per pair (the same last-write-wins an ordered
-//! map would give), and skips the sort when the run happens to be
-//! ascending already.
+//! map would give).
 
 use slim_core::fasthash::FastMap;
 use slim_core::EntityId;
@@ -71,6 +70,8 @@ pub(crate) struct PairSlot {
     /// This slot's position in its Left and its Right endpoint's
     /// adjacency list.
     at: [u32; 2],
+    /// This slot's position in the fresh list, while `fresh` is set.
+    fresh_at: u32,
 }
 
 impl PairSlot {
@@ -117,14 +118,13 @@ pub(crate) struct PairTable {
     /// and other endpoint (never an empty list: an emptied entity is
     /// dropped).
     adjacency: [FastMap<EntityId, Vec<Adjacent>>; 2],
-    /// The slots whose `fresh` flag is set, each listed once.
+    /// The slots whose `fresh` flag is set, each listed once, in no
+    /// particular order.
     fresh: Vec<SlotId>,
     /// Slots whose `edge` is set.
     live_edges: usize,
     /// Edge changes since the last barrier, in write order.
     deltas: Vec<EdgeDeltaEntry>,
-    /// Whether `deltas` may be out of pair order or repeat a pair.
-    deltas_unsorted: bool,
 }
 
 impl PairTable {
@@ -198,6 +198,7 @@ impl PairTable {
             at[side.idx()] = list.len() as u32;
             list.push((id, other));
         }
+        let fresh_at = self.fresh.len() as u32;
         if fresh {
             self.fresh.push(id);
         }
@@ -207,6 +208,7 @@ impl PairTable {
             edge: None,
             fresh,
             at,
+            fresh_at,
         });
         Some(id)
     }
@@ -232,11 +234,15 @@ impl PairTable {
             }
         }
         if slot.fresh {
-            self.fresh.retain(|&f| f != id);
+            let at = slot.fresh_at as usize;
+            self.fresh.swap_remove(at);
+            if let Some(&moved) = self.fresh.get(at) {
+                self.slot_mut(moved).fresh_at = at as u32;
+            }
         }
         if slot.edge.is_some() {
             self.live_edges -= 1;
-            self.push_delta(slot.pair, None);
+            self.deltas.push((slot.pair, None));
         }
         slot.pair
     }
@@ -266,9 +272,7 @@ impl PairTable {
     /// pairs whose endpoint vanished (dropped now).
     pub(crate) fn absorb(&mut self, changes: SlotChanges) {
         self.live_edges = (self.live_edges as isize + changes.live_edges) as usize;
-        for (pair, edge) in changes.deltas {
-            self.push_delta(pair, edge);
-        }
+        self.deltas.extend(changes.deltas);
         for id in changes.vanished {
             self.remove(id);
         }
@@ -277,26 +281,15 @@ impl PairTable {
     /// Ends a tick's visit: no slot is fresh any more.
     pub(crate) fn clear_fresh(&mut self) {
         for id in std::mem::take(&mut self.fresh) {
-            if let Some(slot) = &mut self.slots[id as usize] {
-                slot.fresh = false;
-            }
+            self.slot_mut(id).fresh = false;
         }
-    }
-
-    fn push_delta(&mut self, pair: PairKey, edge: Option<f64>) {
-        if self.deltas.last().is_some_and(|&(last, _)| last >= pair) {
-            self.deltas_unsorted = true;
-        }
-        self.deltas.push((pair, edge));
     }
 
     /// Drains the edge changes since the last barrier: sorted by pair,
     /// one per pair, the last write winning.
     pub(crate) fn take_edge_deltas(&mut self) -> Vec<EdgeDeltaEntry> {
         let mut deltas = std::mem::take(&mut self.deltas);
-        if std::mem::take(&mut self.deltas_unsorted) {
-            last_write_per_pair(&mut deltas);
-        }
+        last_write_per_pair(&mut deltas);
         deltas
     }
 
@@ -323,7 +316,7 @@ impl PairTable {
 
     /// Restores a pending edge change (checkpoint recovery).
     pub(crate) fn restore_delta(&mut self, pair: PairKey, edge: Option<f64>) {
-        self.push_delta(pair, edge);
+        self.deltas.push((pair, edge));
     }
 
     /// Marks an owned pair fresh (checkpoint recovery).
@@ -331,8 +324,10 @@ impl PairTable {
         let id = self
             .get(pair)
             .ok_or(format!("fresh pair {pair:?} has no cached pair"))?;
+        let at = self.fresh.len() as u32;
         let slot = self.slot_mut(id);
         if !std::mem::replace(&mut slot.fresh, true) {
+            slot.fresh_at = at;
             self.fresh.push(id);
         }
         Ok(())
@@ -373,7 +368,11 @@ impl PairTable {
                 "adjacency lists {adjacent} entries for {live} pairs"
             ));
         }
-        if listed != self.fresh.len() || self.fresh.iter().any(|&id| !self.slot(id).fresh) {
+        let misplaced = self.fresh.iter().enumerate().any(|(at, &id)| {
+            let slot = self.slot(id);
+            !slot.fresh || slot.fresh_at as usize != at
+        });
+        if listed != self.fresh.len() || misplaced {
             return Some(format!("{listed} fresh slots, {} listed", self.fresh.len()));
         }
         let edges = self.slots().filter(|(_, s)| s.edge.is_some()).count();

@@ -1579,7 +1579,7 @@ impl StreamEngine {
             self.tel.score_kernel.merge(&shard_kernel);
             work.push((shard, changes));
         }
-        let reports = self
+        let finished = self
             .pool
             .run_gated(PhaseId::Rescore, parallel, work, |(shard, changes)| {
                 shard.finish_rescore(changes)
@@ -1587,9 +1587,9 @@ impl StreamEngine {
         // Folded in shard order, so the counters and the retirement
         // candidates do not depend on which worker applied what.
         let mut emptied: Vec<(usize, (SlotId, PairKey))> = Vec::new();
-        for (idx, report) in reports.into_iter().enumerate() {
-            self.stats.rescored_windows += report.rescored_windows;
-            emptied.extend(report.emptied.into_iter().map(|p| (idx, p)));
+        for (idx, (rescored_windows, shard_emptied)) in finished.into_iter().enumerate() {
+            self.stats.rescored_windows += rescored_windows;
+            emptied.extend(shard_emptied.into_iter().map(|p| (idx, p)));
         }
 
         // Candidate-set retirement: a pair whose cached contributions
@@ -1775,22 +1775,12 @@ impl StreamEngine {
             let mut stats = LinkageStats::default();
             let mut kernel = Histogram::new();
             let mut patch: Vec<Contribution> = Vec::new();
-            // A registration burst gives one Left entity's pairs
-            // consecutive slots, so its jobs are often adjacent: its view
-            // is resolved once per run of them.
-            let mut left = None;
             for job in list {
                 let pair = job.pair;
-                let hu = match left {
-                    Some((u, view)) if u == pair.0 => view,
-                    _ => {
-                        let view = lookup_view(&histories, Side::Left, pair.0);
-                        left = Some((pair.0, view));
-                        view
-                    }
-                };
-                let (Some(hu), Some(hv)) = (hu, lookup_view(&histories, Side::Right, pair.1))
-                else {
+                let (Some(hu), Some(hv)) = (
+                    lookup_view(&histories, Side::Left, pair.0),
+                    lookup_view(&histories, Side::Right, pair.1),
+                ) else {
                     changes.vanished.push(job.slot);
                     continue;
                 };

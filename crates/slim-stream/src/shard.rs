@@ -319,16 +319,6 @@ fn apply_patch(windows: &mut PairWindows, patch: &[Contribution]) {
     }
 }
 
-/// What a tick's rescore changed on this shard.
-#[derive(Debug, Default)]
-pub(crate) struct ApplyReport {
-    /// `(pair, window)` contributions recomputed.
-    pub(crate) rescored_windows: u64,
-    /// Owned pairs whose cached contributions ended the tick empty —
-    /// the retirement candidates.
-    pub(crate) emptied: Vec<(SlotId, PairKey)>,
-}
-
 /// One shard of engine state. See the module docs for the ownership
 /// rules and the phase/barrier contract.
 #[derive(Debug)]
@@ -680,17 +670,23 @@ impl EngineShard {
 
     /// Absorbs one tick's rescore chunks — this shard's, in chunk
     /// order — into the owned pairs, then resets the fresh/dirty marks.
-    pub(crate) fn finish_rescore(&mut self, chunks: Vec<SlotChanges>) -> ApplyReport {
-        let mut report = ApplyReport::default();
+    /// Returns the `(pair, window)` contributions recomputed and the
+    /// pairs whose cache ended the tick empty (the retirement
+    /// candidates).
+    pub(crate) fn finish_rescore(
+        &mut self,
+        chunks: Vec<SlotChanges>,
+    ) -> (u64, Vec<(SlotId, PairKey)>) {
+        let (mut rescored_windows, mut emptied) = (0, Vec::new());
         for mut changes in chunks {
-            report.rescored_windows += changes.rescored_windows;
-            report.emptied.append(&mut changes.emptied);
+            rescored_windows += changes.rescored_windows;
+            emptied.append(&mut changes.emptied);
             self.pairs.absorb(changes);
         }
         self.pairs.clear_fresh();
         self.dirty[0].clear();
         self.dirty[1].clear();
-        report
+        (rescored_windows, emptied)
     }
 }
 
@@ -958,8 +954,9 @@ mod tests {
     /// run's previous representation): per tick, a few out-of-order
     /// writers — dead-endpoint drops, vanished endpoints, and
     /// registrations that reuse vacated slots — then a rescore in slot
-    /// order, cut into chunks as the engine cuts it, then retirement. A write reaches the reference exactly when it
-    /// changes the pair's served edge. After every tick the drained run
+    /// order, cut into chunks as the engine cuts it, then retirement. A
+    /// write reaches the reference exactly when it changes the pair's
+    /// served edge. After every tick the drained run
     /// (and the checkpoint's view of it) equals the reference, and the
     /// table stays consistent.
     #[test]
@@ -1048,9 +1045,9 @@ mod tests {
                 }
                 chunks.push(changes);
             }
-            let report = shard.finish_rescore(chunks);
+            let (_, emptied) = shard.finish_rescore(chunks);
             // Retirement after the apply: some of the emptied pairs.
-            for (slot, pair) in report.emptied {
+            for (slot, pair) in emptied {
                 if next(2) == 0 {
                     assert_eq!(shard.pairs.slot(slot).pair, pair);
                     remove(&mut shard, slot, &mut reference);
@@ -1065,7 +1062,8 @@ mod tests {
                 panic!("tick {tick}: {why}");
             }
         }
-        // Both drain paths ran, and pairs were written twice in a tick.
+        // Runs came both in pair order and out of it, and pairs were
+        // written twice in a tick.
         assert!(
             unsorted_ticks > 40 && unsorted_ticks < 360 && overwrites > 20,
             "{unsorted_ticks} unsorted ticks, {overwrites} overwrites"
