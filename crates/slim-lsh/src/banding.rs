@@ -307,6 +307,15 @@ impl BucketIndex {
         self.placements.is_empty()
     }
 
+    /// Every indexed entity with its per-band placement (`None` where
+    /// the band was all placeholders or its bucket belongs to another
+    /// partition), in no particular order.
+    pub fn placements(&self) -> impl Iterator<Item = ((IndexSide, EntityId), &[Option<u64>])> {
+        self.placements
+            .iter()
+            .map(|(&key, bands)| (key, bands.as_slice()))
+    }
+
     /// Inserts or refreshes one entity's signature, returning the
     /// entities of the *opposite* side currently sharing at least one
     /// band bucket with it (sorted, deduplicated) — i.e. its candidate

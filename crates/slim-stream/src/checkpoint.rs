@@ -92,8 +92,10 @@ use crate::testing::FaultPlan;
 
 /// File magic: the first 8 bytes of every checkpoint.
 pub(crate) const MAGIC: &[u8; 8] = b"SLIMCKPT";
-/// Format version; bumped on any wire-layout change.
-pub(crate) const VERSION: u32 = 1;
+/// Format version; bumped on any wire-layout change. Version 1 files,
+/// which kept parked entities' events in min-records buffers beside a
+/// copy of every active entity's live events, still decode.
+pub(crate) const VERSION: u32 = 2;
 
 const TAG_META: u32 = 1;
 const TAG_ENGINE: u32 = 2;
@@ -259,12 +261,12 @@ pub(crate) struct HistoryDump<'a> {
 /// unless the dump was decoded from a file (`Cow::Owned`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardsDump<'a> {
-    /// Per-side mobility histories (columnar arena contents).
+    /// Per-side mobility histories (columnar arena contents), active
+    /// and parked entities alike.
     pub(crate) histories: [Vec<(EntityId, HistoryDump<'a>)>; 2],
-    /// Per-side min-records pending buffers.
-    pub(crate) pending: [Vec<(EntityId, Cow<'a, [BinnedEvent]>)>; 2],
-    /// Per-side live-event retention buffers (sliding-window mode).
-    pub(crate) live_events: [Vec<(EntityId, Cow<'a, [BinnedEvent]>)>; 2],
+    /// Read from a version-1 file only, never written: its per-side
+    /// min-records buffers, which recovery folds into the parked arena.
+    pub(crate) v1_pending: [Vec<(EntityId, Vec<BinnedEvent>)>; 2],
     /// Per-side activated entities.
     pub(crate) active: [Vec<EntityId>; 2],
     /// Per-side dirty window marks.
@@ -380,11 +382,17 @@ const MAX_PREALLOC: usize = 4096;
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The file's format version, for the layouts that changed.
+    version: u32,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+    fn new(buf: &'a [u8], version: u32) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            version,
+        }
     }
 
     fn remaining(&self) -> usize {
@@ -453,9 +461,10 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Decodes one frame payload: exactly one `T`, nothing after it.
-fn section<T: Wire>(payload: &[u8]) -> Result<T, String> {
-    let mut d = Dec::new(payload);
+/// Decodes one frame payload of a version-`version` file: exactly one
+/// `T`, nothing after it.
+fn section<T: Wire>(payload: &[u8], version: u32) -> Result<T, String> {
+    let mut d = Dec::new(payload, version);
     let v = T::get(&mut d)?;
     d.done()?;
     Ok(v)
@@ -783,17 +792,17 @@ impl Wire for StreamStats {
     }
 }
 
-/// Side 0's six per-side collections, then side 1's, then the
-/// cross-side ones. Decoding refuses what a shard could not hold: a
-/// malformed history ([`check_history`]), an entity listed twice or
+/// Side 0's four per-side collections, then side 1's, then the
+/// cross-side ones. A version-1 file has two more per side after the
+/// histories: the min-records buffers, kept for recovery to fold in,
+/// and the live-event copies, dropped. Decoding refuses what a shard
+/// could not hold: a malformed history ([`check_history`]), an entity listed twice or
 /// out of order, and a pair's cached windows out of order (the shard
 /// binary-searches them).
 impl Wire for ShardsDump<'_> {
     fn put(&self, out: &mut Vec<u8>) {
         for i in 0..2 {
             self.histories[i].put(out);
-            self.pending[i].put(out);
-            self.live_events[i].put(out);
             self.active[i].put(out);
             self.dirty[i].put(out);
             self.dead[i].put(out);
@@ -814,8 +823,10 @@ impl Wire for ShardsDump<'_> {
                     p[1].0
                 ));
             }
-            s.pending[i] = d.vec()?;
-            s.live_events[i] = d.vec()?;
+            if d.version == 1 {
+                s.v1_pending[i] = d.vec()?;
+                d.vec::<(EntityId, Vec<BinnedEvent>)>()?;
+            }
             s.active[i] = d.vec()?;
             s.dirty[i] = d.vec()?;
             s.dead[i] = d.vec()?;
@@ -903,14 +914,14 @@ pub(crate) fn encode_into(out: &mut Vec<u8>, image: &Image) {
 /// missing END frame, or trailing bytes are all errors — and *never*
 /// panics, whatever the input.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Image<'static>, String> {
-    let mut d = Dec::new(bytes);
+    let mut d = Dec::new(bytes, VERSION);
     if d.take(MAGIC.len())? != MAGIC {
         return Err("bad magic: not a checkpoint file".into());
     }
     let version = u32::get(&mut d)?;
-    if version != VERSION {
+    if !(1..=VERSION).contains(&version) {
         return Err(format!(
-            "unsupported checkpoint version {version} (expected {VERSION})"
+            "unsupported checkpoint version {version} (expected 1 to {VERSION})"
         ));
     }
     let mut meta = None;
@@ -932,10 +943,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Image<'static>, String> {
                 }
                 break;
             }
-            TAG_META if meta.is_none() => meta = Some(section(payload)?),
-            TAG_ENGINE if engine.is_none() => engine = Some(section(payload)?),
-            TAG_SHARDS if shards.is_none() => shards = Some(section(payload)?),
-            TAG_PUMP if pump.is_none() => pump = Some(section(payload)?),
+            TAG_META if meta.is_none() => meta = Some(section(payload, version)?),
+            TAG_ENGINE if engine.is_none() => engine = Some(section(payload, version)?),
+            TAG_SHARDS if shards.is_none() => shards = Some(section(payload, version)?),
+            TAG_PUMP if pump.is_none() => pump = Some(section(payload, version)?),
             TAG_META | TAG_ENGINE | TAG_SHARDS | TAG_PUMP => {
                 return Err(format!("duplicate frame tag {tag}"));
             }
@@ -1090,9 +1101,11 @@ pub(crate) fn load_latest(dir: &Path) -> Result<(Image<'static>, u64), String> {
 mod tests {
     use super::*;
 
-    /// A checkpoint the parent of the borrow-don't-clone write path
-    /// wrote (see `tests/checkpoint_format.rs` for the workload).
+    /// The last version-1 checkpoint of the workload in
+    /// `tests/checkpoint_format.rs`, and the version-2 checkpoint the same
+    /// drive writes.
     const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/ckpt-v1.slim");
+    const V2_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/ckpt-v2.slim");
 
     /// The image as a fresh file's bytes, through the one encoder.
     fn encode(image: &Image) -> Vec<u8> {
@@ -1224,21 +1237,7 @@ mod tests {
                     )],
                     Vec::new(),
                 ],
-                pending: [
-                    vec![(
-                        EntityId(9),
-                        vec![BinnedEvent {
-                            side: Side::Left,
-                            entity: EntityId(9),
-                            w: 1,
-                            cells: vec![cell],
-                            lsh_cells: Vec::new(),
-                        }]
-                        .into(),
-                    )],
-                    Vec::new(),
-                ],
-                live_events: [Vec::new(), Vec::new()],
+                v1_pending: Default::default(),
                 active: [vec![EntityId(7)], vec![EntityId(3)]],
                 dirty: [
                     vec![(EntityId(7), Cow::Owned(BTreeSet::from([0, 1])))],
@@ -1280,17 +1279,21 @@ mod tests {
 
     /// `sample_state()` encoded three times — with its own `Watermark`
     /// ticker, with `EveryN` and with `EventTime` — one file after the
-    /// other, as the encoder wrote them when every layout still had a
-    /// hand-mirrored decoder. It pins the layouts the v1 fixture never
-    /// reaches (a warm seed, an epoch threshold, dirty marks, dead
-    /// entities, fresh pairs, edge deltas, empty ring slots, the other
-    /// two tickers), so an edit made the same way to both halves of a
-    /// layout cannot pass as a round trip.
-    const LAYOUT_PIN: &[u8] = include_bytes!("../../../tests/fixtures/ckpt-v1-layouts.bin");
+    /// other. It pins the layouts the fixtures never reach (a warm seed,
+    /// an epoch threshold, dirty marks, dead entities, fresh pairs, edge
+    /// deltas, empty ring slots, the other two tickers), so an edit made
+    /// the same way to both halves of a layout cannot pass as a round
+    /// trip.
+    const LAYOUT_PIN: &[u8] = include_bytes!("../../../tests/fixtures/ckpt-v2-layouts.bin");
 
-    #[test]
-    fn sample_images_encode_to_the_pinned_bytes() {
-        let tickers = [
+    /// The same three images as version 1 wrote them, when every layout
+    /// still had a hand-mirrored decoder and the sample also parked one
+    /// event of `EntityId(9)` in a min-records buffer.
+    const V1_LAYOUT_PIN: &[u8] = include_bytes!("../../../tests/fixtures/ckpt-v1-layouts.bin");
+
+    /// The sample's three tickers, in pinned order.
+    fn sample_tickers() -> [Ticker; 3] {
+        [
             sample_state().pump.ticker,
             Ticker::EveryN,
             Ticker::EventTime {
@@ -1298,9 +1301,33 @@ mod tests {
                 origin: Some(1000),
                 last_cell: Some(3),
             },
-        ];
+        ]
+    }
+
+    /// Splits concatenated checkpoint files at their END frames.
+    fn split_files(mut bytes: &[u8]) -> Vec<&[u8]> {
+        let mut files = Vec::new();
+        while !bytes.is_empty() {
+            let mut at = MAGIC.len() + 4;
+            loop {
+                let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+                at += 4 + FRAME_LEN_CRC + len as usize;
+                if tag == TAG_END {
+                    break;
+                }
+            }
+            let (file, rest) = bytes.split_at(at);
+            files.push(file);
+            bytes = rest;
+        }
+        files
+    }
+
+    #[test]
+    fn sample_images_encode_to_the_pinned_bytes() {
         let mut rest = LAYOUT_PIN;
-        for ticker in tickers {
+        for ticker in sample_tickers() {
             let mut image = sample_state();
             image.pump.ticker = ticker;
             let bytes = encode(&image);
@@ -1319,6 +1346,27 @@ mod tests {
             rest = tail;
         }
         assert!(rest.is_empty(), "{} pinned bytes left over", rest.len());
+    }
+
+    /// A version-1 image decodes with its min-records buffer kept for
+    /// recovery to fold in, and the one encoder writes it as the
+    /// version-2 image of the same state: the buffer is the only
+    /// difference, and version 2 keeps parked bins in the histories.
+    #[test]
+    fn v1_layouts_decode_and_re_encode_as_the_v2_layouts() {
+        let v1 = split_files(V1_LAYOUT_PIN);
+        let v2 = split_files(LAYOUT_PIN);
+        assert_eq!((v1.len(), v2.len()), (3, 3));
+        for ((old, new), ticker) in v1.into_iter().zip(v2).zip(sample_tickers()) {
+            let image = decode(old).expect("a version-1 image decodes");
+            let parked: Vec<(EntityId, WindowIdx)> = image.shards.v1_pending[0]
+                .iter()
+                .flat_map(|(e, events)| events.iter().map(move |b| (*e, b.w)))
+                .collect();
+            assert_eq!(parked, [(EntityId(9), 1)], "{ticker:?}");
+            assert!(image.shards.v1_pending[1].is_empty(), "{ticker:?}");
+            assert!(encode(&image) == new, "{ticker:?}: re-encoded");
+        }
     }
 
     /// Field-by-field equality of two checkpoint states, via the
@@ -1479,24 +1527,40 @@ mod tests {
         assert!(list_checkpoints(&dir).is_empty());
     }
 
-    /// `VERSION` did not move: a file the previous write path produced
-    /// decodes, and the one encoder reproduces it byte for byte.
+    /// A file the write path produced decodes, and the one encoder
+    /// reproduces it byte for byte; a version-1 file decodes with its
+    /// min-records buffers.
     #[test]
     fn parent_written_fixture_decodes_and_re_encodes_byte_identically() {
-        let image = decode(V1_FIXTURE).expect("a version-1 file decodes");
+        let image = decode(V2_FIXTURE).expect("a version-2 file decodes");
         assert_eq!(image.meta.consumed, 60);
-        // The fixture is only a witness if the collections are there.
+        // The fixture is only a witness if the collections are there,
+        // parked entities' histories and rings among them.
         let s = &image.shards;
         for side in 0..2 {
-            assert!(!s.histories[side].is_empty(), "histories[{side}]");
-            assert!(!s.pending[side].is_empty(), "pending[{side}]");
-            assert!(!s.live_events[side].is_empty(), "live_events[{side}]");
             assert!(!s.active[side].is_empty(), "active[{side}]");
+            let parked = s.histories[side]
+                .iter()
+                .filter(|(e, _)| !s.active[side].contains(e))
+                .count();
+            assert!(
+                parked > 0 && parked < s.histories[side].len(),
+                "histories[{side}]"
+            );
+            assert!(s.v1_pending[side].is_empty(), "v1_pending[{side}]");
         }
-        assert!(!s.rings.is_empty() && !s.cache.is_empty() && !s.edges.is_empty());
+        let parked_ring = |d: &RingDump| !s.active[d.side.idx()].contains(&d.entity);
+        assert!(s.rings.iter().any(parked_ring) && !s.rings.iter().all(parked_ring));
+        assert!(!s.cache.is_empty() && !s.edges.is_empty());
         assert!(!image.engine.links.is_empty() && !image.engine.matcher_edges.is_empty());
         assert!(!image.pump.reorder_held.is_empty());
-        assert!(encode(&image) == V1_FIXTURE, "re-encoded bytes differ");
+        assert!(encode(&image) == V2_FIXTURE, "re-encoded bytes differ");
+
+        let v1 = decode(V1_FIXTURE).expect("a version-1 file decodes");
+        assert_eq!(v1.meta.consumed, 60);
+        for side in 0..2 {
+            assert!(!v1.shards.v1_pending[side].is_empty(), "v1 pending[{side}]");
+        }
     }
 
     /// A CRC-valid file may claim any sequence length up to its own
@@ -1516,8 +1580,8 @@ mod tests {
         frame(&mut bytes, TAG_META, |o| sample.meta.put(o));
         frame(&mut bytes, TAG_ENGINE, |o| sample.engine.put(o));
         frame(&mut bytes, TAG_SHARDS, |o| {
-            for _ in 0..12 {
-                0u64.put(o); // six empty per-side collections, twice
+            for _ in 0..8 {
+                0u64.put(o); // four empty per-side collections, twice
             }
             (CLAIMED as u64).put(o); // rings
             o.resize(o.len() + CLAIMED, 0);

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! events ──► control scan (watermark / late-drop / tick schedule)
-//!              └► per-shard queues ──► shard-∥ apply: histories, rings,
-//!                                      min-records buffers, dirty marks
+//!              └► per-shard queues ──► shard-∥ apply: histories and
+//!                                      rings (parked ones too), dirty marks
 //!              barrier: df/idf deltas · LSH partition upserts ·
 //!                       candidate registration (pair owner = Left shard)
 //! refresh ──► shard-∥ rescore of adjacency-reachable dirty pairs,
@@ -52,7 +52,7 @@
 //! to cover that case too.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -162,7 +162,8 @@ macro_rules! stream_stats {
 }
 
 stream_stats! {
-    /// Events accepted (including ones still in min-records buffers).
+    /// Events accepted (including ones of entities parked below the
+    /// min-records filter).
     Deterministic events,
     /// Events dropped because their window had already expired.
     Deterministic late_dropped,
@@ -215,11 +216,10 @@ stream_stats! {
     /// Entities demoted because expiry left them at or below the
     /// min-records threshold.
     Deterministic demoted_entities,
-    /// Still-live records unwound from the active slice by those
-    /// demotions. The records are not lost: they move back into the
-    /// entity's min-records pending buffer (the demotion re-buffer
-    /// ring), so they keep counting toward reactivation exactly as a
-    /// batch run over the live slice would count them.
+    /// Still-live records of those entities when they were demoted.
+    /// The records are not lost: their bins stay in the arena, parked,
+    /// and keep counting toward reactivation exactly as a batch run
+    /// over the live slice would count them.
     Deterministic demoted_records,
     /// Columnar-arena compaction passes across all shards. Each
     /// shard's arenas compact on their own dead/live slot ratio, which
@@ -413,9 +413,6 @@ impl StreamEngine {
         cfg.validate()?;
         let num_shards = cfg.effective_shards();
         let num_workers = cfg.effective_workers();
-        // Demotion (and with it the re-buffer ring) only exists under a
-        // bounded window — unbounded engines never expire evidence.
-        let retain_live = cfg.window_capacity.is_some();
         Ok(Self {
             lsh: cfg.lsh.as_ref().map(|l| LshRuntime::new(l, num_shards)),
             pool: WorkerPool::new(num_workers, cfg.telemetry),
@@ -424,9 +421,7 @@ impl StreamEngine {
             num_shards,
             num_workers,
             scheme: None,
-            shards: (0..num_shards)
-                .map(|_| EngineShard::new(retain_live))
-                .collect(),
+            shards: (0..num_shards).map(|_| EngineShard::default()).collect(),
             df: [DfStats::new(), DfStats::new()],
             domain: 0,
             watermark: 0,
@@ -535,16 +530,18 @@ impl StreamEngine {
     /// Owned: the arena materializes the per-entity struct on demand;
     /// this is an inspection API, not a hot path.
     pub fn history(&self, side: Side, entity: EntityId) -> Option<MobilityHistory> {
-        self.shards[entity_shard(side, entity, self.num_shards)].histories[side.idx()]
-            .materialize(entity)
+        let shard = &self.shards[entity_shard(side, entity, self.num_shards)];
+        if !shard.active[side.idx()].contains(&entity) {
+            return None;
+        }
+        shard.histories[side.idx()].materialize(entity)
     }
 
-    /// Number of entities with a live history on one side.
+    /// Number of entities with a live history on one side: the active
+    /// ones (an active entity always has bins; a parked one's do not
+    /// count).
     pub fn num_tracked_entities(&self, side: Side) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.histories[side.idx()].len())
-            .sum()
+        self.num_active(side)
     }
 
     /// Entity ids with a live history on one side, sorted.
@@ -552,7 +549,7 @@ impl StreamEngine {
         let mut out: Vec<EntityId> = self
             .shards
             .iter()
-            .flat_map(|s| s.histories[side.idx()].entities())
+            .flat_map(|s| s.active[side.idx()].iter().copied())
             .collect();
         out.sort_unstable();
         out
@@ -564,6 +561,15 @@ impl StreamEngine {
     /// recomputation from the events.
     pub(crate) fn windowed_state(&self) -> (&[EngineShard], &[DfStats; 2], WindowIdx) {
         (&self.shards, &self.df, self.watermark)
+    }
+
+    /// The banding geometry and the bucket partitions, read-only (`None`
+    /// without LSH) — what [`crate::testing::RecomputeOracle`] holds to
+    /// the rings.
+    pub(crate) fn lsh_state(&self) -> Option<(&LshGeometry, &[BucketIndex])> {
+        self.lsh
+            .as_ref()
+            .map(|l| (&l.geom, l.partitions.as_slice()))
     }
 
     fn lsh_level(&self) -> Option<u8> {
@@ -783,16 +789,6 @@ impl StreamEngine {
                     };
                     shards.histories[i].push((e, dump));
                 }
-                shards.pending[i].extend(
-                    shard.pending()[i]
-                        .iter()
-                        .map(|(&e, v)| (e, Cow::Borrowed(&v[..]))),
-                );
-                shards.live_events[i].extend(
-                    shard.live_events[i]
-                        .iter()
-                        .map(|(&e, v)| (e, Cow::Borrowed(&v[..]))),
-                );
                 shards.active[i].extend(shard.active[i].iter().copied());
                 shards.dirty[i]
                     .extend(shard.dirty[i].iter().map(|(&e, ws)| (e, Cow::Borrowed(ws))));
@@ -814,8 +810,6 @@ impl StreamEngine {
         }
         for i in 0..2 {
             shards.histories[i].sort_unstable_by_key(|&(e, _)| e);
-            shards.pending[i].sort_unstable_by_key(|&(e, _)| e);
-            shards.live_events[i].sort_unstable_by_key(|&(e, _)| e);
             shards.active[i].sort_unstable();
             shards.dirty[i].sort_unstable_by_key(|&(e, _)| e);
             shards.dead[i].sort_unstable();
@@ -903,8 +897,7 @@ impl StreamEngine {
         let n = self.num_shards;
         let ShardsDump {
             histories,
-            pending,
-            live_events,
+            v1_pending,
             active,
             dirty,
             dead,
@@ -914,14 +907,23 @@ impl StreamEngine {
             edges,
             edge_deltas,
         } = s;
+        for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(active) {
+            for ent in per_side {
+                self.shards[entity_shard(side, ent, n)].active[side.idx()].insert(ent);
+            }
+        }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(histories) {
             let i = side.idx();
             for (ent, dump) in per_side {
                 let home = &mut self.shards[entity_shard(side, ent, n)];
                 // Window membership is derivable: the per-window record
                 // counts carry exactly one entry per live window.
+                let active = home.active[i].contains(&ent);
                 for &(w, _) in dump.window_records.iter() {
                     home.window_entities.entry(w).or_default()[i].insert(ent);
+                    if active {
+                        home.active_windows.insert(w);
+                    }
                 }
                 home.histories[i].restore_entity(
                     ent,
@@ -930,27 +932,6 @@ impl StreamEngine {
                     &dump.counts,
                     dump.window_records.into_owned(),
                 );
-            }
-        }
-        for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(pending) {
-            for (ent, evs) in per_side {
-                // Event by event, so the shard's window → pending
-                // entities index is rebuilt along the way.
-                let home = &mut self.shards[entity_shard(side, ent, n)];
-                for b in evs.into_owned() {
-                    home.park(b);
-                }
-            }
-        }
-        for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(live_events) {
-            for (ent, evs) in per_side {
-                self.shards[entity_shard(side, ent, n)].live_events[side.idx()]
-                    .insert(ent, evs.into_owned());
-            }
-        }
-        for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(active) {
-            for ent in per_side {
-                self.shards[entity_shard(side, ent, n)].active[side.idx()].insert(ent);
             }
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(dirty) {
@@ -970,16 +951,30 @@ impl StreamEngine {
         // cache below is the authoritative candidate set, and
         // re-registering would resurrect pairs the unbroken run had
         // already retired.
+        // A parked entity's ring is restored but stays out of the
+        // partitions, as it does in the unbroken run.
         if let Some(lsh) = &mut self.lsh {
             for dump in rings {
                 let (side, ent) = (dump.side, dump.entity);
                 let home = &mut self.shards[entity_shard(side, ent, n)];
                 home.rings.restore(&lsh.geom, dump)?;
-                let buckets = home.rings.buckets(side, ent).expect("restored above");
-                for partition in &mut lsh.partitions {
-                    let _ = partition.upsert_hashed(side.index_side(), ent, buckets);
+                if let Some(buckets) = home.lsh_buckets(side, ent) {
+                    for partition in &mut lsh.partitions {
+                        let _ = partition.upsert_hashed(side.index_side(), ent, buckets);
+                    }
                 }
             }
+        }
+        // A version-1 image kept parked entities' events in min-records
+        // buffers instead of the arena: fold them in, in stream order,
+        // through the path ingest parks them by.
+        let geom = self.lsh.as_ref().map(|l| l.geom);
+        for b in v1_pending
+            .into_iter()
+            .flatten()
+            .flat_map(|(_, events)| events)
+        {
+            self.shards[entity_shard(b.side, b.entity, n)].store(&b, geom.as_ref());
         }
         let owner = |pair: PairKey| entity_shard(Side::Left, pair.0, n);
         for (pair, wins) in cache {
@@ -1403,17 +1398,13 @@ impl StreamEngine {
         let changes: Vec<(Side, EntityId)> = changes.into_iter().collect();
         let num_shards = self.num_shards;
         // Each entity's final per-band buckets, read from its home
-        // shard's ring cache (`None` = the ring vanished: index
-        // removal). The rings hashed them on the shard workers as the
+        // shard's ring cache (`None` = the ring vanished or the entity
+        // is parked: index removal). The rings hashed them on the shard workers as the
         // slots changed; every partition filters the shared hashes to
         // its owned slots, so nothing is hashed here at all.
         let updates: Vec<Option<&[Option<u64>]>> = changes
             .iter()
-            .map(|&(side, e)| {
-                self.shards[entity_shard(side, e, num_shards)]
-                    .rings
-                    .buckets(side, e)
-            })
+            .map(|&(side, e)| self.shards[entity_shard(side, e, num_shards)].lsh_buckets(side, e))
             .collect();
 
         let lsh = self.lsh.as_mut().expect("caller checked");
@@ -1605,8 +1596,8 @@ impl StreamEngine {
                     let su = &self.shards[entity_shard(Side::Left, u, self.num_shards)];
                     let sv = &self.shards[entity_shard(Side::Right, v, self.num_shards)];
                     match (
-                        su.rings.buckets(Side::Left, u),
-                        sv.rings.buckets(Side::Right, v),
+                        su.lsh_buckets(Side::Left, u),
+                        sv.lsh_buckets(Side::Right, v),
                     ) {
                         (Some(a), Some(b)) => !buckets_collide(a, b),
                         _ => true,
@@ -1893,12 +1884,12 @@ impl StreamEngine {
         // to pay. The merged map contents are independent of chunk
         // scheduling.
         let clone_one = |shard: &EngineShard| -> [Vec<(EntityId, MobilityHistory)>; 2] {
-            [Side::Left, Side::Right].map(|side| materialize_all(&shard.histories[side.idx()]))
+            [0, 1].map(|i| materialize_all(&shard.histories[i], &shard.active[i]))
         };
         let total: usize = self
             .shards
             .iter()
-            .map(|s| s.histories[0].len() + s.histories[1].len())
+            .map(|s| s.active[0].len() + s.active[1].len())
             .sum();
         let shards: Vec<&EngineShard> = self.shards.iter().collect();
         let cloned: Vec<[Vec<(EntityId, MobilityHistory)>; 2]> = self.pool.run_gated(
@@ -1926,10 +1917,10 @@ impl StreamEngine {
         };
         let mut sets = [HashMap::new(), HashMap::new()];
         for shard in &mut self.shards {
-            for side in [Side::Left, Side::Right] {
+            for (i, set) in sets.iter_mut().enumerate() {
                 // Each arena is freed as soon as it is materialized.
-                let arena = std::mem::take(&mut shard.histories[side.idx()]);
-                sets[side.idx()].extend(materialize_all(&arena));
+                let arena = std::mem::take(&mut shard.histories[i]);
+                set.extend(materialize_all(&arena, &shard.active[i]));
             }
         }
         let [left, right] = sets;
@@ -1962,10 +1953,15 @@ impl StreamEngine {
 }
 
 /// Owned histories of every live entity of one arena.
-fn materialize_all(arena: &HistoryArena) -> Vec<(EntityId, MobilityHistory)> {
-    arena
-        .entities()
-        .map(|e| (e, arena.materialize(e).expect("entity is live")))
+/// The histories of an arena's active entities (a parked entity's bins
+/// do not count).
+fn materialize_all(
+    arena: &HistoryArena,
+    active: &HashSet<EntityId>,
+) -> Vec<(EntityId, MobilityHistory)> {
+    active
+        .iter()
+        .map(|&e| (e, arena.materialize(e).expect("an active entity has bins")))
         .collect()
 }
 

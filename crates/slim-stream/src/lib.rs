@@ -22,8 +22,8 @@
 //! [`StreamEngine::drive`] drains a source to EOF. The engine proper:
 //!
 //! The engine state is **sharded end-to-end by entity hash**: each
-//! `EngineShard` owns its entities' histories, min-records buffers,
-//! LSH rings, and the contribution caches + entity→pair adjacency of
+//! `EngineShard` owns its entities' histories (active or parked below
+//! the min-records filter), LSH rings, and the contribution caches + entity→pair adjacency of
 //! the pairs it owns (owner = shard of the Left entity). Execution is
 //! decoupled from that partition: a **persistent worker pool** (spawned
 //! once per engine, `--workers`, independent of `--shards`) runs every

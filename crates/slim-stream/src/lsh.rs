@@ -239,13 +239,6 @@ impl ShardRings {
         true
     }
 
-    /// Drops an entity's ring entirely (the engine demoted it). Returns
-    /// `true` if a ring existed — the barrier must then remove the
-    /// entity from the bucket partitions.
-    pub(crate) fn remove_entity(&mut self, side: Side, entity: EntityId) -> bool {
-        self.rings.remove(&(side, entity)).is_some()
-    }
-
     /// The per-band bucket ids of the entity's current signature, read
     /// from the ring's cache (`None` = no live ring; the barrier
     /// translates that into a bucket-index removal).
@@ -466,8 +459,8 @@ mod tests {
         }
     }
 
-    /// After every step of a random `add` / `evict` / `remove_entity` /
-    /// `restore` sequence, every ring's cached band buckets are exactly
+    /// After every step of a random `add` / `evict` / `restore`
+    /// sequence, every ring's cached band buckets are exactly
     /// `signature_buckets` of its signature — over geometries whose
     /// last band is full, short (`spans` not a multiple of `rows`) and
     /// a single row.
@@ -500,10 +493,6 @@ mod tests {
                 let entity = EntityId(next(4));
                 let w = next(horizon) as WindowIdx;
                 let what = match next(16) {
-                    0 => {
-                        rings.remove_entity(side, entity);
-                        "remove_entity"
-                    }
                     // A checkpoint round trip: the cache does not travel
                     // (the codec decodes it empty) and must come back.
                     1 => {
@@ -525,7 +514,7 @@ mod tests {
                         }
                         "restore"
                     }
-                    2..=5 => {
+                    0 | 2..=5 => {
                         rings.evict(&g, side, entity, w);
                         "evict"
                     }
@@ -539,15 +528,5 @@ mod tests {
                 check(&g, &rings, &format!("spans {spans}, step {i} ({what})"));
             }
         }
-    }
-
-    #[test]
-    fn remove_entity_reports_presence() {
-        let g = geom(2, 1);
-        let mut rings = ShardRings::default();
-        assert!(!rings.remove_entity(Side::Left, EntityId(9)));
-        rings.add(&g, Side::Left, EntityId(9), 0, &[cell(0.0)]);
-        assert!(rings.remove_entity(Side::Left, EntityId(9)));
-        assert!(rings.signature(Side::Left, EntityId(9)).is_none());
     }
 }

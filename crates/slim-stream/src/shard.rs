@@ -2,7 +2,7 @@
 //!
 //! The engine partitions every piece of per-entity and per-pair state by
 //! a deterministic entity hash ([`entity_shard`]): a shard owns the
-//! min-records buffers (with their window index), mobility histories,
+//! mobility histories (active or parked below the min-records filter),
 //! dirty marks, LSH rings, and window membership of the entities homed
 //! on it, plus the [`PairTable`] of the pairs it owns (**owner = home
 //! shard of the pair's Left entity**): their cached `(pair, window)`
@@ -321,46 +321,33 @@ fn apply_patch(windows: &mut PairWindows, patch: &[Contribution]) {
 
 /// One shard of engine state. See the module docs for the ownership
 /// rules and the phase/barrier contract.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct EngineShard {
-    /// Min-records buffers: entities whose record count has not yet
-    /// exceeded `slim.min_records` are parked here, exactly like the
-    /// batch pipeline's sparse-entity filter.
-    pending: [HashMap<EntityId, Vec<BinnedEvent>>; 2],
-    /// Window → the entities that parked an event of that window in
-    /// `pending`, so [`EngineShard::expire`] visits only the buffers
-    /// that can hold an expiring event instead of sweeping all of them.
-    /// **Invariant:** every event in a `pending` buffer has its
-    /// `(side, entity)` listed under its window — which is why
-    /// `pending` is private and only [`EngineShard::park`] adds to it.
-    /// The index is a superset: an entity is listed once per parked
-    /// event and stays listed after its buffer activated; a stale
-    /// entry costs one failed lookup when its window expires. Derived
-    /// state — rebuilt from `pending` on recovery, never serialized.
-    pending_windows: BTreeMap<WindowIdx, Vec<(Side, EntityId)>>,
-    /// Entities that crossed the min-records threshold.
+    /// Entities past the min-records filter: the bit that says whether
+    /// an entity's bins count. Only active entities feed df statistics,
+    /// dirty marks, the domain and the bucket partitions.
     pub(crate) active: [HashSet<EntityId>; 2],
-    /// This shard's slice of the per-side mobility histories.
+    /// This shard's slice of the per-side mobility histories: every
+    /// homed entity's live bins, active or parked below the min-records
+    /// filter (like the batch pipeline's sparse-entity filter, a parked
+    /// entity is counted, not linked).
     pub(crate) histories: [HistoryArena; 2],
-    /// Raw still-live events of active homed entities, in stream order
-    /// — the demotion re-buffer ring. Maintained only in
-    /// sliding-window mode (`retain_live`): when expiry demotes an
-    /// entity below the min-records filter, its live events move back
-    /// into the pending buffer instead of being discarded, so they
-    /// keep counting toward reactivation exactly like any other
-    /// sparse entity's. Entries expire with their windows.
-    pub(crate) live_events: [HashMap<EntityId, Vec<BinnedEvent>>; 2],
-    /// Whether `live_events` is maintained (true iff the engine has a
-    /// bounded window — unbounded engines never demote).
-    retain_live: bool,
-    /// Windows touched per homed entity since the last tick.
+    /// Windows touched per active homed entity since the last tick.
     pub(crate) dirty: [HashMap<EntityId, BTreeSet<WindowIdx>>; 2],
-    /// Homed entities whose history expired entirely; their pairs are
-    /// dropped at the next tick.
+    /// Homed entities demoted (or expired away entirely) since the last
+    /// tick; their pairs are dropped at the next tick.
     pub(crate) dead: [HashSet<EntityId>; 2],
-    /// Which homed entities have bins in which window — drives expiry.
+    /// Which homed entities, active or parked, have bins in which
+    /// window — drives expiry.
     pub(crate) window_entities: BTreeMap<WindowIdx, [BTreeSet<EntityId>; 2]>,
-    /// LSH rings of homed entities (empty when LSH is disabled).
+    /// Windows an active homed entity appended to (after recovery: holds
+    /// bins in) — what [`crate::StreamStats::evicted_windows`] counts as
+    /// they expire. A window only parked entities reached is not listed.
+    /// Derived state, never serialized.
+    pub(crate) active_windows: BTreeSet<WindowIdx>,
+    /// LSH rings of homed entities, active or parked (empty when LSH is
+    /// disabled). A parked entity keeps its ring: its cells may sit at
+    /// a finer level than its bins, so the arena cannot stand in for it.
     pub(crate) rings: ShardRings,
     /// The owned candidate pairs: per pair, its per-window
     /// unnormalized score contributions with their fold mark, its
@@ -373,27 +360,11 @@ pub(crate) struct EngineShard {
 }
 
 impl EngineShard {
-    /// An empty shard. `retain_live` enables the demotion re-buffer
-    /// ring (pointless — and therefore off — when the window is
-    /// unbounded).
-    pub(crate) fn new(retain_live: bool) -> Self {
-        Self {
-            pending: Default::default(),
-            pending_windows: BTreeMap::new(),
-            active: Default::default(),
-            histories: Default::default(),
-            live_events: Default::default(),
-            retain_live,
-            dirty: Default::default(),
-            dead: Default::default(),
-            window_entities: BTreeMap::new(),
-            rings: ShardRings::default(),
-            pairs: PairTable::default(),
-        }
-    }
-
     /// Applies this shard's slice of one ingest segment, in stream
-    /// order, describing all cross-shard effects.
+    /// order, describing all cross-shard effects. Every event lands in
+    /// its entity's bins and ring; only an active entity's event counts
+    /// beyond them, and a parked entity whose live records pass
+    /// `min_records` activates.
     pub(crate) fn apply_events(
         &mut self,
         events: Vec<BinnedEvent>,
@@ -402,92 +373,86 @@ impl EngineShard {
     ) -> IngestEffects {
         let mut fx = IngestEffects::default();
         for b in events {
-            let (side, entity) = (b.side, b.entity);
-            if self.active[side.idx()].contains(&entity) {
-                self.append_active(b, lsh, &mut fx);
-            } else if self.park(b) > min_records {
-                self.activate(side, entity, lsh, &mut fx);
+            let (side, entity, w, i) = (b.side, b.entity, b.w, b.side.idx());
+            let (new_bins, sig_changed) = self.store(&b, lsh);
+            if self.active[i].contains(&entity) {
+                for c in new_bins {
+                    fx.df[i].add_bin(w, c);
+                }
+                fx.domain = fx.domain.max(w.saturating_add(1));
+                self.dirty[i].entry(entity).or_default().insert(w);
+                self.active_windows.insert(w);
+                if sig_changed {
+                    fx.sig_changes.insert((side, entity));
+                }
+            } else if self.histories[i].num_records(entity) as usize > min_records {
+                self.activate(side, entity, lsh.is_some(), &mut fx);
             }
         }
         fx
     }
 
-    /// Parks one event in its entity's min-records buffer and lists the
-    /// entity under the event's window (the `pending_windows`
-    /// invariant). Returns the buffer's new length. Also the recovery
-    /// path: restoring `pending` event by event rebuilds the index.
-    pub(crate) fn park(&mut self, b: BinnedEvent) -> usize {
-        self.pending_windows
-            .entry(b.w)
-            .or_default()
-            .push((b.side, b.entity));
-        let buffer = self.pending[b.side.idx()].entry(b.entity).or_default();
-        buffer.push(b);
-        buffer.len()
-    }
-
-    /// The min-records buffers, `[left, right]` (read-only: the
-    /// checkpoint export).
-    pub(crate) fn pending(&self) -> &[HashMap<EntityId, Vec<BinnedEvent>>; 2] {
-        &self.pending
-    }
-
-    /// Moves a buffered entity past the min-records filter: replays its
-    /// buffer into the history slice and records the activation for
-    /// barrier-time candidate registration.
-    fn activate(
+    /// Appends one event to its entity's bins, window membership and
+    /// ring, whether or not the entity is active — also the path that
+    /// folds a version-1 checkpoint's min-records buffers in. Returns
+    /// the cells that opened new bins and whether the ring's signature
+    /// changed.
+    pub(crate) fn store(
         &mut self,
-        side: Side,
-        entity: EntityId,
+        b: &BinnedEvent,
         lsh: Option<&LshGeometry>,
-        fx: &mut IngestEffects,
-    ) {
-        let buffered = self.pending[side.idx()].remove(&entity).unwrap_or_default();
-        self.active[side.idx()].insert(entity);
-        if self.dead[side.idx()].remove(&entity) {
+    ) -> (Vec<CellId>, bool) {
+        let i = b.side.idx();
+        let (new_bins, _) = self.histories[i].append(b.entity, b.w, &b.cells);
+        self.window_entities.entry(b.w).or_default()[i].insert(b.entity);
+        let sig_changed =
+            lsh.is_some_and(|geom| self.rings.add(geom, b.side, b.entity, b.w, &b.lsh_cells));
+        (new_bins, sig_changed)
+    }
+
+    /// Moves a parked entity past the min-records filter: its bins start
+    /// to count. Walks its arena runs to emit what appending them one by
+    /// one would have (the df delta, a dirty mark per window, the
+    /// domain, a signature change) and records the activation for
+    /// barrier-time candidate registration.
+    fn activate(&mut self, side: Side, entity: EntityId, lsh: bool, fx: &mut IngestEffects) {
+        let i = side.idx();
+        self.active[i].insert(entity);
+        if self.dead[i].remove(&entity) {
             fx.rebirths.push((side, entity));
         }
-        for b in buffered {
-            self.append_active(b, lsh, fx);
+        let view = self.histories[i]
+            .view(entity)
+            .expect("an activating entity has bins");
+        let dirty = self.dirty[i].entry(entity).or_default();
+        fx.df[i].add_entity();
+        for (w, cells, _) in view.runs() {
+            for &c in cells {
+                fx.df[i].add_bin(w, c);
+            }
+            dirty.insert(w);
+            self.active_windows.insert(w);
+            fx.domain = fx.domain.max(w.saturating_add(1));
+        }
+        if lsh {
+            fx.sig_changes.insert((side, entity));
         }
         fx.activations.push((side, entity));
     }
 
-    fn append_active(&mut self, b: BinnedEvent, lsh: Option<&LshGeometry>, fx: &mut IngestEffects) {
-        let side = b.side;
-        let (new_bins, created) = self.histories[side.idx()].append(b.entity, b.w, &b.cells);
-        if created {
-            fx.df[side.idx()].add_entity();
-        }
-        for c in new_bins {
-            fx.df[side.idx()].add_bin(b.w, c);
-        }
-        fx.domain = fx.domain.max(b.w.saturating_add(1));
-        self.dirty[side.idx()]
-            .entry(b.entity)
-            .or_default()
-            .insert(b.w);
-        self.window_entities.entry(b.w).or_default()[side.idx()].insert(b.entity);
-        if let Some(geom) = lsh {
-            if self.rings.add(geom, side, b.entity, b.w, &b.lsh_cells) {
-                fx.sig_changes.insert((side, b.entity));
-            }
-        }
-        if self.retain_live {
-            // Park the consumed event in the re-buffer ring (no clone —
-            // the event is moved, its cells already applied above).
-            self.live_events[side.idx()]
-                .entry(b.entity)
-                .or_default()
-                .push(b);
-        }
+    /// The per-band buckets an entity occupies in the bucket partitions:
+    /// its ring's, while it is active; `None` (index removal) while it is
+    /// parked or ringless.
+    pub(crate) fn lsh_buckets(&self, side: Side, entity: EntityId) -> Option<&[Option<u64>]> {
+        let active = self.active[side.idx()].contains(&entity);
+        active.then(|| self.rings.buckets(side, entity)).flatten()
     }
 
     /// Expires every window below `keep_from` on this shard: evicts the
-    /// affected histories (marking them dirty), unwinds df statistics
-    /// and rings, and demotes entities whose live evidence fell to the
-    /// min-records filter — all per-entity work, independent across
-    /// shards.
+    /// affected bins and ring counts of every homed entity, and for an
+    /// active one unwinds the df statistics, marks it dirty and demotes
+    /// it once its live records fall to the min-records filter — all
+    /// per-entity work, independent across shards.
     pub(crate) fn expire(
         &mut self,
         keep_from: WindowIdx,
@@ -495,90 +460,48 @@ impl EngineShard {
         lsh: Option<&LshGeometry>,
     ) -> ExpiryEffects {
         let mut fx = ExpiryEffects::default();
-        let expired: Vec<WindowIdx> = self
-            .window_entities
-            .range(..keep_from)
-            .map(|(&win, _)| win)
+        let live = self.active_windows.split_off(&keep_from);
+        fx.windows = std::mem::replace(&mut self.active_windows, live)
+            .into_iter()
             .collect();
-        for win in expired {
-            let sides = self.window_entities.remove(&win).expect("collected above");
-            fx.windows.push(win);
+        let live = self.window_entities.split_off(&keep_from);
+        for (win, sides) in std::mem::replace(&mut self.window_entities, live) {
             for side in [Side::Left, Side::Right] {
-                for &e in &sides[side.idx()] {
-                    self.evict_history_window(side, e, win, &mut fx.df);
-                    // The re-buffer ring expires in lockstep with the
-                    // history: only still-live raw events may re-buffer.
-                    let mut ring_emptied = false;
-                    if let Some(ring) = self.live_events[side.idx()].get_mut(&e) {
-                        ring.retain(|b| b.w >= keep_from);
-                        ring_emptied = ring.is_empty();
-                    }
-                    if ring_emptied {
-                        self.live_events[side.idx()].remove(&e);
-                    }
+                let i = side.idx();
+                for &e in &sides[i] {
+                    let active = self.active[i].contains(&e);
+                    let (bins, emptied) = self.histories[i].evict_window(e, win);
                     // Expiry can *change* a ring signature (a formerly
                     // dominated cell takes over the slot) — collisions
                     // surfacing from that are candidates like any other.
-                    if let Some(geom) = lsh {
-                        if self.rings.evict(geom, side, e, win) {
-                            fx.sig_changes.insert((side, e));
-                        }
+                    let sig_changed = lsh.is_some_and(|geom| self.rings.evict(geom, side, e, win));
+                    if !active {
+                        continue;
+                    }
+                    for &(c, _) in &bins {
+                        fx.df[i].remove_bin(win, c);
+                    }
+                    if emptied {
+                        fx.df[i].remove_entity();
+                    }
+                    self.dirty[i].entry(e).or_default().insert(win);
+                    if sig_changed {
+                        fx.sig_changes.insert((side, e));
                     }
                     // Approximate the batch filter on the *live* slice:
                     // an entity whose remaining records no longer exceed
                     // min_records would be excluded by `Slim::prepare`
-                    // over the same window, so demote it — its leftover
-                    // evidence is unwound from histories/df/rings
-                    // (counted in `StreamStats::demoted_records`) and
-                    // its pairs die at the next tick. The raw live
-                    // events move back into the pending buffer, so they
-                    // keep counting toward reactivation exactly like
-                    // any other sparse entity's — the batch filter over
-                    // the same live slice would make the same call once
-                    // fresh records push it past min_records again.
-                    let live = self.histories[side.idx()].num_records(e);
-                    let demote = live as usize <= min_records;
-                    if demote {
-                        fx.demoted_entities += 1;
-                        fx.demoted_records += live as u64;
-                        let leftover: Vec<WindowIdx> = self.histories[side.idx()]
-                            .view(e)
-                            .map(|v| v.windows().collect())
-                            .unwrap_or_default();
-                        for lw in leftover {
-                            self.evict_history_window(side, e, lw, &mut fx.df);
-                            if let Some(sides) = self.window_entities.get_mut(&lw) {
-                                sides[side.idx()].remove(&e);
-                            }
-                        }
-                        if lsh.is_some() && self.rings.remove_entity(side, e) {
-                            fx.sig_changes.insert((side, e));
-                        }
-                        self.active[side.idx()].remove(&e);
-                        self.dead[side.idx()].insert(e);
-                        self.dirty[side.idx()].remove(&e);
-                        // Re-buffer the still-live raw events (pruned to
-                        // the window above). `live <= min_records`, so
-                        // the buffer cannot immediately re-activate.
-                        for b in self.live_events[side.idx()].remove(&e).unwrap_or_default() {
-                            self.park(b);
-                        }
-                    }
-                }
-            }
-        }
-        // Min-records buffers must not resurrect expired windows
-        // either: prune exactly the buffers the index lists under an
-        // expiring window (a listed entity may have activated since —
-        // nothing to prune then).
-        let live = self.pending_windows.split_off(&keep_from);
-        for (_, parked) in std::mem::replace(&mut self.pending_windows, live) {
-            for (side, e) in parked {
-                let pending = &mut self.pending[side.idx()];
-                if let Some(buffer) = pending.get_mut(&e) {
-                    buffer.retain(|b| b.w >= keep_from);
-                    if buffer.is_empty() {
-                        pending.remove(&e);
+                    // over the same window, so demote it. Its bins stop
+                    // counting (the df delta unwinds them, counted in
+                    // `StreamStats::demoted_records`) and its pairs die
+                    // at the next tick, but the bins and the ring stay:
+                    // they keep counting toward reactivation exactly
+                    // like any other parked entity's, as the batch
+                    // filter over the same live slice would.
+                    let live = self.histories[i].num_records(e);
+                    if live as usize <= min_records {
+                        self.demote(side, e, lsh.is_some(), &mut fx);
+                        fx.demoted_records += u64::from(live);
                     }
                 }
             }
@@ -586,26 +509,25 @@ impl EngineShard {
         fx
     }
 
-    /// Evicts one window of one homed entity's history, unwinding the
-    /// df delta and marking the entity dirty for the next tick.
-    fn evict_history_window(
-        &mut self,
-        side: Side,
-        e: EntityId,
-        w: WindowIdx,
-        df: &mut [DfDelta; 2],
-    ) {
-        if self.histories[side.idx()].view(e).is_none() {
-            return;
+    /// Parks an active entity: unwinds its bins' df contribution, takes
+    /// it out of the bucket partitions and marks it dead.
+    fn demote(&mut self, side: Side, e: EntityId, lsh: bool, fx: &mut ExpiryEffects) {
+        let i = side.idx();
+        if let Some(view) = self.histories[i].view(e) {
+            for (w, cells, _) in view.runs() {
+                for &c in cells {
+                    fx.df[i].remove_bin(w, c);
+                }
+            }
+            fx.df[i].remove_entity();
         }
-        let (bins, emptied) = self.histories[side.idx()].evict_window(e, w);
-        for &(c, _) in &bins {
-            df[side.idx()].remove_bin(w, c);
+        if lsh && self.rings.buckets(side, e).is_some() {
+            fx.sig_changes.insert((side, e));
         }
-        if emptied {
-            df[side.idx()].remove_entity();
-        }
-        self.dirty[side.idx()].entry(e).or_default().insert(w);
+        self.active[i].remove(&e);
+        self.dead[i].insert(e);
+        self.dirty[i].remove(&e);
+        fx.demoted_entities += 1;
     }
 
     /// Builds this tick's rescore jobs: every owned fresh pair (all
@@ -693,7 +615,6 @@ impl EngineShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geocell::LatLng;
 
     /// A seeded xorshift generator: `next(n)` draws from `0..n`.
     fn xorshift(mut x: u64) -> impl FnMut(u64) -> u64 {
@@ -702,76 +623,6 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             (x >> 33) % n
-        }
-    }
-
-    /// Random `apply_events` / `expire` sequences over a handful of
-    /// sparse entities (so buffers park, activate, demote and re-buffer
-    /// all the time). After every step the index invariant holds —
-    /// every pending event's entity is listed under the event's window
-    /// — and after every expiry no pending buffer holds an event below
-    /// `keep_from`, no emptied buffer survives, and the index has no
-    /// entry below `keep_from`.
-    #[test]
-    fn pending_index_covers_every_parked_event_and_expires_with_the_window() {
-        let cell = |k: u64| CellId::from_latlng(LatLng::from_degrees(20.0, k as f64), 12);
-        let mut next = xorshift(0xD1B5_4A32_D192_ED03u64);
-        for (min_records, capacity) in [(2usize, 6u32), (5, 4), (1, 3), (3, 12)] {
-            let mut shard = EngineShard::new(true);
-            let (mut watermark, mut keep_from) = (0u32, 0u32);
-            let (mut activated, mut demoted, mut pruned) = (0usize, 0u64, 0usize);
-            for step in 0..1200 {
-                // A segment of events at or near the watermark, none
-                // below the expiry horizon (the control scan drops
-                // those before they reach a shard).
-                watermark += next(3) as u32;
-                let events: Vec<BinnedEvent> = (0..next(6))
-                    .map(|_| BinnedEvent {
-                        side: [Side::Left, Side::Right][next(2) as usize],
-                        entity: EntityId(next(5)),
-                        w: watermark.saturating_sub(next(3) as u32).max(keep_from),
-                        cells: vec![cell(next(4))],
-                        lsh_cells: Vec::new(),
-                    })
-                    .collect();
-                activated += shard
-                    .apply_events(events, min_records, None)
-                    .activations
-                    .len();
-                assert_index_covers_pending(&shard, step);
-
-                let target = (watermark + 1).saturating_sub(capacity);
-                if target > keep_from {
-                    keep_from = target;
-                    pruned += shard
-                        .pending
-                        .iter()
-                        .flat_map(HashMap::values)
-                        .flatten()
-                        .filter(|b| b.w < keep_from)
-                        .count();
-                    demoted += shard.expire(keep_from, min_records, None).demoted_entities;
-                    assert_index_covers_pending(&shard, step);
-                    for buffer in shard.pending.iter().flat_map(HashMap::values) {
-                        assert!(!buffer.is_empty(), "step {step}: emptied buffer survived");
-                        assert!(
-                            buffer.iter().all(|b| b.w >= keep_from),
-                            "step {step}: event below {keep_from} in {buffer:?}"
-                        );
-                    }
-                    assert!(
-                        shard.pending_windows.keys().all(|&w| w >= keep_from),
-                        "step {step}: index entry below {keep_from}"
-                    );
-                }
-            }
-            // The sequence exercised what it claims to.
-            assert!(
-                activated > 0,
-                "min_records {min_records}: nothing activated"
-            );
-            assert!(pruned > 0, "min_records {min_records}: nothing pruned");
-            assert!(demoted > 0, "min_records {min_records}: nothing demoted");
         }
     }
 
@@ -888,7 +739,7 @@ mod tests {
     fn gathered_jobs_are_the_union_of_the_endpoints_dirty_windows() {
         let mut next = xorshift(0x2545_F491_4F6C_DD1Du64);
         for round in 0..50 {
-            let mut shard = EngineShard::new(false);
+            let mut shard = EngineShard::default();
             for _ in 0..next(30) {
                 let pair = (EntityId(next(6)), EntityId(next(6)));
                 shard.pairs.insert(pair, CachedPair::default(), false);
@@ -978,7 +829,7 @@ mod tests {
             }
         }
         let mut next = xorshift(0x5851_F42D_4C95_7F2Du64);
-        let mut shard = EngineShard::new(false);
+        let mut shard = EngineShard::default();
         let (mut unsorted_ticks, mut overwrites) = (0, 0);
         for tick in 0..400 {
             let mut reference = Reference {
@@ -1068,23 +919,5 @@ mod tests {
             unsorted_ticks > 40 && unsorted_ticks < 360 && overwrites > 20,
             "{unsorted_ticks} unsorted ticks, {overwrites} overwrites"
         );
-    }
-
-    fn assert_index_covers_pending(shard: &EngineShard, step: usize) {
-        for (side, buffers) in [Side::Left, Side::Right].into_iter().zip(&shard.pending) {
-            for (&e, buffer) in buffers {
-                for b in buffer {
-                    let listed = shard
-                        .pending_windows
-                        .get(&b.w)
-                        .is_some_and(|parked| parked.contains(&(side, e)));
-                    assert!(
-                        listed,
-                        "step {step}: {side:?} {e:?} unlisted at window {}",
-                        b.w
-                    );
-                }
-            }
-        }
     }
 }

@@ -19,13 +19,15 @@ use std::sync::{Arc, Barrier};
 
 use slim_core::similarity::SimilarityScorer;
 use slim_core::{EntityId, EntityView, HistorySet, LinkageStats, LocationDataset, WindowIdx};
+use slim_lsh::BucketIndex;
 
 use crate::adjacency::PairKey;
 use crate::config::StreamConfig;
 use crate::engine::{LinkUpdate, StreamEngine};
 use crate::event::{Side, StreamEvent};
+use crate::lsh::{RingDump, ShardRings, SpanRing};
 use crate::shard::{
-    entity_shard, mark_violation, CachedPair, Contribution, EngineShard, PairWindows,
+    bin_event, entity_shard, mark_violation, CachedPair, Contribution, EngineShard, PairWindows,
 };
 use crate::source::channel::Sender;
 use crate::source::{Clock, ConnMessage, FanIn, SourcePoll, StreamSource};
@@ -266,6 +268,12 @@ pub struct OracleCoverage {
     /// Cached contributions carried over from an earlier tick with their
     /// window's bins unchanged — the lazily refreshed ones.
     pub carried_contributions: u64,
+    /// Parked entities (below the min-records filter) whose arena bins
+    /// were checked, summed over checks.
+    pub parked_entities: u64,
+    /// Rings checked against a replay of their live events, summed over
+    /// checks.
+    pub rings: u64,
 }
 
 /// The pair caches and the rebuilt histories as of the previous tick.
@@ -284,14 +292,16 @@ struct TickState {
 /// [`RecomputeOracle::refresh`] only. After every chunk the oracle cuts
 /// the live slice — every fed event whose window is at or above
 /// `watermark + 1 − window_capacity`, the engine's own expiry rule —
-/// runs it through the batch path (`filter_min_records`, then
-/// [`HistorySet::build`] with the engine's scheme and spatial level) and
-/// compares, per side: the active and the pending (min-records) entity
-/// sets with their buffer sizes, every history's columns as the engine
-/// materializes them and as its store exports them against the rebuilt
-/// history's (windows, cells, counts and the record total, one view
-/// equality), the per-window record counts, and the merged df
-/// statistics.
+/// runs it through the batch path ([`HistorySet::build`] with the
+/// engine's scheme and spatial level, before and after
+/// `filter_min_records`) and compares, per side: every entity's columns
+/// as its home arena exports them, parked or active, against the
+/// unfiltered rebuild (windows, cells, counts and the record total, one
+/// view equality) with its per-window record counts; the active entity
+/// set and each active history as the engine materializes it against
+/// the filtered rebuild; the merged df statistics; and, under LSH, every
+/// ring against a ring replayed from the entity's live events in stream
+/// order, and the bucket partitions against the active entities' rings.
 ///
 /// After every tick it also checks each cached pair. Contributions are
 /// refreshed lazily (an untouched window keeps the idf it was last
@@ -404,38 +414,28 @@ impl RecomputeOracle {
             let counts = window_records.entry(ev.entity).or_default();
             *counts.entry(scheme.window_of(ev.time)).or_insert(0) += 1;
         }
-        let mut dataset = LocationDataset::from_records(live.map(StreamEvent::to_record));
+        let mut dataset = LocationDataset::from_records(live.clone().map(StreamEvent::to_record));
 
-        // The min-records filter splits the slice's entities into
-        // parked and active.
-        let parked: BTreeMap<EntityId, usize> = dataset
-            .entities()
-            .map(|e| (e, dataset.records_of(e).len()))
-            .filter(|&(_, n)| n <= min_records)
-            .collect();
-        let pending: BTreeMap<EntityId, usize> = shards
-            .iter()
-            .flat_map(|s| s.pending()[i].iter().map(|(&e, buffer)| (e, buffer.len())))
-            .collect();
-        if pending != parked {
-            return Err(format!(
-                "{side:?} pending buffers {pending:?}, the live slice parks {parked:?}"
-            ));
-        }
+        // Every live entity's bins sit in its home arena, parked or
+        // active: the slice's histories built without the filter. The
+        // filter then splits them into parked and active.
+        let slice = HistorySet::build(&dataset, scheme, cfg.slim.spatial_level, watermark + 1);
         dataset.filter_min_records(min_records);
         let set = HistorySet::build(&dataset, scheme, cfg.slim.spatial_level, watermark + 1);
         let want_active = set.entities_sorted();
-        let mut active: Vec<EntityId> = shards
-            .iter()
-            .flat_map(|s| s.active[i].iter().copied())
-            .collect();
-        active.sort_unstable();
-        if active != want_active || engine.tracked_entities_sorted(side) != want_active {
+        let stored = sorted(shards.iter().flat_map(|s| s.histories[i].entities()));
+        let active = sorted(shards.iter().flat_map(|s| s.active[i].iter().copied()));
+        if (&stored, &active) != (&slice.entities_sorted(), &want_active)
+            || engine.tracked_entities_sorted(side) != want_active
+        {
             return Err(format!(
-                "{side:?} active {active:?}, tracked {:?}, the live slice keeps {want_active:?}",
-                engine.tracked_entities_sorted(side)
+                "{side:?} arena holds {stored:?}, active {active:?}, tracked {:?}; the live slice \
+                 has {:?} and keeps {want_active:?}",
+                engine.tracked_entities_sorted(side),
+                slice.entities_sorted()
             ));
         }
+        self.coverage.parked_entities += (stored.len() - active.len()) as u64;
         if df[i] != *set.df_stats() {
             return Err(format!(
                 "{side:?} df statistics diverged: {} bins / {} entities maintained, {} / {} \
@@ -446,13 +446,14 @@ impl RecomputeOracle {
                 set.df_stats().num_entities()
             ));
         }
-        for &e in &want_active {
-            let want = set.history(e).expect("listed by the set").view();
-            let (stored, records) = shards[entity_shard(side, e, shards.len())].histories[i]
+        for &e in &stored {
+            let want = slice.history(e).expect("listed by the slice").view();
+            let (view, records) = shards[entity_shard(side, e, shards.len())].histories[i]
                 .export_entity(e)
-                .expect("tracked");
-            let materialized = engine.history(side, e).expect("tracked");
-            if stored != want || materialized.view() != want {
+                .expect("listed by the arena");
+            // Only an active entity's history is served.
+            let served = engine.history(side, e).map(|h| h.view() == want);
+            if view != want || served != set.history(e).map(|_| true) {
                 return Err(format!("{side:?} {e:?}: stored columns diverged"));
             }
             let counted = window_records[&e].iter().map(|(&w, &n)| (w, n));
@@ -464,6 +465,7 @@ impl RecomputeOracle {
                 ));
             }
         }
+        self.coverage.rings += check_rings(engine, side, live)?;
 
         let now: BTreeSet<EntityId> = want_active.into_iter().collect();
         for &e in self.live[i].difference(&now) {
@@ -582,6 +584,89 @@ impl RecomputeOracle {
         self.prev = Some(TickState { sets, cache, edges });
         Ok(())
     }
+}
+
+/// Holds one side's rings, parked and active, to rings replayed
+/// from the live events in stream order, and the bucket partitions
+/// to exactly the active entities, each under its ring's buckets.
+/// Returns how many rings it checked.
+fn check_rings<'e>(
+    engine: &StreamEngine,
+    side: Side,
+    live: impl Iterator<Item = &'e StreamEvent>,
+) -> Result<u64, String> {
+    let Some((geom, partitions)) = engine.lsh_state() else {
+        return Ok(0);
+    };
+    let (shards, ..) = engine.windowed_state();
+    let (scheme, cfg) = (engine.scheme().expect("checked"), engine.config());
+    let mut replayed = ShardRings::default();
+    for ev in live {
+        let b = bin_event(ev, scheme, cfg.slim.spatial_level, Some(geom.spatial_level));
+        replayed.add(geom, side, b.entity, b.w, &b.lsh_cells);
+    }
+    let want: BTreeMap<EntityId, RingDump> = rings_of(&replayed, side).collect();
+    let have: BTreeMap<EntityId, RingDump> = shards
+        .iter()
+        .flat_map(|s| rings_of(&s.rings, side))
+        .collect();
+    let replays = |(e, d): (&EntityId, &RingDump)| same_ring(&d.ring, &want[e].ring);
+    if !have.keys().eq(want.keys()) || !have.iter().all(replays) {
+        return Err(format!(
+            "{side:?} rings {have:?}, replayed from the live events {want:?}"
+        ));
+    }
+    // Each partition against one fed only the active entities' rings.
+    let placed = |index: &BucketIndex| -> BTreeMap<EntityId, Vec<Option<u64>>> {
+        let mine = index
+            .placements()
+            .filter(|&((s, _), _)| s == side.index_side());
+        mine.map(|((_, e), bands)| (e, bands.to_vec())).collect()
+    };
+    for (p, partition) in partitions.iter().enumerate() {
+        let n = partitions.len() as u64;
+        let mut want =
+            BucketIndex::partitioned(geom.bands, geom.rows, geom.num_buckets, p as u64, n);
+        for (&e, d) in &have {
+            if shards[entity_shard(side, e, shards.len())].active[side.idx()].contains(&e) {
+                want.upsert_hashed(side.index_side(), e, &d.ring.buckets);
+            }
+        }
+        if placed(partition) != placed(&want) {
+            return Err(format!(
+                "{side:?} bucket partition {p} places {:?}, the active rings {:?}",
+                placed(partition),
+                placed(&want)
+            ));
+        }
+    }
+    Ok(have.len() as u64)
+}
+
+/// Entity ids, sorted.
+fn sorted(ids: impl Iterator<Item = EntityId>) -> Vec<EntityId> {
+    let mut ids: Vec<EntityId> = ids.collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// One side's rings by entity, borrowed.
+fn rings_of(rings: &ShardRings, side: Side) -> impl Iterator<Item = (EntityId, RingDump<'_>)> {
+    rings
+        .export()
+        .filter(move |d| d.side == side)
+        .map(|d| (d.entity, d))
+}
+
+/// Same counts, signature and band buckets; the same owner for every
+/// slot that holds counts. A slot whose counts all expired keeps its
+/// last owner, which only refuses events older than that owner's span —
+/// events the expiry horizon already drops — so an empty slot's owner
+/// is free.
+fn same_ring(a: &SpanRing, b: &SpanRing) -> bool {
+    let mut owners = a.owners.iter().zip(&b.owners).zip(&a.slots);
+    (&a.slots, &a.sig, &a.buckets) == (&b.slots, &b.sig, &b.buckets)
+        && owners.all(|((x, y), slot)| slot.is_empty() || x == y)
 }
 
 /// Same windows, same bins in each.

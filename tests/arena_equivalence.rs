@@ -1,10 +1,11 @@
 //! The engine's windowed state against **recomputation**: every replay
 //! here is driven through [`RecomputeOracle`], which after every chunk
 //! rebuilds the live event slice through the batch path and compares it
-//! with what the engine maintained incrementally — histories, df
-//! statistics, the active and pending entity sets, and at every tick the
-//! cached per-pair contributions and edge scores (see the oracle's docs
-//! for the exact contract). On top of that, everything observable about
+//! with what the engine maintained incrementally — every entity's bins,
+//! parked or active, df statistics, the active entity set, LSH rings and
+//! bucket partitions, and at every tick the cached per-pair
+//! contributions and edge scores (see the oracle's docs for the exact
+//! contract). On top of that, everything observable about
 //! a replay — served links, emitted update streams, work counters,
 //! scoring statistics, candidate sets, the finalized output — must be
 //! bit-identical for every shard count and worker count.
@@ -88,13 +89,16 @@ struct Observation {
 struct Exercised {
     cases: u32,
     replays: Vec<(OracleCoverage, StreamStats)>,
+    /// Whether the property runs LSH, so rings were there to check.
+    lsh: bool,
 }
 
 impl Exercised {
-    const fn new() -> Self {
+    const fn new(lsh: bool) -> Self {
         Self {
             cases: 0,
             replays: Vec::new(),
+            lsh,
         }
     }
 
@@ -109,6 +113,8 @@ impl Exercised {
         let sum = |of: fn(&Replay) -> u64| self.replays.iter().map(of).sum::<u64>();
         let sums = [
             ("ticks checked", sum(|r| r.0.ticks)),
+            ("parked entities checked", sum(|r| r.0.parked_entities)),
+            ("rings checked", sum(|r| r.0.rings) + u64::from(!self.lsh)),
             ("entities removed", sum(|r| r.0.removed_entities)),
             ("entities re-activated", sum(|r| r.0.reactivated_entities)),
             (
@@ -171,15 +177,15 @@ fn replay(
     })
 }
 
-static BRUTE: Mutex<Exercised> = Mutex::new(Exercised::new());
-static LSH: Mutex<Exercised> = Mutex::new(Exercised::new());
-static KERNELS: Mutex<Exercised> = Mutex::new(Exercised::new());
+static BRUTE: Mutex<Exercised> = Mutex::new(Exercised::new(false));
+static LSH: Mutex<Exercised> = Mutex::new(Exercised::new(true));
+static KERNELS: Mutex<Exercised> = Mutex::new(Exercised::new(false));
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    // Brute-force candidates, sliding window (arena eviction +
-    // demotion re-buffering in play), mid-stream ticks. Every replay
+    // Brute-force candidates, sliding window (arena eviction, parking
+    // and demotion in play), mid-stream ticks. Every replay
     // is held to recomputation by the oracle, at every shard × worker
     // combination — including the shard counts that split linked pairs
     // across shard boundaries and the worker counts that dispatch

@@ -1,11 +1,15 @@
-//! Checkpoint format stability: `tests/fixtures/ckpt-v1.slim` is the
-//! last checkpoint the commit *before* the write path was rebuilt
-//! (table-driven CRC, borrowed image, in-place frames) wrote when driven
-//! over [`workload`]. Driving today's engine over the same workload must
-//! write the same bytes — at any shard count and worker count — which
-//! is why the format `VERSION` is still 1. (The codec half
-//! of the proof — the fixture decodes and re-encodes byte-identically —
-//! is a unit test beside the codec in `checkpoint.rs`.)
+//! Checkpoint format stability: `tests/fixtures/ckpt-v2.slim` is the
+//! last checkpoint a drive over [`workload`] writes. Driving the engine
+//! over the same workload must write the same bytes — at any shard
+//! count and worker count. (The codec half of the proof — the fixture
+//! decodes and re-encodes byte-identically — is a unit test beside the
+//! codec in `checkpoint.rs`.)
+//!
+//! `tests/fixtures/ckpt-v1.slim` is the version-1 checkpoint of the same
+//! drive, written when parked entities' events sat in min-records
+//! buffers beside a copy of every active entity's live events. It must
+//! still recover, and the resumed drive must be indistinguishable from
+//! an unbroken one.
 //!
 //! The workload stays below the engine's pool-dispatch thresholds, so
 //! the scheduling counters the image carries (`steal_events`, worker
@@ -16,16 +20,18 @@ use slim::geo::LatLng;
 use slim::lsh::LshConfig;
 use slim::stream::testing::script;
 use slim::stream::{
-    DriveOptions, Side, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig, TickPolicy,
+    DriveOptions, EpochLog, Side, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig,
+    TickPolicy,
 };
 
-const FIXTURE: &[u8] = include_bytes!("fixtures/ckpt-v1.slim");
+const FIXTURE: &[u8] = include_bytes!("fixtures/ckpt-v2.slim");
+const V1_FIXTURE: &[u8] = include_bytes!("fixtures/ckpt-v1.slim");
 
 /// Three co-located left/right pairs over 14 quarter-hour windows, one
 /// pair that goes quiet early (its entities expire out of the sliding
 /// window) and one sparse entity per side that never clears the
-/// min-records filter — so the last image holds histories, pending and
-/// live-event buffers, rings, caches, edges and a held reorder tail.
+/// min-records filter — so the last image holds active and parked
+/// histories and rings, caches, edges and a held reorder tail.
 fn workload() -> Vec<StreamEvent> {
     let mut events = Vec::new();
     for k in 0..14i64 {
@@ -88,6 +94,15 @@ fn config(shards: usize, workers: usize) -> StreamConfig {
     }
 }
 
+fn options() -> DriveOptions {
+    DriveOptions {
+        queue_cap: 32,
+        source_batch: 13,
+        tick_policy: TickPolicy::Watermark { max_lag_secs: 900 },
+        ..DriveOptions::default()
+    }
+}
+
 /// Drives the workload with a checkpoint every 20 events, keeping one
 /// file, and returns that file's bytes (the image at event 60 of 68).
 fn written_image(shards: usize, workers: usize) -> Vec<u8> {
@@ -98,13 +113,9 @@ fn written_image(shards: usize, workers: usize) -> Vec<u8> {
     let _ = std::fs::remove_dir_all(&dir);
     let mut engine = StreamEngine::new(config(shards, workers)).expect("valid config");
     engine.set_checkpoint_policy(dir.clone(), 20, 1);
-    let opts = DriveOptions {
-        queue_cap: 32,
-        source_batch: 13,
-        tick_policy: TickPolicy::Watermark { max_lag_secs: 900 },
-        ..DriveOptions::default()
-    };
-    engine.drive(script(workload(), 17), &opts).expect("drive");
+    engine
+        .drive(script(workload(), 17), &options())
+        .expect("drive");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("checkpoint dir")
         .map(|e| e.expect("entry").path())
@@ -126,5 +137,67 @@ fn drive_writes_the_parent_commits_bytes_on_every_topology() {
             bytes.len(),
             FIXTURE.len()
         );
+    }
+}
+
+/// Everything observable at the end of a drive: the epochs it
+/// published, the served links, the stats, one more refresh's updates
+/// and the finalized links.
+fn observe(
+    mut engine: StreamEngine,
+    log: &EpochLog,
+) -> (
+    Vec<slim::stream::LinkSnapshot>,
+    Vec<slim::core::Edge>,
+    slim::stream::StreamStats,
+    Vec<slim::stream::LinkUpdate>,
+    Vec<slim::core::Edge>,
+) {
+    let updates = engine.refresh();
+    let epochs = log.collected().iter().map(|s| (**s).clone()).collect();
+    let served = engine.links().to_vec();
+    let stats = *engine.stats();
+    let finalized = engine.into_finalized().expect("finalize").links;
+    (epochs, served, stats, updates, finalized)
+}
+
+#[test]
+fn a_version_1_checkpoint_resumes_like_an_unbroken_run() {
+    for (shards, workers) in [(1usize, 1usize), (4, 2)] {
+        let mut engine = StreamEngine::new(config(shards, workers)).expect("valid config");
+        let log = EpochLog::new();
+        engine.set_epoch_log(log.clone());
+        engine
+            .drive(script(workload(), 17), &options())
+            .expect("drive");
+        let (epochs, served, stats, updates, finalized) = observe(engine, &log);
+
+        let dir = std::env::temp_dir().join(format!(
+            "slim-ckpt-v1-{}-{shards}x{workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("checkpoint dir");
+        std::fs::write(dir.join(format!("ckpt-{:020}.slim", 60)), V1_FIXTURE).expect("write");
+        let mut engine = StreamEngine::recover(config(shards, workers), &dir).expect("recover");
+        std::fs::remove_dir_all(&dir).ok();
+        let woke_at = engine.stats().snapshots_published as usize;
+        let log = EpochLog::new();
+        engine.set_epoch_log(log.clone());
+        engine
+            .drive(script(workload(), 17), &options())
+            .expect("resumed drive");
+        let resumed = observe(engine, &log);
+
+        let topology = format!("{shards} shards x {workers} workers");
+        assert!(
+            woke_at > 0 && woke_at < epochs.len(),
+            "{topology}: woke at {woke_at}"
+        );
+        assert_eq!(resumed.0, epochs[woke_at..], "{topology}: epochs");
+        assert_eq!(resumed.1, served, "{topology}: served links");
+        assert_eq!(resumed.2, stats, "{topology}: stats");
+        assert_eq!(resumed.3, updates, "{topology}: final refresh");
+        assert_eq!(resumed.4, finalized, "{topology}: finalized links");
     }
 }

@@ -1,18 +1,16 @@
 //! Regression coverage for **exact sliding-window min-records
-//! semantics** (the former ROADMAP "min-records demotion gap", closed
-//! by the demotion re-buffer ring).
+//! semantics** (the former ROADMAP "min-records demotion gap").
 //!
 //! When sliding-window expiry leaves an entity with `min_records` or
-//! fewer live records, the engine demotes it — unwinding its history,
-//! df statistics, and rings — but its still-live raw events move back
-//! into the min-records pending buffer instead of being discarded: the
-//! per-shard ring of live events makes re-buffering possible without
-//! replaying the stream. An entity *oscillating* around the threshold
-//! therefore re-activates as soon as fresh records push its live
-//! evidence past the filter again, exactly like a batch run over the
-//! live slice would keep it.
+//! fewer live records, the engine demotes it — its bins stop counting
+//! toward df statistics, candidates and links — but the bins and the
+//! LSH ring stay in the arena, parked, and keep expiring with their
+//! windows like any other entity's. An entity *oscillating* around the
+//! threshold therefore re-activates as soon as fresh records push its
+//! live evidence past the filter again, exactly like a batch run over
+//! the live slice would keep it.
 //!
-//! The first test pins the demote/re-buffer/re-activate cycle exactly
+//! The first test pins the demote/park/re-activate cycle exactly
 //! (counters included); the second asserts the headline equivalence:
 //! the oscillating pair links just as the live-slice batch does.
 
