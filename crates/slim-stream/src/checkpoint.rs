@@ -264,6 +264,11 @@ pub(crate) struct ShardsDump<'a> {
     /// Per-side mobility histories (columnar arena contents), active
     /// and parked entities alike.
     pub(crate) histories: [Vec<(EntityId, HistoryDump<'a>)>; 2],
+    /// The windows [`crate::StreamStats::evicted_windows`] will count,
+    /// ascending: every window an active entity appended to, across
+    /// shards. A version-1 file lacks them; its decoder lists the
+    /// windows active entities hold bins in.
+    pub(crate) active_windows: Vec<WindowIdx>,
     /// Read from a version-1 file only, never written: its per-side
     /// min-records buffers, which recovery folds into the parked arena.
     pub(crate) v1_pending: [Vec<(EntityId, Vec<BinnedEvent>)>; 2],
@@ -710,16 +715,21 @@ impl Wire for StreamEvent {
 }
 
 /// The ring without its band-bucket cache: that is derived from `sig`,
-/// and `ShardRings::restore` rebuilds it.
+/// and `ShardRings::restore` rebuilds it. Version 1 wrote the counts as
+/// one map per slot.
 impl Wire for SpanRing {
     fn put(&self, out: &mut Vec<u8>) {
-        self.slots.put(out);
+        self.counts.put(out);
         self.owners.put(out);
         self.sig.put(out);
     }
     fn get(d: &mut Dec) -> Result<Self, String> {
+        let counts = match d.version {
+            1 => d.vec::<BTreeMap<_, _>>()?.into_iter().flatten().collect(),
+            _ => Wire::get(d)?,
+        };
         Ok(SpanRing {
-            slots: Wire::get(d)?,
+            counts,
             owners: Wire::get(d)?,
             sig: Wire::get(d)?,
             buckets: Vec::new(),
@@ -793,7 +803,7 @@ impl Wire for StreamStats {
 }
 
 /// Side 0's four per-side collections, then side 1's, then the
-/// cross-side ones. A version-1 file has two more per side after the
+/// cross-side ones (the counted windows first). A version-1 file has two more per side after the
 /// histories: the min-records buffers, kept for recovery to fold in,
 /// and the live-event copies, dropped. Decoding refuses what a shard
 /// could not hold: a malformed history ([`check_history`]), an entity listed twice or
@@ -807,6 +817,7 @@ impl Wire for ShardsDump<'_> {
             self.dirty[i].put(out);
             self.dead[i].put(out);
         }
+        self.active_windows.put(out);
         self.rings.put(out);
         self.cache.put(out);
         self.fresh.put(out);
@@ -831,6 +842,18 @@ impl Wire for ShardsDump<'_> {
             s.dirty[i] = d.vec()?;
             s.dead[i] = d.vec()?;
         }
+        s.active_windows = match d.version {
+            1 => {
+                let held = (0..2).flat_map(|i| {
+                    let active = &s.active[i];
+                    let histories = s.histories[i].iter();
+                    histories.filter(move |(e, _)| active.binary_search(e).is_ok())
+                });
+                let windows = held.flat_map(|(_, h)| h.window_records.iter().map(|&(w, _)| w));
+                windows.collect::<BTreeSet<_>>().into_iter().collect()
+            }
+            _ => d.vec()?,
+        };
         s.rings = d.vec()?;
         s.cache = d.vec_checked(|(pair, wins): &(PairKey, Cow<[Contribution]>)| {
             if wins.windows(2).any(|p| p[0].0 >= p[1].0) {
@@ -1237,6 +1260,7 @@ mod tests {
                     )],
                     Vec::new(),
                 ],
+                active_windows: vec![0, 1],
                 v1_pending: Default::default(),
                 active: [vec![EntityId(7)], vec![EntityId(3)]],
                 dirty: [
@@ -1248,7 +1272,7 @@ mod tests {
                     side: Side::Left,
                     entity: EntityId(7),
                     ring: Cow::Owned(SpanRing {
-                        slots: vec![BTreeMap::from([((0, cell), 2)]), BTreeMap::new()],
+                        counts: BTreeMap::from([((0, cell), 2)]),
                         owners: vec![Some(0), None],
                         sig: vec![Some(cell), None],
                         buckets: Vec::new(),
@@ -1580,8 +1604,8 @@ mod tests {
         frame(&mut bytes, TAG_META, |o| sample.meta.put(o));
         frame(&mut bytes, TAG_ENGINE, |o| sample.engine.put(o));
         frame(&mut bytes, TAG_SHARDS, |o| {
-            for _ in 0..8 {
-                0u64.put(o); // four empty per-side collections, twice
+            for _ in 0..9 {
+                0u64.put(o); // four empty per-side collections, twice; no windows
             }
             (CLAIMED as u64).put(o); // rings
             o.resize(o.len() + CLAIMED, 0);
@@ -1693,7 +1717,7 @@ mod tests {
     }
 
     /// A ring's columns are indexed by slot, so a CRC-valid image whose
-    /// ring has more or fewer slots, owners or signature cells than the
+    /// ring has more or fewer owners or signature cells than the
     /// configured spans is refused by recovery rather than restored
     /// into a panic at the first hash or `add`.
     #[test]
@@ -1715,10 +1739,9 @@ mod tests {
             crate::StreamEngine::recover(cfg, &dir).map(|_| ())
         };
         assert_eq!(recover_with(|_| {}), Ok(()));
-        let cuts: [fn(&mut SpanRing); 4] = [
+        let cuts: [fn(&mut SpanRing); 3] = [
             |r| r.sig.truncate(1),
             |r| r.owners.truncate(1),
-            |r| r.slots.truncate(1),
             |r| r.sig.push(None),
         ];
         for (i, cut) in cuts.into_iter().enumerate() {

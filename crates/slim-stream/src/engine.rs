@@ -794,6 +794,7 @@ impl StreamEngine {
                     .extend(shard.dirty[i].iter().map(|(&e, ws)| (e, Cow::Borrowed(ws))));
                 shards.dead[i].extend(shard.dead[i].iter().copied());
             }
+            shards.active_windows.extend(&shard.active_windows);
             shards.rings.extend(shard.rings.export());
             for (_, slot) in shard.pairs.slots() {
                 shards
@@ -808,6 +809,8 @@ impl StreamEngine {
             }
             shards.edge_deltas.extend(shard.pairs.edge_deltas());
         }
+        shards.active_windows.sort_unstable();
+        shards.active_windows.dedup();
         for i in 0..2 {
             shards.histories[i].sort_unstable_by_key(|&(e, _)| e);
             shards.active[i].sort_unstable();
@@ -897,6 +900,7 @@ impl StreamEngine {
         let n = self.num_shards;
         let ShardsDump {
             histories,
+            active_windows,
             v1_pending,
             active,
             dirty,
@@ -912,18 +916,15 @@ impl StreamEngine {
                 self.shards[entity_shard(side, ent, n)].active[side.idx()].insert(ent);
             }
         }
+        self.shards[0].active_windows.extend(active_windows);
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(histories) {
             let i = side.idx();
             for (ent, dump) in per_side {
                 let home = &mut self.shards[entity_shard(side, ent, n)];
                 // Window membership is derivable: the per-window record
                 // counts carry exactly one entry per live window.
-                let active = home.active[i].contains(&ent);
                 for &(w, _) in dump.window_records.iter() {
                     home.window_entities.entry(w).or_default()[i].insert(ent);
-                    if active {
-                        home.active_windows.insert(w);
-                    }
                 }
                 home.histories[i].restore_entity(
                     ent,

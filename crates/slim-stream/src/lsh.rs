@@ -78,19 +78,27 @@ impl LshGeometry {
         }
     }
 
-    fn slot_of(&self, w: WindowIdx) -> usize {
+    pub(crate) fn slot_of(&self, w: WindowIdx) -> usize {
         (w / self.step_windows) as usize % self.spans
+    }
+
+    /// The windows of span `span`, as `from..to`.
+    fn windows_of(&self, span: u32) -> (WindowIdx, WindowIdx) {
+        let from = span.saturating_mul(self.step_windows);
+        (from, from.saturating_add(self.step_windows))
     }
 }
 
-/// Per-entity ring state: raw counts per slot plus the current
-/// signature derived from them. The fields are crate-visible for the
-/// checkpoint codec, which serializes a ring as it stands.
+/// Per-entity ring state: raw counts plus the current signature derived
+/// from them. The fields are crate-visible for the checkpoint codec,
+/// which serializes a ring as it stands.
 #[derive(Debug, Clone)]
 pub(crate) struct SpanRing {
-    /// Per slot: `(window, cell)` → record count. Keeping the window in
-    /// the key lets expiry remove exactly one window's contribution.
-    pub(crate) slots: Vec<BTreeMap<(WindowIdx, CellId), u32>>,
+    /// `(window, cell)` → record count, for every slot at once: a slot's
+    /// counts are the keys of the windows of the span that owns it, one
+    /// key range. Keeping the window in the key lets expiry remove
+    /// exactly one window's contribution.
+    pub(crate) counts: BTreeMap<(WindowIdx, CellId), u32>,
     /// Which span (epoch `w / step`) currently owns each slot. Slots
     /// alias every `spans` spans; when a newer span claims a slot its
     /// stale content is cleared, so a slot never blends distant epochs
@@ -104,14 +112,48 @@ pub(crate) struct SpanRing {
     pub(crate) buckets: Vec<Option<u64>>,
 }
 
+/// The smallest key of window `w`: raw id 1, face 0's first leaf, is
+/// the smallest valid cell id.
+fn first_key(w: WindowIdx) -> (WindowIdx, CellId) {
+    (w, CellId::from_u64(1))
+}
+
 impl SpanRing {
     fn new(geom: &LshGeometry) -> Self {
         Self {
-            slots: vec![BTreeMap::new(); geom.spans],
+            counts: BTreeMap::new(),
             owners: vec![None; geom.spans],
             sig: vec![None; geom.spans],
             buckets: vec![None; geom.bands],
         }
+    }
+
+    /// Drops the counts of windows `from..to`; `true` if there were any.
+    fn drop_windows(&mut self, from: WindowIdx, to: WindowIdx) -> bool {
+        let mut dropped = false;
+        while let Some((&key, _)) = self.counts.range(first_key(from)..first_key(to)).next() {
+            self.counts.remove(&key);
+            dropped = true;
+        }
+        dropped
+    }
+
+    /// Re-derives the dominating cell of `slot`, owned by `span`, and
+    /// stores it; `true` if it changed.
+    fn rederive(
+        &mut self,
+        geom: &LshGeometry,
+        slot: usize,
+        span: u32,
+        scratch: &mut Vec<(CellId, u32)>,
+    ) -> bool {
+        let (from, to) = geom.windows_of(span);
+        let dom = dominating(self.counts.range(first_key(from)..first_key(to)), scratch);
+        if dom == self.sig[slot] {
+            return false;
+        }
+        self.set_slot(geom, slot, dom);
+        true
     }
 
     /// Stores a slot's new dominating cell and re-hashes the band the
@@ -121,10 +163,6 @@ impl SpanRing {
         let band = slot / geom.rows;
         self.buckets[band] = band_bucket_of(&self.sig, band, geom.rows, geom.num_buckets);
     }
-
-    fn is_empty(&self) -> bool {
-        self.slots.iter().all(BTreeMap::is_empty)
-    }
 }
 
 /// The dominating cell of one slot's counts (mirroring the batch
@@ -133,8 +171,8 @@ impl SpanRing {
 /// windows; they are summed per cell in `scratch` — the shard's reused
 /// buffer, so the recount allocates nothing. Slots hold a handful of
 /// cells, so a linear aggregate beats a hash map here.
-fn dominating(
-    slot: &BTreeMap<(WindowIdx, CellId), u32>,
+fn dominating<'a>(
+    slot: impl Iterator<Item = (&'a (WindowIdx, CellId), &'a u32)>,
     scratch: &mut Vec<(CellId, u32)>,
 ) -> Option<CellId> {
     scratch.clear();
@@ -189,21 +227,17 @@ impl ShardRings {
         match ring.owners[slot] {
             Some(owner) if owner > span => return false, // pre-ring straggler
             Some(owner) if owner < span => {
-                ring.slots[slot].clear();
+                let (from, to) = geom.windows_of(owner);
+                ring.drop_windows(from, to);
                 ring.owners[slot] = Some(span);
             }
             Some(_) => {}
             None => ring.owners[slot] = Some(span),
         }
         for &c in cells {
-            *ring.slots[slot].entry((w, c)).or_insert(0) += 1;
+            *ring.counts.entry((w, c)).or_insert(0) += 1;
         }
-        let dom = dominating(&ring.slots[slot], &mut self.scratch);
-        if dom == ring.sig[slot] {
-            return false;
-        }
-        ring.set_slot(geom, slot, dom);
-        true
+        ring.rederive(geom, slot, span, &mut self.scratch)
     }
 
     /// Expires window `w` for `(side, entity)`: removes its counts from
@@ -218,25 +252,19 @@ impl ShardRings {
         entity: EntityId,
         w: WindowIdx,
     ) -> bool {
-        let slot = geom.slot_of(w);
         let Some(ring) = self.rings.get_mut(&(side, entity)) else {
             return false;
         };
-        let before = ring.slots[slot].len();
-        ring.slots[slot].retain(|&(win, _), _| win != w);
-        if ring.slots[slot].len() == before {
+        // Counts of `w` exist only under the span that owns its slot.
+        if !ring.drop_windows(w, w.saturating_add(1)) {
             return false;
         }
-        if ring.is_empty() {
+        if ring.counts.is_empty() {
             self.rings.remove(&(side, entity));
             return true;
         }
-        let dom = dominating(&ring.slots[slot], &mut self.scratch);
-        if dom == ring.sig[slot] {
-            return false;
-        }
-        ring.set_slot(geom, slot, dom);
-        true
+        let span = w / geom.step_windows;
+        ring.rederive(geom, geom.slot_of(w), span, &mut self.scratch)
     }
 
     /// The per-band bucket ids of the entity's current signature, read
@@ -280,10 +308,10 @@ impl ShardRings {
     /// past its end.
     pub(crate) fn restore(&mut self, geom: &LshGeometry, dump: RingDump<'_>) -> Result<(), String> {
         let r = &dump.ring;
-        let lens = [r.slots.len(), r.owners.len(), r.sig.len()];
-        if lens != [geom.spans; 3] {
+        let lens = [r.owners.len(), r.sig.len()];
+        if lens != [geom.spans; 2] {
             return Err(format!(
-                "ring of {:?} {:?}: {lens:?} slots, owners, signature cells for {} spans",
+                "ring of {:?} {:?}: {lens:?} owners, signature cells for {} spans",
                 dump.side, dump.entity, geom.spans
             ));
         }

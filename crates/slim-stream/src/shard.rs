@@ -340,10 +340,11 @@ pub(crate) struct EngineShard {
     /// Which homed entities, active or parked, have bins in which
     /// window — drives expiry.
     pub(crate) window_entities: BTreeMap<WindowIdx, [BTreeSet<EntityId>; 2]>,
-    /// Windows an active homed entity appended to (after recovery: holds
-    /// bins in) — what [`crate::StreamStats::evicted_windows`] counts as
-    /// they expire. A window only parked entities reached is not listed.
-    /// Derived state, never serialized.
+    /// Windows an active homed entity appended to — what
+    /// [`crate::StreamStats::evicted_windows`] counts, as the union over
+    /// shards, when they expire. A window only parked entities reached
+    /// is not listed; one whose active entities were all demoted stays.
+    /// Recovery puts the checkpointed union on the first shard.
     pub(crate) active_windows: BTreeSet<WindowIdx>,
     /// LSH rings of homed entities, active or parked (empty when LSH is
     /// disabled). A parked entity keeps its ring: its cells may sit at

@@ -25,7 +25,7 @@ use crate::adjacency::PairKey;
 use crate::config::StreamConfig;
 use crate::engine::{LinkUpdate, StreamEngine};
 use crate::event::{Side, StreamEvent};
-use crate::lsh::{RingDump, ShardRings, SpanRing};
+use crate::lsh::{LshGeometry, RingDump, ShardRings, SpanRing};
 use crate::shard::{
     bin_event, entity_shard, mark_violation, CachedPair, Contribution, EngineShard, PairWindows,
 };
@@ -610,7 +610,7 @@ fn check_rings<'e>(
         .iter()
         .flat_map(|s| rings_of(&s.rings, side))
         .collect();
-    let replays = |(e, d): (&EntityId, &RingDump)| same_ring(&d.ring, &want[e].ring);
+    let replays = |(e, d): (&EntityId, &RingDump)| same_ring(geom, &d.ring, &want[e].ring);
     if !have.keys().eq(want.keys()) || !have.iter().all(replays) {
         return Err(format!(
             "{side:?} rings {have:?}, replayed from the live events {want:?}"
@@ -663,10 +663,10 @@ fn rings_of(rings: &ShardRings, side: Side) -> impl Iterator<Item = (EntityId, R
 /// last owner, which only refuses events older than that owner's span —
 /// events the expiry horizon already drops — so an empty slot's owner
 /// is free.
-fn same_ring(a: &SpanRing, b: &SpanRing) -> bool {
-    let mut owners = a.owners.iter().zip(&b.owners).zip(&a.slots);
-    (&a.slots, &a.sig, &a.buckets) == (&b.slots, &b.sig, &b.buckets)
-        && owners.all(|((x, y), slot)| slot.is_empty() || x == y)
+fn same_ring(geom: &LshGeometry, a: &SpanRing, b: &SpanRing) -> bool {
+    let mut held = a.counts.keys().map(|&(w, _)| geom.slot_of(w));
+    (&a.counts, &a.sig, &a.buckets) == (&b.counts, &b.sig, &b.buckets)
+        && held.all(|slot| a.owners[slot] == b.owners[slot])
 }
 
 /// Same windows, same bins in each.

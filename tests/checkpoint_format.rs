@@ -18,7 +18,7 @@
 use slim::core::{EntityId, SlimConfig, Timestamp};
 use slim::geo::LatLng;
 use slim::lsh::LshConfig;
-use slim::stream::testing::script;
+use slim::stream::testing::{script, FaultPlan};
 use slim::stream::{
     DriveOptions, EpochLog, Side, StreamConfig, StreamEngine, StreamEvent, StreamLshConfig,
     TickPolicy,
@@ -200,4 +200,62 @@ fn a_version_1_checkpoint_resumes_like_an_unbroken_run() {
         assert_eq!(resumed.3, updates, "{topology}: final refresh");
         assert_eq!(resumed.4, finalized, "{topology}: finalized links");
     }
+}
+
+/// `evicted_windows` counts a window an active entity appended to even
+/// after expiry demoted every active entity holding bins in it. A
+/// checkpoint taken in between must carry that window: recovery cannot
+/// derive it from the entities, which are parked by then.
+#[test]
+fn a_window_counts_after_recovery_though_its_active_entities_were_demoted() {
+    let cfg = || StreamConfig {
+        refresh_every: 0,
+        window_capacity: Some(3),
+        slim: SlimConfig {
+            min_records: 2,
+            ..SlimConfig::default()
+        },
+        ..StreamConfig::default()
+    };
+    // Left 1 and Right 1001 activate on their third record and end up
+    // with too few live records once windows 0–2 expire; Left 2 carries
+    // the watermark on until windows 3–5, theirs, expire too.
+    let at = LatLng::from_degrees(10.0, 10.0);
+    let event = |side, e: u64, w: i64| StreamEvent::new(side, EntityId(e), at, Timestamp(w * 900));
+    let mut events: Vec<StreamEvent> = (0..4).map(|w| event(Side::Left, 1, w)).collect();
+    events.extend([0, 1, 2, 4, 5].map(|w| event(Side::Right, 1001, w)));
+    events.extend((6..13).map(|w| event(Side::Left, 2, w)));
+    events.sort_by_key(|e| (e.time, e.side, e.entity));
+    let opts = DriveOptions {
+        source_batch: 1,
+        tick_policy: TickPolicy::EveryN(4),
+        ..DriveOptions::default()
+    };
+
+    let mut unbroken = StreamEngine::new(cfg()).expect("valid config");
+    unbroken
+        .drive(script(events.clone(), 1), &opts)
+        .expect("drive");
+    unbroken.refresh();
+    assert!(
+        unbroken.stats().demoted_entities > 0,
+        "{:?}",
+        unbroken.stats()
+    );
+
+    let dir = std::env::temp_dir().join(format!("slim-ckpt-demoted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = StreamEngine::new(cfg()).expect("valid config");
+    engine.set_checkpoint_policy(dir.clone(), 9, 1);
+    engine.set_fault_plan(FaultPlan::kill_at(10));
+    engine
+        .drive(script(events.clone(), 1), &opts)
+        .expect_err("killed");
+    let mut recovered = StreamEngine::recover(cfg(), &dir).expect("recover");
+    std::fs::remove_dir_all(&dir).ok();
+    recovered
+        .drive(script(events, 1), &opts)
+        .expect("resumed drive");
+    recovered.refresh();
+    assert_eq!(recovered.stats(), unbroken.stats());
 }
