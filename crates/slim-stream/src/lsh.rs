@@ -82,7 +82,8 @@ impl LshGeometry {
         (w / self.step_windows) as usize % self.spans
     }
 
-    /// The windows of span `span`, as `from..to`.
+    /// The windows of span `span`, as `from..to` (a saturated `to`
+    /// still covers them: no window is above `WindowScheme::LAST_WINDOW`).
     fn windows_of(&self, span: u32) -> (WindowIdx, WindowIdx) {
         let from = span.saturating_mul(self.step_windows);
         (from, from.saturating_add(self.step_windows))
@@ -236,6 +237,14 @@ impl ShardRings {
         }
         for &c in cells {
             *ring.counts.entry((w, c)).or_insert(0) += 1;
+        }
+        // One more record in the slot's dominating cell keeps it
+        // dominating (after a claim cleared the slot, it is the only
+        // cell), so the dense common case skips the recount.
+        if let [c] = cells {
+            if ring.sig[slot] == Some(*c) {
+                return false;
+            }
         }
         ring.rederive(geom, slot, span, &mut self.scratch)
     }
