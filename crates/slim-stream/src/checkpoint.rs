@@ -267,7 +267,7 @@ pub(crate) struct ShardsDump<'a> {
     /// The windows [`crate::StreamStats::evicted_windows`] will count,
     /// ascending: every window an active entity appended to, across
     /// shards. A version-1 file lacks them; its decoder lists the
-    /// windows active entities hold bins in.
+    /// windows its histories, all of active entities, hold bins in.
     pub(crate) active_windows: Vec<WindowIdx>,
     /// Read from a version-1 file only, never written: its per-side
     /// min-records buffers, which recovery folds into the parked arena.
@@ -843,14 +843,15 @@ impl Wire for ShardsDump<'_> {
             s.dead[i] = d.vec()?;
         }
         s.active_windows = match d.version {
+            // Version 1 kept only active entities' histories.
             1 => {
-                let held = (0..2).flat_map(|i| {
-                    let active = &s.active[i];
-                    let histories = s.histories[i].iter();
-                    histories.filter(move |(e, _)| active.binary_search(e).is_ok())
-                });
-                let windows = held.flat_map(|(_, h)| h.window_records.iter().map(|&(w, _)| w));
-                windows.collect::<BTreeSet<_>>().into_iter().collect()
+                let held = s
+                    .histories
+                    .iter()
+                    .flatten()
+                    .flat_map(|(_, h)| h.window_records.iter());
+                let windows: BTreeSet<WindowIdx> = held.map(|&(w, _)| w).collect();
+                windows.into_iter().collect()
             }
             _ => d.vec()?,
         };
