@@ -1552,9 +1552,12 @@ mod tests {
         assert!(list_checkpoints(&dir).is_empty());
     }
 
-    /// A file the write path produced decodes, and the one encoder
+    /// The pinned version-2 file decodes, and the one encoder
     /// reproduces it byte for byte; a version-1 file decodes with its
-    /// min-records buffers.
+    /// min-records buffers. (The name predates version 2: `ckpt-v2.slim`
+    /// was written by the version-2 writer itself, so it pins that
+    /// writer's bytes. The file an earlier writer left is `ckpt-v1.slim`,
+    /// and `tests/checkpoint_format.rs` resumes a drive from it.)
     #[test]
     fn parent_written_fixture_decodes_and_re_encodes_byte_identically() {
         let image = decode(V2_FIXTURE).expect("a version-2 file decodes");
@@ -1717,6 +1720,46 @@ mod tests {
         );
     }
 
+    /// `sample_state()` as `cfg` recovers it: its active right entity,
+    /// which the pinned layouts list with no bins, gets a history.
+    fn recoverable_state(cfg: &StreamConfig) -> Image<'static> {
+        let mut state = sample_state();
+        state.meta.fingerprint = ConfigFingerprint::of(cfg);
+        let left = state.shards.histories[0][0].1.clone();
+        state.shards.histories[1] = vec![(EntityId(3), left)];
+        state
+    }
+
+    /// An active entity's bins count, so finalizing reads them: a
+    /// CRC-valid image that lists an active entity with no history is
+    /// refused by recovery rather than restored into a panic there.
+    #[test]
+    fn active_entities_without_a_history_are_rejected() {
+        let cfg = StreamConfig::default();
+        let dir = std::env::temp_dir().join(format!("slim-ckpt-active-{}", std::process::id()));
+        let recover_with = |cut: fn(&mut ShardsDump)| {
+            let _ = fs::remove_dir_all(&dir);
+            let mut state = recoverable_state(&cfg);
+            cut(&mut state.shards);
+            write_atomic(&dir, 42, &encode(&state)).unwrap();
+            crate::StreamEngine::recover(cfg, &dir).map(|_| ())
+        };
+        assert_eq!(recover_with(|_| {}), Ok(()));
+        type Cut = fn(&mut ShardsDump);
+        let cuts: [(&str, Cut); 2] = [
+            ("Left EntityId(8)", |s| s.active[0].push(EntityId(8))),
+            ("Right EntityId(3)", |s| s.histories[1].clear()),
+        ];
+        for (lacking, cut) in cuts {
+            let err = recover_with(cut).expect_err("an active entity with no history");
+            assert!(
+                err.contains(lacking) && err.contains("no history"),
+                "unexpected error: {err}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// A ring's columns are indexed by slot, so a CRC-valid image whose
     /// ring has more or fewer owners or signature cells than the
     /// configured spans is refused by recovery rather than restored
@@ -1733,8 +1776,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("slim-ckpt-ring-{}", std::process::id()));
         let recover_with = |cut: fn(&mut SpanRing)| {
             let _ = fs::remove_dir_all(&dir);
-            let mut state = sample_state();
-            state.meta.fingerprint = ConfigFingerprint::of(&cfg);
+            let mut state = recoverable_state(&cfg);
             cut(state.shards.rings[0].ring.to_mut());
             write_atomic(&dir, 42, &encode(&state)).unwrap();
             crate::StreamEngine::recover(cfg, &dir).map(|_| ())

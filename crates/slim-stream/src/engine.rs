@@ -911,11 +911,6 @@ impl StreamEngine {
             edges,
             edge_deltas,
         } = s;
-        for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(active) {
-            for ent in per_side {
-                self.shards[entity_shard(side, ent, n)].active[side.idx()].insert(ent);
-            }
-        }
         self.shards[0].active_windows.extend(active_windows);
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(histories) {
             let i = side.idx();
@@ -933,6 +928,17 @@ impl StreamEngine {
                     &dump.counts,
                     dump.window_records.into_owned(),
                 );
+            }
+        }
+        // An active entity's bins count, so it always has some: refuse
+        // an image that says otherwise rather than panic at finalize.
+        for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(active) {
+            for ent in per_side {
+                let home = &mut self.shards[entity_shard(side, ent, n)];
+                if home.histories[side.idx()].view(ent).is_none() {
+                    return Err(format!("active {side:?} {ent:?} has no history"));
+                }
+                home.active[side.idx()].insert(ent);
             }
         }
         for (side, per_side) in [Side::Left, Side::Right].into_iter().zip(dirty) {

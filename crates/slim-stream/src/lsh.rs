@@ -238,14 +238,6 @@ impl ShardRings {
         for &c in cells {
             *ring.counts.entry((w, c)).or_insert(0) += 1;
         }
-        // One more record in the slot's dominating cell keeps it
-        // dominating (after a claim cleared the slot, it is the only
-        // cell), so the dense common case skips the recount.
-        if let [c] = cells {
-            if ring.sig[slot] == Some(*c) {
-                return false;
-            }
-        }
         ring.rederive(geom, slot, span, &mut self.scratch)
     }
 

@@ -126,6 +126,10 @@ fn written_image(shards: usize, workers: usize) -> Vec<u8> {
     bytes
 }
 
+/// Pins the version-2 writer's bytes at two topologies. (The name
+/// predates version 2: `ckpt-v2.slim` was written by the version-2
+/// writer itself. The file an earlier writer left is `ckpt-v1.slim`,
+/// which `a_version_1_checkpoint_resumes_like_an_unbroken_run` resumes.)
 #[test]
 fn drive_writes_the_parent_commits_bytes_on_every_topology() {
     for (shards, workers) in [(1usize, 1usize), (4, 2)] {
