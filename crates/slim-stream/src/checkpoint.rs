@@ -803,12 +803,12 @@ impl Wire for StreamStats {
 }
 
 /// Side 0's four per-side collections, then side 1's, then the
-/// cross-side ones (the counted windows first). A version-1 file has two more per side after the
-/// histories: the min-records buffers, kept for recovery to fold in,
-/// and the live-event copies, dropped. Decoding refuses what a shard
-/// could not hold: a malformed history ([`check_history`]), an entity listed twice or
-/// out of order, and a pair's cached windows out of order (the shard
-/// binary-searches them).
+/// cross-side ones (the counted windows first). A version-1 file has
+/// two more per side after the histories: the min-records buffers,
+/// kept for recovery to fold in, and the live-event copies, dropped.
+/// Decoding refuses what a shard could not hold: a malformed history
+/// ([`check_history`]), an entity listed twice or out of order, and a
+/// pair's cached windows out of order (the shard binary-searches them).
 impl Wire for ShardsDump<'_> {
     fn put(&self, out: &mut Vec<u8>) {
         for i in 0..2 {

@@ -1406,9 +1406,9 @@ impl StreamEngine {
         let num_shards = self.num_shards;
         // Each entity's final per-band buckets, read from its home
         // shard's ring cache (`None` = the ring vanished or the entity
-        // is parked: index removal). The rings hashed them on the shard workers as the
-        // slots changed; every partition filters the shared hashes to
-        // its owned slots, so nothing is hashed here at all.
+        // is parked: index removal). The rings hashed them on the shard
+        // workers as the slots changed; every partition filters the
+        // shared hashes to its owned slots, so nothing is hashed here.
         let updates: Vec<Option<&[Option<u64>]>> = changes
             .iter()
             .map(|&(side, e)| self.shards[entity_shard(side, e, num_shards)].lsh_buckets(side, e))
