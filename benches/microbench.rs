@@ -74,7 +74,7 @@ fn bench_pairing(c: &mut Criterion) {
     });
 }
 
-fn scoring_fixture() -> (HistorySet, HistorySet, SlimConfig) {
+fn scoring_fixture() -> (HistorySet<'static>, HistorySet<'static>, SlimConfig) {
     let mk = |base: u64, offs: f64| -> LocationDataset {
         let mut records = Vec::new();
         for e in 0..16u64 {

@@ -768,7 +768,7 @@ fn run_stream(
     datasets: Option<(&slim_core::LocationDataset, &slim_core::LocationDataset)>,
 ) -> Result<String, String> {
     use slim_core::LocationDataset;
-    use slim_stream::source::{CsvReplaySource, SyntheticSource, TcpLineSource};
+    use slim_stream::source::{SyntheticSource, TcpLineSource};
     use slim_stream::{
         batch_equivalent_origin, merge_datasets, DriveOptions, LinkUpdate, StreamConfig,
         StreamEngine, StreamLshConfig, TickPolicy,
@@ -841,7 +841,7 @@ fn run_stream(
         SourceKind::Csv => {
             let (left_ds, right_ds) = datasets.expect("csv streams load datasets first");
             let engine = open_engine(Some((left_ds, right_ds)))?;
-            let source = CsvReplaySource::from_datasets(left_ds, right_ds);
+            let source = SyntheticSource::from_events(merge_datasets(left_ds, right_ds));
             log(&format!("replaying {} events", source.events().len()));
             (engine, FrontEnd::Single(Box::new(source)))
         }
@@ -1050,7 +1050,7 @@ fn run_stream(
         0.0
     };
 
-    let output = engine.into_finalized()?;
+    let output = engine.finalize()?;
     let events_per_sec = if replay_elapsed.as_secs_f64() > 0.0 {
         stats.events as f64 / replay_elapsed.as_secs_f64()
     } else {

@@ -2,11 +2,8 @@
 //!
 //! A history is three parallel columns — the window of each bin
 //! (ascending), its cell (sorted within a window run) and its record
-//! count — and [`EntityView`] borrows them. A batch-built
-//! [`MobilityHistory`] owns one entity's columns; a [`HistoryArena`] is
-//! the incrementally maintained form (the streaming engine's only
-//! history layout) and stores the columns of *many* entities side by
-//! side —
+//! count — and [`EntityView`] borrows them. A [`HistoryArena`] is the
+//! one store of those columns: it holds *many* entities side by side —
 //!
 //! ```text
 //! directory (per entity)        parallel column vecs
@@ -17,11 +14,12 @@
 //! └─────────┴───────────────┘
 //! ```
 //!
-//! — with each entity a contiguous index range. Both stores hand out
-//! the same view, so one run walk ([`EntityView::runs`],
-//! [`common_runs`]) and one scoring kernel read either, and scoring an
-//! arena view is bit-identical to scoring the batch-built history of
-//! the same records.
+//! — with each entity a contiguous index range. The streaming engine
+//! maintains its arenas record by record; a batch build
+//! ([`crate::history::HistorySet::build`]) inserts each entity from all
+//! its records at once and lands in the same columns, so one run walk
+//! ([`EntityView::runs`], [`common_runs`]) and one scoring kernel read
+//! both, to the same bits.
 //!
 //! * **Append** grows an entity in place while its range has slack and
 //!   relocates it to the column tail with a doubled chunk otherwise
@@ -42,9 +40,9 @@
 use geocell::CellId;
 
 use crate::fasthash::FastMap;
-use crate::history::MobilityHistory;
-use crate::record::EntityId;
-use crate::window::WindowIdx;
+use crate::history::visit_record_cells;
+use crate::record::{EntityId, Record};
+use crate::window::{WindowIdx, WindowScheme};
 
 /// One window's bins as `(cell, record count)`, sorted by cell.
 pub type CellCounts = Vec<(CellId, u32)>;
@@ -74,7 +72,7 @@ struct EntitySlot {
 
 /// A struct-of-arrays arena holding the leaf bins of many mobility
 /// histories. See the module docs for the layout.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HistoryArena {
     wins: Vec<WindowIdx>,
     cells: Vec<CellId>,
@@ -94,8 +92,9 @@ pub struct HistoryArena {
 
 /// A borrowed view of one entity's columns: `wins` ascending with one
 /// entry per bin, `cells` sorted within each window run, `counts`
-/// parallel to both. Equal views hold the same bins and record count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// parallel to both. Equal views hold the same bins and record count;
+/// the default view is a history without records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EntityView<'a> {
     /// Window index of each bin (ascending, one entry per bin).
     pub wins: &'a [WindowIdx],
@@ -405,12 +404,6 @@ impl HistoryArena {
         self.compactions
     }
 
-    /// Copies `e`'s columns into an owned [`MobilityHistory`] (the
-    /// finalization path); `None` for absent/tombstoned entities.
-    pub fn materialize(&self, e: EntityId) -> Option<MobilityHistory> {
-        Some(MobilityHistory::from_view(e, self.view(e)?))
-    }
-
     /// One entity's live columns plus the per-window record counts,
     /// borrowed — the checkpoint-serialization export. The columns are
     /// exactly what [`HistoryArena::view`] exposes, so
@@ -418,6 +411,45 @@ impl HistoryArena {
     /// bit-identically. `None` for absent/tombstoned entities.
     pub fn export_entity(&self, e: EntityId) -> Option<(EntityView<'_>, &[(WindowIdx, u32)])> {
         Some((self.view(e)?, &self.dir[&e].window_records))
+    }
+
+    /// Inserts one entity built from all its records at once — the batch
+    /// build. Each record counts in its window under `scheme`, clamped
+    /// to the last of `domain` windows, and in every cell of
+    /// [`crate::history::record_cells`] at `level`. The columns land
+    /// contiguously at the tail, exactly as appending the records one by
+    /// one in any order would leave them. `records` must not be empty
+    /// and the entity must not already exist.
+    pub(crate) fn insert_entity(
+        &mut self,
+        e: EntityId,
+        records: &[Record],
+        scheme: &WindowScheme,
+        level: u8,
+        domain: u32,
+    ) {
+        // Every (window, cell) occurrence, sorted: a bin is a run of
+        // equal pairs and its record count the run's length.
+        let last_window = domain.saturating_sub(1);
+        let mut windows = Vec::with_capacity(records.len());
+        let mut occurrences: Vec<(WindowIdx, CellId)> = Vec::with_capacity(records.len());
+        for r in records {
+            let w = scheme.window_of(r.time).min(last_window);
+            windows.push(w);
+            visit_record_cells(r, level, |cell| occurrences.push((w, cell)));
+        }
+        occurrences.sort_unstable();
+        windows.sort_unstable();
+        let off = self.wins.len();
+        for bin in occurrences.chunk_by(|a, b| a == b) {
+            let (w, cell) = bin[0];
+            self.wins.push(w);
+            self.cells.push(cell);
+            self.counts.push(bin.len() as u32);
+        }
+        let window_records = windows.chunk_by(|a, b| a == b);
+        let window_records = window_records.map(|run| (run[0], run.len() as u32));
+        self.seal_entity(e, off, window_records.collect());
     }
 
     /// Restores one entity from a [`HistoryArena::export_entity`] dump:
@@ -434,20 +466,28 @@ impl HistoryArena {
         window_records: Vec<(WindowIdx, u32)>,
     ) {
         let n = wins.len();
-        debug_assert!(n > 0, "restoring an empty entity");
         debug_assert!(cells.len() == n && counts.len() == n, "ragged columns");
-        debug_assert!(!self.dir.contains_key(&e), "entity restored twice");
+        let off = self.wins.len();
+        self.wins.extend_from_slice(wins);
+        self.cells.extend_from_slice(cells);
+        self.counts.extend_from_slice(counts);
+        self.seal_entity(e, off, window_records);
+    }
+
+    /// Files the columns from `off` to the tail as `e`'s range — no
+    /// slack, generation 0 — with its per-window record counts.
+    fn seal_entity(&mut self, e: EntityId, off: usize, window_records: Vec<(WindowIdx, u32)>) {
+        let n = self.wins.len() - off;
+        debug_assert!(n > 0, "an entity without bins");
+        debug_assert!(!self.dir.contains_key(&e), "entity inserted twice");
         let slot = EntitySlot {
-            off: self.wins.len(),
+            off,
             len: n,
             cap: n,
             generation: 0,
             num_records: window_records.iter().map(|&(_, c)| c).sum(),
             window_records,
         };
-        self.wins.extend_from_slice(wins);
-        self.cells.extend_from_slice(cells);
-        self.counts.extend_from_slice(counts);
         self.dir.insert(e, slot);
         self.live_bins += n;
         self.live_entities += 1;
@@ -541,17 +581,15 @@ mod tests {
             out
         }
 
-        fn history(&self, e: EntityId) -> MobilityHistory {
+        /// The model's history as the only entity of an arena.
+        fn arena(&self, e: EntityId) -> HistoryArena {
             let wins: Vec<_> = self.bins.keys().map(|&(w, _)| w).collect();
             let cells: Vec<_> = self.bins.keys().map(|&(_, c)| c).collect();
             let counts: Vec<_> = self.bins.values().copied().collect();
-            let view = EntityView {
-                wins: &wins,
-                cells: &cells,
-                counts: &counts,
-                num_records: self.records.values().sum(),
-            };
-            MobilityHistory::from_view(e, view)
+            let records = self.records.iter().map(|(&w, &n)| (w, n)).collect();
+            let mut arena = HistoryArena::new();
+            arena.restore_entity(e, &wins, &cells, &counts, records);
+            arena
         }
     }
 
@@ -572,9 +610,9 @@ mod tests {
             let new_h = model.append(*w, cells);
             assert_eq!(new_a, new_h, "new-bin reports must agree");
         }
-        let h = model.history(EntityId(1));
+        let h = model.arena(EntityId(1));
         let v = arena.view(EntityId(1)).unwrap();
-        assert_eq!(v, h.view());
+        assert_eq!(Some(v), h.view(EntityId(1)));
         assert_eq!(v.windows().collect::<Vec<_>>(), vec![1, 2, 3]);
         let runs: Vec<_> = v.runs().collect();
         for (w, cells, counts) in runs {
@@ -603,9 +641,9 @@ mod tests {
         assert_eq!(arena.evict_window(EntityId(7), 3), (model.evict(3), false));
         // Absent window is a no-op on both.
         assert_eq!(arena.evict_window(EntityId(7), 3), (model.evict(3), false));
-        let h = model.history(EntityId(7));
+        let h = model.arena(EntityId(7));
         let v = arena.view(EntityId(7)).unwrap();
-        assert_eq!(v, h.view());
+        assert_eq!(Some(v), h.view(EntityId(7)));
         assert_eq!(v.windows().collect::<Vec<_>>(), vec![1, 2, 4]);
     }
 
@@ -662,8 +700,8 @@ mod tests {
         }
         assert!(arena.compactions() > 0, "churn must have compacted");
         for e in 0..8u64 {
-            let h = models[e as usize].history(EntityId(e));
-            assert_eq!(arena.view(EntityId(e)).unwrap(), h.view());
+            let h = models[e as usize].arena(EntityId(e));
+            assert_eq!(arena.view(EntityId(e)), h.view(EntityId(e)));
         }
         // Appending after compaction still works (ranges relocated).
         let (new_bins, created) = arena.append(EntityId(3), 50, &sorted(vec![cell(999)]));
@@ -671,15 +709,13 @@ mod tests {
         assert_eq!(new_bins.len(), 1);
     }
 
-    /// A materialized history is the batch-built history of the same
-    /// records, column for column: appending each record's cells in
-    /// arrival order lands in the layout `MobilityHistory::build` sorts
-    /// them into.
+    /// An entity inserted from all its records at once holds the columns
+    /// and per-window record counts that appending the same records one
+    /// by one, in arrival order, leaves behind.
     #[test]
-    fn materialize_round_trips() {
+    fn batch_insert_matches_record_appends() {
         use crate::history::record_cells;
-        use crate::record::{Record, Timestamp};
-        use crate::window::WindowScheme;
+        use crate::record::Timestamp;
 
         let scheme = WindowScheme::new(Timestamp(0), 900);
         let center = LatLng::from_degrees(37.0, -122.0);
@@ -699,14 +735,16 @@ mod tests {
             arena.append(EntityId(2), w, &cells);
             model.append(w, &cells);
         }
-        let built = MobilityHistory::build(EntityId(2), &records, &scheme, 16, 64);
-        let m = arena.materialize(EntityId(2)).unwrap();
-        assert_eq!(m.entity(), EntityId(2));
-        assert_eq!(m.view(), built.view());
-        assert_eq!(m.view(), model.history(EntityId(2)).view());
-        assert_eq!(m.view(), arena.view(EntityId(2)).unwrap());
-        assert!(m.view().windows().count() > 5 && m.num_bins() > 20);
-        assert_eq!(m.num_records(), 40);
-        assert!(arena.materialize(EntityId(99)).is_none());
+        let mut built = HistoryArena::new();
+        built.insert_entity(EntityId(2), &records, &scheme, 16, 64);
+        let v = built.view(EntityId(2)).unwrap();
+        assert_eq!(
+            built.export_entity(EntityId(2)),
+            arena.export_entity(EntityId(2))
+        );
+        assert_eq!(Some(v), model.arena(EntityId(2)).view(EntityId(2)));
+        assert!(v.windows().count() > 5 && v.num_bins() > 20);
+        assert_eq!(v.num_records(), 40);
+        assert_eq!((built.len(), built.view(EntityId(99))), (1, None));
     }
 }

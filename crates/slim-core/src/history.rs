@@ -3,18 +3,17 @@
 //! A mobility history distributes an entity's records over *time-location
 //! bins*: each temporal window holds the set of spatial grid cells (at a
 //! configured level) the entity visited in it, together with record
-//! counts. A [`HistorySet`] owns all histories of one dataset plus the
+//! counts. A [`HistorySet`] holds all histories of one dataset plus the
 //! dataset-level statistics the similarity score needs: average history
 //! size (for BM25-style length normalization) and per-bin document
 //! frequencies (for the IDF award).
 //!
 //! The bins are the whole representation: scoring, the df statistics and
-//! the LSH signatures read nothing else. A history stores them as the
-//! streaming engine's arena does — three parallel columns, the window of
-//! each bin ascending, its cell sorted within the window's run, and its
-//! record count — and [`MobilityHistory::view`] lends them out as the
-//! same [`EntityView`] an arena range gives, so one run walk and one
-//! scoring kernel serve both stores.
+//! the LSH signatures read nothing else. They have one store, the
+//! [`HistoryArena`]: a batch build fills arena parts of its own, the
+//! streaming engine lends its shard arenas, and a set hands out each
+//! member's range as an [`EntityView`] — so one run walk and one scoring
+//! kernel serve the batch pipeline and the engine.
 //!
 //! The paper (§2.3) also keeps an aggregation tree above the bins to
 //! answer dominating-cell queries over arbitrary window ranges. Nothing
@@ -22,13 +21,14 @@
 //! disjoint spans, once per entity, and one linear pass over the flat
 //! bins answers those.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use geocell::CellId;
 
-use crate::arena::EntityView;
+use crate::arena::{EntityView, HistoryArena};
 use crate::dataset::LocationDataset;
 use crate::df::DfStats;
+use crate::fasthash::FastMap;
 use crate::record::{EntityId, Record};
 use crate::window::{WindowIdx, WindowScheme};
 
@@ -47,7 +47,7 @@ pub fn record_cells(r: &Record, level: u8) -> Vec<CellId> {
 
 /// Calls `visit` with each distinct cell of [`record_cells`], ascending,
 /// without allocating.
-fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
+pub(crate) fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
     let center = CellId::from_latlng(r.location, level);
     if !r.is_region() {
         return visit(center);
@@ -67,101 +67,19 @@ fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
     }
 }
 
-/// One entity's mobility history: its bins as the columns an
-/// [`EntityView`] borrows.
-#[derive(Debug, Clone)]
-pub struct MobilityHistory {
-    entity: EntityId,
-    /// The window of each bin, ascending (one entry per bin).
-    wins: Vec<WindowIdx>,
-    /// The cell of each bin, sorted within a window run.
-    cells: Vec<CellId>,
-    /// The record count of each bin. The column length is the number
-    /// of time-location bins (`|H_u|` in the paper).
-    counts: Vec<u32>,
-    /// Total number of records aggregated.
-    num_records: u32,
-}
-
-impl MobilityHistory {
-    /// Builds a history from records, binning with `scheme` at the given
-    /// spatial `level`. `domain` is the total number of windows covered by
-    /// the linkage run (shared across both datasets); later records count
-    /// in its last window.
-    pub fn build(
-        entity: EntityId,
-        records: &[Record],
-        scheme: &WindowScheme,
-        level: u8,
-        domain: u32,
-    ) -> Self {
-        // Every (window, cell) occurrence, sorted: a bin is a run of equal
-        // pairs and its record count the run's length.
-        let last_window = domain.saturating_sub(1);
-        let mut occurrences: Vec<(WindowIdx, CellId)> = Vec::with_capacity(records.len());
-        for r in records {
-            let w = scheme.window_of(r.time).min(last_window);
-            visit_record_cells(r, level, |cell| occurrences.push((w, cell)));
-        }
-        occurrences.sort_unstable();
-        let mut history = Self {
-            entity,
-            wins: Vec::new(),
-            cells: Vec::new(),
-            counts: Vec::new(),
-            num_records: records.len() as u32,
-        };
-        for bin in occurrences.chunk_by(|a, b| a == b) {
-            let (w, cell) = bin[0];
-            history.wins.push(w);
-            history.cells.push(cell);
-            history.counts.push(bin.len() as u32);
-        }
-        history
-    }
-
-    /// Copies a view's columns — how an arena range becomes an owned
-    /// history.
-    pub(crate) fn from_view(entity: EntityId, view: EntityView<'_>) -> Self {
-        Self {
-            entity,
-            wins: view.wins.to_vec(),
-            cells: view.cells.to_vec(),
-            counts: view.counts.to_vec(),
-            num_records: view.num_records(),
-        }
-    }
-
-    /// The history's columns, as an arena range lends its own.
-    pub fn view(&self) -> EntityView<'_> {
-        EntityView {
-            wins: &self.wins,
-            cells: &self.cells,
-            counts: &self.counts,
-            num_records: self.num_records,
-        }
-    }
-
-    /// The entity this history belongs to.
-    pub fn entity(&self) -> EntityId {
-        self.entity
-    }
-
-    /// Number of time-location bins, `|H_u|`.
-    pub fn num_bins(&self) -> usize {
-        self.wins.len()
-    }
-
-    /// Number of records aggregated into this history.
-    pub fn num_records(&self) -> u32 {
-        self.num_records
-    }
-}
-
 /// All mobility histories of one dataset, plus dataset-level statistics.
+///
+/// The bins live in [`HistoryArena`] parts, each owned (a batch build
+/// fills one per thread) or borrowed (the streaming engine lends its
+/// shard arenas at finalization), and an index names each member
+/// entity's part. A part may hold entities outside the index — the
+/// engine's parked entities — and every reader skips them: a set is its
+/// indexed entities only.
 #[derive(Debug, Clone)]
-pub struct HistorySet {
-    histories: HashMap<EntityId, MobilityHistory>,
+pub struct HistorySet<'a> {
+    parts: Vec<Cow<'a, HistoryArena>>,
+    /// The part holding each member entity's bins.
+    index: FastMap<EntityId, u32>,
     scheme: WindowScheme,
     spatial_level: u8,
     domain: u32,
@@ -171,7 +89,7 @@ pub struct HistorySet {
     stats: DfStats,
 }
 
-impl HistorySet {
+impl<'a> HistorySet<'a> {
     /// Builds histories for every entity of `dataset`, on all available
     /// cores.
     ///
@@ -190,9 +108,9 @@ impl HistorySet {
     }
 
     /// [`HistorySet::build`] over the listed `entities` of `dataset` only,
-    /// their histories built on `threads` threads. The result does not
-    /// depend on `threads`: the statistics are integer counters folded on
-    /// the caller.
+    /// their histories built on `threads` threads, one owned arena part
+    /// each. The result does not depend on `threads`: the statistics are
+    /// integer counters folded on the caller.
     pub(crate) fn build_with_threads(
         dataset: &LocationDataset,
         entities: &[EntityId],
@@ -201,96 +119,107 @@ impl HistorySet {
         domain: u32,
         threads: usize,
     ) -> Self {
-        let build_part = |part: &[EntityId]| -> Vec<MobilityHistory> {
-            part.iter()
-                .map(|&e| {
-                    MobilityHistory::build(e, dataset.records_of(e), &scheme, spatial_level, domain)
-                })
-                .collect()
+        let build_part = |part: &[EntityId]| {
+            let mut arena = HistoryArena::new();
+            for &e in part {
+                arena.insert_entity(e, dataset.records_of(e), &scheme, spatial_level, domain);
+            }
+            arena
         };
         let chunk = entities.len().div_ceil(threads.max(1)).max(1);
         // The caller builds the first chunk itself: one thread spawns none.
-        let mut parts = entities.chunks(chunk);
-        let first = parts.next().unwrap_or(&[]);
-        let built = std::thread::scope(|s| {
-            let handles: Vec<_> = parts.map(|part| s.spawn(|| build_part(part))).collect();
-            let mut built = build_part(first);
+        let mut chunks = entities.chunks(chunk);
+        let first = chunks.next().unwrap_or(&[]);
+        let parts = std::thread::scope(|s| {
+            let handles: Vec<_> = chunks.map(|part| s.spawn(|| build_part(part))).collect();
+            let mut parts = vec![build_part(first)];
             for h in handles {
-                built.extend(h.join().expect("history building does not panic"));
+                parts.push(h.join().expect("history building does not panic"));
             }
-            built
+            parts
         });
 
-        let mut histories = HashMap::with_capacity(entities.len());
         let mut stats = DfStats::new();
-        for h in built {
-            for (w, cells, _) in h.view().runs() {
-                for &cell in cells {
-                    stats.add_bin(w, cell);
+        for (arena, part) in parts.iter().zip(entities.chunks(chunk)) {
+            for &e in part {
+                let view = arena.view(e).expect("a listed entity has records");
+                for (w, cells, _) in view.runs() {
+                    for &cell in cells {
+                        stats.add_bin(w, cell);
+                    }
                 }
+                stats.add_entity();
             }
-            stats.add_entity();
-            histories.insert(h.entity, h);
         }
-        Self {
-            histories,
-            scheme,
-            spatial_level,
-            domain,
-            stats,
-        }
+        let members = entities.chunks(chunk).map(|part| part.iter().copied());
+        let parts = parts.into_iter().map(Cow::Owned).zip(members);
+        Self::from_arenas(scheme, spatial_level, domain, parts, stats)
     }
 
-    /// Assembles a set from externally maintained parts — the sharded
-    /// streaming engine's finalization path: each shard owns a disjoint
-    /// slice of the histories, and `stats` is the barrier-merged
-    /// [`DfStats`] over all of them. The caller is responsible for
-    /// `stats` being consistent with `histories` (the engine maintains
-    /// both from the same append/evict events); `num_entities` is
-    /// asserted as a cheap consistency check.
-    pub fn from_parts(
+    /// Assembles a set over arena parts, each paired with the entities
+    /// of it that belong to the set — how the sharded streaming engine
+    /// finalizes: a part is a shard's arena, borrowed, its members the
+    /// shard's active entities (its parked ones stay out), and `stats`
+    /// the barrier-merged [`DfStats`] over all of them. The caller is
+    /// responsible for `stats` being consistent with the members (the
+    /// engine maintains both from the same append/evict events);
+    /// `num_entities` is asserted as a cheap consistency check, and every
+    /// member must have bins in its part.
+    pub fn from_arenas<M: IntoIterator<Item = EntityId>>(
         scheme: WindowScheme,
         spatial_level: u8,
         domain: u32,
-        histories: HashMap<EntityId, MobilityHistory>,
+        parts: impl IntoIterator<Item = (Cow<'a, HistoryArena>, M)>,
         stats: DfStats,
     ) -> Self {
+        let (parts, members): (Vec<_>, Vec<M>) = parts.into_iter().unzip();
+        let index: FastMap<EntityId, u32> = (members.into_iter().enumerate())
+            .flat_map(|(p, part)| part.into_iter().map(move |e| (e, p as u32)))
+            .collect();
         assert_eq!(
             stats.num_entities(),
-            histories.len(),
+            index.len(),
             "DfStats entity count must match the assembled histories"
         );
-        Self {
-            histories,
+        let set = Self {
+            parts,
+            index,
             scheme,
             spatial_level,
             domain,
             stats,
-        }
+        };
+        assert_eq!(
+            set.histories().count(),
+            set.num_entities(),
+            "every member entity has bins in its part"
+        );
+        set
     }
 
     /// The history of one entity.
-    pub fn history(&self, e: EntityId) -> Option<&MobilityHistory> {
-        self.histories.get(&e)
+    pub fn history(&self, e: EntityId) -> Option<EntityView<'_>> {
+        self.parts[*self.index.get(&e)? as usize].view(e)
     }
 
     /// Iterator over all histories (arbitrary order).
-    pub fn histories(&self) -> impl Iterator<Item = &MobilityHistory> {
-        self.histories.values()
+    pub fn histories(&self) -> impl Iterator<Item = EntityView<'_>> {
+        self.index
+            .iter()
+            .filter_map(|(&e, &p)| self.parts[p as usize].view(e))
     }
 
     /// Entity ids, sorted for deterministic iteration.
     pub fn entities_sorted(&self) -> Vec<EntityId> {
-        let mut v: Vec<_> = self.histories.keys().copied().collect();
+        let mut v: Vec<_> = self.index.keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// Number of entities, `|U|`.
     pub fn num_entities(&self) -> usize {
-        self.histories.len()
+        self.index.len()
     }
-
     /// The dataset-level statistics (df/idf, total bins, entity count)
     /// in their shard-mergeable form.
     pub fn df_stats(&self) -> &DfStats {
@@ -327,7 +256,7 @@ impl HistorySet {
     /// BM25-inspired length normalization `L(u, E)` (paper Eq. 2):
     /// `(1 − b) + b · |H_u| / avg_bins`.
     pub fn length_norm(&self, e: EntityId, b: f64) -> f64 {
-        let bins = self.histories.get(&e).map(|h| h.num_bins()).unwrap_or(0);
+        let bins = self.history(e).map_or(0, |h| h.num_bins());
         self.stats.length_norm_for(bins, b)
     }
 }
@@ -348,6 +277,17 @@ mod tests {
         WindowScheme::new(Timestamp(0), 900)
     }
 
+    /// The set of `records`' histories, binned at `level` over `domain`
+    /// windows.
+    fn built(records: Vec<Record>, level: u8, domain: u32) -> HistorySet<'static> {
+        HistorySet::build(
+            &LocationDataset::from_records(records),
+            scheme(),
+            level,
+            domain,
+        )
+    }
+
     #[test]
     fn history_bins_by_window_and_cell() {
         let records = vec![
@@ -356,20 +296,26 @@ mod tests {
             rec(1, 1000, 37.0, -122.0), // next window
             rec(1, 1000, 37.5, -121.5), // next window, different cell
         ];
-        let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 10);
-        let v = h.view();
-        assert_eq!(h.num_records(), 4);
+        let hs = built(records, LEVEL, 10);
+        let v = hs.history(EntityId(1)).unwrap();
+        assert_eq!(v.num_records(), 4);
         assert_eq!(v.windows().count(), 2);
-        assert_eq!(h.num_bins(), 3);
+        assert_eq!(v.num_bins(), 3);
         assert_eq!(v.window_run(0), (&v.cells[..1], &[2][..])); // two records in the bin
         assert_eq!(v.window_run(1).1, &[1, 1]);
     }
 
     #[test]
     fn empty_history() {
-        let h = MobilityHistory::build(EntityId(7), &[], &scheme(), LEVEL, 4);
-        assert_eq!(h.num_bins(), 0);
-        assert_eq!(h.view().windows().count(), 0);
+        // An entity without records has no history, and a set without
+        // entities has no statistics.
+        let hs = built(Vec::new(), LEVEL, 4);
+        assert_eq!(hs.history(EntityId(7)), None);
+        assert_eq!((hs.num_entities(), hs.histories().count()), (0, 0));
+        assert_eq!(
+            (hs.avg_bins(), hs.length_norm(EntityId(7), 0.75)),
+            (0.0, 1.0)
+        );
     }
 
     #[test]
@@ -449,7 +395,7 @@ mod tests {
                 );
                 for &e in &entities {
                     let (a, b) = (one.history(e).unwrap(), many.history(e).unwrap());
-                    assert_eq!(a.view(), b.view(), "{e}, {threads} threads");
+                    assert_eq!(a, b, "{e}, {threads} threads");
                 }
                 assert_eq!(
                     many.df_stats(),
@@ -496,7 +442,8 @@ mod tests {
     fn region_records_enter_history_bins() {
         let center = LatLng::from_degrees(37.0, -122.0);
         let region = Record::with_accuracy(EntityId(1), center, Timestamp(0), 500.0);
-        let h = MobilityHistory::build(EntityId(1), &[region], &scheme(), 16, 4);
+        let hs = built(vec![region], 16, 4);
+        let h = hs.history(EntityId(1)).unwrap();
         assert_eq!(h.num_records(), 1);
         assert!(h.num_bins() >= 2, "region must occupy several bins");
     }
@@ -511,8 +458,8 @@ mod tests {
             rec(1, 5 * 900 + 2, 37.0, -122.0),
             rec(1, 9 * 900, 10.0, 10.0),
         ];
-        let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 12);
-        let v = h.view();
+        let hs = built(records, LEVEL, 12);
+        let v = hs.history(EntityId(1)).unwrap();
         let cell = |lat, lng| CellId::from_latlng(LatLng::from_degrees(lat, lng), LEVEL);
         let (sf, east, far) = (cell(37.0, -122.0), cell(37.5, -121.5), cell(10.0, 10.0));
         let five = if sf < east {
@@ -538,8 +485,8 @@ mod tests {
             ]
         );
         // A history without records answers every window with nothing.
-        let empty = MobilityHistory::build(EntityId(2), &[], &scheme(), LEVEL, 12);
-        assert!(empty.view().window_run(0).0.is_empty() && empty.view().runs().next().is_none());
+        let empty = EntityView::default();
+        assert!(empty.window_run(0).0.is_empty() && empty.runs().next().is_none());
     }
 
     #[test]
@@ -547,7 +494,8 @@ mod tests {
         // A record beyond the domain is clamped to the last window rather
         // than panicking in the tree build.
         let records = vec![rec(1, 900 * 50, 37.0, -122.0)];
-        let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 10);
-        assert_eq!(h.view().windows().collect::<Vec<_>>(), vec![9]);
+        let hs = built(records, LEVEL, 10);
+        let h = hs.history(EntityId(1)).unwrap();
+        assert_eq!(h.windows().collect::<Vec<_>>(), vec![9]);
     }
 }

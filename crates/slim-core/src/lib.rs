@@ -7,9 +7,10 @@
 //!
 //! The pipeline (paper §2.4):
 //!
-//! 1. Records are aggregated into [`history::MobilityHistory`] summaries —
-//!    time-location bins over a shared
-//!    [`window::WindowScheme`] and a spatial grid level (see `geocell`).
+//! 1. Records are aggregated into mobility histories — time-location bins
+//!    over a shared [`window::WindowScheme`] and a spatial grid level (see
+//!    `geocell`), stored as [`arena::HistoryArena`] columns and gathered
+//!    per dataset in a [`history::HistorySet`].
 //! 2. Candidate entity pairs are scored with the
 //!    [`similarity::SimilarityScorer`]: mutually-nearest-neighbour bin
 //!    pairs are awarded by proximity ([`proximity`]), weighted by bin
@@ -78,7 +79,7 @@ pub use arena::{common_runs, EntityView, HistoryArena};
 pub use config::{MatchingMethod, PairingMode, SlimConfig, ThresholdMethod};
 pub use dataset::LocationDataset;
 pub use df::{DfDelta, DfStats};
-pub use history::{record_cells, HistorySet, MobilityHistory};
+pub use history::{record_cells, HistorySet};
 pub use matching::{DeltaReport, Edge, EdgeDelta, IncrementalMatcher};
 pub use record::{EntityId, Record, Timestamp};
 pub use slim::{LinkageOutput, PreparedLinkage, Slim};

@@ -97,7 +97,7 @@ thread_local! {
 /// ([`SimilarityScorer::from_df_stats`], the sharded streaming engine —
 /// the caller resolves histories itself, e.g. across shard-partitioned
 /// arenas). Both read histories as [`EntityView`]s, so they produce
-/// bit-identical scores for the same bins, whichever store holds them.
+/// bit-identical scores for the same bins, whichever arena holds them.
 ///
 /// Construction builds each side's [`IdfTable`], so a scorer is meant to
 /// live for a whole scoring pass (a batch `score_pairs`, a streaming
@@ -108,8 +108,8 @@ pub struct SimilarityScorer<'a> {
     right_df: &'a DfStats,
     /// Left then right.
     idf: [IdfTable<'a>; 2],
-    left: Option<&'a HistorySet>,
-    right: Option<&'a HistorySet>,
+    left: Option<&'a HistorySet<'a>>,
+    right: Option<&'a HistorySet<'a>>,
     runaway_m: f64,
 }
 
@@ -119,7 +119,7 @@ impl<'a> SimilarityScorer<'a> {
     /// # Panics
     /// Panics if the two sets use different window schemes or levels —
     /// bins would not be comparable.
-    pub fn new(cfg: &'a SlimConfig, left: &'a HistorySet, right: &'a HistorySet) -> Self {
+    pub fn new(cfg: &'a SlimConfig, left: &'a HistorySet<'a>, right: &'a HistorySet<'a>) -> Self {
         assert_eq!(
             left.scheme(),
             right.scheme(),
@@ -170,10 +170,10 @@ impl<'a> SimilarityScorer<'a> {
         let right = self.right.expect("score-by-id needs history sets");
         let hu = left.history(u)?;
         let hv = right.history(v)?;
-        Some(self.score_histories(&hu.view(), &hv.view(), stats))
+        Some(self.score_histories(&hu, &hv, stats))
     }
 
-    /// Scores two explicit histories, from either store: the sum of
+    /// Scores two explicit histories, from any arena: the sum of
     /// per-window [`SimilarityScorer::window_contribution`]s over the
     /// common windows, ascending, divided by the pair's length
     /// normalization. One merge walk ([`common_runs`]) over both
@@ -408,7 +408,7 @@ mod tests {
         Record::new(EntityId(e), LatLng::from_degrees(lat, lng), Timestamp(t))
     }
 
-    fn sets(left: Vec<Record>, right: Vec<Record>) -> (HistorySet, HistorySet) {
+    fn sets(left: Vec<Record>, right: Vec<Record>) -> (HistorySet<'static>, HistorySet<'static>) {
         let scheme = WindowScheme::new(Timestamp(0), 900);
         let l = HistorySet::build(&LocationDataset::from_records(left), scheme, LEVEL, DOMAIN);
         let r = HistorySet::build(&LocationDataset::from_records(right), scheme, LEVEL, DOMAIN);
@@ -653,8 +653,8 @@ mod tests {
         let c = cfg();
         let scorer = SimilarityScorer::new(&c, &l, &r);
         let (hu, hv) = (
-            l.history(EntityId(1)).unwrap().view(),
-            r.history(EntityId(2)).unwrap().view(),
+            l.history(EntityId(1)).unwrap(),
+            r.history(EntityId(2)).unwrap(),
         );
         let mut stats = LinkageStats::default();
         let full = scorer.score_histories(&hu, &hv, &mut stats);
@@ -718,7 +718,7 @@ mod tests {
                 let scorer = SimilarityScorer::new(&c, &l, &r);
                 for u in l.entities_sorted() {
                     for v in r.entities_sorted() {
-                        let (hu, hv) = (l.history(u).unwrap().view(), r.history(v).unwrap().view());
+                        let (hu, hv) = (l.history(u).unwrap(), r.history(v).unwrap());
                         let mut walked = LinkageStats::default();
                         let score = scorer.score_histories(&hu, &hv, &mut walked);
                         let mut defined = LinkageStats {
@@ -790,8 +790,8 @@ mod tests {
         let (al, ar) = (arena_of(&left), arena_of(&right));
         let (l, r) = sets(left, right);
         let (hu, hv) = (
-            l.history(EntityId(1)).unwrap().view(),
-            r.history(EntityId(2)).unwrap().view(),
+            l.history(EntityId(1)).unwrap(),
+            r.history(EntityId(2)).unwrap(),
         );
         let (au, av) = (al.view(EntityId(1)).unwrap(), ar.view(EntityId(2)).unwrap());
         for (pairing, use_mfn) in [

@@ -41,11 +41,12 @@ pub struct LinkageOutput {
     pub elapsed: Duration,
 }
 
-/// Histories and configuration prepared for (possibly repeated) linkage.
-pub struct PreparedLinkage {
+/// Histories and configuration prepared for (possibly repeated) linkage,
+/// over history sets that may borrow their bins for `'a`.
+pub struct PreparedLinkage<'a> {
     cfg: SlimConfig,
-    left: HistorySet,
-    right: HistorySet,
+    left: HistorySet<'a>,
+    right: HistorySet<'a>,
 }
 
 /// The SLIM algorithm, parameterized by a [`SlimConfig`].
@@ -70,7 +71,11 @@ impl Slim {
     /// scheme, the two sides concurrently. Entities with too few records
     /// are dropped here (paper §5.1): they get no history, and the scheme
     /// starts at the earliest record of the entities that stay.
-    pub fn prepare(&self, left: &LocationDataset, right: &LocationDataset) -> PreparedLinkage {
+    pub fn prepare(
+        &self,
+        left: &LocationDataset,
+        right: &LocationDataset,
+    ) -> PreparedLinkage<'static> {
         let (left_kept, left_span) = kept_entities(left, self.cfg.min_records);
         let (right_kept, right_span) = kept_entities(right, self.cfg.min_records);
         let (lo, hi) = match (left_span, right_span) {
@@ -136,16 +141,16 @@ fn kept_entities(
     (kept, span)
 }
 
-impl PreparedLinkage {
+impl<'a> PreparedLinkage<'a> {
     /// Wraps already-built history sets — the entry point for callers
     /// that maintain histories themselves (the `slim-stream` engine
     /// builds them incrementally and runs this exact batch pipeline over
-    /// them at finalization). Validates the configuration and that the
-    /// two sets are comparable.
+    /// them at finalization, its arenas lent for `'a`). Validates the
+    /// configuration and that the two sets are comparable.
     pub fn from_history_sets(
         cfg: SlimConfig,
-        left: HistorySet,
-        right: HistorySet,
+        left: HistorySet<'a>,
+        right: HistorySet<'a>,
     ) -> Result<Self, String> {
         cfg.validate()?;
         if left.scheme() != right.scheme() {
@@ -158,12 +163,12 @@ impl PreparedLinkage {
     }
 
     /// The left (first dataset) history set.
-    pub fn left(&self) -> &HistorySet {
+    pub fn left(&self) -> &HistorySet<'a> {
         &self.left
     }
 
     /// The right (second dataset) history set.
-    pub fn right(&self) -> &HistorySet {
+    pub fn right(&self) -> &HistorySet<'a> {
         &self.right
     }
 
@@ -448,7 +453,7 @@ mod tests {
         cfg: &SlimConfig,
         left: &LocationDataset,
         right: &LocationDataset,
-    ) -> (HistorySet, HistorySet) {
+    ) -> (HistorySet<'static>, HistorySet<'static>) {
         let (mut left, mut right) = (left.clone(), right.clone());
         left.filter_min_records(cfg.min_records);
         right.filter_min_records(cfg.min_records);
@@ -583,5 +588,98 @@ mod tests {
             assert_eq!(x.right, y.right);
             assert!((x.weight - y.weight).abs() < 1e-12);
         }
+    }
+
+    /// A set lent over arena parts serves only its indexed entities: the
+    /// other entities of a part (the streaming engine's parked ones)
+    /// reach no reader, and the set scores to the same bits as a batch
+    /// build over the indexed entities' records.
+    #[test]
+    fn a_lent_set_sees_only_its_indexed_entities() {
+        use std::borrow::Cow;
+
+        use crate::arena::HistoryArena;
+        use crate::df::DfStats;
+        use crate::history::record_cells;
+
+        let cfg = SlimConfig::default();
+        let (l, r) = two_views(8, 5);
+        let prepared = Slim::new(cfg).unwrap().prepare(&l, &r);
+        let batch = prepared.left();
+        let (scheme, level, domain) = (*batch.scheme(), batch.spatial_level(), batch.domain());
+        // Two arenas fed record by record, as the engine feeds them: the
+        // even entities in one, the odd ones in the other, and beside
+        // entities 0 and 1 unindexed twins 100 and 101 holding the same
+        // records — counted, they would move df, avg_bins and scores.
+        let mut arenas = [HistoryArena::new(), HistoryArena::new()];
+        for e in l.entities_sorted() {
+            let arena = &mut arenas[(e.0 % 2) as usize];
+            for rec in l.records_of(e) {
+                let (w, cells) = (scheme.window_of(rec.time), record_cells(rec, level));
+                arena.append(e, w, &cells);
+                if e.0 < 2 {
+                    arena.append(EntityId(100 + e.0), w, &cells);
+                }
+            }
+        }
+        let members = |p: u64| {
+            l.entities_sorted()
+                .into_iter()
+                .filter(move |e| e.0 % 2 == p)
+        };
+        let mut stats = DfStats::new();
+        for e in l.entities_sorted() {
+            let view = arenas[(e.0 % 2) as usize].view(e).unwrap();
+            for (w, cells, _) in view.runs() {
+                cells.iter().for_each(|&c| stats.add_bin(w, c));
+            }
+            stats.add_entity();
+        }
+        assert_eq!(&stats, batch.df_stats());
+        let [even, odd] = &arenas;
+        let parts = [
+            (Cow::Borrowed(even), members(0)),
+            (Cow::Owned(odd.clone()), members(1)),
+        ];
+        let lent = HistorySet::from_arenas(scheme, level, domain, parts, stats);
+
+        let twins = [EntityId(100), EntityId(101)];
+        assert!(twins
+            .iter()
+            .all(|&t| arenas[(t.0 % 2) as usize].view(t).is_some()));
+        assert!(twins.iter().all(|&t| lent.history(t).is_none()));
+        assert_eq!(lent.entities_sorted(), batch.entities_sorted());
+        assert_eq!(lent.num_entities(), 8);
+        for e in batch.entities_sorted() {
+            assert_eq!(lent.history(e), batch.history(e), "{e:?}");
+        }
+        let bins = |set: &HistorySet<'_>| -> Vec<usize> {
+            let mut bins: Vec<_> = set.histories().map(|h| h.num_bins()).collect();
+            bins.sort_unstable();
+            bins
+        };
+        assert_eq!(bins(&lent), bins(batch));
+        assert_eq!(lent.avg_bins().to_bits(), batch.avg_bins().to_bits());
+        for e in batch.entities_sorted().into_iter().chain(twins) {
+            let norm = |set: &HistorySet<'_>| set.length_norm(e, cfg.b).to_bits();
+            assert_eq!(norm(&lent), norm(batch), "{e:?}");
+        }
+
+        let scored = |p: &PreparedLinkage<'_>, candidates: &[(EntityId, EntityId)]| {
+            let (edges, stats) = p.score_pairs(candidates);
+            let bits: Vec<_> = edges
+                .iter()
+                .map(|e| (e.left, e.right, e.weight.to_bits()))
+                .collect();
+            (bits, stats)
+        };
+        let lent = PreparedLinkage::from_history_sets(cfg, lent, prepared.right().clone()).unwrap();
+        let mut candidates = prepared.all_pairs();
+        assert_eq!(lent.all_pairs(), candidates);
+        candidates.extend(twins.map(|t| (t, EntityId(1000))));
+        let got = scored(&lent, &candidates);
+        assert_eq!(got, scored(&prepared, &candidates));
+        assert_eq!(got.1.scored_entity_pairs as usize, candidates.len() - 2);
+        assert!(got.0.len() >= 5, "the true pairs score");
     }
 }

@@ -102,7 +102,7 @@ impl LshFilter {
         cfg: LshConfig,
         left: &LocationDataset,
         right: &LocationDataset,
-        prepared: &PreparedLinkage,
+        prepared: &PreparedLinkage<'_>,
     ) -> Self {
         let (lh, rh) = (prepared.left(), prepared.right());
         let (scheme, domain) = (lh.scheme(), lh.domain());
@@ -110,12 +110,12 @@ impl LshFilter {
             let (l, r) = (lh.entities_sorted(), rh.entities_sorted());
             return Self::build_sides(cfg, (left, &l), (right, &r), scheme, domain);
         }
-        let sign = |side: &HistorySet| -> Vec<Signature> {
+        let sign = |side: &HistorySet<'_>| -> Vec<Signature> {
             side.entities_sorted()
                 .into_iter()
                 .map(|e| {
                     let history = side.history(e).expect("a listed entity has a history");
-                    signature_from_bins(e, history.view(), domain, cfg.step_windows)
+                    signature_from_bins(e, history, domain, cfg.step_windows)
                 })
                 .collect()
         };

@@ -15,8 +15,8 @@
 //! stays. When the two levels are equal — the default and the fig-11
 //! settings — a history's bins hold exactly those counts, and
 //! [`signature_from_bins`] reads the signature off them in one pass.
-//! It reads an [`EntityView`], so a batch history and a streaming arena
-//! range sign alike.
+//! It reads an [`EntityView`], so a batch-built history and a streaming
+//! engine's sign alike.
 //!
 //! The paper answers the spans with range queries on an aggregation
 //! tree over the bins. The spans are fixed-step and disjoint and each
@@ -184,7 +184,7 @@ pub fn signature_from_bins(
 mod tests {
     use super::*;
     use geocell::LatLng;
-    use slim_core::{HistorySet, MobilityHistory, Record, Timestamp};
+    use slim_core::{HistorySet, Record, Timestamp};
 
     const LEVEL: u8 = 12;
 
@@ -281,7 +281,7 @@ mod tests {
             let via_records =
                 signature_from_records(EntityId(1), &records, &sch, domain, step, lsh_level);
             let history = hs.history(EntityId(1)).unwrap();
-            let via_history = signature_from_bins(EntityId(1), history.view(), domain, step);
+            let via_history = signature_from_bins(EntityId(1), history, domain, step);
             assert_eq!(via_records, via_history, "step {step} level {lsh_level}");
             assert!(via_history.occupancy() > 1, "step {step} level {lsh_level}");
         }
@@ -305,8 +305,14 @@ mod tests {
             rec(1, 31 * 900, a.0, a.1),
         ];
         let (domain, step) = (12, 5);
-        let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, domain);
-        let via_bins = signature_from_bins(EntityId(1), h.view(), domain, step);
+        let hs = HistorySet::build(
+            &LocationDataset::from_records(records.clone()),
+            scheme(),
+            LEVEL,
+            domain,
+        );
+        let via_bins =
+            signature_from_bins(EntityId(1), hs.history(EntityId(1)).unwrap(), domain, step);
         assert_eq!(
             via_bins.cells,
             vec![Some(cell_a.min(cell_b)), None, Some(cell_a)]
@@ -314,17 +320,16 @@ mod tests {
         let via_records =
             signature_from_records(EntityId(1), &records, &scheme(), domain, step, LEVEL);
         assert_eq!(via_bins, via_records);
-        let empty = MobilityHistory::build(EntityId(2), &[], &scheme(), LEVEL, domain);
         assert_eq!(
-            signature_from_bins(EntityId(2), empty.view(), domain, step).cells,
+            signature_from_bins(EntityId(2), Default::default(), domain, step).cells,
             vec![None; 3]
         );
     }
 
     #[test]
     fn history_signatures_count_region_records_per_bin_cell() {
-        // Region records at the bin level: the bins, of either store,
-        // and the records agree.
+        // Region records at the bin level: the bins, batch-built or
+        // appended, and the records agree.
         let center = LatLng::from_degrees(37.0, -122.0);
         let records: Vec<Record> = (0..40)
             .map(|k| {
@@ -345,7 +350,7 @@ mod tests {
         let appended = arena.view(EntityId(1)).unwrap();
         for step in [1, 3, 4, 7] {
             let via_records = signature_from_records(EntityId(1), &records, &sch, domain, step, 16);
-            for bins in [history.view(), appended] {
+            for bins in [history, appended] {
                 assert_eq!(
                     signature_from_bins(EntityId(1), bins, domain, step),
                     via_records

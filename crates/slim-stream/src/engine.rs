@@ -52,18 +52,17 @@
 //! to cover that case too.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use slim_core::arena::{common_runs, HistoryArena};
+use slim_core::arena::{common_runs, EntityView, HistoryArena};
 use slim_core::df::DfStats;
 use slim_core::similarity::SimilarityScorer;
 use slim_core::{
     Edge, EdgeDelta, EntityId, HistorySet, IncrementalMatcher, LinkageOutput, LinkageStats,
-    MatchingMethod, MobilityHistory, PreparedLinkage, ThresholdState, Timestamp, WindowIdx,
-    WindowScheme,
+    MatchingMethod, PreparedLinkage, ThresholdState, Timestamp, WindowIdx, WindowScheme,
 };
 use slim_lsh::{buckets_collide, BucketIndex};
 use slim_telemetry::{Histogram, MetricsRegistry, Snapshot, SnapshotSink};
@@ -526,15 +525,15 @@ impl StreamEngine {
         self.shards.iter().map(|s| s.pairs.live_edges()).sum()
     }
 
-    /// The live history of one entity (`None` if filtered or expired).
-    /// Owned: the arena materializes the per-entity struct on demand;
-    /// this is an inspection API, not a hot path.
-    pub fn history(&self, side: Side, entity: EntityId) -> Option<MobilityHistory> {
+    /// The live history of one entity (`None` if filtered or expired):
+    /// its range of the home shard's arena, borrowed. A parked entity's
+    /// bins are not served.
+    pub fn history(&self, side: Side, entity: EntityId) -> Option<EntityView<'_>> {
         let shard = &self.shards[entity_shard(side, entity, self.num_shards)];
         if !shard.active[side.idx()].contains(&entity) {
             return None;
         }
-        shard.histories[side.idx()].materialize(entity)
+        shard.histories[side.idx()].view(entity)
     }
 
     /// Number of entities with a live history on one side: the active
@@ -1073,7 +1072,7 @@ impl StreamEngine {
         self.tel.emit(&snapshot);
     }
 
-    /// The merged phase-span histograms by series name: the six
+    /// The merged phase-span histograms by series name: the five
     /// pool-dispatched phases (per-worker recorders folded in worker-id
     /// order) followed by the engine-thread barrier spans and the
     /// whole-tick span.
@@ -1190,15 +1189,11 @@ impl StreamEngine {
         reg
     }
 
-    /// Ingests one event. Returns link updates when this event completed
-    /// a refresh interval (empty otherwise).
+    /// Ingests one event: [`StreamEngine::ingest_batch`] of a batch of
+    /// one. Returns link updates when this event completed a refresh
+    /// interval (empty otherwise).
     pub fn ingest(&mut self, ev: &StreamEvent) -> Vec<LinkUpdate> {
-        if self.scheme.is_none() {
-            self.init_scheme(ev.time);
-        }
-        let scheme = self.scheme.expect("initialized above");
-        let binned = bin_event(ev, &scheme, self.cfg.slim.spatial_level, self.lsh_level());
-        self.run(vec![binned])
+        self.ingest_batch(std::slice::from_ref(ev))
     }
 
     /// Ingests a batch of events, spreading the spatial binning (the
@@ -1876,75 +1871,26 @@ impl StreamEngine {
     }
 
     /// Runs the **exact batch pipeline** over the incrementally built
-    /// history sets (merged across shards): brute-force candidates
-    /// without LSH, the accumulated candidate set with it. With an
-    /// unbounded window this returns output identical to
-    /// [`slim_core::Slim::link`] over the same records — the
-    /// stream/batch equivalence contract, for every shard count.
+    /// histories: brute-force candidates without LSH, the accumulated
+    /// candidate set with it. Each side's history set borrows every
+    /// shard's arena and indexes its active entities, so no bin is
+    /// copied and parked entities stay out. With an unbounded window
+    /// this returns output identical to [`slim_core::Slim::link`] over
+    /// the same records — the stream/batch equivalence contract, for
+    /// every shard count.
     pub fn finalize(&self) -> Result<LinkageOutput, String> {
         let Some(scheme) = self.scheme else {
             return Ok(empty_output());
         };
-        // Materializing owned histories (three column copies per
-        // entity) is the copying part of the borrowing finalizer; hand
-        // one chunk per shard to the pool when the state is big enough
-        // to pay. The merged map contents are independent of chunk
-        // scheduling.
-        let clone_one = |shard: &EngineShard| -> [Vec<(EntityId, MobilityHistory)>; 2] {
-            [0, 1].map(|i| materialize_all(&shard.histories[i], &shard.active[i]))
-        };
-        let total: usize = self
-            .shards
-            .iter()
-            .map(|s| s.active[0].len() + s.active[1].len())
-            .sum();
-        let shards: Vec<&EngineShard> = self.shards.iter().collect();
-        let cloned: Vec<[Vec<(EntityId, MobilityHistory)>; 2]> = self.pool.run_gated(
-            PhaseId::FinalizeClone,
-            total >= PARALLEL_THRESHOLD,
-            shards,
-            clone_one,
-        );
-        let mut sets = [HashMap::new(), HashMap::new()];
-        for [left, right] in cloned {
-            sets[0].extend(left);
-            sets[1].extend(right);
-        }
-        let [left, right] = sets;
-        self.finalize_sets(scheme, left, right)
-    }
-
-    /// [`StreamEngine::finalize`] that consumes the engine, moving the
-    /// history sets into the batch pipeline instead of deep-cloning them
-    /// — use this at the end of a replay to avoid a transient 2x of the
-    /// engine's dominant state (the CLI `--stream` path does).
-    pub fn into_finalized(mut self) -> Result<LinkageOutput, String> {
-        let Some(scheme) = self.scheme else {
-            return Ok(empty_output());
-        };
-        let mut sets = [HashMap::new(), HashMap::new()];
-        for shard in &mut self.shards {
-            for (i, set) in sets.iter_mut().enumerate() {
-                // Each arena is freed as soon as it is materialized.
-                let arena = std::mem::take(&mut shard.histories[i]);
-                set.extend(materialize_all(&arena, &shard.active[i]));
-            }
-        }
-        let [left, right] = sets;
-        self.finalize_sets(scheme, left, right)
-    }
-
-    fn finalize_sets(
-        &self,
-        scheme: WindowScheme,
-        left: HashMap<EntityId, MobilityHistory>,
-        right: HashMap<EntityId, MobilityHistory>,
-    ) -> Result<LinkageOutput, String> {
         let level = self.cfg.slim.spatial_level;
-        let left_set = HistorySet::from_parts(scheme, level, self.domain, left, self.df[0].clone());
-        let right_set =
-            HistorySet::from_parts(scheme, level, self.domain, right, self.df[1].clone());
-        let prepared = PreparedLinkage::from_history_sets(self.cfg.slim, left_set, right_set)?;
+        let [left, right] = [0, 1].map(|i| {
+            let parts = self.shards.iter().map(|s| {
+                let active = s.active[i].iter().copied();
+                (Cow::Borrowed(&s.histories[i]), active)
+            });
+            HistorySet::from_arenas(scheme, level, self.domain, parts, self.df[i].clone())
+        });
+        let prepared = PreparedLinkage::from_history_sets(self.cfg.slim, left, right)?;
         Ok(if self.lsh.is_some() {
             let mut candidates: Vec<(EntityId, EntityId)> = self
                 .shards
@@ -1957,19 +1903,6 @@ impl StreamEngine {
             prepared.link()
         })
     }
-}
-
-/// Owned histories of every live entity of one arena.
-/// The histories of an arena's active entities (a parked entity's bins
-/// do not count).
-fn materialize_all(
-    arena: &HistoryArena,
-    active: &HashSet<EntityId>,
-) -> Vec<(EntityId, MobilityHistory)> {
-    active
-        .iter()
-        .map(|&e| (e, arena.materialize(e).expect("an active entity has bins")))
-        .collect()
 }
 
 fn empty_output() -> LinkageOutput {
@@ -2090,7 +2023,7 @@ mod tests {
         }
         // The borrowing and consuming finalizers agree.
         let streamed = engine.finalize().unwrap();
-        let consumed = engine.into_finalized().unwrap();
+        let consumed = engine.finalize().unwrap();
         assert_eq!(streamed.links.len(), consumed.links.len());
         for (a, b) in streamed.links.iter().zip(&consumed.links) {
             assert_eq!(a.weight, b.weight);
@@ -2127,7 +2060,7 @@ mod tests {
             let stats = *engine.stats();
             let scoring = *engine.scoring_stats();
             let pairs = engine.num_candidate_pairs();
-            let finalized = engine.into_finalized().unwrap();
+            let finalized = engine.finalize().unwrap();
             (updates, links, stats, scoring, pairs, finalized)
         };
         let reference = run(1);
@@ -2172,7 +2105,7 @@ mod tests {
             let stats = *engine.stats();
             let scoring = *engine.scoring_stats();
             let pairs = engine.num_candidate_pairs();
-            let finalized = engine.into_finalized().unwrap();
+            let finalized = engine.finalize().unwrap();
             (updates, links, stats, scoring, pairs, finalized)
         };
         let reference = run(1);
@@ -2494,7 +2427,7 @@ mod tests {
         // Only the last 10 windows of history remain.
         for e in entities {
             let h = engine.history(Side::Left, e).unwrap();
-            let windows: Vec<_> = h.view().windows().collect();
+            let windows: Vec<_> = h.windows().collect();
             assert!(windows.len() <= 10, "{e} kept {} windows", windows.len());
             assert!(windows.iter().all(|w| w + 10 > engine.watermark));
         }

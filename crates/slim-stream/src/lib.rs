@@ -151,7 +151,7 @@ pub use event::{batch_equivalent_origin, merge_datasets, Side, StreamEvent};
 pub use serve::{LinkQueryServer, ServeReport};
 pub use snapshot::{EpochLog, EpochPointer, LinkSnapshot};
 pub use source::{
-    ConnMessage, ConnectionFrontier, CsvReplaySource, DriveOptions, FanIn, IngestReport,
-    StreamSource, SyntheticSource, TcpIngestTier, TcpLineSource, TickPolicy, WireFormat,
+    ConnMessage, ConnectionFrontier, DriveOptions, FanIn, IngestReport, StreamSource,
+    SyntheticSource, TcpIngestTier, TcpLineSource, TickPolicy, WireFormat,
 };
 pub use telemetry::PhaseId;

@@ -20,8 +20,9 @@
 //!                                     tick policy ──► engine control scan
 //! ```
 //!
-//! A connection is a [`StreamSource`] (a CSV replay, a live TCP feed, a
-//! synthetic generator, a script) polled by the one producer loop in
+//! A connection is a [`StreamSource`] (a replay of merged datasets or a
+//! synthetic workload through [`SyntheticSource`], a live TCP feed, a
+//! script) polled by the one producer loop in
 //! [`listener`]. [`crate::StreamEngine::drive`] takes a single source
 //! and runs it as the tier with one connection;
 //! [`crate::StreamEngine::drive_fan_in`] takes a whole tier, such as a
@@ -39,7 +40,6 @@
 //! `tests/multi_connection_equivalence.rs`).
 
 pub mod channel;
-mod csv;
 mod frontier;
 pub(crate) mod listener;
 pub(crate) mod pump;
@@ -48,7 +48,6 @@ mod synthetic;
 mod tcp;
 
 pub use channel::{ChannelStats, SendError};
-pub use csv::CsvReplaySource;
 pub use frontier::ConnectionFrontier;
 pub use listener::{ConnMessage, FanIn, TcpIngestTier};
 pub use pump::{DriveOptions, IngestReport};

@@ -1,5 +1,7 @@
-//! Synthetic feed: slim-datagen workloads delivered as a live source,
-//! optionally paced to a target event rate.
+//! Synthetic feed: slim-datagen workloads — or any pre-built event
+//! sequence, such as two CSV datasets merged for `slim-link --source
+//! csv` — delivered as a live source, optionally paced to a target
+//! event rate.
 //!
 //! Rate control is driven through the [`Clock`] abstraction so the
 //! pacing logic itself is testable against a virtual clock
@@ -162,6 +164,36 @@ mod tests {
         }
         assert_eq!(got, total);
         assert!(SyntheticSource::scenario("nope", 0.1, 1).is_err());
+    }
+
+    /// Unpaced, a feed replays two datasets as the merged event stream
+    /// in batches of at most `max` (the `slim-link --source csv` path).
+    #[test]
+    fn replays_merged_events_in_batches() {
+        use geocell::LatLng;
+        use slim_core::{EntityId, LocationDataset, Record, Timestamp};
+
+        let rec =
+            |e: u64, t: i64| Record::new(EntityId(e), LatLng::from_degrees(0.0, 0.0), Timestamp(t));
+        let l = LocationDataset::from_records(vec![rec(1, 10), rec(1, 30)]);
+        let r = LocationDataset::from_records(vec![rec(2, 20)]);
+        let mut src = SyntheticSource::from_events(merge_datasets(&l, &r));
+        assert_eq!(src.events().len(), 3);
+        let mut batches = Vec::new();
+        loop {
+            match src.next_batch(2).unwrap() {
+                SourcePoll::Batch(b) => batches.push(b),
+                SourcePoll::End => break,
+                SourcePoll::Pending => unreachable!("replay never stalls"),
+            }
+        }
+        let times: Vec<Vec<i64>> = batches
+            .iter()
+            .map(|b| b.iter().map(|e| e.time.secs()).collect())
+            .collect();
+        assert_eq!(times, vec![vec![10, 20], vec![30]]);
+        // EOF is terminal.
+        assert_eq!(src.next_batch(2).unwrap(), SourcePoll::End);
     }
 
     /// Pacing against a virtual clock: release counts follow

@@ -44,13 +44,11 @@ pub enum PhaseId {
     Lsh,
     /// Dirty-pair rescoring chunks of a refresh tick.
     Rescore,
-    /// History deep-clones in the borrowing finalizer.
-    FinalizeClone,
 }
 
 impl PhaseId {
     /// Number of pool phases (the recorder array size).
-    pub(crate) const COUNT: usize = 6;
+    pub(crate) const COUNT: usize = 5;
 
     /// All pool phases, in recorder-index order.
     pub(crate) const ALL: [PhaseId; Self::COUNT] = [
@@ -59,7 +57,6 @@ impl PhaseId {
         PhaseId::Expire,
         PhaseId::Lsh,
         PhaseId::Rescore,
-        PhaseId::FinalizeClone,
     ];
 
     /// The recorder slot of this phase.
@@ -75,7 +72,6 @@ impl PhaseId {
             PhaseId::Expire => "phase.expire",
             PhaseId::Lsh => "phase.lsh",
             PhaseId::Rescore => "phase.rescore",
-            PhaseId::FinalizeClone => "phase.finalize_clone",
         }
     }
 }

@@ -279,7 +279,7 @@ pub struct OracleCoverage {
 /// The pair caches and the rebuilt histories as of the previous tick.
 #[derive(Debug)]
 struct TickState {
-    sets: [HistorySet; 2],
+    sets: [HistorySet<'static>; 2],
     cache: HashMap<PairKey, PairWindows>,
     edges: HashMap<PairKey, f64>,
 }
@@ -298,7 +298,7 @@ struct TickState {
 /// as its home arena exports them, parked or active, against the
 /// unfiltered rebuild (windows, cells, counts and the record total, one
 /// view equality) with its per-window record counts; the active entity
-/// set and each active history as the engine materializes it against
+/// set and each active history as the engine serves it against
 /// the filtered rebuild; the merged df statistics; and, under LSH, every
 /// ring against a ring replayed from the entity's live events in stream
 /// order, and the bucket partitions against the active entities' rings.
@@ -396,7 +396,11 @@ impl RecomputeOracle {
 
     /// Checks one side's entity sets, histories and df statistics
     /// against the rebuilt live slice, which it returns.
-    fn check_side(&mut self, engine: &StreamEngine, side: Side) -> Result<HistorySet, String> {
+    fn check_side(
+        &mut self,
+        engine: &StreamEngine,
+        side: Side,
+    ) -> Result<HistorySet<'static>, String> {
         let scheme = *engine.scheme().expect("checked by the caller");
         let cfg = engine.config();
         let (shards, df, watermark) = engine.windowed_state();
@@ -447,12 +451,12 @@ impl RecomputeOracle {
             ));
         }
         for &e in &stored {
-            let want = slice.history(e).expect("listed by the slice").view();
+            let want = slice.history(e).expect("listed by the slice");
             let (view, records) = shards[entity_shard(side, e, shards.len())].histories[i]
                 .export_entity(e)
                 .expect("listed by the arena");
             // Only an active entity's history is served.
-            let served = engine.history(side, e).map(|h| h.view() == want);
+            let served = engine.history(side, e).map(|h| h == want);
             if view != want || served != set.history(e).map(|_| true) {
                 return Err(format!("{side:?} {e:?}: stored columns diverged"));
             }
@@ -483,7 +487,7 @@ impl RecomputeOracle {
         &mut self,
         cfg: &StreamConfig,
         shards: &[EngineShard],
-        sets: [HistorySet; 2],
+        sets: [HistorySet<'static>; 2],
     ) -> Result<(), String> {
         self.coverage.ticks += 1;
         let scorer = SimilarityScorer::new(&cfg.slim, &sets[0], &sets[1]);
@@ -510,10 +514,8 @@ impl RecomputeOracle {
                 if let Some(score) = slot.edge {
                     edges.insert(pair, score);
                 }
-                let (Some(hu), Some(hv)) = (
-                    sets[0].history(pair.0).map(|h| h.view()),
-                    sets[1].history(pair.1).map(|h| h.view()),
-                ) else {
+                let (Some(hu), Some(hv)) = (sets[0].history(pair.0), sets[1].history(pair.1))
+                else {
                     return Err(format!(
                         "cached pair {pair:?} has an endpoint outside the live slice"
                     ));
@@ -528,8 +530,8 @@ impl RecomputeOracle {
                     return Err(format!("pair {pair:?}: {why}"));
                 }
                 let prev_cached = prev.and_then(|p| p.cache.get(&pair));
-                let prev_u = prev.and_then(|p| p.sets[0].history(pair.0).map(|h| h.view()));
-                let prev_v = prev.and_then(|p| p.sets[1].history(pair.1).map(|h| h.view()));
+                let prev_u = prev.and_then(|p| p.sets[0].history(pair.0));
+                let prev_v = prev.and_then(|p| p.sets[1].history(pair.1));
                 // The common windows by lookup, not by the engine's walk.
                 let mut windows: BTreeSet<WindowIdx> = cached.iter().map(|&(w, _)| w).collect();
                 windows.extend(hu.windows().filter(|&w| !hv.window_run(w).0.is_empty()));

@@ -161,7 +161,7 @@ fn replay(
         .replays
         .push(coverage);
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()

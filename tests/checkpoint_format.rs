@@ -161,7 +161,7 @@ fn observe(
     let epochs = log.collected().iter().map(|s| (**s).clone()).collect();
     let served = engine.links().to_vec();
     let stats = *engine.stats();
-    let finalized = engine.into_finalized().expect("finalize").links;
+    let finalized = engine.finalize().expect("finalize").links;
     (epochs, served, stats, updates, finalized)
 }
 

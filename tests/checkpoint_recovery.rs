@@ -121,7 +121,7 @@ fn finish(mut engine: StreamEngine, log: &EpochLog) -> Observation {
     let served = engine.links().to_vec();
     let stats = *engine.stats();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()

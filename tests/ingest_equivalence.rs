@@ -140,7 +140,7 @@ fn run_direct(canonical: &[StreamEvent]) -> Observation {
     updates.extend(engine.refresh());
     let served = engine.links().to_vec();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()
@@ -178,7 +178,7 @@ fn run_fronted(steps: Vec<ScriptStep>, shards: usize, policy: TickPolicy) -> Obs
     updates.extend(engine.refresh());
     let served = engine.links().to_vec();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()

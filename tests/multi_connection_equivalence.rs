@@ -183,7 +183,7 @@ fn run_merged(canonical: &[StreamEvent]) -> Observation {
     updates.extend(engine.refresh());
     let served = engine.links().to_vec();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()
@@ -227,7 +227,7 @@ fn run_fan_in(case: &Case, shards: usize, workers: usize, policy: TickPolicy) ->
     updates.extend(engine.refresh());
     let served = engine.links().to_vec();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()

@@ -10,7 +10,7 @@ use slim::core::pairing::{all_pairs, mutually_furthest, mutually_nearest};
 use slim::core::proximity::proximity_of_distance;
 use slim::core::threshold::{otsu, two_means};
 use slim::core::{
-    record_cells, EntityId, LocationDataset, MobilityHistory, Record, Slim, SlimConfig, Timestamp,
+    record_cells, EntityId, HistorySet, LocationDataset, Record, Slim, SlimConfig, Timestamp,
     WindowScheme,
 };
 use slim::geo::{cell_min_distance_m, CellId, LatLng};
@@ -209,8 +209,9 @@ proptest! {
             .collect();
         let want = leaves_by_definition(&records, &scheme, LEVEL, DOMAIN);
 
-        let built = MobilityHistory::build(EntityId(1), &records, &scheme, LEVEL, DOMAIN);
-        let view = built.view();
+        let set = HistorySet::build(&LocationDataset::from_records(records.clone()), scheme, LEVEL, DOMAIN);
+        let built = set.history(EntityId(1)).unwrap_or_default();
+        let view = built;
         prop_assert_eq!(view.windows().collect::<Vec<_>>(), want.keys().copied().collect::<Vec<_>>());
         for (w, cells, counts) in view.runs() {
             let run: Vec<(CellId, u32)> = cells.iter().copied().zip(counts.iter().copied()).collect();
@@ -254,10 +255,11 @@ proptest! {
                 );
                 if domain == side.domain() {
                     let history = side.history(e).unwrap();
-                    prop_assert_eq!(signature_from_bins(e, history.view(), domain, step), via_records);
+                    prop_assert_eq!(signature_from_bins(e, history, domain, step), via_records);
                 } else {
-                    let history = MobilityHistory::build(e, left.records_of(e), side.scheme(), level, domain);
-                    prop_assert_eq!(signature_from_bins(e, history.view(), domain, step), via_records);
+                    let set = HistorySet::build(&LocationDataset::from_records(left.records_of(e).to_vec()), *side.scheme(), level, domain);
+                    let history = set.history(e).unwrap();
+                    prop_assert_eq!(signature_from_bins(e, history, domain, step), via_records);
                 }
             }
         }

@@ -65,7 +65,7 @@ fn replay(events: &[StreamEvent], mut cfg: StreamConfig, shards: usize) -> Obser
     let scoring = *engine.scoring_stats();
     let candidate_pairs = engine.num_candidate_pairs();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()
@@ -98,7 +98,7 @@ fn replay_pool(events: &[StreamEvent], mut cfg: StreamConfig, workers: usize) ->
     let scoring = *engine.scoring_stats();
     let candidate_pairs = engine.num_candidate_pairs();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()

@@ -311,7 +311,7 @@ fn observe(events: &[StreamEvent], readers: usize) -> Observation {
     let served = engine.links().to_vec();
     let stats = *engine.stats();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()

@@ -117,7 +117,7 @@ fn run(
     let served = engine.links().to_vec();
     let stats = *engine.stats();
     let finalized = engine
-        .into_finalized()
+        .finalize()
         .expect("finalize")
         .links
         .into_iter()
