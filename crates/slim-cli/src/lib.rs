@@ -285,7 +285,7 @@ const THRESHOLDS: [(&str, ThresholdMethod); 4] = [
     ("none", ThresholdMethod::None),
 ];
 
-/// Usage text: a fixed head, then one entry per [`FLAGS`] row with its
+/// Usage text: a fixed head, then one entry per `FLAGS` row with its
 /// help wrapped from column 25 and its `[default: …]` at column 60.
 pub static USAGE: LazyLock<String> = LazyLock::new(|| {
     let mut text = String::from(

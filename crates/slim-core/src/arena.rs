@@ -193,10 +193,17 @@ impl HistoryArena {
     /// Appends one record's bins to `e` (creating or resurrecting the
     /// entity as needed): `cells` must be sorted and deduplicated
     /// ([`crate::history::record_cells`] output), `w` the record's
-    /// window. Returns the cells that created *new* bins (for document-
-    /// frequency maintenance) and whether the entity was created by
-    /// this call.
-    pub fn append(&mut self, e: EntityId, w: WindowIdx, cells: &[CellId]) -> (Vec<CellId>, bool) {
+    /// window. Leaves the cells that created *new* bins (for document-
+    /// frequency maintenance) in `new_bins`, which it clears first, so a
+    /// caller that reuses the buffer appends without allocating; returns
+    /// whether the entity was created by this call.
+    pub fn append(
+        &mut self,
+        e: EntityId,
+        w: WindowIdx,
+        cells: &[CellId],
+        new_bins: &mut Vec<CellId>,
+    ) -> bool {
         let created = match self.dir.get_mut(&e) {
             Some(slot) if slot.len > 0 => false,
             Some(slot) => {
@@ -220,7 +227,7 @@ impl HistoryArena {
         if created {
             self.live_entities += 1;
         }
-        let mut new_bins = Vec::new();
+        new_bins.clear();
         for &c in cells {
             if self.insert_bin(e, w, c) {
                 new_bins.push(c);
@@ -236,7 +243,7 @@ impl HistoryArena {
             Err(i) => slot.window_records.insert(i, (w, 1)),
         }
         self.maybe_compact();
-        (new_bins, created)
+        created
     }
 
     /// Bumps the bin `(e, w, c)` or inserts it; `true` if inserted.
@@ -605,8 +612,11 @@ mod tests {
             (2, sorted(vec![cell(5)])),
             (1, sorted(vec![cell(2)])),
         ];
+        // One buffer for every append: each call reports only its own
+        // new bins.
+        let mut new_a = Vec::new();
         for (w, cells) in &records {
-            let (new_a, _) = arena.append(EntityId(1), *w, cells);
+            arena.append(EntityId(1), *w, cells, &mut new_a);
             let new_h = model.append(*w, cells);
             assert_eq!(new_a, new_h, "new-bin reports must agree");
         }
@@ -632,7 +642,7 @@ mod tests {
         let mut model = Model::default();
         for w in 0..5u32 {
             let cs = sorted(vec![cell(w as u64), cell(w as u64 + 1)]);
-            arena.append(EntityId(7), w, &cs);
+            arena.append(EntityId(7), w, &cs, &mut Vec::new());
             model.append(w, &cs);
         }
         // Leading run (range advance).
@@ -651,7 +661,7 @@ mod tests {
     fn tombstone_and_generation_reuse() {
         let mut arena = HistoryArena::new();
         let cs = sorted(vec![cell(1)]);
-        arena.append(EntityId(5), 0, &cs);
+        arena.append(EntityId(5), 0, &cs, &mut Vec::new());
         assert_eq!(arena.generation(EntityId(5)), Some(0));
         assert_eq!(arena.len(), 1);
         // Evicting the last window removes the entity.
@@ -662,7 +672,7 @@ mod tests {
         // A second eviction is a no-op.
         assert_eq!(arena.evict_window(EntityId(5), 0), (Vec::new(), false));
         // Resurrection bumps the generation and reports creation.
-        let (_, created) = arena.append(EntityId(5), 9, &cs);
+        let created = arena.append(EntityId(5), 9, &cs, &mut Vec::new());
         assert!(created);
         assert_eq!(arena.generation(EntityId(5)), Some(1));
         assert_eq!(arena.len(), 1);
@@ -686,7 +696,7 @@ mod tests {
             let mut model = Model::default();
             for w in 0..40u32 {
                 let cs = sorted(vec![cell(e * 100 + w as u64)]);
-                arena.append(EntityId(e), w, &cs);
+                arena.append(EntityId(e), w, &cs, &mut Vec::new());
                 model.append(w, &cs);
             }
             models.push(model);
@@ -704,7 +714,8 @@ mod tests {
             assert_eq!(arena.view(EntityId(e)), h.view(EntityId(e)));
         }
         // Appending after compaction still works (ranges relocated).
-        let (new_bins, created) = arena.append(EntityId(3), 50, &sorted(vec![cell(999)]));
+        let mut new_bins = Vec::new();
+        let created = arena.append(EntityId(3), 50, &sorted(vec![cell(999)]), &mut new_bins);
         assert!(!created);
         assert_eq!(new_bins.len(), 1);
     }
@@ -732,7 +743,7 @@ mod tests {
         let mut model = Model::default();
         for r in &records {
             let (w, cells) = (scheme.window_of(r.time), record_cells(r, 16));
-            arena.append(EntityId(2), w, &cells);
+            arena.append(EntityId(2), w, &cells, &mut Vec::new());
             model.append(w, &cells);
         }
         let mut built = HistoryArena::new();

@@ -47,7 +47,7 @@ pub fn record_cells(r: &Record, level: u8) -> Vec<CellId> {
 
 /// Calls `visit` with each distinct cell of [`record_cells`], ascending,
 /// without allocating.
-pub(crate) fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
+pub fn visit_record_cells(r: &Record, level: u8, mut visit: impl FnMut(CellId)) {
     let center = CellId::from_latlng(r.location, level);
     if !r.is_region() {
         return visit(center);

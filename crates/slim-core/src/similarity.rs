@@ -427,7 +427,7 @@ mod tests {
         let mut arena = HistoryArena::new();
         for r in records {
             let w = scheme.window_of(r.time).min(DOMAIN - 1);
-            arena.append(r.entity, w, &record_cells(r, LEVEL));
+            arena.append(r.entity, w, &record_cells(r, LEVEL), &mut Vec::new());
         }
         arena
     }

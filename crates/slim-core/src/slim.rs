@@ -616,9 +616,9 @@ mod tests {
             let arena = &mut arenas[(e.0 % 2) as usize];
             for rec in l.records_of(e) {
                 let (w, cells) = (scheme.window_of(rec.time), record_cells(rec, level));
-                arena.append(e, w, &cells);
+                arena.append(e, w, &cells, &mut Vec::new());
                 if e.0 < 2 {
-                    arena.append(EntityId(100 + e.0), w, &cells);
+                    arena.append(EntityId(100 + e.0), w, &cells, &mut Vec::new());
                 }
             }
         }

@@ -345,7 +345,12 @@ mod tests {
         let mut arena = slim_core::HistoryArena::new();
         for r in &records {
             let w = sch.window_of(r.time).min(domain - 1);
-            arena.append(EntityId(1), w, &slim_core::record_cells(r, 16));
+            arena.append(
+                EntityId(1),
+                w,
+                &slim_core::record_cells(r, 16),
+                &mut Vec::new(),
+            );
         }
         let appended = arena.view(EntityId(1)).unwrap();
         for step in [1, 3, 4, 7] {

@@ -21,7 +21,7 @@
 //! patterns (`to_bits`/`from_bits`), so recovery reproduces them
 //! exactly. Every frame carries the CRC-32 of its payload (IEEE 802.3,
 //! reflected polynomial `0xEDB88320` — the zlib/PNG checksum), computed
-//! eight bytes per step from compile-time tables ([`crc32`]; a bitwise
+//! eight bytes per step from compile-time tables (`crc32`; a bitwise
 //! reference loop pins it in the unit tests). The CRC is verified
 //! *before* the payload is parsed, so a torn or bit-flipped file is
 //! rejected with an error — never a panic — and the loader falls back
@@ -38,14 +38,14 @@
 //!
 //! # Write path
 //!
-//! There is one encoder, [`encode_into`], and it serializes an
-//! [`Image`] straight into a caller-owned buffer that the engine keeps
+//! There is one encoder, `encode_into`, and it serializes an
+//! `Image` straight into a caller-owned buffer that the engine keeps
 //! across checkpoints (cleared, capacity retained). A frame is opened
 //! by reserving its 16-byte header and closed by patching length and
 //! CRC over the payload range in place, so no section is staged in a
 //! buffer of its own. The image *borrows* the engine: every shard
 //! collection is a `Cow::Borrowed` view of the live maps, arena columns
-//! and rings, and only [`decode`] produces the owned form (which
+//! and rings, and only `decode` produces the owned form (which
 //! recovery consumes and the codec tests re-encode through the same
 //! encoder).
 //!
@@ -57,7 +57,7 @@
 //! best-effort directory fsync. A crash mid-write therefore leaves at
 //! worst a stale temp file, never a half-renamed checkpoint; a crash
 //! mid-*fsync* can leave a torn frame, which the CRC catches at load.
-//! A failed write removes its own temp file, and [`prune_old`] sweeps
+//! A failed write removes its own temp file, and `prune_old` sweeps
 //! up any temp file a killed writer left behind.
 //!
 //! # Sharding
@@ -67,7 +67,7 @@
 //! key (entity, pair, or `(side, entity)`), and the encoder walks that
 //! index — merged by sorted reference, not by copy. The bytes are the
 //! same for every shard count, and recovery redistributes them by the
-//! deterministic entity hash ([`crate::shard::entity_shard`]). A
+//! deterministic entity hash (`shard::entity_shard`). A
 //! checkpoint written by a 4-shard engine recovers bit-identically on a
 //! 1-shard one and vice versa.
 
@@ -259,6 +259,30 @@ pub(crate) struct HistoryDump<'a> {
 /// dump is identical for every shard count. The sorted `Vec`s are the
 /// index; what they point at stays in the shards (`Cow::Borrowed`)
 /// unless the dump was decoded from a file (`Cow::Owned`).
+/// One binned event of a version-1 min-records buffer, as that version
+/// wrote it.
+#[derive(Debug, Clone)]
+pub(crate) struct PendingEvent {
+    pub(crate) side: Side,
+    pub(crate) entity: EntityId,
+    pub(crate) w: WindowIdx,
+    cells: Vec<CellId>,
+    lsh_cells: Vec<CellId>,
+}
+
+impl PendingEvent {
+    /// The event as ingest's binning would have left it.
+    pub(crate) fn binned(&self) -> BinnedEvent<'_> {
+        BinnedEvent {
+            side: self.side,
+            entity: self.entity,
+            w: self.w,
+            cells: &self.cells,
+            lsh_cells: &self.lsh_cells,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardsDump<'a> {
     /// Per-side mobility histories (columnar arena contents), active
@@ -271,7 +295,7 @@ pub(crate) struct ShardsDump<'a> {
     pub(crate) active_windows: Vec<WindowIdx>,
     /// Read from a version-1 file only, never written: its per-side
     /// min-records buffers, which recovery folds into the parked arena.
-    pub(crate) v1_pending: [Vec<(EntityId, Vec<BinnedEvent>)>; 2],
+    pub(crate) v1_pending: [Vec<(EntityId, Vec<PendingEvent>)>; 2],
     /// Per-side activated entities.
     pub(crate) active: [Vec<EntityId>; 2],
     /// Per-side dirty window marks.
@@ -632,7 +656,7 @@ wire_struct! {
         record_pair_comparisons,
         alibi_pairs,
     }
-    BinnedEvent { side, entity, w, cells, lsh_cells }
+    PendingEvent { side, entity, w, cells, lsh_cells }
     HistoryDump<'_> { wins, cells, counts, window_records }
     RingDump<'_> { side, entity, ring }
     DfDump { entries, total_bins, num_entities }
@@ -715,21 +739,32 @@ impl Wire for StreamEvent {
 }
 
 /// The ring without its band-bucket cache: that is derived from `sig`,
-/// and `ShardRings::restore` rebuilds it. Version 1 wrote the counts as
-/// one map per slot.
+/// and `ShardRings::restore` rebuilds it. The counts travel as one
+/// `(window, cell)`-ordered map, which is how version 2 kept them; they
+/// decode keyed as one-window spans, and `ShardRings::restore` re-keys
+/// them. Version 1 wrote them as one map per slot.
 impl Wire for SpanRing {
     fn put(&self, out: &mut Vec<u8>) {
-        self.counts.put(out);
+        let mut counts: Vec<((WindowIdx, CellId), u32)> = self
+            .counts
+            .iter()
+            .map(|(&(_, cell, w), &n)| ((w, cell), n))
+            .collect();
+        counts.sort_unstable_by_key(|&(key, _)| key);
+        counts.put(out);
         self.owners.put(out);
         self.sig.put(out);
     }
     fn get(d: &mut Dec) -> Result<Self, String> {
-        let counts = match d.version {
+        let counts: BTreeMap<(WindowIdx, CellId), u32> = match d.version {
             1 => d.vec::<BTreeMap<_, _>>()?.into_iter().flatten().collect(),
             _ => Wire::get(d)?,
         };
         Ok(SpanRing {
-            counts,
+            counts: counts
+                .into_iter()
+                .map(|((w, cell), n)| ((w, cell, w), n))
+                .collect(),
             owners: Wire::get(d)?,
             sig: Wire::get(d)?,
             buckets: Vec::new(),
@@ -836,7 +871,7 @@ impl Wire for ShardsDump<'_> {
             }
             if d.version == 1 {
                 s.v1_pending[i] = d.vec()?;
-                d.vec::<(EntityId, Vec<BinnedEvent>)>()?;
+                d.vec::<(EntityId, Vec<PendingEvent>)>()?;
             }
             s.active[i] = d.vec()?;
             s.dirty[i] = d.vec()?;
@@ -1273,7 +1308,7 @@ mod tests {
                     side: Side::Left,
                     entity: EntityId(7),
                     ring: Cow::Owned(SpanRing {
-                        counts: BTreeMap::from([((0, cell), 2)]),
+                        counts: BTreeMap::from([((0, cell, 0), 2)]),
                         owners: vec![Some(0), None],
                         sig: vec![Some(cell), None],
                         buckets: Vec::new(),
@@ -1758,6 +1793,102 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A ring keyed `(span, cell, window)` travels as version 2 wrote
+    /// it: its counts as one `(window, cell)`-ordered map. Decoded and
+    /// restored, it holds the same counts, signature and band buckets,
+    /// and re-derives them like the ring it came from when a window
+    /// expires and when a record arrives.
+    #[test]
+    fn a_rekeyed_ring_travels_in_window_cell_order() {
+        use crate::lsh::{LshGeometry, ShardRings};
+        let geom = LshGeometry::new(&crate::StreamLshConfig {
+            spans: 3,
+            base: slim_lsh::LshConfig {
+                step_windows: 4,
+                spatial_level: 12,
+                ..slim_lsh::LshConfig::default()
+            },
+        });
+        let mut cells: Vec<CellId> = [29.0, 29.5, 30.0]
+            .iter()
+            .map(|&lng| CellId::from_latlng(LatLng::from_degrees(41.0, lng), 12))
+            .collect();
+        cells.sort_unstable();
+        let [a, b, c] = [cells[0], cells[1], cells[2]];
+        // Span 0 holds each cell in its own windows, in an order where
+        // `(cell, window)` and `(window, cell)` disagree; span 1 ties `a`
+        // and `c` over two windows each.
+        let records = [
+            (0, c),
+            (1, a),
+            (2, b),
+            (2, c),
+            (3, a),
+            (3, c),
+            (4, c),
+            (5, a),
+            (6, a),
+            (7, c),
+        ];
+        let (side, entity) = (Side::Left, EntityId(7));
+        let mut rings = ShardRings::default();
+        let mut wire_order: BTreeMap<(WindowIdx, CellId), u32> = BTreeMap::new();
+        for (w, cell) in records {
+            rings.add(&geom, side, entity, w, &[cell]);
+            *wire_order.entry((w, cell)).or_insert(0) += 1;
+        }
+        let ring = rings.export().next().expect("one ring").ring.into_owned();
+        assert_eq!(
+            ring.sig,
+            [Some(c), Some(a), None],
+            "the counts' dominating cells"
+        );
+
+        let mut bytes = Vec::new();
+        ring.put(&mut bytes);
+        let mut want = Vec::new();
+        wire_order.put(&mut want);
+        ring.owners.put(&mut want);
+        ring.sig.put(&mut want);
+        assert_eq!(bytes, want, "counts in (window, cell) order");
+
+        let mut d = Dec::new(&bytes, VERSION);
+        let decoded = SpanRing::get(&mut d).expect("the ring decodes");
+        let mut restored = ShardRings::default();
+        let dump = RingDump {
+            side,
+            entity,
+            ring: Cow::Owned(decoded),
+        };
+        restored.restore(&geom, dump).expect("the ring fits");
+        let same = |x: &ShardRings, y: &ShardRings, what: &str| {
+            let (x, y) = (
+                x.export().next().unwrap().ring,
+                y.export().next().unwrap().ring,
+            );
+            assert_eq!(
+                (&x.counts, &x.owners, &x.sig, &x.buckets),
+                (&y.counts, &y.owners, &y.sig, &y.buckets),
+                "{what}"
+            );
+        };
+        same(&restored, &rings, "restored");
+        // Expiring window 0 leaves `a` and `c` tied in span 0, which
+        // goes to `a`; a second `b` ties all three, and a third wins.
+        for x in [&mut rings, &mut restored] {
+            assert!(x.evict(&geom, side, entity, 0));
+        }
+        same(&restored, &rings, "after expiry");
+        assert_eq!(rings.export().next().unwrap().ring.sig[0], Some(a));
+        for (changes, dominating) in [(false, a), (true, b)] {
+            for x in [&mut rings, &mut restored] {
+                assert_eq!(x.add(&geom, side, entity, 1, &[b]), changes);
+            }
+            same(&restored, &rings, "after a record");
+            assert_eq!(rings.export().next().unwrap().ring.sig[0], Some(dominating));
+        }
     }
 
     /// A ring's columns are indexed by slot, so a CRC-valid image whose

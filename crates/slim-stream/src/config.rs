@@ -51,7 +51,7 @@ pub struct StreamConfig {
     /// Engine state shards: per-entity state (histories, buffers, LSH
     /// rings) and per-pair state (contribution caches, adjacency) are
     /// partitioned by entity hash across this many
-    /// [`crate::shard::EngineShard`]s. Shards are not threads: the
+    /// `EngineShard`s. Shards are not threads: the
     /// worker pool ([`StreamConfig::num_workers`]) runs their work.
     /// `0` = one shard per available core, at most [`MAX_PARALLELISM`].
     /// The engine's observable behaviour (links, stats, finalized

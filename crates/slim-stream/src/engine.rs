@@ -1,9 +1,12 @@
 //! The incremental linkage engine — a coordinator over sharded state.
 //!
 //! ```text
-//! events ──► control scan (watermark / late-drop / tick schedule)
-//!              └► per-shard queues ──► shard-∥ apply: histories and
-//!                                      rings (parked ones too), dirty marks
+//! events ──► pool-∥ binning onto reused columns (side, entity, window,
+//!            cells per level)
+//!              └► control scan (watermark / late-drop / tick schedule)
+//!                   └► per-shard queues of batch positions ──► shard-∥
+//!                      apply over the columns: histories and rings
+//!                      (parked ones too), dirty marks
 //!              barrier: df/idf deltas · LSH partition upserts ·
 //!                       candidate registration (pair owner = Left shard)
 //! refresh ──► shard-∥ rescore of adjacency-reachable dirty pairs,
@@ -15,11 +18,11 @@
 //! ```
 //!
 //! Every piece of per-entity and per-pair state lives on one
-//! [`EngineShard`] keyed by entity hash; the engine owns only the
+//! `EngineShard` keyed by entity hash; the engine owns only the
 //! dataset-global residue: the merged df/idf statistics, the
 //! partitioned LSH bucket index, the watermark, and the served link
 //! set. Parallel phases run on a **persistent worker pool**
-//! ([`crate::pool`]) spawned once per engine and reused across
+//! (`pool`) spawned once per engine and reused across
 //! every ingest, refresh, and finalize phase: each phase's work is cut
 //! into deterministic chunks (fixed-size slices of binning / rescore
 //! queues, one chunk per shard where per-shard order matters) whose
@@ -31,7 +34,7 @@
 //! count, and claim interleaving**.
 //!
 //! A refresh tick discovers its work through the entity→pair adjacency
-//! of each shard's [`crate::adjacency::PairTable`]: only pairs adjacent to
+//! of each shard's `PairTable`: only pairs adjacent to
 //! entities dirtied since the last tick are visited
 //! (`StreamStats::dirty_pairs_visited` vs
 //! `StreamStats::cached_pairs_at_ticks` measures the saving against
@@ -79,7 +82,7 @@ use crate::merge;
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::run_memo::{self, RunMemo};
 use crate::shard::{
-    bin_event, entity_shard, lookup_view, union_sorted, BinnedEvent, CachedPair, Contribution,
+    entity_shard, lookup_view, union_sorted, BinnedBatch, BinnedColumns, CachedPair, Contribution,
     EngineShard, ExpiryEffects, IngestEffects, RescoreJob,
 };
 use crate::snapshot::{EpochLog, EpochPointer, LinkSnapshot};
@@ -329,15 +332,10 @@ const PARALLEL_THRESHOLD: usize = 128;
 /// work than one ingest event.
 const PARALLEL_RESCORE_THRESHOLD: usize = 32;
 
-/// Events per binning chunk. Fixed (never derived from the worker
-/// count) so chunk ids — and the chunk-id-ordered reassembly — are
-/// identical for every worker count.
-const INGEST_BIN_CHUNK: usize = 512;
-
 /// Rescore jobs per chunk: a hot shard's job list splits into many
 /// chunks that any free worker can claim, which is what makes tick latency track total
 /// dirty work instead of the hottest shard. Fixed for the same
-/// determinism reason as [`INGEST_BIN_CHUNK`].
+/// determinism reason as [`BinnedBatch::CHUNK`].
 const RESCORE_CHUNK: usize = 32;
 
 /// The event-driven linkage engine. See the module docs for the data
@@ -401,6 +399,10 @@ pub struct StreamEngine {
     /// Pump-side resume state loaded by [`StreamEngine::recover`],
     /// consumed by the next drive.
     resume: Option<ResumeState>,
+    /// The ingest batch's binned columns, refilled by every batch.
+    binned: BinnedBatch,
+    /// Per shard: the batch positions queued for the next apply.
+    queues: Vec<Vec<usize>>,
 }
 
 impl StreamEngine {
@@ -438,6 +440,8 @@ impl StreamEngine {
             checkpoint_buf: Vec::new(),
             fault_plan: FaultPlan::default(),
             resume: None,
+            binned: BinnedBatch::default(),
+            queues: vec![Vec::new(); num_shards],
         })
     }
 
@@ -975,12 +979,10 @@ impl StreamEngine {
         // buffers instead of the arena: fold them in, in stream order,
         // through the path ingest parks them by.
         let geom = self.lsh.as_ref().map(|l| l.geom);
-        for b in v1_pending
-            .into_iter()
-            .flatten()
-            .flat_map(|(_, events)| events)
-        {
-            self.shards[entity_shard(b.side, b.entity, n)].store(&b, geom.as_ref());
+        let mut new_bins = Vec::new();
+        for b in v1_pending.iter().flatten().flat_map(|(_, events)| events) {
+            let b = b.binned();
+            self.shards[entity_shard(b.side, b.entity, n)].store(b, geom.as_ref(), &mut new_bins);
         }
         let owner = |pair: PairKey| entity_shard(Side::Left, pair.0, n);
         for (pair, wins) in cache {
@@ -1201,7 +1203,10 @@ impl StreamEngine {
     /// fixed-size chunks of the event list — skew-proof by
     /// construction: a hot entity's events land in many claimable
     /// chunks instead of one shard's bin queue — then applying the
-    /// appends shard-parallel in stream order. Tick and expiry
+    /// appends shard-parallel in stream order. Binning writes onto the
+    /// engine's reused `BinnedBatch` columns and each shard reads its
+    /// events from them by position, so an event costs no allocation of
+    /// its own on the way from binning to the arena. Tick and expiry
     /// boundaries fire inside the batch
     /// exactly as they would one event at a time (the control scan is
     /// identical), and so do histories, statistics, and brute-force
@@ -1225,31 +1230,26 @@ impl StreamEngine {
         let lsh_level = self.lsh_level();
 
         let binned_parallel = self.num_workers > 1 && events.len() >= PARALLEL_THRESHOLD;
-        let binned: Vec<BinnedEvent> = if !binned_parallel {
-            events
-                .iter()
-                .map(|ev| bin_event(ev, &scheme, level, lsh_level))
-                .collect()
-        } else {
-            // Fixed-size contiguous chunks, reassembled in chunk-id
-            // order — identical output to the serial map for every
-            // worker count and schedule.
-            let chunks: Vec<&[StreamEvent]> = chunk_ranges(events.len(), INGEST_BIN_CHUNK)
-                .into_iter()
-                .map(|r| &events[r])
-                .collect();
-            self.pool
-                .run(PhaseId::Bin, chunks, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|ev| bin_event(ev, &scheme, level, lsh_level))
-                        .collect::<Vec<BinnedEvent>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
+        // Fixed-size contiguous chunks, each binned onto its own columns
+        // — identical output to one serial pass for every worker count
+        // and schedule.
+        let mut binned = std::mem::take(&mut self.binned);
+        let work = binned
+            .reset(events.len())
+            .iter_mut()
+            .zip(events.chunks(BinnedBatch::CHUNK));
+        let bin = |(columns, chunk): (&mut BinnedColumns, &[StreamEvent])| {
+            for ev in chunk {
+                columns.push(ev, &scheme, level, lsh_level);
+            }
         };
-        let updates = self.run(binned);
+        if binned_parallel {
+            self.pool.run(PhaseId::Bin, work.collect(), bin);
+        } else {
+            work.for_each(bin);
+        }
+        let updates = self.run(&binned);
+        self.binned = binned;
         if binned_parallel {
             // The control scan's flushes may all have run inline (e.g.
             // a mostly-late-dropped batch); the binning phase above
@@ -1261,16 +1261,17 @@ impl StreamEngine {
 
     /// The control scan: walks the binned events in stream order making
     /// only the cheap global decisions (late-drop, watermark, expiry
-    /// and tick boundaries) and queues everything else per shard;
-    /// queues are flushed shard-parallel at each boundary. The control
-    /// decisions depend only on the event sequence, never on shard
-    /// state, so the segment structure — and with it every downstream
-    /// barrier — is identical for any shard count.
-    fn run(&mut self, binned: Vec<BinnedEvent>) -> Vec<LinkUpdate> {
-        let mut queues: Vec<Vec<BinnedEvent>> = (0..self.num_shards).map(|_| Vec::new()).collect();
+    /// and tick boundaries) and queues every other event's position per
+    /// shard; queues are flushed shard-parallel at each boundary. The
+    /// control decisions depend only on the event sequence, never on
+    /// shard state, so the segment structure — and with it every
+    /// downstream barrier — is identical for any shard count.
+    fn run(&mut self, binned: &BinnedBatch) -> Vec<LinkUpdate> {
+        let mut queues = std::mem::take(&mut self.queues);
         let mut queued = 0usize;
         let mut updates = Vec::new();
-        for b in binned {
+        for at in 0..binned.len() {
+            let b = binned.get(at);
             if b.w < self.expired_below {
                 self.stats.late_dropped += 1;
                 continue;
@@ -1283,19 +1284,20 @@ impl StreamEngine {
                 let keep_from = self.watermark.saturating_add(1).saturating_sub(cap);
                 (keep_from > self.expired_below).then_some(keep_from)
             });
-            queues[entity_shard(b.side, b.entity, self.num_shards)].push(b);
+            queues[entity_shard(b.side, b.entity, self.num_shards)].push(at);
             queued += 1;
             if let Some(keep_from) = expire_to {
-                self.flush(&mut queues, &mut queued);
+                self.flush(binned, &mut queues, &mut queued);
                 self.expire(keep_from);
             }
             self.events_since_refresh += 1;
             if self.cfg.refresh_every > 0 && self.events_since_refresh >= self.cfg.refresh_every {
-                self.flush(&mut queues, &mut queued);
+                self.flush(binned, &mut queues, &mut queued);
                 updates.extend(self.refresh());
             }
         }
-        self.flush(&mut queues, &mut queued);
+        self.flush(binned, &mut queues, &mut queued);
+        self.queues = queues;
         updates
     }
 
@@ -1304,24 +1306,25 @@ impl StreamEngine {
     /// respect per-shard stream order, so the chunk grain here is one
     /// shard's queue — idle workers still take whole shard queues from
     /// the back of a busy worker's block.
-    fn flush(&mut self, queues: &mut [Vec<BinnedEvent>], queued: &mut usize) {
+    fn flush(&mut self, binned: &BinnedBatch, queues: &mut [Vec<usize>], queued: &mut usize) {
         if *queued == 0 {
             return;
         }
         let min_records = self.cfg.slim.min_records;
         let lsh_geom = self.lsh.as_ref().map(|l| l.geom);
-        let work: Vec<(&mut EngineShard, Vec<BinnedEvent>)> = self
+        let work: Vec<(&mut EngineShard, &[usize])> = self
             .shards
             .iter_mut()
-            .zip(queues.iter_mut())
-            .map(|(shard, queue)| (shard, std::mem::take(queue)))
+            .zip(queues.iter())
+            .map(|(shard, queue)| (shard, queue.as_slice()))
             .collect();
         let parallel = *queued >= PARALLEL_THRESHOLD;
         let effects: Vec<IngestEffects> =
             self.pool
-                .run_gated(PhaseId::Apply, parallel, work, |(shard, events)| {
-                    shard.apply_events(events, min_records, lsh_geom.as_ref())
+                .run_gated(PhaseId::Apply, parallel, work, |(shard, queue)| {
+                    shard.apply_events(binned, queue, min_records, lsh_geom.as_ref())
                 });
+        queues.iter_mut().for_each(Vec::clear);
         *queued = 0;
 
         let mut activations: Vec<(Side, EntityId)> = Vec::new();

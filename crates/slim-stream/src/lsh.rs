@@ -20,6 +20,19 @@
 //!   [`slim_lsh::BucketIndex`] (see the engine for the partition
 //!   upsert/handoff protocol).
 //!
+//! ## Counts and the dominating cell
+//!
+//! A ring keeps one count per `(span, cell, window)`, in key order, so
+//! one cell's tally in a slot is one contiguous key range and the slot
+//! itself is the range of its owning span. [`ShardRings::add`] only
+//! increments counts, and under increments the dominating cell can only
+//! move to a cell that was incremented: it compares the tallies of the
+//! record's cells with the slot's current dominating cell and touches
+//! nothing else. Expiry and a slot's rollover to a newer span remove
+//! counts; [`ShardRings::evict`] then re-derives the slot in one pass
+//! over the span's keys. Ties go to the smaller cell id, as in the batch
+//! signature.
+//!
 //! ## Cached band buckets
 //!
 //! Beside its signature each ring keeps the signature's **per-band
@@ -36,9 +49,10 @@
 //! [`ShardRings::restore`] rebuilds it from the restored signature.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use geocell::CellId;
+use slim_core::fasthash::FastMap;
 use slim_core::{EntityId, WindowIdx};
 use slim_lsh::{band_bucket_of, bands_for_threshold, IndexSide};
 
@@ -79,15 +93,22 @@ impl LshGeometry {
     }
 
     pub(crate) fn slot_of(&self, w: WindowIdx) -> usize {
-        (w / self.step_windows) as usize % self.spans
+        self.span_of(w) as usize % self.spans
     }
 
-    /// The windows of span `span`, as `from..to` (a saturated `to`
-    /// still covers them: no window is above `WindowScheme::LAST_WINDOW`).
-    fn windows_of(&self, span: u32) -> (WindowIdx, WindowIdx) {
-        let from = span.saturating_mul(self.step_windows);
-        (from, from.saturating_add(self.step_windows))
+    /// The span (epoch) window `w` belongs to.
+    pub(crate) fn span_of(&self, w: WindowIdx) -> u32 {
+        w / self.step_windows
     }
+}
+
+/// A ring count's key: `(span, cell, window)`.
+pub(crate) type RingKey = (u32, CellId, WindowIdx);
+
+/// The smallest key of span `span`: raw id 1, face 0's first leaf, is
+/// the smallest valid cell id.
+fn first_key(span: u32) -> RingKey {
+    (span, CellId::from_u64(1), 0)
 }
 
 /// Per-entity ring state: raw counts plus the current signature derived
@@ -95,16 +116,21 @@ impl LshGeometry {
 /// which serializes a ring as it stands.
 #[derive(Debug, Clone)]
 pub(crate) struct SpanRing {
-    /// `(window, cell)` → record count, for every slot at once: a slot's
-    /// counts are the keys of the windows of the span that owns it, one
-    /// key range. Keeping the window in the key lets expiry remove
-    /// exactly one window's contribution.
-    pub(crate) counts: BTreeMap<(WindowIdx, CellId), u32>,
+    /// `(span, cell, window)` → record count, for every slot at once: a
+    /// slot's counts are the key range of the span that owns it, and
+    /// within it one cell's counts are one range. Keeping the window in
+    /// the key lets expiry remove exactly one window's contribution.
+    /// The checkpoint writes them in `(window, cell)` order and a
+    /// decoded ring holds them keyed as one-window spans (`span =
+    /// window`) until [`ShardRings::restore`] re-keys them.
+    pub(crate) counts: BTreeMap<RingKey, u32>,
     /// Which span (epoch `w / step`) currently owns each slot. Slots
     /// alias every `spans` spans; when a newer span claims a slot its
     /// stale content is cleared, so a slot never blends distant epochs
     /// (and per-slot memory stays bounded) even without window expiry.
     pub(crate) owners: Vec<Option<u32>>,
+    /// Per slot: the dominating cell of the owning span's counts (`None`
+    /// = the slot holds no counts).
     pub(crate) sig: Vec<Option<CellId>>,
     /// Per band: the bucket `sig`'s band hashes to (`None` = the band
     /// is all placeholders). Derived from `sig` — see the module docs;
@@ -113,10 +139,11 @@ pub(crate) struct SpanRing {
     pub(crate) buckets: Vec<Option<u64>>,
 }
 
-/// The smallest key of window `w`: raw id 1, face 0's first leaf, is
-/// the smallest valid cell id.
-fn first_key(w: WindowIdx) -> (WindowIdx, CellId) {
-    (w, CellId::from_u64(1))
+/// Whether `cell`, with `tally` records, dominates `best` (`(cell,
+/// tally)` of the dominating cell so far): a higher tally, or an equal
+/// one and a smaller cell id — the batch signature's tie-break.
+fn dominates(cell: CellId, tally: u32, best: Option<(CellId, u32)>) -> bool {
+    best.is_none_or(|(d, most)| tally > most || (tally == most && cell < d))
 }
 
 impl SpanRing {
@@ -129,64 +156,77 @@ impl SpanRing {
         }
     }
 
-    /// Drops the counts of windows `from..to`; `true` if there were any.
-    fn drop_windows(&mut self, from: WindowIdx, to: WindowIdx) -> bool {
-        let mut dropped = false;
-        while let Some((&key, _)) = self.counts.range(first_key(from)..first_key(to)).next() {
+    /// The counts of span `span`, in `(cell, window)` order.
+    fn span_counts(&self, span: u32) -> impl Iterator<Item = (&RingKey, &u32)> {
+        let keys = self.counts.range(first_key(span)..);
+        keys.take_while(move |(&(s, ..), _)| s == span)
+    }
+
+    /// Cell `cell`'s records in span `span`: one key range.
+    fn tally(&self, span: u32, cell: CellId) -> u32 {
+        let keys = self
+            .counts
+            .range((span, cell, 0)..=(span, cell, WindowIdx::MAX));
+        keys.map(|(_, &n)| n).sum()
+    }
+
+    /// Drops every count of window `w` of span `span`; `true` if there
+    /// were any. One pass over the span's keys: each search resumes at
+    /// the key it removed.
+    fn drop_window(&mut self, span: u32, w: WindowIdx) -> bool {
+        let (mut from, mut dropped) = (first_key(span), false);
+        while let Some(key) = self
+            .counts
+            .range(from..)
+            .map(|(&k, _)| k)
+            .take_while(|k| k.0 == span)
+            .find(|k| k.2 == w)
+        {
             self.counts.remove(&key);
-            dropped = true;
+            (from, dropped) = (key, true);
         }
         dropped
     }
 
-    /// Re-derives the dominating cell of `slot`, owned by `span`, and
-    /// stores it; `true` if it changed.
-    fn rederive(
-        &mut self,
-        geom: &LshGeometry,
-        slot: usize,
-        span: u32,
-        scratch: &mut Vec<(CellId, u32)>,
-    ) -> bool {
-        let (from, to) = geom.windows_of(span);
-        let dom = dominating(self.counts.range(first_key(from)..first_key(to)), scratch);
+    /// Drops every count of span `span` (a slot's rollover).
+    fn drop_span(&mut self, span: u32) {
+        loop {
+            let Some((&key, _)) = self.span_counts(span).next() else {
+                return;
+            };
+            self.counts.remove(&key);
+        }
+    }
+
+    /// The dominating cell of span `span`'s counts, in one pass over
+    /// them, a cell's range at a time.
+    fn dominating(&self, span: u32) -> Option<CellId> {
+        let mut best = None;
+        let mut keys = self.span_counts(span).peekable();
+        while let Some((&(_, cell, _), &n)) = keys.next() {
+            let mut tally = n;
+            while let Some((_, &more)) = keys.next_if(|(&(_, c, _), _)| c == cell) {
+                tally += more;
+            }
+            if dominates(cell, tally, best) {
+                best = Some((cell, tally));
+            }
+        }
+        best.map(|(cell, _)| cell)
+    }
+
+    /// Stores a slot's dominating cell and, when it changed, re-hashes
+    /// the band the slot belongs to — the one place a signature slot is
+    /// written. `true` if it changed.
+    fn store(&mut self, geom: &LshGeometry, slot: usize, dom: Option<CellId>) -> bool {
         if dom == self.sig[slot] {
             return false;
         }
-        self.set_slot(geom, slot, dom);
-        true
-    }
-
-    /// Stores a slot's new dominating cell and re-hashes the band the
-    /// slot belongs to — the one place a signature slot is written.
-    fn set_slot(&mut self, geom: &LshGeometry, slot: usize, dom: Option<CellId>) {
         self.sig[slot] = dom;
         let band = slot / geom.rows;
         self.buckets[band] = band_bucket_of(&self.sig, band, geom.rows, geom.num_buckets);
+        true
     }
-}
-
-/// The dominating cell of one slot's counts (mirroring the batch
-/// tie-break: highest count, then smallest cell id). The keys are
-/// `(window, cell)`-sorted, so one cell's counts are scattered across
-/// windows; they are summed per cell in `scratch` — the shard's reused
-/// buffer, so the recount allocates nothing. Slots hold a handful of
-/// cells, so a linear aggregate beats a hash map here.
-fn dominating<'a>(
-    slot: impl Iterator<Item = (&'a (WindowIdx, CellId), &'a u32)>,
-    scratch: &mut Vec<(CellId, u32)>,
-) -> Option<CellId> {
-    scratch.clear();
-    for (&(_, cell), &n) in slot {
-        match scratch.iter_mut().find(|(c, _)| *c == cell) {
-            Some((_, count)) => *count += n,
-            None => scratch.push((cell, n)),
-        }
-    }
-    scratch
-        .iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-        .map(|&(c, _)| c)
 }
 
 /// One shard's ring state: the rings of every `(side, entity)` homed on
@@ -195,9 +235,9 @@ fn dominating<'a>(
 /// changed-signature flags.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardRings {
-    rings: HashMap<(Side, EntityId), SpanRing>,
-    /// Per-cell count scratch of [`dominating`], reused across calls.
-    scratch: Vec<(CellId, u32)>,
+    /// Keyed under [`slim_core::fasthash`]: every ingested event probes
+    /// it.
+    rings: FastMap<(Side, EntityId), SpanRing>,
 }
 
 impl ShardRings {
@@ -211,6 +251,10 @@ impl ShardRings {
     /// events older than the slot's current epoch are ignored — the ring
     /// is a recency signature by construction, with or without
     /// sliding-window expiry.
+    ///
+    /// The counts only grow here (a claimed slot starts empty), so the
+    /// new dominating cell is the old one or one of `cells`: their
+    /// tallies are the only ones read.
     pub(crate) fn add(
         &mut self,
         geom: &LshGeometry,
@@ -220,25 +264,32 @@ impl ShardRings {
         cells: &[CellId],
     ) -> bool {
         let slot = geom.slot_of(w);
-        let span = w / geom.step_windows;
+        let span = geom.span_of(w);
         let ring = self
             .rings
             .entry((side, entity))
             .or_insert_with(|| SpanRing::new(geom));
-        match ring.owners[slot] {
+        let prior = match ring.owners[slot] {
             Some(owner) if owner > span => return false, // pre-ring straggler
-            Some(owner) if owner < span => {
-                let (from, to) = geom.windows_of(owner);
-                ring.drop_windows(from, to);
-                ring.owners[slot] = Some(span);
+            Some(owner) if owner == span => ring.sig[slot],
+            Some(owner) => {
+                ring.drop_span(owner);
+                None
             }
-            Some(_) => {}
-            None => ring.owners[slot] = Some(span),
-        }
+            None => None,
+        };
+        ring.owners[slot] = Some(span);
         for &c in cells {
-            *ring.counts.entry((w, c)).or_insert(0) += 1;
+            *ring.counts.entry((span, c, w)).or_insert(0) += 1;
         }
-        ring.rederive(geom, slot, span, &mut self.scratch)
+        let mut best = prior.map(|d| (d, ring.tally(span, d)));
+        for &c in cells {
+            let tally = ring.tally(span, c);
+            if dominates(c, tally, best) {
+                best = Some((c, tally));
+            }
+        }
+        ring.store(geom, slot, best.map(|(c, _)| c))
     }
 
     /// Expires window `w` for `(side, entity)`: removes its counts from
@@ -257,15 +308,16 @@ impl ShardRings {
             return false;
         };
         // Counts of `w` exist only under the span that owns its slot.
-        if !ring.drop_windows(w, w.saturating_add(1)) {
+        let span = geom.span_of(w);
+        if !ring.drop_window(span, w) {
             return false;
         }
         if ring.counts.is_empty() {
             self.rings.remove(&(side, entity));
             return true;
         }
-        let span = w / geom.step_windows;
-        ring.rederive(geom, geom.slot_of(w), span, &mut self.scratch)
+        let dom = ring.dominating(span);
+        ring.store(geom, geom.slot_of(w), dom)
     }
 
     /// The per-band bucket ids of the entity's current signature, read
@@ -301,12 +353,13 @@ impl ShardRings {
     }
 
     /// Restores one ring from a [`ShardRings::export`] dump — the
-    /// recovery inverse. The band-bucket cache does not travel in the
-    /// dump and is rebuilt here from the restored signature, so the
-    /// ring answers `buckets` and every subsequent `add`/`evict`
-    /// exactly like the checkpointed one. A ring with a column of any
-    /// length but `spans` is an error: hashing or filling it would index
-    /// past its end.
+    /// recovery inverse. The counts are keyed under the geometry's spans
+    /// (a decoded ring holds them by window), and the band-bucket cache,
+    /// which does not travel in the dump, is rebuilt from the restored
+    /// signature, so the ring answers `buckets` and every subsequent
+    /// `add`/`evict` exactly like the checkpointed one. A ring with a
+    /// column of any length but `spans` is an error: hashing or filling
+    /// it would index past its end.
     pub(crate) fn restore(&mut self, geom: &LshGeometry, dump: RingDump<'_>) -> Result<(), String> {
         let r = &dump.ring;
         let lens = [r.owners.len(), r.sig.len()];
@@ -317,6 +370,10 @@ impl ShardRings {
             ));
         }
         let mut ring = dump.ring.into_owned();
+        ring.counts = std::mem::take(&mut ring.counts)
+            .into_iter()
+            .map(|((_, cell, w), n)| ((geom.span_of(w), cell, w), n))
+            .collect();
         ring.buckets = (0..geom.bands)
             .map(|band| band_bucket_of(&ring.sig, band, geom.rows, geom.num_buckets))
             .collect();
@@ -488,17 +545,46 @@ mod tests {
         }
     }
 
+    /// A ring as plain maps: per slot, its owning span and the
+    /// `(window, cell)` counts it holds.
+    type ModelRing = BTreeMap<usize, (u32, BTreeMap<(WindowIdx, CellId), u32>)>;
+
+    /// The model's signature: per slot, the cell with the highest total
+    /// over the slot's counts, ties to the smallest id.
+    fn model_signature(g: &LshGeometry, ring: &ModelRing) -> Vec<Option<CellId>> {
+        (0..g.spans)
+            .map(|slot| {
+                let mut totals: BTreeMap<CellId, u32> = BTreeMap::new();
+                for (&(_, cell), &n) in ring.get(&slot).map(|(_, c)| c).into_iter().flatten() {
+                    *totals.entry(cell).or_insert(0) += n;
+                }
+                let most = totals.values().copied().max()?;
+                totals.into_iter().find(|&(_, n)| n == most).map(|(c, _)| c)
+            })
+            .collect()
+    }
+
     /// After every step of a random `add` / `evict` / `restore`
-    /// sequence, every ring's cached band buckets are exactly
-    /// `signature_buckets` of its signature — over geometries whose
-    /// last band is full, short (`spans` not a multiple of `rows`) and
-    /// a single row.
+    /// sequence, every ring's signature is the dominating cells of a
+    /// `BTreeMap` model of the ring (the counts a slot's owning span
+    /// holds, summed per cell by a plain aggregate), and its cached band
+    /// buckets are exactly `signature_buckets` of that signature — over
+    /// geometries whose last band is full, short (`spans` not a multiple
+    /// of `rows`) and a single row.
     #[test]
     fn cached_buckets_track_the_signature() {
-        let check = |g: &LshGeometry, rings: &ShardRings, what: &str| {
+        type Model = BTreeMap<(Side, u64), ModelRing>;
+        let check = |g: &LshGeometry, rings: &ShardRings, model: &Model, what: &str| {
             for side in [Side::Left, Side::Right] {
                 for e in 0..4 {
-                    let from_sig = rings.signature(side, EntityId(e)).map(|sig| {
+                    let sig = rings.signature(side, EntityId(e));
+                    let want = model.get(&(side, e)).map(|ring| model_signature(g, ring));
+                    assert_eq!(
+                        sig.as_ref().map(|s| &s.cells),
+                        want.as_ref(),
+                        "{what}: {side:?} entity {e}"
+                    );
+                    let from_sig = sig.map(|sig| {
                         slim_lsh::signature_buckets(&sig, g.bands, g.rows, g.num_buckets)
                     });
                     let cached = rings.buckets(side, EntityId(e)).map(<[_]>::to_vec);
@@ -513,23 +599,32 @@ mod tests {
             x ^= x << 17;
             (x >> 33) % n
         };
+        let (mut ties, mut rollovers) = (0, 0);
         for (spans, step) in [(8usize, 2u32), (7, 1), (28, 3), (3, 4)] {
             let g = geom(spans, step);
             let horizon = spans as u64 * step as u64 * 3;
             let mut rings = ShardRings::default();
+            let mut model = Model::new();
             for i in 0..2500 {
                 let side = [Side::Left, Side::Right][next(2) as usize];
                 let entity = EntityId(next(4));
                 let w = next(horizon) as WindowIdx;
+                let (slot, span) = (g.slot_of(w), g.span_of(w));
                 let what = match next(16) {
                     // A checkpoint round trip: the cache does not travel
-                    // (the codec decodes it empty) and must come back.
+                    // (the codec decodes it empty), the counts come back
+                    // keyed by window, and both must be rebuilt.
                     1 => {
                         let dumps: Vec<RingDump<'static>> = rings
                             .export()
                             .map(|d| {
                                 let mut ring = d.ring.into_owned();
                                 ring.buckets = Vec::new();
+                                ring.counts = ring
+                                    .counts
+                                    .into_iter()
+                                    .map(|((_, c, w), n)| ((w, c, w), n))
+                                    .collect();
                                 RingDump {
                                     side: d.side,
                                     entity: d.entity,
@@ -545,17 +640,57 @@ mod tests {
                     }
                     0 | 2..=5 => {
                         rings.evict(&g, side, entity, w);
+                        if let Some(ring) = model.get_mut(&(side, entity.0)) {
+                            let dropped = ring.get_mut(&slot).is_some_and(|(_, counts)| {
+                                let before = counts.len();
+                                counts.retain(|&(win, _), _| win != w);
+                                counts.len() < before
+                            });
+                            if dropped && ring.values().all(|(_, c)| c.is_empty()) {
+                                model.remove(&(side, entity.0));
+                            }
+                        }
                         "evict"
                     }
                     _ => {
-                        let cells: Vec<CellId> =
+                        let mut cells: Vec<CellId> =
                             (0..next(3)).map(|_| cell(next(4) as f64)).collect();
+                        cells.sort_unstable();
+                        cells.dedup();
                         rings.add(&g, side, entity, w, &cells);
+                        let ring = model.entry((side, entity.0)).or_default();
+                        let (owner, counts) = ring.entry(slot).or_insert((span, BTreeMap::new()));
+                        if *owner < span {
+                            rollovers += usize::from(!counts.is_empty());
+                            (*owner, *counts) = (span, BTreeMap::new());
+                        }
+                        if *owner == span {
+                            for &c in &cells {
+                                *counts.entry((w, c)).or_insert(0) += 1;
+                            }
+                        }
+                        let mut totals: BTreeMap<CellId, u32> = BTreeMap::new();
+                        for (&(_, c), &n) in counts.iter() {
+                            *totals.entry(c).or_insert(0) += n;
+                        }
+                        let mut n: Vec<u32> = totals.into_values().collect();
+                        n.sort_unstable();
+                        ties += usize::from(n.len() > 1 && n[n.len() - 1] == n[n.len() - 2]);
                         "add"
                     }
                 };
-                check(&g, &rings, &format!("spans {spans}, step {i} ({what})"));
+                check(
+                    &g,
+                    &rings,
+                    &model,
+                    &format!("spans {spans}, step {i} ({what})"),
+                );
             }
         }
+        // The sequences reached tied slots and slots rolled over.
+        assert!(
+            ties > 100 && rollovers > 100,
+            "{ties} ties, {rollovers} rollovers"
+        );
     }
 }

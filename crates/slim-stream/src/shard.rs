@@ -30,57 +30,146 @@
 //! rescore chunks — each owning a disjoint slot range — score and patch
 //! them in place, handing the table only their [`SlotChanges`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use geocell::CellId;
 use slim_core::arena::{EntityView, HistoryArena};
 use slim_core::df::DfDelta;
-use slim_core::history::record_cells;
+use slim_core::fasthash::{FastMap, FastSet};
+use slim_core::history::visit_record_cells;
 use slim_core::{EntityId, WindowIdx, WindowScheme};
 
 use crate::adjacency::{PairKey, PairTable, SlotChanges, SlotId};
 use crate::event::{Side, StreamEvent};
 use crate::lsh::{LshGeometry, ShardRings};
 
-/// An event with its temporal/spatial binning done — the unit of work
-/// the sharded ingest path precomputes on worker threads.
-#[derive(Debug, Clone)]
-pub(crate) struct BinnedEvent {
+/// One event with its temporal/spatial binning done, borrowed from
+/// the columns of a [`BinnedColumns`] chunk (or, on recovery, from a
+/// version-1 checkpoint's min-records buffer).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BinnedEvent<'a> {
     pub(crate) side: Side,
     pub(crate) entity: EntityId,
     pub(crate) w: WindowIdx,
     /// `record_cells` output at the similarity spatial level.
-    pub(crate) cells: Vec<CellId>,
+    pub(crate) cells: &'a [CellId],
     /// `record_cells` output at the LSH spatial level (empty when LSH
     /// is disabled).
-    pub(crate) lsh_cells: Vec<CellId>,
+    pub(crate) lsh_cells: &'a [CellId],
 }
 
-/// Bins one event: the trigonometry-heavy part of ingestion, safe to
-/// run on any worker thread.
-pub(crate) fn bin_event(
-    ev: &StreamEvent,
-    scheme: &WindowScheme,
-    level: u8,
-    lsh_level: Option<u8>,
-) -> BinnedEvent {
-    let record = ev.to_record();
-    // Point records at a finer LSH level share the geometry work:
-    // one fine lookup, coarsened exactly via the cell hierarchy.
-    let (cells, lsh_cells) = match lsh_level {
-        Some(l) if l >= level && !record.is_region() => {
-            let fine = geocell::CellId::from_latlng(record.location, l);
-            (vec![fine.parent(level)], vec![fine])
+/// A run of binned events as columns: `side`, `entity` and window per
+/// event, and per level (similarity, LSH) every event's cells back to
+/// back with the offset each event's cells end at. Cleared and refilled
+/// in place, so binning allocates only when a chunk outgrows every
+/// earlier one.
+#[derive(Debug, Default)]
+pub(crate) struct BinnedColumns {
+    side: Vec<Side>,
+    entity: Vec<EntityId>,
+    w: Vec<WindowIdx>,
+    cells: [Vec<CellId>; 2],
+    ends: [Vec<u32>; 2],
+}
+
+impl BinnedColumns {
+    fn clear(&mut self) {
+        self.side.clear();
+        self.entity.clear();
+        self.w.clear();
+        self.cells.iter_mut().for_each(Vec::clear);
+        self.ends.iter_mut().for_each(Vec::clear);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.side.len()
+    }
+
+    /// Bins one event onto the columns: the trigonometry-heavy part of
+    /// ingestion, safe to run on any worker thread.
+    pub(crate) fn push(
+        &mut self,
+        ev: &StreamEvent,
+        scheme: &WindowScheme,
+        level: u8,
+        lsh_level: Option<u8>,
+    ) {
+        let record = ev.to_record();
+        let [cells, lsh_cells] = &mut self.cells;
+        match lsh_level {
+            // Point records at a finer LSH level share the geometry
+            // work: one fine lookup, coarsened exactly via the cell
+            // hierarchy.
+            Some(l) if l >= level && !record.is_region() => {
+                let fine = CellId::from_latlng(record.location, l);
+                cells.push(fine.parent(level));
+                lsh_cells.push(fine);
+            }
+            Some(l) => {
+                visit_record_cells(&record, level, |c| cells.push(c));
+                visit_record_cells(&record, l, |c| lsh_cells.push(c));
+            }
+            None => visit_record_cells(&record, level, |c| cells.push(c)),
         }
-        Some(l) => (record_cells(&record, level), record_cells(&record, l)),
-        None => (record_cells(&record, level), Vec::new()),
-    };
-    BinnedEvent {
-        side: ev.side,
-        entity: ev.entity,
-        w: scheme.window_of(ev.time),
-        cells,
-        lsh_cells,
+        for (ends, cells) in self.ends.iter_mut().zip(&self.cells) {
+            ends.push(cells.len() as u32);
+        }
+        self.side.push(ev.side);
+        self.entity.push(ev.entity);
+        self.w.push(scheme.window_of(ev.time));
+    }
+
+    /// The `i`-th event.
+    pub(crate) fn get(&self, i: usize) -> BinnedEvent<'_> {
+        let cells = |level: usize| {
+            let from = i.checked_sub(1).map_or(0, |j| self.ends[level][j]);
+            &self.cells[level][from as usize..self.ends[level][i] as usize]
+        };
+        BinnedEvent {
+            side: self.side[i],
+            entity: self.entity[i],
+            w: self.w[i],
+            cells: cells(0),
+            lsh_cells: cells(1),
+        }
+    }
+}
+
+/// One ingest batch, binned: fixed-size [`BinnedColumns`] chunks, each
+/// filled by one binning job, with an event addressed by its position
+/// in the batch. The engine keeps one and refills it for every batch.
+#[derive(Debug, Default)]
+pub(crate) struct BinnedBatch {
+    chunks: Vec<BinnedColumns>,
+    len: usize,
+}
+
+impl BinnedBatch {
+    /// Events per chunk. Fixed (never derived from the worker count) so
+    /// the chunks, and the positions the control scan queues, are
+    /// identical for every worker count.
+    pub(crate) const CHUNK: usize = 512;
+
+    /// Empties the batch for `n` events and lends one cleared chunk per
+    /// [`BinnedBatch::CHUNK`] of them, to bin in order.
+    pub(crate) fn reset(&mut self, n: usize) -> &mut [BinnedColumns] {
+        let k = n.div_ceil(Self::CHUNK);
+        if self.chunks.len() < k {
+            self.chunks.resize_with(k, BinnedColumns::default);
+        }
+        self.len = n;
+        let chunks = &mut self.chunks[..k];
+        chunks.iter_mut().for_each(BinnedColumns::clear);
+        chunks
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The event at position `at` of the batch.
+    pub(crate) fn get(&self, at: usize) -> BinnedEvent<'_> {
+        self.chunks[at / Self::CHUNK].get(at % Self::CHUNK)
     }
 }
 
@@ -326,17 +415,17 @@ pub(crate) struct EngineShard {
     /// Entities past the min-records filter: the bit that says whether
     /// an entity's bins count. Only active entities feed df statistics,
     /// dirty marks, the domain and the bucket partitions.
-    pub(crate) active: [HashSet<EntityId>; 2],
+    pub(crate) active: [FastSet<EntityId>; 2],
     /// This shard's slice of the per-side mobility histories: every
     /// homed entity's live bins, active or parked below the min-records
     /// filter (like the batch pipeline's sparse-entity filter, a parked
     /// entity is counted, not linked).
     pub(crate) histories: [HistoryArena; 2],
     /// Windows touched per active homed entity since the last tick.
-    pub(crate) dirty: [HashMap<EntityId, BTreeSet<WindowIdx>>; 2],
+    pub(crate) dirty: [FastMap<EntityId, BTreeSet<WindowIdx>>; 2],
     /// Homed entities demoted (or expired away entirely) since the last
     /// tick; their pairs are dropped at the next tick.
-    pub(crate) dead: [HashSet<EntityId>; 2],
+    pub(crate) dead: [FastSet<EntityId>; 2],
     /// Which homed entities, active or parked, have bins in which
     /// window — drives expiry.
     pub(crate) window_entities: BTreeMap<WindowIdx, [BTreeSet<EntityId>; 2]>,
@@ -361,23 +450,26 @@ pub(crate) struct EngineShard {
 }
 
 impl EngineShard {
-    /// Applies this shard's slice of one ingest segment, in stream
-    /// order, describing all cross-shard effects. Every event lands in
-    /// its entity's bins and ring; only an active entity's event counts
-    /// beyond them, and a parked entity whose live records pass
-    /// `min_records` activates.
+    /// Applies this shard's slice of one ingest segment — the events at
+    /// positions `queue` of `binned`, in stream order — describing all
+    /// cross-shard effects. Every event lands in its entity's bins and
+    /// ring; only an active entity's event counts beyond them, and a
+    /// parked entity whose live records pass `min_records` activates.
     pub(crate) fn apply_events(
         &mut self,
-        events: Vec<BinnedEvent>,
+        binned: &BinnedBatch,
+        queue: &[usize],
         min_records: usize,
         lsh: Option<&LshGeometry>,
     ) -> IngestEffects {
         let mut fx = IngestEffects::default();
-        for b in events {
+        let mut new_bins = Vec::new();
+        for &at in queue {
+            let b = binned.get(at);
             let (side, entity, w, i) = (b.side, b.entity, b.w, b.side.idx());
-            let (new_bins, sig_changed) = self.store(&b, lsh);
+            let sig_changed = self.store(b, lsh, &mut new_bins);
             if self.active[i].contains(&entity) {
-                for c in new_bins {
+                for &c in &new_bins {
                     fx.df[i].add_bin(w, c);
                 }
                 fx.domain = fx.domain.max(w.saturating_add(1));
@@ -395,20 +487,19 @@ impl EngineShard {
 
     /// Appends one event to its entity's bins, window membership and
     /// ring, whether or not the entity is active — also the path that
-    /// folds a version-1 checkpoint's min-records buffers in. Returns
-    /// the cells that opened new bins and whether the ring's signature
-    /// changed.
+    /// folds a version-1 checkpoint's min-records buffers in. Leaves the
+    /// cells that opened new bins in `new_bins` and returns whether the
+    /// ring's signature changed.
     pub(crate) fn store(
         &mut self,
-        b: &BinnedEvent,
+        b: BinnedEvent<'_>,
         lsh: Option<&LshGeometry>,
-    ) -> (Vec<CellId>, bool) {
+        new_bins: &mut Vec<CellId>,
+    ) -> bool {
         let i = b.side.idx();
-        let (new_bins, _) = self.histories[i].append(b.entity, b.w, &b.cells);
+        self.histories[i].append(b.entity, b.w, b.cells, new_bins);
         self.window_entities.entry(b.w).or_default()[i].insert(b.entity);
-        let sig_changed =
-            lsh.is_some_and(|geom| self.rings.add(geom, b.side, b.entity, b.w, &b.lsh_cells));
-        (new_bins, sig_changed)
+        lsh.is_some_and(|geom| self.rings.add(geom, b.side, b.entity, b.w, b.lsh_cells))
     }
 
     /// Moves a parked entity past the min-records filter: its bins start
@@ -616,6 +707,7 @@ impl EngineShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// A seeded xorshift generator: `next(n)` draws from `0..n`.
     fn xorshift(mut x: u64) -> impl FnMut(u64) -> u64 {

@@ -67,7 +67,7 @@ pub enum ConnMessage {
 /// `tx` (cloning the sender per producer), and returns when every
 /// producer is done. Dropping the last sender clone is the tier's EOF.
 ///
-/// Implemented by [`TcpIngestTier`] (real sockets), [`SingleSource`]
+/// Implemented by [`TcpIngestTier`] (real sockets), `SingleSource`
 /// (one pulled source) and [`crate::testing::ScriptedConnections`]
 /// (deterministic replay).
 pub trait FanIn {

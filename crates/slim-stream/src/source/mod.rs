@@ -7,8 +7,8 @@
 //! backpressure is explicit (`blocked_producer_ns`,
 //! `queue_high_watermark`); the pump (`pump.rs`) merges the
 //! per-connection watermarks into the global minimum
-//! ([`ConnectionFrontier`], [`frontier`]), which decides lateness and
-//! governs release from the **reorder buffer** ([`reorder`]), and fires
+//! ([`ConnectionFrontier`], `frontier`), which decides lateness and
+//! governs release from the **reorder buffer** (`reorder`), and fires
 //! refresh ticks according to a [`TickPolicy`]:
 //!
 //! ```text
@@ -23,7 +23,7 @@
 //! A connection is a [`StreamSource`] (a replay of merged datasets or a
 //! synthetic workload through [`SyntheticSource`], a live TCP feed, a
 //! script) polled by the one producer loop in
-//! [`listener`]. [`crate::StreamEngine::drive`] takes a single source
+//! `listener`. [`crate::StreamEngine::drive`] takes a single source
 //! and runs it as the tier with one connection;
 //! [`crate::StreamEngine::drive_fan_in`] takes a whole tier, such as a
 //! [`TcpIngestTier`] accept loop serving many concurrent clients. Same

@@ -4,7 +4,7 @@
 //! Two recording sites exist. Worker-side spans (binning, applying,
 //! expiry, LSH upserts, rescoring, finalize clones — everything the
 //! pool dispatches) are recorded *per worker* inside
-//! [`crate::pool::WorkerPool`] and merged in worker-id order when read,
+//! `WorkerPool` and merged in worker-id order when read,
 //! so recording never synchronizes workers with each other. A phase too
 //! small to dispatch runs inline on the engine thread; its time collects
 //! in the pool and is booked as one span per phase at each tick barrier
@@ -29,7 +29,7 @@ use slim_telemetry::{Histogram, Snapshot, SnapshotSink};
 use crate::source::{Clock, WallClock};
 
 /// Identity of a pool-dispatched engine phase — the tag every
-/// [`crate::pool::WorkerPool`] submission carries so per-chunk spans
+/// `WorkerPool` submission carries so per-chunk spans
 /// land in the right histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseId {

@@ -27,7 +27,7 @@ use crate::engine::{LinkUpdate, StreamEngine};
 use crate::event::{Side, StreamEvent};
 use crate::lsh::{LshGeometry, RingDump, ShardRings, SpanRing};
 use crate::shard::{
-    bin_event, entity_shard, mark_violation, CachedPair, Contribution, EngineShard, PairWindows,
+    entity_shard, mark_violation, BinnedColumns, CachedPair, Contribution, EngineShard, PairWindows,
 };
 use crate::source::channel::Sender;
 use crate::source::{Clock, ConnMessage, FanIn, SourcePoll, StreamSource};
@@ -588,9 +588,14 @@ impl RecomputeOracle {
     }
 }
 
-/// Holds one side's rings, parked and active, to rings replayed
-/// from the live events in stream order, and the bucket partitions
-/// to exactly the active entities, each under its ring's buckets.
+/// Holds one side's rings, parked and active, to the counts and slot
+/// owners of rings replayed from the live events in stream order; each
+/// ring's signature to the dominating cells of its own counts, summed
+/// per cell by a plain aggregate, and its band buckets to the hashes of
+/// that signature; and the bucket partitions to exactly the active
+/// entities, each under its ring's buckets. The signature is never
+/// taken from the replay: a replay runs the same incremental rule as
+/// the engine, so it would repeat a wrong one rather than catch it.
 /// Returns how many rings it checked.
 fn check_rings<'e>(
     engine: &StreamEngine,
@@ -602,21 +607,30 @@ fn check_rings<'e>(
     };
     let (shards, ..) = engine.windowed_state();
     let (scheme, cfg) = (engine.scheme().expect("checked"), engine.config());
-    let mut replayed = ShardRings::default();
+    let mut binned = BinnedColumns::default();
     for ev in live {
-        let b = bin_event(ev, scheme, cfg.slim.spatial_level, Some(geom.spatial_level));
-        replayed.add(geom, side, b.entity, b.w, &b.lsh_cells);
+        binned.push(ev, scheme, cfg.slim.spatial_level, Some(geom.spatial_level));
+    }
+    let mut replayed = ShardRings::default();
+    for i in 0..binned.len() {
+        let b = binned.get(i);
+        replayed.add(geom, side, b.entity, b.w, b.lsh_cells);
     }
     let want: BTreeMap<EntityId, RingDump> = rings_of(&replayed, side).collect();
     let have: BTreeMap<EntityId, RingDump> = shards
         .iter()
         .flat_map(|s| rings_of(&s.rings, side))
         .collect();
-    let replays = |(e, d): (&EntityId, &RingDump)| same_ring(geom, &d.ring, &want[e].ring);
+    let replays = |(e, d): (&EntityId, &RingDump)| same_counts(geom, &d.ring, &want[e].ring);
     if !have.keys().eq(want.keys()) || !have.iter().all(replays) {
         return Err(format!(
             "{side:?} rings {have:?}, replayed from the live events {want:?}"
         ));
+    }
+    for (e, d) in &have {
+        if let Some(why) = signature_violation(geom, &d.ring) {
+            return Err(format!("{side:?} {e:?}: {why}"));
+        }
     }
     // Each partition against one fed only the active entities' rings.
     let placed = |index: &BucketIndex| -> BTreeMap<EntityId, Vec<Option<u64>>> {
@@ -660,15 +674,58 @@ fn rings_of(rings: &ShardRings, side: Side) -> impl Iterator<Item = (EntityId, R
         .map(|d| (d.entity, d))
 }
 
-/// Same counts, signature and band buckets; the same owner for every
-/// slot that holds counts. A slot whose counts all expired keeps its
-/// last owner, which only refuses events older than that owner's span —
-/// events the expiry horizon already drops — so an empty slot's owner
-/// is free.
-fn same_ring(geom: &LshGeometry, a: &SpanRing, b: &SpanRing) -> bool {
-    let mut held = a.counts.keys().map(|&(w, _)| geom.slot_of(w));
-    (&a.counts, &a.sig, &a.buckets) == (&b.counts, &b.sig, &b.buckets)
-        && held.all(|slot| a.owners[slot] == b.owners[slot])
+/// Same counts; the same owner for every slot that holds counts. A slot
+/// whose counts all expired keeps its last owner, which only refuses
+/// events older than that owner's span — events the expiry horizon
+/// already drops — so an empty slot's owner is free.
+fn same_counts(geom: &LshGeometry, a: &SpanRing, b: &SpanRing) -> bool {
+    let mut held = a.counts.keys().map(|&(_, _, w)| geom.slot_of(w));
+    a.counts == b.counts && held.all(|slot| a.owners[slot] == b.owners[slot])
+}
+
+/// Why `ring`'s signature is not the dominating cells of its counts, or
+/// its band buckets not that signature's (`None` when both hold). Each
+/// slot's cell totals are summed in a map; the slot's cell is the one
+/// with the highest total, ties to the smallest id, `None` for a slot
+/// without counts.
+fn signature_violation(geom: &LshGeometry, ring: &SpanRing) -> Option<String> {
+    let mut totals: BTreeMap<(usize, geocell::CellId), u32> = BTreeMap::new();
+    for (&(_, cell, w), &n) in &ring.counts {
+        *totals.entry((geom.slot_of(w), cell)).or_insert(0) += n;
+    }
+    let sig: Vec<Option<geocell::CellId>> = (0..geom.spans)
+        .map(|slot| {
+            let cells = totals.range((slot, geocell::CellId::from_u64(1))..);
+            let cells = cells.take_while(|(&(s, _), _)| s == slot);
+            // Cells ascend, so the first with the highest total wins.
+            let best = cells.fold(None, |best, (&(_, cell), &n)| match best {
+                Some((_, most)) if most >= n => best,
+                _ => Some((cell, n)),
+            });
+            best.map(|(cell, _)| cell)
+        })
+        .collect();
+    if ring.sig != sig {
+        return Some(format!(
+            "signature {:?}, the counts dominate as {sig:?}",
+            ring.sig
+        ));
+    }
+    let hashed = slim_lsh::signature_buckets(
+        &slim_lsh::Signature {
+            entity: EntityId(0),
+            cells: sig,
+        },
+        geom.bands,
+        geom.rows,
+        geom.num_buckets,
+    );
+    (ring.buckets != hashed).then(|| {
+        format!(
+            "band buckets {:?}, the signature hashes to {hashed:?}",
+            ring.buckets
+        )
+    })
 }
 
 /// Same windows, same bins in each.
