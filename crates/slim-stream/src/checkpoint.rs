@@ -254,11 +254,6 @@ pub(crate) struct HistoryDump<'a> {
     pub(crate) window_records: Cow<'a, [(WindowIdx, u32)]>,
 }
 
-/// Per-shard state, merged across shards into globally sorted
-/// collections (sorted by entity, pair, or `(side, entity)` key) so the
-/// dump is identical for every shard count. The sorted `Vec`s are the
-/// index; what they point at stays in the shards (`Cow::Borrowed`)
-/// unless the dump was decoded from a file (`Cow::Owned`).
 /// One binned event of a version-1 min-records buffer, as that version
 /// wrote it.
 #[derive(Debug, Clone)]
@@ -283,6 +278,11 @@ impl PendingEvent {
     }
 }
 
+/// Per-shard state, merged across shards into globally sorted
+/// collections (sorted by entity, pair, or `(side, entity)` key) so the
+/// dump is identical for every shard count. The sorted `Vec`s are the
+/// index; what they point at stays in the shards (`Cow::Borrowed`)
+/// unless the dump was decoded from a file (`Cow::Owned`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardsDump<'a> {
     /// Per-side mobility histories (columnar arena contents), active
