@@ -2206,7 +2206,8 @@ mod tests {
     }
 
     /// `telemetry: false` records nothing — and (the house invariant,
-    /// property-tested end to end in `tests/telemetry_equivalence.rs`)
+    /// property-tested end to end by the telemetry axis of
+    /// `tests/equivalence.rs`)
     /// changes nothing observable.
     #[test]
     fn disabled_telemetry_records_nothing() {

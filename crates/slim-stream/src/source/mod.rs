@@ -35,9 +35,8 @@
 //! per-connection event-time disorder stays within the configured lag
 //! reaches the engine in exactly the canonical `(time, side, entity)`
 //! order a sorted replay would use, so links, update streams, and
-//! finalized output match the direct replay path bit for bit
-//! (`tests/ingest_equivalence.rs`,
-//! `tests/multi_connection_equivalence.rs`).
+//! finalized output match the direct replay path bit for bit (the
+//! source and fan-in axes of `tests/equivalence.rs`).
 
 pub mod channel;
 mod frontier;

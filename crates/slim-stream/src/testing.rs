@@ -1,6 +1,6 @@
-//! Deterministic test doubles for the ingestion front-end, shared by
-//! unit tests, the integration suites (`tests/ingest_equivalence.rs`),
-//! and the bench smoke paths.
+//! Deterministic test doubles for the ingestion front-end, the
+//! recompute oracle, and the equivalence matrix built on both — shared
+//! by unit tests and the integration suites (`tests/equivalence.rs`).
 //!
 //! The two flakiness sources a streaming harness usually drags into CI
 //! are **sleeps** (to "let the producer catch up") and the **wall
@@ -12,25 +12,46 @@
 //! [`RecomputeOracle`] is the reference the engine's incrementally
 //! maintained windowed state is held to: the batch builder, run over
 //! the events the engine was fed.
+//!
+//! [`Case::check`] is the house invariant in one place: the engine's
+//! answer is a function of the live events. It runs a [`Case`] — an
+//! event stream under one configuration — under each [`Variation`] of
+//! shards, workers, chunking, delivery (direct, a [`ScriptedSource`],
+//! or staged [`ScriptedConnections`]), tick policy, a [`FaultPlan`]
+//! kill and recovery, telemetry and concurrent epoch readers, and holds
+//! every run to the one-shard, one-worker, whole-stream reference,
+//! naming the first field that differed. Direct runs go through a
+//! [`RecomputeOracle`]; the [`OracleCoverage`] it returns says which
+//! axes the runs exercised.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Debug;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
+use geocell::LatLng;
+use slim_core::matching::heaviest_first;
 use slim_core::similarity::SimilarityScorer;
-use slim_core::{EntityId, EntityView, HistorySet, LinkageStats, LocationDataset, WindowIdx};
+use slim_core::{
+    Edge, EntityId, EntityView, HistorySet, LinkageStats, LocationDataset, Timestamp, WindowIdx,
+};
 use slim_lsh::BucketIndex;
+use slim_telemetry::VecSink;
 
 use crate::adjacency::PairKey;
-use crate::config::StreamConfig;
-use crate::engine::{LinkUpdate, StreamEngine};
+use crate::config::{StreamConfig, StreamLshConfig};
+use crate::engine::{LinkUpdate, StreamEngine, StreamStats};
 use crate::event::{Side, StreamEvent};
 use crate::lsh::{LshGeometry, RingDump, ShardRings, SpanRing};
 use crate::shard::{
     entity_shard, mark_violation, BinnedColumns, CachedPair, Contribution, EngineShard, PairWindows,
 };
+use crate::snapshot::{EpochLog, LinkSnapshot};
 use crate::source::channel::Sender;
-use crate::source::{Clock, ConnMessage, FanIn, SourcePoll, StreamSource};
+use crate::source::{
+    Clock, ConnMessage, DriveOptions, FanIn, SourcePoll, StreamSource, TickPolicy,
+};
 
 /// One step of a [`ScriptedSource`] script.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,27 +274,98 @@ impl FaultPlan {
     }
 }
 
-/// What a [`RecomputeOracle`] has seen the engine do, summed over its
-/// checks — so a suite can assert that its runs were not vacuous.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OracleCoverage {
+/// Declares [`OracleCoverage`] from one list of `name "label"` rows:
+/// the struct, its sum and its labelled rows.
+macro_rules! coverage {
+    ($($(#[$doc:meta])* $name:ident $label:literal,)*) => {
+        /// What a [`RecomputeOracle`] and the matrix runs around it have
+        /// exercised, summed over their checks — so a property can assert
+        /// that none of its axes was vacuous.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OracleCoverage {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl OracleCoverage {
+            /// Adds `other`'s counts to these.
+            pub fn add(&mut self, other: &OracleCoverage) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// Every count with its label, in declaration order.
+            pub fn rows(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($label, self.$name)),*]
+            }
+
+            /// Panics, naming them, unless every count in `labels` is
+            /// nonzero (all of them when `labels` is empty).
+            pub fn assert_exercised(&self, labels: &[&str]) {
+                let zero: Vec<&str> = self
+                    .rows()
+                    .into_iter()
+                    .filter(|&(label, n)| n == 0 && (labels.is_empty() || labels.contains(&label)))
+                    .map(|(label, _)| label)
+                    .collect();
+                assert!(zero.is_empty(), "vacuous runs, nothing of {zero:?} in {self:#?}");
+            }
+        }
+    };
+}
+
+coverage! {
     /// Pair-cache checks run (one per refresh tick).
-    pub ticks: u64,
+    ticks "oracle ticks",
     /// Entities whose history was live at one check and gone at the next.
-    pub removed_entities: u64,
+    removed_entities "entities removed",
     /// Removed entities whose history came back.
-    pub reactivated_entities: u64,
+    reactivated_entities "entities re-activated",
+    /// Entities whose bins had all expired from their arena at one check
+    /// and that held bins again at a later one.
+    revived_entities "entities revived after full expiry",
     /// Cached `(pair, window)` contributions equal to their recomputation.
-    pub fresh_contributions: u64,
+    fresh_contributions "contributions equal to recomputation",
     /// Cached contributions carried over from an earlier tick with their
     /// window's bins unchanged — the lazily refreshed ones.
-    pub carried_contributions: u64,
+    carried_contributions "contributions carried across a tick",
     /// Parked entities (below the min-records filter) whose arena bins
     /// were checked, summed over checks.
-    pub parked_entities: u64,
+    parked_entities "parked entities checked",
     /// Rings checked against a replay of their live events, summed over
     /// checks.
-    pub rings: u64,
+    rings "rings checked",
+    /// [`crate::StreamStats::evicted_windows`], summed over runs.
+    evicted_windows "windows evicted",
+    /// [`crate::StreamStats::demoted_entities`], summed over runs.
+    demoted_entities "entities demoted",
+    /// [`crate::StreamStats::late_dropped`], summed over runs.
+    late_dropped "events dropped late",
+    /// [`crate::StreamStats::arena_compactions`], summed over runs.
+    arena_compactions "arena compactions",
+    /// Runs on more than one shard.
+    sharded_runs "runs on several shards",
+    /// [`crate::StreamStats::steal_events`], summed over runs: pool
+    /// phases that were dispatched and rebalanced.
+    steal_events "chunks stolen by pool workers",
+    /// Direct runs fed one event or 37 events per call.
+    chunked_runs "direct runs in chunks of 1 or 37",
+    /// Ticks a `Watermark` policy fired from the pump.
+    policy_ticks "watermark ticks",
+    /// Periodic metrics snapshots checked against their cadence.
+    snapshots "telemetry snapshots",
+    /// Engines recovered from a killed run's checkpoint directory.
+    recoveries "recoveries",
+    /// Checkpoints recovery rejected as torn or corrupt.
+    checkpoints_rejected "checkpoints rejected",
+    /// Scripted connections that joined a fan-in drive.
+    joins "connections joined",
+    /// Those that joined after an earlier stage had left.
+    staged_joins "connections joined mid-stream",
+    /// Those that left cleanly.
+    leaves "connections left",
+    /// Those that died after their last event.
+    deaths "connections died",
+    /// Published epochs concurrent readers loaded and checked.
+    reader_loads "reader loads",
 }
 
 /// The pair caches and the rebuilt histories as of the previous tick.
@@ -289,7 +381,7 @@ struct TickState {
 /// event slice, however it was reached.
 ///
 /// Drive the engine through [`RecomputeOracle::ingest`] and
-/// [`RecomputeOracle::refresh`] only. After every chunk the oracle cuts
+/// [`RecomputeOracle::refresh`] only. After every tick the oracle cuts
 /// the live slice — every fed event whose window is at or above
 /// `watermark + 1 − window_capacity`, the engine's own expiry rule —
 /// runs it through the batch path ([`HistorySet::build`] with the
@@ -320,10 +412,13 @@ pub struct RecomputeOracle {
     /// mirrored so that chunks can end on tick boundaries.
     since_tick: usize,
     prev: Option<TickState>,
-    /// Per side: entities live at the previous check, and those that
-    /// were ever removed.
+    /// Per side: entities live at the previous check, those that were
+    /// ever removed, those stored at the previous check, and those whose
+    /// bins all expired.
     live: [BTreeSet<EntityId>; 2],
     removed: [BTreeSet<EntityId>; 2],
+    stored: [BTreeSet<EntityId>; 2],
+    expired: [BTreeSet<EntityId>; 2],
     coverage: OracleCoverage,
 }
 
@@ -340,7 +435,7 @@ impl RecomputeOracle {
 
     /// Feeds `events` through [`StreamEngine::ingest_batch`], cut so
     /// that an automatic tick can only fire on a chunk's last event, and
-    /// checks the engine after every chunk (pairs too when it ticked).
+    /// checks the engine after every chunk that ticked.
     pub fn ingest(
         &mut self,
         engine: &mut StreamEngine,
@@ -366,7 +461,9 @@ impl RecomputeOracle {
                 true => 0,
                 false => self.since_tick + (engine.stats().events - before.events) as usize,
             };
-            self.check(engine, ticked)?;
+            if ticked {
+                self.check(engine)?;
+            }
         }
         Ok(updates)
     }
@@ -375,11 +472,11 @@ impl RecomputeOracle {
     pub fn refresh(&mut self, engine: &mut StreamEngine) -> Result<Vec<LinkUpdate>, String> {
         let updates = engine.refresh();
         self.since_tick = 0;
-        self.check(engine, true)?;
+        self.check(engine)?;
         Ok(updates)
     }
 
-    fn check(&mut self, engine: &StreamEngine, ticked: bool) -> Result<(), String> {
+    fn check(&mut self, engine: &StreamEngine) -> Result<(), String> {
         if engine.scheme().is_none() {
             return Ok(());
         }
@@ -387,11 +484,8 @@ impl RecomputeOracle {
             self.check_side(engine, Side::Left)?,
             self.check_side(engine, Side::Right)?,
         ];
-        if ticked {
-            let (shards, ..) = engine.windowed_state();
-            self.check_pairs(engine.config(), shards, sets)?;
-        }
-        Ok(())
+        let (shards, ..) = engine.windowed_state();
+        self.check_pairs(engine.config(), shards, sets)
     }
 
     /// Checks one side's entity sets, histories and df statistics
@@ -480,6 +574,12 @@ impl RecomputeOracle {
         self.coverage.reactivated_entities +=
             returned.filter(|e| self.removed[i].contains(e)).count() as u64;
         self.live[i] = now;
+        let stored: BTreeSet<EntityId> = stored.into_iter().collect();
+        self.expired[i].extend(self.stored[i].difference(&stored));
+        let revived = stored.difference(&self.stored[i]);
+        self.coverage.revived_entities +=
+            revived.filter(|e| self.expired[i].contains(e)).count() as u64;
+        self.stored[i] = stored;
         Ok(set)
     }
 
@@ -762,6 +862,798 @@ impl Clock for VirtualClock {
     fn now_ns(&self) -> u64 {
         self.now_ns.load(Ordering::SeqCst)
     }
+}
+
+/// Out-of-order tolerance of every scripted delivery: each arrival is
+/// displaced by less than this, so none is ever late.
+const LAG_SECS: i64 = 2_000;
+
+/// Checkpoint cadence of a killed run, in consumed events.
+const CHECKPOINT_EVERY: u64 = 12;
+
+/// SplitMix64: a [`Case`] and its variations are functions of one seed,
+/// so a failure reproduces from the seed it names.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len() as u64) as usize]
+    }
+
+    fn one_in(&mut self, n: u64) -> bool {
+        self.below(n) == 0
+    }
+}
+
+/// How a direct run cuts the stream into [`StreamEngine::ingest_batch`]
+/// calls. All but [`Chunks::Prime`] go through a [`RecomputeOracle`],
+/// which cuts them again at every tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Chunks {
+    /// One event per call.
+    One,
+    /// 37 events per call, fed as they are, so ticks and expiry fall
+    /// inside calls.
+    Prime,
+    /// `refresh_every` events per call.
+    Tick,
+    /// The whole stream in one call.
+    Whole,
+}
+
+/// How a run's events reach the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// [`StreamEngine::ingest_batch`] from the calling thread.
+    Direct(Chunks),
+    /// One [`ScriptedSource`] through [`StreamEngine::drive`]: batches of
+    /// 1–16 with stalls, each arrival displaced by less than the lag.
+    Source {
+        /// Seeds the script.
+        seed: u64,
+    },
+    /// [`ScriptedConnections`] through [`StreamEngine::drive_fan_in`]:
+    /// time-contiguous stages, each dealt to its connections, which
+    /// deliver like a source and some of which die after their last event.
+    FanIn {
+        /// Stages, each joining after the previous one has left.
+        stages: usize,
+        /// Connections per stage.
+        connections: usize,
+        /// Seeds the deal and the scripts.
+        seed: u64,
+    },
+}
+
+/// What a crash does to the newest checkpoint written before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Damage {
+    /// Left intact.
+    None,
+    /// Truncated mid-write.
+    Torn,
+    /// One bit flipped under an intact length.
+    BitFlip,
+}
+
+/// A [`FaultPlan`] kill, then recovery from the checkpoint directory and a
+/// resumed drive over the same source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kill {
+    /// Events accepted before the crash.
+    pub at: u64,
+    /// What the crash does to the newest checkpoint.
+    pub damage: Damage,
+    /// Shards and workers of the recovering engine.
+    pub recover_as: (usize, usize),
+}
+
+/// One way to run a [`Case`]. Every variation must observe exactly what
+/// [`Variation::reference`] observes — links, updates, deterministic
+/// [`crate::StreamStats`], every published epoch and `finalize()` —
+/// except that a `watermark` run ticks where its frontier seals windows
+/// and is held to a replay of the same prefixes instead, and a killed
+/// run to the same variation unbroken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Variation {
+    /// Engine shards.
+    pub shards: usize,
+    /// Pool workers.
+    pub workers: usize,
+    /// How the events arrive.
+    pub delivery: Delivery,
+    /// A drive ticks under [`crate::TickPolicy::Watermark`] instead of
+    /// every `refresh_every` events.
+    pub watermark: bool,
+    /// A crash and recovery ([`Delivery::Source`] only).
+    pub kill: Option<Kill>,
+    /// `None`: telemetry off. `Some(n)`: on, and a drive emits a metrics
+    /// snapshot every `n` delivered events (`0`: never).
+    pub telemetry: Option<u64>,
+    /// Threads loading the epoch pointer throughout the run.
+    pub readers: usize,
+}
+
+impl Variation {
+    /// One shard, one worker, the whole stream in one chunk, telemetry
+    /// off, nothing else.
+    pub fn reference() -> Self {
+        Self {
+            shards: 1,
+            workers: 1,
+            delivery: Delivery::Direct(Chunks::Whole),
+            watermark: false,
+            kill: None,
+            telemetry: None,
+            readers: 0,
+        }
+    }
+}
+
+/// Everything observable about one run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observation {
+    /// Every link update, through a last refresh after the stream.
+    pub updates: Vec<LinkUpdate>,
+    /// Every published epoch; a recovered run's are the crashed run's up
+    /// to the checkpoint, then its own.
+    pub epochs: Vec<LinkSnapshot>,
+    /// The links served after the last refresh.
+    pub served: Vec<Edge>,
+    /// The counters; equality covers the deterministic ones.
+    pub stats: StreamStats,
+    /// The scoring counters.
+    pub scoring: LinkageStats,
+    /// Candidate pairs tracked at the end.
+    pub candidate_pairs: usize,
+    /// `finalize()`'s links.
+    pub finalized: Vec<Edge>,
+}
+
+impl Observation {
+    /// The first field, in that order, where `self` differs from `want`,
+    /// with both values.
+    pub fn first_difference(&self, want: &Observation) -> Option<String> {
+        let (have, wanted) = (self.stats.rows(), want.stats.rows());
+        let stats = have.iter().zip(&wanted).find(|((_, class, a), (_, _, b))| {
+            *class == crate::engine::StatClass::Deterministic && a != b
+        });
+        let differs =
+            |name: &str, a: &dyn Debug, b: &dyn Debug| format!("{name}: {a:?}, want {b:?}");
+        entry_difference("updates", &self.updates, &want.updates)
+            .or_else(|| entry_difference("epochs", &self.epochs, &want.epochs))
+            .or_else(|| entry_difference("served", &self.served, &want.served))
+            .or_else(|| {
+                stats.map(|((name, _, a), (_, _, b))| differs(&format!("stats.{name}"), a, b))
+            })
+            .or_else(|| {
+                (self.scoring != want.scoring)
+                    .then(|| differs("scoring", &self.scoring, &want.scoring))
+            })
+            .or_else(|| {
+                let (a, b) = (self.candidate_pairs, want.candidate_pairs);
+                (a != b).then(|| differs("candidate_pairs", &a, &b))
+            })
+            .or_else(|| entry_difference("finalized", &self.finalized, &want.finalized))
+    }
+}
+
+/// The first entry where `have` and `want` differ, or their lengths.
+fn entry_difference<T: PartialEq + Debug>(name: &str, have: &[T], want: &[T]) -> Option<String> {
+    match have.iter().zip(want).position(|(a, b)| a != b) {
+        Some(i) => Some(format!("{name}[{i}]: {:?}, want {:?}", have[i], want[i])),
+        None => (have.len() != want.len())
+            .then(|| format!("{name}: {} entries, want {}", have.len(), want.len())),
+    }
+}
+
+/// One event stream under one engine configuration: the thing every
+/// [`Variation`] must answer identically.
+#[derive(Debug, Clone)]
+pub struct Case {
+    /// The engine configuration (shards, workers and telemetry are the
+    /// variation's).
+    pub cfg: StreamConfig,
+    /// The stream in the order the engine accepts it.
+    pub events: Vec<StreamEvent>,
+    /// `events` is in canonical `(time, side, entity)` order with unique
+    /// keys — the order a drive's reorder buffer restores — so sources
+    /// may deliver it.
+    pub canonical: bool,
+}
+
+impl Case {
+    /// The case `seed` draws. Entities orbit one of three regional
+    /// anchors, so some cross-side pairs link and others never meet; one
+    /// record in five is a region (several bins). Half the streams are
+    /// canonical; the others advance through ~33 windows of 900 s, each
+    /// event lagging its slot by up to ~3 windows and one in ten by up to
+    /// half the span — out of order, and late for a sliding window. A
+    /// quarter run LSH. With 8–24 entities around the min-records filter
+    /// and an 8- or 16-window sliding window, demotion, re-activation,
+    /// eviction to empty and arena compaction all happen.
+    pub fn sample(seed: u64) -> Case {
+        let mut d = Draw(seed);
+        let canonical = d.one_in(2);
+        let entities = d.pick(&[8, 10, 24]);
+        let n = match entities {
+            24 => 300 + d.below(500),
+            _ => 40 + d.below(260),
+        };
+        let span = 30_000;
+        let mut events: Vec<StreamEvent> = (0..n)
+            .map(|k| {
+                let side = d.pick(&[Side::Left, Side::Right]);
+                let entity = d.below(entities);
+                let jitter = d.below(1_000) as f64 * 1e-5;
+                let t = match (canonical, d.below(span)) {
+                    (true, t) => t,
+                    (false, lag) if lag % 10 == 0 => (k * span / n).saturating_sub(lag / 2),
+                    (false, lag) => (k * span / n).saturating_sub(lag / 10),
+                };
+                let region = (entity % 3) as f64;
+                let at = LatLng::from_degrees(
+                    -20.0 + 18.0 * region + jitter,
+                    -100.0 + 40.0 * region + 100.0 * jitter,
+                );
+                let mut ev = StreamEvent::new(side, EntityId(entity), at, Timestamp(t as i64));
+                if d.one_in(5) {
+                    ev.accuracy_m = 2_000.0;
+                }
+                ev
+            })
+            .collect();
+        if canonical {
+            events.sort_by_key(|ev| (ev.time, ev.side, ev.entity));
+            events.dedup_by_key(|ev| (ev.time, ev.side, ev.entity));
+        }
+        let lsh = d.one_in(4).then(|| StreamLshConfig {
+            spans: 8,
+            base: slim_lsh::LshConfig {
+                step_windows: 1,
+                spatial_level: 10,
+                ..slim_lsh::LshConfig::default()
+            },
+        });
+        let cfg = StreamConfig {
+            // The ring covers 8 windows, so an LSH window can hold no more.
+            window_capacity: match lsh {
+                Some(_) => Some(8),
+                None => d.pick(&[Some(8), Some(16), None]),
+            },
+            refresh_every: d.pick(&[23, 31, 97]),
+            slim: slim_core::SlimConfig {
+                min_records: 2,
+                ..slim_core::SlimConfig::default()
+            },
+            lsh,
+            ..StreamConfig::default()
+        };
+        Case {
+            cfg,
+            events,
+            canonical,
+        }
+    }
+
+    /// A fixed linkable workload: six co-located left/right pairs
+    /// recording in each of `windows` windows, canonical, under an
+    /// unbounded window with a tick every 23 events.
+    pub fn fixed(windows: i64) -> Case {
+        let mut events = Vec::new();
+        for k in 0..windows {
+            for e in 0..6u64 {
+                let at = LatLng::from_degrees(5.0 + 7.0 * e as f64, -100.0 + 9.0 * e as f64);
+                let t = k * 900 + 10 * e as i64;
+                events.push(StreamEvent::new(Side::Left, EntityId(e), at, Timestamp(t)));
+                events.push(StreamEvent::new(
+                    Side::Right,
+                    EntityId(100 + e),
+                    at,
+                    Timestamp(t + 400),
+                ));
+            }
+        }
+        events.sort_by_key(|e| (e.time, e.side, e.entity));
+        let cfg = StreamConfig {
+            refresh_every: 23,
+            slim: slim_core::SlimConfig {
+                min_records: 2,
+                ..slim_core::SlimConfig::default()
+            },
+            ..StreamConfig::default()
+        };
+        Case {
+            cfg,
+            events,
+            canonical: true,
+        }
+    }
+
+    /// What one run of `v` observes, checked on the way as
+    /// [`Case::check`] checks it.
+    pub fn observe(&self, v: &Variation) -> Result<Observation, String> {
+        self.run(v, &mut OracleCoverage::default())
+    }
+
+    /// `n` variations this case admits, drawn from `seed`. LSH runs vary
+    /// shards, workers and telemetry only: candidate discovery follows
+    /// `ingest_batch` boundaries. A stream out of canonical order is
+    /// delivered directly: a drive would reorder it.
+    pub fn variations(&self, seed: u64, n: usize) -> Vec<Variation> {
+        let mut d = Draw(!seed);
+        (0..n).map(|_| self.variation(&mut d)).collect()
+    }
+
+    fn variation(&self, d: &mut Draw) -> Variation {
+        let mut v = Variation {
+            shards: d.pick(&[1, 2, 3, 4, 7]),
+            workers: d.pick(&[1, 2, 3, 4]),
+            telemetry: d.pick(&[None, Some(0)]),
+            ..Variation::reference()
+        };
+        if self.cfg.lsh.is_some() {
+            return v;
+        }
+        v.readers = d.pick(&[0, 0, 1, 2]);
+        v.delivery = match d.below(if self.canonical { 3 } else { 1 }) {
+            0 => {
+                Delivery::Direct(d.pick(&[Chunks::One, Chunks::Prime, Chunks::Tick, Chunks::Whole]))
+            }
+            1 => Delivery::Source { seed: d.next() },
+            _ => Delivery::FanIn {
+                stages: 1 + d.below(3) as usize,
+                connections: 1 + d.below(4) as usize,
+                seed: d.next(),
+            },
+        };
+        if matches!(v.delivery, Delivery::Direct(_)) {
+            return v;
+        }
+        v.watermark = d.one_in(3);
+        v.telemetry = d.pick(&[None, Some(0), Some(7), Some(23)]);
+        let n = self.events.len() as u64;
+        if matches!(v.delivery, Delivery::Source { .. }) && n > CHECKPOINT_EVERY + 1 && !d.one_in(3)
+        {
+            let at = CHECKPOINT_EVERY + d.below(n - CHECKPOINT_EVERY);
+            // Falling back past a damaged checkpoint needs an older one.
+            let damage = match at > 2 * CHECKPOINT_EVERY {
+                true => d.pick(&[Damage::None, Damage::Torn, Damage::BitFlip]),
+                false => Damage::None,
+            };
+            let recover_as = (d.pick(&[1, 2, 4]), d.pick(&[1, 2, 4]));
+            v.kill = Some(Kill {
+                at,
+                damage,
+                recover_as,
+            });
+        }
+        v
+    }
+
+    /// Runs the reference and every variation, holds each to the
+    /// reference, and returns what the runs exercised. An error names
+    /// the variation and the first field that differed.
+    pub fn check(&self, variations: &[Variation]) -> Result<OracleCoverage, String> {
+        let mut cover = OracleCoverage::default();
+        let reference = self.run(&Variation::reference(), &mut cover);
+        let reference = reference.map_err(|e| format!("reference run: {e}"))?;
+        well_formed(&reference.epochs).map_err(|e| format!("reference run: {e}"))?;
+        for v in variations {
+            self.held(v, &reference, &mut cover)?;
+        }
+        Ok(cover)
+    }
+
+    /// Runs `v` and holds it to `reference`; returns what it observed.
+    fn held(
+        &self,
+        v: &Variation,
+        reference: &Observation,
+        cover: &mut OracleCoverage,
+    ) -> Result<Observation, String> {
+        let have = self.run(v, cover).map_err(|e| format!("{v:?}: {e}"))?;
+        let mut want = match (v.kill, v.watermark) {
+            // Tick for tick, a recovered drive is the same drive unbroken.
+            (Some(_), _) => self.held(&Variation { kill: None, ..*v }, reference, cover)?,
+            (None, true) => {
+                let diff = entry_difference("finalized", &have.finalized, &reference.finalized);
+                diff.map_or(Ok(()), |e| Err(format!("{v:?}: {e}")))?;
+                self.replay_at(&have.epochs, cover)?
+            }
+            (None, false) => reference.clone(),
+        };
+        // Checked against the script by the drive itself.
+        want.stats.connections_served = have.stats.connections_served;
+        if v.kill.is_some() {
+            // The crashed drive's updates died with it.
+            want.updates
+                .drain(..want.updates.len().saturating_sub(have.updates.len()));
+        }
+        match have.first_difference(&want) {
+            Some(diff) => Err(format!("{v:?}: {diff}")),
+            None => Ok(have),
+        }
+    }
+
+    /// The reference a run with its own tick schedule is held to: one
+    /// shard and one worker fed the stream up to each of its epochs'
+    /// event counts and refreshed there.
+    fn replay_at(
+        &self,
+        epochs: &[LinkSnapshot],
+        cover: &mut OracleCoverage,
+    ) -> Result<Observation, String> {
+        let mut engine = StreamEngine::new(StreamConfig {
+            refresh_every: 0,
+            telemetry: false,
+            ..self.cfg
+        })?;
+        let log = EpochLog::new();
+        engine.set_epoch_log(log.clone());
+        let mut oracle = RecomputeOracle::new();
+        let (mut updates, mut fed) = (Vec::new(), 0);
+        for snap in epochs {
+            let Some(prefix) = self.events.get(fed..snap.events as usize) else {
+                return Err(format!(
+                    "epoch {} ends at event {}",
+                    snap.epoch, snap.events
+                ));
+            };
+            updates.extend(oracle.ingest(&mut engine, prefix)?);
+            updates.extend(oracle.refresh(&mut engine)?);
+            fed = snap.events as usize;
+        }
+        cover.add(&oracle.coverage());
+        let epochs = log.collected().iter().map(|s| (**s).clone()).collect();
+        observe(engine, updates, epochs)
+    }
+
+    /// One run of `v`: fed, recovered if it is killed, refreshed once
+    /// more, and checked on the way — the oracle in direct runs, the
+    /// readers' loads, the snapshot cadence, the checkpoint directory.
+    fn run(&self, v: &Variation, cover: &mut OracleCoverage) -> Result<Observation, String> {
+        let mut cfg = StreamConfig {
+            num_shards: v.shards,
+            num_workers: v.workers,
+            telemetry: v.telemetry.is_some(),
+            ..self.cfg
+        };
+        let opts = DriveOptions {
+            // Small enough that backpressure occurs mid-run.
+            queue_cap: 7,
+            source_batch: 13,
+            tick_policy: match v.watermark {
+                true => TickPolicy::Watermark {
+                    max_lag_secs: LAG_SECS,
+                },
+                false => TickPolicy::EveryN(cfg.refresh_every),
+            },
+            max_lag_secs: LAG_SECS,
+            metrics_every: v.telemetry.unwrap_or(0),
+            ..DriveOptions::default()
+        };
+        let mut engine = StreamEngine::new(cfg)?;
+        let (mut log, mut sink) = (EpochLog::new(), VecSink::new());
+        engine.set_epoch_log(log.clone());
+        engine.set_metrics_sink(Box::new(sink.clone()));
+        let mut oracle = RecomputeOracle::new();
+        let mut feed = |e: &mut StreamEngine, cover: &mut OracleCoverage| {
+            self.feed(e, v, &opts, &mut oracle, cover)
+        };
+        let (mut epochs, mut sightings, mut dir) = (Vec::new(), Vec::new(), None);
+        if let Some(kill) = v.kill {
+            let ckpt = TempDir::new();
+            engine.set_checkpoint_policy(ckpt.0.clone(), CHECKPOINT_EVERY, 2);
+            engine.set_fault_plan(FaultPlan {
+                kill_at_event: Some(kill.at),
+                torn_write_after: (kill.damage == Damage::Torn).then_some(97),
+                bit_flip_at: (kill.damage == Damage::BitFlip).then_some(41),
+            });
+            let (crash, seen) = read_while(&mut engine, v.readers, |e| feed(e, cover));
+            sightings.extend(seen);
+            match crash {
+                Err(e) if e.contains("killed at event") => {}
+                Err(e) => return Err(format!("the killed drive failed otherwise: {e}")),
+                Ok(_) => return Err("the fault plan did not kill the drive".into()),
+            }
+            let crashed = log.collected();
+            drop(engine);
+            if temp_files(&ckpt.0) > 0 {
+                return Err("a completed checkpoint write left a temp file".into());
+            }
+            // What a SIGKILL mid-write leaves: recovery must not count it,
+            // and the resumed drive's first checkpoint must sweep it.
+            let stale = ckpt.0.join(format!("ckpt-{:020}.slim.tmp", kill.at));
+            std::fs::write(stale, b"SLIMCKPT torn").map_err(|e| e.to_string())?;
+            (cfg.num_shards, cfg.num_workers) = kill.recover_as;
+            engine = StreamEngine::recover(cfg, &ckpt.0)?;
+            let (woke, rejected) = (
+                engine.stats().snapshots_published,
+                engine.stats().checkpoints_rejected,
+            );
+            if (rejected > 0) != (kill.damage != Damage::None) {
+                return Err(format!("recovery rejected {rejected} checkpoints"));
+            }
+            let Some(before) = crashed.get(..woke as usize) else {
+                return Err(format!(
+                    "recovered at epoch {woke}, {} were published",
+                    crashed.len()
+                ));
+            };
+            epochs.extend(before.iter().map(|s| (**s).clone()));
+            cover.recoveries += 1;
+            cover.checkpoints_rejected += rejected;
+            engine.set_checkpoint_policy(ckpt.0.clone(), CHECKPOINT_EVERY, 2);
+            (log, sink) = (EpochLog::new(), VecSink::new());
+            engine.set_epoch_log(log.clone());
+            engine.set_metrics_sink(Box::new(sink.clone()));
+            dir = Some((ckpt, engine.stats().checkpoints_written));
+        }
+        let (fed, seen) = read_while(&mut engine, v.readers, |e| feed(e, cover));
+        sightings.extend(seen);
+        let mut updates = fed?;
+        updates.extend(match v.delivery {
+            Delivery::Direct(Chunks::Prime) | Delivery::Source { .. } | Delivery::FanIn { .. } => {
+                engine.refresh()
+            }
+            Delivery::Direct(_) => oracle.refresh(&mut engine)?,
+        });
+        cover.add(&oracle.coverage());
+        if let Some((ckpt, written)) = dir {
+            if engine.stats().checkpoints_written > written && temp_files(&ckpt.0) > 0 {
+                return Err("a stale temp file outlived a checkpoint".into());
+            }
+        }
+        epochs.extend(log.collected().iter().map(|s| (**s).clone()));
+        for seen in sightings {
+            if !seen.windows(2).all(|w| w[0].epoch < w[1].epoch) {
+                return Err("a reader loaded epochs out of order".into());
+            }
+            for snap in seen.iter().filter(|s| s.epoch > 0) {
+                if epochs.get(snap.epoch as usize - 1) != Some(snap) {
+                    return Err(format!(
+                        "a reader loaded an unpublished epoch {}",
+                        snap.epoch
+                    ));
+                }
+                cover.reader_loads += 1;
+            }
+        }
+        if let (Some(every @ 1..), None) = (v.telemetry, v.kill) {
+            let snaps = sink.collected();
+            let counts = snaps.iter().map(|s| s.counter("events").unwrap_or(0));
+            let rising = counts.clone().zip(counts.skip(1)).all(|(a, b)| a <= b);
+            let dense = snaps.iter().enumerate().all(|(i, s)| s.seq == i as u64);
+            if snaps.len() as u64 != engine.stats().events / every || !dense || !rising {
+                return Err(format!("{} snapshots at cadence {every}", snaps.len()));
+            }
+            cover.snapshots += snaps.len() as u64;
+        }
+        let stats = engine.stats();
+        cover.sharded_runs += u64::from(v.shards > 1);
+        cover.chunked_runs += u64::from(matches!(
+            v.delivery,
+            Delivery::Direct(Chunks::One | Chunks::Prime)
+        ));
+        cover.evicted_windows += stats.evicted_windows;
+        cover.demoted_entities += stats.demoted_entities;
+        cover.late_dropped += stats.late_dropped;
+        cover.arena_compactions += stats.arena_compactions;
+        cover.steal_events += stats.steal_events;
+        observe(engine, updates, epochs)
+    }
+
+    /// Delivers the stream to `engine` as `v` says.
+    fn feed(
+        &self,
+        engine: &mut StreamEngine,
+        v: &Variation,
+        opts: &DriveOptions,
+        oracle: &mut RecomputeOracle,
+        cover: &mut OracleCoverage,
+    ) -> Result<Vec<LinkUpdate>, String> {
+        let (report, connections) = match v.delivery {
+            Delivery::Direct(chunks) => {
+                let len = match chunks {
+                    Chunks::One => 1,
+                    Chunks::Prime => 37,
+                    Chunks::Tick => self.cfg.refresh_every,
+                    Chunks::Whole => self.events.len(),
+                };
+                let mut updates = Vec::new();
+                for chunk in self.events.chunks(len.max(1)) {
+                    updates.extend(match chunks {
+                        Chunks::Prime => engine.ingest_batch(chunk),
+                        _ => oracle.ingest(engine, chunk)?,
+                    });
+                }
+                return Ok(updates);
+            }
+            Delivery::Source { seed } => {
+                let steps = jittered(&self.events, 16, &mut Draw(seed));
+                (engine.drive(ScriptedSource::new(steps), opts)?, 1)
+            }
+            Delivery::FanIn {
+                stages,
+                connections,
+                seed,
+            } => {
+                let (mut d, len) = (Draw(seed), self.events.len().div_ceil(stages).max(1));
+                let mut tier = Vec::new();
+                for (s, stage) in self.events.chunks(len).enumerate() {
+                    let mut dealt = vec![Vec::new(); connections];
+                    for ev in stage {
+                        dealt[d.below(connections as u64) as usize].push(*ev);
+                    }
+                    let scripts = dealt.into_iter().map(|mine| {
+                        let mut steps = jittered(&mine, 8, &mut d);
+                        // Deaths after the last event lose nothing.
+                        match d.one_in(7) {
+                            true => {
+                                steps.push(ScriptStep::Error("scripted death".into()));
+                                cover.deaths += 1;
+                            }
+                            false => cover.leaves += 1,
+                        }
+                        steps
+                    });
+                    tier.push(scripts.collect::<Vec<_>>());
+                    cover.joins += connections as u64;
+                    cover.staged_joins += if s > 0 { connections as u64 } else { 0 };
+                }
+                let joined = tier.iter().map(Vec::len).sum::<usize>() as u64;
+                (
+                    engine.drive_fan_in(ScriptedConnections::new(tier), opts)?,
+                    joined,
+                )
+            }
+        };
+        if report.connections != connections {
+            return Err(format!(
+                "{} connections joined, {connections} were scripted",
+                report.connections
+            ));
+        }
+        cover.policy_ticks += report.policy_ticks;
+        Ok(report.updates)
+    }
+}
+
+/// `events` as one connection's script: each displaced by less than the
+/// lag, in batches of 1 to `batch`, one batch in five followed by a stall.
+fn jittered(events: &[StreamEvent], batch: u64, d: &mut Draw) -> Vec<ScriptStep> {
+    let mut order: Vec<(i64, usize)> = (0..events.len())
+        .map(|i| (events[i].time.secs() + d.below(LAG_SECS as u64) as i64, i))
+        .collect();
+    order.sort_unstable();
+    let mut steps = Vec::new();
+    let mut rest = &order[..];
+    while !rest.is_empty() {
+        let (now, later) = rest.split_at((1 + d.below(batch) as usize).min(rest.len()));
+        steps.push(ScriptStep::Batch(
+            now.iter().map(|&(_, i)| events[i]).collect(),
+        ));
+        if d.one_in(5) {
+            steps.push(ScriptStep::Stall(1 + d.below(3) as u32));
+        }
+        rest = later;
+    }
+    steps
+}
+
+/// Runs `work` on `engine` while `readers` threads load its epoch
+/// pointer; returns what each reader loaded, consecutive repeats dropped.
+fn read_while<T>(
+    engine: &mut StreamEngine,
+    readers: usize,
+    work: impl FnOnce(&mut StreamEngine) -> T,
+) -> (T, Vec<Vec<Arc<LinkSnapshot>>>) {
+    let (pointer, stop) = (engine.epoch_pointer(), AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        let load = || {
+            let mut seen: Vec<Arc<LinkSnapshot>> = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let snap = pointer.load();
+                if seen.last().map(|s| s.epoch) != Some(snap.epoch) {
+                    seen.push(snap);
+                }
+                std::thread::yield_now();
+            }
+            seen
+        };
+        let handles: Vec<_> = (0..readers).map(|_| scope.spawn(load)).collect();
+        let out = work(engine);
+        stop.store(true, Ordering::Relaxed);
+        let seen = handles
+            .into_iter()
+            .map(|h| h.join().expect("reader thread"));
+        (out, seen.collect())
+    })
+}
+
+/// What `engine` observably did, `updates` and `epochs` being what it
+/// emitted and published.
+fn observe(
+    engine: StreamEngine,
+    updates: Vec<LinkUpdate>,
+    epochs: Vec<LinkSnapshot>,
+) -> Result<Observation, String> {
+    Ok(Observation {
+        updates,
+        epochs,
+        served: engine.links().to_vec(),
+        stats: *engine.stats(),
+        scoring: *engine.scoring_stats(),
+        candidate_pairs: engine.num_candidate_pairs(),
+        finalized: engine.finalize()?.links,
+    })
+}
+
+/// Why `epochs` is not a publication sequence: dense ids from 1, event
+/// counts and frontiers that never go back, links heaviest-first and none
+/// below its own epoch's threshold.
+fn well_formed(epochs: &[LinkSnapshot]) -> Result<(), String> {
+    for (i, snap) in epochs.iter().enumerate() {
+        let prev = i.checked_sub(1).map(|p| &epochs[p]);
+        let ordered = snap
+            .links
+            .windows(2)
+            .all(|w| heaviest_first(&w[0], &w[1]).is_le());
+        let above = snap
+            .threshold
+            .is_none_or(|t| snap.links.iter().all(|e| e.weight >= t));
+        if snap.epoch != i as u64 + 1
+            || prev.is_some_and(|p| p.events > snap.events || p.frontier > snap.frontier)
+            || !ordered
+            || !above
+        {
+            return Err(format!(
+                "epoch {} of {} is malformed: {snap:?}",
+                i + 1,
+                epochs.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A fresh checkpoint directory, removed when dropped.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("slim-matrix-{}-{n}", std::process::id());
+        Self(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// How many `*.tmp` files `dir` holds.
+fn temp_files(dir: &Path) -> usize {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    entries
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+        .count()
 }
 
 #[cfg(test)]
