@@ -1,6 +1,7 @@
 //! Deterministic test doubles for the ingestion front-end, the
 //! recompute oracle, and the equivalence matrix built on both — shared
-//! by unit tests and the integration suites (`tests/equivalence.rs`).
+//! by unit tests and the integration suites (`tests/equivalence.rs` and
+//! the per-axis suites beside it).
 //!
 //! The two flakiness sources a streaming harness usually drags into CI
 //! are **sleeps** (to "let the producer catch up") and the **wall
@@ -28,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 use geocell::LatLng;
 use slim_core::matching::heaviest_first;
@@ -366,6 +367,31 @@ coverage! {
     deaths "connections died",
     /// Published epochs concurrent readers loaded and checked.
     reader_loads "reader loads",
+}
+
+/// Coverage summed over the cases of one property, which the runner
+/// plays one after another: each case closes its coverage into a
+/// `static` tally, and the last one asserts the sum.
+#[derive(Default)]
+pub struct Tally(Mutex<Vec<OracleCoverage>>);
+
+impl Tally {
+    /// An empty tally.
+    pub const fn new() -> Self {
+        Self(Mutex::new(Vec::new()))
+    }
+
+    /// Adds one case's coverage; at the `cases`th, asserts over them all
+    /// as [`OracleCoverage::assert_exercised`] does.
+    pub fn close(&self, cover: OracleCoverage, cases: u32, labels: &[&str]) {
+        let mut closed = self.0.lock().expect("coverage lock");
+        closed.push(cover);
+        if closed.len() == cases as usize {
+            let mut sum = OracleCoverage::default();
+            closed.iter().for_each(|c| sum.add(c));
+            sum.assert_exercised(labels);
+        }
+    }
 }
 
 /// The pair caches and the rebuilt histories as of the previous tick.
@@ -1119,14 +1145,7 @@ impl Case {
             events.sort_by_key(|ev| (ev.time, ev.side, ev.entity));
             events.dedup_by_key(|ev| (ev.time, ev.side, ev.entity));
         }
-        let lsh = d.one_in(4).then(|| StreamLshConfig {
-            spans: 8,
-            base: slim_lsh::LshConfig {
-                step_windows: 1,
-                spatial_level: 10,
-                ..slim_lsh::LshConfig::default()
-            },
-        });
+        let lsh = d.one_in(4).then(ring);
         let cfg = StreamConfig {
             // The ring covers 8 windows, so an LSH window can hold no more.
             window_capacity: match lsh {
@@ -1146,6 +1165,20 @@ impl Case {
             events,
             canonical,
         }
+    }
+
+    /// The first case [`Case::sample`] draws from `seed` on that `keep`
+    /// admits.
+    pub fn sample_where(seed: u64, keep: impl Fn(&Case) -> bool) -> Case {
+        let mut draws = (0..).map(|k| Case::sample(seed.wrapping_add(k)));
+        draws.find(keep).expect("some seed admits a case")
+    }
+
+    /// This case under the LSH discovery a sampled LSH case runs, with
+    /// the 8-window sliding window its ring covers.
+    pub fn under_lsh(mut self) -> Case {
+        (self.cfg.lsh, self.cfg.window_capacity) = (Some(ring()), Some(8));
+        self
     }
 
     /// A fixed linkable workload: six co-located left/right pairs
@@ -1529,6 +1562,19 @@ impl Case {
         }
         cover.policy_ticks += report.policy_ticks;
         Ok(report.updates)
+    }
+}
+
+/// The LSH discovery of sampled cases: an 8-window ring, one span per
+/// window, level-10 cells.
+fn ring() -> StreamLshConfig {
+    StreamLshConfig {
+        spans: 8,
+        base: slim_lsh::LshConfig {
+            step_windows: 1,
+            spatial_level: 10,
+            ..slim_lsh::LshConfig::default()
+        },
     }
 }
 

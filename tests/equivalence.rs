@@ -11,35 +11,22 @@
 //! direct run's windowed state after every tick. The summed coverage
 //! must show every axis exercised.
 //!
-//! The fixed corner cases below keep what a sample would rarely draw:
-//! stream == batch, the stalled client, the rejected start, total
-//! checkpoint corruption, a crowd of readers, histograms under a virtual
-//! clock, the kernel variants and a source as the one-connection tier.
-
-use std::sync::{Arc, Mutex};
+//! Each suite beside this one — `shard_`, `arena_`, `ingest_`,
+//! `multi_connection_`, `snapshot_`, `telemetry_` and
+//! `stream_equivalence`, and `checkpoint_recovery` — holds one axis of
+//! the same driver over a fixed grid, with the corner cases a sample
+//! would rarely draw.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use slim::core::{EntityId, LinkageOutput, PairingMode, Slim, SlimConfig, Timestamp};
-use slim::datagen::Scenario;
-use slim::geo::LatLng;
-use slim::stream::source::channel::Sender;
-use slim::stream::testing::{
-    Case, Chunks, Damage, Delivery, FaultPlan, Kill, OracleCoverage, ScriptStep,
-    ScriptedConnections, ScriptedSource, Variation, VirtualClock,
-};
-use slim::stream::{
-    merge_datasets, ConnMessage, DriveOptions, EpochLog, FanIn, IngestReport, LinkSnapshot, Side,
-    StreamConfig, StreamEngine, StreamEvent, StreamStats, TickPolicy,
-};
+use slim::stream::testing::{Case, Tally};
 
 /// Cases the matrix samples, and variations drawn per case.
 const CASES: u32 = 24;
 const VARIATIONS: usize = 4;
 
-/// Each closed matrix case's coverage.
-static MATRIX: Mutex<Vec<OracleCoverage>> = Mutex::new(Vec::new());
+static MATRIX: Tally = Tally::new();
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
@@ -50,494 +37,6 @@ proptest! {
         let cover = case
             .check(&case.variations(seed, VARIATIONS))
             .map_err(|e| TestCaseError::fail(format!("seed {seed}: {e}")))?;
-        let mut closed = MATRIX.lock().expect("coverage lock");
-        closed.push(cover);
-        if closed.len() == CASES as usize {
-            let mut sum = OracleCoverage::default();
-            closed.iter().for_each(|c| sum.add(c));
-            sum.assert_exercised(&[]);
-        }
-    }
-}
-
-/// The batch output a replay must finalize to, bit for bit.
-fn assert_same_output(streamed: &LinkageOutput, batch: &LinkageOutput) {
-    assert_eq!(streamed.num_edges, batch.num_edges, "edge sets differ");
-    assert_eq!(streamed.matching, batch.matching, "matchings differ");
-    assert_eq!(streamed.links, batch.links, "links differ");
-    let threshold = |o: &LinkageOutput| o.threshold.as_ref().map(|t| t.threshold);
-    assert_eq!(threshold(streamed), threshold(batch), "thresholds differ");
-}
-
-/// With an unbounded window a replay finalizes to batch `Slim::link` on
-/// the same data, and the links it serves after a last refresh are at
-/// least as precise and complete as batch's.
-#[test]
-fn cab_replay_equals_batch() {
-    let sample = Scenario::cab(0.04, 11).sample(0.5, 11);
-    let batch = Slim::new(SlimConfig::default())
-        .unwrap()
-        .link(&sample.left, &sample.right);
-    assert!(!batch.links.is_empty(), "fixture must produce links");
-    let cfg = StreamConfig {
-        refresh_every: 0,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::new(cfg).unwrap();
-    engine.ingest_batch(&merge_datasets(&sample.left, &sample.right));
-    engine.refresh();
-    let served = slim::eval::evaluate_edges(engine.links(), &sample.ground_truth);
-    let batched = slim::eval::evaluate_edges(&batch.links, &sample.ground_truth);
-    assert!(
-        served.precision >= batched.precision - 1e-12 && served.recall >= batched.recall - 1e-12,
-        "served {served:?} below batch {batched:?}"
-    );
-    assert_same_output(&engine.finalize().unwrap(), &batch);
-}
-
-/// Ticks along the way are serving state only: finalizing still runs the
-/// exact pipeline over the incrementally built histories.
-#[test]
-fn sm_replay_with_intermediate_ticks_equals_batch() {
-    let sample = Scenario::sm(0.004, 23).sample(0.5, 23);
-    let batch = Slim::new(SlimConfig::default())
-        .unwrap()
-        .link(&sample.left, &sample.right);
-    let cfg = StreamConfig {
-        refresh_every: 500,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::new(cfg).unwrap();
-    for chunk in merge_datasets(&sample.left, &sample.right).chunks(256) {
-        engine.ingest_batch(chunk);
-    }
-    assert!(engine.stats().ticks > 0, "ticks must have fired");
-    assert_same_output(&engine.finalize().unwrap(), &batch);
-}
-
-/// Two shards, two workers, an 8-window sliding window, no ticks but a
-/// drive's.
-fn two_by_two() -> StreamConfig {
-    StreamConfig {
-        window_capacity: Some(8),
-        refresh_every: 0,
-        num_shards: 2,
-        num_workers: 2,
-        ..Case::fixed(1).cfg
-    }
-}
-
-/// A fan-in tier scripted against consumer progress, so that the idle
-/// eviction below is deterministic across threads. The pump reads the
-/// clock for a chunk after taking it off the channel, so an empty channel
-/// alone does not mean the chunk is stamped; a second message drained
-/// after it does.
-struct StalledClientTier {
-    clock: VirtualClock,
-}
-
-/// Events per healthy-connection burst in the stalled-client test.
-const BURST: i64 = 20;
-
-impl FanIn for StalledClientTier {
-    fn run(self, tx: Sender<ConnMessage>) -> Result<(), String> {
-        let send = |m: ConnMessage| tx.send(m).map_err(|_| "receiver gone".to_string());
-        let event = |entity: u64, t: i64| ConnMessage::Event {
-            conn: entity % 2,
-            event: StreamEvent::new(
-                [Side::Left, Side::Right][entity as usize % 2],
-                EntityId(entity),
-                LatLng::from_degrees(10.0, 20.0),
-                Timestamp(t),
-            ),
-        };
-        let drain = || {
-            while !tx.is_empty() {
-                std::thread::yield_now();
-            }
-        };
-        send(ConnMessage::Join { conn: 0 })?;
-        send(ConnMessage::Join { conn: 1 })?;
-        for t in 0..BURST {
-            send(event(0, 100 + t))?;
-            send(event(1, 100 + t))?;
-        }
-        drain();
-        send(event(0, 100 + BURST))?;
-        drain();
-        // Connection 1 freezes; virtual time jumps past the idle timeout
-        // before connection 0's next burst, whose first chunk evicts it.
-        self.clock.advance_ms(5_000);
-        for t in 0..BURST {
-            send(event(0, 10_000 + t))?;
-        }
-        drain();
-        // The frozen client revives with an event from before the
-        // resumed frontier, then catches up.
-        send(event(1, 120))?;
-        send(event(1, 10_000 + BURST))?;
-        for conn in [1, 0] {
-            send(ConnMessage::Leave {
-                conn,
-                malformed_lines: 0,
-            })?;
-        }
-        Ok(())
-    }
-}
-
-/// With an idle timeout, a frozen client is evicted, the frontier resumes
-/// without it, and its revived pre-frontier event is counted late, never
-/// lost silently. Without one, the frontier waits and nothing is late.
-#[test]
-fn idle_timeout_unfreezes_the_frontier_and_counts_revived_late_events() {
-    let fed = 3 * BURST as u64 + 3;
-    for idle_timeout_secs in [1, 0] {
-        let clock = VirtualClock::new();
-        let mut engine = StreamEngine::new(two_by_two()).unwrap();
-        engine.set_telemetry_clock(Arc::new(clock.clone()));
-        let opts = DriveOptions {
-            tick_policy: TickPolicy::Watermark { max_lag_secs: 10 },
-            idle_timeout_secs,
-            ..DriveOptions::default()
-        };
-        let report = engine
-            .drive_fan_in(StalledClientTier { clock }, &opts)
-            .unwrap();
-        let evicted = idle_timeout_secs.min(1);
-        assert_eq!(report.connections, 2);
-        assert_eq!(
-            (report.idle_evictions, report.late_events),
-            (evicted, evicted)
-        );
-        assert_eq!(report.events_delivered + report.late_events, fed);
-        assert_eq!(engine.stats().idle_evictions, evicted);
-        assert_eq!(engine.stats().late_events, evicted);
-        if evicted == 1 {
-            assert!(report.policy_ticks > 0, "the frontier sealed windows alone");
-        }
-    }
-}
-
-/// Drive options of the corner cases' sources.
-fn options(tick_policy: TickPolicy) -> DriveOptions {
-    DriveOptions {
-        queue_cap: 32,
-        source_batch: 13,
-        tick_policy,
-        ..DriveOptions::default()
-    }
-}
-
-/// `events` in batches of 17.
-fn source(events: &[StreamEvent]) -> ScriptedSource {
-    let steps = events.chunks(17).map(|c| ScriptStep::Batch(c.to_vec()));
-    ScriptedSource::new(steps.collect())
-}
-
-/// Drives `case` on 2 × 2 with checkpoints every 16 events into a fresh
-/// directory until a kill at `at`.
-fn crash(case: &Case, at: u64) -> std::path::PathBuf {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("slim-corner-{}-{n}", std::process::id()));
-    let cfg = StreamConfig {
-        num_shards: 2,
-        num_workers: 2,
-        ..case.cfg
-    };
-    let mut engine = StreamEngine::new(cfg).unwrap();
-    engine.set_checkpoint_policy(dir.clone(), 16, 2);
-    engine.set_fault_plan(FaultPlan::kill_at(at));
-    let err = engine
-        .drive(source(&case.events), &options(TickPolicy::EveryN(23)))
-        .expect_err("the fault plan kills the drive");
-    assert!(err.contains("killed at event"), "{err}");
-    dir
-}
-
-/// A rejected start — the wrong tick policy, or a tier that cannot replay
-/// the accepted prefix — leaves the recovery state where it was: the
-/// corrected retry resumes from the checkpoint like an unbroken run.
-#[test]
-fn a_rejected_start_keeps_the_recovery_state_for_the_retry() {
-    let case = Case::fixed(40);
-    let unbroken = Variation {
-        delivery: Delivery::Source { seed: 1 },
-        ..Variation::reference()
-    };
-    let want = case.observe(&unbroken).unwrap();
-    let dir = crash(&case, case.events.len() as u64 / 2);
-    for wrong in ["tick policy", "tier"] {
-        let mut engine = StreamEngine::recover(case.cfg, &dir).unwrap();
-        let (woke, events) = (
-            engine.stats().snapshots_published as usize,
-            engine.stats().events,
-        );
-        let log = EpochLog::new();
-        engine.set_epoch_log(log.clone());
-        let err = match wrong {
-            "tick policy" => engine.drive(
-                source(&case.events),
-                &options(TickPolicy::Watermark { max_lag_secs: 900 }),
-            ),
-            _ => engine.drive_fan_in(
-                ScriptedConnections::single_stage(vec![vec![ScriptStep::Batch(
-                    case.events.clone(),
-                )]]),
-                &options(TickPolicy::EveryN(23)),
-            ),
-        }
-        .expect_err("the mismatched start is rejected");
-        assert!(
-            err.contains("does not match") || err.contains("replayable"),
-            "{wrong}: {err}"
-        );
-        assert_eq!(
-            engine.stats().events,
-            events,
-            "{wrong}: a rejected start consumes nothing"
-        );
-        engine
-            .drive(source(&case.events), &options(TickPolicy::EveryN(23)))
-            .expect("the corrected retry resumes");
-        engine.refresh();
-        let epochs: Vec<LinkSnapshot> = log.collected().iter().map(|s| (**s).clone()).collect();
-        assert_eq!(epochs, want.epochs[woke..], "{wrong}: epochs");
-        assert_eq!(engine.links(), &want.served[..], "{wrong}: served links");
-        assert_eq!(*engine.stats(), want.stats, "{wrong}: stats");
-        assert_eq!(
-            engine.finalize().unwrap().links,
-            want.finalized,
-            "{wrong}: finalized"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A bit-flipped or torn newest checkpoint is rejected and recovery falls
-/// back to the older one, bit-identically; with every checkpoint corrupt,
-/// recovery is an error, not a panic or garbage.
-#[test]
-fn recovery_survives_bit_flips_and_rejects_total_corruption() {
-    let case = Case::fixed(40);
-    let kill = |damage| Variation {
-        delivery: Delivery::Source { seed: 2 },
-        watermark: true,
-        kill: Some(Kill {
-            at: case.events.len() as u64 * 3 / 4,
-            damage,
-            recover_as: (2, 2),
-        }),
-        ..Variation::reference()
-    };
-    let cover = case
-        .check(&[kill(Damage::BitFlip), kill(Damage::Torn)])
-        .unwrap();
-    assert_eq!(
-        cover.checkpoints_rejected, 2,
-        "each damaged checkpoint is rejected"
-    );
-
-    let dir = crash(&case, case.events.len() as u64 * 3 / 4);
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[12] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-    }
-    match StreamEngine::recover(case.cfg, &dir) {
-        Err(e) => assert!(e.contains("checkpoint"), "unexpected error: {e}"),
-        Ok(_) => panic!("recovery from a fully corrupt directory must fail"),
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Checkpoints are shard-agnostic: state a 3-shard, 2-worker drive
-/// checkpointed recovers into 1 × 1 and 4 × 4 engines alike.
-#[test]
-fn recovery_crosses_shard_and_worker_counts() {
-    let case = Case::fixed(40);
-    let kill = |recover_as| Variation {
-        shards: 3,
-        workers: 2,
-        delivery: Delivery::Source { seed: 3 },
-        kill: Some(Kill {
-            at: case.events.len() as u64 / 2,
-            damage: Damage::None,
-            recover_as,
-        }),
-        ..Variation::reference()
-    };
-    let cover = case.check(&[kill((1, 1)), kill((4, 4))]).unwrap();
-    assert_eq!(cover.recoveries, 2);
-}
-
-/// A pack of readers loading the epoch pointer throughout a drive only
-/// ever sees published epochs, in order, and never perturbs the output.
-#[test]
-fn concurrent_readers_never_perturb_the_drive() {
-    let case = Case::fixed(40);
-    let readers = Variation {
-        shards: 3,
-        workers: 2,
-        delivery: Delivery::Source { seed: 4 },
-        readers: 4,
-        ..Variation::reference()
-    };
-    let cover = case.check(&[readers]).unwrap();
-    assert!(cover.reader_loads > 0, "readers must load published epochs");
-}
-
-/// Under a constant `VirtualClock` the phase-span and event-latency
-/// histograms are exact: every span and latency is zero, the counts are
-/// functions of the workload, and two runs agree bit for bit.
-#[test]
-fn histograms_reproduce_exactly_under_virtual_clock() {
-    let case = Case::fixed(12);
-    let run_once = || {
-        let mut engine = StreamEngine::new(StreamConfig {
-            num_shards: 3,
-            num_workers: 2,
-            ..case.cfg
-        })
-        .unwrap();
-        engine.set_telemetry_clock(Arc::new(VirtualClock::new()));
-        engine
-            .drive(source(&case.events), &options(TickPolicy::EveryN(23)))
-            .unwrap();
-        engine.refresh();
-        let ticks = engine.stats().ticks;
-        (
-            engine.phase_histograms(),
-            engine.event_latency_histogram(),
-            ticks,
-        )
-    };
-    let (phases, latency, ticks) = run_once();
-    assert_eq!((phases.clone(), latency.clone(), ticks), run_once());
-    assert_eq!(latency.count(), case.events.len() as u64);
-    assert_eq!((latency.sum(), latency.max()), (0, 0));
-    for (name, h) in &phases {
-        assert_eq!((h.sum(), h.max()), (0, 0), "nonzero span in {name}");
-    }
-    let tick = phases.iter().find(|(name, _)| *name == "tick").unwrap();
-    assert!(
-        ticks > 0 && tick.1.count() == ticks,
-        "one tick span per tick"
-    );
-}
-
-/// The Fig. 10 kernel variants — all pairs, no alibi pass, no idf — each
-/// held to recomputation at shard and worker counts that split pairs and
-/// dispatch rescore chunks.
-#[test]
-fn kernel_variants_match_recomputation() {
-    let mut cover = OracleCoverage::default();
-    for seed in 0..6 {
-        let mut case = Case::sample(seed);
-        case.cfg.lsh = None;
-        let base = case.cfg.slim;
-        for slim in [
-            SlimConfig {
-                pairing: PairingMode::AllPairs,
-                ..base
-            },
-            SlimConfig {
-                use_mfn: false,
-                ..base
-            },
-            SlimConfig {
-                use_idf: false,
-                ..base
-            },
-        ] {
-            case.cfg.slim = slim;
-            let split = |shards, workers| Variation {
-                shards,
-                workers,
-                delivery: Delivery::Direct(Chunks::One),
-                ..Variation::reference()
-            };
-            let checked = case.check(&[split(2, 2), split(4, 4)]);
-            cover.add(&checked.unwrap_or_else(|e| panic!("seed {seed}, {slim:?}: {e}")));
-        }
-    }
-    cover.assert_exercised(&[
-        "oracle ticks",
-        "contributions equal to recomputation",
-        "contributions carried across a tick",
-    ]);
-}
-
-/// One script through either drive entry, the report's thread-timing
-/// observations zeroed.
-fn drive_once(
-    steps: &[ScriptStep],
-    as_tier: bool,
-    opts: &DriveOptions,
-) -> (IngestReport, StreamStats) {
-    let mut engine = StreamEngine::new(two_by_two()).unwrap();
-    let mut report = match as_tier {
-        true => engine.drive_fan_in(
-            ScriptedConnections::single_stage(vec![steps.to_vec()]),
-            opts,
-        ),
-        false => engine.drive(ScriptedSource::new(steps.to_vec()), opts),
-    }
-    .unwrap();
-    (report.blocked_producer_ns, report.queue_high_watermark) = (0, 0);
-    report.updates.extend(engine.refresh());
-    (report, *engine.stats())
-}
-
-/// A single source is the one-connection tier: the same script through
-/// `drive` and `drive_fan_in` gives the same report and stats under every
-/// tick policy, at lag 0 — where each displaced arrival is late — and at
-/// a lag covering the disorder. Only a source reports its polls.
-#[test]
-fn a_single_source_is_the_one_connection_tier() {
-    for seed in 0..6 {
-        let case = Case::sample(seed);
-        // Canonical order, every three events reversed.
-        let mut events = case.events.clone();
-        events.sort_by_key(|ev| (ev.time, ev.side, ev.entity));
-        events.chunks_mut(3).for_each(<[StreamEvent]>::reverse);
-        let steps: Vec<ScriptStep> = events
-            .chunks(5)
-            .flat_map(|c| [ScriptStep::Batch(c.to_vec()), ScriptStep::Stall(1)])
-            .collect();
-        let mut newest = i64::MIN;
-        let displaced = events.iter().fold(0, |late, ev| {
-            let t = ev.time.secs();
-            newest = newest.max(t);
-            late + u64::from(t < newest)
-        });
-        for policy in [
-            TickPolicy::EveryN(23),
-            TickPolicy::EventTime {
-                interval_secs: 1_800,
-            },
-            TickPolicy::Watermark { max_lag_secs: 0 },
-        ] {
-            for lag in [0, 40_000] {
-                let opts = DriveOptions {
-                    max_lag_secs: lag,
-                    ..options(policy)
-                };
-                let (mut source, source_stats) = drive_once(&steps, false, &opts);
-                let (tier, tier_stats) = drive_once(&steps, true, &opts);
-                let tag = format!("seed {seed}, {policy:?} at lag {lag}");
-                assert_eq!(
-                    source.late_events,
-                    if lag == 0 { displaced } else { 0 },
-                    "{tag}"
-                );
-                assert_eq!(source.source_stalls, steps.len() as u64 / 2, "{tag}");
-                (source.source_batches, source.source_stalls) = (0, 0);
-                assert_eq!(source, tier, "{tag}: reports");
-                assert_eq!(source_stats, tier_stats, "{tag}: stats");
-            }
-        }
+        MATRIX.close(cover, CASES, &[]);
     }
 }
