@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
 use geocell::LatLng;
 use slim_core::matching::heaviest_first;
@@ -369,35 +369,10 @@ coverage! {
     reader_loads "reader loads",
 }
 
-/// Coverage summed over the cases of one property, which the runner
-/// plays one after another: each case closes its coverage into a
-/// `static` tally, and the last one asserts the sum.
-#[derive(Default)]
-pub struct Tally(Mutex<Vec<OracleCoverage>>);
-
-impl Tally {
-    /// An empty tally.
-    pub const fn new() -> Self {
-        Self(Mutex::new(Vec::new()))
-    }
-
-    /// Adds one case's coverage; at the `cases`th, asserts over them all
-    /// as [`OracleCoverage::assert_exercised`] does.
-    pub fn close(&self, cover: OracleCoverage, cases: u32, labels: &[&str]) {
-        let mut closed = self.0.lock().expect("coverage lock");
-        closed.push(cover);
-        if closed.len() == cases as usize {
-            let mut sum = OracleCoverage::default();
-            closed.iter().for_each(|c| sum.add(c));
-            sum.assert_exercised(labels);
-        }
-    }
-}
-
 /// The pair caches and the rebuilt histories as of the previous tick.
 #[derive(Debug)]
 struct TickState {
-    sets: [HistorySet<'static>; 2],
+    sets: [Rebuilt; 2],
     cache: HashMap<PairKey, PairWindows>,
     edges: HashMap<PairKey, f64>,
 }
@@ -434,6 +409,7 @@ struct TickState {
 #[derive(Debug, Default)]
 pub struct RecomputeOracle {
     fed: Vec<StreamEvent>,
+    rebuilds: Arc<Rebuilds>,
     /// Events accepted since the last tick — the engine's own counter,
     /// mirrored so that chunks can end on tick boundaries.
     since_tick: usize,
@@ -448,10 +424,28 @@ pub struct RecomputeOracle {
     coverage: OracleCoverage,
 }
 
+/// One side's live slice rebuilt through the batch path: its histories
+/// before and after the min-records filter.
+type Rebuilt = Arc<[HistorySet<'static>; 2]>;
+
+/// Rebuilds of one event stream's live slices by events fed, watermark
+/// and side, shared by the oracles of runs fed that stream in order:
+/// they rebuild the same slice at every tick.
+type Rebuilds = Mutex<HashMap<(usize, WindowIdx, Side), Rebuilt>>;
+
 impl RecomputeOracle {
     /// An oracle for a fresh engine.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An oracle that shares `rebuilds` with the other oracles of runs
+    /// fed the same events in the same order.
+    fn sharing(rebuilds: &Arc<Rebuilds>) -> Self {
+        Self {
+            rebuilds: Arc::clone(rebuilds),
+            ..Self::default()
+        }
     }
 
     /// What the checks so far have covered.
@@ -516,11 +510,7 @@ impl RecomputeOracle {
 
     /// Checks one side's entity sets, histories and df statistics
     /// against the rebuilt live slice, which it returns.
-    fn check_side(
-        &mut self,
-        engine: &StreamEngine,
-        side: Side,
-    ) -> Result<HistorySet<'static>, String> {
+    fn check_side(&mut self, engine: &StreamEngine, side: Side) -> Result<Rebuilt, String> {
         let scheme = *engine.scheme().expect("checked by the caller");
         let cfg = engine.config();
         let (shards, df, watermark) = engine.windowed_state();
@@ -538,14 +528,29 @@ impl RecomputeOracle {
             let counts = window_records.entry(ev.entity).or_default();
             *counts.entry(scheme.window_of(ev.time)).or_insert(0) += 1;
         }
-        let mut dataset = LocationDataset::from_records(live.clone().map(StreamEvent::to_record));
-
         // Every live entity's bins sit in its home arena, parked or
         // active: the slice's histories built without the filter. The
         // filter then splits them into parked and active.
-        let slice = HistorySet::build(&dataset, scheme, cfg.slim.spatial_level, watermark + 1);
-        dataset.filter_min_records(min_records);
-        let set = HistorySet::build(&dataset, scheme, cfg.slim.spatial_level, watermark + 1);
+        let key = (self.fed.len(), watermark, side);
+        let shared = self
+            .rebuilds
+            .lock()
+            .expect("rebuilds lock")
+            .get(&key)
+            .cloned();
+        let rebuilt = shared.unwrap_or_else(|| {
+            let level = cfg.slim.spatial_level;
+            let mut dataset =
+                LocationDataset::from_records(live.clone().map(StreamEvent::to_record));
+            let slice = HistorySet::build(&dataset, scheme, level, watermark + 1);
+            dataset.filter_min_records(min_records);
+            let set = HistorySet::build(&dataset, scheme, level, watermark + 1);
+            let rebuilt = Arc::new([slice, set]);
+            let mut rebuilds = self.rebuilds.lock().expect("rebuilds lock");
+            rebuilds.insert(key, Arc::clone(&rebuilt));
+            rebuilt
+        });
+        let [slice, set] = &*rebuilt;
         let want_active = set.entities_sorted();
         let stored = sorted(shards.iter().flat_map(|s| s.histories[i].entities()));
         let active = sorted(shards.iter().flat_map(|s| s.active[i].iter().copied()));
@@ -606,17 +611,19 @@ impl RecomputeOracle {
         self.coverage.revived_entities +=
             revived.filter(|e| self.expired[i].contains(e)).count() as u64;
         self.stored[i] = stored;
-        Ok(set)
+        Ok(rebuilt)
     }
 
     fn check_pairs(
         &mut self,
         cfg: &StreamConfig,
         shards: &[EngineShard],
-        sets: [HistorySet<'static>; 2],
+        sets: [Rebuilt; 2],
     ) -> Result<(), String> {
         self.coverage.ticks += 1;
-        let scorer = SimilarityScorer::new(&cfg.slim, &sets[0], &sets[1]);
+        // The filtered histories: the ones the engine scores.
+        let (u, v) = (&sets[0][1], &sets[1][1]);
+        let scorer = SimilarityScorer::new(&cfg.slim, u, v);
         let prev = self.prev.as_ref();
         let bits_at = |list: &[Contribution], w: WindowIdx| {
             let at = list.binary_search_by_key(&w, |&(cached, _)| cached).ok()?;
@@ -640,8 +647,7 @@ impl RecomputeOracle {
                 if let Some(score) = slot.edge {
                     edges.insert(pair, score);
                 }
-                let (Some(hu), Some(hv)) = (sets[0].history(pair.0), sets[1].history(pair.1))
-                else {
+                let (Some(hu), Some(hv)) = (u.history(pair.0), v.history(pair.1)) else {
                     return Err(format!(
                         "cached pair {pair:?} has an endpoint outside the live slice"
                     ));
@@ -656,8 +662,8 @@ impl RecomputeOracle {
                     return Err(format!("pair {pair:?}: {why}"));
                 }
                 let prev_cached = prev.and_then(|p| p.cache.get(&pair));
-                let prev_u = prev.and_then(|p| p.sets[0].history(pair.0));
-                let prev_v = prev.and_then(|p| p.sets[1].history(pair.1));
+                let prev_u = prev.and_then(|p| p.sets[0][1].history(pair.0));
+                let prev_v = prev.and_then(|p| p.sets[1][1].history(pair.1));
                 // The common windows by lookup, not by the engine's walk.
                 let mut windows: BTreeSet<WindowIdx> = cached.iter().map(|&(w, _)| w).collect();
                 windows.extend(hu.windows().filter(|&w| !hv.window_run(w).0.is_empty()));
@@ -702,7 +708,7 @@ impl RecomputeOracle {
                 cache.insert(pair, cached.clone());
             }
         }
-        let cross = sets[0].num_entities() * sets[1].num_entities();
+        let cross = u.num_entities() * v.num_entities();
         if cfg.lsh.is_none() && cache.len() != cross {
             return Err(format!(
                 "{} cached pairs, brute force over the live slice has {cross}",
@@ -1087,7 +1093,7 @@ fn entry_difference<T: PartialEq + Debug>(name: &str, have: &[T], want: &[T]) ->
 
 /// One event stream under one engine configuration: the thing every
 /// [`Variation`] must answer identically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Case {
     /// The engine configuration (shards, workers and telemetry are the
     /// variation's).
@@ -1218,7 +1224,7 @@ impl Case {
     /// What one run of `v` observes, checked on the way as
     /// [`Case::check`] checks it.
     pub fn observe(&self, v: &Variation) -> Result<Observation, String> {
-        self.run(v, &mut OracleCoverage::default())
+        self.run(v, &Arc::default(), &mut OracleCoverage::default())
     }
 
     /// `n` variations this case admits, drawn from `seed`. LSH runs vary
@@ -1276,37 +1282,79 @@ impl Case {
         v
     }
 
-    /// Runs the reference and every variation, holds each to the
-    /// reference, and returns what the runs exercised. An error names
-    /// the variation and the first field that differed.
+    /// Runs every variation, holds each to the reference, and returns
+    /// what the runs, the reference's included, exercised. An error
+    /// names the variation and the first field that differed.
     pub fn check(&self, variations: &[Variation]) -> Result<OracleCoverage, String> {
-        let mut cover = OracleCoverage::default();
-        let reference = self.run(&Variation::reference(), &mut cover);
-        let reference = reference.map_err(|e| format!("reference run: {e}"))?;
-        well_formed(&reference.epochs).map_err(|e| format!("reference run: {e}"))?;
+        // The direct runs' oracles rebuild the same live slices.
+        let rebuilds = Arc::default();
+        let (reference, mut cover) = self.reference(&rebuilds)?;
+        let mut unbroken = Vec::new();
         for v in variations {
-            self.held(v, &reference, &mut cover)?;
+            self.held(v, &reference, &rebuilds, &mut unbroken, &mut cover)?;
         }
         Ok(cover)
     }
 
+    /// The one-shard, one-worker, whole-stream run and what it
+    /// exercised. It runs once per process for equal cases, so the
+    /// properties of a suite that draw the same seeds share it.
+    fn reference(&self, rebuilds: &Arc<Rebuilds>) -> Result<(Observation, OracleCoverage), String> {
+        type Cell = Arc<OnceLock<Result<(Observation, OracleCoverage), String>>>;
+        static RUN: Mutex<Vec<(Case, Cell)>> = Mutex::new(Vec::new());
+        let cell = {
+            let mut run = RUN.lock().expect("reference lock");
+            match run.iter().find(|(case, _)| case == self) {
+                Some((_, cell)) => Arc::clone(cell),
+                None => {
+                    run.push((self.clone(), Cell::default()));
+                    Arc::clone(&run[run.len() - 1].1)
+                }
+            }
+        };
+        let reference = cell.get_or_init(|| {
+            let mut cover = OracleCoverage::default();
+            let have = self.run(&Variation::reference(), rebuilds, &mut cover)?;
+            well_formed(&have.epochs)?;
+            Ok((have, cover))
+        });
+        reference.clone().map_err(|e| format!("reference run: {e}"))
+    }
+
     /// Runs `v` and holds it to `reference`; returns what it observed.
+    /// `unbroken` keeps the watermark drives held so far, which the
+    /// kills of the same drive are held to.
     fn held(
         &self,
         v: &Variation,
         reference: &Observation,
+        rebuilds: &Arc<Rebuilds>,
+        unbroken: &mut Vec<(Variation, Observation)>,
         cover: &mut OracleCoverage,
     ) -> Result<Observation, String> {
-        let have = self.run(v, cover).map_err(|e| format!("{v:?}: {e}"))?;
+        let have = self
+            .run(v, rebuilds, cover)
+            .map_err(|e| format!("{v:?}: {e}"))?;
         let mut want = match (v.kill, v.watermark) {
-            // Tick for tick, a recovered drive is the same drive unbroken.
-            (Some(_), _) => self.held(&Variation { kill: None, ..*v }, reference, cover)?,
+            // Tick for tick, a recovered drive is the same drive unbroken,
+            // which under the event-count policy is the reference.
+            (Some(_), true) => {
+                let drive = Variation { kill: None, ..*v };
+                match unbroken.iter().find(|(u, _)| *u == drive) {
+                    Some((_, want)) => want.clone(),
+                    None => {
+                        let want = self.held(&drive, reference, rebuilds, unbroken, cover)?;
+                        unbroken.push((drive, want.clone()));
+                        want
+                    }
+                }
+            }
             (None, true) => {
                 let diff = entry_difference("finalized", &have.finalized, &reference.finalized);
                 diff.map_or(Ok(()), |e| Err(format!("{v:?}: {e}")))?;
-                self.replay_at(&have.epochs, cover)?
+                self.replay_at(&have.epochs)?
             }
-            (None, false) => reference.clone(),
+            (_, false) => reference.clone(),
         };
         // Checked against the script by the drive itself.
         want.stats.connections_served = have.stats.connections_served;
@@ -1323,12 +1371,12 @@ impl Case {
 
     /// The reference a run with its own tick schedule is held to: one
     /// shard and one worker fed the stream up to each of its epochs'
-    /// event counts and refreshed there.
-    fn replay_at(
-        &self,
-        epochs: &[LinkSnapshot],
-        cover: &mut OracleCoverage,
-    ) -> Result<Observation, String> {
+    /// event counts and refreshed there. No oracle: a first check after
+    /// unchecked ticks could not tell a lazily carried contribution from
+    /// a wrong one, and one at every epoch would double the cost of a
+    /// watermark run; the reference's oracle holds the same engine over
+    /// the same events to recomputation at every tick.
+    fn replay_at(&self, epochs: &[LinkSnapshot]) -> Result<Observation, String> {
         let mut engine = StreamEngine::new(StreamConfig {
             refresh_every: 0,
             telemetry: false,
@@ -1336,7 +1384,6 @@ impl Case {
         })?;
         let log = EpochLog::new();
         engine.set_epoch_log(log.clone());
-        let mut oracle = RecomputeOracle::new();
         let (mut updates, mut fed) = (Vec::new(), 0);
         for snap in epochs {
             let Some(prefix) = self.events.get(fed..snap.events as usize) else {
@@ -1345,11 +1392,10 @@ impl Case {
                     snap.epoch, snap.events
                 ));
             };
-            updates.extend(oracle.ingest(&mut engine, prefix)?);
-            updates.extend(oracle.refresh(&mut engine)?);
+            updates.extend(engine.ingest_batch(prefix));
+            updates.extend(engine.refresh());
             fed = snap.events as usize;
         }
-        cover.add(&oracle.coverage());
         let epochs = log.collected().iter().map(|s| (**s).clone()).collect();
         observe(engine, updates, epochs)
     }
@@ -1357,7 +1403,12 @@ impl Case {
     /// One run of `v`: fed, recovered if it is killed, refreshed once
     /// more, and checked on the way — the oracle in direct runs, the
     /// readers' loads, the snapshot cadence, the checkpoint directory.
-    fn run(&self, v: &Variation, cover: &mut OracleCoverage) -> Result<Observation, String> {
+    fn run(
+        &self,
+        v: &Variation,
+        rebuilds: &Arc<Rebuilds>,
+        cover: &mut OracleCoverage,
+    ) -> Result<Observation, String> {
         let mut cfg = StreamConfig {
             num_shards: v.shards,
             num_workers: v.workers,
@@ -1379,10 +1430,10 @@ impl Case {
             ..DriveOptions::default()
         };
         let mut engine = StreamEngine::new(cfg)?;
-        let (mut log, mut sink) = (EpochLog::new(), VecSink::new());
+        let (mut log, sink) = (EpochLog::new(), VecSink::new());
         engine.set_epoch_log(log.clone());
         engine.set_metrics_sink(Box::new(sink.clone()));
-        let mut oracle = RecomputeOracle::new();
+        let mut oracle = RecomputeOracle::sharing(rebuilds);
         let mut feed = |e: &mut StreamEngine, cover: &mut OracleCoverage| {
             self.feed(e, v, &opts, &mut oracle, cover)
         };
@@ -1430,7 +1481,7 @@ impl Case {
             cover.recoveries += 1;
             cover.checkpoints_rejected += rejected;
             engine.set_checkpoint_policy(ckpt.0.clone(), CHECKPOINT_EVERY, 2);
-            (log, sink) = (EpochLog::new(), VecSink::new());
+            log = EpochLog::new();
             engine.set_epoch_log(log.clone());
             engine.set_metrics_sink(Box::new(sink.clone()));
             dir = Some((ckpt, engine.stats().checkpoints_written));
@@ -1455,25 +1506,34 @@ impl Case {
             if !seen.windows(2).all(|w| w[0].epoch < w[1].epoch) {
                 return Err("a reader loaded epochs out of order".into());
             }
-            for snap in seen.iter().filter(|s| s.epoch > 0) {
-                if epochs.get(snap.epoch as usize - 1) != Some(snap) {
-                    return Err(format!(
-                        "a reader loaded an unpublished epoch {}",
-                        snap.epoch
-                    ));
+            for snap in &seen {
+                // Before the first tick the pointer serves the placeholder.
+                let published = match snap.epoch {
+                    0 => **snap == LinkSnapshot::empty(),
+                    n => epochs.get(n as usize - 1) == Some(&**snap),
+                };
+                if !published {
+                    return Err(format!("a reader loaded an unpublished {snap:?}"));
                 }
-                cover.reader_loads += 1;
+                cover.reader_loads += u64::from(snap.epoch > 0);
             }
         }
-        if let (Some(every @ 1..), None) = (v.telemetry, v.kill) {
-            let snaps = sink.collected();
-            let counts = snaps.iter().map(|s| s.counter("events").unwrap_or(0));
-            let rising = counts.clone().zip(counts.skip(1)).all(|(a, b)| a <= b);
-            let dense = snaps.iter().enumerate().all(|(i, s)| s.seq == i as u64);
-            if snaps.len() as u64 != engine.stats().events / every || !dense || !rising {
-                return Err(format!("{} snapshots at cadence {every}", snaps.len()));
+        // The crashed and the resumed drive emit into the one sink.
+        let snaps = sink.collected();
+        match (v.telemetry, v.kill) {
+            (Some(every @ 1..), None) => {
+                let counts = snaps.iter().map(|s| s.counter("events").unwrap_or(0));
+                let rising = counts.clone().zip(counts.skip(1)).all(|(a, b)| a <= b);
+                let dense = snaps.iter().enumerate().all(|(i, s)| s.seq == i as u64);
+                if snaps.len() as u64 != engine.stats().events / every || !dense || !rising {
+                    return Err(format!("{} snapshots at cadence {every}", snaps.len()));
+                }
+                cover.snapshots += snaps.len() as u64;
             }
-            cover.snapshots += snaps.len() as u64;
+            (None | Some(0), _) if !snaps.is_empty() => {
+                return Err(format!("{} snapshots with no cadence", snaps.len()));
+            }
+            _ => {}
         }
         let stats = engine.stats();
         cover.sharded_runs += u64::from(v.shards > 1);
@@ -1487,6 +1547,36 @@ impl Case {
         cover.arena_compactions += stats.arena_compactions;
         cover.steal_events += stats.steal_events;
         observe(engine, updates, epochs)
+    }
+
+    /// The stream as [`Delivery::FanIn`] scripts it: `stages`
+    /// time-contiguous stages, each dealt to `connections` connections
+    /// that deliver like a source, one in seven dying after its last
+    /// event — `tier[stage][connection]`, drawn from `seed`.
+    pub fn fan_in(
+        &self,
+        stages: usize,
+        connections: usize,
+        seed: u64,
+    ) -> Vec<Vec<Vec<ScriptStep>>> {
+        let (mut d, len) = (Draw(seed), self.events.len().div_ceil(stages).max(1));
+        let mut tier = Vec::new();
+        for stage in self.events.chunks(len) {
+            let mut dealt = vec![Vec::new(); connections];
+            for ev in stage {
+                dealt[d.below(connections as u64) as usize].push(*ev);
+            }
+            let scripts = dealt.into_iter().map(|mine| {
+                let mut steps = jittered(&mine, 8, &mut d);
+                // Deaths after the last event lose nothing.
+                if d.one_in(7) {
+                    steps.push(ScriptStep::Error("scripted death".into()));
+                }
+                steps
+            });
+            tier.push(scripts.collect());
+        }
+        tier
     }
 
     /// Delivers the stream to `engine` as `v` says.
@@ -1524,28 +1614,16 @@ impl Case {
                 connections,
                 seed,
             } => {
-                let (mut d, len) = (Draw(seed), self.events.len().div_ceil(stages).max(1));
-                let mut tier = Vec::new();
-                for (s, stage) in self.events.chunks(len).enumerate() {
-                    let mut dealt = vec![Vec::new(); connections];
-                    for ev in stage {
-                        dealt[d.below(connections as u64) as usize].push(*ev);
-                    }
-                    let scripts = dealt.into_iter().map(|mine| {
-                        let mut steps = jittered(&mine, 8, &mut d);
-                        // Deaths after the last event lose nothing.
-                        match d.one_in(7) {
-                            true => {
-                                steps.push(ScriptStep::Error("scripted death".into()));
-                                cover.deaths += 1;
-                            }
-                            false => cover.leaves += 1,
-                        }
-                        steps
-                    });
-                    tier.push(scripts.collect::<Vec<_>>());
-                    cover.joins += connections as u64;
-                    cover.staged_joins += if s > 0 { connections as u64 } else { 0 };
+                let tier = self.fan_in(stages, connections, seed);
+                for (s, stage) in tier.iter().enumerate() {
+                    let died = stage
+                        .iter()
+                        .filter(|c| matches!(c.last(), Some(ScriptStep::Error(_))));
+                    let (joined, died) = (stage.len() as u64, died.count() as u64);
+                    cover.joins += joined;
+                    cover.staged_joins += if s > 0 { joined } else { 0 };
+                    cover.deaths += died;
+                    cover.leaves += joined - died;
                 }
                 let joined = tier.iter().map(Vec::len).sum::<usize>() as u64;
                 (
